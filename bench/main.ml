@@ -11,7 +11,7 @@
          and write every Harness.result field as versioned JSON)
       dune exec bench/main.exe -- --bench [--jobs N] [--out FILE]
           [--history DIR] [--suite all|selected|octane|sunspider|kraken]
-          [--time] [--profile[=FILE]] [--shards N | --shard K/N]
+          [--time] [--profile[=FILE]] [--shards N]
           [--deterministic] [WORKLOAD ...]
         (parallel suite run through Tce_runner; appends to the result
          store: BENCH_latest.json + results/history/. --time additionally
@@ -33,9 +33,9 @@
          journal and runs only the remainder. --chaos-worker MODE
          [--chaos-seed N] arms one seeded worker fault (crash-after /
          sigkill-after / hang-after / garbage-after / truncate-after /
-         poison) to drill the supervisor. --shard K/N and
-         --worker-indices i,j,k are the worker sides (row envelopes on
-         stdout, spawned by the parent — not meant for direct use).
+         poison) to drill the supervisor. --worker-indices i,j,k is the
+         worker side (row envelopes on stdout, spawned by the parent —
+         not meant for direct use).
          --deterministic strips the host-dependent fields (timestamps,
          wall clocks, jobs/shards) from the saved run so two runs of the
          same tree compare with cmp(1))
@@ -75,11 +75,15 @@
         (perf-regression gate: re-run the baseline's roster and exit
          non-zero when cycles or check-removal rates degrade)
       dune exec bench/main.exe -- --faults [--fault-seed N] [--fault-spec S]
-          [--jobs N] [--shards N | --shard K/N] [--out FILE] [--dir DIR]
+          [--jobs N | --shards N] [--out FILE] [--dir DIR]
           [--suite ...] [WORKLOAD ...]
         (fault-injection campaign: run the (workload x fault point) matrix
          under the differential oracle, write FAULTS_latest.json +
-         results/campaigns/, exit non-zero on any silent wrong answer) *)
+         results/campaigns/, exit non-zero on any silent wrong answer.
+         --shards N runs the matrix on the same supervised workers as
+         --bench, longest workload first, with the same recovery flags)
+      Every --shards parent spawns workers of this executable with
+      --worker-indices i,j,k and merges their rows by index. *)
 
 open Tce_metrics
 
@@ -333,16 +337,6 @@ let finish_cache ?telem cache =
     | None -> ());
     ignore (Tce_runner.Cache.prune ~dir:(Tce_runner.Cache.dir c) ())
 
-(* `--worker-indices i,j,k` (hidden worker mode, spawned by the supervised
-   parent): the explicit cell indices this worker must run, in order. *)
-let parse_indices s =
-  List.map
-    (fun t ->
-      match int_of_string_opt (String.trim t) with
-      | Some i -> i
-      | None -> usage_fail (Printf.sprintf "--worker-indices: bad index %S" t))
-    (String.split_on_char ',' s)
-
 (* `--chaos MODE:ARG` (hidden worker side of the chaos harness). *)
 let parse_worker_chaos opts =
   match Hashtbl.find_opt opts "chaos" with
@@ -393,19 +387,39 @@ let make_telem ~driver ~total ~board opts =
     | None -> ());
     t
 
-(* Hidden worker side: `--heartbeat SLOT` makes the worker interleave
-   `telem` progress envelopes with its row stream. *)
-let worker_beat opts ~indices =
-  match Hashtbl.find_opt opts "heartbeat" with
-  | None -> None
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some slot ->
-      Some
-        (Tce_telem.Heartbeat.emitter ~slot ~total:(List.length indices)
-           ~out:stdout)
-    | None ->
-      usage_fail (Printf.sprintf "--heartbeat expects a slot number, got %s" v))
+(* Hidden worker mode (`--worker-indices i,j,k`, spawned by a supervised
+   parent): run exactly those cells of the matrix, in order, one row
+   envelope per cell on stdout, then exit — no summary, no result files.
+   `--chaos MODE:ARG` arms the worker side of the chaos harness and
+   `--heartbeat SLOT` interleaves `telem` progress envelopes with the rows. *)
+let serve_worker opts cells =
+  match Hashtbl.find_opt opts "worker-indices" with
+  | None -> ()
+  | Some s ->
+    let indices =
+      List.map
+        (fun t ->
+          match int_of_string_opt (String.trim t) with
+          | Some i -> i
+          | None ->
+            usage_fail (Printf.sprintf "--worker-indices: bad index %S" t))
+        (String.split_on_char ',' s)
+    in
+    let beat =
+      Option.map
+        (fun v ->
+          match int_of_string_opt v with
+          | Some slot ->
+            Tce_telem.Heartbeat.emitter ~slot ~total:(List.length indices)
+              ~out:stdout
+          | None ->
+            usage_fail
+              (Printf.sprintf "--heartbeat expects a slot number, got %s" v))
+        (Hashtbl.find_opt opts "heartbeat")
+    in
+    Tce_runner.Shard.worker ?chaos:(parse_worker_chaos opts) ?beat ~indices
+      ~out:stdout (cells ());
+    exit 0
 
 let run_bench args =
   (* `--attr[=FILE]`, `--profile[=FILE]`, `--time`, `--strict` and
@@ -458,7 +472,7 @@ let run_bench args =
   in
   let opts, names =
     parse_flags
-      ([ "jobs"; "out"; "history"; "suite"; "shards"; "shard"; "worker-indices";
+      ([ "jobs"; "out"; "history"; "suite"; "shards"; "worker-indices";
          "chaos"; "supervise-timeout"; "max-retries"; "resume"; "chaos-worker";
          "chaos-seed"; "cache-dir" ]
       @ telem_flags)
@@ -467,28 +481,7 @@ let run_bench args =
   let jobs = opt_int opts "jobs" ~default:(Tce_runner.Runner.default_jobs ()) in
   let suite = Option.value ~default:"all" (Hashtbl.find_opt opts "suite") in
   let ws = resolve_workloads ~suite names in
-  (* Worker modes (spawned by a parent driver): run the assigned cells and
-     stream row envelopes on stdout — no summary, no result files.
-     `--worker-indices i,j,k` is the supervised parent's explicit
-     assignment; `--shard K/N` the legacy round-robin slice. *)
-  (match Hashtbl.find_opt opts "worker-indices" with
-  | None -> ()
-  | Some s ->
-    let indices = parse_indices s in
-    Tce_runner.Shard.bench_worker_indices ?config
-      ?chaos:(parse_worker_chaos opts) ?beat:(worker_beat opts ~indices)
-      ~indices ~out:stdout ws;
-    exit 0);
-  (match Hashtbl.find_opt opts "shard" with
-  | None -> ()
-  | Some spec_str -> (
-    if attr_out <> None || prof_out <> None || show_time then
-      usage_fail "--shard is a worker mode; --attr/--profile/--time live on the parent";
-    match Tce_runner.Shard.parse_spec spec_str with
-    | Error e -> usage_fail e
-    | Ok (shard, shards) ->
-      Tce_runner.Shard.bench_worker ?config ~shard ~shards ~out:stdout ws;
-      exit 0));
+  serve_worker opts (fun () -> Tce_runner.Shard.bench_cells ?config ws);
   let shards = opt_int opts "shards" ~default:1 in
   if shards < 1 then usage_fail "--shards expects a positive integer";
   if shards > 1 && (attr_out <> None || prof_out <> None) then
@@ -645,7 +638,7 @@ let run_faults args =
   let opts, names =
     parse_flags
       ([ "jobs"; "fault-seed"; "fault-spec"; "out"; "dir"; "suite"; "shards";
-         "shard"; "worker-indices"; "chaos"; "supervise-timeout"; "max-retries";
+         "worker-indices"; "chaos"; "supervise-timeout"; "max-retries";
          "resume"; "chaos-worker"; "chaos-seed"; "cache-dir" ]
       @ telem_flags)
       args
@@ -664,24 +657,7 @@ let run_faults args =
   in
   let suite = Option.value ~default:"all" (Hashtbl.find_opt opts "suite") in
   let ws = resolve_workloads ~suite names in
-  (* Worker modes: run the assigned matrix cells, envelopes on stdout
-     (spawned by a `--shards N` parent — no summary, no files). *)
-  (match Hashtbl.find_opt opts "worker-indices" with
-  | None -> ()
-  | Some s ->
-    let indices = parse_indices s in
-    Tce_runner.Campaign.worker_indices ~spec ~seed
-      ?chaos:(parse_worker_chaos opts) ?beat:(worker_beat opts ~indices)
-      ~indices ~out:stdout ws;
-    exit 0);
-  (match Hashtbl.find_opt opts "shard" with
-  | None -> ()
-  | Some spec_str -> (
-    match Tce_runner.Shard.parse_spec spec_str with
-    | Error e -> usage_fail e
-    | Ok (shard, shards) ->
-      Tce_runner.Campaign.worker ~spec ~seed ~shard ~shards ~out:stdout ws;
-      exit 0));
+  serve_worker opts (fun () -> Tce_runner.Campaign.cells ~spec ~seed ws);
   let shards = opt_int opts "shards" ~default:1 in
   if shards < 1 then usage_fail "--shards expects a positive integer";
   let resume = Hashtbl.find_opt opts "resume" in
@@ -689,6 +665,11 @@ let run_faults args =
     make_telem ~driver:"faults"
       ~total:(List.length (Tce_runner.Campaign.matrix ~spec ws))
       ~board opts
+  in
+  let chaos = parse_parent_chaos opts in
+  (* as for --bench: a chaos drill needs live workers, not cache hits *)
+  let cache =
+    if no_cache || chaos <> None then None else Some (make_cache opts)
   in
   let campaign =
     if shards > 1 || resume <> None then
@@ -700,8 +681,7 @@ let run_faults args =
         | Some v -> [ "--" ^ key; v ]
       in
       Tce_runner.Campaign.parent ~spec ~seed ~shards
-        ~supervise:(supervise_config opts) ?resume
-        ?chaos:(parse_parent_chaos opts) ?telem
+        ~supervise:(supervise_config opts) ?resume ?chaos ?telem ?cache
         ~worker_args:(pass "fault-seed" @ pass "fault-spec")
         ws
     else
@@ -714,14 +694,9 @@ let run_faults args =
                    c.Tce_runner.Campaign.point))
           telem
       in
-      (* the cell cache serves the in-process path only (the sharded
-         parent's workers re-simulate; its cells are rare enough that a
-         pre-resolution pass has not been worth the plumbing) *)
-      let cache = if no_cache then None else Some (make_cache opts) in
-      let campaign = Tce_runner.Campaign.run ?cache ~spec ~seed ~jobs ?on_cell ws in
-      finish_cache ?telem cache;
-      campaign
+      Tce_runner.Campaign.run ?cache ~spec ~seed ~jobs ?on_cell ws
   in
+  finish_cache ?telem cache;
   Option.iter Tce_runner.Telem.finish telem;
   let latest =
     Option.value ~default:Tce_runner.Campaign.latest_path
@@ -773,16 +748,7 @@ let run_sweep args =
   in
   let suite = Option.value ~default:"all" (Hashtbl.find_opt opts "suite") in
   let ws = resolve_workloads ~suite names in
-  (* Hidden worker mode (spawned by the supervised parent): run the
-     assigned matrix cells, sweep-cell envelopes on stdout. *)
-  (match Hashtbl.find_opt opts "worker-indices" with
-  | None -> ()
-  | Some s ->
-    let indices = parse_indices s in
-    Tce_runner.Sweep.worker_indices
-      ?beat:(worker_beat opts ~indices)
-      ~axes ~indices ~out:stdout ws;
-    exit 0);
+  serve_worker opts (fun () -> Tce_runner.Sweep.cells ~axes ws);
   let jobs = opt_int opts "jobs" ~default:(Tce_runner.Runner.default_jobs ()) in
   let shards = opt_int opts "shards" ~default:1 in
   if shards < 1 then usage_fail "--shards expects a positive integer";

@@ -36,6 +36,11 @@ let create ?(dir = Store.cache_dir) () =
   }
 
 let stats t = t.stats
+
+let counts = function
+  | None -> (0, 0)
+  | Some t -> (t.stats.hits, t.stats.misses)
+
 let dir t = t.dir
 
 let with_lock t f =

@@ -37,6 +37,10 @@ val create : ?dir:string -> unit -> t
 
 val stats : t -> stats
 
+val counts : t option -> int * int
+(** [(hits, misses)] so far; [(0, 0)] without a cache. Callers sharing a
+    handle subtract a snapshot to count one invocation's lookups. *)
+
 val dir : t -> string
 
 val hit_ratio : stats -> float

@@ -160,23 +160,29 @@ let matrix ~(spec : Spec.t) (ws : W.t list) : (W.t * Spec.rule) list =
     differential oracle's ground truth) and a clean mechanism-on run (the
     yardstick for Degraded vs Masked). The two must already agree: a
     mismatch here is an engine bug, not an injection outcome. *)
+let prep (w : W.t) =
+  let reference =
+    observe ~config:{ E.default_config with E.mechanism = false } w
+  in
+  let clean = observe ~config:{ E.default_config with E.mechanism = true } w in
+  if reference.observable <> clean.observable then
+    failwith
+      (Printf.sprintf
+         "%s: mechanism-on output differs from the checks-on reference with \
+          no faults injected"
+         w.W.name);
+  (reference, clean)
+
 let prep_workloads ~jobs (ws : W.t list) =
-  Runner.parallel_map ~jobs
-    (fun w ->
-      let reference =
-        observe ~config:{ E.default_config with E.mechanism = false } w
-      in
-      let clean =
-        observe ~config:{ E.default_config with E.mechanism = true } w
-      in
-      if reference.observable <> clean.observable then
-        failwith
-          (Printf.sprintf
-             "%s: mechanism-on output differs from the checks-on reference \
-              with no faults injected"
-             w.W.name);
-      (w.W.name, (reference, clean)))
-    ws
+  Runner.parallel_map ~jobs (fun (w : W.t) -> (w.W.name, prep w)) ws
+
+(** The cell-cache key of cell [(w, rule)]: its singleton spec and
+    injector seed on top of the bench identity. *)
+let cell_key ~campaign_seed (w : W.t) (rule : Spec.rule) =
+  let point = Point.name rule.Spec.point in
+  Cache.fault_key ~spec:(Spec.to_string [ rule ])
+    ~seed:(cell_seed ~campaign_seed ~workload:w.W.name ~point)
+    w
 
 let wrong t = List.filter (fun c -> c.outcome = Wrong) t.cells
 
@@ -235,16 +241,10 @@ let run ?cache ?(spec = Spec.default) ?(seed = default_seed) ?jobs ?on_cell
     List.map
       (fun ((w : W.t), (rule : Spec.rule)) ->
         let hit =
-          match cache with
-          | None -> None
-          | Some ca ->
-            let point = Point.name rule.Spec.point in
-            let cseed = cell_seed ~campaign_seed:seed ~workload:w.W.name ~point in
-            let key =
-              Cache.fault_key ~spec:(Spec.to_string [ rule ]) ~seed:cseed w
-            in
-            Option.bind (Cache.find ca ~key) (fun j ->
-                Result.to_option (cell_of_json j))
+          Option.bind cache (fun ca ->
+              Option.bind
+                (Cache.find ca ~key:(cell_key ~campaign_seed:seed w rule))
+                (fun j -> Result.to_option (cell_of_json j)))
         in
         (w, rule, hit))
       (matrix ~spec ws)
@@ -274,12 +274,11 @@ let run ?cache ?(spec = Spec.default) ?(seed = default_seed) ?jobs ?on_cell
           | None ->
             let reference, clean = List.assoc w.W.name prepped in
             let c = run_cell ~campaign_seed:seed ~reference ~clean w rule in
-            (match cache with
-            | Some ca ->
-              Cache.store ca
-                ~key:(Cache.fault_key ~spec:c.spec ~seed:c.seed w)
-                (json_of_cell c)
-            | None -> ());
+            Option.iter
+              (fun ca ->
+                Cache.store ca ~key:(cell_key ~campaign_seed:seed w rule)
+                  (json_of_cell c))
+              cache;
             c
         in
         (* observer for telemetry progress; must not affect outcomes *)
@@ -377,18 +376,12 @@ let of_json (j : J.t) : (t, string) result =
           })
     | _ -> Error "malformed fault-campaign document")
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
-
 let save ?(latest = latest_path) ?(dir = campaigns_dir) (t : t) : string =
   let doc = to_json t in
   Tce_obs.Export.to_file ~path:latest doc;
   if dir = "" then latest
   else begin
-    mkdir_p dir;
+    Store.mkdir_p dir;
     let name =
       Printf.sprintf "%s-%s-seed%d.json"
         (String.map (function ':' -> '-' | c -> c) t.created_utc)
@@ -407,208 +400,69 @@ let load path : (t, string) result =
     close_in ic;
     match J.of_string s with Error e -> Error e | Ok j -> of_json j
 
-(* --- multi-process sharding --- *)
+(* --- multi-process execution (fault-cell envelopes) --- *)
 
-let row_to_json ~index (c : cell) : J.t =
-  Tce_obs.Export.document ~kind:"fault-cell"
-    (J.Obj [ ("index", J.Int index); ("cell", json_of_cell c) ])
+let codec =
+  {
+    Shard.kind = "fault-cell";
+    field = "cell";
+    encode = json_of_cell;
+    decode = cell_of_json;
+    cache_form = Fun.id;
+  }
 
-let row_of_json (j : J.t) : (int * cell, string) result =
-  match Tce_obs.Export.open_document j with
-  | Error e -> Error e
-  | Ok (kind, _) when kind <> "fault-cell" ->
-    Error (Printf.sprintf "expected a fault-cell document, got %S" kind)
-  | Ok (_, data) -> (
-    match
-      (Option.bind (J.member "index" data) J.to_int, J.member "cell" data)
-    with
-    | Some i, Some cj when i >= 0 ->
-      Result.map (fun c -> (i, c)) (cell_of_json cj)
-    | _ -> Error "malformed fault-cell row")
-
-(** Worker side of [--faults --worker-indices i,j,k]: run exactly
-    [indices] of the {!matrix}, in the given order, streaming one
-    [fault-cell] envelope per cell to [out]. Reference/clean observations
-    are prepared only for the workloads the indices actually touch.
-    [chaos] arms a deterministic fault ({!Supervise.Chaos}); [beat] emits
-    a [telem] heartbeat envelope before and after each cell. *)
-let worker_indices ?(spec = Spec.default) ?(seed = default_seed) ?chaos ?beat
-    ~indices ~out (ws : W.t list) : unit =
-  let cells = Array.of_list (matrix ~spec ws) in
-  List.iter
-    (fun i ->
-      if i < 0 || i >= Array.length cells then
-        failwith
-          (Printf.sprintf "worker index %d out of range [0, %d)" i
-             (Array.length cells)))
-    indices;
-  let needed =
-    List.sort_uniq compare (List.map (fun i -> (fst cells.(i)).W.name) indices)
+let cells ~spec ~seed (ws : W.t list) : cell Shard.cells =
+  let m = Array.of_list (matrix ~spec ws) in
+  let cost = lazy (Store.baseline_cost_of_workload ()) in
+  (* reference/clean observations, once per workload this process runs *)
+  let prepped = Hashtbl.create 8 in
+  let prep_once (w : W.t) =
+    match Hashtbl.find_opt prepped w.W.name with
+    | Some p -> p
+    | None ->
+      let p = prep w in
+      Hashtbl.add prepped w.W.name p;
+      p
   in
-  let prepped =
-    prep_workloads ~jobs:1
-      (List.filter (fun (w : W.t) -> List.mem w.W.name needed) ws)
-  in
-  let emitted = ref 0 in
-  List.iter
-    (fun i ->
-      let mode = Supervise.Chaos.before_cell chaos ~emitted:!emitted ~index:i out in
-      let w, rule = cells.(i) in
-      (match beat with
-      | Some e ->
-        Tce_telem.Heartbeat.beat_start e ~index:i
-          ~name:(Printf.sprintf "%s×%s" w.W.name (Point.name rule.Spec.point))
-      | None -> ());
-      let reference, clean = List.assoc w.W.name prepped in
-      let c = run_cell ~campaign_seed:seed ~reference ~clean w rule in
-      let line = J.to_string (row_to_json ~index:i c) in
-      (match mode with
-      | `Truncate -> Supervise.Chaos.truncate_line out line
-      | `Run ->
-        output_string out line;
-        output_char out '\n';
-        flush out);
-      (match beat with
-      | Some e -> Tce_telem.Heartbeat.beat_cell_done e
-      | None -> ());
-      incr emitted)
-    indices;
-  match beat with Some e -> Tce_telem.Heartbeat.beat_done e | None -> ()
+  {
+    Shard.codec;
+    argv = "--faults" :: List.map (fun (w : W.t) -> w.W.name) ws;
+    count = Array.length m;
+    name =
+      (fun i ->
+        let w, rule = m.(i) in
+        Printf.sprintf "%s×%s" w.W.name (Point.name rule.Spec.point));
+    (* a cell costs about one run of its workload *)
+    cost = (fun i -> Lazy.force cost (fst m.(i)));
+    key = (fun i -> cell_key ~campaign_seed:seed (fst m.(i)) (snd m.(i)));
+    run =
+      (fun i ->
+        let w, rule = m.(i) in
+        let reference, clean = prep_once w in
+        run_cell ~campaign_seed:seed ~reference ~clean w rule);
+  }
 
-(** Worker side of [--faults --shard K/N] (kept for compatibility):
-    delegates to {!worker_indices} with the shard's round-robin slice. *)
-let worker ?spec ?seed ~shard ~shards ~out (ws : W.t list) : unit =
-  let n =
-    List.length ws * List.length (Option.value ~default:Spec.default spec)
-  in
-  worker_indices ?spec ?seed ~indices:(Shard.positions ~shard ~shards ~n) ~out
-    ws
-
-(** Parent side of [--faults --shards N]: run the {!matrix} across [N]
-    supervised fault workers ({!Supervise.run}) — crashed/hung workers are
-    respawned over their missing cells, poison cells quarantine, rows are
-    journaled to [journal_path] and [resume] replays a previous journal.
-    Cell seeds are a pure function of the cell identity, so the sharded
-    matrix is cell-for-cell identical to an in-process run.
-    @raise Failure when supervision fails unrecoverably or the merge is
-    incomplete. *)
-let parent ?exe ?spawn ?(log_dir = Shard.default_log_dir)
-    ?(supervise = Supervise.default_config)
-    ?(journal_path = Store.faults_journal_path) ?resume ?chaos ?telem
+let parent ?exe ?spawn ?log_dir ?supervise
+    ?(journal_path = Store.faults_journal_path) ?resume ?chaos ?telem ?cache
     ?(spec = Spec.default) ?(seed = default_seed) ~shards ~worker_args
     (ws : W.t list) : t =
   let t0 = Unix.gettimeofday () in
-  let names = List.map (fun (w : W.t) -> w.W.name) ws in
-  let cells = Array.of_list (matrix ~spec ws) in
-  (* the CLI cannot size the matrix before the spec is parsed, so the
-     scheduled total lands here *)
-  (match telem with
-  | Some t -> Telem.set_total t (Array.length cells)
-  | None -> ());
-  let cost = Store.baseline_cost_of_workload () in
-  let tasks =
-    List.init (Array.length cells) (fun i ->
-        let w, rule = cells.(i) in
-        {
-          Supervise.t_index = i;
-          t_name = Printf.sprintf "%s×%s" w.W.name (Point.name rule.Spec.point);
-          (* per-cell cost proxy: the whole workload's baseline cycles —
-             only ratios matter for the deadline scaling *)
-          t_cost = cost w;
-        })
+  let s =
+    Shard.parent ?exe ?spawn ?log_dir ?supervise ~journal_path ?resume ?chaos
+      ?telem ?cache ~shards ~worker_args (cells ~spec ~seed ws)
   in
-  let assignment =
-    let a = Array.make (max 1 shards) [] in
-    List.iteri
-      (fun pos (t : Supervise.task) ->
-        a.(pos mod max 1 shards) <- t.Supervise.t_index :: a.(pos mod max 1 shards))
-      tasks;
-    Array.map List.rev a
-  in
-  let argv_of_indices ~slot ~attempt indices =
-    let chaos_args =
-      match chaos with
-      | None -> []
-      | Some (mode, chaos_seed) ->
-        Option.value ~default:[]
-          (Supervise.Chaos.worker_args ~mode ~seed:chaos_seed ~assignment ~slot
-             ~attempt)
-    in
-    Array.of_list
-      (Sys.executable_name :: "--faults"
-       :: "--worker-indices"
-       :: String.concat "," (List.map string_of_int indices)
-       :: (chaos_args @ Telem.heartbeat_args telem ~slot @ worker_args @ names))
-  in
-  let parse line =
-    Result.map_error
-      (fun e -> "bad fault-cell: " ^ e)
-      (Result.bind (J.of_string line) row_of_json)
-  in
-  let to_line i c = J.to_string (row_to_json ~index:i c) in
-  let resume_rows =
-    match resume with
-    | None -> []
-    | Some path -> (
-      match Store.journal_lines path with
-      | Error e -> failwith (Printf.sprintf "--resume %s: %s" path e)
-      | Ok lines ->
-        List.filter_map (fun line -> Result.to_option (parse line)) lines)
-  in
-  let serial_run i =
-    let w, rule = cells.(i) in
-    let prepped = prep_workloads ~jobs:1 [ w ] in
-    let reference, clean = List.assoc w.W.name prepped in
-    run_cell ~campaign_seed:seed ~reference ~clean w rule
-  in
-  let events =
-    match telem with
-    | Some t -> Telem.events t
-    | None -> Supervise.null_events
-  in
-  let journal = Store.journal_open journal_path in
-  let outcome =
-    Fun.protect
-      ~finally:(fun () -> Store.journal_close journal)
-      (fun () ->
-        Supervise.run ?exe ?spawn ~config:supervise ~shards ~log_dir
-          ~journal:(Store.journal_append journal) ~serial_run ~resume_rows
-          ~events ~argv_of_indices ~parse ~to_line tasks)
-  in
-  match outcome with
-  | Error e -> failwith ("sharded fault campaign failed: " ^ e)
-  | Ok o -> (
-    (match telem with
-    | Some t -> Telem.resumed t (List.length o.Supervise.resumed)
-    | None -> ());
-    let name_of i =
-      if i >= 0 && i < Array.length cells then begin
-        let w, rule = cells.(i) in
-        Some (Printf.sprintf "%s×%s" w.W.name (Point.name rule.Spec.point))
-      end
-      else None
-    in
-    let quarantined_indices =
-      List.map (fun q -> q.Supervise.q_index) o.Supervise.quarantined
-    in
-    match
-      Shard.merge_rows ~names:name_of ~quarantined:quarantined_indices
-        ~what:"fault-cell" ~expected:(Array.length cells) o.Supervise.rows
-    with
-    | Error e -> failwith e
-    | Ok merged ->
-      {
-        campaign_seed = seed;
-        spec = Spec.to_string spec;
-        git_sha = Store.git_sha ();
-        created_utc = Store.timestamp_utc ();
-        jobs = 1;
-        shards;
-        host_wall_seconds = Unix.gettimeofday () -. t0;
-        cells = merged;
-        quarantined = o.Supervise.quarantined;
-        resumed_rows = o.Supervise.resumed;
-      })
+  {
+    campaign_seed = seed;
+    spec = Spec.to_string spec;
+    git_sha = Store.git_sha ();
+    created_utc = Store.timestamp_utc ();
+    jobs = 1;
+    shards;
+    host_wall_seconds = Unix.gettimeofday () -. t0;
+    cells = List.map snd s.Shard.rows;
+    quarantined = s.Shard.quarantined;
+    resumed_rows = s.Shard.resumed;
+  }
 
 (* --- reporting --- *)
 

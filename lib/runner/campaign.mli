@@ -120,47 +120,26 @@ val matrix :
   Tce_workloads.Workload.t list ->
   (Tce_workloads.Workload.t * Tce_fault.Spec.rule) list
 
-(** One matrix cell as a versioned single-line [fault-cell] envelope
-    carrying its matrix index (the sharded-worker wire format). *)
-val row_to_json : index:int -> cell -> Tce_obs.Json.t
+(** [fault-cell] envelopes: [{"index": i, "cell": cell}]. *)
+val codec : cell Shard.codec
 
-val row_of_json : Tce_obs.Json.t -> (int * cell, string) result
-
-(** Worker side of [--faults --worker-indices i,j,k]: run exactly
-    [indices] of {!matrix}, in the given order, streaming one [fault-cell]
-    envelope per cell to [out] (reference/clean observations are prepared
-    only for the workloads the indices touch). [chaos] arms a
-    deterministic fault for the chaos harness ({!Supervise.Chaos}). *)
-val worker_indices :
-  ?spec:Tce_fault.Spec.t ->
-  ?seed:int ->
-  ?chaos:Supervise.Chaos.t ->
-  ?beat:Tce_telem.Heartbeat.emitter ->
-  indices:int list ->
-  out:out_channel ->
+(** {!matrix} as a {!Shard.cells} matrix, worker mode [--faults]. A
+    worker prepares each workload's reference/clean observations once,
+    on the first of its cells that needs them. Cells are keyed by
+    {!Cache.fault_key}. *)
+val cells :
+  spec:Tce_fault.Spec.t ->
+  seed:int ->
   Tce_workloads.Workload.t list ->
-  unit
+  cell Shard.cells
 
-(** Worker side of [--faults --shard K/N] (kept for compatibility):
-    {!worker_indices} over the shard's round-robin slice. *)
-val worker :
-  ?spec:Tce_fault.Spec.t ->
-  ?seed:int ->
-  shard:int ->
-  shards:int ->
-  out:out_channel ->
-  Tce_workloads.Workload.t list ->
-  unit
-
-(** Parent side of [--faults --shards N]: run {!matrix} across [N]
-    supervised fault workers ({!Supervise.run}) — dead or hung workers are
-    respawned over their missing cells, poison cells quarantine after
-    [supervise.max_retries] kills, rows are journaled to [journal_path]
-    (default {!Store.faults_journal_path}) and [resume] replays a previous
-    journal so only the remainder runs. Cell seeds are pure functions of
-    cell identity, so the result is cell-for-cell identical to an
-    in-process run. [exe]/[spawn] are test injection points; [chaos] is
-    the parent side of the chaos harness ([mode, seed]).
+(** Parent side of [--faults --shards N]: {!Shard.parent} over {!cells},
+    journaled to [journal_path] (default {!Store.faults_journal_path}).
+    Cell seeds are pure functions of cell identity, so the result is
+    cell-for-cell identical to {!run}. [worker_args] must carry the
+    [--fault-seed]/[--fault-spec] the workers need to rebuild the same
+    matrix. With [cache], hits are pre-resolved: a fully cached campaign
+    starts no worker.
     @raise Failure when supervision fails unrecoverably or the merge is
     incomplete (a missing cell that is not quarantined). *)
 val parent :
@@ -172,6 +151,7 @@ val parent :
   ?resume:string ->
   ?chaos:Supervise.Chaos.mode * int ->
   ?telem:Telem.t ->
+  ?cache:Cache.t ->
   ?spec:Tce_fault.Spec.t ->
   ?seed:int ->
   shards:int ->

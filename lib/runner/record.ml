@@ -386,29 +386,6 @@ let run_of_json (j : J.t) : (run, string) result =
         cache_misses;
       }
 
-(* --- shard-worker row streaming --- *)
-
-let row_to_json ~index (w : workload) : J.t =
-  Tce_obs.Export.document ~kind:"bench-row"
-    (J.Obj [ ("index", J.Int index); ("workload", workload_to_json w) ])
-
-let row_of_json (j : J.t) : (int * workload, string) result =
-  let* kind, data = Tce_obs.Export.open_document j in
-  if kind <> "bench-row" then
-    Error (Printf.sprintf "expected a bench-row document, got %S" kind)
-  else
-    let* index =
-      match Option.bind (J.member "index" data) J.to_int with
-      | Some i when i >= 0 -> Ok i
-      | _ -> Error "bad or missing field \"index\""
-    in
-    let* w =
-      match J.member "workload" data with
-      | Some wj -> workload_of_json wj
-      | None -> Error "bad or missing field \"workload\""
-    in
-    Ok (index, w)
-
 (** Zero the host wall clocks of a row: what remains is a pure function
     of the simulator state. This is the form rows take in the cell cache,
     so a cached row and a normalized fresh row are byte-identical. *)

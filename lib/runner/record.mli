@@ -101,15 +101,6 @@ val run_to_json : run -> Tce_obs.Json.t
 
 val run_of_json : Tce_obs.Json.t -> (run, string) result
 
-(** Wrap / unwrap one positioned workload row in a versioned envelope
-    (kind ["bench-row"]) — the unit a shard worker streams back to the
-    parent driver. [index] is the workload's position in the parent's
-    roster, so rows merge deterministically whatever order workers finish
-    in. *)
-val row_to_json : index:int -> workload -> Tce_obs.Json.t
-
-val row_of_json : Tce_obs.Json.t -> (int * workload, string) result
-
 (** The row with its host wall clocks zeroed — the form rows take inside
     the cell cache (pure simulated data). *)
 val zero_walls : workload -> workload

@@ -148,20 +148,9 @@ let run_suite ?cache ?config ?jobs ?cost ?on_row
     match cost with Some c -> c | None -> Store.baseline_cost_of_workload ()
   in
   (* Count only this run's lookups, even when the handle is shared. *)
-  let h0, m0 =
-    match cache with
-    | None -> (0, 0)
-    | Some c ->
-      let s = Cache.stats c in
-      (s.Cache.hits, s.Cache.misses)
-  in
+  let h0, m0 = Cache.counts cache in
   let workloads = run_workloads ?cache ?config ~jobs ~cost ?on_row ws in
   let host_wall_seconds = Unix.gettimeofday () -. t0 in
-  let cache_stats =
-    match cache with
-    | None -> (0, 0)
-    | Some c ->
-      let s = Cache.stats c in
-      (s.Cache.hits - h0, s.Cache.misses - m0)
-  in
+  let h1, m1 = Cache.counts cache in
+  let cache_stats = (h1 - h0, m1 - m0) in
   Store.make_run ?config ~jobs ~cache_stats ~host_wall_seconds workloads

@@ -1,25 +1,10 @@
-(** Multi-process roster sharding (see shard.mli for the protocol). *)
+(** One supervised parent and worker for every cell matrix (see
+    shard.mli). *)
 
 module J = Tce_obs.Json
 module W = Tce_workloads.Workload
 
 let default_log_dir = Filename.concat "results" "shard_logs"
-
-let parse_spec s =
-  match String.index_opt s '/' with
-  | None -> Error (Printf.sprintf "bad shard spec %S (expected K/N)" s)
-  | Some i -> (
-    let k = String.sub s 0 i
-    and n = String.sub s (i + 1) (String.length s - i - 1) in
-    match (int_of_string_opt k, int_of_string_opt n) with
-    | Some k, Some n when 1 <= k && k <= n -> Ok (k, n)
-    | Some _, Some _ ->
-      Error (Printf.sprintf "bad shard spec %S (need 1 <= K <= N)" s)
-    | _ -> Error (Printf.sprintf "bad shard spec %S (expected K/N)" s))
-
-let positions ~shard ~shards ~n =
-  let rec go p acc = if p >= n then List.rev acc else go (p + shards) (p :: acc) in
-  go (shard - 1) []
 
 (** Render roster indices with their workload names when a namer is
     given — [missing: fib, deopt-storm (indices 3, 54)] diagnoses a
@@ -77,227 +62,102 @@ let merge_rows ?names ?(quarantined = []) ~what ~expected
   in
   place rows
 
-(* --- the worker-process driver --- *)
+(* --- row envelopes --- *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
-
-type worker = {
-  w_shard : int;
-  w_pid : int;
-  w_fd : Unix.file_descr;  (** read end of the worker's stdout pipe *)
-  w_buf : Buffer.t;  (** partial trailing line *)
-  w_log : string;
-  mutable w_open : bool;
+type 'row codec = {
+  kind : string;
+  field : string;
+  encode : 'row -> J.t;
+  decode : J.t -> ('row, string) result;
+  cache_form : 'row -> 'row;
 }
 
-(** Fork the workers and drain their stdouts concurrently through a select
-    loop — a worker blocked on a full pipe would otherwise deadlock the
-    whole run. Lines are collected in arrival order; the row envelopes
-    carry their own roster index, so arrival order is irrelevant to the
-    merge. *)
-let run_workers ?(exe = Sys.executable_name) ~argv_of_shard ~shards ~log_dir () :
-    (string list, string) result =
-  mkdir_p log_dir;
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let spawned = ref [] in
-  let workers =
-    (* fd hygiene: if any spawn fails partway (create_process raising on
-       fd exhaustion is the classic), close the pipe fds of the workers
-       already started and reap them — the caller sees one Error, not a
-       leak of 2×(shards-1) descriptors and a zombie herd *)
+let workload_codec ~kind ~field =
+  {
+    kind;
+    field;
+    encode = Record.workload_to_json;
+    decode = Record.workload_of_json;
+    cache_form = Record.zero_walls;
+  }
+
+let row_to_json codec ~index row : J.t =
+  Tce_obs.Export.document ~kind:codec.kind
+    (J.Obj [ ("index", J.Int index); (codec.field, codec.encode row) ])
+
+let row_of_json codec (j : J.t) : (int * 'row, string) result =
+  match Tce_obs.Export.open_document j with
+  | Error e -> Error e
+  | Ok (kind, _) when kind <> codec.kind ->
+    Error (Printf.sprintf "expected a %s document, got %S" codec.kind kind)
+  | Ok (_, data) -> (
     match
-      List.init shards (fun i ->
-          let shard = i + 1 in
-          let log = Filename.concat log_dir (Printf.sprintf "shard-%d.log" shard) in
-          let log_fd =
-            Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-          in
-          let r, w = Unix.pipe ~cloexec:false () in
-          let pid =
-            try Unix.create_process exe (argv_of_shard shard) devnull w log_fd
-            with e ->
-              Unix.close r;
-              Unix.close w;
-              Unix.close log_fd;
-              raise e
-          in
-          Unix.close w;
-          Unix.close log_fd;
-          let worker =
-            {
-              w_shard = shard;
-              w_pid = pid;
-              w_fd = r;
-              w_buf = Buffer.create 256;
-              w_log = log;
-              w_open = true;
-            }
-          in
-          spawned := worker :: !spawned;
-          worker)
+      (Option.bind (J.member "index" data) J.to_int, J.member codec.field data)
     with
-    | workers -> workers
-    | exception e ->
-      List.iter
-        (fun w ->
-          (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
-          (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
-          ignore (Supervise.waitpid_restart [] w.w_pid))
-        !spawned;
-      Unix.close devnull;
-      raise e
-  in
-  Unix.close devnull;
-  let lines = ref [] in
-  let chunk = Bytes.create 65536 in
-  let drain w n =
-    for i = 0 to n - 1 do
-      let c = Bytes.get chunk i in
-      if c = '\n' then begin
-        lines := Buffer.contents w.w_buf :: !lines;
-        Buffer.clear w.w_buf
-      end
-      else Buffer.add_char w.w_buf c
-    done
-  in
-  let rec loop () =
-    match List.filter (fun w -> w.w_open) workers with
-    | [] -> ()
-    | live ->
-      let fds = List.map (fun w -> w.w_fd) live in
-      (* EINTR-safe: a signal mid-drain (SIGCHLD from a finishing worker,
-         an interval timer) must restart the wait, not kill the parent *)
-      let ready, _, _ = Supervise.select_restart fds [] [] (-1.0) in
-      List.iter
-        (fun w ->
-          if List.mem w.w_fd ready then
-            match Supervise.read_restart w.w_fd chunk 0 (Bytes.length chunk) with
-            | 0 ->
-              Unix.close w.w_fd;
-              w.w_open <- false
-            | n -> drain w n)
-        live;
-      loop ()
-  in
-  loop ();
-  let failures =
-    List.filter_map
-      (fun w ->
-        let describe st =
-          match st with
-          | Unix.WEXITED 0 -> None
-          | Unix.WEXITED c -> Some (Printf.sprintf "exited %d" c)
-          | Unix.WSIGNALED s -> Some (Printf.sprintf "killed by signal %d" s)
-          | Unix.WSTOPPED s -> Some (Printf.sprintf "stopped by signal %d" s)
-        in
-        let _, st = Supervise.waitpid_restart [] w.w_pid in
-        match describe st with
-        | Some what ->
-          Some (Printf.sprintf "shard %d/%d %s (log: %s)" w.w_shard shards what w.w_log)
-        | None ->
-          if Buffer.length w.w_buf > 0 then
-            Some
-              (Printf.sprintf
-                 "shard %d/%d wrote a partial final line (log: %s)" w.w_shard
-                 shards w.w_log)
-          else None)
-      workers
-  in
-  if failures <> [] then Error (String.concat "; " failures)
-  else Ok (List.rev !lines)
+    | Some i, Some pj when i >= 0 ->
+      Result.map (fun r -> (i, r)) (codec.decode pj)
+    | _ -> Error (Printf.sprintf "malformed %s row" codec.kind))
 
-(* --- benchmark roster sharding --- *)
+(* --- the cell matrix --- *)
 
-(** The shard's roster indices, longest-first within the shard: positions
-    [shard-1, shard-1+N, ...] of the shared longest-first schedule mapped
-    back through the permutation. Both sides compute this from the same
-    inputs (roster + committed baseline costs), so no assignment crosses
-    the process boundary. *)
-let bench_indices ~shard ~shards (ws : W.t list) : int list =
-  let order =
-    Runner.longest_first_order ~cost:(Store.baseline_cost_of_workload ()) ws
-  in
-  List.map
-    (fun p -> order.(p))
-    (positions ~shard ~shards ~n:(Array.length order))
+type 'row cells = {
+  codec : 'row codec;
+  argv : string list;
+  count : int;
+  name : int -> string;
+  cost : int -> float option;
+  key : int -> string;
+  run : int -> 'row;
+}
 
-(** Run exactly [indices] of [ws] (in the given order), one [bench-row]
-    envelope per pair on [out] — the unit of work the supervised parent
-    hands a (re)spawned worker. [chaos] arms the deterministic fault the
-    chaos harness asked this spawn to exhibit. *)
-let bench_worker_indices ?config ?chaos ?beat ~indices ~out (ws : W.t list) :
-    unit =
-  let arr = Array.of_list ws in
-  let emitted = ref 0 in
+let worker ?chaos ?beat ~indices ~out (c : 'row cells) : unit =
   List.iter
     (fun i ->
-      if i < 0 || i >= Array.length arr then
-        failwith (Printf.sprintf "worker index %d out of range [0, %d)" i
-                    (Array.length arr));
-      let mode = Supervise.Chaos.before_cell chaos ~emitted:!emitted ~index:i out in
-      (match beat with
-      | Some e -> Tce_telem.Heartbeat.beat_start e ~index:i ~name:arr.(i).W.name
-      | None -> ());
-      let row = Runner.run_one ?config arr.(i) in
-      let line = J.to_string (Record.row_to_json ~index:i row) in
+      if i < 0 || i >= c.count then
+        failwith
+          (Printf.sprintf "worker index %d out of range [0, %d)" i c.count))
+    indices;
+  List.iteri
+    (fun emitted i ->
+      let mode = Supervise.Chaos.before_cell chaos ~emitted ~index:i out in
+      Option.iter
+        (fun e -> Tce_telem.Heartbeat.beat_start e ~index:i ~name:(c.name i))
+        beat;
+      let line = J.to_string (row_to_json c.codec ~index:i (c.run i)) in
       (match mode with
       | `Truncate -> Supervise.Chaos.truncate_line out line
       | `Run ->
         output_string out line;
         output_char out '\n';
         (* flush per row: the parent streams progress and a crashed worker
-           loses only its in-flight pair *)
+           loses only its in-flight cell *)
         flush out);
-      (match beat with
-      | Some e -> Tce_telem.Heartbeat.beat_cell_done e
-      | None -> ());
-      incr emitted)
+      Option.iter Tce_telem.Heartbeat.beat_cell_done beat)
     indices;
-  match beat with Some e -> Tce_telem.Heartbeat.beat_done e | None -> ()
+  Option.iter Tce_telem.Heartbeat.beat_done beat
 
-let bench_worker ?config ~shard ~shards ~out (ws : W.t list) : unit =
-  bench_worker_indices ?config ~indices:(bench_indices ~shard ~shards ws) ~out
-    ws
+type 'row supervised = {
+  rows : (int * 'row) list;
+  quarantined : Supervise.quarantined list;
+  resumed : int list;
+  cache_stats : int * int;
+}
 
-let bench_parent ?exe ?spawn ?(log_dir = default_log_dir)
-    ?(supervise = Supervise.default_config) ?(journal_path = Store.bench_journal_path)
-    ?resume ?chaos ?telem ?config ?cache ~shards ~worker_args (ws : W.t list) :
-    Record.run =
-  let t0 = Unix.gettimeofday () in
-  (* Snapshot so a shared cache handle yields this invocation's counts. *)
-  let h0, m0 =
-    match cache with
-    | None -> (0, 0)
-    | Some c ->
-      let s = Cache.stats c in
-      (s.Cache.hits, s.Cache.misses)
-  in
-  let names = List.map (fun (w : W.t) -> w.W.name) ws in
-  let arr = Array.of_list ws in
-  let cost = Store.baseline_cost_of_workload () in
-  let order = Runner.longest_first_order ~cost ws in
+let parent ?exe ?spawn ?(log_dir = default_log_dir)
+    ?(supervise = Supervise.default_config) ~journal_path ?resume ?chaos
+    ?telem ?cache ~shards ~worker_args (c : 'row cells) : 'row supervised =
+  let h0, m0 = Cache.counts cache in
+  let all = List.init c.count Fun.id in
   let tasks =
-    List.map
-      (fun pos ->
-        let i = order.(pos) in
-        {
-          Supervise.t_index = i;
-          t_name = arr.(i).W.name;
-          t_cost = cost arr.(i);
-        })
-      (List.init (Array.length order) Fun.id)
+    Array.to_list
+      (Array.map
+         (fun i ->
+           { Supervise.t_index = i; t_name = c.name i; t_cost = c.cost i })
+         (Runner.longest_first_order ~cost:c.cost all))
   in
+  (* the first wave as the supervisor deals it, for aiming chaos *)
   let assignment =
-    let a = Array.make (max 1 shards) [] in
-    List.iteri
-      (fun pos (t : Supervise.task) ->
-        a.(pos mod max 1 shards) <- t.Supervise.t_index :: a.(pos mod max 1 shards))
-      tasks;
-    Array.map List.rev a
+    Supervise.deal ~shards (List.map (fun t -> t.Supervise.t_index) tasks)
   in
   let argv_of_indices ~slot ~attempt indices =
     let chaos_args =
@@ -308,78 +168,66 @@ let bench_parent ?exe ?spawn ?(log_dir = default_log_dir)
           (Supervise.Chaos.worker_args ~mode ~seed ~assignment ~slot ~attempt)
     in
     Array.of_list
-      (Sys.executable_name :: "--bench"
-       :: "--worker-indices"
-       :: String.concat "," (List.map string_of_int indices)
-       :: (chaos_args @ Telem.heartbeat_args telem ~slot @ worker_args @ names))
+      ((Sys.executable_name :: c.argv)
+      @ "--worker-indices"
+        :: String.concat "," (List.map string_of_int indices)
+        :: (chaos_args @ Telem.heartbeat_args telem ~slot @ worker_args))
   in
-  let parse line =
+  let decode line =
     Result.map_error
-      (fun e -> Printf.sprintf "bad bench-row: %s" e)
-      (Result.bind (J.of_string line) Record.row_of_json)
+      (fun e -> Printf.sprintf "bad %s: %s" c.codec.kind e)
+      (Result.bind (J.of_string line) (row_of_json c.codec))
   in
-  let to_line i row = J.to_string (Record.row_to_json ~index:i row) in
+  let to_line i row = J.to_string (row_to_json c.codec ~index:i row) in
   (* Resume: replay every complete row of the crashed run's journal;
      only the remainder is scheduled. *)
-  let resume_rows =
+  let journal_rows =
     match resume with
     | None -> []
     | Some path -> (
       match Store.journal_lines path with
       | Error e -> failwith (Printf.sprintf "--resume %s: %s" path e)
       | Ok lines ->
-        List.filter_map
-          (fun line -> Result.to_option (parse line))
-          lines)
+        List.filter_map (fun line -> Result.to_option (decode line)) lines)
   in
-  (* Cell-cache keys, derived once per index (the key digests the
-     workload source). Forced only when a cache was given. *)
-  let keys =
-    lazy (Array.init (Array.length arr) (fun i -> Cache.bench_key ?config arr.(i)))
+  (* Cell-cache keys digest the workload source: derive each once, and
+     only when a cache was given. *)
+  let keys = lazy (Array.init c.count c.key) in
+  let install i row =
+    Option.iter
+      (fun ca ->
+        Cache.store ca ~key:(Lazy.force keys).(i)
+          (c.codec.encode (c.codec.cache_form row)))
+      cache
   in
-  let key_of i = (Lazy.force keys).(i) in
-  (* Cache pre-resolution: indices the journal did not already cover are
-     looked up in the cell cache. Hits join [resume_rows] — the
-     supervisor treats them exactly like journal-replayed rows (not
-     scheduled, re-journaled) — but are subtracted from the record's
-     resume provenance below; misses are simulated by the workers and
-     their fresh rows installed via the [parse] wrapper. *)
-  let journal_covered = List.map fst resume_rows in
+  (* Cache pre-resolution: indices the journal did not cover are looked up
+     in the cell cache. Hits ride the resume path (not scheduled,
+     re-journaled) but are not resume provenance; misses are simulated by
+     the workers and installed as their rows arrive. *)
   let cached_rows =
     match cache with
     | None -> []
-    | Some c ->
+    | Some ca ->
       List.filter_map
         (fun i ->
-          if List.mem i journal_covered then None
+          if List.mem_assoc i journal_rows then None
           else
-            Option.bind (Cache.find c ~key:(key_of i)) (fun j ->
-                Option.map
-                  (fun row -> (i, row))
-                  (Result.to_option (Record.workload_of_json j))))
-        (List.init (Array.length arr) Fun.id)
+            Option.bind (Cache.find ca ~key:(Lazy.force keys).(i)) (fun j ->
+                Option.map (fun row -> (i, row))
+                  (Result.to_option (c.codec.decode j))))
+        all
   in
-  let cached_indices = List.map fst cached_rows in
-  let resume_rows = resume_rows @ cached_rows in
-  let install c i row =
-    Cache.store c ~key:(key_of i)
-      (Record.workload_to_json (Record.zero_walls row))
-  in
-  let parse =
-    match cache with
-    | None -> parse
-    | Some c -> (
-      fun line ->
-        match parse line with
-        | Ok (i, row) as ok ->
-          install c i row;
-          ok
-        | Error _ as e -> e)
+  let parse line =
+    match decode line with
+    | Ok (i, _) when i >= c.count ->
+      Error (Printf.sprintf "bad %s: index %d out of range" c.codec.kind i)
+    | Ok (i, row) as ok ->
+      install i row;
+      ok
+    | Error _ as e -> e
   in
   let events =
-    match telem with
-    | Some t -> Telem.events t
-    | None -> Supervise.null_events
+    match telem with Some t -> Telem.events t | None -> Supervise.null_events
   in
   let journal = Store.journal_open journal_path in
   let outcome =
@@ -389,40 +237,68 @@ let bench_parent ?exe ?spawn ?(log_dir = default_log_dir)
         Supervise.run ?exe ?spawn ~config:supervise ~shards ~log_dir
           ~journal:(Store.journal_append journal)
           ~serial_run:(fun i ->
-            let row = Runner.simulate_one ?config arr.(i) in
-            (match cache with Some c -> install c i row | None -> ());
+            let row = c.run i in
+            install i row;
             row)
-          ~resume_rows ~events ~argv_of_indices ~parse ~to_line tasks)
+          ~resume_rows:(journal_rows @ cached_rows) ~events ~argv_of_indices
+          ~parse ~to_line tasks)
   in
   match outcome with
-  | Error e -> failwith ("sharded bench failed: " ^ e)
+  | Error e ->
+    failwith (Printf.sprintf "supervised %s run failed: %s" c.codec.kind e)
   | Ok o -> (
     let resumed =
-      List.filter (fun i -> not (List.mem i cached_indices)) o.Supervise.resumed
+      List.filter
+        (fun i -> not (List.mem_assoc i cached_rows))
+        o.Supervise.resumed
     in
-    (match telem with
-    | Some t -> Telem.resumed t (List.length resumed)
-    | None -> ());
-    let name_of i =
-      if i >= 0 && i < Array.length arr then Some arr.(i).W.name else None
-    in
-    let quarantined_indices =
-      List.map (fun q -> q.Supervise.q_index) o.Supervise.quarantined
-    in
+    Option.iter (fun t -> Telem.resumed t (List.length resumed)) telem;
+    let name_of i = if i >= 0 && i < c.count then Some (c.name i) else None in
     match
-      merge_rows ~names:name_of ~quarantined:quarantined_indices
-        ~what:"bench-row" ~expected:(List.length ws) o.Supervise.rows
+      merge_rows ~names:name_of
+        ~quarantined:
+          (List.map (fun q -> q.Supervise.q_index) o.Supervise.quarantined)
+        ~what:c.codec.kind ~expected:c.count
+        (* keep each row's index through the merge *)
+        (List.map (fun (i, row) -> (i, (i, row))) o.Supervise.rows)
     with
     | Error e -> failwith e
-    | Ok workloads ->
-      let cache_stats =
-        match cache with
-        | None -> (0, 0)
-        | Some c ->
-          let s = Cache.stats c in
-          (s.Cache.hits - h0, s.Cache.misses - m0)
-      in
-      Store.make_run ~shards ~jobs:1 ~quarantined:o.Supervise.quarantined
-        ~resumed_rows:resumed ~cache_stats
-        ~host_wall_seconds:(Unix.gettimeofday () -. t0)
-        workloads)
+    | Ok rows ->
+      let h1, m1 = Cache.counts cache in
+      {
+        rows;
+        quarantined = o.Supervise.quarantined;
+        resumed;
+        cache_stats = (h1 - h0, m1 - m0);
+      })
+
+(* --- the benchmark roster --- *)
+
+let bench_codec = workload_codec ~kind:"bench-row" ~field:"workload"
+
+let bench_cells ?config (ws : W.t list) : Record.workload cells =
+  let arr = Array.of_list ws in
+  (* parsed on first use only: workers never schedule *)
+  let cost = lazy (Store.baseline_cost_of_workload ()) in
+  {
+    codec = bench_codec;
+    argv = "--bench" :: List.map (fun (w : W.t) -> w.W.name) ws;
+    count = Array.length arr;
+    name = (fun i -> arr.(i).W.name);
+    cost = (fun i -> Lazy.force cost arr.(i));
+    key = (fun i -> Cache.bench_key ?config arr.(i));
+    run = (fun i -> Runner.simulate_one ?config arr.(i));
+  }
+
+let bench_parent ?exe ?spawn ?log_dir ?supervise
+    ?(journal_path = Store.bench_journal_path) ?resume ?chaos ?telem ?config
+    ?cache ~shards ~worker_args (ws : W.t list) : Record.run =
+  let t0 = Unix.gettimeofday () in
+  let s =
+    parent ?exe ?spawn ?log_dir ?supervise ~journal_path ?resume ?chaos ?telem
+      ?cache ~shards ~worker_args (bench_cells ?config ws)
+  in
+  Store.make_run ~shards ~jobs:1 ~quarantined:s.quarantined
+    ~resumed_rows:s.resumed ~cache_stats:s.cache_stats
+    ~host_wall_seconds:(Unix.gettimeofday () -. t0)
+    (List.map snd s.rows)

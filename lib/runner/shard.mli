@@ -1,48 +1,25 @@
-(** Multi-process roster sharding.
+(** One supervised parent and one worker loop for every multi-process
+    matrix (the benchmark roster, the fault campaign and the design-space
+    sweep).
 
-    A sharded run splits a deterministic work list (benchmark roster or
-    fault-campaign matrix) across [N] worker {e processes} — not domains —
-    so CI can parallelize across runner jobs, survive a worker crash with
-    a per-shard log to point at, and still produce exactly the bytes a
-    serial run would.
-
-    The protocol has no scheduler state to share: both sides recompute the
-    same deterministic schedule and the assignment is a pure function of
-    [(shard, shards)].
-
-    - The {e worker} ([--shard K/N] on the bench CLI) recomputes the
-      roster and its {!Runner.longest_first_order}, takes the schedule
-      positions congruent to [K-1 mod N] (round-robin over the
-      longest-first order, so every shard gets a similar mix of long and
-      short work), runs them serially, and streams one versioned
-      single-line JSON envelope per result ({!Record.row_to_json} /
-      {!Campaign.row_to_json}) on stdout. Stderr is free-form logging.
-    - The {e parent} ([--shards N]) forks [N] workers of the current
-      executable, redirects each worker's stderr to
-      [LOG_DIR/shard-K.log], drains their stdouts through a select loop,
-      and merges the rows by their roster index — each index must arrive
-      exactly once, whatever order workers finish in.
+    A matrix is a deterministic list of cells, each a pure function of
+    its identity, described by a {!cells} value that both sides build
+    from the same inputs. The {e parent} ({!parent}, behind [--shards N])
+    orders the cells longest-first by committed baseline cost,
+    pre-resolves cell-cache hits and journal-replayed rows, and hands the
+    remainder to {!Supervise.run}: worker processes of the current
+    executable are spawned with an explicit cell list
+    ([--worker-indices i,j,k]), dead or hung workers are respawned over
+    the cells they still owed, and every accepted row is journaled. The
+    {e worker} ({!worker}) runs exactly its cells, in order, streaming one
+    versioned single-line JSON envelope per cell on stdout; stderr is
+    free-form logging. The parent merges the rows by index
+    ({!merge_rows}), whatever order they arrived in.
 
     Simulated numbers are bit-identical to a serial run by construction
-    (each pair still runs in its own engine); the merged document is
-    byte-identical after {!Record.normalize_run} strips the host-dependent
-    fields.
-
-    Since the supervision rework, the parent drivers run on {!Supervise}:
-    workers are spawned with an {e explicit} index list
-    ([--worker-indices i,j,k]) rather than recomputing [K/N] slices, so a
-    replacement worker can cover exactly the cells its dead predecessor
-    still owed. [--shard K/N] workers remain supported (CI compatibility)
-    and delegate to the same per-index loop. *)
-
-(** [parse_spec "K/N"] is [Ok (k, n)] with [1 <= k <= n] (shards are
-    1-based on the CLI). *)
-val parse_spec : string -> (int * int, string) result
-
-(** Schedule positions assigned to [shard] (1-based) of [shards]: the
-    round-robin subsequence [shard-1, shard-1+shards, ...] below [n],
-    ascending. *)
-val positions : shard:int -> shards:int -> n:int -> int list
+    (each cell runs in its own engine); a merged benchmark document is
+    byte-identical after {!Record.normalize_run} strips the
+    host-dependent fields. *)
 
 (** [merge_rows ~what ~expected rows] places each [(index, row)] into a
     dense [expected]-slot array and returns the rows in index order.
@@ -60,78 +37,127 @@ val merge_rows :
   (int * 'a) list ->
   ('a list, string) result
 
-(** [run_workers ~argv_of_shard ~shards ~log_dir ()] forks one process of
-    [exe] (default the current executable) per shard ([argv_of_shard k] is
-    the full argv for 1-based shard [k]), with stderr appended to
-    [log_dir/shard-K.log], and returns every complete stdout line from all
-    workers (arrival order). [Error] when any worker exits non-zero or
-    writes a partial final line; the message names the shard and its log
-    file. Restarts [select]/[read] on [EINTR]; if a spawn fails partway,
-    the pipe/log fds of already-started workers are closed and the workers
-    reaped before the exception propagates (no fd leak, no zombies).
-
-    This is the {e unsupervised} driver: any worker failure voids the
-    whole run. The bench/fault parents use {!Supervise.run} instead; this
-    stays for simple fan-outs where all-or-nothing is the right policy. *)
-val run_workers :
-  ?exe:string ->
-  argv_of_shard:(int -> string array) ->
-  shards:int ->
-  log_dir:string ->
-  unit ->
-  (string list, string) result
-
 (** Default parent-side worker stderr directory (["results/shard_logs"]). *)
 val default_log_dir : string
 
-(* --- benchmark roster sharding --- *)
+(** {1 Row envelopes} *)
 
-(** Worker side of [--bench --worker-indices i,j,k]: run exactly
-    [indices] of [ws], in the given order, streaming one [bench-row]
-    envelope per pair to [out] (flushed per row, so the parent loses only
-    the in-flight cell if this process dies). [chaos] arms a deterministic
-    fault for the chaos harness ({!Supervise.Chaos}); [beat] emits a
-    [telem] heartbeat envelope before and after each cell ([--heartbeat]). *)
-val bench_worker_indices :
-  ?config:Tce_engine.Engine.config ->
+(** How one row crosses the process boundary: the envelope [kind]
+    (["bench-row"], ["fault-cell"], ["sweep-cell"]), the data [field]
+    that carries the payload next to ["index"], the payload codec, and
+    [cache_form], the row as the cell cache stores it (host wall clocks
+    cleared). *)
+type 'row codec = {
+  kind : string;
+  field : string;
+  encode : 'row -> Tce_obs.Json.t;
+  decode : Tce_obs.Json.t -> ('row, string) result;
+  cache_form : 'row -> 'row;
+}
+
+(** A codec for {!Record.workload} rows under [kind], payload in [field]. *)
+val workload_codec : kind:string -> field:string -> Record.workload codec
+
+(** Wrap / unwrap one positioned row in its versioned single-line
+    envelope — the unit a worker streams and the journal stores. [index]
+    is the cell's position in the matrix. *)
+val row_to_json : 'row codec -> index:int -> 'row -> Tce_obs.Json.t
+
+val row_of_json : 'row codec -> Tce_obs.Json.t -> (int * 'row, string) result
+
+(** {1 Cell matrices} *)
+
+(** One matrix as both sides see it. [argv] is the worker's mode flag
+    and the cell-identity arguments (roster names, sweep spec) that let a
+    worker rebuild the same matrix; [name] labels cell [i] in
+    diagnostics; [cost] is its committed baseline cost (longest-first
+    order and progress deadlines); [key] its cell-cache key; [run]
+    computes it in this process. Indices run over [0 .. count-1]. *)
+type 'row cells = {
+  codec : 'row codec;
+  argv : string list;
+  count : int;
+  name : int -> string;
+  cost : int -> float option;
+  key : int -> string;
+  run : int -> 'row;
+}
+
+(** Worker side of [--worker-indices i,j,k]: run exactly [indices] (in
+    the given order), streaming one envelope per cell to [out], flushed
+    per row so the parent loses only the in-flight cell if this process
+    dies. [chaos] arms a deterministic fault for the chaos harness
+    ({!Supervise.Chaos}); [beat] emits a [telem] heartbeat envelope
+    before and after each cell ([--heartbeat]).
+    @raise Failure on an index outside the matrix. *)
+val worker :
   ?chaos:Supervise.Chaos.t ->
   ?beat:Tce_telem.Heartbeat.emitter ->
   indices:int list ->
   out:out_channel ->
-  Tce_workloads.Workload.t list ->
+  'row cells ->
   unit
 
-(** Worker side of [--bench --shard K/N]: run this shard's slice of [ws]
-    (schedule recomputed from the committed baseline's costs) serially and
-    stream one [bench-row] envelope per pair to [out]. *)
-val bench_worker :
-  ?config:Tce_engine.Engine.config ->
-  shard:int ->
-  shards:int ->
-  out:out_channel ->
-  Tce_workloads.Workload.t list ->
-  unit
+(** The outcome of {!parent}: completed rows in index order with
+    quarantined cells absent, the quarantine, the indices replayed from
+    the [resume] journal (cell-cache hits excluded), and this
+    invocation's cell-cache [(hits, misses)]. *)
+type 'row supervised = {
+  rows : (int * 'row) list;
+  quarantined : Supervise.quarantined list;
+  resumed : int list;
+  cache_stats : int * int;
+}
 
-(** Parent side of [--bench --shards N]: run [ws] across [N] supervised
-    bench workers ({!Supervise.run}) — dead or hung workers are respawned
-    over their missing indices, poison cells quarantine after
-    [supervise.max_retries] kills, accepted rows are journaled to
-    [journal_path] (default {!Store.bench_journal_path}), and [resume]
-    replays a previous journal so only the remainder runs. [worker_args]
-    pass through to each worker (e.g. [--no-templates]); [chaos] is the
-    parent side of the chaos harness ([mode, seed]). The result is stamped
-    like {!Runner.run_suite} ([jobs = 1] per worker; [shards],
-    [quarantined] and [resumed_rows] recorded in the run).
-    With [cache], the parent pre-resolves cell-cache hits before
-    scheduling (hits ride the resume path, so workers only ever simulate
-    misses; fresh worker rows are installed into the cache as they
-    arrive) and the run records this invocation's hit/miss counts.
-    [config] must describe the configuration the workers run under
-    (i.e. agree with [worker_args]) — it keys the cache and drives the
-    degraded in-process fallback.
-    [exe]/[spawn] are test injection points.
+(** Parent side of [--shards N]: run every cell across [N] supervised
+    workers ({!Supervise.run}). Cells are scheduled longest-first and
+    dealt by {!Supervise.deal}; dead or hung workers are respawned over
+    their missing cells and poison cells quarantine after
+    [supervise.max_retries] kills. Accepted rows are journaled to
+    [journal_path]; [resume] replays a previous journal so only the
+    remainder runs. With [cache], hits are pre-resolved before scheduling
+    (a fully cached matrix starts no worker) and fresh rows are installed
+    as they arrive. [worker_args] pass through to each worker after the
+    cells' own [argv]; [chaos] is the parent side of the chaos harness
+    ([mode, seed]); [exe]/[spawn] are test injection points. If spawning
+    fails, the remaining cells run in-process through [cells.run].
     @raise Failure when supervision fails unrecoverably or the merge is
     incomplete (a missing index that is not quarantined). *)
+val parent :
+  ?exe:string ->
+  ?spawn:Supervise.spawn ->
+  ?log_dir:string ->
+  ?supervise:Supervise.config ->
+  journal_path:string ->
+  ?resume:string ->
+  ?chaos:Supervise.Chaos.mode * int ->
+  ?telem:Telem.t ->
+  ?cache:Cache.t ->
+  shards:int ->
+  worker_args:string list ->
+  'row cells ->
+  'row supervised
+
+(** {1 The benchmark roster} *)
+
+(** [bench-row] envelopes: [{"index": i, "workload": row}]. *)
+val bench_codec : Record.workload codec
+
+(** The roster as a matrix: cell [i] is the off/on pair of workload [i]
+    under [config], worker mode [--bench]. *)
+val bench_cells :
+  ?config:Tce_engine.Engine.config ->
+  Tce_workloads.Workload.t list ->
+  Record.workload cells
+
+(** Parent side of [--bench --shards N]: {!parent} over {!bench_cells},
+    journaled to [journal_path] (default {!Store.bench_journal_path}) and
+    stamped like {!Runner.run_suite} ([jobs = 1] per worker; [shards],
+    [quarantined], [resumed_rows] and the cache counts recorded in the
+    run). [config] must describe the configuration the workers run under
+    (i.e. agree with [worker_args]); it keys the cache and drives the
+    in-process fallback.
+    @raise Failure as {!parent}. *)
 val bench_parent :
   ?exe:string ->
   ?spawn:Supervise.spawn ->

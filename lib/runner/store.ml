@@ -96,11 +96,7 @@ let make_run ?config ?(shards = 1) ?(quarantined = []) ?(resumed_rows = [])
 
 (* --- persistence --- *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
+let mkdir_p = Supervise.mkdir_p
 
 (** [created_utc] with the separators dropped, e.g. [20260805T120102Z] —
     lexicographic order is chronological order. *)

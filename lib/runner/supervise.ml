@@ -260,6 +260,20 @@ let rec mkdir_p dir =
 
 (* --- the supervisor --- *)
 
+(* Snake order: lineages 1..N, then N..1, and so on. Dealt longest-first,
+   plain round-robin hands lineage 1 the longer cell of every round; the
+   snake evens that out round by round. *)
+let deal ~shards xs =
+  let shards = max 1 shards in
+  let a = Array.make shards [] in
+  List.iteri
+    (fun pos x ->
+      let round = pos / shards and k = pos mod shards in
+      let slot = if round mod 2 = 0 then k else shards - 1 - k in
+      a.(slot) <- x :: a.(slot))
+    xs;
+  Array.map List.rev a
+
 type wstate = {
   ws_slot : int;  (** 1-based worker lineage *)
   mutable ws_attempt : int;  (** spawns of this lineage so far - 1 *)
@@ -344,14 +358,7 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
   let todo =
     List.filter (fun t -> not (List.mem t.t_index resumed)) tasks
   in
-  (* Round-robin over the (schedule-ordered) task list, like the static
-     K/N sharding would. *)
-  let assignment = Array.make shards [] in
-  List.iteri
-    (fun pos t ->
-      assignment.(pos mod shards) <- t.t_index :: assignment.(pos mod shards))
-    todo;
-  let assignment = Array.map List.rev assignment in
+  let assignment = deal ~shards (List.map (fun t -> t.t_index) todo) in
   let rows = ref (List.rev resumed_rows) (* accumulated in reverse *) in
   let kills : (int, int * string) Hashtbl.t = Hashtbl.create 8 in
   let quarantined = ref [] in

@@ -1,9 +1,9 @@
 (** Self-healing sharded execution: a supervised worker pool.
 
-    {!Shard.run_workers} is fire-and-pray: one crashed worker voids the
-    whole run ([failwith]), and a hung worker blocks its [select] loop
-    forever. This module replaces it for the sharded drivers with a
-    supervisor that keeps a deterministic run alive through worker loss:
+    A plain fan-out is fire-and-pray: one crashed worker voids the whole
+    run, and a hung worker blocks its [select] loop forever. The sharded
+    parent ({!Shard.parent}) runs on this supervisor instead, which keeps
+    a deterministic run alive through worker loss:
 
     - {e Liveness tracking} — each worker owes the supervisor one row per
       assigned cell, in order. The progress deadline for the in-flight
@@ -28,9 +28,9 @@
       pressure), the supervisor falls back to running the remaining
       cells in-process, serially, via [serial_run].
 
-    The supervisor is generic over the row type: the benchmark driver
-    instantiates it with [bench-row] envelopes, the fault campaign with
-    [fault-cell] envelopes. State machine per worker lineage:
+    The supervisor is generic over the row type: {!Shard.parent}
+    instantiates it with [bench-row], [fault-cell] and [sweep-cell]
+    envelopes. State machine per worker lineage:
 
     {v spawn -> drain -> (EOF, all rows in)        -> done
                       -> (crash/garbage/partial)   -> blame in-flight cell
@@ -59,8 +59,7 @@ val default_config : config
 
 (** EINTR-safe syscall wrappers: any signal (SIGCHLD from a dying worker,
     profiling timers) can interrupt [select]/[read]/[waitpid] mid-drain,
-    and the only correct response is to retry — shared with
-    {!Shard.run_workers}, exposed for the restart unit test. *)
+    and the only correct response is to retry. *)
 
 val select_restart :
   Unix.file_descr list ->
@@ -71,6 +70,10 @@ val select_restart :
 
 val read_restart : Unix.file_descr -> Bytes.t -> int -> int -> int
 val waitpid_restart : Unix.wait_flag list -> int -> int * Unix.process_status
+
+(** [mkdir -p]: create [dir] and its missing parents (the one definition
+    in this library; {!Store.mkdir_p} re-exports it). *)
+val mkdir_p : string -> unit
 
 (** A poisoned cell: excluded from the run after killing its worker
     [max_retries] times. *)
@@ -127,6 +130,13 @@ type events = {
 
 val null_events : events
 
+(** [deal ~shards xs] splits the schedule-ordered [xs] over [shards]
+    worker lineages in snake order (lineage 1..N, then N..1, …), keeping
+    each lineage's items in schedule order. Dealt longest-first, this
+    gives every lineage a like share of the long head, where plain
+    round-robin gives lineage 1 the longer item of every round. *)
+val deal : shards:int -> 'a list -> 'a list array
+
 (** [run ~config ~shards ~argv_of_indices ~parse ~to_line tasks] executes
     every task across [shards] supervised worker processes of [exe]
     (default [Sys.executable_name]).
@@ -146,8 +156,8 @@ val null_events : events
       scheduled, and they are re-journaled so the new journal stays a
       complete checkpoint.
 
-    Tasks are assigned round-robin over the given task order (task [i]
-    goes to lineage [i mod shards + 1]), so pass them schedule-ordered.
+    Tasks are dealt over the given task order by {!deal}, so pass them
+    schedule-ordered (longest first).
     Returns [Error] only for unrecoverable supervision failures (fork
     failed with no [serial_run]); quarantined cells are reported in the
     outcome, not as errors — strictness is the caller's policy. *)

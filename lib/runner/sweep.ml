@@ -202,16 +202,8 @@ let normalize (t : t) : t =
 
 (* --- execution --- *)
 
-let cache_snapshot cache =
-  match cache with
-  | None -> (0, 0)
-  | Some c ->
-    let s = Cache.stats c in
-    (s.Cache.hits, s.Cache.misses)
-
-let mk ~axes ~skipped ~points ~jobs ~shards ~t0 ~cache ~h0 ~m0 ?(quarantined = [])
-    ?(resumed_rows = []) ~roster cells : t =
-  let h1, m1 = cache_snapshot cache in
+let mk ~axes ~skipped ~points ~jobs ~shards ~t0 ~cache_stats
+    ?(quarantined = []) ?(resumed_rows = []) ~roster cells : t =
   {
     spec = axes_to_string axes;
     git_sha = Store.git_sha ();
@@ -219,8 +211,8 @@ let mk ~axes ~skipped ~points ~jobs ~shards ~t0 ~cache ~h0 ~m0 ?(quarantined = [
     jobs;
     shards;
     host_wall_seconds = Unix.gettimeofday () -. t0;
-    cache_hits = h1 - h0;
-    cache_misses = m1 - m0;
+    cache_hits = fst cache_stats;
+    cache_misses = snd cache_stats;
     skipped_points = skipped;
     roster;
     points;
@@ -236,7 +228,7 @@ let expand_or_fail axes =
 
 let run ?cache ?jobs ?on_row ~axes (ws : W.t list) : t =
   let t0 = Unix.gettimeofday () in
-  let h0, m0 = cache_snapshot cache in
+  let h0, m0 = Cache.counts cache in
   let points, skipped = expand_or_fail axes in
   let cells_in = matrix points ws in
   let jobs =
@@ -250,201 +242,53 @@ let run ?cache ?jobs ?on_row ~axes (ws : W.t list) : t =
         row)
       cells_in
   in
-  mk ~axes ~skipped ~points ~jobs ~shards:1 ~t0 ~cache ~h0 ~m0
+  let h1, m1 = Cache.counts cache in
+  mk ~axes ~skipped ~points ~jobs ~shards:1 ~t0
+    ~cache_stats:(h1 - h0, m1 - m0)
     ~roster:(List.map (fun (w : W.t) -> w.W.name) ws)
     (List.map2 (fun (p, _) row -> (p, row)) cells_in rows)
 
 (* --- multi-process execution (sweep-cell envelopes) --- *)
 
-let row_to_json ~index (row : Record.workload) : J.t =
-  Tce_obs.Export.document ~kind:"sweep-cell"
-    (J.Obj [ ("index", J.Int index); ("row", Record.workload_to_json row) ])
-
-let row_of_json (j : J.t) : (int * Record.workload, string) result =
-  match Tce_obs.Export.open_document j with
-  | Error e -> Error e
-  | Ok (kind, _) when kind <> "sweep-cell" ->
-    Error (Printf.sprintf "expected a sweep-cell document, got %S" kind)
-  | Ok (_, data) -> (
-    match
-      (Option.bind (J.member "index" data) J.to_int, J.member "row" data)
-    with
-    | Some i, Some rj when i >= 0 ->
-      Result.map (fun r -> (i, r)) (Record.workload_of_json rj)
-    | _ -> Error "malformed sweep-cell row")
-
-(** Worker side of [--sweep SPEC --worker-indices i,j,k]: re-expand the
-    matrix from the canonical spec and roster, run exactly [indices] (in
-    the given order) serially, one [sweep-cell] envelope per cell on
-    [out]. *)
-let worker_indices ?beat ~axes ~indices ~out (ws : W.t list) : unit =
+let cells ~axes (ws : W.t list) : Record.workload Shard.cells =
   let points, _ = expand_or_fail axes in
-  let cells = Array.of_list (matrix points ws) in
-  List.iter
-    (fun i ->
-      if i < 0 || i >= Array.length cells then
-        failwith
-          (Printf.sprintf "sweep worker index %d out of range [0, %d)" i
-             (Array.length cells));
-      let p, w = cells.(i) in
-      (match beat with
-      | Some e ->
-        Tce_telem.Heartbeat.beat_start e ~index:i
-          ~name:(Printf.sprintf "%s@%s" w.W.name (point_name p))
-      | None -> ());
-      let row = Runner.simulate_one ~config:(config_of_point p) w in
-      output_string out (J.to_string (row_to_json ~index:i row));
-      output_char out '\n';
-      (* flush per cell: the parent streams progress and a crashed worker
-         loses only its in-flight cell *)
-      flush out;
-      match beat with
-      | Some e -> Tce_telem.Heartbeat.beat_cell_done e
-      | None -> ())
-    indices;
-  match beat with Some e -> Tce_telem.Heartbeat.beat_done e | None -> ()
+  let m = Array.of_list (matrix points ws) in
+  let cost = lazy (Store.baseline_cost_of_workload ()) in
+  {
+    Shard.codec = Shard.workload_codec ~kind:"sweep-cell" ~field:"row";
+    argv =
+      "--sweep" :: axes_to_string axes
+      :: List.map (fun (w : W.t) -> w.W.name) ws;
+    count = Array.length m;
+    name =
+      (fun i ->
+        let p, w = m.(i) in
+        Printf.sprintf "%s@%s" w.W.name (point_name p));
+    cost = (fun i -> Lazy.force cost (snd m.(i)));
+    key =
+      (fun i ->
+        let p, w = m.(i) in
+        Cache.bench_key ~config:(config_of_point p) w);
+    run =
+      (fun i ->
+        let p, w = m.(i) in
+        Runner.simulate_one ~config:(config_of_point p) w);
+  }
 
-let parent ?exe ?spawn ?(log_dir = Shard.default_log_dir)
-    ?(supervise = Supervise.default_config)
+let parent ?exe ?spawn ?log_dir ?supervise
     ?(journal_path = Store.sweep_journal_path) ?resume ?telem ?cache ~shards
     ~worker_args ~axes (ws : W.t list) : t =
   let t0 = Unix.gettimeofday () in
-  let h0, m0 = cache_snapshot cache in
   let points, skipped = expand_or_fail axes in
-  let cells = Array.of_list (matrix points ws) in
-  let names = List.map (fun (w : W.t) -> w.W.name) ws in
-  let wcost = Store.baseline_cost_of_workload () in
-  let cost (_, w) = wcost w in
-  let order = Runner.longest_first_order ~cost (Array.to_list cells) in
-  let tasks =
-    List.map
-      (fun pos ->
-        let i = order.(pos) in
-        let p, w = cells.(i) in
-        {
-          Supervise.t_index = i;
-          t_name = Printf.sprintf "%s@%s" w.W.name (point_name p);
-          t_cost = cost cells.(i);
-        })
-      (List.init (Array.length order) Fun.id)
+  let m = Array.of_list (matrix points ws) in
+  let s =
+    Shard.parent ?exe ?spawn ?log_dir ?supervise ~journal_path ?resume ?telem
+      ?cache ~shards ~worker_args (cells ~axes ws)
   in
-  let spec_string = axes_to_string axes in
-  let argv_of_indices ~slot ~attempt:_ indices =
-    Array.of_list
-      (Sys.executable_name :: "--sweep" :: spec_string :: "--worker-indices"
-       :: String.concat "," (List.map string_of_int indices)
-       :: (Telem.heartbeat_args telem ~slot @ worker_args @ names))
-  in
-  let parse line =
-    Result.map_error
-      (fun e -> Printf.sprintf "bad sweep-cell: %s" e)
-      (Result.bind (J.of_string line) row_of_json)
-  in
-  let to_line i row = J.to_string (row_to_json ~index:i row) in
-  let resume_rows =
-    match resume with
-    | None -> []
-    | Some path -> (
-      match Store.journal_lines path with
-      | Error e -> failwith (Printf.sprintf "--resume %s: %s" path e)
-      | Ok lines ->
-        List.filter_map (fun line -> Result.to_option (parse line)) lines)
-  in
-  let keys =
-    lazy
-      (Array.map
-         (fun (p, w) -> Cache.bench_key ~config:(config_of_point p) w)
-         cells)
-  in
-  let key_of i = (Lazy.force keys).(i) in
-  (* Cache pre-resolution, exactly as in {!Shard.bench_parent}: hits ride
-     the resume path (not scheduled), misses are simulated by workers and
-     installed as their rows arrive. *)
-  let journal_covered = List.map fst resume_rows in
-  let cached_rows =
-    match cache with
-    | None -> []
-    | Some c ->
-      List.filter_map
-        (fun i ->
-          if List.mem i journal_covered then None
-          else
-            Option.bind (Cache.find c ~key:(key_of i)) (fun j ->
-                Option.map
-                  (fun row -> (i, row))
-                  (Result.to_option (Record.workload_of_json j))))
-        (List.init (Array.length cells) Fun.id)
-  in
-  let cached_indices = List.map fst cached_rows in
-  let resume_rows = resume_rows @ cached_rows in
-  let install c i row =
-    Cache.store c ~key:(key_of i)
-      (Record.workload_to_json (Record.zero_walls row))
-  in
-  let parse =
-    match cache with
-    | None -> parse
-    | Some c -> (
-      fun line ->
-        match parse line with
-        | Ok (i, row) as ok ->
-          install c i row;
-          ok
-        | Error _ as e -> e)
-  in
-  let events =
-    match telem with Some t -> Telem.events t | None -> Supervise.null_events
-  in
-  let journal = Store.journal_open journal_path in
-  let outcome =
-    Fun.protect
-      ~finally:(fun () -> Store.journal_close journal)
-      (fun () ->
-        Supervise.run ?exe ?spawn ~config:supervise ~shards ~log_dir
-          ~journal:(Store.journal_append journal)
-          ~serial_run:(fun i ->
-            let p, w = cells.(i) in
-            let row = Runner.simulate_one ~config:(config_of_point p) w in
-            (match cache with Some c -> install c i row | None -> ());
-            row)
-          ~resume_rows ~events ~argv_of_indices ~parse ~to_line tasks)
-  in
-  match outcome with
-  | Error e -> failwith ("sweep failed: " ^ e)
-  | Ok o -> (
-    let resumed =
-      List.filter (fun i -> not (List.mem i cached_indices)) o.Supervise.resumed
-    in
-    (match telem with
-    | Some t -> Telem.resumed t (List.length resumed)
-    | None -> ());
-    let name_of i =
-      if i >= 0 && i < Array.length cells then
-        let p, w = cells.(i) in
-        Some (Printf.sprintf "%s@%s" w.W.name (point_name p))
-      else None
-    in
-    let quarantined_indices =
-      List.map (fun q -> q.Supervise.q_index) o.Supervise.quarantined
-    in
-    match
-      Shard.merge_rows ~names:name_of ~quarantined:quarantined_indices
-        ~what:"sweep-cell" ~expected:(Array.length cells) o.Supervise.rows
-    with
-    | Error e -> failwith e
-    | Ok _ ->
-      (* re-pair rows with their matrix points, skipping quarantine holes *)
-      let slot = Array.make (Array.length cells) None in
-      List.iter (fun (i, row) -> slot.(i) <- Some row) o.Supervise.rows;
-      let paired =
-        List.filter_map
-          (fun i ->
-            Option.map (fun row -> (fst cells.(i), row)) slot.(i))
-          (List.init (Array.length cells) Fun.id)
-      in
-      mk ~axes ~skipped ~points ~jobs:1 ~shards ~t0 ~cache ~h0 ~m0
-        ~quarantined:o.Supervise.quarantined ~resumed_rows:resumed
-        ~roster:names paired)
+  mk ~axes ~skipped ~points ~jobs:1 ~shards ~t0 ~cache_stats:s.Shard.cache_stats
+    ~quarantined:s.Shard.quarantined ~resumed_rows:s.Shard.resumed
+    ~roster:(List.map (fun (w : W.t) -> w.W.name) ws)
+    (List.map (fun (i, row) -> (fst m.(i), row)) s.Shard.rows)
 
 (* --- persistence --- *)
 

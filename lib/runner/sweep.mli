@@ -103,22 +103,12 @@ val run :
     thread-safe progress observer; it must not affect results.
     @raise Failure when the grid is empty. *)
 
-(** Wrap / unwrap one positioned cell row in a versioned envelope (kind
-    ["sweep-cell"]) — the unit a sweep worker streams to the parent. *)
-val row_to_json : index:int -> Record.workload -> Tce_obs.Json.t
-
-val row_of_json : Tce_obs.Json.t -> (int * Record.workload, string) result
-
-val worker_indices :
-  ?beat:Tce_telem.Heartbeat.emitter ->
-  axes:axes ->
-  indices:int list ->
-  out:out_channel ->
-  Tce_workloads.Workload.t list ->
-  unit
-(** Worker side of [--sweep SPEC --worker-indices i,j,k]: re-expand the
-    matrix and run exactly [indices] serially, one [sweep-cell] envelope
-    per cell on [out]. *)
+val cells : axes:axes -> Tce_workloads.Workload.t list ->
+  Record.workload Shard.cells
+(** {!matrix} as a {!Shard.cells} matrix of [sweep-cell] envelopes
+    ([{"index": i, "row": row}]), worker mode [--sweep SPEC] with the
+    canonical spec, so a worker re-expands the same grid.
+    @raise Failure when the grid is empty. *)
 
 val parent :
   ?exe:string ->
@@ -134,12 +124,8 @@ val parent :
   axes:axes ->
   Tce_workloads.Workload.t list ->
   t
-(** Parent side of [--sweep --shards N]: the matrix across [N] supervised
-    workers with the full {!Shard.bench_parent} recovery envelope —
-    journal to [journal_path] (default {!Store.sweep_journal_path}),
-    [resume] replays a previous journal, cache hits are pre-resolved so
-    workers only simulate misses, fresh rows are installed as they
-    arrive.
+(** Parent side of [--sweep --shards N]: {!Shard.parent} over {!cells},
+    journaled to [journal_path] (default {!Store.sweep_journal_path}).
     @raise Failure when supervision fails unrecoverably or the merge is
     incomplete. *)
 

@@ -5,12 +5,6 @@ module Trends = Tce_telem.Trends
 
 let trends_dir = Filename.concat "results" "trends"
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
-
 (* "run-20260805T120102Z-ab12cd34ef56.json" -> "20260805T120102Z-ab1" —
    enough to identify a run on an axis label without drowning the report
    (campaign files lead with the full timestamp already). *)
@@ -202,7 +196,7 @@ let run ?(history_dir = Store.history_dir)
       Trends.html_dashboard ~title ~generated:(Store.timestamp_utc ()) series
         anomalies
     in
-    mkdir_p out_dir;
+    Store.mkdir_p out_dir;
     let write path text =
       let oc = open_out path in
       output_string oc text;

@@ -8,11 +8,12 @@
    (c) graceful degradation to in-process serial when spawning fails;
    (d) checkpoint/resume: journal replay schedules only the remainder and
        a torn final journal line is dropped;
-   (e) EINTR restart in Shard.run_workers under a fast interval timer;
+   (e) EINTR restart in Supervise.run under a fast interval timer;
    (f) merge_rows errors that name workloads, quarantine-aware gate, and
        the recovery provenance JSON round-trip;
    (g) end-to-end: bench_parent over the real bench/main.exe with seeded
-       chaos, byte-identical to a serial run. *)
+       chaos, byte-identical to a serial run, and the sharded fault
+       campaign cell-for-cell identical to the in-process one. *)
 
 open Tce_runner
 
@@ -201,6 +202,57 @@ let test_resume_schedules_remainder () =
     [ "0:v0"; "1:v1" ]
     [ List.nth lines 0; List.nth lines 1 ]
 
+let test_deal_snakes () =
+  Alcotest.(check (array (list int))) "1..N, then N..1"
+    [| [ 0; 3; 4 ]; [ 1; 2; 5 ] |]
+    (Supervise.deal ~shards:2 [ 0; 1; 2; 3; 4; 5 ]);
+  List.iter
+    (fun (shards, n) ->
+      let dealt = Supervise.deal ~shards (List.init n Fun.id) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "shards=%d n=%d: a partition" shards n)
+        (List.init n Fun.id)
+        (List.sort compare (List.concat (Array.to_list dealt))))
+    [ (1, 5); (3, 5); (7, 5); (4, 0); (3, 55) ]
+
+(* A worker row whose index lies outside the matrix is a worker fault for
+   the shared parent too: with a cache it must not reach the key table. *)
+let test_out_of_range_row_is_worker_fault () =
+  let codec =
+    {
+      Shard.kind = "test-row";
+      field = "v";
+      encode = (fun s -> Tce_obs.Json.Str s);
+      decode =
+        (function Tce_obs.Json.Str s -> Ok s | _ -> Error "not a string");
+      cache_form = Fun.id;
+    }
+  in
+  let line = Tce_obs.Json.to_string (Shard.row_to_json codec ~index:5 "x") in
+  let cells =
+    {
+      Shard.codec;
+      (* sh -c SCRIPT ignores the parent's trailing arguments *)
+      argv = [ "-c"; Printf.sprintf "echo '%s'; exec sleep 60" line ];
+      count = 1;
+      name = (fun _ -> "only");
+      cost = (fun _ -> None);
+      key = (fun _ -> "k");
+      run = (fun _ -> "v");
+    }
+  in
+  let cache_dir = Filename.temp_file "tce-shard-cache" "" in
+  Sys.remove cache_dir;
+  let s =
+    Shard.parent ~exe:"/bin/sh" ~log_dir
+      ~supervise:{ cfg with Supervise.max_retries = 1 }
+      ~journal_path:(Filename.temp_file "tce-shard-journal" ".jsonl")
+      ~cache:(Cache.create ~dir:cache_dir ())
+      ~shards:1 ~worker_args:[] cells
+  in
+  Alcotest.(check (list int)) "the cell is blamed and quarantined" [ 0 ]
+    (List.map (fun q -> q.Supervise.q_index) s.Shard.quarantined)
+
 (* --- the crash-safe journal --- *)
 
 let test_journal_drops_torn_line () =
@@ -220,9 +272,9 @@ let test_journal_drops_torn_line () =
   | Error e -> Alcotest.fail e);
   Sys.remove path
 
-(* --- EINTR restart (Shard.run_workers under a 5ms interval timer) --- *)
+(* --- EINTR restart (Supervise.run under a 5ms interval timer) --- *)
 
-let test_run_workers_eintr_restart () =
+let test_supervised_run_eintr_restart () =
   let old = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> ())) in
   let set v =
     ignore
@@ -230,21 +282,23 @@ let test_run_workers_eintr_restart () =
          { Unix.it_interval = v; Unix.it_value = v })
   in
   set 0.005;
-  let argv_of_shard k =
-    [| "sh"; "-c"; Printf.sprintf "sleep 0.3; echo shard%d" k |]
+  let argv ~slot:_ ~attempt:_ indices =
+    sh (String.concat "; " ("sleep 0.3" :: echoes indices))
   in
   let result =
     Fun.protect
       ~finally:(fun () ->
         set 0.0;
         Sys.set_signal Sys.sigalrm old)
-      (fun () -> Shard.run_workers ~exe:"/bin/sh" ~argv_of_shard ~shards:2 ~log_dir ())
+      (fun () -> run_sh ~shards:2 ~argv 2)
   in
   match result with
-  | Ok lines ->
-    Alcotest.(check (list string)) "both workers drained under signal fire"
-      [ "shard1"; "shard2" ] (List.sort compare lines)
-  | Error e -> Alcotest.failf "run_workers under EINTR: %s" e
+  | Ok o ->
+    Alcotest.check rows_t "both workers drained under signal fire"
+      (complete 2) (sorted o);
+    Alcotest.(check int) "no worker blamed for a signal" 0
+      o.Supervise.respawns
+  | Error e -> Alcotest.failf "supervised run under EINTR: %s" e
 
 (* --- merge_rows diagnostics and quarantine holes --- *)
 
@@ -457,6 +511,44 @@ let test_e2e_resume_from_truncated_journal () =
   Alcotest.(check string) "resumed run byte-identical to serial"
     (normalized_json serial) (normalized_json resumed)
 
+(* The sharded campaign on the shared parent: the same cells, field for
+   field and in index order, as the in-process campaign; then, over the
+   cache the first run warmed, no worker at all. *)
+let campaign_roster =
+  List.filter_map Tce_workloads.Workloads.by_name
+    [ "stanford-crypto-ccm"; "deopt-storm"; "controlflow-recursive" ]
+
+let test_e2e_sharded_campaign () =
+  require_bench_exe ();
+  let seed = 1024279 in
+  let cells_t =
+    Alcotest.testable
+      (fun ppf (c : Campaign.cell) ->
+        Format.fprintf ppf "%s×%s" c.Campaign.workload c.Campaign.point)
+      ( = )
+  in
+  let serial = Campaign.run ~seed ~jobs:1 campaign_roster in
+  let cache_dir = Filename.temp_file "tce-campaign-cache" "" in
+  Sys.remove cache_dir;
+  let cache = Cache.create ~dir:cache_dir () in
+  let sharded ?spawn () =
+    Campaign.parent ~exe:bench_exe ?spawn ~log_dir ~supervise:e2e_cfg
+      ~journal_path:(tmp_journal ()) ~cache ~seed ~shards:2
+      ~worker_args:[ "--fault-seed"; string_of_int seed ]
+      campaign_roster
+  in
+  Alcotest.(check (list cells_t)) "sharded cells identical to in-process"
+    serial.Campaign.cells (sharded ()).Campaign.cells;
+  let spawned = ref 0 in
+  let spawn ~exe:_ ~argv:_ ~stdout:_ ~stderr:_ =
+    incr spawned;
+    raise (Unix.Unix_error (Unix.EAGAIN, "fork", ""))
+  in
+  let warm = sharded ~spawn () in
+  Alcotest.(check int) "a fully cached campaign starts no worker" 0 !spawned;
+  Alcotest.(check (list cells_t)) "cached cells identical to in-process"
+    serial.Campaign.cells warm.Campaign.cells
+
 let () =
   Alcotest.run "supervise"
     [
@@ -481,6 +573,10 @@ let () =
             test_spawn_failure_without_fallback_errors;
           Alcotest.test_case "resume schedules only the remainder" `Quick
             test_resume_schedules_remainder;
+          Alcotest.test_case "deal snakes and partitions" `Quick
+            test_deal_snakes;
+          Alcotest.test_case "out-of-range row index is a worker fault"
+            `Quick test_out_of_range_row_is_worker_fault;
         ] );
       ( "journal",
         [
@@ -489,8 +585,8 @@ let () =
         ] );
       ( "eintr",
         [
-          Alcotest.test_case "run_workers survives interval timer" `Quick
-            test_run_workers_eintr_restart;
+          Alcotest.test_case "supervised run survives interval timer" `Quick
+            test_supervised_run_eintr_restart;
         ] );
       ( "merge",
         [
@@ -523,5 +619,7 @@ let () =
             test_e2e_poison_quarantines;
           Alcotest.test_case "resume from truncated journal" `Slow
             test_e2e_resume_from_truncated_journal;
+          Alcotest.test_case "sharded campaign matches in-process" `Slow
+            test_e2e_sharded_campaign;
         ] );
     ]

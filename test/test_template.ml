@@ -288,21 +288,6 @@ let test_profile_reconciles_with_templates () =
 
 (* --- (e) shard-merge determinism --- *)
 
-let test_positions_partition () =
-  List.iter
-    (fun (shards, n) ->
-      let all =
-        List.concat_map
-          (fun shard -> Shard.positions ~shard ~shards ~n)
-          (List.init shards (fun i -> i + 1))
-      in
-      Alcotest.(check (list int))
-        (Printf.sprintf "shards=%d n=%d: positions partition the schedule"
-           shards n)
-        (List.init n Fun.id)
-        (List.sort compare all))
-    [ (1, 5); (2, 5); (3, 5); (5, 5); (7, 5); (4, 0); (3, 55) ]
-
 let test_merge_rows_order_independent () =
   let rows = [ (0, "a"); (1, "b"); (2, "c"); (3, "d") ] in
   let rec permutations = function
@@ -336,15 +321,6 @@ let test_merge_rows_failures () =
   fails "dup-row" [ (0, "a"); (0, "b") ] ~expected:2;
   fails "range-row" [ (5, "a") ] ~expected:2
 
-let test_parse_spec () =
-  Alcotest.(check bool) "2/4 parses" true (Shard.parse_spec "2/4" = Ok (2, 4));
-  List.iter
-    (fun s ->
-      match Shard.parse_spec s with
-      | Ok _ -> Alcotest.failf "%S must not parse" s
-      | Error _ -> ())
-    [ "0/4"; "5/4"; "x/4"; "2"; "2/"; "/4"; "-1/4" ]
-
 (* Row envelopes + merge on real records: merging permuted completion
    orders yields the identical normalized run. *)
 let test_merged_record_deterministic () =
@@ -359,8 +335,9 @@ let test_merged_record_deterministic () =
           match
             Result.bind
               (Tce_obs.Json.of_string
-                 (Tce_obs.Json.to_string (Record.row_to_json ~index:i r)))
-              Record.row_of_json
+                 (Tce_obs.Json.to_string
+                    (Shard.row_to_json Shard.bench_codec ~index:i r)))
+              (Shard.row_of_json Shard.bench_codec)
           with
           | Ok row -> row
           | Error e -> Alcotest.failf "row round-trip: %s" e)
@@ -400,8 +377,9 @@ let test_campaign_row_round_trip () =
   match
     Result.bind
       (Tce_obs.Json.of_string
-         (Tce_obs.Json.to_string (Campaign.row_to_json ~index:9 cell)))
-      Campaign.row_of_json
+         (Tce_obs.Json.to_string
+            (Shard.row_to_json Campaign.codec ~index:9 cell)))
+      (Shard.row_of_json Campaign.codec)
   with
   | Error e -> Alcotest.failf "fault-cell round-trip: %s" e
   | Ok (i, c) ->
@@ -428,12 +406,9 @@ let () =
         ] );
       ( "shard",
         [
-          Alcotest.test_case "positions partition" `Quick
-            test_positions_partition;
           Alcotest.test_case "merge order-independent" `Quick
             test_merge_rows_order_independent;
           Alcotest.test_case "merge failures" `Quick test_merge_rows_failures;
-          Alcotest.test_case "parse spec" `Quick test_parse_spec;
           Alcotest.test_case "merged record deterministic" `Slow
             test_merged_record_deterministic;
           Alcotest.test_case "campaign row round-trip" `Quick
