@@ -9,12 +9,12 @@
       dune exec bench/main.exe -- --metrics-json FILE [WORKLOAD ...]
         (run the named workloads — default: the built-in smoke workload —
          and write every Harness.result field as versioned JSON)
-      dune exec bench/main.exe -- --bench [--jobs N] [--out FILE]
+      dune exec bench/main.exe -- --bench [--shards N] [--out FILE]
           [--history DIR] [--suite all|selected|octane|sunspider|kraken]
-          [--time] [--profile[=FILE]] [--shards N]
-          [--deterministic] [WORKLOAD ...]
-        (parallel suite run through Tce_runner; appends to the result
-         store: BENCH_latest.json + results/history/. --time additionally
+          [--time] [--profile[=FILE]] [--deterministic] [WORKLOAD ...]
+        (suite run through Tce_runner, serial in this process by default;
+         appends to the result store: BENCH_latest.json +
+         results/history/. --time additionally
          prints the host wall clock per workload, slowest first — how fast
          the simulator itself runs, not a simulated number — and writes
          the same table as bench_time.json. --profile re-runs the roster
@@ -37,10 +37,10 @@
          worker side (row envelopes on stdout, spawned by the parent —
          not meant for direct use).
          --deterministic strips the host-dependent fields (timestamps,
-         wall clocks, jobs/shards) from the saved run so two runs of the
+         wall clocks, shard counts) from the saved run so two runs of the
          same tree compare with cmp(1))
       dune exec bench/main.exe -- --sweep "cc.entries=32,64,128,256 cc.ways=1,2,4 cl.size=4,8"
-          [--jobs N | --shards N] [--out FILE] [--csv FILE] [--dir DIR]
+          [--shards N] [--out FILE] [--csv FILE] [--dir DIR]
           [--resume FILE] [--deterministic] [--suite ...] [WORKLOAD ...]
         (design-space explorer: expand the geometry grid — Class Cache
          entries/ways, Class List size; an absent axis sweeps only its
@@ -71,19 +71,20 @@
          a results/history/prof-*.json snapshot vs PROF_latest.json;
          CUR defaults to PROF_latest.json)
       dune exec bench/main.exe -- --check [--baseline FILE]
-          [--tolerance PCT] [--jobs N | --shards N] [WORKLOAD ...]
+          [--tolerance PCT] [--shards N] [WORKLOAD ...]
         (perf-regression gate: re-run the baseline's roster and exit
          non-zero when cycles or check-removal rates degrade)
       dune exec bench/main.exe -- --faults [--fault-seed N] [--fault-spec S]
-          [--jobs N | --shards N] [--out FILE] [--dir DIR]
-          [--suite ...] [WORKLOAD ...]
+          [--shards N] [--out FILE] [--dir DIR] [--suite ...] [WORKLOAD ...]
         (fault-injection campaign: run the (workload x fault point) matrix
          under the differential oracle, write FAULTS_latest.json +
          results/campaigns/, exit non-zero on any silent wrong answer.
          --shards N runs the matrix on the same supervised workers as
          --bench, longest workload first, with the same recovery flags)
-      Every --shards parent spawns workers of this executable with
-      --worker-indices i,j,k and merges their rows by index. *)
+      Every mode runs its cells serially in this process unless --shards N
+      (N > 1) or --resume asks for supervised workers: the parent spawns
+      workers of this executable with --worker-indices i,j,k and merges
+      their rows by index. *)
 
 open Tce_metrics
 
@@ -472,16 +473,15 @@ let run_bench args =
   in
   let opts, names =
     parse_flags
-      ([ "jobs"; "out"; "history"; "suite"; "shards"; "worker-indices";
+      ([ "out"; "history"; "suite"; "shards"; "worker-indices";
          "chaos"; "supervise-timeout"; "max-retries"; "resume"; "chaos-worker";
          "chaos-seed"; "cache-dir" ]
       @ telem_flags)
       args
   in
-  let jobs = opt_int opts "jobs" ~default:(Tce_runner.Runner.default_jobs ()) in
   let suite = Option.value ~default:"all" (Hashtbl.find_opt opts "suite") in
   let ws = resolve_workloads ~suite names in
-  serve_worker opts (fun () -> Tce_runner.Shard.bench_cells ?config ws);
+  serve_worker opts (fun () -> Tce_runner.Runner.bench_cells ?config ws);
   let shards = opt_int opts "shards" ~default:1 in
   if shards < 1 then usage_fail "--shards expects a positive integer";
   if shards > 1 && (attr_out <> None || prof_out <> None) then
@@ -496,19 +496,10 @@ let run_bench args =
     if no_cache || chaos <> None then None else Some (make_cache opts)
   in
   let run =
-    if shards > 1 || resume <> None then
-      Tce_runner.Shard.bench_parent ~shards
-        ~supervise:(supervise_config opts) ?resume ?chaos ?telem ?config ?cache
-        ~worker_args:(if Option.is_none config then [] else [ "--no-templates" ])
-        ws
-    else
-      let on_row =
-        Option.map
-          (fun t (w : Tce_runner.Record.workload) ->
-            Tce_runner.Telem.cell_done t ~name:w.Tce_runner.Record.name)
-          telem
-      in
-      Tce_runner.Runner.run_suite ?cache ?config ~jobs ?on_row ws
+    Tce_runner.Runner.run_suite ~shards ~supervise:(supervise_config opts)
+      ?resume ?chaos ?telem ?config ?cache
+      ~worker_args:(if Option.is_none config then [] else [ "--no-templates" ])
+      ws
   in
   finish_cache ?telem cache;
   Option.iter Tce_runner.Telem.finish telem;
@@ -528,8 +519,8 @@ let run_bench args =
   | None -> ()
   | Some path ->
     (* Suite attribution from the benchmark records themselves (the
-       composition block), so the report reflects exactly what the
-       parallel domains measured — no ledger crosses a domain boundary. *)
+       composition block), so the report reflects exactly what the run
+       measured. *)
     let per_workload =
       List.map
         (fun (w : Tce_runner.Record.workload) ->
@@ -556,11 +547,7 @@ let run_bench args =
        instruction), so these runs are separate from the steady-state
        numbers saved above. *)
     let module R = Tce_prof.Report in
-    let profs =
-      Tce_runner.Runner.run_profiles ~jobs
-        ~cost:(Tce_runner.Store.baseline_cost_of_workload ())
-        ws
-    in
+    let profs = Tce_runner.Runner.run_profiles ws in
     let pairs =
       List.map
         (fun (p : Harness.profiled) ->
@@ -637,13 +624,12 @@ let run_faults args =
   let no_cache = nc_args <> [] in
   let opts, names =
     parse_flags
-      ([ "jobs"; "fault-seed"; "fault-spec"; "out"; "dir"; "suite"; "shards";
+      ([ "fault-seed"; "fault-spec"; "out"; "dir"; "suite"; "shards";
          "worker-indices"; "chaos"; "supervise-timeout"; "max-retries";
          "resume"; "chaos-worker"; "chaos-seed"; "cache-dir" ]
       @ telem_flags)
       args
   in
-  let jobs = opt_int opts "jobs" ~default:(Tce_runner.Runner.default_jobs ()) in
   let seed =
     opt_int opts "fault-seed" ~default:Tce_runner.Campaign.default_seed
   in
@@ -671,30 +657,18 @@ let run_faults args =
   let cache =
     if no_cache || chaos <> None then None else Some (make_cache opts)
   in
+  (* pass the cell-identity inputs through verbatim to any workers; the
+     roster goes as positional names, so --suite need not survive the hop *)
+  let pass key =
+    match Hashtbl.find_opt opts key with
+    | None -> []
+    | Some v -> [ "--" ^ key; v ]
+  in
   let campaign =
-    if shards > 1 || resume <> None then
-      (* pass the cell-identity inputs through verbatim; the roster goes as
-         positional names, so --suite need not survive the hop *)
-      let pass key =
-        match Hashtbl.find_opt opts key with
-        | None -> []
-        | Some v -> [ "--" ^ key; v ]
-      in
-      Tce_runner.Campaign.parent ~spec ~seed ~shards
-        ~supervise:(supervise_config opts) ?resume ?chaos ?telem ?cache
-        ~worker_args:(pass "fault-seed" @ pass "fault-spec")
-        ws
-    else
-      let on_cell =
-        Option.map
-          (fun t (c : Tce_runner.Campaign.cell) ->
-            Tce_runner.Telem.cell_done t
-              ~name:
-                (Printf.sprintf "%s×%s" c.Tce_runner.Campaign.workload
-                   c.Tce_runner.Campaign.point))
-          telem
-      in
-      Tce_runner.Campaign.run ?cache ~spec ~seed ~jobs ?on_cell ws
+    Tce_runner.Campaign.run ~spec ~seed ~shards
+      ~supervise:(supervise_config opts) ?resume ?chaos ?telem ?cache
+      ~worker_args:(pass "fault-seed" @ pass "fault-spec")
+      ws
   in
   finish_cache ?telem cache;
   Option.iter Tce_runner.Telem.finish telem;
@@ -713,7 +687,7 @@ let run_faults args =
 
 (* `--sweep "cc.entries=... cc.ways=... cl.size=..."`: the design-space
    explorer — expand the geometry grid, run the (point × workload) cell
-   matrix (in-process or supervised across --shards N workers), and
+   matrix (in this process, or supervised across --shards N workers), and
    report the Pareto frontier. Cells flow through the cell cache, so a
    repeated sweep performs zero simulations and changing one axis value
    re-simulates only that axis's cells. *)
@@ -736,7 +710,7 @@ let run_sweep args =
   let strict = strict_args <> [] in
   let opts, names =
     parse_flags
-      ([ "jobs"; "out"; "csv"; "dir"; "suite"; "shards"; "worker-indices";
+      ([ "out"; "csv"; "dir"; "suite"; "shards"; "worker-indices";
          "supervise-timeout"; "max-retries"; "resume"; "cache-dir" ]
       @ telem_flags)
       args
@@ -749,7 +723,6 @@ let run_sweep args =
   let suite = Option.value ~default:"all" (Hashtbl.find_opt opts "suite") in
   let ws = resolve_workloads ~suite names in
   serve_worker opts (fun () -> Tce_runner.Sweep.cells ~axes ws);
-  let jobs = opt_int opts "jobs" ~default:(Tce_runner.Runner.default_jobs ()) in
   let shards = opt_int opts "shards" ~default:1 in
   if shards < 1 then usage_fail "--shards expects a positive integer";
   let resume = Hashtbl.find_opt opts "resume" in
@@ -759,17 +732,8 @@ let run_sweep args =
   let telem = make_telem ~driver:"sweep" ~total ~board opts in
   let cache = if no_cache then None else Some (make_cache opts) in
   let sweep =
-    if shards > 1 || resume <> None then
-      Tce_runner.Sweep.parent ~supervise:(supervise_config opts) ?resume ?telem
-        ?cache ~shards ~worker_args:[] ~axes ws
-    else
-      let on_row =
-        Option.map
-          (fun t (w : Tce_runner.Record.workload) ->
-            Tce_runner.Telem.cell_done t ~name:w.Tce_runner.Record.name)
-          telem
-      in
-      Tce_runner.Sweep.run ?cache ~jobs ?on_row ~axes ws
+    Tce_runner.Sweep.run ~supervise:(supervise_config opts) ?resume ?telem
+      ?cache ~shards ~axes ws
   in
   finish_cache ?telem cache;
   Option.iter Tce_runner.Telem.finish telem;
@@ -829,7 +793,7 @@ let run_check args =
   let no_cache = nc_args <> [] in
   let opts, names =
     parse_flags
-      ([ "baseline"; "tolerance"; "jobs"; "shards"; "supervise-timeout";
+      ([ "baseline"; "tolerance"; "shards"; "supervise-timeout";
          "max-retries"; "cache-dir" ]
       @ telem_flags)
       args
@@ -841,25 +805,15 @@ let run_check args =
   let tolerance_pct =
     opt_float opts "tolerance" ~default:Tce_runner.Gate.default_tolerance_pct
   in
-  let jobs = opt_int opts "jobs" ~default:(Tce_runner.Runner.default_jobs ()) in
   let shards = opt_int opts "shards" ~default:1 in
   if shards < 1 then usage_fail "--shards expects a positive integer";
   (* The gate sizes the roster itself ({!Tce_runner.Telem.set_total}),
      so the scheduled total starts at 0 here. *)
   let telem = make_telem ~driver:"gate" ~total:0 ~board opts in
   let cache = if no_cache then None else Some (make_cache opts) in
-  let runner =
-    if shards > 1 then
-      Some
-        (fun roster ->
-          Tce_runner.Shard.bench_parent ~shards
-            ~supervise:(supervise_config opts) ?telem ?cache ~worker_args:[]
-            roster)
-    else None
-  in
   let code =
-    Tce_runner.Gate.run_gate ~baseline_path ~tolerance_pct ?cache ~jobs ~names
-      ?runner ?telem ()
+    Tce_runner.Gate.run_gate ~baseline_path ~tolerance_pct ?cache ~names
+      ~shards ~supervise:(supervise_config opts) ?telem ()
   in
   Option.iter Tce_runner.Telem.finish telem;
   exit code

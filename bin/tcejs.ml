@@ -9,8 +9,9 @@
            tcejs opt-dump FILE FUNC     (optimized LIR of FUNC, after warm-up)
            tcejs classlist FILE         (Class List dump after the run)
            tcejs config                 (print the simulated core, Table 2)
-           tcejs bench-check [--baseline FILE] [--tolerance PCT] [--jobs N]
-                 [WORKLOAD ...]         (perf-regression gate) *)
+
+    The benchmark roster, the regression gate and the design-space sweep
+    run through [bench/main.exe] ([--bench], [--check], [--sweep]). *)
 
 open Cmdliner
 
@@ -357,131 +358,6 @@ let config_cmd =
   Cmd.v (Cmd.info "config" ~doc:"Print the simulated core configuration (Table 2).")
     Term.(const show $ const ())
 
-let bench_check_cmd =
-  let baseline =
-    Arg.(
-      value
-      & opt string Tce_runner.Store.baseline_path
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Stored baseline run to compare against.")
-  in
-  let tolerance =
-    Arg.(
-      value
-      & opt float Tce_runner.Gate.default_tolerance_pct
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:
-            "Allowed degradation before the gate fails: simulated-cycle \
-             growth in percent, check-removal drop in points.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt int (Tce_runner.Runner.default_jobs ())
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Domains to fan workloads out across (1 = serial).")
-  in
-  let names =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"WORKLOAD"
-          ~doc:"Restrict the comparison to these baseline workloads.")
-  in
-  let check baseline tolerance jobs names =
-    exit
-      (Tce_runner.Gate.run_gate ~baseline_path:baseline ~tolerance_pct:tolerance
-         ~jobs ~names ())
-  in
-  Cmd.v
-    (Cmd.info "bench-check"
-       ~doc:
-         "Re-run the baseline's benchmark roster on parallel domains and \
-          exit non-zero when simulated cycles or check-removal rates \
-          regress beyond tolerance.")
-    Term.(const check $ baseline $ tolerance $ jobs $ names)
-
-let sweep_cmd =
-  let spec =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"SPEC"
-          ~doc:
-            "Sweep spec: space-separated axis clauses over $(b,cc.entries), \
-             $(b,cc.ways) and $(b,cl.size), e.g. \"cc.entries=32,64,128,256 \
-             cc.ways=1,2,4 cl.size=4,8\". An absent axis sweeps only its \
-             paper-default value.")
-  in
-  let names =
-    Arg.(
-      value & pos_right 0 string []
-      & info [] ~docv:"WORKLOAD"
-          ~doc:
-            "Workloads to sweep (default: the paper's selected roster).")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt int (Tce_runner.Runner.default_jobs ())
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Domains to fan cells out across (1 = serial).")
-  in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:
-            "Simulate every cell even when the content-addressed cell cache \
-             (results/cache/) already holds its row.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string Tce_runner.Store.sweep_latest_path
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the sweep document.")
-  in
-  let sweep spec names jobs no_cache out =
-    match Tce_runner.Sweep.parse_spec spec with
-    | Error e ->
-      Printf.eprintf "bad sweep spec: %s\n" e;
-      exit 2
-    | Ok axes ->
-      let ws =
-        if names = [] then Tce_workloads.Workloads.selected
-        else
-          List.map
-            (fun name ->
-              match Tce_workloads.Workloads.by_name name with
-              | Some w -> w
-              | None ->
-                Printf.eprintf "unknown workload %s\n" name;
-                exit 2)
-            names
-      in
-      let cache = if no_cache then None else Some (Tce_runner.Cache.create ()) in
-      let t = Tce_runner.Sweep.run ?cache ~jobs ~axes ws in
-      (match cache with
-      | Some c ->
-        Tce_runner.Cache.print_stats (Tce_runner.Cache.stats c);
-        ignore (Tce_runner.Cache.prune ~dir:(Tce_runner.Cache.dir c) ())
-      | None -> ());
-      print_string (Tce_runner.Sweep.report t);
-      ignore (Tce_runner.Sweep.save ~latest:out t);
-      Printf.printf "wrote %s\n" out;
-      exit
-        (match Tce_runner.Sweep.baseline_check t with
-        | Ok _ -> 0
-        | Error _ -> 1)
-  in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:
-         "Explore the Class Cache / Class List design space: run every \
-          (geometry, workload) cell through the cell cache and report the \
-          Pareto frontier over simulated cycles, check removal and \
-          geometry cost.")
-    Term.(const sweep $ spec $ names $ jobs $ no_cache $ out)
-
 let () =
   let info = Cmd.info "tcejs" ~doc:"MiniJS engine with HW-assisted type-check elision" in
   exit
@@ -489,5 +365,4 @@ let () =
        (Cmd.group ~default:run_term info
           [
             run_cmd; disasm_cmd; opt_dump_cmd; classlist_cmd; config_cmd;
-            bench_check_cmd; sweep_cmd;
           ]))

@@ -51,11 +51,8 @@ dune build bench/main.exe
 
 exe=_build/default/bench/main.exe
 
-if [ "$shards" -gt 1 ]; then
-    mode="--shards $shards"
-else
-    mode="--jobs 1"
-fi
+# --shards 1 (the default) runs the roster serially in this process
+mode="--shards $shards"
 
 if command -v perf >/dev/null 2>&1; then
     echo "profiling with perf ($mode): $workloads"

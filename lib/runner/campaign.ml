@@ -97,8 +97,8 @@ let observe ~config (w : W.t) : observation =
   }
 
 (** The per-cell injector seed: a deterministic function of the campaign
-    seed and the cell's identity only, so the schedule (jobs, domain
-    interleaving) can never change which faults a cell sees. *)
+    seed and the cell's identity only, so the schedule (shards, cell
+    order) can never change which faults a cell sees. *)
 let cell_seed ~campaign_seed ~workload ~point =
   let h = Hashtbl.hash (workload, point) in
   campaign_seed lxor (h * 0x9E3779B1) lxor ((h lsl 17) lor 0x2545F491)
@@ -156,10 +156,11 @@ let run_cell ~campaign_seed ~(reference : observation) ~(clean : observation)
 let matrix ~(spec : Spec.t) (ws : W.t list) : (W.t * Spec.rule) list =
   List.concat_map (fun w -> List.map (fun rule -> (w, rule)) spec) ws
 
-(** Phase 1 — per workload: the checks-on reference observation (the
-    differential oracle's ground truth) and a clean mechanism-on run (the
-    yardstick for Degraded vs Masked). The two must already agree: a
-    mismatch here is an engine bug, not an injection outcome. *)
+(** Per workload, before its first cell: the checks-on reference
+    observation (the differential oracle's ground truth) and a clean
+    mechanism-on run (the yardstick for Degraded vs Masked). The two must
+    already agree: a mismatch here is an engine bug, not an injection
+    outcome. *)
 let prep (w : W.t) =
   let reference =
     observe ~config:{ E.default_config with E.mechanism = false } w
@@ -172,9 +173,6 @@ let prep (w : W.t) =
           no faults injected"
          w.W.name);
   (reference, clean)
-
-let prep_workloads ~jobs (ws : W.t list) =
-  Runner.parallel_map ~jobs (fun (w : W.t) -> (w.W.name, prep w)) ws
 
 (** The cell-cache key of cell [(w, rule)]: its singleton spec and
     injector seed on top of the bench identity. *)
@@ -224,80 +222,6 @@ let cell_of_json (j : J.t) : (cell, string) result =
         delivered_late; deopts_delta; cycles_delta; outcome; detail;
       }
   | _ -> Error "malformed fault-campaign cell"
-
-(* --- the in-process driver --- *)
-
-let run ?cache ?(spec = Spec.default) ?(seed = default_seed) ?jobs ?on_cell
-    (ws : W.t list) : t =
-  let t0 = Unix.gettimeofday () in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Runner.default_jobs ()
-  in
-  (* Pre-resolve cell-cache hits (cheap serial file reads). A cached cell
-     carries its outcome and deltas in full, so a workload all of whose
-     cells hit needs no reference/clean observations at all — a fully
-     cached campaign performs zero simulations. *)
-  let resolved =
-    List.map
-      (fun ((w : W.t), (rule : Spec.rule)) ->
-        let hit =
-          Option.bind cache (fun ca ->
-              Option.bind
-                (Cache.find ca ~key:(cell_key ~campaign_seed:seed w rule))
-                (fun j -> Result.to_option (cell_of_json j)))
-        in
-        (w, rule, hit))
-      (matrix ~spec ws)
-  in
-  (* Phase 1 — reference/clean observations, only for workloads that still
-     have at least one cell to simulate. *)
-  let miss_names =
-    List.filter_map
-      (fun ((w : W.t), _, hit) ->
-        match hit with None -> Some w.W.name | Some _ -> None)
-      resolved
-  in
-  let prepped =
-    prep_workloads ~jobs
-      (List.filter (fun (w : W.t) -> List.mem w.W.name miss_names) ws)
-  in
-  (* Phase 2 — the (workload × fault point) matrix. Each cell arms exactly
-     one rule of the base spec, so every outcome is attributable to one
-     fault point. Fresh cells are installed into the cache as they
-     complete (atomic writes; safe from worker domains). *)
-  let cells =
-    Runner.parallel_map ~jobs
-      (fun ((w : W.t), rule, hit) ->
-        let c =
-          match hit with
-          | Some c -> c
-          | None ->
-            let reference, clean = List.assoc w.W.name prepped in
-            let c = run_cell ~campaign_seed:seed ~reference ~clean w rule in
-            Option.iter
-              (fun ca ->
-                Cache.store ca ~key:(cell_key ~campaign_seed:seed w rule)
-                  (json_of_cell c))
-              cache;
-            c
-        in
-        (* observer for telemetry progress; must not affect outcomes *)
-        (match on_cell with None -> () | Some f -> f c);
-        c)
-      resolved
-  in
-  {
-    campaign_seed = seed;
-    spec = Spec.to_string spec;
-    git_sha = Store.git_sha ();
-    created_utc = Store.timestamp_utc ();
-    jobs;
-    shards = 1;
-    host_wall_seconds = Unix.gettimeofday () -. t0;
-    cells;
-    quarantined = [];
-    resumed_rows = [];
-  }
 
 let to_json (t : t) : J.t =
   Tce_obs.Export.document ~kind:"fault-campaign"
@@ -400,7 +324,7 @@ let load path : (t, string) result =
     close_in ic;
     match J.of_string s with Error e -> Error e | Ok j -> of_json j
 
-(* --- multi-process execution (fault-cell envelopes) --- *)
+(* --- execution (fault-cell envelopes) --- *)
 
 let codec =
   {
@@ -442,13 +366,14 @@ let cells ~spec ~seed (ws : W.t list) : cell Shard.cells =
         run_cell ~campaign_seed:seed ~reference ~clean w rule);
   }
 
-let parent ?exe ?spawn ?log_dir ?supervise
+let run ?exe ?spawn ?log_dir ?supervise
     ?(journal_path = Store.faults_journal_path) ?resume ?chaos ?telem ?cache
-    ?(spec = Spec.default) ?(seed = default_seed) ~shards ~worker_args
-    (ws : W.t list) : t =
+    ?(spec = Spec.default) ?(seed = default_seed) ?jobs ?(shards = 1)
+    ?(worker_args = []) (ws : W.t list) : t =
+  Shard.serial_jobs jobs;
   let t0 = Unix.gettimeofday () in
   let s =
-    Shard.parent ?exe ?spawn ?log_dir ?supervise ~journal_path ?resume ?chaos
+    Shard.run ?exe ?spawn ?log_dir ?supervise ~journal_path ?resume ?chaos
       ?telem ?cache ~shards ~worker_args (cells ~spec ~seed ws)
   in
   {
@@ -464,6 +389,8 @@ let parent ?exe ?spawn ?log_dir ?supervise
     resumed_rows = s.Shard.resumed;
   }
 
+let parent = run
+
 (* --- reporting --- *)
 
 let print_summary (t : t) =
@@ -471,12 +398,12 @@ let print_summary (t : t) =
     List.sort_uniq compare (List.map (fun (c : cell) -> c.point) t.cells)
   in
   Printf.printf
-    "fault campaign: seed %d, %d cells (%d workloads × %d points), %d jobs, \
-     %.1fs\n"
+    "fault campaign: seed %d, %d cells (%d workloads × %d points), %d \
+     shard(s), %.1fs\n"
     t.campaign_seed (List.length t.cells)
     (List.length
        (List.sort_uniq compare (List.map (fun (c : cell) -> c.workload) t.cells)))
-    (List.length points) t.jobs t.host_wall_seconds;
+    (List.length points) t.shards t.host_wall_seconds;
   Printf.printf "%-14s %6s %6s | %6s %10s %9s %7s %7s\n" "point" "fires"
     "detect" "wrong" "recovered" "degraded" "masked" "quiet";
   List.iter

@@ -1,7 +1,7 @@
 (** Fault-injection campaign driver: the differential semantics oracle.
 
-    A campaign runs a (workload × fault point) matrix on parallel domains.
-    For each workload it first records the {e checks-on reference}
+    A campaign runs a (workload × fault point) matrix, in this process or
+    on supervised workers ([--shards N]). For each workload it first records the {e checks-on reference}
     observation (mechanism off — every type check executed) and a clean
     mechanism-on observation; then each matrix cell re-runs the workload
     with exactly one fault point armed (a singleton of the base spec) under
@@ -61,7 +61,7 @@ type t = {
   spec : string;  (** the base spec the matrix was derived from *)
   git_sha : string;
   created_utc : string;
-  jobs : int;
+  jobs : int;  (** 1 for new runs (older documents may say more); kept in the format *)
   shards : int;  (** worker processes the matrix was split across (1 = in-process) *)
   host_wall_seconds : float;
   cells : cell list;
@@ -91,29 +91,11 @@ val observe : config:Tce_engine.Engine.config -> Tce_workloads.Workload.t ->
 
 (** The deterministic injector seed of cell [(workload, point)] — a pure
     function of the campaign seed and the cell identity, independent of
-    jobs/scheduling. *)
+    scheduling. *)
 val cell_seed : campaign_seed:int -> workload:string -> point:string -> int
 
-(** Run the full matrix: one cell per (workload, rule of [spec]), fanned
-    across [jobs] domains. Default [spec] is {!Tce_fault.Spec.default}
-    (every point armed), default seed {!default_seed}. [on_cell] is a
-    thread-safe observer fired once per finished cell from the finishing
-    domain (telemetry progress); it must not affect outcomes. With
-    [cache], cells are pre-resolved against the content-addressed cell
-    cache ({!Cache.fault_key}); only workloads with at least one miss get
-    reference/clean observations, so a fully cached campaign performs
-    zero simulations. *)
-val run :
-  ?cache:Cache.t ->
-  ?spec:Tce_fault.Spec.t ->
-  ?seed:int ->
-  ?jobs:int ->
-  ?on_cell:(cell -> unit) ->
-  Tce_workloads.Workload.t list ->
-  t
-
 (** The canonical campaign matrix: workload-major, rule-minor. Workers and
-    the in-process driver both enumerate cells in this order, so a cell's
+    the in-process mode both enumerate cells in this order, so a cell's
     matrix index identifies it across the process boundary. *)
 val matrix :
   spec:Tce_fault.Spec.t ->
@@ -123,9 +105,9 @@ val matrix :
 (** [fault-cell] envelopes: [{"index": i, "cell": cell}]. *)
 val codec : cell Shard.codec
 
-(** {!matrix} as a {!Shard.cells} matrix, worker mode [--faults]. A
-    worker prepares each workload's reference/clean observations once,
-    on the first of its cells that needs them. Cells are keyed by
+(** {!matrix} as a {!Shard.cells} matrix, worker mode [--faults]. Each
+    process prepares a workload's reference/clean observations once, on
+    the first of its cells that needs them. Cells are keyed by
     {!Cache.fault_key}. *)
 val cells :
   spec:Tce_fault.Spec.t ->
@@ -133,15 +115,42 @@ val cells :
   Tce_workloads.Workload.t list ->
   cell Shard.cells
 
-(** Parent side of [--faults --shards N]: {!Shard.parent} over {!cells},
-    journaled to [journal_path] (default {!Store.faults_journal_path}).
-    Cell seeds are pure functions of cell identity, so the result is
-    cell-for-cell identical to {!run}. [worker_args] must carry the
-    [--fault-seed]/[--fault-spec] the workers need to rebuild the same
-    matrix. With [cache], hits are pre-resolved: a fully cached campaign
-    starts no worker.
+(** Run the full matrix: one cell per (workload, rule of [spec]),
+    through {!Shard.run} over {!cells}. Default [spec] is
+    {!Tce_fault.Spec.default} (every point armed), default seed
+    {!default_seed}. [shards] defaults to 1: serial, in this process.
+    With [shards > 1] or [resume], the supervised mode runs, journaled to
+    [journal_path] (default {!Store.faults_journal_path}); [worker_args]
+    must then carry the [--fault-seed]/[--fault-spec] the workers need to
+    rebuild the same matrix. Cell seeds are pure functions of cell
+    identity, so both modes give the same cells. With [cache], cells are
+    pre-resolved against the content-addressed cell cache
+    ({!Cache.fault_key}); a workload all of whose cells hit gets no
+    reference/clean observations, so a fully cached campaign performs
+    zero simulations and starts no worker. [jobs] stays only for callers
+    that still pass [~jobs:1]; any other value raises [Invalid_argument]
+    ({!Shard.serial_jobs}).
     @raise Failure when supervision fails unrecoverably or the merge is
     incomplete (a missing cell that is not quarantined). *)
+val run :
+  ?exe:string ->
+  ?spawn:Supervise.spawn ->
+  ?log_dir:string ->
+  ?supervise:Supervise.config ->
+  ?journal_path:string ->
+  ?resume:string ->
+  ?chaos:Supervise.Chaos.mode * int ->
+  ?telem:Telem.t ->
+  ?cache:Cache.t ->
+  ?spec:Tce_fault.Spec.t ->
+  ?seed:int ->
+  ?jobs:int ->
+  ?shards:int ->
+  ?worker_args:string list ->
+  Tce_workloads.Workload.t list ->
+  t
+
+(** {!run} under its earlier name. *)
 val parent :
   ?exe:string ->
   ?spawn:Supervise.spawn ->
@@ -154,8 +163,9 @@ val parent :
   ?cache:Cache.t ->
   ?spec:Tce_fault.Spec.t ->
   ?seed:int ->
-  shards:int ->
-  worker_args:string list ->
+  ?jobs:int ->
+  ?shards:int ->
+  ?worker_args:string list ->
   Tce_workloads.Workload.t list ->
   t
 

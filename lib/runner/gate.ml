@@ -188,10 +188,10 @@ let check_run ?(tolerance_pct = default_tolerance_pct) ~baseline ~current () :
       [
         Printf.sprintf
           "suite host wall time regressed %.2fs -> %.2fs (+%.0f%% at %d \
-           jobs / %d shards, non-gating)"
+           shards, non-gating)"
           bw cw
           (100.0 *. (cw -. bw) /. bw)
-          current.Record.jobs current.Record.shards;
+          current.Record.shards;
       ]
     else []
   in
@@ -279,12 +279,12 @@ let print_report ~baseline ~current (r : report) =
     | [] -> ""
     | qs -> Printf.sprintf ", quarantined: %s" (String.concat ", " qs))
 
-(* --- end-to-end driver (shared by bench/main.exe and tcejs) --- *)
+(* --- end-to-end driver (bench/main.exe --check) --- *)
 
 let run_gate ?(baseline_path = Store.baseline_path)
-    ?(tolerance_pct = default_tolerance_pct) ?cache ?jobs ?(names = [])
-    ?(resolve = Tce_workloads.Workloads.by_name) ?(save_latest = true) ?runner
-    ?telem () : int =
+    ?(tolerance_pct = default_tolerance_pct) ?cache ?(names = [])
+    ?(resolve = Tce_workloads.Workloads.by_name) ?(save_latest = true) ?shards
+    ?supervise ?telem () : int =
   match Store.load baseline_path with
   | Error msg ->
     (* Actionable failure: say *why* the baseline is unusable and how to
@@ -353,16 +353,7 @@ let run_gate ?(baseline_path = Store.baseline_path)
       | None -> ()
       | Some t -> Telem.set_total t (List.length roster));
       let current =
-        match runner with
-        | Some run -> run roster
-        | None ->
-          let on_row =
-            Option.map
-              (fun t (w : Record.workload) ->
-                Telem.cell_done t ~name:w.Record.name)
-              telem
-          in
-          Runner.run_suite ?cache ?jobs ?on_row roster
+        Runner.run_suite ?supervise ?telem ?cache ?shards roster
       in
       (match cache with
       | None -> ()

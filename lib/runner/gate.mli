@@ -70,26 +70,24 @@ val print_report : baseline:Record.run -> current:Record.run -> report -> unit
 
 (** Load the baseline, re-run its roster (narrowed to [names] when
     non-empty; workloads resolved through [resolve], default the global
-    registry) on [jobs] domains, persist the run through {!Store.save}
-    (unless [save_latest] is false), print the delta table and return the
-    process exit code: 0 = pass, 1 = regression, 2 = usage/baseline error.
-    [runner] replaces the default [Runner.run_suite ?jobs] execution of
-    the selected roster (e.g. {!Shard.bench_parent} for [--check
-    --shards N]); [jobs] is ignored when it is given. [telem] feeds the
-    fleet-telemetry coordinator: the roster size becomes the scheduled
-    total, serial rows stream through {!Telem.cell_done}, and the verdict
-    lands via {!Telem.gate_result}. [cache] threads the cell cache into
-    the default serial runner (custom [runner]s receive their own handle),
-    prints its stats and prunes it after the run. *)
+    registry) through {!Runner.run_suite} ([shards] and [supervise] as
+    there: serial in this process by default), persist the run through
+    {!Store.save} (unless [save_latest] is false), print the delta table
+    and return the process exit code: 0 = pass, 1 = regression, 2 =
+    usage/baseline error. [telem] feeds the fleet-telemetry coordinator:
+    the roster size becomes the scheduled total, rows stream through the
+    run, and the verdict lands via {!Telem.gate_result}. [cache] threads
+    the cell cache into the run, prints its stats and prunes it after the
+    run. *)
 val run_gate :
   ?baseline_path:string ->
   ?tolerance_pct:float ->
   ?cache:Cache.t ->
-  ?jobs:int ->
   ?names:string list ->
   ?resolve:(string -> Tce_workloads.Workload.t option) ->
   ?save_latest:bool ->
-  ?runner:(Tce_workloads.Workload.t list -> Record.run) ->
+  ?shards:int ->
+  ?supervise:Supervise.config ->
   ?telem:Telem.t ->
   unit ->
   int

@@ -43,7 +43,7 @@ type run = {
   git_sha : string;
   config_hash : string;  (** digest of the simulated-core + engine config *)
   created_utc : string;
-  jobs : int;
+  jobs : int;  (** 1 for new runs (older documents may say more); kept in the format *)
   shards : int;
       (** worker processes the run was split across (1 = in-process run;
           documents written before the field existed decode as 1) *)

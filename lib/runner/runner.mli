@@ -1,27 +1,17 @@
-(** Parallel workload execution engine.
+(** Benchmark-roster execution.
 
-    Fans benchmark workloads out across OCaml 5 domains. Engine instances
-    are self-contained and the simulator is deterministic, so every
-    simulated number in the records is bit-identical to a serial run
-    ([jobs = 1]); only the host wall-clock fields depend on scheduling.
-    Results always come back in input order. *)
+    Engine instances are self-contained and the simulator is
+    deterministic, so every simulated number in the records is
+    bit-identical whether a workload ran in this process or on a
+    supervised worker ([--shards N]); only the host wall-clock fields
+    depend on scheduling. Results always come back in input order. *)
 
-(** Number of domains used when [?jobs] is omitted
-    ({!Domain.recommended_domain_count}). *)
-val default_jobs : unit -> int
-
-(** [parallel_map ~jobs f xs] = [List.map f xs], fanned out across [jobs]
-    domains through a single atomic work index. [f] must be self-contained
-    (no shared mutable state); results come back in input order, and the
-    first exception is re-raised after all domains drain. Shared by the
-    benchmark suite and the fault-campaign driver. *)
-val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** Measure one workload (mechanism off + on) and build its record. With
-    [cache], the content-addressed cell cache is consulted first: a hit
-    returns the stored row (wall clocks zeroed) without simulating, a
-    miss simulates and installs the wall-zeroed row. Cached and fresh
-    rows agree on every simulated field ({!Record.equal_deterministic}). *)
+(** Measure one workload (mechanism off + on) and build its record,
+    through the in-process mode of {!Shard.run}. With [cache], the
+    content-addressed cell cache is consulted first: a hit returns the
+    stored row (wall clocks zeroed) without simulating, a miss simulates
+    and installs the wall-zeroed row. Cached and fresh rows agree on
+    every simulated field ({!Record.equal_deterministic}). *)
 val run_one :
   ?cache:Cache.t ->
   ?config:Tce_engine.Engine.config ->
@@ -34,51 +24,49 @@ val simulate_one :
   Tce_workloads.Workload.t ->
   Record.workload
 
-(** [longest_first_order ~cost xs] is the longest-first schedule as a
-    permutation of [0 .. n-1]: position [k] holds the input index to run
-    [k]-th. Unknown-cost items first (they could be arbitrarily long),
-    then known costs descending, ties by input index — a pure,
-    deterministic function of the inputs. *)
-val longest_first_order : cost:('a -> float option) -> 'a list -> int array
-
-(** Run the workloads on [jobs] domains ([jobs <= 1]: serial in the
-    calling domain). When [cost] is given, workloads are *visited* in
-    {!longest_first_order} (so the slowest pairs start first and cannot
-    straggle at the end of a parallel run); results always come back in
-    input order either way. The first exception raised by a workload is
-    re-raised after all domains drain. [on_row] is an observer fired once
-    per completed workload from the finishing domain (telemetry progress);
-    it must be thread-safe and must not affect results. *)
-val run_workloads :
-  ?cache:Cache.t ->
-  ?config:Tce_engine.Engine.config ->
-  ?jobs:int ->
-  ?cost:(Tce_workloads.Workload.t -> float option) ->
-  ?on_row:(Record.workload -> unit) ->
-  Tce_workloads.Workload.t list ->
-  Record.workload list
-
-(** Profile the whole roster (one {!Tce_metrics.Harness.run_pair_profiled}
-    per workload) on [jobs] domains — fresh engines and a fresh profile per
-    side, so fan-out cannot change any attributed number. Scheduling and
-    result order follow the {!run_workloads} rules. *)
+(** Profile the roster serially, one
+    {!Tce_metrics.Harness.run_pair_profiled} per workload — fresh engines
+    and a fresh profile per side. Results come back in input order. *)
 val run_profiles :
   ?config:Tce_engine.Engine.config ->
-  ?jobs:int ->
-  ?cost:(Tce_workloads.Workload.t -> float option) ->
   Tce_workloads.Workload.t list ->
   Tce_metrics.Harness.profiled list
 
-(** [run_workloads] wrapped into a provenance-stamped {!Record.run}
-    (git SHA, config hash, wall clock). [cost] defaults to the committed
-    baseline's whole-run cycles ({!Store.baseline_cost_of_workload}).
-    With [cache], rows go through the cell cache and the run records this
-    invocation's hit/miss counts. *)
+(** [bench-row] envelopes: [{"index": i, "workload": row}]. *)
+val bench_codec : Record.workload Shard.codec
+
+(** The roster as a matrix: cell [i] is the off/on pair of workload [i]
+    under [config], worker mode [--bench]. *)
+val bench_cells :
+  ?config:Tce_engine.Engine.config ->
+  Tce_workloads.Workload.t list ->
+  Record.workload Shard.cells
+
+(** Run the roster through {!Shard.run} over {!bench_cells} and stamp a
+    provenance-stamped {!Record.run} (git SHA, config hash, wall clock,
+    [shards], quarantine, resumed rows and this invocation's cell-cache
+    counts). [shards] defaults to 1: serial, in this process. With
+    [shards > 1] or [resume], the supervised mode runs, journaled to
+    [journal_path] (default {!Store.bench_journal_path}); [config] must
+    then agree with [worker_args]. [on_row] observes each in-process row
+    as it completes. [jobs] stays only for callers that still pass
+    [~jobs:1]; any other value raises [Invalid_argument]
+    ({!Shard.serial_jobs}).
+    @raise Failure as {!Shard.run}. *)
 val run_suite :
+  ?exe:string ->
+  ?spawn:Supervise.spawn ->
+  ?log_dir:string ->
+  ?supervise:Supervise.config ->
+  ?journal_path:string ->
+  ?resume:string ->
+  ?chaos:Supervise.Chaos.mode * int ->
+  ?telem:Telem.t ->
   ?cache:Cache.t ->
   ?config:Tce_engine.Engine.config ->
   ?jobs:int ->
-  ?cost:(Tce_workloads.Workload.t -> float option) ->
   ?on_row:(Record.workload -> unit) ->
+  ?shards:int ->
+  ?worker_args:string list ->
   Tce_workloads.Workload.t list ->
   Record.run

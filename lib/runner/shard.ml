@@ -1,8 +1,6 @@
-(** One supervised parent and worker for every cell matrix (see
-    shard.mli). *)
+(** One driver and one worker for every cell matrix (see shard.mli). *)
 
 module J = Tce_obs.Json
-module W = Tce_workloads.Workload
 
 let default_log_dir = Filename.concat "results" "shard_logs"
 
@@ -100,6 +98,20 @@ let row_of_json codec (j : J.t) : (int * 'row, string) result =
 
 (* --- the cell matrix --- *)
 
+(** Unknown costs first (a new cell could be arbitrarily long, so it
+    must not start last), then known costs descending; ties break on
+    input index, so the order is a deterministic function of the inputs. *)
+let longest_first_order ~(cost : 'a -> float option) (xs : 'a list) : int array =
+  let arr = Array.of_list xs in
+  let key =
+    Array.map (fun x -> match cost x with None -> infinity | Some c -> c) arr
+  in
+  let idx = Array.init (Array.length arr) (fun i -> i) in
+  Array.sort
+    (fun a b -> if key.(a) = key.(b) then compare a b else compare key.(b) key.(a))
+    idx;
+  idx
+
 type 'row cells = {
   codec : 'row codec;
   argv : string list;
@@ -136,63 +148,35 @@ let worker ?chaos ?beat ~indices ~out (c : 'row cells) : unit =
     indices;
   Option.iter Tce_telem.Heartbeat.beat_done beat
 
-type 'row supervised = {
+type 'row outcome = {
   rows : (int * 'row) list;
   quarantined : Supervise.quarantined list;
   resumed : int list;
   cache_stats : int * int;
 }
 
-let parent ?exe ?spawn ?(log_dir = default_log_dir)
+let serial_jobs = function
+  | None | Some 1 -> ()
+  | Some j ->
+    invalid_arg
+      (Printf.sprintf "jobs = %d: cells run in parallel only on --shards N workers" j)
+
+let run ?exe ?spawn ?(log_dir = default_log_dir)
     ?(supervise = Supervise.default_config) ~journal_path ?resume ?chaos
-    ?telem ?cache ~shards ~worker_args (c : 'row cells) : 'row supervised =
+    ?telem ?cache ?on_row ~shards ~worker_args (c : 'row cells) : 'row outcome =
   let h0, m0 = Cache.counts cache in
-  let all = List.init c.count Fun.id in
-  let tasks =
-    Array.to_list
-      (Array.map
-         (fun i ->
-           { Supervise.t_index = i; t_name = c.name i; t_cost = c.cost i })
-         (Runner.longest_first_order ~cost:c.cost all))
-  in
-  (* the first wave as the supervisor deals it, for aiming chaos *)
-  let assignment =
-    Supervise.deal ~shards (List.map (fun t -> t.Supervise.t_index) tasks)
-  in
-  let argv_of_indices ~slot ~attempt indices =
-    let chaos_args =
-      match chaos with
-      | None -> []
-      | Some (mode, seed) ->
-        Option.value ~default:[]
-          (Supervise.Chaos.worker_args ~mode ~seed ~assignment ~slot ~attempt)
-    in
-    Array.of_list
-      ((Sys.executable_name :: c.argv)
-      @ "--worker-indices"
-        :: String.concat "," (List.map string_of_int indices)
-        :: (chaos_args @ Telem.heartbeat_args telem ~slot @ worker_args))
-  in
-  let decode line =
-    Result.map_error
-      (fun e -> Printf.sprintf "bad %s: %s" c.codec.kind e)
-      (Result.bind (J.of_string line) (row_of_json c.codec))
-  in
-  let to_line i row = J.to_string (row_to_json c.codec ~index:i row) in
-  (* Resume: replay every complete row of the crashed run's journal;
-     only the remainder is scheduled. *)
-  let journal_rows =
-    match resume with
-    | None -> []
-    | Some path -> (
-      match Store.journal_lines path with
-      | Error e -> failwith (Printf.sprintf "--resume %s: %s" path e)
-      | Ok lines ->
-        List.filter_map (fun line -> Result.to_option (decode line)) lines)
+  let outcome ?(quarantined = []) ?(resumed = []) rows =
+    let h1, m1 = Cache.counts cache in
+    { rows; quarantined; resumed; cache_stats = (h1 - h0, m1 - m0) }
   in
   (* Cell-cache keys digest the workload source: derive each once, and
      only when a cache was given. *)
   let keys = lazy (Array.init c.count c.key) in
+  let cached i =
+    Option.bind cache (fun ca ->
+        Option.bind (Cache.find ca ~key:(Lazy.force keys).(i)) (fun j ->
+            Result.to_option (c.codec.decode j)))
+  in
   let install i row =
     Option.iter
       (fun ca ->
@@ -200,105 +184,115 @@ let parent ?exe ?spawn ?(log_dir = default_log_dir)
           (c.codec.encode (c.codec.cache_form row)))
       cache
   in
-  (* Cache pre-resolution: indices the journal did not cover are looked up
-     in the cell cache. Hits ride the resume path (not scheduled,
-     re-journaled) but are not resume provenance; misses are simulated by
-     the workers and installed as their rows arrive. *)
-  let cached_rows =
-    match cache with
-    | None -> []
-    | Some ca ->
+  let fresh i =
+    let row = c.run i in
+    install i row;
+    row
+  in
+  let all = List.init c.count Fun.id in
+  if shards <= 1 && resume = None then
+    outcome
+      (List.map
+         (fun i ->
+           let row = match cached i with Some row -> row | None -> fresh i in
+           Option.iter (fun t -> Telem.cell_done t ~name:(c.name i)) telem;
+           Option.iter (fun f -> f row) on_row;
+           (i, row))
+         all)
+  else
+    let tasks =
+      Array.to_list
+        (Array.map
+           (fun i ->
+             { Supervise.t_index = i; t_name = c.name i; t_cost = c.cost i })
+           (longest_first_order ~cost:c.cost all))
+    in
+    (* the first wave as the supervisor deals it, for aiming chaos *)
+    let assignment =
+      Supervise.deal ~shards (List.map (fun t -> t.Supervise.t_index) tasks)
+    in
+    let argv_of_indices ~slot ~attempt indices =
+      let chaos_args =
+        match chaos with
+        | None -> []
+        | Some (mode, seed) ->
+          Option.value ~default:[]
+            (Supervise.Chaos.worker_args ~mode ~seed ~assignment ~slot ~attempt)
+      in
+      Array.of_list
+        ((Sys.executable_name :: c.argv)
+        @ "--worker-indices"
+          :: String.concat "," (List.map string_of_int indices)
+          :: (chaos_args @ Telem.heartbeat_args telem ~slot @ worker_args))
+    in
+    let decode line =
+      Result.map_error
+        (fun e -> Printf.sprintf "bad %s: %s" c.codec.kind e)
+        (Result.bind (J.of_string line) (row_of_json c.codec))
+    in
+    let to_line i row = J.to_string (row_to_json c.codec ~index:i row) in
+    (* Resume: replay every complete row of the crashed run's journal;
+       only the remainder is scheduled. *)
+    let journal_rows =
+      match resume with
+      | None -> []
+      | Some path -> (
+        match Store.journal_lines path with
+        | Error e -> failwith (Printf.sprintf "--resume %s: %s" path e)
+        | Ok lines ->
+          List.filter_map (fun line -> Result.to_option (decode line)) lines)
+    in
+    (* Cache pre-resolution: indices the journal did not cover are looked
+       up in the cell cache. Hits ride the resume path (not scheduled,
+       re-journaled) but are not resume provenance; misses are simulated by
+       the workers and installed as their rows arrive. *)
+    let cached_rows =
       List.filter_map
         (fun i ->
           if List.mem_assoc i journal_rows then None
-          else
-            Option.bind (Cache.find ca ~key:(Lazy.force keys).(i)) (fun j ->
-                Option.map (fun row -> (i, row))
-                  (Result.to_option (c.codec.decode j))))
+          else Option.map (fun row -> (i, row)) (cached i))
         all
-  in
-  let parse line =
-    match decode line with
-    | Ok (i, _) when i >= c.count ->
-      Error (Printf.sprintf "bad %s: index %d out of range" c.codec.kind i)
-    | Ok (i, row) as ok ->
-      install i row;
-      ok
-    | Error _ as e -> e
-  in
-  let events =
-    match telem with Some t -> Telem.events t | None -> Supervise.null_events
-  in
-  let journal = Store.journal_open journal_path in
-  let outcome =
-    Fun.protect
-      ~finally:(fun () -> Store.journal_close journal)
-      (fun () ->
-        Supervise.run ?exe ?spawn ~config:supervise ~shards ~log_dir
-          ~journal:(Store.journal_append journal)
-          ~serial_run:(fun i ->
-            let row = c.run i in
-            install i row;
-            row)
-          ~resume_rows:(journal_rows @ cached_rows) ~events ~argv_of_indices
-          ~parse ~to_line tasks)
-  in
-  match outcome with
-  | Error e ->
-    failwith (Printf.sprintf "supervised %s run failed: %s" c.codec.kind e)
-  | Ok o -> (
-    let resumed =
-      List.filter
-        (fun i -> not (List.mem_assoc i cached_rows))
-        o.Supervise.resumed
     in
-    Option.iter (fun t -> Telem.resumed t (List.length resumed)) telem;
-    let name_of i = if i >= 0 && i < c.count then Some (c.name i) else None in
-    match
-      merge_rows ~names:name_of
-        ~quarantined:
-          (List.map (fun q -> q.Supervise.q_index) o.Supervise.quarantined)
-        ~what:c.codec.kind ~expected:c.count
-        (* keep each row's index through the merge *)
-        (List.map (fun (i, row) -> (i, (i, row))) o.Supervise.rows)
-    with
-    | Error e -> failwith e
-    | Ok rows ->
-      let h1, m1 = Cache.counts cache in
-      {
-        rows;
-        quarantined = o.Supervise.quarantined;
-        resumed;
-        cache_stats = (h1 - h0, m1 - m0);
-      })
-
-(* --- the benchmark roster --- *)
-
-let bench_codec = workload_codec ~kind:"bench-row" ~field:"workload"
-
-let bench_cells ?config (ws : W.t list) : Record.workload cells =
-  let arr = Array.of_list ws in
-  (* parsed on first use only: workers never schedule *)
-  let cost = lazy (Store.baseline_cost_of_workload ()) in
-  {
-    codec = bench_codec;
-    argv = "--bench" :: List.map (fun (w : W.t) -> w.W.name) ws;
-    count = Array.length arr;
-    name = (fun i -> arr.(i).W.name);
-    cost = (fun i -> Lazy.force cost arr.(i));
-    key = (fun i -> Cache.bench_key ?config arr.(i));
-    run = (fun i -> Runner.simulate_one ?config arr.(i));
-  }
-
-let bench_parent ?exe ?spawn ?log_dir ?supervise
-    ?(journal_path = Store.bench_journal_path) ?resume ?chaos ?telem ?config
-    ?cache ~shards ~worker_args (ws : W.t list) : Record.run =
-  let t0 = Unix.gettimeofday () in
-  let s =
-    parent ?exe ?spawn ?log_dir ?supervise ~journal_path ?resume ?chaos ?telem
-      ?cache ~shards ~worker_args (bench_cells ?config ws)
-  in
-  Store.make_run ~shards ~jobs:1 ~quarantined:s.quarantined
-    ~resumed_rows:s.resumed ~cache_stats:s.cache_stats
-    ~host_wall_seconds:(Unix.gettimeofday () -. t0)
-    (List.map snd s.rows)
+    let parse line =
+      match decode line with
+      | Ok (i, _) when i >= c.count ->
+        Error (Printf.sprintf "bad %s: index %d out of range" c.codec.kind i)
+      | Ok (i, row) as ok ->
+        install i row;
+        ok
+      | Error _ as e -> e
+    in
+    let events =
+      match telem with Some t -> Telem.events t | None -> Supervise.null_events
+    in
+    let journal = Store.journal_open journal_path in
+    let result =
+      Fun.protect
+        ~finally:(fun () -> Store.journal_close journal)
+        (fun () ->
+          Supervise.run ?exe ?spawn ~config:supervise ~shards ~log_dir
+            ~journal:(Store.journal_append journal) ~serial_run:fresh
+            ~resume_rows:(journal_rows @ cached_rows) ~events ~argv_of_indices
+            ~parse ~to_line tasks)
+    in
+    match result with
+    | Error e ->
+      failwith (Printf.sprintf "supervised %s run failed: %s" c.codec.kind e)
+    | Ok o -> (
+      let resumed =
+        List.filter
+          (fun i -> not (List.mem_assoc i cached_rows))
+          o.Supervise.resumed
+      in
+      Option.iter (fun t -> Telem.resumed t (List.length resumed)) telem;
+      let name_of i = if i >= 0 && i < c.count then Some (c.name i) else None in
+      let quarantined = o.Supervise.quarantined in
+      match
+        merge_rows ~names:name_of
+          ~quarantined:(List.map (fun q -> q.Supervise.q_index) quarantined)
+          ~what:c.codec.kind ~expected:c.count
+          (* keep each row's index through the merge *)
+          (List.map (fun (i, row) -> (i, (i, row))) o.Supervise.rows)
+      with
+      | Error e -> failwith e
+      | Ok rows -> outcome ~quarantined ~resumed rows)

@@ -1,22 +1,22 @@
-(** One supervised parent and one worker loop for every multi-process
-    matrix (the benchmark roster, the fault campaign and the design-space
-    sweep).
+(** One driver and one worker loop for every cell matrix (the benchmark
+    roster, the fault campaign and the design-space sweep).
 
     A matrix is a deterministic list of cells, each a pure function of
     its identity, described by a {!cells} value that both sides build
-    from the same inputs. The {e parent} ({!parent}, behind [--shards N])
-    orders the cells longest-first by committed baseline cost,
-    pre-resolves cell-cache hits and journal-replayed rows, and hands the
-    remainder to {!Supervise.run}: worker processes of the current
-    executable are spawned with an explicit cell list
-    ([--worker-indices i,j,k]), dead or hung workers are respawned over
-    the cells they still owed, and every accepted row is journaled. The
-    {e worker} ({!worker}) runs exactly its cells, in order, streaming one
-    versioned single-line JSON envelope per cell on stdout; stderr is
-    free-form logging. The parent merges the rows by index
+    from the same inputs. The driver ({!run}) has two modes. With one
+    shard and no journal to resume, it runs the cells in this process,
+    serially in index order. Otherwise it orders them longest-first by
+    committed baseline cost and hands them to {!Supervise.run}: worker
+    processes of the current executable are spawned with an explicit
+    cell list ([--worker-indices i,j,k]), dead or hung workers are
+    respawned over the cells they still owed, and every accepted row is
+    journaled. Both modes share the cell-cache pre-resolution and
+    install. The {e worker} ({!worker}) runs exactly its cells, in order,
+    streaming one versioned single-line JSON envelope per cell on stdout;
+    stderr is free-form logging. Rows are merged by index
     ({!merge_rows}), whatever order they arrived in.
 
-    Simulated numbers are bit-identical to a serial run by construction
+    Simulated numbers are bit-identical across modes by construction
     (each cell runs in its own engine); a merged benchmark document is
     byte-identical after {!Record.normalize_run} strips the
     host-dependent fields. *)
@@ -67,11 +67,19 @@ val row_of_json : 'row codec -> Tce_obs.Json.t -> (int * 'row, string) result
 
 (** {1 Cell matrices} *)
 
+(** [longest_first_order ~cost xs] is the longest-first schedule as a
+    permutation of [0 .. n-1]: position [k] holds the input index to run
+    [k]-th. Unknown-cost items first (they could be arbitrarily long),
+    then known costs descending, ties by input index — a pure,
+    deterministic function of the inputs. *)
+val longest_first_order : cost:('a -> float option) -> 'a list -> int array
+
 (** One matrix as both sides see it. [argv] is the worker's mode flag
     and the cell-identity arguments (roster names, sweep spec) that let a
     worker rebuild the same matrix; [name] labels cell [i] in
     diagnostics; [cost] is its committed baseline cost (longest-first
-    order and progress deadlines); [key] its cell-cache key; [run]
+    order and progress deadlines; only the supervised mode forces it);
+    [key] its cell-cache key; [run]
     computes it in this process. Indices run over [0 .. count-1]. *)
 type 'row cells = {
   codec : 'row codec;
@@ -98,32 +106,45 @@ val worker :
   'row cells ->
   unit
 
-(** The outcome of {!parent}: completed rows in index order with
+(** The outcome of {!run}: completed rows in index order with
     quarantined cells absent, the quarantine, the indices replayed from
     the [resume] journal (cell-cache hits excluded), and this
     invocation's cell-cache [(hits, misses)]. *)
-type 'row supervised = {
+type 'row outcome = {
   rows : (int * 'row) list;
   quarantined : Supervise.quarantined list;
   resumed : int list;
   cache_stats : int * int;
 }
 
-(** Parent side of [--shards N]: run every cell across [N] supervised
-    workers ({!Supervise.run}). Cells are scheduled longest-first and
-    dealt by {!Supervise.deal}; dead or hung workers are respawned over
-    their missing cells and poison cells quarantine after
-    [supervise.max_retries] kills. Accepted rows are journaled to
+(** [serial_jobs jobs] accepts [None] and [Some 1]. The matrix entry
+    points ({!Runner.run_suite}, {!Campaign.run}, {!Sweep.run}) keep a
+    [?jobs] argument only for callers written when cells could run on
+    several OCaml domains; [--shards N] is now the one way to run cells
+    in parallel.
+    @raise Invalid_argument on any other value. *)
+val serial_jobs : int option -> unit
+
+(** Run every cell of the matrix. With [shards <= 1] and no [resume],
+    in this process: cell-cache hits are taken as they are, misses run
+    serially in index order through [cells.run] and are installed, each
+    finished row is reported to [telem] ({!Telem.cell_done}) and to
+    [on_row], and no journal is written. Otherwise across [shards]
+    supervised workers ({!Supervise.run}): cells are scheduled
+    longest-first and dealt by {!Supervise.deal}; dead or hung workers
+    are respawned over their missing cells and poison cells quarantine
+    after [supervise.max_retries] kills. Accepted rows are journaled to
     [journal_path]; [resume] replays a previous journal so only the
-    remainder runs. With [cache], hits are pre-resolved before scheduling
-    (a fully cached matrix starts no worker) and fresh rows are installed
-    as they arrive. [worker_args] pass through to each worker after the
-    cells' own [argv]; [chaos] is the parent side of the chaos harness
-    ([mode, seed]); [exe]/[spawn] are test injection points. If spawning
-    fails, the remaining cells run in-process through [cells.run].
+    remainder runs. With [cache], hits are pre-resolved before
+    scheduling (a fully cached matrix starts no worker) and fresh rows
+    are installed as they arrive. [worker_args] pass through to each
+    worker after the cells' own [argv]; [chaos] is the parent side of
+    the chaos harness ([mode, seed]); [exe]/[spawn] are test injection
+    points. If spawning fails, the remaining cells run in-process.
+    [on_row] sees in-process rows only.
     @raise Failure when supervision fails unrecoverably or the merge is
     incomplete (a missing index that is not quarantined). *)
-val parent :
+val run :
   ?exe:string ->
   ?spawn:Supervise.spawn ->
   ?log_dir:string ->
@@ -133,43 +154,8 @@ val parent :
   ?chaos:Supervise.Chaos.mode * int ->
   ?telem:Telem.t ->
   ?cache:Cache.t ->
+  ?on_row:('row -> unit) ->
   shards:int ->
   worker_args:string list ->
   'row cells ->
-  'row supervised
-
-(** {1 The benchmark roster} *)
-
-(** [bench-row] envelopes: [{"index": i, "workload": row}]. *)
-val bench_codec : Record.workload codec
-
-(** The roster as a matrix: cell [i] is the off/on pair of workload [i]
-    under [config], worker mode [--bench]. *)
-val bench_cells :
-  ?config:Tce_engine.Engine.config ->
-  Tce_workloads.Workload.t list ->
-  Record.workload cells
-
-(** Parent side of [--bench --shards N]: {!parent} over {!bench_cells},
-    journaled to [journal_path] (default {!Store.bench_journal_path}) and
-    stamped like {!Runner.run_suite} ([jobs = 1] per worker; [shards],
-    [quarantined], [resumed_rows] and the cache counts recorded in the
-    run). [config] must describe the configuration the workers run under
-    (i.e. agree with [worker_args]); it keys the cache and drives the
-    in-process fallback.
-    @raise Failure as {!parent}. *)
-val bench_parent :
-  ?exe:string ->
-  ?spawn:Supervise.spawn ->
-  ?log_dir:string ->
-  ?supervise:Supervise.config ->
-  ?journal_path:string ->
-  ?resume:string ->
-  ?chaos:Supervise.Chaos.mode * int ->
-  ?telem:Telem.t ->
-  ?config:Tce_engine.Engine.config ->
-  ?cache:Cache.t ->
-  shards:int ->
-  worker_args:string list ->
-  Tce_workloads.Workload.t list ->
-  Record.run
+  'row outcome

@@ -77,14 +77,14 @@ let timestamp_utc () =
     tm.Unix.tm_sec
 
 let make_run ?config ?(shards = 1) ?(quarantined = []) ?(resumed_rows = [])
-    ?(cache_stats = (0, 0)) ~jobs ~host_wall_seconds workloads : Record.run =
+    ?(cache_stats = (0, 0)) ~host_wall_seconds workloads : Record.run =
   let cache_hits, cache_misses = cache_stats in
   {
     Record.schema = Tce_obs.Export.schema_version;
     git_sha = git_sha ();
     config_hash = config_hash ?config ();
     created_utc = timestamp_utc ();
-    jobs;
+    jobs = 1;
     shards;
     host_wall_seconds;
     workloads;
@@ -261,8 +261,9 @@ let print_summary (r : Record.run) =
   let speedups = List.map (fun w -> w.Record.speedup_pct) r.Record.workloads in
   let mean, ci = Tce_support.Stats.mean_ci95 speedups in
   Printf.printf
-    "%d workloads, %d jobs, %.2fs wall; mean speedup %.2f%% (±%.2f, 95%% CI)\n"
-    (List.length r.Record.workloads) r.Record.jobs r.Record.host_wall_seconds
+    "%d workloads, %d shard(s), %.2fs wall; mean speedup %.2f%% (±%.2f, 95%% \
+     CI)\n"
+    (List.length r.Record.workloads) r.Record.shards r.Record.host_wall_seconds
     mean ci;
   Printf.printf "sha %s  config %s  at %s\n" r.Record.git_sha
     (String.sub r.Record.config_hash 0 12)

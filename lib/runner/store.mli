@@ -95,7 +95,6 @@ val make_run :
   ?quarantined:Supervise.quarantined list ->
   ?resumed_rows:int list ->
   ?cache_stats:int * int ->
-  jobs:int ->
   host_wall_seconds:float ->
   Record.workload list ->
   Record.run

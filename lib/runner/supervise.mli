@@ -1,8 +1,8 @@
 (** Self-healing sharded execution: a supervised worker pool.
 
     A plain fan-out is fire-and-pray: one crashed worker voids the whole
-    run, and a hung worker blocks its [select] loop forever. The sharded
-    parent ({!Shard.parent}) runs on this supervisor instead, which keeps
+    run, and a hung worker blocks its [select] loop forever. The cell
+    driver's sharded mode ({!Shard.run}) runs on this supervisor, which keeps
     a deterministic run alive through worker loss:
 
     - {e Liveness tracking} — each worker owes the supervisor one row per
@@ -28,7 +28,7 @@
       pressure), the supervisor falls back to running the remaining
       cells in-process, serially, via [serial_run].
 
-    The supervisor is generic over the row type: {!Shard.parent}
+    The supervisor is generic over the row type: {!Shard.run}
     instantiates it with [bench-row], [fault-cell] and [sweep-cell]
     envelopes. State machine per worker lineage:
 

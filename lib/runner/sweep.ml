@@ -151,7 +151,7 @@ let expand (a : axes) : point list * int =
 
 (** The cell matrix in its canonical order: point-major, workload-minor
     (cell [i] is point [i / n_workloads], workload [i mod n_workloads]) —
-    a pure function of [(axes, ws)], shared by the parent and its
+    a pure function of [(axes, ws)], shared by the driver and its
     workers. *)
 let matrix (points : point list) (ws : W.t list) : (point * W.t) list =
   List.concat_map (fun p -> List.map (fun w -> (p, w)) ws) points
@@ -202,53 +202,12 @@ let normalize (t : t) : t =
 
 (* --- execution --- *)
 
-let mk ~axes ~skipped ~points ~jobs ~shards ~t0 ~cache_stats
-    ?(quarantined = []) ?(resumed_rows = []) ~roster cells : t =
-  {
-    spec = axes_to_string axes;
-    git_sha = Store.git_sha ();
-    created_utc = Store.timestamp_utc ();
-    jobs;
-    shards;
-    host_wall_seconds = Unix.gettimeofday () -. t0;
-    cache_hits = fst cache_stats;
-    cache_misses = snd cache_stats;
-    skipped_points = skipped;
-    roster;
-    points;
-    cells;
-    quarantined;
-    resumed_rows;
-  }
-
 let expand_or_fail axes =
   match expand axes with
   | [], _ -> failwith "sweep: empty grid (every combination invalid)"
   | points, skipped -> (points, skipped)
 
-let run ?cache ?jobs ?on_row ~axes (ws : W.t list) : t =
-  let t0 = Unix.gettimeofday () in
-  let h0, m0 = Cache.counts cache in
-  let points, skipped = expand_or_fail axes in
-  let cells_in = matrix points ws in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Runner.default_jobs ()
-  in
-  let rows =
-    Runner.parallel_map ~jobs
-      (fun (p, w) ->
-        let row = Runner.run_one ?cache ~config:(config_of_point p) w in
-        (match on_row with Some f -> f row | None -> ());
-        row)
-      cells_in
-  in
-  let h1, m1 = Cache.counts cache in
-  mk ~axes ~skipped ~points ~jobs ~shards:1 ~t0
-    ~cache_stats:(h1 - h0, m1 - m0)
-    ~roster:(List.map (fun (w : W.t) -> w.W.name) ws)
-    (List.map2 (fun (p, _) row -> (p, row)) cells_in rows)
-
-(* --- multi-process execution (sweep-cell envelopes) --- *)
+(* --- the cell matrix (sweep-cell envelopes) --- *)
 
 let cells ~axes (ws : W.t list) : Record.workload Shard.cells =
   let points, _ = expand_or_fail axes in
@@ -275,20 +234,33 @@ let cells ~axes (ws : W.t list) : Record.workload Shard.cells =
         Runner.simulate_one ~config:(config_of_point p) w);
   }
 
-let parent ?exe ?spawn ?log_dir ?supervise
-    ?(journal_path = Store.sweep_journal_path) ?resume ?telem ?cache ~shards
-    ~worker_args ~axes (ws : W.t list) : t =
+let run ?exe ?spawn ?log_dir ?supervise
+    ?(journal_path = Store.sweep_journal_path) ?resume ?telem ?cache ?jobs
+    ?(shards = 1) ?(worker_args = []) ~axes (ws : W.t list) : t =
+  Shard.serial_jobs jobs;
   let t0 = Unix.gettimeofday () in
   let points, skipped = expand_or_fail axes in
   let m = Array.of_list (matrix points ws) in
   let s =
-    Shard.parent ?exe ?spawn ?log_dir ?supervise ~journal_path ?resume ?telem
+    Shard.run ?exe ?spawn ?log_dir ?supervise ~journal_path ?resume ?telem
       ?cache ~shards ~worker_args (cells ~axes ws)
   in
-  mk ~axes ~skipped ~points ~jobs:1 ~shards ~t0 ~cache_stats:s.Shard.cache_stats
-    ~quarantined:s.Shard.quarantined ~resumed_rows:s.Shard.resumed
-    ~roster:(List.map (fun (w : W.t) -> w.W.name) ws)
-    (List.map (fun (i, row) -> (fst m.(i), row)) s.Shard.rows)
+  {
+    spec = axes_to_string axes;
+    git_sha = Store.git_sha ();
+    created_utc = Store.timestamp_utc ();
+    jobs = 1;
+    shards;
+    host_wall_seconds = Unix.gettimeofday () -. t0;
+    cache_hits = fst s.Shard.cache_stats;
+    cache_misses = snd s.Shard.cache_stats;
+    skipped_points = skipped;
+    roster = List.map (fun (w : W.t) -> w.W.name) ws;
+    points;
+    cells = List.map (fun (i, row) -> (fst m.(i), row)) s.Shard.rows;
+    quarantined = s.Shard.quarantined;
+    resumed_rows = s.Shard.resumed;
+  }
 
 (* --- persistence --- *)
 

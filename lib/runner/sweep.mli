@@ -13,10 +13,10 @@
     integers; an absent axis sweeps only its paper-default value, an
     unknown key or an empty value list is an error. The spec expands to a
     point grid (combinations with no whole number of sets — entries not a
-    multiple of ways — are skipped and counted), and the (point ×
-    workload) cell matrix executes either in-process ({!run}) or across
-    supervised worker processes ({!parent}, inheriting retry, quarantine,
-    journal/resume and telemetry from {!Supervise}). Each cell is one
+    multiple of ways — are skipped and counted), and {!run} executes the
+    (point × workload) cell matrix in this process or across supervised
+    worker processes (inheriting retry, quarantine, journal/resume and
+    telemetry from {!Supervise}). Each cell is one
     standard benchmark pair under that point's {!config_of_point}, so
     cells flow through the content-addressed cell cache ({!Cache})
     unchanged — a repeated sweep performs zero simulations, and changing
@@ -60,7 +60,7 @@ val matrix :
   point list -> Tce_workloads.Workload.t list ->
   (point * Tce_workloads.Workload.t) list
 (** The canonical cell matrix: point-major, workload-minor. Workers and
-    the parent both enumerate cells in this order, so a cell's matrix
+    the driver both enumerate cells in this order, so a cell's matrix
     index identifies it across the process boundary. *)
 
 (** One executed sweep. [cells] is in matrix order with quarantined cells
@@ -69,7 +69,7 @@ type t = {
   spec : string;
   git_sha : string;
   created_utc : string;
-  jobs : int;
+  jobs : int;  (** 1 for new runs (older documents may say more); kept in the format *)
   shards : int;
   host_wall_seconds : float;
   cache_hits : int;
@@ -92,17 +92,6 @@ val normalize : t -> t
     the same simulator state then serialize byte-identically
     ([--deterministic]). *)
 
-val run :
-  ?cache:Cache.t ->
-  ?jobs:int ->
-  ?on_row:(Record.workload -> unit) ->
-  axes:axes ->
-  Tce_workloads.Workload.t list ->
-  t
-(** Execute the matrix in-process on [jobs] domains. [on_row] is a
-    thread-safe progress observer; it must not affect results.
-    @raise Failure when the grid is empty. *)
-
 val cells : axes:axes -> Tce_workloads.Workload.t list ->
   Record.workload Shard.cells
 (** {!matrix} as a {!Shard.cells} matrix of [sweep-cell] envelopes
@@ -110,7 +99,7 @@ val cells : axes:axes -> Tce_workloads.Workload.t list ->
     canonical spec, so a worker re-expands the same grid.
     @raise Failure when the grid is empty. *)
 
-val parent :
+val run :
   ?exe:string ->
   ?spawn:Supervise.spawn ->
   ?log_dir:string ->
@@ -119,15 +108,20 @@ val parent :
   ?resume:string ->
   ?telem:Telem.t ->
   ?cache:Cache.t ->
-  shards:int ->
-  worker_args:string list ->
+  ?jobs:int ->
+  ?shards:int ->
+  ?worker_args:string list ->
   axes:axes ->
   Tce_workloads.Workload.t list ->
   t
-(** Parent side of [--sweep --shards N]: {!Shard.parent} over {!cells},
-    journaled to [journal_path] (default {!Store.sweep_journal_path}).
-    @raise Failure when supervision fails unrecoverably or the merge is
-    incomplete. *)
+(** Execute the matrix through {!Shard.run} over {!cells}. [shards]
+    defaults to 1: serial, in this process. With [shards > 1] or
+    [resume], the supervised mode runs, journaled to [journal_path]
+    (default {!Store.sweep_journal_path}). [jobs] stays only for callers
+    that still pass [~jobs:1]; any other value raises [Invalid_argument]
+    ({!Shard.serial_jobs}).
+    @raise Failure when the grid is empty, when supervision fails
+    unrecoverably or when the merge is incomplete. *)
 
 (** Persistence: a versioned [sweep] document ({!Store.sweep_latest_path}
     plus an immutable copy under {!Store.sweeps_dir}). *)

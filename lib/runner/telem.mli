@@ -51,8 +51,8 @@ val heartbeat_args : t option -> slot:int -> string list
     telemetry is off. *)
 
 val cell_done : t -> name:string -> unit
-(** Serial-driver feed: one in-process cell completed (attributed to
-    shard 0).  Safe to call from worker domains. *)
+(** In-process feed: one cell completed in this process (attributed to
+    shard 0). *)
 
 val gate_result : t -> ok:bool -> compared:int -> regressions:int -> unit
 (** Publish the [--check] verdict as gauges ([tce_gate_pass],

@@ -413,15 +413,15 @@ let test_longest_first_order () =
     | "d" -> Some 10.0
     | _ -> Some 1.0
   in
-  let order = Tce_runner.Runner.longest_first_order ~cost [ "a"; "b"; "c"; "d"; "e" ] in
+  let order = Tce_runner.Shard.longest_first_order ~cost [ "a"; "b"; "c"; "d"; "e" ] in
   (* unknown first, then 30, then the 10/10 tie in input order, then 1 *)
   Alcotest.(check (list int)) "documented permutation" [ 1; 2; 0; 3; 4 ]
     (Array.to_list order);
-  let id = Tce_runner.Runner.longest_first_order ~cost:(fun _ -> None) [ "x"; "y"; "z" ] in
+  let id = Tce_runner.Shard.longest_first_order ~cost:(fun _ -> None) [ "x"; "y"; "z" ] in
   Alcotest.(check (list int)) "all-unknown keeps input order" [ 0; 1; 2 ]
     (Array.to_list id);
   Alcotest.(check (list int)) "empty roster" []
-    (Array.to_list (Tce_runner.Runner.longest_first_order ~cost []))
+    (Array.to_list (Tce_runner.Shard.longest_first_order ~cost []))
 
 let tiny name body =
   Tce_workloads.Workload.make ~suite:Tce_workloads.Workload.Octane
@@ -458,26 +458,36 @@ function bench() {
 |};
   ]
 
+(* The supervised mode visits cells longest-first; here every spawn fails,
+   so it runs them all in this process in that order. Whatever the order,
+   rows come back in input order with the in-process mode's numbers. *)
 let test_schedule_preserves_results () =
-  let plain = Tce_runner.Runner.run_workloads ~jobs:1 sched_roster in
+  let module R = Tce_runner in
+  let cells = R.Runner.bench_cells sched_roster in
+  let journal_path = Filename.temp_file "tce-sched-journal" ".jsonl" in
+  let rows (s : R.Record.workload R.Shard.outcome) = List.map snd s.R.Shard.rows in
+  let plain = rows (R.Shard.run ~journal_path ~shards:1 ~worker_args:[] cells) in
   (* a cost function that reverses the roster: sched-a cheapest *)
-  let cost (w : Tce_workloads.Workload.t) =
-    match w.Tce_workloads.Workload.name with
-    | "sched-a" -> Some 1.0
-    | "sched-b" -> Some 2.0
-    | _ -> Some 3.0
+  let cost i = Some (float_of_int (i + 1)) in
+  let spawn ~exe:_ ~argv:_ ~stdout:_ ~stderr:_ =
+    raise (Unix.Unix_error (Unix.EAGAIN, "fork", ""))
   in
-  let scheduled = Tce_runner.Runner.run_workloads ~jobs:1 ~cost sched_roster in
+  let scheduled =
+    rows
+      (R.Shard.run ~spawn
+         ~log_dir:(Filename.concat (Filename.get_temp_dir_name ()) "tce-sched-logs")
+         ~journal_path ~shards:2 ~worker_args:[] { cells with R.Shard.cost })
+  in
   Alcotest.(check (list string))
     "results come back in input order"
-    (List.map (fun (w : Tce_runner.Record.workload) -> w.Tce_runner.Record.name) plain)
-    (List.map (fun (w : Tce_runner.Record.workload) -> w.Tce_runner.Record.name) scheduled);
+    (List.map (fun (w : R.Record.workload) -> w.R.Record.name) plain)
+    (List.map (fun (w : R.Record.workload) -> w.R.Record.name) scheduled);
   List.iter2
-    (fun (a : Tce_runner.Record.workload) b ->
+    (fun (a : R.Record.workload) b ->
       Alcotest.(check bool)
-        (a.Tce_runner.Record.name ^ ": schedule never changes simulated numbers")
+        (a.R.Record.name ^ ": schedule never changes simulated numbers")
         true
-        (Tce_runner.Record.equal_deterministic a b))
+        (R.Record.equal_deterministic a b))
     plain scheduled
 
 let () =

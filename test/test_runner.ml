@@ -1,6 +1,8 @@
-(* Tests for the parallel benchmark runner, the persistent result store and
-   the perf-regression gate:
-   (a) parallel execution is bit-identical to serial, per workload;
+(* Tests for the benchmark runner, the persistent result store and the
+   perf-regression gate:
+   (a) in-process roster records are sane, and the in-process mode of the
+       cell driver never forces a cost, reuses a warm cache and rejects
+       jobs > 1;
    (b) the gate passes a clean run and fails an injected slowdown (library
        verdicts and end-to-end exit codes);
    (c) run records round-trip through the Tce_obs.Json store format. *)
@@ -56,31 +58,9 @@ let roster = [ tiny_mono; tiny_poly; tiny_elems ]
 let resolve name =
   List.find_opt (fun w -> w.Tce_workloads.Workload.name = name) roster
 
-let serial = lazy (Runner.run_workloads ~jobs:1 roster)
+let serial = lazy (Runner.run_suite roster).Record.workloads
 
-(* --- (a) parallel == serial --- *)
-
-let test_parallel_bit_identical () =
-  let s = Lazy.force serial in
-  let p = Runner.run_workloads ~jobs:4 roster in
-  Alcotest.(check int) "same count" (List.length s) (List.length p);
-  List.iter2
-    (fun (a : Record.workload) (b : Record.workload) ->
-      Alcotest.(check string) "input order preserved" a.Record.name b.Record.name;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: parallel record bit-identical to serial"
-           a.Record.name)
-        true
-        (Record.equal_deterministic a b))
-    s p
-
-let test_parallel_more_jobs_than_work () =
-  (* more domains than workloads must not duplicate or drop work *)
-  let p = Runner.run_workloads ~jobs:8 [ tiny_mono ] in
-  let s = Runner.run_workloads ~jobs:1 [ tiny_mono ] in
-  Alcotest.(check int) "one record" 1 (List.length p);
-  Alcotest.(check bool) "identical" true
-    (Record.equal_deterministic (List.hd s) (List.hd p))
+(* --- (a) the in-process roster run --- *)
 
 let test_records_sane () =
   List.iter
@@ -93,10 +73,59 @@ let test_records_sane () =
         (r.Record.checks_on <= r.Record.checks_off))
     (Lazy.force serial)
 
+(* The in-process mode of the one cell driver: it never asks a cell for
+   its cost (that parses the committed baseline), a warm cache runs
+   nothing and returns the cold rows, and only [~jobs:1] is accepted. *)
+let test_in_process_mode () =
+  let journal_path = Filename.temp_file "tce-inproc-journal" ".jsonl" in
+  let costly =
+    {
+      (Runner.bench_cells roster) with
+      Shard.cost = (fun _ -> failwith "cost forced");
+    }
+  in
+  let s = Shard.run ~journal_path ~shards:1 ~worker_args:[] costly in
+  Alcotest.(check int) "cells whose cost raises still run" 3
+    (List.length s.Shard.rows);
+  let cache_dir = Filename.temp_file "tce-inproc-cache" "" in
+  Sys.remove cache_dir;
+  (* run [f] cold and warm over one cache dir: the warm run misses nothing *)
+  let cold_warm what f =
+    let cold = f (Cache.create ~dir:cache_dir ()) in
+    let warm_cache = Cache.create ~dir:cache_dir () in
+    let warm = f warm_cache in
+    Alcotest.(check int) (what ^ ": warm run misses nothing") 0
+      (Cache.stats warm_cache).Cache.misses;
+    (cold, warm)
+  in
+  let cold, warm = cold_warm "bench" (fun cache -> Runner.run_suite ~cache roster) in
+  List.iter2
+    (fun (a : Record.workload) b ->
+      Alcotest.(check bool) ("bench: warm row equals cold " ^ a.Record.name) true
+        (Record.equal_deterministic a b))
+    cold.Record.workloads warm.Record.workloads;
+  let cold, warm =
+    cold_warm "campaign" (fun cache -> Campaign.run ~cache ~seed:7 roster)
+  in
+  Alcotest.(check bool) "campaign: warm cells equal cold" true
+    (cold.Campaign.cells = warm.Campaign.cells);
+  let axes = Result.get_ok (Sweep.parse_spec "cc.entries=64,128") in
+  let cold, warm = cold_warm "sweep" (fun cache -> Sweep.run ~cache ~axes roster) in
+  Alcotest.(check bool) "sweep: warm rows equal cold" true
+    (Sweep.equal (Sweep.normalize cold) (Sweep.normalize warm));
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s ~jobs:2 was accepted" what
+  in
+  rejects "Runner.run_suite" (fun () -> ignore (Runner.run_suite ~jobs:2 []));
+  rejects "Campaign.run" (fun () -> ignore (Campaign.run ~jobs:2 []));
+  rejects "Sweep.run" (fun () -> ignore (Sweep.run ~jobs:2 ~axes []))
+
 (* --- (b) the gate --- *)
 
 let make_run workloads =
-  Store.make_run ~jobs:1 ~host_wall_seconds:0.0 workloads
+  Store.make_run ~host_wall_seconds:0.0 workloads
 
 let test_gate_clean_pass () =
   let run = make_run (Lazy.force serial) in
@@ -199,7 +228,7 @@ let test_gate_missing_workload () =
   Alcotest.(check bool) "missing workloads fail the gate" false report.Gate.ok
 
 (* End-to-end exit codes through baseline files on disk, exactly as
-   bench/main.exe -- --check and tcejs bench-check drive it. *)
+   bench/main.exe -- --check drives it. *)
 let test_gate_exit_codes () =
   let tmp = Filename.temp_file "tce_baseline" ".json" in
   Fun.protect
@@ -208,7 +237,7 @@ let test_gate_exit_codes () =
       let run = make_run (Lazy.force serial) in
       ignore (Store.save ~latest:tmp ~history:"" run);
       Alcotest.(check int) "clean gate exits 0" 0
-        (Gate.run_gate ~baseline_path:tmp ~jobs:2 ~resolve ~save_latest:false ());
+        (Gate.run_gate ~baseline_path:tmp ~resolve ~save_latest:false ());
       (* bake a baseline that claims we used to be 10% faster *)
       let speedier (w : Record.workload) =
         { w with Record.cycles_on = w.Record.cycles_on *. 0.9 }
@@ -218,7 +247,7 @@ let test_gate_exit_codes () =
       in
       ignore (Store.save ~latest:tmp ~history:"" doctored);
       Alcotest.(check int) "regressed gate exits 1" 1
-        (Gate.run_gate ~baseline_path:tmp ~jobs:2 ~resolve ~save_latest:false ());
+        (Gate.run_gate ~baseline_path:tmp ~resolve ~save_latest:false ());
       Alcotest.(check int) "unreadable baseline exits 2" 2
         (Gate.run_gate ~baseline_path:"/nonexistent/baseline.json" ~resolve
            ~save_latest:false ()))
@@ -273,11 +302,8 @@ let () =
     [
       ( "parallel",
         [
-          Alcotest.test_case "bit-identical to serial" `Quick
-            test_parallel_bit_identical;
-          Alcotest.test_case "more jobs than work" `Quick
-            test_parallel_more_jobs_than_work;
           Alcotest.test_case "records sane" `Quick test_records_sane;
+          Alcotest.test_case "in-process mode" `Quick test_in_process_mode;
         ] );
       ( "gate",
         [

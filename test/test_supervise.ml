@@ -11,8 +11,9 @@
    (e) EINTR restart in Supervise.run under a fast interval timer;
    (f) merge_rows errors that name workloads, quarantine-aware gate, and
        the recovery provenance JSON round-trip;
-   (g) end-to-end: bench_parent over the real bench/main.exe with seeded
-       chaos, byte-identical to a serial run, and the sharded fault
+   (g) end-to-end: Runner.run_suite ~shards:2 over the real
+       bench/main.exe with seeded chaos, byte-identical to a serial run,
+       and the sharded fault
        campaign cell-for-cell identical to the in-process one. *)
 
 open Tce_runner
@@ -244,11 +245,11 @@ let test_out_of_range_row_is_worker_fault () =
   let cache_dir = Filename.temp_file "tce-shard-cache" "" in
   Sys.remove cache_dir;
   let s =
-    Shard.parent ~exe:"/bin/sh" ~log_dir
+    Shard.run ~exe:"/bin/sh" ~log_dir
       ~supervise:{ cfg with Supervise.max_retries = 1 }
       ~journal_path:(Filename.temp_file "tce-shard-journal" ".jsonl")
       ~cache:(Cache.create ~dir:cache_dir ())
-      ~shards:1 ~worker_args:[] cells
+      ~shards:2 ~worker_args:[] cells
   in
   Alcotest.(check (list int)) "the cell is blamed and quarantined" [ 0 ]
     (List.map (fun q -> q.Supervise.q_index) s.Shard.quarantined)
@@ -337,8 +338,8 @@ let gate_roster =
   ]
 
 let test_gate_quarantine_aware () =
-  let rows = Runner.run_workloads ~jobs:1 gate_roster in
-  let baseline = Store.make_run ~jobs:1 ~host_wall_seconds:0.0 rows in
+  let rows = (Runner.run_suite gate_roster).Record.workloads in
+  let baseline = Store.make_run ~host_wall_seconds:0.0 rows in
   let surviving =
     List.filter (fun (r : Record.workload) -> r.Record.name <> "sup-b") rows
   in
@@ -346,7 +347,7 @@ let test_gate_quarantine_aware () =
     [ { Supervise.q_index = 1; q_name = "sup-b"; q_kills = 3; q_reason = "t" } ]
   in
   let current =
-    Store.make_run ~jobs:1 ~host_wall_seconds:0.0 ~quarantined surviving
+    Store.make_run ~host_wall_seconds:0.0 ~quarantined surviving
   in
   let report = Gate.check_run ~baseline ~current () in
   Alcotest.(check bool) "quarantine does not fail the gate" true report.Gate.ok;
@@ -358,7 +359,7 @@ let test_gate_quarantine_aware () =
        (fun w -> Astring.String.is_infix ~affix:"quarantined" w)
        report.Gate.warnings);
   (* the same absence without a quarantine record still fails *)
-  let bare = Store.make_run ~jobs:1 ~host_wall_seconds:0.0 surviving in
+  let bare = Store.make_run ~host_wall_seconds:0.0 surviving in
   let report = Gate.check_run ~baseline ~current:bare () in
   Alcotest.(check bool) "unexplained absence still fails" false report.Gate.ok;
   Alcotest.(check (list string)) "as missing" [ "sup-b" ] report.Gate.missing
@@ -366,12 +367,12 @@ let test_gate_quarantine_aware () =
 (* --- recovery provenance JSON round-trip --- *)
 
 let test_record_provenance_roundtrip () =
-  let rows = Runner.run_workloads ~jobs:1 gate_roster in
+  let rows = (Runner.run_suite gate_roster).Record.workloads in
   let quarantined =
     [ { Supervise.q_index = 4; q_name = "poison"; q_kills = 3; q_reason = "r" } ]
   in
   let run =
-    Store.make_run ~jobs:1 ~host_wall_seconds:0.0 ~quarantined
+    Store.make_run ~host_wall_seconds:0.0 ~quarantined
       ~resumed_rows:[ 0; 2 ] rows
   in
   (match Record.run_of_json (Record.run_to_json run) with
@@ -380,7 +381,7 @@ let test_record_provenance_roundtrip () =
   | Error e -> Alcotest.fail e);
   (* a clean run's document must not mention the recovery fields at all,
      so pre-supervision baselines keep their bytes *)
-  let clean = Store.make_run ~jobs:1 ~host_wall_seconds:0.0 rows in
+  let clean = Store.make_run ~host_wall_seconds:0.0 rows in
   let s = Tce_obs.Json.to_string (Record.run_to_json clean) in
   Alcotest.(check bool) "clean run omits quarantined" false
     (Astring.String.is_infix ~affix:"quarantined" s);
@@ -452,7 +453,7 @@ let e2e_cfg =
 let normalized_json r =
   Tce_obs.Json.to_string (Record.run_to_json (Record.normalize_run r))
 
-let e2e_serial = lazy (Runner.run_suite ~jobs:1 e2e_roster)
+let e2e_serial = lazy (Runner.run_suite e2e_roster)
 
 let tmp_journal () = Filename.temp_file "tce-bench-journal" ".jsonl"
 
@@ -460,7 +461,7 @@ let test_e2e_chaos_sigkill_byte_identical () =
   require_bench_exe ();
   let serial = Lazy.force e2e_serial in
   let sup =
-    Shard.bench_parent ~exe:bench_exe ~log_dir ~supervise:e2e_cfg
+    Runner.run_suite ~exe:bench_exe ~log_dir ~supervise:e2e_cfg
       ~journal_path:(tmp_journal ())
       ~chaos:(Supervise.Chaos.Sigkill_after, 7) ~shards:2 ~worker_args:[]
       e2e_roster
@@ -471,7 +472,7 @@ let test_e2e_chaos_sigkill_byte_identical () =
 let test_e2e_poison_quarantines () =
   require_bench_exe ();
   let sup =
-    Shard.bench_parent ~exe:bench_exe ~log_dir
+    Runner.run_suite ~exe:bench_exe ~log_dir
       ~supervise:{ e2e_cfg with Supervise.max_retries = 1 }
       ~journal_path:(tmp_journal ())
       ~chaos:(Supervise.Chaos.Poison, 7) ~shards:2 ~worker_args:[] e2e_roster
@@ -486,7 +487,7 @@ let test_e2e_resume_from_truncated_journal () =
   let serial = Lazy.force e2e_serial in
   let journal_path = tmp_journal () in
   let full =
-    Shard.bench_parent ~exe:bench_exe ~log_dir ~supervise:e2e_cfg ~journal_path
+    Runner.run_suite ~exe:bench_exe ~log_dir ~supervise:e2e_cfg ~journal_path
       ~shards:2 ~worker_args:[] e2e_roster
   in
   Alcotest.(check string) "full supervised run byte-identical"
@@ -504,7 +505,7 @@ let test_e2e_resume_from_truncated_journal () =
   output_string oc "{\"torn";
   close_out oc;
   let resumed =
-    Shard.bench_parent ~exe:bench_exe ~log_dir ~supervise:e2e_cfg
+    Runner.run_suite ~exe:bench_exe ~log_dir ~supervise:e2e_cfg
       ~journal_path:(tmp_journal ()) ~resume:truncated ~shards:2
       ~worker_args:[] e2e_roster
   in
@@ -527,7 +528,7 @@ let test_e2e_sharded_campaign () =
         Format.fprintf ppf "%s×%s" c.Campaign.workload c.Campaign.point)
       ( = )
   in
-  let serial = Campaign.run ~seed ~jobs:1 campaign_roster in
+  let serial = Campaign.run ~seed campaign_roster in
   let cache_dir = Filename.temp_file "tce-campaign-cache" "" in
   Sys.remove cache_dir;
   let cache = Cache.create ~dir:cache_dir () in

@@ -99,7 +99,7 @@ let test_empty_grid_raises () =
   let points, skipped = Sweep.expand a in
   Alcotest.(check int) "no valid points" 0 (List.length points);
   Alcotest.(check int) "the combination was counted" 1 skipped;
-  match Sweep.run ~jobs:1 ~axes:a [] with
+  match Sweep.run ~axes:a [] with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "empty grid must raise"
 
@@ -165,19 +165,19 @@ let test_warm_sweep_byte_identical () =
   let dir = tmp_dir "tce-cache-bytes" in
   let axes = expect_axes "cc.entries=64" in
   let cold_cache = Cache.create ~dir () in
-  let cold = Sweep.run ~cache:cold_cache ~jobs:1 ~axes roster5 in
+  let cold = Sweep.run ~cache:cold_cache ~axes roster5 in
   let cs = Cache.stats cold_cache in
   Alcotest.(check int) "cold: no hits" 0 cs.Cache.hits;
   Alcotest.(check int) "cold: one miss per cell" 5 cs.Cache.misses;
   let warm_cache = Cache.create ~dir () in
-  let warm = Sweep.run ~cache:warm_cache ~jobs:1 ~axes roster5 in
+  let warm = Sweep.run ~cache:warm_cache ~axes roster5 in
   let wst = Cache.stats warm_cache in
   Alcotest.(check int) "warm: every cell a hit" 5 wst.Cache.hits;
   Alcotest.(check int) "warm: zero simulations" 0 wst.Cache.misses;
   Alcotest.(check string) "warm sweep byte-identical to cold" (sweep_bytes cold)
     (sweep_bytes warm);
   (* the cached rows carry real simulated data, not stale defaults *)
-  let uncached = Sweep.run ~jobs:1 ~axes roster5 in
+  let uncached = Sweep.run ~axes roster5 in
   Alcotest.(check string) "and to an uncached run" (sweep_bytes uncached)
     (sweep_bytes warm);
   List.iter2
@@ -191,10 +191,10 @@ let test_warm_sweep_byte_identical () =
 let test_one_axis_change_resimulates_only_new_cells () =
   let dir = tmp_dir "tce-cache-axis" in
   let c0 = Cache.create ~dir () in
-  ignore (Sweep.run ~cache:c0 ~jobs:1 ~axes:(expect_axes "cc.entries=64") roster5);
+  ignore (Sweep.run ~cache:c0 ~axes:(expect_axes "cc.entries=64") roster5);
   let c1 = Cache.create ~dir () in
   ignore
-    (Sweep.run ~cache:c1 ~jobs:1 ~axes:(expect_axes "cc.entries=64,128") roster5);
+    (Sweep.run ~cache:c1 ~axes:(expect_axes "cc.entries=64,128") roster5);
   let s = Cache.stats c1 in
   Alcotest.(check int) "old axis value served from cache" 5 s.Cache.hits;
   Alcotest.(check int) "only the new axis value simulated" 5 s.Cache.misses
@@ -261,9 +261,9 @@ let tmp_journal () = Filename.temp_file "tce-sweep-journal" ".jsonl"
 
 let test_e2e_supervised_byte_identical () =
   require_bench_exe ();
-  let serial = Sweep.run ~jobs:1 ~axes:e2e_axes e2e_roster in
+  let serial = Sweep.run ~axes:e2e_axes e2e_roster in
   let sup =
-    Sweep.parent ~exe:bench_exe ~log_dir ~supervise:e2e_cfg
+    Sweep.run ~exe:bench_exe ~log_dir ~supervise:e2e_cfg
       ~journal_path:(tmp_journal ()) ~shards:2 ~worker_args:[] ~axes:e2e_axes
       e2e_roster
   in
@@ -272,10 +272,10 @@ let test_e2e_supervised_byte_identical () =
 
 let test_e2e_resume_mid_grid () =
   require_bench_exe ();
-  let serial = Sweep.run ~jobs:1 ~axes:e2e_axes e2e_roster in
+  let serial = Sweep.run ~axes:e2e_axes e2e_roster in
   let journal_path = tmp_journal () in
   let full =
-    Sweep.parent ~exe:bench_exe ~log_dir ~supervise:e2e_cfg ~journal_path
+    Sweep.run ~exe:bench_exe ~log_dir ~supervise:e2e_cfg ~journal_path
       ~shards:2 ~worker_args:[] ~axes:e2e_axes e2e_roster
   in
   Alcotest.(check string) "full supervised run byte-identical"
@@ -294,7 +294,7 @@ let test_e2e_resume_mid_grid () =
   output_string oc "{\"torn";
   close_out oc;
   let resumed =
-    Sweep.parent ~exe:bench_exe ~log_dir ~supervise:e2e_cfg
+    Sweep.run ~exe:bench_exe ~log_dir ~supervise:e2e_cfg
       ~journal_path:(tmp_journal ()) ~resume:truncated ~shards:2
       ~worker_args:[] ~axes:e2e_axes e2e_roster
   in

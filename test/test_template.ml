@@ -336,8 +336,8 @@ let test_merged_record_deterministic () =
             Result.bind
               (Tce_obs.Json.of_string
                  (Tce_obs.Json.to_string
-                    (Shard.row_to_json Shard.bench_codec ~index:i r)))
-              (Shard.row_of_json Shard.bench_codec)
+                    (Shard.row_to_json Runner.bench_codec ~index:i r)))
+              (Shard.row_of_json Runner.bench_codec)
           with
           | Ok row -> row
           | Error e -> Alcotest.failf "row round-trip: %s" e)
@@ -347,7 +347,7 @@ let test_merged_record_deterministic () =
     | Error e -> Alcotest.failf "merge: %s" e
     | Ok merged ->
       Record.normalize_run
-        (Store.make_run ~shards:2 ~jobs:1 ~host_wall_seconds:1.5 merged)
+        (Store.make_run ~shards:2 ~host_wall_seconds:1.5 merged)
   in
   let a = through_wire rows
   and b = through_wire (List.rev rows) in
