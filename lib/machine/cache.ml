@@ -40,45 +40,51 @@ let create ~size_kb ~ways ~line_bytes =
    [line mod nsets]. *)
 let set_of t line = if t.set_mask >= 0 then line land t.set_mask else line mod t.nsets
 
+(* The way of [tags] holding [line], or -1. *)
+let rec scan (tags : int array) ways (line : int) w =
+  if w >= ways then -1
+  else if Array.unsafe_get tags w = line then w
+  else scan tags ways line (w + 1)
+
+(* The victim way: the last empty way if any, else the first way with the
+   strictly smallest LRU stamp. *)
+let rec pick (tags : int array) (lru : int array) ways w v =
+  if w >= ways then v
+  else if Array.unsafe_get tags w = -1 then pick tags lru ways (w + 1) w
+  else if
+    Array.unsafe_get tags v <> -1
+    && Array.unsafe_get lru w < Array.unsafe_get lru v
+  then pick tags lru ways (w + 1) w
+  else pick tags lru ways (w + 1) v
+
+let fill t tags lru line =
+  let victim = pick tags lru t.ways 0 0 in
+  tags.(victim) <- line;
+  lru.(victim) <- t.clock
+
 (** Access the line containing [addr]; fills on miss. Returns [true] on hit.
 
-    Both scans are tail-recursive loops rather than [ref]-based ones: a
-    line lives in at most one way, so early exit is equivalent to the
-    reference full scan, and avoiding the ref cells keeps the hot hit path
-    allocation-free (classic mode heap-allocates local refs). The victim
-    choice — last empty way if any, else the first way with the strictly
-    smallest LRU stamp — is bit-identical to the reference model. *)
+    [scan] and [pick] are top-level tail-recursive functions over [int]
+    arrays, so an access — hit or miss — allocates nothing: no ref cells,
+    no closure (a local [let rec] capturing [tags] and [line] would
+    allocate one per call) and no polymorphic compare. A line lives in at
+    most one way, so the early-exit [scan] is equivalent to the reference
+    full scan, and the victim choice is bit-identical to the reference
+    model. *)
 let access t addr =
   let line = addr lsr t.line_bits in
   let set = set_of t line in
   let tags = t.tags.(set) and lru = t.lru.(set) in
   t.clock <- t.clock + 1;
   t.stats.accesses <- t.stats.accesses + 1;
-  let ways = t.ways in
-  let rec scan w =
-    if w >= ways then -1
-    else if Array.unsafe_get tags w = line then w
-    else scan (w + 1)
-  in
-  let hw = scan 0 in
+  let hw = scan tags t.ways line 0 in
   if hw >= 0 then begin
     Array.unsafe_set lru hw t.clock;
     t.stats.hits <- t.stats.hits + 1
   end
   else begin
     t.stats.misses <- t.stats.misses + 1;
-    let rec pick w v =
-      if w >= ways then v
-      else if Array.unsafe_get tags w = -1 then pick (w + 1) w
-      else if
-        Array.unsafe_get tags v <> -1
-        && Array.unsafe_get lru w < Array.unsafe_get lru v
-      then pick (w + 1) w
-      else pick (w + 1) v
-    in
-    let victim = pick 0 0 in
-    tags.(victim) <- line;
-    lru.(victim) <- t.clock
+    fill t tags lru line
   end;
   hw >= 0
 
@@ -89,25 +95,7 @@ let insert t addr =
   let set = set_of t line in
   let tags = t.tags.(set) and lru = t.lru.(set) in
   t.clock <- t.clock + 1;
-  let ways = t.ways in
-  let rec scan w =
-    if w >= ways then false
-    else Array.unsafe_get tags w = line || scan (w + 1)
-  in
-  if not (scan 0) then begin
-    let rec pick w v =
-      if w >= ways then v
-      else if Array.unsafe_get tags w = -1 then pick (w + 1) w
-      else if
-        Array.unsafe_get tags v <> -1
-        && Array.unsafe_get lru w < Array.unsafe_get lru v
-      then pick (w + 1) w
-      else pick (w + 1) v
-    in
-    let victim = pick 0 0 in
-    tags.(victim) <- line;
-    lru.(victim) <- t.clock
-  end
+  if scan tags t.ways line 0 < 0 then fill t tags lru line
 
 let hit_rate t =
   if t.stats.accesses = 0 then 1.0

@@ -31,6 +31,18 @@ let create ~entries =
     idx = Tce_support.Int_table.create ~size:(2 * entries) ();
   }
 
+(* The victim entry: the last empty entry if any, else the first with the
+   strictly smallest LRU stamp. Top-level over [int] arrays, so a miss
+   allocates no closure and compares immediates. *)
+let rec pick (pages : int array) (lru : int array) entries i v =
+  if i >= entries then v
+  else if Array.unsafe_get pages i = -1 then pick pages lru entries (i + 1) i
+  else if
+    Array.unsafe_get pages v <> -1
+    && Array.unsafe_get lru i < Array.unsafe_get lru v
+  then pick pages lru entries (i + 1) i
+  else pick pages lru entries (i + 1) v
+
 let access t addr =
   let page = addr lsr page_bits in
   t.clock <- t.clock + 1;
@@ -43,17 +55,7 @@ let access t addr =
   end
   else begin
     t.stats.misses <- t.stats.misses + 1;
-    let pages = t.pages and lru = t.lru and entries = t.entries in
-    let rec pick i v =
-      if i >= entries then v
-      else if Array.unsafe_get pages i = -1 then pick (i + 1) i
-      else if
-        Array.unsafe_get pages v <> -1
-        && Array.unsafe_get lru i < Array.unsafe_get lru v
-      then pick (i + 1) i
-      else pick (i + 1) v
-    in
-    let victim = pick 0 0 in
+    let victim = pick t.pages t.lru t.entries 0 0 in
     if t.pages.(victim) <> -1 then
       Tce_support.Int_table.remove t.idx t.pages.(victim);
     t.pages.(victim) <- page;

@@ -87,177 +87,211 @@ let to_string_pretty j =
   emit ~indent:true ~level:0 buf j;
   Buffer.contents buf
 
-(* --- parsing --- *)
+(* --- parsing ---
+
+   An index-based scanner over the input: bytes are tested in place with
+   [String.unsafe_get] (every read is behind a bounds check on [st.n]),
+   no [option] is allocated per byte, and a string without escapes is one
+   [String.sub]. Error offsets are [st.pos] at the point of failure. *)
 
 exception Parse_error of int * string
 
-let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      value
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        if !pos >= n then fail "unterminated escape";
-        let e = s.[!pos] in
-        advance ();
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          if !pos + 4 > n then fail "truncated \\u escape";
-          let hex = String.sub s !pos 4 in
-          pos := !pos + 4;
-          let code =
-            try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-          in
-          (* keep it simple: BMP code points as UTF-8 *)
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else if code < 0x800 then begin
-            Buffer.add_char buf (Char.chr (0xc0 lor (code lsr 6)));
-            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-          end
-          else begin
-            Buffer.add_char buf (Char.chr (0xe0 lor (code lsr 12)));
-            Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-          end
-        | _ -> fail "bad escape");
-        go ()
+type st = { s : string; n : int; mutable pos : int }
+
+let fail st msg = raise (Parse_error (st.pos, msg))
+
+let rec ws_end s n i =
+  if i < n then
+    match String.unsafe_get s i with
+    | ' ' | '\t' | '\n' | '\r' -> ws_end s n (i + 1)
+    | _ -> i
+  else i
+
+let skip_ws st = st.pos <- ws_end st.s st.n st.pos
+
+let at st c = st.pos < st.n && String.unsafe_get st.s st.pos = c
+
+let expect st c =
+  if at st c then st.pos <- st.pos + 1
+  else fail st (Printf.sprintf "expected '%c'" c)
+
+let literal st word value =
+  let l = String.length word in
+  if st.pos + l <= st.n && String.sub st.s st.pos l = word then begin
+    st.pos <- st.pos + l;
+    value
+  end
+  else fail st ("expected " ^ word)
+
+(* offset of the first '"' or '\\' at or after [i], else [n] *)
+let rec string_end s n i =
+  if i < n then
+    match String.unsafe_get s i with
+    | '"' | '\\' -> i
+    | _ -> string_end s n (i + 1)
+  else n
+
+(* the rest of a string that contains escapes, from [st.pos], appended
+   to [buf] run by run *)
+let rec escaped st buf =
+  let stop = string_end st.s st.n st.pos in
+  Buffer.add_substring buf st.s st.pos (stop - st.pos);
+  st.pos <- stop;
+  if stop >= st.n then fail st "unterminated string";
+  st.pos <- stop + 1;
+  if String.unsafe_get st.s stop = '"' then Buffer.contents buf
+  else begin
+    if st.pos >= st.n then fail st "unterminated escape";
+    let e = String.unsafe_get st.s st.pos in
+    st.pos <- st.pos + 1;
+    (match e with
+    | '"' -> Buffer.add_char buf '"'
+    | '\\' -> Buffer.add_char buf '\\'
+    | '/' -> Buffer.add_char buf '/'
+    | 'b' -> Buffer.add_char buf '\b'
+    | 'f' -> Buffer.add_char buf '\012'
+    | 'n' -> Buffer.add_char buf '\n'
+    | 'r' -> Buffer.add_char buf '\r'
+    | 't' -> Buffer.add_char buf '\t'
+    | 'u' ->
+      if st.pos + 4 > st.n then fail st "truncated \\u escape";
+      let hex = String.sub st.s st.pos 4 in
+      st.pos <- st.pos + 4;
+      (* int_of_string, not a hand-rolled hex decoder: the accepted
+         language (e.g. '_' separators) must not change *)
+      let code =
+        try int_of_string ("0x" ^ hex) with _ -> fail st "bad \\u escape"
+      in
+      (* keep it simple: BMP code points as UTF-8 *)
+      if code < 0x80 then Buffer.add_char buf (Char.chr code)
+      else if code < 0x800 then begin
+        Buffer.add_char buf (Char.chr (0xc0 lor (code lsr 6)));
+        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
       end
       else begin
-        Buffer.add_char buf c;
-        go ()
+        Buffer.add_char buf (Char.chr (0xe0 lor (code lsr 12)));
+        Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
+        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
       end
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    match int_of_string_opt text with
-    | Some i -> Int i
-    | None -> (
-      match float_of_string_opt text with
-      | Some f -> Float f
-      | None -> fail ("bad number: " ^ text))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        List []
-      end
-      else begin
-        let items = ref [ parse_value () ] in
-        let rec go () =
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            items := parse_value () :: !items;
-            go ()
-          | Some ']' -> advance ()
-          | _ -> fail "expected ',' or ']'"
-        in
-        go ();
-        List (List.rev !items)
-      end
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let field () =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          (k, v)
-        in
-        let fields = ref [ field () ] in
-        let rec go () =
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            fields := field () :: !fields;
-            go ()
-          | Some '}' -> advance ()
-          | _ -> fail "expected ',' or '}'"
-        in
-        go ();
-        Obj (List.rev !fields)
-      end
-    | Some c -> (
-      match c with
-      | '0' .. '9' | '-' -> parse_number ()
-      | _ -> fail (Printf.sprintf "unexpected character '%c'" c))
-  in
+    | _ -> fail st "bad escape");
+    escaped st buf
+  end
+
+let parse_string st =
+  expect st '"';
+  let stop = string_end st.s st.n st.pos in
+  if stop < st.n && String.unsafe_get st.s stop = '"' then begin
+    let v = String.sub st.s st.pos (stop - st.pos) in
+    st.pos <- stop + 1;
+    v
+  end
+  else escaped st (Buffer.create 16)
+
+let rec number_end s n i =
+  if i < n then
+    match String.unsafe_get s i with
+    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> number_end s n (i + 1)
+    | _ -> i
+  else i
+
+(* [s.[i..stop)] holds a '.', 'e' or 'E': no [int_of_string] accepts it *)
+let rec fractional s i stop =
+  i < stop
+  &&
+  match String.unsafe_get s i with
+  | '.' | 'e' | 'E' -> true
+  | _ -> fractional s (i + 1) stop
+
+let parse_number st =
+  let start = st.pos in
+  st.pos <- number_end st.s st.n start;
+  let text = String.sub st.s start (st.pos - start) in
   match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
+    if fractional st.s start st.pos then None else int_of_string_opt text
+  with
+  | Some i -> Int i
+  | None -> (
+    match float_of_string_opt text with
+    | Some f -> Float f
+    | None -> fail st ("bad number: " ^ text))
+
+let rec parse_value st =
+  skip_ws st;
+  if st.pos >= st.n then fail st "unexpected end of input";
+  match String.unsafe_get st.s st.pos with
+  | '"' -> Str (parse_string st)
+  | 't' -> literal st "true" (Bool true)
+  | 'f' -> literal st "false" (Bool false)
+  | 'n' -> literal st "null" Null
+  | '[' ->
+    st.pos <- st.pos + 1;
+    skip_ws st;
+    if at st ']' then begin
+      st.pos <- st.pos + 1;
+      List []
+    end
+    else
+      let first = parse_value st in
+      List (items st [ first ])
+  | '{' ->
+    st.pos <- st.pos + 1;
+    skip_ws st;
+    if at st '}' then begin
+      st.pos <- st.pos + 1;
+      Obj []
+    end
+    else
+      let first = field st in
+      Obj (fields st [ first ])
+  | '0' .. '9' | '-' -> parse_number st
+  | c -> fail st (Printf.sprintf "unexpected character '%c'" c)
+
+(* the items after the first, up to and including the ']' *)
+and items st acc =
+  skip_ws st;
+  if at st ',' then begin
+    st.pos <- st.pos + 1;
+    let v = parse_value st in
+    items st (v :: acc)
+  end
+  else if at st ']' then begin
+    st.pos <- st.pos + 1;
+    List.rev acc
+  end
+  else fail st "expected ',' or ']'"
+
+and field st =
+  skip_ws st;
+  let k = parse_string st in
+  skip_ws st;
+  expect st ':';
+  let v = parse_value st in
+  (k, v)
+
+and fields st acc =
+  skip_ws st;
+  if at st ',' then begin
+    st.pos <- st.pos + 1;
+    let kv = field st in
+    fields st (kv :: acc)
+  end
+  else if at st '}' then begin
+    st.pos <- st.pos + 1;
+    List.rev acc
+  end
+  else fail st "expected ',' or '}'"
+
+let of_string s =
+  let st = { s; n = String.length s; pos = 0 } in
+  match
+    let v = parse_value st in
+    skip_ws st;
+    if st.pos <> st.n then fail st "trailing garbage";
     v
   with
   | v -> Ok v
-  | exception Parse_error (at, msg) ->
-    Error (Printf.sprintf "JSON parse error at byte %d: %s" at msg)
+  | exception Parse_error (off, msg) ->
+    Error (Printf.sprintf "JSON parse error at byte %d: %s" off msg)
 
 (* --- accessors --- *)
 

@@ -25,16 +25,89 @@ let sweep_latest_path = "SWEEP_latest.json"
 let sweeps_dir = Filename.concat "results" "sweeps"
 let cache_dir = Filename.concat "results" "cache"
 
-(* --- provenance --- *)
+(* --- provenance ---
+
+   The HEAD commit is read from the repository's files, as git itself
+   resolves it, instead of forking [git rev-parse] on every stamp. *)
+
+let read_trimmed path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Some (String.trim text)
+  | exception Sys_error _ -> None
+
+let after_prefix ~prefix s =
+  if String.starts_with ~prefix s then
+    let l = String.length prefix in
+    Some (String.trim (String.sub s l (String.length s - l)))
+  else None
+
+let relative_to dir p = if Filename.is_relative p then Filename.concat dir p else p
+
+(* The git directory of the checkout enclosing [dir]: the nearest [.git]
+   directory, or the directory a [.git] file names in its [gitdir:] line
+   (worktrees, submodules). A [.git] file without one ends the search, as
+   it does for git. *)
+let rec find_git_dir dir =
+  let dot = Filename.concat dir ".git" in
+  if Sys.file_exists dot then
+    if Sys.is_directory dot then Some dot
+    else
+      Option.map (relative_to dir)
+        (Option.bind (read_trimmed dot) (after_prefix ~prefix:"gitdir:"))
+  else
+    let parent = Filename.dirname dir in
+    if parent = dir then None else find_git_dir parent
+
+let object_id s =
+  if
+    String.length s >= 40
+    && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
+  then Some s
+  else None
+
+(* [name]'s entry in a packed-refs file: "<id> <name>" lines, skipping the
+   "#" header and the "^<id>" peeled lines of annotated tags. *)
+let packed_ref ~common_dir name =
+  Option.bind (read_trimmed (Filename.concat common_dir "packed-refs"))
+    (fun text ->
+      List.find_map
+        (fun line ->
+          if line = "" || line.[0] = '#' || line.[0] = '^' then None
+          else
+            match String.index_opt line ' ' with
+            | Some i when String.sub line (i + 1) (String.length line - i - 1) = name ->
+              Some (String.sub line 0 i)
+            | _ -> None)
+        (String.split_on_char '\n' text))
+
+(* The object id a HEAD-style file's contents name: the id itself, or a
+   "ref: <name>" followed through loose ref files, then packed-refs, at
+   most five symbolic hops deep (git's own limit). *)
+let rec resolve ~common_dir ~hops content =
+  match after_prefix ~prefix:"ref:" content with
+  | None -> object_id content
+  | Some _ when hops = 0 -> None
+  | Some name -> (
+    match read_trimmed (Filename.concat common_dir name) with
+    | Some loose -> resolve ~common_dir ~hops:(hops - 1) loose
+    | None -> Option.bind (packed_ref ~common_dir name) object_id)
+
+let head_id () =
+  Option.bind (find_git_dir (Sys.getcwd ())) (fun git_dir ->
+      (* a worktree's git directory holds its own HEAD; refs are shared
+         through the directory its [commondir] file names *)
+      let common_dir =
+        match read_trimmed (Filename.concat git_dir "commondir") with
+        | Some d -> relative_to git_dir d
+        | None -> git_dir
+      in
+      Option.bind (read_trimmed (Filename.concat git_dir "HEAD"))
+        (resolve ~common_dir ~hops:5))
 
 let git_sha () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short=12 HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> line
-    | _ -> "unknown"
-  with _ -> "unknown"
+  match head_id () with
+  | Some id -> String.sub id 0 12
+  | None | (exception Sys_error _) -> "unknown"
 
 (** Digest of everything that could change simulated numbers: the
     simulated-core parameters (Table 2), the Class Cache geometry and the

@@ -73,7 +73,10 @@ val journal_lines : string -> (string list, string) result
 (** [mkdir -p]: create [dir] and its missing parents. *)
 val mkdir_p : string -> unit
 
-(** Short git SHA of the working tree, or ["unknown"] outside a checkout. *)
+(** The first 12 hex digits of the HEAD commit of the checkout enclosing
+    the working directory, or ["unknown"] outside a checkout or before its
+    first commit. Read from the [.git] files in-process, with no [git]
+    process (resolution rules in lib/runner/README.md). *)
 val git_sha : unit -> string
 
 (** Digest of every configuration parameter that can change simulated

@@ -26,9 +26,8 @@ let hash k mask =
   let h = k * 0x2545F4914F6CDD1D in
   (h lxor (h lsr 31)) land mask
 
-let pow2_at_least n =
-  let rec go c = if c >= n then c else go (c * 2) in
-  go 8
+let rec pow2_from c (n : int) = if c >= n then c else pow2_from (c * 2) n
+let pow2_at_least n = pow2_from 8 n
 
 let create ?(size = 16) () =
   let cap = pow2_at_least (max 8 size) in
@@ -46,21 +45,20 @@ let create ?(size = 16) () =
 
 let length t = t.live + (if t.sp1 then 1 else 0) + if t.sp2 then 1 else 0
 
-(* Tail-recursive probe: compiles to a loop with everything in registers.
-   The former [ref]-based loop allocated three ref cells per lookup (classic
-   mode does not unbox local refs), which dominated GC pressure on the TLB
-   fast path. *)
+(* A top-level tail-recursive probe compiles to a loop with everything in
+   registers, so a lookup allocates nothing. A local [let rec] capturing
+   [keys], [k] and [default] would allocate its closure on every call; the
+   [int] annotations keep [=] an immediate compare rather than the
+   polymorphic one. *)
+let rec probe (keys : int array) (vals : int array) mask (k : int)
+    (default : int) i =
+  let kk = Array.unsafe_get keys i in
+  if kk = k then Array.unsafe_get vals i
+  else if kk = empty_k then default
+  else probe keys vals mask k default ((i + 1) land mask)
+
 let find t k default =
-  if k > tomb_k then begin
-    let keys = t.keys and vals = t.vals and mask = t.mask in
-    let rec probe i =
-      let kk = Array.unsafe_get keys i in
-      if kk = k then Array.unsafe_get vals i
-      else if kk = empty_k then default
-      else probe ((i + 1) land mask)
-    in
-    probe (hash k mask)
-  end
+  if k > tomb_k then probe t.keys t.vals t.mask k default (hash k t.mask)
   else if k = empty_k then (if t.sp1 then t.sp1v else default)
   else if t.sp2 then t.sp2v
   else default
@@ -68,22 +66,24 @@ let find t k default =
 let mem t k = find t k min_int <> min_int || find t k 0 <> 0
 
 (* Re-place the live bindings into a fresh array of [cap] slots (drops
-   tombstones). *)
+   tombstones). The fresh arrays are its only allocation: a loop, not an
+   [Array.iteri] closure, since a TLB's page index is swept of tombstones
+   over and over on the miss path. *)
 let rehash t cap =
   let old_keys = t.keys and old_vals = t.vals in
   let keys = Array.make cap empty_k and vals = Array.make cap 0 in
   let mask = cap - 1 in
-  Array.iteri
-    (fun j k ->
-      if k > tomb_k then begin
-        let i = ref (hash k mask) in
-        while keys.(!i) <> empty_k do
-          i := (!i + 1) land mask
-        done;
-        keys.(!i) <- k;
-        vals.(!i) <- old_vals.(j)
-      end)
-    old_keys;
+  for j = 0 to Array.length old_keys - 1 do
+    let k = old_keys.(j) in
+    if k > tomb_k then begin
+      let i = ref (hash k mask) in
+      while keys.(!i) <> empty_k do
+        i := (!i + 1) land mask
+      done;
+      keys.(!i) <- k;
+      vals.(!i) <- old_vals.(j)
+    end
+  done;
   t.keys <- keys;
   t.vals <- vals;
   t.mask <- mask;

@@ -50,6 +50,46 @@ let test_tlb () =
   ignore (Tlb.access t 0x20000);  (* evicts page of 0x1000 *)
   Alcotest.(check bool) "evicted" false (Tlb.access t 0x1000)
 
+(* --- allocation discipline ---
+
+   The memory-model lookups run on every simulated load, store and fetch,
+   so they must allocate nothing: no closure, no ref cell, no option. *)
+
+let calls = 100_000
+
+(* [calls] calls of [f] leave [Gc.minor_words] where it was. A first,
+   unmeasured round lets [f] fill and grow its tables. *)
+let check_no_alloc what f =
+  let minor_words () =
+    let w0 = Gc.minor_words () in
+    for i = 0 to calls - 1 do
+      ignore (Sys.opaque_identity (f i))
+    done;
+    Gc.minor_words () -. w0
+  in
+  ignore (minor_words ());
+  let words = minor_words () in
+  if words > 0.0 then
+    Alcotest.failf "%s allocates %.0f words in %d calls" what words calls
+
+let test_lookups_allocate_nothing () =
+  let module It = Tce_support.Int_table in
+  let tbl = It.create () in
+  for k = 0 to 99 do
+    It.set tbl (k * 7919) k
+  done;
+  check_no_alloc "Int_table.find" (fun i -> It.find tbl ((i land 255) * 7919) (-1));
+  let c = Cache.create ~size_kb:32 ~ways:8 ~line_bytes:64 in
+  check_no_alloc "Cache.access (hits)" (fun i -> Cache.access c ((i land 63) * 64));
+  (* lines 64 apart all fall in set 0 of 64: each access misses its 8 ways *)
+  check_no_alloc "Cache.access (misses)" (fun i -> Cache.access c (i * 64 * 64));
+  check_no_alloc "Cache.insert" (fun i -> Cache.insert c (i * 64 * 64));
+  (* the page index's occasional tombstone sweep allocates its new arrays
+     in the major heap at this size (see lib/machine/README.md) *)
+  let t = Tlb.create ~entries:Config.default.Config.dtlb_entries in
+  check_no_alloc "Tlb.access (hits)" (fun i -> Tlb.access t ((i land 63) * 4096));
+  check_no_alloc "Tlb.access (misses)" (fun i -> Tlb.access t (i * 4096))
+
 let test_branch_predictor_learns () =
   let b = Branch.create () in
   (* an always-taken branch is mispredicted at most twice, then learned *)
@@ -370,6 +410,11 @@ let () =
           Alcotest.test_case "capacity" `Quick test_cache_capacity;
         ] );
       ("tlb", [ Alcotest.test_case "basic" `Quick test_tlb ]);
+      ( "allocation",
+        [
+          Alcotest.test_case "lookups allocate nothing" `Quick
+            test_lookups_allocate_nothing;
+        ] );
       ("branch", [ Alcotest.test_case "bimodal learning" `Quick test_branch_predictor_learns ]);
       ( "config/costs/energy",
         [

@@ -217,6 +217,89 @@ let test_json_roundtrip () =
   | Ok j2 -> Alcotest.(check bool) "roundtrip" true (j = j2)
   | Error e -> Alcotest.failf "roundtrip parse failed: %s" e
 
+(* Malformed inputs and the parser's exact diagnostics, byte offsets
+   included: tools and tests match on these strings. *)
+let test_json_errors () =
+  List.iter
+    (fun (input, want) ->
+      match J.of_string input with
+      | Ok _ -> Alcotest.failf "accepted %S" input
+      | Error e -> Alcotest.(check string) (Printf.sprintf "%S" input) want e)
+    [
+      ({|"abc|}, "JSON parse error at byte 4: unterminated string");
+      ({|"ab\|}, "JSON parse error at byte 4: unterminated escape");
+      ({|"\u12"|}, "JSON parse error at byte 3: truncated \\u escape");
+      ({|"\uzzzz"|}, "JSON parse error at byte 7: bad \\u escape");
+      ({|"\q"|}, "JSON parse error at byte 3: bad escape");
+      ("1.2.3", "JSON parse error at byte 5: bad number: 1.2.3");
+      ("-", "JSON parse error at byte 1: bad number: -");
+      ("[1] x", "JSON parse error at byte 4: trailing garbage");
+      ("[1 2]", "JSON parse error at byte 3: expected ',' or ']'");
+      ({|{"a":1 "b":2}|}, "JSON parse error at byte 7: expected ',' or '}'");
+      ({|{"a" 1}|}, "JSON parse error at byte 5: expected ':'");
+      ("{1:2}", "JSON parse error at byte 1: expected '\"'");
+      ("[1,]", "JSON parse error at byte 3: unexpected character ']'");
+      ("@", "JSON parse error at byte 0: unexpected character '@'");
+      ("tru", "JSON parse error at byte 0: expected true");
+      ("", "JSON parse error at byte 0: unexpected end of input");
+      ("   ", "JSON parse error at byte 3: unexpected end of input");
+    ]
+
+(* Random values, NaN and infinities aside, survive both renderings.
+   Strings mix control characters, quotes, backslashes and non-ASCII
+   bytes; floats stay clear of [1e15, 1e17), where an integral float
+   renders without a '.' and parses back as an [Int]. *)
+let gen_json =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (4, char_range ' ' '~');
+        (1, char_range '\000' '\031');
+        (1, oneofl [ '"'; '\\'; '/' ]);
+        (1, char_range '\128' '\255');
+      ]
+  in
+  let str = string_size ~gen:byte (0 -- 10) in
+  let float =
+    oneof
+      [
+        float_range (-1e12) 1e12;
+        map (fun e -> ldexp 1.5 e) (-1070 -- 40);
+        oneofl [ 0.0; -0.0; 5e-324; 1e17; 1e300; Float.max_float ];
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return J.Null;
+        map (fun b -> J.Bool b) bool;
+        map (fun i -> J.Int i) int;
+        map (fun f -> J.Float f) float;
+        map (fun s -> J.Str s) str;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> J.List l) (list_size (0 -- 4) (self (n / 3))));
+               ( 1,
+                 map (fun kvs -> J.Obj kvs)
+                   (list_size (0 -- 4) (pair str (self (n / 3)))) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"of_string inverts to_string and to_string_pretty"
+    ~count:500
+    (QCheck.make ~print:J.to_string gen_json)
+    (fun j ->
+      J.of_string (J.to_string j) = Ok j
+      && J.of_string (J.to_string_pretty j) = Ok j)
+
 let test_export_envelope () =
   let doc = Tce_obs.Export.document ~kind:"test" (J.Int 5) in
   (match Tce_obs.Export.open_document doc with
@@ -250,6 +333,8 @@ let () =
           Alcotest.test_case "chrome parse-back" `Quick test_chrome_parse_back;
           Alcotest.test_case "jsonl parse-back" `Quick test_jsonl_parse_back;
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
+          Alcotest.test_case "json errors" `Quick test_json_errors;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
           Alcotest.test_case "export envelope" `Quick test_export_envelope;
         ] );
     ]

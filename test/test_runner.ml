@@ -5,7 +5,9 @@
        jobs > 1;
    (b) the gate passes a clean run and fails an injected slowdown (library
        verdicts and end-to-end exit codes);
-   (c) run records round-trip through the Tce_obs.Json store format. *)
+   (c) run records round-trip through the Tce_obs.Json store format;
+   (d) the provenance SHA is resolved from synthetic repository layouts,
+       and matches git's own answer on this checkout. *)
 
 open Tce_runner
 
@@ -297,6 +299,81 @@ let test_rejects_wrong_kind () =
   | Ok _ -> Alcotest.fail "accepted a non-bench-run document"
   | Error e -> Alcotest.(check bool) "error is descriptive" true (e <> "")
 
+(* --- provenance: git_sha from the repository files --- *)
+
+let sha_a = "0123456789abcdef0123456789abcdef01234567"
+let sha_b = "89abcdef0123456789abcdef0123456789abcdef"
+
+let write_file path text =
+  Store.mkdir_p (Filename.dirname path);
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* [Store.git_sha] run from [sub] below a fresh temporary directory that
+   [layout] fills in first *)
+let sha_in ?(sub = "") layout =
+  let root = Filename.temp_dir "tce-git-sha" "" in
+  layout root;
+  let dir = Filename.concat root sub in
+  Store.mkdir_p dir;
+  let cwd = Sys.getcwd () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      rm_rf root)
+    (fun () ->
+      Sys.chdir dir;
+      Store.git_sha ())
+
+let short sha = String.sub sha 0 12
+
+let test_git_sha_layouts () =
+  let check what want got = Alcotest.(check string) what want got in
+  check "loose ref, from a subdirectory" (short sha_a)
+    (sha_in ~sub:"src/deep" (fun r ->
+         write_file (r ^ "/.git/HEAD") "ref: refs/heads/main\n";
+         write_file (r ^ "/.git/refs/heads/main") (sha_a ^ "\n")));
+  check "ref only in packed-refs, after a peeled line" (short sha_a)
+    (sha_in (fun r ->
+         write_file (r ^ "/.git/HEAD") "ref: refs/heads/main\n";
+         write_file (r ^ "/.git/packed-refs")
+           (String.concat "\n"
+              [
+                "# pack-refs with: peeled fully-peeled sorted ";
+                sha_b ^ " refs/tags/v1";
+                "^" ^ sha_b;
+                sha_a ^ " refs/heads/main";
+                "";
+              ])));
+  check "detached HEAD" (short sha_b)
+    (sha_in (fun r -> write_file (r ^ "/.git/HEAD") (sha_b ^ "\n")));
+  check "gitdir: file plus commondir (a worktree)" (short sha_b)
+    (sha_in ~sub:"wt" (fun r ->
+         write_file (r ^ "/main/.git/HEAD") "ref: refs/heads/main\n";
+         write_file (r ^ "/main/.git/refs/heads/main") (sha_a ^ "\n");
+         write_file (r ^ "/main/.git/refs/heads/topic") (sha_b ^ "\n");
+         write_file (r ^ "/main/.git/worktrees/wt/HEAD") "ref: refs/heads/topic\n";
+         write_file (r ^ "/main/.git/worktrees/wt/commondir") "../..\n";
+         write_file (r ^ "/wt/.git") "gitdir: ../main/.git/worktrees/wt\n"));
+  check "unborn branch" "unknown"
+    (sha_in (fun r -> write_file (r ^ "/.git/HEAD") "ref: refs/heads/main\n"));
+  check "no repository" "unknown" (sha_in (fun _ -> ()))
+
+(* On this checkout, the same answer as git's, when git is available. *)
+let test_git_sha_matches_git () =
+  let ic = Unix.open_process_in "git rev-parse --short=12 HEAD 2>/dev/null" in
+  let line = try input_line ic with End_of_file -> "" in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 when line <> "" ->
+    Alcotest.(check string) "git rev-parse --short=12 HEAD" line (Store.git_sha ())
+  | _ -> ()
+
 let () =
   Alcotest.run "runner"
     [
@@ -331,5 +408,11 @@ let () =
             test_run_json_round_trip_through_text;
           Alcotest.test_case "file round-trip" `Quick test_store_file_round_trip;
           Alcotest.test_case "rejects wrong kind" `Quick test_rejects_wrong_kind;
+        ] );
+      ( "provenance",
+        [
+          Alcotest.test_case "git_sha layouts" `Quick test_git_sha_layouts;
+          Alcotest.test_case "git_sha matches git" `Quick
+            test_git_sha_matches_git;
         ] );
     ]
