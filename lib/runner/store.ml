@@ -28,12 +28,38 @@ let cache_dir = Filename.concat "results" "cache"
 (* --- provenance ---
 
    The HEAD commit is read from the repository's files, as git itself
-   resolves it, instead of forking [git rev-parse] on every stamp. *)
+   resolves it, instead of forking [git rev-parse] on every stamp. The
+   files are read with [Unix] through one small buffer, with no channel
+   and no whole-file string, so a stamp allocates the same few words
+   however many refs the repository packs. *)
+
+(* [f chunk n] over each chunk [fd] reads, until the end of the file or
+   until [f] returns [false] *)
+let iter_chunks fd f =
+  let chunk = Bytes.create 1024 in
+  let rec go () =
+    match Supervise.read_restart fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n -> if f chunk n then go ()
+  in
+  go ()
+
+(* [f fd] over the file at [path]; [None] when it cannot be opened or read *)
+let with_file path f =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> None
+  | fd -> (
+    match Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd) with
+    | r -> r
+    | exception Unix.Unix_error _ -> None)
 
 let read_trimmed path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | text -> Some (String.trim text)
-  | exception Sys_error _ -> None
+  with_file path (fun fd ->
+      let text = Buffer.create 64 in
+      iter_chunks fd (fun chunk n ->
+          Buffer.add_subbytes text chunk 0 n;
+          true);
+      Some (String.trim (Buffer.contents text)))
 
 let after_prefix ~prefix s =
   if String.starts_with ~prefix s then
@@ -65,20 +91,45 @@ let object_id s =
   then Some s
   else None
 
-(* [name]'s entry in a packed-refs file: "<id> <name>" lines, skipping the
-   "#" header and the "^<id>" peeled lines of annotated tags. *)
+(* [name]'s entry in a packed-refs file: the first "<id> <name>" line,
+   skipping the "#" header and the "^<id>" peeled lines of annotated tags.
+   The file is scanned a byte at a time as it streams in, keeping only the
+   current line's id. *)
 let packed_ref ~common_dir name =
-  Option.bind (read_trimmed (Filename.concat common_dir "packed-refs"))
-    (fun text ->
-      List.find_map
-        (fun line ->
-          if line = "" || line.[0] = '#' || line.[0] = '^' then None
-          else
-            match String.index_opt line ' ' with
-            | Some i when String.sub line (i + 1) (String.length line - i - 1) = name ->
-              Some (String.sub line 0 i)
-            | _ -> None)
-        (String.split_on_char '\n' text))
+  let len = String.length name in
+  let id = Buffer.create 64 in
+  (* the current line: at its first byte; bytes of [name] matched after
+     its first space, or -1 before that space; or past hope of matching *)
+  let fresh = ref true and matched = ref (-1) and skip = ref false in
+  let found = ref None in
+  let end_line () =
+    if (not !skip) && !matched = len then found := Some (Buffer.contents id);
+    fresh := true;
+    matched := -1;
+    skip := false;
+    Buffer.clear id
+  in
+  let step c =
+    if c = '\n' then end_line ()
+    else if not !skip then begin
+      if !fresh && (c = '#' || c = '^') then skip := true
+      else if !matched < 0 then if c = ' ' then matched := 0 else Buffer.add_char id c
+      else if !matched < len && name.[!matched] = c then incr matched
+      else skip := true;
+      fresh := false
+    end
+  in
+  with_file (Filename.concat common_dir "packed-refs") (fun fd ->
+      iter_chunks fd (fun chunk n ->
+          let i = ref 0 in
+          while Option.is_none !found && !i < n do
+            step (Bytes.get chunk !i);
+            incr i
+          done;
+          Option.is_none !found);
+      (* a last line without its newline *)
+      if Option.is_none !found then end_line ();
+      !found)
 
 (* The object id a HEAD-style file's contents name: the id itself, or a
    "ref: <name>" followed through loose ref files, then packed-refs, at
@@ -301,22 +352,47 @@ let load path : (Record.run, string) result =
   | exception Sys_error msg -> Error msg
   | text -> Result.bind (J.of_string text) Record.run_of_json
 
+(* The cost table last read from each baseline path, with the version
+   of the file it was read from. Every supervised run asks for the table;
+   a process that starts several decodes an unchanged file once. *)
+let baseline_costs = Hashtbl.create 1
+
+let file_version path =
+  match Unix.stat path with
+  | st -> Some (st.Unix.st_dev, st.Unix.st_ino, st.Unix.st_size, st.Unix.st_mtime)
+  | exception Unix.Unix_error _ -> None
+
+let read_baseline_costs path =
+  Result.to_option
+    (Result.map
+       (fun (r : Record.run) ->
+         let tbl = Hashtbl.create 64 in
+         List.iter
+           (fun (w : Record.workload) ->
+             Hashtbl.replace tbl w.Record.name
+               (w.Record.whole_cycles_off +. w.Record.whole_cycles_on))
+           r.Record.workloads;
+         tbl)
+       (load path))
+
 (** Baseline whole-run cycle counts keyed by workload name, as a cost
     function for the runner's longest-first scheduler. An absent or
     unreadable baseline yields [fun _ -> None] (schedule stays in input
     order) — scheduling must never make a benchmark run fail. *)
 let baseline_cost_of_workload ?(path = baseline_path) () :
     Tce_workloads.Workload.t -> float option =
-  match load path with
-  | Error _ -> fun _ -> None
-  | Ok r ->
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (w : Record.workload) ->
-        Hashtbl.replace tbl w.Record.name
-          (w.Record.whole_cycles_off +. w.Record.whole_cycles_on))
-      r.Record.workloads;
-    fun w -> Hashtbl.find_opt tbl w.Tce_workloads.Workload.name
+  let version = file_version path in
+  let costs =
+    match Hashtbl.find_opt baseline_costs path with
+    | Some (v, costs) when version <> None && v = version -> costs
+    | _ ->
+      let costs = read_baseline_costs path in
+      Hashtbl.replace baseline_costs path (version, costs);
+      costs
+  in
+  match costs with
+  | None -> fun _ -> None
+  | Some tbl -> fun w -> Hashtbl.find_opt tbl w.Tce_workloads.Workload.name
 
 (* --- reporting --- *)
 

@@ -133,7 +133,9 @@ val load : string -> (Record.run, string) result
 
 (** Baseline whole-run cycles per workload name (off + on sides), as the
     cost function behind the runner's longest-first schedule. An absent or
-    unreadable baseline (default {!baseline_path}) yields [fun _ -> None]. *)
+    unreadable baseline (default {!baseline_path}) yields [fun _ -> None].
+    The table is decoded once per version of the file (device, inode,
+    size, modification time) and reused while the file is unchanged. *)
 val baseline_cost_of_workload :
   ?path:string -> unit -> Tce_workloads.Workload.t -> float option
 

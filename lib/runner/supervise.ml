@@ -296,6 +296,11 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
     ?serial_run ?(resume_rows = []) ?(events = null_events) ~config ~shards
     ~log_dir ~argv_of_indices ~parse ~to_line (tasks : task list) :
     ('row outcome, string) result =
+  (* The parent allocates little while it waits on its workers, so its
+     few collections would fall wherever the work before this run left
+     the heap, and its peak heap would differ between identical runs.
+     Starting from a collected heap makes the run's memory its own. *)
+  Gc.full_major ();
   mkdir_p log_dir;
   let shards = max 1 shards in
   let say fmt =

@@ -157,7 +157,9 @@ val deal : shards:int -> 'a list -> 'a list array
       complete checkpoint.
 
     Tasks are dealt over the given task order by {!deal}, so pass them
-    schedule-ordered (longest first).
+    schedule-ordered (longest first). The run starts with a full major
+    collection, so the parent's heap use is the same from one identical
+    run to the next.
     Returns [Error] only for unrecoverable supervision failures (fork
     failed with no [serial_run]); quarantined cells are reported in the
     outcome, not as errors — strictness is the caller's policy. *)

@@ -5,9 +5,11 @@
        jobs > 1;
    (b) the gate passes a clean run and fails an injected slowdown (library
        verdicts and end-to-end exit codes);
-   (c) run records round-trip through the Tce_obs.Json store format;
+   (c) run records round-trip through the Tce_obs.Json store format, and
+       the scheduler's baseline cost table follows its file;
    (d) the provenance SHA is resolved from synthetic repository layouts,
-       and matches git's own answer on this checkout. *)
+       streams packed-refs, and matches git's own answer on this
+       checkout. *)
 
 open Tce_runner
 
@@ -291,6 +293,36 @@ let test_store_file_round_trip () =
         Alcotest.(check bool) "store file round-trips" true
           (Record.equal_run run run'))
 
+(* The scheduler's cost table follows the baseline file: a second lookup
+   of an unchanged file reads the same costs, and a rewritten file is
+   read again. *)
+let test_baseline_costs_follow_the_file () =
+  let tmp = Filename.temp_file "tce_baseline" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
+    (fun () ->
+      let run = make_run (Lazy.force serial) in
+      let cost () = Store.baseline_cost_of_workload ~path:tmp () tiny_poly in
+      let poly =
+        List.find (fun (w : Record.workload) -> w.Record.name = "runner-poly")
+          run.Record.workloads
+      in
+      let whole = Some (poly.Record.whole_cycles_off +. poly.Record.whole_cycles_on) in
+      let check what want = Alcotest.(check (option (float 0.0))) what want (cost ()) in
+      ignore (Store.save ~latest:tmp ~history:"" run);
+      check "read from the file" whole;
+      check "unchanged file, same costs" whole;
+      ignore
+        (Store.save ~latest:tmp ~history:""
+           {
+             run with
+             Record.workloads =
+               List.filter (fun (w : Record.workload) -> w != poly) run.Record.workloads;
+           });
+      check "rewritten file is read again" None;
+      Sys.remove tmp;
+      check "absent file has no costs" None)
+
 let test_rejects_wrong_kind () =
   let doc =
     Tce_obs.Export.document ~kind:"run-stats" (Tce_obs.Json.Obj [])
@@ -315,9 +347,9 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-(* [Store.git_sha] run from [sub] below a fresh temporary directory that
-   [layout] fills in first *)
-let sha_in ?(sub = "") layout =
+(* [f ()] run from [sub] below a fresh temporary directory that [layout]
+   fills in first *)
+let in_layout ?(sub = "") layout f =
   let root = Filename.temp_dir "tce-git-sha" "" in
   layout root;
   let dir = Filename.concat root sub in
@@ -329,7 +361,9 @@ let sha_in ?(sub = "") layout =
       rm_rf root)
     (fun () ->
       Sys.chdir dir;
-      Store.git_sha ())
+      f ())
+
+let sha_in ?sub layout = in_layout ?sub layout Store.git_sha
 
 let short sha = String.sub sha 0 12
 
@@ -364,6 +398,39 @@ let test_git_sha_layouts () =
   check "unborn branch" "unknown"
     (sha_in (fun r -> write_file (r ^ "/.git/HEAD") "ref: refs/heads/main\n"));
   check "no repository" "unknown" (sha_in (fun _ -> ()))
+
+(* Words [f ()] allocates, minor and major. *)
+let words_allocated f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* HEAD's branch on the last line of a packed-refs file [tags] lines long,
+   with no newline after it *)
+let packed_layout ~tags r =
+  write_file (r ^ "/.git/HEAD") "ref: refs/heads/main\n";
+  write_file (r ^ "/.git/packed-refs")
+    (String.concat "\n"
+       (("# pack-refs with: peeled fully-peeled sorted "
+        :: List.init tags (fun i -> Printf.sprintf "%s refs/tags/v%05d" sha_b i))
+       @ [ sha_a ^ " refs/heads/main" ]))
+
+(* The packed-refs file is streamed, not read whole: a ref found past
+   hundreds of read chunks costs the same allocation as one found in a
+   three-line file, so stamping a run does not grow with the repository. *)
+let test_git_sha_packed_refs_streamed () =
+  let stamp ~tags =
+    in_layout (packed_layout ~tags) (fun () ->
+        let sha = Store.git_sha () in
+        (sha, words_allocated Store.git_sha))
+  in
+  let small_sha, small = stamp ~tags:1 and big_sha, big = stamp ~tags:5000 in
+  Alcotest.(check string) "found after one tag" (short sha_a) small_sha;
+  Alcotest.(check string) "found after 5000 tags" (short sha_a) big_sha;
+  if big > small +. 64.0 then
+    Alcotest.failf "a 5000-tag packed-refs allocates %.0f words, a 1-tag one %.0f"
+      big small
 
 (* On this checkout, the same answer as git's, when git is available. *)
 let test_git_sha_matches_git () =
@@ -408,10 +475,14 @@ let () =
             test_run_json_round_trip_through_text;
           Alcotest.test_case "file round-trip" `Quick test_store_file_round_trip;
           Alcotest.test_case "rejects wrong kind" `Quick test_rejects_wrong_kind;
+          Alcotest.test_case "baseline costs follow the file" `Quick
+            test_baseline_costs_follow_the_file;
         ] );
       ( "provenance",
         [
           Alcotest.test_case "git_sha layouts" `Quick test_git_sha_layouts;
+          Alcotest.test_case "git_sha streams packed-refs" `Quick
+            test_git_sha_packed_refs_streamed;
           Alcotest.test_case "git_sha matches git" `Quick
             test_git_sha_matches_git;
         ] );
