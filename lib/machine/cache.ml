@@ -14,6 +14,9 @@ type t = {
   ways : int;
   tags : int array array;  (** [tags.(set).(way)]; -1 = invalid *)
   lru : int array array;
+  mru : int array;
+      (** [mru.(set)]: the way last hit or filled in [set], tried before
+          [scan]; a guess confirmed by its tag compare, never trusted *)
   mutable clock : int;
   stats : stats;
 }
@@ -32,6 +35,7 @@ let create ~size_kb ~ways ~line_bytes =
     ways;
     tags = Array.init nsets (fun _ -> Array.make ways (-1));
     lru = Array.init nsets (fun _ -> Array.make ways 0);
+    mru = Array.make nsets 0;
     clock = 0;
     stats = { accesses = 0; hits = 0; misses = 0 };
   }
@@ -57,10 +61,18 @@ let rec pick (tags : int array) (lru : int array) ways w v =
   then pick tags lru ways (w + 1) w
   else pick tags lru ways (w + 1) v
 
-let fill t tags lru line =
+let fill t set tags lru line =
   let victim = pick tags lru t.ways 0 0 in
   tags.(victim) <- line;
-  lru.(victim) <- t.clock
+  lru.(victim) <- t.clock;
+  Array.unsafe_set t.mru set victim
+
+(* The way of [tags] holding [line], or -1: the set's MRU way first. A line
+   lives in at most one way, so a matching MRU tag is the way [scan] would
+   return. *)
+let find t set tags line =
+  let m = Array.unsafe_get t.mru set in
+  if Array.unsafe_get tags m = line then m else scan tags t.ways line 0
 
 (** Access the line containing [addr]; fills on miss. Returns [true] on hit.
 
@@ -70,21 +82,23 @@ let fill t tags lru line =
     allocate one per call) and no polymorphic compare. A line lives in at
     most one way, so the early-exit [scan] is equivalent to the reference
     full scan, and the victim choice is bit-identical to the reference
-    model. *)
+    model. The MRU probe in [find] answers a repeat touch of a line with
+    one compare. *)
 let access t addr =
   let line = addr lsr t.line_bits in
   let set = set_of t line in
   let tags = t.tags.(set) and lru = t.lru.(set) in
   t.clock <- t.clock + 1;
   t.stats.accesses <- t.stats.accesses + 1;
-  let hw = scan tags t.ways line 0 in
+  let hw = find t set tags line in
   if hw >= 0 then begin
     Array.unsafe_set lru hw t.clock;
+    Array.unsafe_set t.mru set hw;
     t.stats.hits <- t.stats.hits + 1
   end
   else begin
     t.stats.misses <- t.stats.misses + 1;
-    fill t tags lru line
+    fill t set tags lru line
   end;
   hw >= 0
 
@@ -95,7 +109,7 @@ let insert t addr =
   let set = set_of t line in
   let tags = t.tags.(set) and lru = t.lru.(set) in
   t.clock <- t.clock + 1;
-  if scan tags t.ways line 0 < 0 then fill t tags lru line
+  if find t set tags line < 0 then fill t set tags lru line
 
 let hit_rate t =
   if t.stats.accesses = 0 then 1.0

@@ -10,6 +10,7 @@ type t = private {
   ways : int;
   tags : int array array;
   lru : int array array;
+  mru : int array;  (** per set, the way last hit or filled *)
   mutable clock : int;
   stats : stats;
 }

@@ -379,7 +379,7 @@ exception Cc_exception of cc_exn_info
 
 (* --- the executor --- *)
 
-let alu_apply (a : Lir.alu) x y =
+let[@inline] alu_apply (a : Lir.alu) x y =
   match a with
   | Lir.Add -> x + y
   | Sub -> x - y
@@ -393,7 +393,7 @@ let alu_apply (a : Lir.alu) x y =
   | Shr -> (x land 0xffff_ffff) lsr (y land 31)  (* JS >>> on uint32 *)
   | Sar -> x asr (y land 31)
 
-let cond_apply (c : Lir.cond) x y =
+let[@inline] cond_apply (c : Lir.cond) x y =
   match c with
   | Lir.Eq -> x = y
   | Ne -> x <> y
@@ -404,7 +404,7 @@ let cond_apply (c : Lir.cond) x y =
   | Bit_set -> x land y <> 0
   | Bit_clear -> x land y = 0
 
-let fcond_apply (c : Lir.fcond) (x : float) (y : float) =
+let[@inline] fcond_apply (c : Lir.fcond) (x : float) (y : float) =
   match c with
   | Lir.FEq -> x = y
   | FNe -> x <> y
@@ -417,6 +417,16 @@ let fcond_apply (c : Lir.fcond) (x : float) (y : float) =
   | FNle -> not (x <= y)
   | FNgt -> not (x > y)
   | FNge -> not (x >= y)
+
+(* full-width shifts for tag arithmetic: [sc] 0 = lsl, 1 = lsr, else asr *)
+let[@inline] sh64_apply sc x y =
+  if sc = 0 then x lsl y else if sc = 1 then x lsr y else x asr y
+
+(* the four two-operand FP operators, applied by {!falu} *)
+type fop = Fadd | Fsub | Fmul | Fdiv
+
+let[@inline] fop_apply op (x : float) y =
+  match op with Fadd -> x +. y | Fsub -> x -. y | Fmul -> x *. y | Fdiv -> x /. y
 
 let flat_lat = 3 (* FP add/sub/cvt latency *)
 let fsqrt_lat = 25
@@ -498,7 +508,7 @@ let do_store t d ~addr ~start ~word =
 
 let falu t d fregs fready fd fa fb op lat =
   let start = imax d (imax fready.(fa) fready.(fb)) in
-  fregs.(fd) <- Fbits.canon (op fregs.(fa) fregs.(fb));
+  fregs.(fd) <- Fbits.canon (fop_apply op fregs.(fa) fregs.(fb));
   fready.(fd) <- start + lat;
   complete t fready.(fd)
 
@@ -713,23 +723,14 @@ let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func)
            complete t ready.(rd);
            pc := next
          | Psh64_r (sc, rd, rs, ro) ->
-           (* full-width shifts for tag arithmetic *)
            let start = imax d (imax ready.(rs) ready.(ro)) in
-           let y = regs.(ro) land 63 in
-           regs.(rd) <-
-             (if sc = 0 then regs.(rs) lsl y
-              else if sc = 1 then regs.(rs) lsr y
-              else regs.(rs) asr y);
+           regs.(rd) <- sh64_apply sc regs.(rs) (regs.(ro) land 63);
            ready.(rd) <- start + 1;
            complete t ready.(rd);
            pc := next
          | Psh64_i (sc, rd, rs, i) ->
            let start = imax d ready.(rs) in
-           let y = i land 63 in
-           regs.(rd) <-
-             (if sc = 0 then regs.(rs) lsl y
-              else if sc = 1 then regs.(rs) lsr y
-              else regs.(rs) asr y);
+           regs.(rd) <- sh64_apply sc regs.(rs) (i land 63);
            ready.(rd) <- start + 1;
            complete t ready.(rd);
            pc := next
@@ -853,16 +854,16 @@ let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func)
            complete t fready.(fd);
            pc := next
          | Pfadd (fd, fa, fb) ->
-           falu t d fregs fready fd fa fb ( +. ) 3;
+           falu t d fregs fready fd fa fb Fadd 3;
            pc := next
          | Pfsub (fd, fa, fb) ->
-           falu t d fregs fready fd fa fb ( -. ) 3;
+           falu t d fregs fready fd fa fb Fsub 3;
            pc := next
          | Pfmul (fd, fa, fb) ->
-           falu t d fregs fready fd fa fb ( *. ) 5;
+           falu t d fregs fready fd fa fb Fmul 5;
            pc := next
          | Pfdiv (fd, fa, fb) ->
-           falu t d fregs fready fd fa fb ( /. ) 20;
+           falu t d fregs fready fd fa fb Fdiv 20;
            pc := next
          | Pfsqrt (fd, fs) ->
            fregs.(fd) <- Fbits.canon (sqrt fregs.(fs));
@@ -1056,11 +1057,6 @@ let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func)
 
 (* --- superinstruction templates: fused-closure compilation --- *)
 
-(* Unprofiled dispatch variants: templates only run with the profiler off,
-   so [Profile.take] in [dispatch_k] is statically known to be a no-op —
-   each variant is [dispatch_k] specialized to one port kind with the dead
-   profiler tests removed (same state transitions in the same order). *)
-
 (* From here down — the templated executor only — array indexing compiles
    to unchecked accesses: every register operand was validated against its
    register file at layout time ({!Template.regs_in_range}), every control
@@ -1076,6 +1072,10 @@ module Array = struct
   external set : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 end
 
+(* Unprofiled dispatch: templates only run with the profiler off, so the
+   [Profile.take] calls in [dispatch_k] are statically no-ops.
+   [tpl_dispatch_k] is [dispatch_k] with them removed — the same state
+   transitions in the same order, for every port [kind]. *)
 let tpl_win_retire t =
   if t.win_len >= t.cfg.window_size then begin
     let c = Array.unsafe_get t.win_buf t.win_head in
@@ -1098,52 +1098,6 @@ let tpl_dispatch_k t kind =
   if kind = kind_load then t.load_slots <- t.load_slots + 1
   else if kind = kind_store then t.store_slots <- t.store_slots + 1;
   t.cycle
-
-(* Operator specialization: resolve the ALU/condition once at template
-   compile time instead of re-matching per executed instruction. *)
-
-let alu_fn (a : Lir.alu) : int -> int -> int =
-  match a with
-  | Lir.Add -> ( + )
-  | Sub -> ( - )
-  | Mul -> ( * )
-  | Div -> fun x y -> if y = 0 then 0 else x / y
-  | Rem -> fun x y -> if y = 0 then 0 else Stdlib.( mod ) x y
-  | And -> ( land )
-  | Or -> ( lor )
-  | Xor -> ( lxor )
-  | Shl -> fun x y -> x lsl (y land 31)
-  | Shr -> fun x y -> (x land 0xffff_ffff) lsr (y land 31)
-  | Sar -> fun x y -> x asr (y land 31)
-
-let cond_fn (c : Lir.cond) : int -> int -> bool =
-  match c with
-  | Lir.Eq -> fun x y -> x = y
-  | Ne -> fun x y -> x <> y
-  | Lt -> fun x y -> x < y
-  | Le -> fun x y -> x <= y
-  | Gt -> fun x y -> x > y
-  | Ge -> fun x y -> x >= y
-  | Bit_set -> fun x y -> x land y <> 0
-  | Bit_clear -> fun x y -> x land y = 0
-
-let fcond_fn (c : Lir.fcond) : float -> float -> bool =
-  match c with
-  | Lir.FEq -> fun x y -> x = y
-  | FNe -> fun x y -> x <> y
-  | FLt -> fun x y -> x < y
-  | FLe -> fun x y -> x <= y
-  | FGt -> fun x y -> x > y
-  | FGe -> fun x y -> x >= y
-  | FNlt -> fun x y -> not (x < y)
-  | FNle -> fun x y -> not (x <= y)
-  | FNgt -> fun x y -> not (x > y)
-  | FNge -> fun x y -> not (x >= y)
-
-let sh64_fn sc : int -> int -> int =
-  if sc = 0 then fun x y -> x lsl y
-  else if sc = 1 then fun x y -> x lsr y
-  else fun x y -> x asr y
 
 (* Terminator epilogues shared by the deopt-capable step closures —
    closures over nothing, mirroring [post_store_check] /
@@ -1203,7 +1157,7 @@ let compile_pseudo t (op : Predecode.pre) : tstep =
 
 (** Compile one non-pseudo instruction into a fused step closure. All
     operands, latencies, ALU/condition operators and the dispatch-port
-    variant are bound at compile time; each closure body is the matching
+    kind are captured immediates; each closure body is the matching
     arm of {!run_slow} minus the per-instruction counting (applied en bloc
     at block entry), the profiler tests (templates only run with profiling
     off) and the pc update for non-terminators (straight-line steps run in
@@ -1230,67 +1184,60 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       ready.(rd) <- imax d ready.(rs) + 1;
       complete t ready.(rd)
   | Palu_r (a, lat, rd, rs, ro) ->
-    let op2 = alu_fn a in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(rs) ready.(ro)) in
-      regs.(rd) <- op2 regs.(rs) regs.(ro);
+      regs.(rd) <- alu_apply a regs.(rs) regs.(ro);
       ready.(rd) <- start + lat;
       complete t ready.(rd)
   | Palu_i (a, lat, rd, rs, i) ->
-    let op2 = alu_fn a in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d ready.(rs) in
-      regs.(rd) <- op2 regs.(rs) i;
+      regs.(rd) <- alu_apply a regs.(rs) i;
       ready.(rd) <- start + lat;
       complete t ready.(rd)
   | Psh64_r (sc, rd, rs, ro) ->
-    let sh = sh64_fn sc in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(rs) ready.(ro)) in
-      regs.(rd) <- sh regs.(rs) (regs.(ro) land 63);
+      regs.(rd) <- sh64_apply sc regs.(rs) (regs.(ro) land 63);
       ready.(rd) <- start + 1;
       complete t ready.(rd)
   | Psh64_i (sc, rd, rs, i) ->
-    let sh = sh64_fn sc in
     let y = i land 63 in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d ready.(rs) in
-      regs.(rd) <- sh regs.(rs) y;
+      regs.(rd) <- sh64_apply sc regs.(rs) y;
       ready.(rd) <- start + 1;
       complete t ready.(rd)
   | Palu32_r (a, lat, rd, rs, ro) ->
-    let op2 = alu_fn a in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(rs) ready.(ro)) in
-      regs.(rd) <- Value.to_int32 (op2 regs.(rs) regs.(ro));
+      regs.(rd) <- Value.to_int32 (alu_apply a regs.(rs) regs.(ro));
       ready.(rd) <- start + lat;
       complete t ready.(rd)
   | Palu32_i (a, lat, rd, rs, i) ->
-    let op2 = alu_fn a in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d ready.(rs) in
-      regs.(rd) <- Value.to_int32 (op2 regs.(rs) i);
+      regs.(rd) <- Value.to_int32 (alu_apply a regs.(rs) i);
       ready.(rd) <- start + lat;
       complete t ready.(rd)
   | Paluov_r (a, lat, rd, rs, ro, target) ->
-    let op2 = alu_fn a in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(rs) ready.(ro)) in
-      let v = op2 regs.(rs) regs.(ro) in
+      let v = alu_apply a regs.(rs) regs.(ro) in
       ready.(rd) <- start + lat;
       complete t ready.(rd);
       if Value.smi_fits (v asr 1) then begin
@@ -1299,12 +1246,11 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       end
       else env.te_pc <- target
   | Paluov_i (a, lat, rd, rs, i, target) ->
-    let op2 = alu_fn a in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d ready.(rs) in
-      let v = op2 regs.(rs) i in
+      let v = alu_apply a regs.(rs) i in
       ready.(rd) <- start + lat;
       complete t ready.(rd);
       if Value.smi_fits (v asr 1) then begin
@@ -1426,19 +1372,19 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
   | Pfadd (fd, fa, fb) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
-      falu t d env.te_fregs env.te_fready fd fa fb ( +. ) 3
+      falu t d env.te_fregs env.te_fready fd fa fb Fadd 3
   | Pfsub (fd, fa, fb) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
-      falu t d env.te_fregs env.te_fready fd fa fb ( -. ) 3
+      falu t d env.te_fregs env.te_fready fd fa fb Fsub 3
   | Pfmul (fd, fa, fb) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
-      falu t d env.te_fregs env.te_fready fd fa fb ( *. ) 5
+      falu t d env.te_fregs env.te_fready fd fa fb Fmul 5
   | Pfdiv (fd, fa, fb) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
-      falu t d env.te_fregs env.te_fready fd fa fb ( /. ) 20
+      falu t d env.te_fregs env.te_fready fd fa fb Fdiv 20
   | Pfsqrt (fd, fs) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1473,29 +1419,26 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       env.te_ready.(rd) <- imax d env.te_fready.(fs) + flat_lat;
       complete t env.te_ready.(rd)
   | Pbranch_r (c, r, ro, target) ->
-    let cmp = cond_fn c in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(r) ready.(ro)) in
-      let taken = cmp regs.(r) regs.(ro) in
+      let taken = cond_apply c regs.(r) regs.(ro) in
       branch_resolve t ~opt_id ~pc ~start ~taken;
       env.te_pc <- (if taken then target else next)
   | Pbranch_i (c, r, i, target) ->
-    let cmp = cond_fn c in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let start = imax d env.te_ready.(r) in
-      let taken = cmp env.te_regs.(r) i in
+      let taken = cond_apply c env.te_regs.(r) i in
       branch_resolve t ~opt_id ~pc ~start ~taken;
       env.te_pc <- (if taken then target else next)
   | Pfbranch (c, fa, fb, target) ->
-    let cmp = fcond_fn c in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let fready = env.te_fready in
       let start = imax d (imax fready.(fa) fready.(fb)) in
-      let taken = cmp env.te_fregs.(fa) env.te_fregs.(fb) in
+      let taken = fcond_apply c env.te_fregs.(fa) env.te_fregs.(fb) in
       branch_resolve t ~opt_id ~pc ~start ~taken;
       env.te_pc <- (if taken then target else next)
   | Pjmp target ->
@@ -1665,26 +1608,6 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
          t_post_store t env f deopt_id next
        with Cc_exception info -> t_handle_cc t env f deopt_id info next)
 
-(** En-bloc counter application: one straight-line pass adding the block
-    summary, called once per block entry while measuring. Exact because
-    non-terminator instructions cannot exit the block
-    ({!Template.summarize}). The unsafe accesses pair same-length arrays
-    ([Categories.count] and [check_kind_count + 1] on both sides). *)
-let apply_summary (c : Counters.t) (s : Template.summary) =
-  let bc = c.Counters.by_cat and sc = s.Template.s_by_cat in
-  for i = 0 to Array.length sc - 1 do
-    Array.unsafe_set bc i (Array.unsafe_get bc i + Array.unsafe_get sc i)
-  done;
-  let bk = c.Counters.by_check_kind and sk = s.Template.s_by_check in
-  for i = 0 to Array.length sk - 1 do
-    Array.unsafe_set bk i (Array.unsafe_get bk i + Array.unsafe_get sk i)
-  done;
-  c.Counters.guards_obj_load <- c.Counters.guards_obj_load + s.Template.s_guards;
-  c.Counters.opt_loads <- c.Counters.opt_loads + s.Template.s_loads;
-  c.Counters.opt_stores <- c.Counters.opt_stores + s.Template.s_stores;
-  c.Counters.opt_branches <- c.Counters.opt_branches + s.Template.s_branches;
-  c.Counters.opt_fp <- c.Counters.opt_fp + s.Template.s_fp
-
 (** Compile one basic block into its fused step array. I-cache accounting
     is resolved statically within the block: after any executed non-pseudo
     instruction [last_iline] equals its line, so only the block's first
@@ -1805,7 +1728,7 @@ let run_templated t (host : host) (f : Lir.func) (tpl : template)
   let counters = t.counters in
   while env.te_running do
     let b = blocks.(block_of_pc.(env.te_pc)) in
-    if t.measuring then apply_summary counters b.tb_sum;
+    if t.measuring then Template.apply counters b.tb_sum;
     let steps = b.tb_steps in
     for i = 0 to Array.length steps - 1 do
       (Array.unsafe_get steps i) env

@@ -4,10 +4,11 @@
 
     This module is the pure analysis half: which pcs lead blocks, where
     each block ends, and the en-bloc counter summary the executor applies
-    once per block entry instead of once per instruction. The closure
-    compilation (the half that needs {!Machine.t}'s timing primitives)
-    lives in machine.ml; keeping the layout separate makes it independently
-    testable against the 39 LIR constructors (test/test_template.ml).
+    ({!apply}) once per block entry instead of once per instruction. The
+    closure compilation (the half that needs {!Machine.t}'s timing
+    primitives) lives in machine.ml; keeping the layout separate makes it
+    independently testable against the 39 LIR constructors
+    (test/test_template.ml).
 
     Invariants the layout guarantees (and the executor relies on):
     - every control-flow successor of a block (branch target, fall-through
@@ -134,7 +135,15 @@ type summary = {
   s_stores : int;
   s_branches : int;
   s_fp : int;
+  s_pairs : int array;
+      (** the nonzero counts above as flat [slot; delta] pairs, the form
+          {!apply} adds at block entry *)
 }
+
+(* Sparse slot numbering: the category slots, then the check-kind slots,
+   then guards, loads, stores, branches and fp. *)
+let slot_check0 = Categories.count
+let slot_scalar0 = slot_check0 + Categories.check_kind_count + 1
 
 type block = {
   b_start : int;  (** leader pc *)
@@ -174,6 +183,14 @@ let summarize (pf : Predecode.func) ~start ~len : summary =
       | _ -> ()
     end
   done;
+  let dense =
+    Array.concat
+      [ by_cat; by_check; [| !guards; !loads; !stores; !branches; !fp |] ]
+  in
+  let pairs = ref [] in
+  for slot = Array.length dense - 1 downto 0 do
+    if dense.(slot) <> 0 then pairs := slot :: dense.(slot) :: !pairs
+  done;
   {
     s_by_cat = by_cat;
     s_by_check = by_check;
@@ -182,7 +199,35 @@ let summarize (pf : Predecode.func) ~start ~len : summary =
     s_stores = !stores;
     s_branches = !branches;
     s_fp = !fp;
+    s_pairs = Array.of_list !pairs;
   }
+
+(** Add a block's summary to the counters: only its nonzero slots, one add
+    per counter the block moves instead of one per counter. The unsafe
+    accesses are in range because [summarize] emits only slots below
+    [Categories.count] into [by_cat] and below [check_kind_count + 1] into
+    [by_check_kind], the lengths {!Counters.create} gives them. *)
+let apply (c : Counters.t) (s : summary) =
+  let p = s.s_pairs in
+  for k = 0 to (Array.length p / 2) - 1 do
+    let slot = Array.unsafe_get p (2 * k)
+    and d = Array.unsafe_get p ((2 * k) + 1) in
+    if slot < slot_check0 then
+      Array.unsafe_set c.Counters.by_cat slot
+        (Array.unsafe_get c.Counters.by_cat slot + d)
+    else if slot < slot_scalar0 then begin
+      let i = slot - slot_check0 in
+      Array.unsafe_set c.Counters.by_check_kind i
+        (Array.unsafe_get c.Counters.by_check_kind i + d)
+    end
+    else
+      match slot - slot_scalar0 with
+      | 0 -> c.Counters.guards_obj_load <- c.Counters.guards_obj_load + d
+      | 1 -> c.Counters.opt_loads <- c.Counters.opt_loads + d
+      | 2 -> c.Counters.opt_stores <- c.Counters.opt_stores + d
+      | 3 -> c.Counters.opt_branches <- c.Counters.opt_branches + d
+      | _ -> c.Counters.opt_fp <- c.Counters.opt_fp + d
+  done
 
 (** Compute the template layout of a decoded stream, or [None] when the
     stream is not well formed for fusion (a branch target out of range, or

@@ -31,6 +31,10 @@ type summary = {
   s_stores : int;
   s_branches : int;
   s_fp : int;
+  s_pairs : int array;
+      (** the nonzero counts above as flat [slot; delta] pairs, in slot
+          order: the category slots, the check-kind slots, then guards,
+          loads, stores, branches and fp *)
 }
 
 type block = {
@@ -50,6 +54,10 @@ type t = {
 (** Summary of [len] instructions starting at [start] (exposed for the
     exhaustive per-constructor test). *)
 val summarize : Predecode.func -> start:int -> len:int -> summary
+
+(** Add a summary's nonzero counts ([s_pairs]) to the counters — what the
+    templated executor does at every block entry while measuring. *)
+val apply : Counters.t -> summary -> unit
 
 (** The template layout, or [None] when the stream cannot be fused (target
     out of range, straight-line code or a fall-through terminator running

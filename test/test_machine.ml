@@ -50,6 +50,154 @@ let test_tlb () =
   ignore (Tlb.access t 0x20000);  (* evicts page of 0x1000 *)
   Alcotest.(check bool) "evicted" false (Tlb.access t 0x1000)
 
+(* --- lookup shortcuts against a reference LRU ---
+
+   [Cache.access] tries each set's MRU way before its scan, and
+   [Tlb.access] finds a page through a page -> entry side table. Both must
+   stay exact, so seeded streams run against a plain linear-scan LRU with
+   the documented victim rule (the last empty way, else the first way with
+   the strictly smallest stamp), and the hit/miss sequence and the stats
+   must match. The streams re-touch a line or page right after evicting
+   it, which is where a stale MRU way or side-table entry would answer
+   "hit". *)
+
+type ref_lru = {
+  r_tags : int array array;  (** per set; -1 = empty *)
+  r_stamps : int array array;
+  mutable r_clock : int;
+  mutable r_hits : int;
+  mutable r_misses : int;
+}
+
+let ref_create ~sets ~ways =
+  {
+    r_tags = Array.init sets (fun _ -> Array.make ways (-1));
+    r_stamps = Array.init sets (fun _ -> Array.make ways 0);
+    r_clock = 0;
+    r_hits = 0;
+    r_misses = 0;
+  }
+
+(* One access ([count] = true) or one stats-free insert of [tag] in [set]. *)
+let ref_touch r ~set ~tag ~count =
+  r.r_clock <- r.r_clock + 1;
+  let tags = r.r_tags.(set) and stamps = r.r_stamps.(set) in
+  let ways = Array.length tags in
+  let way = ref (-1) in
+  Array.iteri (fun w x -> if x = tag then way := w) tags;
+  if !way >= 0 then begin
+    if count then begin
+      stamps.(!way) <- r.r_clock;
+      r.r_hits <- r.r_hits + 1
+    end;
+    true
+  end
+  else begin
+    if count then r.r_misses <- r.r_misses + 1;
+    let victim = ref (-1) in
+    Array.iteri (fun w x -> if x = -1 then victim := w) tags;
+    if !victim < 0 then begin
+      victim := 0;
+      for w = 1 to ways - 1 do
+        if stamps.(w) < stamps.(!victim) then victim := w
+      done
+    end;
+    tags.(!victim) <- tag;
+    stamps.(!victim) <- r.r_clock;
+    false
+  end
+
+(* A stream op on a pool of [pool] lines or pages: 0 = touch [k]; 1 = touch
+   [k], then [evict] others that share its set, then [k] again; 2 = insert
+   [k] (the cache's nursery path; a touch for the TLB); 3 = repeat the last
+   address. *)
+let lru_ops = QCheck.(list (pair (int_bound 3) (int_bound 1000)))
+
+(* Run [ops] through [real] and [model], which return hit/miss; [addr k]
+   is the address of pool item [k]; [sibling k j] the [j]th other item
+   sharing [k]'s set. *)
+let run_lru_stream ops ~pool ~evict ~addr ~sibling ~real ~model =
+  let out_real = ref [] and out_model = ref [] in
+  let last = ref 0 in
+  let touch ~count a =
+    last := a;
+    let h = real ~count a and h' = model ~count a in
+    if count then begin
+      out_real := h :: !out_real;
+      out_model := h' :: !out_model
+    end
+  in
+  List.iter
+    (fun (op, k) ->
+      let k = k mod pool in
+      match op with
+      | 0 -> touch ~count:true (addr k)
+      | 1 ->
+        touch ~count:true (addr k);
+        for j = 1 to evict do
+          touch ~count:true (addr (sibling k j))
+        done;
+        touch ~count:true (addr k)
+      | 2 -> touch ~count:false (addr k)
+      | _ -> touch ~count:true !last)
+    ops;
+  (List.rev !out_real, List.rev !out_model)
+
+let prop_cache_matches_lru =
+  (* 2 KB, 4 ways, 64 B lines: 8 sets; the pool is 8 lines in each of
+     sets 0-2, so every set overflows *)
+  QCheck.Test.make ~name:"Cache.access matches a linear-scan LRU" ~count:300
+    lru_ops (fun ops ->
+      let ways = 4 and sets = 8 in
+      let c = Cache.create ~size_kb:2 ~ways ~line_bytes:64 in
+      let r = ref_create ~sets ~ways in
+      let line k = (k mod 3) + (sets * (k / 3)) in
+      let addr k = (line k * 64) + ((k * 7) land 63) in
+      let real ~count a =
+        if count then Cache.access c a
+        else begin
+          Cache.insert c a;
+          false
+        end
+      in
+      let model ~count a =
+        let l = a lsr 6 in
+        ref_touch r ~set:(l land (sets - 1)) ~tag:l ~count
+      in
+      let hits, hits' =
+        run_lru_stream ops ~pool:24 ~evict:ways ~addr
+          ~sibling:(fun k j -> (k + (3 * j)) mod 24)
+          ~real ~model
+      in
+      hits = hits'
+      && c.Cache.stats.hits = r.r_hits
+      && c.Cache.stats.misses = r.r_misses
+      && c.Cache.stats.accesses = r.r_hits + r.r_misses)
+
+let prop_tlb_matches_lru =
+  QCheck.Test.make ~name:"Tlb.access matches a linear-scan LRU" ~count:300
+    lru_ops (fun ops ->
+      let entries = 4 in
+      let t = Tlb.create ~entries in
+      let r = ref_create ~sets:1 ~ways:entries in
+      let addr k = (k lsl Tlb.page_bits) + ((k * 97) land 4095) in
+      let real ~count:_ a = Tlb.access t a in
+      let model ~count:_ a =
+        ref_touch r ~set:0 ~tag:(a lsr Tlb.page_bits) ~count:true
+      in
+      let hits, hits' =
+        run_lru_stream ops ~pool:12 ~evict:entries ~addr
+          ~sibling:(fun k j -> (k + j) mod 12)
+          ~real ~model
+      in
+      hits = hits'
+      && t.Tlb.stats.hits = r.r_hits
+      && t.Tlb.stats.misses = r.r_misses
+      && t.Tlb.stats.accesses = r.r_hits + r.r_misses)
+
+let seeded_test prop =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop
+
 (* --- allocation discipline ---
 
    The memory-model lookups run on every simulated load, store and fetch,
@@ -410,6 +558,8 @@ let () =
           Alcotest.test_case "capacity" `Quick test_cache_capacity;
         ] );
       ("tlb", [ Alcotest.test_case "basic" `Quick test_tlb ]);
+      ( "reference lru",
+        [ seeded_test prop_cache_matches_lru; seeded_test prop_tlb_matches_lru ] );
       ( "allocation",
         [
           Alcotest.test_case "lookups allocate nothing" `Quick

@@ -114,6 +114,20 @@ let patch tgt (op : Lir.op) : Lir.op =
   | Lir.Jmp l when l = -1 -> Lir.Jmp tgt
   | op -> op
 
+(* Applying the sparse pairs to zeroed counters gives the dense summary. *)
+let check_sparse name (s : Template.summary) =
+  let c = Tce_machine.Counters.create () in
+  Template.apply c s;
+  let module C = Tce_machine.Counters in
+  Alcotest.(check (list int)) (name ^ ": sparse pairs = dense summary")
+    (Array.to_list s.Template.s_by_cat
+    @ Array.to_list s.Template.s_by_check
+    @ Template.[ s.s_guards; s.s_loads; s.s_stores; s.s_branches; s.s_fp ])
+    (Array.to_list c.C.by_cat
+    @ Array.to_list c.C.by_check_kind
+    @ [ c.C.guards_obj_load; c.C.opt_loads; c.C.opt_stores; c.C.opt_branches;
+        c.C.opt_fp ])
+
 let check_invariants name (pf : Predecode.func) (t : Template.t) =
   let n = Array.length pf.Predecode.ops in
   let blocks = t.Template.blocks in
@@ -181,7 +195,8 @@ let check_invariants name (pf : Predecode.func) (t : Template.t) =
         (add (fun s -> s.Template.s_stores));
       Alcotest.(check int) (name ^ ": branches add up")
         whole.Template.s_branches
-        (add (fun s -> s.Template.s_branches)))
+        (add (fun s -> s.Template.s_branches));
+      check_sparse name whole)
     blocks
 
 let test_every_constructor () =
@@ -273,6 +288,33 @@ let test_bit_identity_vs_per_instruction () =
         (name ^ ": templated record = per-instruction record")
         true
         (Record.equal_deterministic templated reference))
+    spot_names
+
+(* Every block of every stream the spot workloads compile: its sparse
+   pairs add up to its dense summary. *)
+let test_sparse_summary_on_workloads () =
+  List.iter
+    (fun name ->
+      let w = workload name in
+      let e = Tce_engine.Engine.of_source w.W.source in
+      ignore (Tce_engine.Engine.run_main e);
+      for _ = 1 to w.W.iterations do
+        ignore (Tce_engine.Engine.call_by_name e "bench" [||])
+      done;
+      let blocks = ref 0 in
+      Hashtbl.iter
+        (fun _ pf ->
+          match Template.layout pf with
+          | None -> ()
+          | Some t ->
+            Array.iter
+              (fun (b : Template.block) ->
+                incr blocks;
+                check_sparse name b.Template.b_sum)
+              t.Template.blocks)
+        e.Tce_engine.Engine.mach.Tce_machine.Machine.pre_cache;
+      Alcotest.(check bool) (name ^ ": compiled blocks were checked") true
+        (!blocks > 0))
     spot_names
 
 (* --- (d) profile reconciliation with templates on --- *)
@@ -401,6 +443,8 @@ let () =
         [
           Alcotest.test_case "bit-identity vs per-instruction" `Slow
             test_bit_identity_vs_per_instruction;
+          Alcotest.test_case "sparse summary on spot workloads" `Slow
+            test_sparse_summary_on_workloads;
           Alcotest.test_case "profile reconciles with templates" `Slow
             test_profile_reconciles_with_templates;
         ] );
