@@ -54,18 +54,7 @@
       consults the content-addressed cell cache (results/cache/) by
       default: a repeated identical run performs zero simulations, with
       rows asserted byte-identical to fresh ones. --no-cache disables
-      it, --cache-dir DIR relocates it. They also take
-      the fleet-telemetry flags: --telemetry-out FILE (periodic
-      OpenMetrics snapshots), --serve-metrics PORT (HTTP scrape endpoint,
-      0 = ephemeral; the bound port is announced on stderr) and
-      --status-board (live per-shard board on stderr, plain log lines
-      when stderr is not a TTY). All of them off leaves every run
-      byte-identical to a build without telemetry.
-      dune exec bench/main.exe -- --trends [N]
-        (cross-run trend report over the last N archived runs, default
-         20: per-workload time series from results/history/ and fault
-         campaigns from results/campaigns/, MAD anomaly flagging, text
-         report to stdout plus results/trends/trends.{txt,html})
+      it, --cache-dir DIR relocates it.
       dune exec bench/main.exe -- --profile-diff BASE [CUR]
         (run-vs-run differential between two prof-report documents, e.g.
          a results/history/prof-*.json snapshot vs PROF_latest.json;
@@ -325,17 +314,13 @@ let make_cache opts =
   | Some dir -> Tce_runner.Cache.create ~dir ()
   | None -> Tce_runner.Cache.create ()
 
-(* Shared post-run bookkeeping: one stats line to stdout, the telemetry
-   counters, and the size-bounded LRU prune. *)
-let finish_cache ?telem cache =
+(* Shared post-run bookkeeping: one stats line to stdout and the
+   size-bounded LRU prune. *)
+let finish_cache cache =
   match cache with
   | None -> ()
   | Some c ->
-    let s = Tce_runner.Cache.stats c in
-    Tce_runner.Cache.print_stats s;
-    (match telem with
-    | Some t -> Tce_runner.Telem.cache_stats t s
-    | None -> ());
+    Tce_runner.Cache.print_stats (Tce_runner.Cache.stats c);
     ignore (Tce_runner.Cache.prune ~dir:(Tce_runner.Cache.dir c) ())
 
 (* `--chaos MODE:ARG` (hidden worker side of the chaos harness). *)
@@ -357,42 +342,10 @@ let parse_parent_chaos opts =
     | Ok mode -> Some (mode, opt_int opts "chaos-seed" ~default:1)
     | Error e -> usage_fail ("bad --chaos-worker: " ^ e))
 
-(* `--telemetry-out FILE` / `--serve-metrics PORT` / `--status-board`:
-   the fleet-telemetry surfaces shared by --bench / --faults / --check
-   (plus the hidden `--heartbeat SLOT` worker side). All of them off —
-   the common case — means [None] is threaded everywhere and the run is
-   byte-identical to a build without telemetry. *)
-let telem_flags = [ "telemetry-out"; "serve-metrics"; "heartbeat" ]
-
-let make_telem ~driver ~total ~board opts =
-  let serve =
-    match Hashtbl.find_opt opts "serve-metrics" with
-    | None -> None
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some p when p >= 0 -> Some p
-      | _ ->
-        usage_fail (Printf.sprintf "--serve-metrics expects a port, got %s" v))
-  in
-  let options =
-    { Tce_runner.Telem.out = Hashtbl.find_opt opts "telemetry-out"; serve; board }
-  in
-  match Tce_runner.Telem.create ~driver ~total options with
-  | Error e -> usage_fail ("telemetry: " ^ e)
-  | Ok t ->
-    (match Option.bind t Tce_runner.Telem.server_port with
-    | Some p ->
-      (* announce the bound port (essential with --serve-metrics 0) *)
-      Printf.eprintf
-        "telemetry: serving OpenMetrics on http://127.0.0.1:%d/metrics\n%!" p
-    | None -> ());
-    t
-
 (* Hidden worker mode (`--worker-indices i,j,k`, spawned by a supervised
    parent): run exactly those cells of the matrix, in order, one row
    envelope per cell on stdout, then exit — no summary, no result files.
-   `--chaos MODE:ARG` arms the worker side of the chaos harness and
-   `--heartbeat SLOT` interleaves `telem` progress envelopes with the rows. *)
+   `--chaos MODE:ARG` arms the worker side of the chaos harness. *)
 let serve_worker opts cells =
   match Hashtbl.find_opt opts "worker-indices" with
   | None -> ()
@@ -406,19 +359,7 @@ let serve_worker opts cells =
             usage_fail (Printf.sprintf "--worker-indices: bad index %S" t))
         (String.split_on_char ',' s)
     in
-    let beat =
-      Option.map
-        (fun v ->
-          match int_of_string_opt v with
-          | Some slot ->
-            Tce_telem.Heartbeat.emitter ~slot ~total:(List.length indices)
-              ~out:stdout
-          | None ->
-            usage_fail
-              (Printf.sprintf "--heartbeat expects a slot number, got %s" v))
-        (Hashtbl.find_opt opts "heartbeat")
-    in
-    Tce_runner.Shard.worker ?chaos:(parse_worker_chaos opts) ?beat ~indices
+    Tce_runner.Shard.worker ?chaos:(parse_worker_chaos opts) ~indices
       ~out:stdout (cells ());
     exit 0
 
@@ -428,8 +369,6 @@ let run_bench args =
      value-taking flag parser sees them. *)
   let time_args, args = List.partition (fun a -> a = "--time") args in
   let show_time = time_args <> [] in
-  let board_args, args = List.partition (fun a -> a = "--status-board") args in
-  let board = board_args <> [] in
   let det_args, args = List.partition (fun a -> a = "--deterministic") args in
   let deterministic = det_args <> [] in
   let strict_args, args = List.partition (fun a -> a = "--strict") args in
@@ -473,10 +412,9 @@ let run_bench args =
   in
   let opts, names =
     parse_flags
-      ([ "out"; "history"; "suite"; "shards"; "worker-indices";
-         "chaos"; "supervise-timeout"; "max-retries"; "resume"; "chaos-worker";
-         "chaos-seed"; "cache-dir" ]
-      @ telem_flags)
+      [ "out"; "history"; "suite"; "shards"; "worker-indices";
+        "chaos"; "supervise-timeout"; "max-retries"; "resume"; "chaos-worker";
+        "chaos-seed"; "cache-dir" ]
       args
   in
   let suite = Option.value ~default:"all" (Hashtbl.find_opt opts "suite") in
@@ -487,7 +425,6 @@ let run_bench args =
   if shards > 1 && (attr_out <> None || prof_out <> None) then
     usage_fail "--attr/--profile are not supported with --shards (run them serially)";
   let resume = Hashtbl.find_opt opts "resume" in
-  let telem = make_telem ~driver:"bench" ~total:(List.length ws) ~board opts in
   let chaos = parse_parent_chaos opts in
   (* chaos drills exist to exercise live workers, so an armed chaos
      harness disables the cell cache (a warm cache would pre-resolve the
@@ -497,12 +434,11 @@ let run_bench args =
   in
   let run =
     Tce_runner.Runner.run_suite ~shards ~supervise:(supervise_config opts)
-      ?resume ?chaos ?telem ?config ?cache
+      ?resume ?chaos ?config ?cache
       ~worker_args:(if Option.is_none config then [] else [ "--no-templates" ])
       ws
   in
-  finish_cache ?telem cache;
-  Option.iter Tce_runner.Telem.finish telem;
+  finish_cache cache;
   let run = if deterministic then Tce_runner.Record.normalize_run run else run in
   let latest =
     Option.value ~default:Tce_runner.Store.latest_path (Hashtbl.find_opt opts "out")
@@ -618,16 +554,13 @@ let run_profile_diff args =
 let run_faults args =
   let strict_args, args = List.partition (fun a -> a = "--strict") args in
   let strict = strict_args <> [] in
-  let board_args, args = List.partition (fun a -> a = "--status-board") args in
-  let board = board_args <> [] in
   let nc_args, args = List.partition (fun a -> a = "--no-cache") args in
   let no_cache = nc_args <> [] in
   let opts, names =
     parse_flags
-      ([ "fault-seed"; "fault-spec"; "out"; "dir"; "suite"; "shards";
-         "worker-indices"; "chaos"; "supervise-timeout"; "max-retries";
-         "resume"; "chaos-worker"; "chaos-seed"; "cache-dir" ]
-      @ telem_flags)
+      [ "fault-seed"; "fault-spec"; "out"; "dir"; "suite"; "shards";
+        "worker-indices"; "chaos"; "supervise-timeout"; "max-retries";
+        "resume"; "chaos-worker"; "chaos-seed"; "cache-dir" ]
       args
   in
   let seed =
@@ -647,11 +580,6 @@ let run_faults args =
   let shards = opt_int opts "shards" ~default:1 in
   if shards < 1 then usage_fail "--shards expects a positive integer";
   let resume = Hashtbl.find_opt opts "resume" in
-  let telem =
-    make_telem ~driver:"faults"
-      ~total:(List.length (Tce_runner.Campaign.matrix ~spec ws))
-      ~board opts
-  in
   let chaos = parse_parent_chaos opts in
   (* as for --bench: a chaos drill needs live workers, not cache hits *)
   let cache =
@@ -666,12 +594,11 @@ let run_faults args =
   in
   let campaign =
     Tce_runner.Campaign.run ~spec ~seed ~shards
-      ~supervise:(supervise_config opts) ?resume ?chaos ?telem ?cache
+      ~supervise:(supervise_config opts) ?resume ?chaos ?cache
       ~worker_args:(pass "fault-seed" @ pass "fault-spec")
       ws
   in
-  finish_cache ?telem cache;
-  Option.iter Tce_runner.Telem.finish telem;
+  finish_cache cache;
   let latest =
     Option.value ~default:Tce_runner.Campaign.latest_path
       (Hashtbl.find_opt opts "out")
@@ -700,8 +627,6 @@ let run_sweep args =
       usage_fail
         "--sweep needs a spec string (e.g. \"cc.entries=64,128 cc.ways=1,2\")"
   in
-  let board_args, args = List.partition (fun a -> a = "--status-board") args in
-  let board = board_args <> [] in
   let det_args, args = List.partition (fun a -> a = "--deterministic") args in
   let deterministic = det_args <> [] in
   let nc_args, args = List.partition (fun a -> a = "--no-cache") args in
@@ -710,9 +635,8 @@ let run_sweep args =
   let strict = strict_args <> [] in
   let opts, names =
     parse_flags
-      ([ "out"; "csv"; "dir"; "suite"; "shards"; "worker-indices";
-         "supervise-timeout"; "max-retries"; "resume"; "cache-dir" ]
-      @ telem_flags)
+      [ "out"; "csv"; "dir"; "suite"; "shards"; "worker-indices";
+        "supervise-timeout"; "max-retries"; "resume"; "cache-dir" ]
       args
   in
   let axes =
@@ -728,15 +652,12 @@ let run_sweep args =
   let resume = Hashtbl.find_opt opts "resume" in
   let points, _ = Tce_runner.Sweep.expand axes in
   if points = [] then usage_fail "empty sweep grid (every combination invalid)";
-  let total = List.length points * List.length ws in
-  let telem = make_telem ~driver:"sweep" ~total ~board opts in
   let cache = if no_cache then None else Some (make_cache opts) in
   let sweep =
-    Tce_runner.Sweep.run ~supervise:(supervise_config opts) ?resume ?telem
-      ?cache ~shards ~axes ws
+    Tce_runner.Sweep.run ~supervise:(supervise_config opts) ?resume ?cache
+      ~shards ~axes ws
   in
-  finish_cache ?telem cache;
-  Option.iter Tce_runner.Telem.finish telem;
+  finish_cache cache;
   let sweep =
     if deterministic then Tce_runner.Sweep.normalize sweep else sweep
   in
@@ -770,32 +691,13 @@ let run_sweep args =
   | Ok _ -> exit 0
   | Error _ -> exit 1
 
-(* `--trends [N]`: cross-run trend report over the archived history. *)
-let run_trends args =
-  let n, rest =
-    match args with
-    | a :: rest when int_of_string_opt a <> None -> (int_of_string a, rest)
-    | rest -> (20, rest)
-  in
-  if rest <> [] then
-    usage_fail ("--trends takes at most a run count, got " ^ String.concat " " rest);
-  if n < 1 then usage_fail "--trends expects a positive run count";
-  match Tce_runner.Trend_data.run ~n () with
-  | Ok _anomalies -> exit 0
-  | Error e ->
-    Printf.eprintf "trends: %s\n" e;
-    exit 2
-
 let run_check args =
-  let board_args, args = List.partition (fun a -> a = "--status-board") args in
-  let board = board_args <> [] in
   let nc_args, args = List.partition (fun a -> a = "--no-cache") args in
   let no_cache = nc_args <> [] in
   let opts, names =
     parse_flags
-      ([ "baseline"; "tolerance"; "shards"; "supervise-timeout";
-         "max-retries"; "cache-dir" ]
-      @ telem_flags)
+      [ "baseline"; "tolerance"; "shards"; "supervise-timeout";
+        "max-retries"; "cache-dir" ]
       args
   in
   let baseline_path =
@@ -807,15 +709,11 @@ let run_check args =
   in
   let shards = opt_int opts "shards" ~default:1 in
   if shards < 1 then usage_fail "--shards expects a positive integer";
-  (* The gate sizes the roster itself ({!Tce_runner.Telem.set_total}),
-     so the scheduled total starts at 0 here. *)
-  let telem = make_telem ~driver:"gate" ~total:0 ~board opts in
   let cache = if no_cache then None else Some (make_cache opts) in
   let code =
     Tce_runner.Gate.run_gate ~baseline_path ~tolerance_pct ?cache ~names
-      ~shards ~supervise:(supervise_config opts) ?telem ()
+      ~shards ~supervise:(supervise_config opts) ()
   in
-  Option.iter Tce_runner.Telem.finish telem;
   exit code
 
 let () =
@@ -828,7 +726,6 @@ let () =
   | "--faults" :: rest -> run_faults rest
   | "--sweep" :: rest -> run_sweep rest
   | "--profile-diff" :: rest -> run_profile_diff rest
-  | "--trends" :: rest -> run_trends rest
   | "--metrics-json" :: path :: rest ->
     run_metrics_json ~path rest;
     exit 0
@@ -838,6 +735,9 @@ let () =
       ~path:(String.sub first 15 (String.length first - 15))
       rest;
     exit 0
+  | [ "--metrics-json" ] -> usage_fail "--metrics-json needs a FILE"
+  | opt :: _ when String.length opt > 2 && String.sub opt 0 2 = "--" ->
+    usage_fail ("unknown option " ^ opt)
   | _ -> ());
   let chosen =
     if args = [] then List.map fst all_experiments

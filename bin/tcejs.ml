@@ -171,7 +171,7 @@ let run_term =
     | Some path ->
       Tce_obs.Sink.write_file ~path
         (Tce_obs.Sink.render ~format:trace_format
-           ~counters:(Tce_telem.Track.chrome_counters t.Tce_engine.Engine.snap)
+           ~counters:(Tce_obs.Sink.chrome_counters t.Tce_engine.Engine.snap)
            trace)
     | None -> ());
     (match metrics_json with

@@ -9,11 +9,7 @@
        - FILE parses as a versioned Tce_obs.Export document (matching
          schema_version); with KIND, the document kind must match.
      validate_obs jsonl FILE
-       - every line of FILE parses as a JSON object with at/event keys.
-     validate_obs openmetrics FILE
-       - FILE parses under the strict Tce_telem OpenMetrics parser
-         (TYPE-before-samples, suffix rules, cumulative histogram
-         buckets, terminal # EOF). *)
+       - every line of FILE parses as a JSON object with at/event keys. *)
 
 module J = Tce_obs.Json
 
@@ -91,24 +87,10 @@ let check_jsonl path =
     lines;
   Printf.printf "validate_obs: %s OK (%d records)\n" path (List.length lines)
 
-let check_openmetrics path =
-  match Tce_telem.Expo.Parse.parse_result (read_file path) with
-  | Error e -> fail "%s: %s" path e
-  | Ok fams ->
-    let points =
-      List.fold_left
-        (fun n (f : Tce_telem.Expo.Parse.family) ->
-          n + List.length f.Tce_telem.Expo.Parse.p_points)
-        0 fams
-    in
-    Printf.printf "validate_obs: %s OK (%d metric families, %d samples)\n" path
-      (List.length fams) points
-
 let () =
   match Array.to_list Sys.argv with
   | _ :: "chrome" :: path :: rest -> check_chrome path (rest = [ "require-deopt" ])
   | _ :: "export" :: path :: rest ->
     check_export path (match rest with k :: _ -> Some k | [] -> None)
   | [ _; "jsonl"; path ] -> check_jsonl path
-  | [ _; "openmetrics"; path ] -> check_openmetrics path
-  | _ -> fail "usage: validate_obs (chrome|export|jsonl|openmetrics) FILE [...]"
+  | _ -> fail "usage: validate_obs (chrome|export|jsonl) FILE [...]"

@@ -7,8 +7,9 @@
    v4: the [prof-report] (roster-wide cycle-attribution profiles) and
    [time-report] (machine-readable --time wall table) document kinds
    exist; Chrome traces gain [prof/<cost>] counter tracks.
-   v5: the [telem] worker heartbeat envelope kind exists (single-line
-   progress beats interleaved with bench-row/fault-cell streams).
+   v5: the [telem] worker heartbeat envelope kind existed (single-line
+   progress beats interleaved with bench-row/fault-cell streams); it has
+   since been retired, and no v5 document changed with it.
    Older documents remain readable ([open_document] accepts 1..version);
    readers that need version-dependent defaults use [open_document_v]. *)
 let schema_version = 5

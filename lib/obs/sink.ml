@@ -135,6 +135,28 @@ let counter ~at name value =
       ("args", Json.Obj [ (name, Json.Int value) ]);
     ]
 
+(* Order is load-bearing: it is the on-disk track order of every Chrome
+   trace written so far, asserted by test_obs. *)
+let catalog (s : Snapshot.sample) : (string * int) list =
+  [
+    ("deopts", s.Snapshot.deopts);
+    ("cc-occupancy", s.Snapshot.cc_occupancy);
+    ("cc-conflicts", s.Snapshot.cc_conflicts);
+    ("heap-bytes", s.Snapshot.heap_bytes);
+  ]
+  @ List.mapi
+      (fun i v -> (Printf.sprintf "cc-occupancy/sets-%d" i, v))
+      (Array.to_list s.Snapshot.cc_set_occupancy)
+  @ List.map
+      (fun (n, v) -> ("prof/" ^ n, v))
+      (Array.to_list s.Snapshot.prof_costs)
+
+let chrome_counters snap =
+  List.concat_map
+    (fun (s : Snapshot.sample) ->
+      List.map (fun (name, v) -> counter ~at:s.Snapshot.at name v) (catalog s))
+    (Snapshot.samples snap)
+
 let chrome ?(counters = []) tr =
   let meta =
     [

@@ -9,10 +9,15 @@ val event_json : Trace.record -> Json.t
     event was recorded. *)
 val jsonl : Trace.t -> string
 
-(** One counter-track sample (["ph": "C"]) at simulated cycle [at].
-    Counter tracks are named through the telemetry registry catalog
-    ([Tce_telem.Track]) so the trace and scrape namespaces agree. *)
+(** One counter-track sample (["ph": "C"]) at simulated cycle [at]. *)
 val counter : at:int -> string -> int -> Json.t
+
+(** All counter-track events for a sampler's series, ready to pass as
+    [chrome ~counters]. Each sample gives, in the historical Chrome-trace
+    track order: [deopts], [cc-occupancy], [cc-conflicts], [heap-bytes],
+    then [cc-occupancy/sets-N] per Class Cache set and [prof/<cost>] per
+    cost kind. *)
+val chrome_counters : Snapshot.t -> Json.t list
 
 (** Chrome trace_event document: [{"traceEvents": [...], ...}]. Tracks:
     one thread per tier (baseline / optimized / compiler) carrying instant

@@ -367,14 +367,14 @@ let cells ~spec ~seed (ws : W.t list) : cell Shard.cells =
   }
 
 let run ?exe ?spawn ?log_dir ?supervise
-    ?(journal_path = Store.faults_journal_path) ?resume ?chaos ?telem ?cache
+    ?(journal_path = Store.faults_journal_path) ?resume ?chaos ?cache
     ?(spec = Spec.default) ?(seed = default_seed) ?jobs ?(shards = 1)
     ?(worker_args = []) (ws : W.t list) : t =
   Shard.serial_jobs jobs;
   let t0 = Unix.gettimeofday () in
   let s =
     Shard.run ?exe ?spawn ?log_dir ?supervise ~journal_path ?resume ?chaos
-      ?telem ?cache ~shards ~worker_args (cells ~spec ~seed ws)
+      ?cache ~shards ~worker_args (cells ~spec ~seed ws)
   in
   {
     campaign_seed = seed;

@@ -140,7 +140,6 @@ val run :
   ?journal_path:string ->
   ?resume:string ->
   ?chaos:Supervise.Chaos.mode * int ->
-  ?telem:Telem.t ->
   ?cache:Cache.t ->
   ?spec:Tce_fault.Spec.t ->
   ?seed:int ->
@@ -159,7 +158,6 @@ val parent :
   ?journal_path:string ->
   ?resume:string ->
   ?chaos:Supervise.Chaos.mode * int ->
-  ?telem:Telem.t ->
   ?cache:Cache.t ->
   ?spec:Tce_fault.Spec.t ->
   ?seed:int ->

@@ -284,7 +284,7 @@ let print_report ~baseline ~current (r : report) =
 let run_gate ?(baseline_path = Store.baseline_path)
     ?(tolerance_pct = default_tolerance_pct) ?cache ?(names = [])
     ?(resolve = Tce_workloads.Workloads.by_name) ?(save_latest = true) ?shards
-    ?supervise ?telem () : int =
+    ?supervise () : int =
   match Store.load baseline_path with
   | Error msg ->
     (* Actionable failure: say *why* the baseline is unusable and how to
@@ -349,19 +349,11 @@ let run_gate ?(baseline_path = Store.baseline_path)
       2
     end
     else begin
-      (match telem with
-      | None -> ()
-      | Some t -> Telem.set_total t (List.length roster));
-      let current =
-        Runner.run_suite ?supervise ?telem ?cache ?shards roster
-      in
+      let current = Runner.run_suite ?supervise ?cache ?shards roster in
       (match cache with
       | None -> ()
       | Some c ->
         Cache.print_stats (Cache.stats c);
-        (match telem with
-        | None -> ()
-        | Some t -> Telem.cache_stats t (Cache.stats c));
         ignore (Cache.prune ~dir:(Cache.dir c) ()));
       if save_latest then ignore (Store.save current);
       let kept =
@@ -376,13 +368,5 @@ let run_gate ?(baseline_path = Store.baseline_path)
       let baseline = { baseline with Record.workloads = kept } in
       let report = check_run ~tolerance_pct ~baseline ~current () in
       print_report ~baseline ~current report;
-      (match telem with
-      | None -> ()
-      | Some t ->
-        Telem.gate_result t ~ok:report.ok
-          ~compared:(List.length report.verdicts)
-          ~regressions:
-            (List.length
-               (List.filter (fun (v : verdict) -> not v.ok) report.verdicts)));
       if report.ok then 0 else 1
     end

@@ -74,11 +74,8 @@ val print_report : baseline:Record.run -> current:Record.run -> report -> unit
     there: serial in this process by default), persist the run through
     {!Store.save} (unless [save_latest] is false), print the delta table
     and return the process exit code: 0 = pass, 1 = regression, 2 =
-    usage/baseline error. [telem] feeds the fleet-telemetry coordinator:
-    the roster size becomes the scheduled total, rows stream through the
-    run, and the verdict lands via {!Telem.gate_result}. [cache] threads
-    the cell cache into the run, prints its stats and prunes it after the
-    run. *)
+    usage/baseline error. [cache] threads the cell cache into the run,
+    prints its stats and prunes it after the run. *)
 val run_gate :
   ?baseline_path:string ->
   ?tolerance_pct:float ->
@@ -88,6 +85,5 @@ val run_gate :
   ?save_latest:bool ->
   ?shards:int ->
   ?supervise:Supervise.config ->
-  ?telem:Telem.t ->
   unit ->
   int

@@ -51,14 +51,14 @@ let run_one ?cache ?config (w : W.t) : Record.workload =
   snd (List.hd s.Shard.rows)
 
 let run_suite ?exe ?spawn ?log_dir ?supervise
-    ?(journal_path = Store.bench_journal_path) ?resume ?chaos ?telem ?cache
+    ?(journal_path = Store.bench_journal_path) ?resume ?chaos ?cache
     ?config ?jobs ?on_row ?(shards = 1) ?(worker_args = []) (ws : W.t list) :
     Record.run =
   Shard.serial_jobs jobs;
   let t0 = Unix.gettimeofday () in
   let s =
     Shard.run ?exe ?spawn ?log_dir ?supervise ~journal_path ?resume ?chaos
-      ?telem ?cache ?on_row ~shards ~worker_args (bench_cells ?config ws)
+      ?cache ?on_row ~shards ~worker_args (bench_cells ?config ws)
   in
   Store.make_run ?config ~shards ~quarantined:s.Shard.quarantined
     ~resumed_rows:s.Shard.resumed ~cache_stats:s.Shard.cache_stats

@@ -61,7 +61,6 @@ val run_suite :
   ?journal_path:string ->
   ?resume:string ->
   ?chaos:Supervise.Chaos.mode * int ->
-  ?telem:Telem.t ->
   ?cache:Cache.t ->
   ?config:Tce_engine.Engine.config ->
   ?jobs:int ->

@@ -122,7 +122,7 @@ type 'row cells = {
   run : int -> 'row;
 }
 
-let worker ?chaos ?beat ~indices ~out (c : 'row cells) : unit =
+let worker ?chaos ~indices ~out (c : 'row cells) : unit =
   List.iter
     (fun i ->
       if i < 0 || i >= c.count then
@@ -132,9 +132,6 @@ let worker ?chaos ?beat ~indices ~out (c : 'row cells) : unit =
   List.iteri
     (fun emitted i ->
       let mode = Supervise.Chaos.before_cell chaos ~emitted ~index:i out in
-      Option.iter
-        (fun e -> Tce_telem.Heartbeat.beat_start e ~index:i ~name:(c.name i))
-        beat;
       let line = J.to_string (row_to_json c.codec ~index:i (c.run i)) in
       (match mode with
       | `Truncate -> Supervise.Chaos.truncate_line out line
@@ -143,10 +140,8 @@ let worker ?chaos ?beat ~indices ~out (c : 'row cells) : unit =
         output_char out '\n';
         (* flush per row: the parent streams progress and a crashed worker
            loses only its in-flight cell *)
-        flush out);
-      Option.iter Tce_telem.Heartbeat.beat_cell_done beat)
-    indices;
-  Option.iter Tce_telem.Heartbeat.beat_done beat
+        flush out))
+    indices
 
 type 'row outcome = {
   rows : (int * 'row) list;
@@ -163,7 +158,7 @@ let serial_jobs = function
 
 let run ?exe ?spawn ?(log_dir = default_log_dir)
     ?(supervise = Supervise.default_config) ~journal_path ?resume ?chaos
-    ?telem ?cache ?on_row ~shards ~worker_args (c : 'row cells) : 'row outcome =
+    ?cache ?on_row ~shards ~worker_args (c : 'row cells) : 'row outcome =
   let h0, m0 = Cache.counts cache in
   let outcome ?(quarantined = []) ?(resumed = []) rows =
     let h1, m1 = Cache.counts cache in
@@ -195,7 +190,6 @@ let run ?exe ?spawn ?(log_dir = default_log_dir)
       (List.map
          (fun i ->
            let row = match cached i with Some row -> row | None -> fresh i in
-           Option.iter (fun t -> Telem.cell_done t ~name:(c.name i)) telem;
            Option.iter (fun f -> f row) on_row;
            (i, row))
          all)
@@ -223,7 +217,7 @@ let run ?exe ?spawn ?(log_dir = default_log_dir)
         ((Sys.executable_name :: c.argv)
         @ "--worker-indices"
           :: String.concat "," (List.map string_of_int indices)
-          :: (chaos_args @ Telem.heartbeat_args telem ~slot @ worker_args))
+          :: (chaos_args @ worker_args))
     in
     let decode line =
       Result.map_error
@@ -262,9 +256,6 @@ let run ?exe ?spawn ?(log_dir = default_log_dir)
         ok
       | Error _ as e -> e
     in
-    let events =
-      match telem with Some t -> Telem.events t | None -> Supervise.null_events
-    in
     let journal = Store.journal_open journal_path in
     let result =
       Fun.protect
@@ -272,7 +263,7 @@ let run ?exe ?spawn ?(log_dir = default_log_dir)
         (fun () ->
           Supervise.run ?exe ?spawn ~config:supervise ~shards ~log_dir
             ~journal:(Store.journal_append journal) ~serial_run:fresh
-            ~resume_rows:(journal_rows @ cached_rows) ~events ~argv_of_indices
+            ~resume_rows:(journal_rows @ cached_rows) ~argv_of_indices
             ~parse ~to_line tasks)
     in
     match result with
@@ -284,7 +275,6 @@ let run ?exe ?spawn ?(log_dir = default_log_dir)
           (fun i -> not (List.mem_assoc i cached_rows))
           o.Supervise.resumed
       in
-      Option.iter (fun t -> Telem.resumed t (List.length resumed)) telem;
       let name_of i = if i >= 0 && i < c.count then Some (c.name i) else None in
       let quarantined = o.Supervise.quarantined in
       match

@@ -95,12 +95,10 @@ type 'row cells = {
     the given order), streaming one envelope per cell to [out], flushed
     per row so the parent loses only the in-flight cell if this process
     dies. [chaos] arms a deterministic fault for the chaos harness
-    ({!Supervise.Chaos}); [beat] emits a [telem] heartbeat envelope
-    before and after each cell ([--heartbeat]).
+    ({!Supervise.Chaos}).
     @raise Failure on an index outside the matrix. *)
 val worker :
   ?chaos:Supervise.Chaos.t ->
-  ?beat:Tce_telem.Heartbeat.emitter ->
   indices:int list ->
   out:out_channel ->
   'row cells ->
@@ -128,12 +126,11 @@ val serial_jobs : int option -> unit
 (** Run every cell of the matrix. With [shards <= 1] and no [resume],
     in this process: cell-cache hits are taken as they are, misses run
     serially in index order through [cells.run] and are installed, each
-    finished row is reported to [telem] ({!Telem.cell_done}) and to
-    [on_row], and no journal is written. Otherwise across [shards]
-    supervised workers ({!Supervise.run}): cells are scheduled
-    longest-first and dealt by {!Supervise.deal}; dead or hung workers
-    are respawned over their missing cells and poison cells quarantine
-    after [supervise.max_retries] kills. Accepted rows are journaled to
+    finished row is reported to [on_row], and no journal is written.
+    Otherwise across [shards] supervised workers ({!Supervise.run}):
+    cells are scheduled longest-first and dealt by {!Supervise.deal};
+    dead or hung workers are respawned over their missing cells and
+    poison cells quarantine after [supervise.max_retries] kills. Accepted rows are journaled to
     [journal_path]; [resume] replays a previous journal so only the
     remainder runs. With [cache], hits are pre-resolved before
     scheduling (a fully cached matrix starts no worker) and fresh rows
@@ -152,7 +149,6 @@ val run :
   journal_path:string ->
   ?resume:string ->
   ?chaos:Supervise.Chaos.mode * int ->
-  ?telem:Telem.t ->
   ?cache:Cache.t ->
   ?on_row:('row -> unit) ->
   shards:int ->

@@ -56,35 +56,6 @@ type 'row outcome = {
   degraded_serial : int;
 }
 
-(* --- lifecycle events ---
-
-   Observability taps on the supervisor state machine. The default
-   [null_events] keeps the supervised path byte-identical to a run with
-   no telemetry: every callback is a no-op and nothing else changes. *)
-
-type events = {
-  ev_spawn : slot:int -> attempt:int -> pending:int -> unit;
-  ev_row : slot:int -> index:int -> name:string -> unit;
-      (** a row was accepted (slot 0 = resumed from journal or in-process
-          fallback, never a spawned worker) *)
-  ev_heartbeat : slot:int -> Tce_telem.Heartbeat.t -> unit;
-  ev_fault : slot:int -> index:int option -> kills:int -> reason:string -> unit;
-  ev_quarantine : index:int -> name:string -> kills:int -> unit;
-  ev_degraded : index:int -> unit;
-  ev_tick : unit -> unit;  (** once per supervisor select-loop iteration *)
-}
-
-let null_events =
-  {
-    ev_spawn = (fun ~slot:_ ~attempt:_ ~pending:_ -> ());
-    ev_row = (fun ~slot:_ ~index:_ ~name:_ -> ());
-    ev_heartbeat = (fun ~slot:_ _ -> ());
-    ev_fault = (fun ~slot:_ ~index:_ ~kills:_ ~reason:_ -> ());
-    ev_quarantine = (fun ~index:_ ~name:_ ~kills:_ -> ());
-    ev_degraded = (fun ~index:_ -> ());
-    ev_tick = (fun () -> ());
-  }
-
 (* --- EINTR-safe syscall wrappers ---
 
    Any signal delivery (SIGCHLD from a dying worker, a profiling timer,
@@ -112,8 +83,7 @@ let rec read_nb fd buf pos len =
   | Unix.Unix_error (Unix.EINTR, _, _) -> read_nb fd buf pos len
   | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> -1
 
-(* UTC per-line prefix for the shard logs, millisecond resolution so
-   worker stderr can be correlated with heartbeat timelines. *)
+(* UTC per-line prefix for the shard logs, millisecond resolution. *)
 let utc_stamp () =
   let t = Unix.gettimeofday () in
   let tm = Unix.gmtime t in
@@ -293,8 +263,8 @@ type wstate = {
 }
 
 let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
-    ?serial_run ?(resume_rows = []) ?(events = null_events) ~config ~shards
-    ~log_dir ~argv_of_indices ~parse ~to_line (tasks : task list) :
+    ?serial_run ?(resume_rows = []) ~config ~shards ~log_dir ~argv_of_indices
+    ~parse ~to_line (tasks : task list) :
     ('row outcome, string) result =
   (* The parent allocates little while it waits on its workers, so its
      few collections would fall wherever the work before this run left
@@ -308,6 +278,7 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
       (fun s -> if config.verbose then Printf.eprintf "supervise: %s\n%!" s)
       fmt
   in
+  let total = List.length tasks in
   let by_index = Hashtbl.create 64 in
   List.iter (fun t -> Hashtbl.replace by_index t.t_index t) tasks;
   let name_of i =
@@ -355,11 +326,7 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
       resume_rows
   in
   let journal_line line = match journal with None -> () | Some j -> j line in
-  List.iter
-    (fun (i, r) ->
-      journal_line (to_line i r);
-      events.ev_row ~slot:0 ~index:i ~name:(name_of i))
-    resumed_rows;
+  List.iter (fun (i, r) -> journal_line (to_line i r)) resumed_rows;
   let todo =
     List.filter (fun t -> not (List.mem t.t_index resumed)) tasks
   in
@@ -390,9 +357,7 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
           | row ->
             incr degraded;
             rows := (i, row) :: !rows;
-            journal_line (to_line i row);
-            events.ev_row ~slot:0 ~index:i ~name:(name_of i);
-            events.ev_degraded ~index:i
+            journal_line (to_line i row)
           | exception e ->
             (* an in-process crash is attributable to the cell itself *)
             let k =
@@ -407,8 +372,7 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
                 q_kills = k;
                 q_reason = "in-process fallback raised: " ^ Printexc.to_string e;
               }
-              :: !quarantined;
-            events.ev_quarantine ~index:i ~name:(name_of i) ~kills:k)
+              :: !quarantined)
         w.ws_pending;
       w.ws_pending <- []
   in
@@ -487,9 +451,7 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
           | _ -> String.concat ", " names
         in
         say "worker %d/%d attempt %d (pid %d) covers %d cell(s): %s" w.ws_slot
-          shards w.ws_attempt pid (List.length indices) preview;
-        events.ev_spawn ~slot:w.ws_slot ~attempt:w.ws_attempt
-          ~pending:(List.length indices)
+          shards w.ws_attempt pid (List.length indices) preview
       | exception e ->
         Unix.close wr;
         Unix.close r;
@@ -560,8 +522,7 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
     in
     (match w.ws_pending with
     | [] ->
-      say "worker %d/%d failed after finishing its cells: %s" w.ws_slot shards reason;
-      events.ev_fault ~slot:w.ws_slot ~index:None ~kills:0 ~reason
+      say "worker %d/%d failed after finishing its cells: %s" w.ws_slot shards reason
     | blame :: rest ->
       let k =
         match Hashtbl.find_opt kills blame with Some (k, _) -> k + 1 | None -> 1
@@ -569,7 +530,6 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
       Hashtbl.replace kills blame (k, reason);
       say "worker %d/%d died on %s (kill %d/%d): %s" w.ws_slot shards
         (name_of blame) k config.max_retries reason;
-      events.ev_fault ~slot:w.ws_slot ~index:(Some blame) ~kills:k ~reason;
       if k >= config.max_retries then begin
         quarantined :=
           { q_index = blame; q_name = name_of blame; q_kills = k;
@@ -577,7 +537,6 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
           :: !quarantined;
         say "quarantined %s after %d kills; %d cell(s) continue" (name_of blame)
           k (List.length rest);
-        events.ev_quarantine ~index:blame ~name:(name_of blame) ~kills:k;
         w.ws_pending <- rest
       end);
     if w.ws_pending <> [] then begin
@@ -594,15 +553,9 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
   in
   let accept w line =
     match parse line with
-    | Error e -> (
-      (* Not a row: a well-formed heartbeat is telemetry, anything else is
-         garbage. Heartbeats do not reset the progress deadline — they
-         prove the process is scheduled, not that the cell advances. *)
-      match Tce_telem.Heartbeat.of_line line with
-      | Some hb -> events.ev_heartbeat ~slot:w.ws_slot hb
-      | None ->
-        Unix.kill w.ws_pid Sys.sigkill;
-        fault w (Printf.sprintf "streamed a garbage line (%s)" e))
+    | Error e ->
+      Unix.kill w.ws_pid Sys.sigkill;
+      fault w (Printf.sprintf "streamed a garbage line (%s)" e)
     | Ok (i, row) ->
       if not (List.mem i w.ws_pending) then begin
         Unix.kill w.ws_pid Sys.sigkill;
@@ -612,7 +565,7 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
       else begin
         rows := (i, row) :: !rows;
         journal_line (to_line i row);
-        events.ev_row ~slot:w.ws_slot ~index:i ~name:(name_of i);
+        say "cell %d/%d %s done" (List.length !rows) total (name_of i);
         w.ws_pending <- List.filter (fun j -> j <> i) w.ws_pending;
         w.ws_deadline <-
           (match w.ws_pending with
@@ -726,7 +679,6 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
                      | [] -> "final flush"))
               end)
             workers;
-          events.ev_tick ();
           loop ()
         end
       end

@@ -52,7 +52,9 @@ type config = {
           cost relative to the roster median ([--supervise-timeout]) *)
   backoff_base_s : float;  (** first respawn delay for a worker lineage *)
   backoff_cap_s : float;  (** upper bound on the exponential backoff *)
-  verbose : bool;  (** log supervision events to stderr *)
+  verbose : bool;
+      (** log supervision events, and one line per accepted cell, to
+          stderr *)
 }
 
 val default_config : config
@@ -110,26 +112,6 @@ type spawn =
 
 val default_spawn : spawn
 
-(** Observability taps on the supervisor state machine, fed to the
-    telemetry layer ([Tce_runner.Telem]). All callbacks run on the
-    supervisor thread. [ev_row] reports slot 0 for rows that did not come
-    from a spawned worker (journal replay, in-process fallback).
-    [ev_heartbeat] fires for each well-formed [telem] envelope a worker
-    interleaves with its row stream; heartbeats do not reset the progress
-    deadline. The default {!null_events} makes every tap a no-op, keeping
-    the supervised path byte-identical to a telemetry-free build. *)
-type events = {
-  ev_spawn : slot:int -> attempt:int -> pending:int -> unit;
-  ev_row : slot:int -> index:int -> name:string -> unit;
-  ev_heartbeat : slot:int -> Tce_telem.Heartbeat.t -> unit;
-  ev_fault : slot:int -> index:int option -> kills:int -> reason:string -> unit;
-  ev_quarantine : index:int -> name:string -> kills:int -> unit;
-  ev_degraded : index:int -> unit;
-  ev_tick : unit -> unit;
-}
-
-val null_events : events
-
 (** [deal ~shards xs] splits the schedule-ordered [xs] over [shards]
     worker lineages in snake order (lineage 1..N, then N..1, …), keeping
     each lineage's items in schedule order. Dealt longest-first, this
@@ -169,7 +151,6 @@ val run :
   ?journal:(string -> unit) ->
   ?serial_run:(int -> 'row) ->
   ?resume_rows:(int * 'row) list ->
-  ?events:events ->
   config:config ->
   shards:int ->
   log_dir:string ->

@@ -235,14 +235,14 @@ let cells ~axes (ws : W.t list) : Record.workload Shard.cells =
   }
 
 let run ?exe ?spawn ?log_dir ?supervise
-    ?(journal_path = Store.sweep_journal_path) ?resume ?telem ?cache ?jobs
+    ?(journal_path = Store.sweep_journal_path) ?resume ?cache ?jobs
     ?(shards = 1) ?(worker_args = []) ~axes (ws : W.t list) : t =
   Shard.serial_jobs jobs;
   let t0 = Unix.gettimeofday () in
   let points, skipped = expand_or_fail axes in
   let m = Array.of_list (matrix points ws) in
   let s =
-    Shard.run ?exe ?spawn ?log_dir ?supervise ~journal_path ?resume ?telem
+    Shard.run ?exe ?spawn ?log_dir ?supervise ~journal_path ?resume
       ?cache ~shards ~worker_args (cells ~axes ws)
   in
   {

@@ -15,8 +15,8 @@
     point grid (combinations with no whole number of sets — entries not a
     multiple of ways — are skipped and counted), and {!run} executes the
     (point × workload) cell matrix in this process or across supervised
-    worker processes (inheriting retry, quarantine, journal/resume and
-    telemetry from {!Supervise}). Each cell is one
+    worker processes (inheriting retry, quarantine and journal/resume
+    from {!Supervise}). Each cell is one
     standard benchmark pair under that point's {!config_of_point}, so
     cells flow through the content-addressed cell cache ({!Cache})
     unchanged — a repeated sweep performs zero simulations, and changing
@@ -106,7 +106,6 @@ val run :
   ?supervise:Supervise.config ->
   ?journal_path:string ->
   ?resume:string ->
-  ?telem:Telem.t ->
   ?cache:Cache.t ->
   ?jobs:int ->
   ?shards:int ->

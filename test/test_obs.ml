@@ -149,7 +149,7 @@ let test_chrome_parse_back () =
   let t, trace = run_traced ~sample:2048 deopt_src in
   let s =
     Tce_obs.Sink.render ~format:`Chrome
-      ~counters:(Tce_telem.Track.chrome_counters t.E.snap)
+      ~counters:(Tce_obs.Sink.chrome_counters t.E.snap)
       trace
   in
   let j =

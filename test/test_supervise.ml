@@ -8,7 +8,8 @@
    (c) graceful degradation to in-process serial when spawning fails;
    (d) checkpoint/resume: journal replay schedules only the remainder and
        a torn final journal line is dropped;
-   (e) EINTR restart in Supervise.run under a fast interval timer;
+   (e) EINTR restart in Supervise.run under a fast interval timer, and
+       UTC-stamped per-shard stderr logs;
    (f) merge_rows errors that name workloads, quarantine-aware gate, and
        the recovery provenance JSON round-trip;
    (g) end-to-end: Runner.run_suite ~shards:2 over the real
@@ -301,6 +302,42 @@ let test_supervised_run_eintr_restart () =
       o.Supervise.respawns
   | Error e -> Alcotest.failf "supervised run under EINTR: %s" e
 
+(* --- shard logs --- *)
+
+let read_lines path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec go acc =
+        match input_line ic with
+        | line -> go (line :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      go [])
+
+(* Per-shard stderr logs are captured through a parent-side pipe and
+   every line is prefixed with a UTC timestamp, so multi-worker logs
+   interleave chronologically. *)
+let test_shard_logs_utc_stamped () =
+  let argv ~slot:_ ~attempt:_ indices =
+    sh
+      (Printf.sprintf "echo warn: something odd >&2; %s"
+         (String.concat "; " (echoes indices)))
+  in
+  let o = expect_ok (run_sh ~shards:1 ~argv 2) in
+  Alcotest.check rows_t "rows intact" (complete 2) (sorted o);
+  let lines = read_lines (Filename.concat log_dir "shard-1.log") in
+  Alcotest.(check int) "one stderr line" 1 (List.length lines);
+  let line = List.hd lines in
+  Alcotest.(check bool) "UTC stamp prefix" true
+    (String.length line > 25
+    && line.[4] = '-'
+    && line.[7] = '-'
+    && line.[10] = 'T'
+    && line.[23] = 'Z'
+    && Astring.String.is_suffix ~affix:"warn: something odd" line)
+
 (* --- merge_rows diagnostics and quarantine holes --- *)
 
 let test_merge_names_missing () =
@@ -588,6 +625,11 @@ let () =
         [
           Alcotest.test_case "supervised run survives interval timer" `Quick
             test_supervised_run_eintr_restart;
+        ] );
+      ( "supervised",
+        [
+          Alcotest.test_case "shard logs UTC-stamped" `Quick
+            test_shard_logs_utc_stamped;
         ] );
       ( "merge",
         [
