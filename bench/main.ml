@@ -364,8 +364,8 @@ let serve_worker opts cells =
     exit 0
 
 let run_bench args =
-  (* `--attr[=FILE]`, `--profile[=FILE]`, `--time`, `--strict` and
-     `--no-templates` are value-less flags; peel them off before the
+  (* `--time`, `--deterministic`, `--strict`, `--no-cache`, `--attr[=FILE]`
+     and `--profile[=FILE]` are value-less flags; peel them off before the
      value-taking flag parser sees them. *)
   let time_args, args = List.partition (fun a -> a = "--time") args in
   let show_time = time_args <> [] in
@@ -375,13 +375,6 @@ let run_bench args =
   let strict = strict_args <> [] in
   let nc_args, args = List.partition (fun a -> a = "--no-cache") args in
   let no_cache = nc_args <> [] in
-  let nt_args, args = List.partition (fun a -> a = "--no-templates") args in
-  let config =
-    (* template execution is bit-identical, so this only changes host wall
-       time (the serial-vs-templated wall table in the README) *)
-    if nt_args = [] then None
-    else Some { Tce_engine.Engine.default_config with templates = false }
-  in
   let attr_args, args =
     List.partition
       (fun a ->
@@ -419,7 +412,7 @@ let run_bench args =
   in
   let suite = Option.value ~default:"all" (Hashtbl.find_opt opts "suite") in
   let ws = resolve_workloads ~suite names in
-  serve_worker opts (fun () -> Tce_runner.Runner.bench_cells ?config ws);
+  serve_worker opts (fun () -> Tce_runner.Runner.bench_cells ws);
   let shards = opt_int opts "shards" ~default:1 in
   if shards < 1 then usage_fail "--shards expects a positive integer";
   if shards > 1 && (attr_out <> None || prof_out <> None) then
@@ -434,9 +427,7 @@ let run_bench args =
   in
   let run =
     Tce_runner.Runner.run_suite ~shards ~supervise:(supervise_config opts)
-      ?resume ?chaos ?config ?cache
-      ~worker_args:(if Option.is_none config then [] else [ "--no-templates" ])
-      ws
+      ?resume ?chaos ?cache ws
   in
   finish_cache cache;
   let run = if deterministic then Tce_runner.Record.normalize_run run else run in

@@ -9,7 +9,10 @@
        - FILE parses as a versioned Tce_obs.Export document (matching
          schema_version); with KIND, the document kind must match.
      validate_obs jsonl FILE
-       - every line of FILE parses as a JSON object with at/event keys. *)
+       - every line of FILE parses as a JSON object with at/event keys.
+     validate_obs campaign FILE REFERENCE
+       - every cell of the fault campaign FILE equals the cell of the same
+         (workload, point) in the campaign REFERENCE. *)
 
 module J = Tce_obs.Json
 
@@ -87,10 +90,26 @@ let check_jsonl path =
     lines;
   Printf.printf "validate_obs: %s OK (%d records)\n" path (List.length lines)
 
+let check_campaign path ref_path =
+  let load p =
+    match Tce_runner.Campaign.load p with
+    | Ok c -> c
+    | Error e -> fail "%s: %s" p e
+  in
+  let cur = load path in
+  match Tce_runner.Campaign.diff_cells ~reference:(load ref_path) cur with
+  | [] ->
+    Printf.printf "validate_obs: %s OK (%d cells match %s)\n" path
+      (List.length cur.Tce_runner.Campaign.cells) ref_path
+  | diffs ->
+    List.iter prerr_endline diffs;
+    fail "%s: %d cell(s) differ from %s" path (List.length diffs) ref_path
+
 let () =
   match Array.to_list Sys.argv with
   | _ :: "chrome" :: path :: rest -> check_chrome path (rest = [ "require-deopt" ])
   | _ :: "export" :: path :: rest ->
     check_export path (match rest with k :: _ -> Some k | [] -> None)
   | [ _; "jsonl"; path ] -> check_jsonl path
-  | _ -> fail "usage: validate_obs (chrome|export|jsonl) FILE [...]"
+  | [ _; "campaign"; path; ref_path ] -> check_campaign path ref_path
+  | _ -> fail "usage: validate_obs (chrome|export|jsonl|campaign) FILE [...]"

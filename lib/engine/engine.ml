@@ -81,11 +81,6 @@ type config = {
   prof : Tce_prof.Profile.t;
       (** cycle-attribution profiler; {!Tce_prof.Profile.null} = disabled
           (the zero-cost default: no attribution, identical cycles) *)
-  templates : bool;
-      (** fuse pre-decoded streams into superinstruction templates
-          (default true — a pure host-speed optimization; simulated state
-          is bit-identical, so this is deliberately not part of the
-          benchmark config hash) *)
 }
 
 let default_config =
@@ -106,7 +101,6 @@ let default_config =
     fault = Tce_fault.Injector.null;
     attr = Tce_attr.Ledger.null;
     prof = Tce_prof.Profile.null;
-    templates = true;
   }
 
 type t = {
@@ -166,8 +160,7 @@ let create ?(config = default_config) (prog : Bytecode.program) : t =
   let mach =
     Tce_machine.Machine.create ~cfg:config.mach_cfg ~mechanism:config.mechanism
       ~trace:config.trace ~fault:config.fault ~attr:config.attr
-      ~prof:config.prof ~templates:config.templates ~heap ~cc ~cl ~oracle
-      ~counters ()
+      ~prof:config.prof ~heap ~cc ~cl ~oracle ~counters ()
   in
   (* One deterministic clock for the whole observability layer: optimized
      cycles plus the analytic baseline-tier cycles. Built on the always-on

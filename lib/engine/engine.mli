@@ -57,11 +57,6 @@ type config = {
       (** cycle-attribution profiler; {!Tce_prof.Profile.null} = disabled
           (the zero-cost default: no attribution, identical cycles). One
           profile instance serves one engine. *)
-  templates : bool;
-      (** fuse pre-decoded streams into superinstruction templates
-          (default true): a pure host-speed optimization — simulated state
-          is bit-identical, so it is deliberately excluded from the
-          benchmark config hash *)
 }
 
 val default_config : config

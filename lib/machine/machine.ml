@@ -10,8 +10,10 @@
     research-grade approximation of a Nehalem-class core (MARSS substitute,
     see DESIGN.md).
 
-    The executor runs the {!Predecode} stream, not [Lir.func.code] — see
-    lib/machine/README.md for the pre-decode invariants. The run loop is
+    The executor runs the {!Predecode} stream, not [Lir.func.code], fused
+    into one closure per basic block ({!Template}) — see
+    lib/machine/README.md for the pre-decode and fusion invariants. The
+    run loop is
     allocation-free: the window and store queue are int ring buffers, MSHR
     fill tracking is an {!Tce_support.Int_table}, dispatch-port kinds are
     ints, and loop exit is a [running] flag plus a result register instead
@@ -81,7 +83,6 @@ type tblock = {
 }
 
 type template = {
-  tp_pf : Predecode.func;  (** identity guard, like the pre-decode cache *)
   tp_blocks : tblock array;
   tp_block_of_pc : int array;
 }
@@ -147,13 +148,10 @@ type t = {
   (* special registers (paper §4.2.1.2) *)
   mutable reg_classid : int;
   reg_classid_arr : int array;
-  templates : bool;
-      (** fuse pre-decoded streams into superinstruction templates
-          (bit-identical to the per-instruction loop; a pure speedup) *)
   tpl_cache : (int, Predecode.func * template option) Hashtbl.t;
       (** compiled templates keyed like {!pre_cache}, with the decoded
-          stream kept for the physical-equality guard; [None] = the stream
-          was rejected by {!Template.layout} (stay on the slow loop) *)
+          stream kept for the physical-equality guard; always [Some] (a
+          stream {!Template.layout} rejects raises {!Trap} instead) *)
   mutable env_pool : tenv list;
       (** free list of per-run environments; reusing the register files
           avoids four [Array.make]s per guest call (registers are
@@ -171,8 +169,8 @@ let ring_capacity n =
 
 let create ?(cfg = Config.default) ?(mechanism = true)
     ?(trace = Tce_obs.Trace.null) ?(fault = Tce_fault.Injector.null)
-    ?(attr = Tce_attr.Ledger.null) ?(prof = Profile.null) ?(templates = true)
-    ~heap ~cc ~cl ~oracle ~counters () =
+    ?(attr = Tce_attr.Ledger.null) ?(prof = Profile.null) ~heap ~cc ~cl
+    ~oracle ~counters () =
   let win_cap = ring_capacity cfg.Config.window_size in
   let stq_cap = ring_capacity cfg.Config.outstanding_ldst in
   {
@@ -212,7 +210,6 @@ let create ?(cfg = Config.default) ?(mechanism = true)
     prof;
     reg_classid = 0;
     reg_classid_arr = Array.make 4 0;
-    templates;
     tpl_cache = Hashtbl.create 64;
     env_pool = [];
   }
@@ -326,26 +323,6 @@ let ifetch_slow t line =
   if Profile.on t.prof then Profile.take t.prof Profile.cost_icache t.cycle
 
 let cat_check_idx = Categories.index Categories.C_check
-
-(** Count one dispatched instruction from its packed {!Predecode} meta. *)
-let count_meta t m =
-  if t.measuring then begin
-    let c = t.counters in
-    let ci = m land Predecode.meta_cat_mask in
-    c.Counters.by_cat.(ci) <- c.Counters.by_cat.(ci) + 1;
-    if ci = cat_check_idx then begin
-      let slot = (m lsr Predecode.meta_check_shift) land 7 in
-      c.by_check_kind.(slot) <- c.by_check_kind.(slot) + 1
-    end;
-    if m land Predecode.meta_guards_bit <> 0 then
-      c.guards_obj_load <- c.guards_obj_load + 1;
-    match (m lsr Predecode.meta_class_shift) land 7 with
-    | 1 -> c.opt_loads <- c.opt_loads + 1
-    | 2 -> c.opt_stores <- c.opt_stores + 1
-    | 3 -> c.opt_branches <- c.opt_branches + 1
-    | 4 -> c.opt_fp <- c.opt_fp + 1
-    | _ -> ()
-  end
 
 (** Charge a runtime-stub cost: serializes the pipeline. The cost is
     attributed to category index [cat_idx] (e.g. boxing stubs count as
@@ -598,471 +575,14 @@ let prof_acc prof (pf : Predecode.func) =
     Profile.register_opt prof ~id:f.Lir.opt_id ~name:f.Lir.name
       ~labels:(Array.map label_of_meta pf.Predecode.meta)
 
-(** Per-instruction executor (the pre-decoded interpreter loop): the
-    reference semantics. Used directly when profiling is enabled (per-pc
-    attribution sites need a site change on every instruction), when a
-    fault injector is armed, or when a stream cannot be fused; the
-    templated executor below is bit-identical to this loop by
-    construction (lib/machine/README.md, "Template fusion invariants"). *)
-let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func)
-    (args : Value.t array) : Value.t =
-  let prof = t.prof in
-  let pon = Profile.on prof in
-  let pacc = if pon then prof_acc prof pf else Profile.dummy_acc in
-  let ops = pf.Predecode.ops and meta = pf.Predecode.meta in
-  let regs = Array.make (imax f.Lir.n_regs 1) 0 in
-  let fregs = Array.make (imax f.Lir.n_fregs 1) 0.0 in
-  let ready = Array.make (imax f.Lir.n_regs 1) t.cycle in
-  let fready = Array.make (imax f.Lir.n_fregs 1) t.cycle in
-  let nargs = min (Array.length args) f.Lir.n_regs in
-  Array.blit args 0 regs 0 nargs;
-  (* absent parameters read as null *)
-  for i = nargs to min (Array.length f.Lir.reprs) f.Lir.n_regs - 1 do
-    regs.(i) <- t.heap.Heap.null_v
-  done;
-  let mem = t.heap.Heap.mem in
-  let code_addr = f.Lir.code_addr in
-  let opt_id = f.Lir.opt_id in
-  let pc = ref 0 in
-  let running = ref true in
-  let resv = ref 0 in
-  let finish v =
-    resv := v;
-    running := false
-  in
-  (* Retire-path invariant check (fault campaigns only): a special store
-     that retires without raising re-validates this code's own speculation —
-     the host's [is_invalidated] runs the engine's staleness check when an
-     injector is armed, catching a dropped update or lost notification at
-     the very store that broke the profile. Unfaulted, optimized code can
-     never be invalidated on this path (exception delivery is synchronous),
-     so the check is skipped and timing is untouched. *)
-  let post_store_check deopt_id next =
-    if Tce_fault.Injector.armed t.fault && host.is_invalidated opt_id
-    then begin
-      if Tce_obs.Trace.on t.trace then
-        Tce_obs.Trace.emit t.trace
-          (Tce_obs.Trace.Osr
-             { func = f.Lir.name; pc = f.Lir.deopts.(deopt_id).Lir.bc_pc });
-      finish (do_deopt t host f regs fregs deopt_id ~result:None)
-    end
-    else pc := next
-  in
-  let handle_cc_exception deopt_id info next =
-    if t.measuring then
-      t.counters.cc_exception_deopts <- t.counters.cc_exception_deopts + 1;
-    host.on_cc_exception info;
-    if host.is_invalidated opt_id then begin
-      (* the running function speculated on the broken slot: OSR out now
-         (the store has completed; state is consistent, paper §4.2.2) *)
-      if Tce_obs.Trace.on t.trace then
-        Tce_obs.Trace.emit t.trace
-          (Tce_obs.Trace.Osr
-             { func = f.Lir.name; pc = f.Lir.deopts.(deopt_id).Lir.bc_pc });
-      finish (do_deopt t host f regs fregs deopt_id ~result:None)
-    end
-    else pc := next
-  in
-  (try
-     while !running do
-       let pc0 = !pc in
-       let m = Array.unsafe_get meta pc0 in
-       let op = Array.unsafe_get ops pc0 in
-       let next = pc0 + 1 in
-       if m land Predecode.meta_pseudo_bit <> 0 then begin
-         (* measurement pseudo-ops: zero cost *)
-         (match op with
-         | Predecode.Pprofile (r, line, pos) ->
-           if t.measuring then begin
-             let classid = Heap.classid_of t.heap regs.(r) in
-             Counters.record_obj_load t.counters ~classid ~line ~pos
-           end
-         | Pprofile_store_r (r, line, pos, vr) ->
-           (* records the store in the monomorphism oracle (mechanism-off
-              code has no CC request) *)
-           let classid = Heap.classid_of t.heap regs.(r) in
-           let value_classid = Heap.classid_of t.heap regs.(vr) in
-           Tce_core.Oracle.record t.oracle ~classid ~line ~pos ~value_classid
-         | Pprofile_store_c (r, line, pos, c) ->
-           let classid = Heap.classid_of t.heap regs.(r) in
-           Tce_core.Oracle.record t.oracle ~classid ~line ~pos ~value_classid:c
-         | _ -> assert false);
-         pc := next
-       end
-       else begin
-         (* current attribution site: everything the clock does until the
-            next site change books to (this function, this pc) *)
-         if pon then Profile.set_site prof pacc pc0;
-         let iline = (code_addr + (4 * pc0)) lsr 6 in
-         if iline <> t.last_iline then ifetch_slow t iline;
-         let d = dispatch_k t ((m lsr Predecode.meta_kind_shift) land 3) in
-         count_meta t m;
-         match op with
-         | Predecode.Pprofile _ | Pprofile_store_r _ | Pprofile_store_c _ ->
-           assert false
-         | Pmov_imm (r, i) ->
-           regs.(r) <- i;
-           ready.(r) <- d + 1;
-           complete t (d + 1);
-           pc := next
-         | Pmov (rd, rs) ->
-           regs.(rd) <- regs.(rs);
-           ready.(rd) <- imax d ready.(rs) + 1;
-           complete t ready.(rd);
-           pc := next
-         | Palu_r (a, lat, rd, rs, ro) ->
-           let start = imax d (imax ready.(rs) ready.(ro)) in
-           regs.(rd) <- alu_apply a regs.(rs) regs.(ro);
-           ready.(rd) <- start + lat;
-           complete t ready.(rd);
-           pc := next
-         | Palu_i (a, lat, rd, rs, i) ->
-           let start = imax d ready.(rs) in
-           regs.(rd) <- alu_apply a regs.(rs) i;
-           ready.(rd) <- start + lat;
-           complete t ready.(rd);
-           pc := next
-         | Psh64_r (sc, rd, rs, ro) ->
-           let start = imax d (imax ready.(rs) ready.(ro)) in
-           regs.(rd) <- sh64_apply sc regs.(rs) (regs.(ro) land 63);
-           ready.(rd) <- start + 1;
-           complete t ready.(rd);
-           pc := next
-         | Psh64_i (sc, rd, rs, i) ->
-           let start = imax d ready.(rs) in
-           regs.(rd) <- sh64_apply sc regs.(rs) (i land 63);
-           ready.(rd) <- start + 1;
-           complete t ready.(rd);
-           pc := next
-         | Palu32_r (a, lat, rd, rs, ro) ->
-           let start = imax d (imax ready.(rs) ready.(ro)) in
-           regs.(rd) <- Value.to_int32 (alu_apply a regs.(rs) regs.(ro));
-           ready.(rd) <- start + lat;
-           complete t ready.(rd);
-           pc := next
-         | Palu32_i (a, lat, rd, rs, i) ->
-           let start = imax d ready.(rs) in
-           regs.(rd) <- Value.to_int32 (alu_apply a regs.(rs) i);
-           ready.(rd) <- start + lat;
-           complete t ready.(rd);
-           pc := next
-         | Paluov_r (a, lat, rd, rs, ro, target) ->
-           let start = imax d (imax ready.(rs) ready.(ro)) in
-           let v = alu_apply a regs.(rs) regs.(ro) in
-           ready.(rd) <- start + lat;
-           complete t ready.(rd);
-           (* tagged-SMI overflow: payload must fit int32 *)
-           if Value.smi_fits (v asr 1) then begin
-             regs.(rd) <- v;
-             pc := next
-           end
-           else pc := target
-         | Paluov_i (a, lat, rd, rs, i, target) ->
-           let start = imax d ready.(rs) in
-           let v = alu_apply a regs.(rs) i in
-           ready.(rd) <- start + lat;
-           complete t ready.(rd);
-           if Value.smi_fits (v asr 1) then begin
-             regs.(rd) <- v;
-             pc := next
-           end
-           else pc := target
-         | Pload (rd, rb, off) ->
-           let addr = regs.(rb) + off in
-           let start = imax d ready.(rb) in
-           regs.(rd) <- Mem.load mem addr;
-           ready.(rd) <- daccess t ~start addr;
-           complete t ready.(rd);
-           pc := next
-         | Pchecked_load (rd, rb, off, expected, deopt_id) ->
-           (* the class word arrives with the same cache line: the check is
-              free in hardware but still *executes* (no removal) *)
-           let base = regs.(rb) in
-           let addr = base + off in
-           let start = imax d ready.(rb) in
-           let line_base = Tce_vm.Layout.line_base_of_addr addr in
-           let w = Mem.load mem line_base in
-           if Value.is_smi base || w <> expected then
-             finish (do_deopt t host f regs fregs deopt_id ~result:None)
-           else begin
-             regs.(rd) <- Mem.load mem addr;
-             ready.(rd) <- daccess t ~start addr;
-             complete t ready.(rd);
-             pc := next
-           end
-         | Pload_idx (rd, rb, ri, off) ->
-           let addr = regs.(rb) + (regs.(ri) * 8) + off in
-           let start = imax d (imax ready.(rb) ready.(ri)) in
-           regs.(rd) <- Mem.load mem addr;
-           ready.(rd) <- daccess t ~start addr;
-           complete t ready.(rd);
-           pc := next
-         | Pfload (fd, rb, off) ->
-           let addr = regs.(rb) + off in
-           let start = imax d ready.(rb) in
-           fregs.(fd) <- Fbits.to_float (Mem.load mem addr);
-           fready.(fd) <- daccess t ~start addr;
-           complete t fready.(fd);
-           pc := next
-         | Pfload_idx (fd, rb, ri, off) ->
-           let addr = regs.(rb) + (regs.(ri) * 8) + off in
-           let start = imax d (imax ready.(rb) ready.(ri)) in
-           fregs.(fd) <- Fbits.to_float (Mem.load mem addr);
-           fready.(fd) <- daccess t ~start addr;
-           complete t fready.(fd);
-           pc := next
-         | Pstore_r (rb, off, vr) ->
-           do_store t d ~addr:(regs.(rb) + off)
-             ~start:(imax ready.(vr) ready.(rb))
-             ~word:regs.(vr);
-           pc := next
-         | Pstore_i (rb, off, i) ->
-           do_store t d ~addr:(regs.(rb) + off) ~start:ready.(rb) ~word:i;
-           pc := next
-         | Pstore_idx_r (rb, ri, off, vr) ->
-           do_store t d
-             ~addr:(regs.(rb) + (regs.(ri) * 8) + off)
-             ~start:(imax ready.(vr) (imax ready.(rb) ready.(ri)))
-             ~word:regs.(vr);
-           pc := next
-         | Pstore_idx_i (rb, ri, off, i) ->
-           do_store t d
-             ~addr:(regs.(rb) + (regs.(ri) * 8) + off)
-             ~start:(imax ready.(rb) ready.(ri))
-             ~word:i;
-           pc := next
-         | Pfstore (rb, off, fv) ->
-           do_store t d ~addr:(regs.(rb) + off)
-             ~start:(imax fready.(fv) ready.(rb))
-             ~word:(Fbits.of_float fregs.(fv));
-           pc := next
-         | Pfstore_idx (rb, ri, off, fv) ->
-           do_store t d
-             ~addr:(regs.(rb) + (regs.(ri) * 8) + off)
-             ~start:(imax fready.(fv) (imax ready.(rb) ready.(ri)))
-             ~word:(Fbits.of_float fregs.(fv));
-           pc := next
-         | Pfmov (fd, fs) ->
-           fregs.(fd) <- fregs.(fs);
-           fready.(fd) <- imax d fready.(fs) + 1;
-           complete t fready.(fd);
-           pc := next
-         | Pfmov_imm (fd, x) ->
-           (* pre-canonicalized at decode time *)
-           fregs.(fd) <- x;
-           fready.(fd) <- d + 1;
-           complete t fready.(fd);
-           pc := next
-         | Pfadd (fd, fa, fb) ->
-           falu t d fregs fready fd fa fb Fadd 3;
-           pc := next
-         | Pfsub (fd, fa, fb) ->
-           falu t d fregs fready fd fa fb Fsub 3;
-           pc := next
-         | Pfmul (fd, fa, fb) ->
-           falu t d fregs fready fd fa fb Fmul 5;
-           pc := next
-         | Pfdiv (fd, fa, fb) ->
-           falu t d fregs fready fd fa fb Fdiv 20;
-           pc := next
-         | Pfsqrt (fd, fs) ->
-           fregs.(fd) <- Fbits.canon (sqrt fregs.(fs));
-           fready.(fd) <- imax d fready.(fs) + fsqrt_lat;
-           complete t fready.(fd);
-           pc := next
-         | Pfneg (fd, fs) ->
-           fregs.(fd) <- -.fregs.(fs);
-           fready.(fd) <- imax d fready.(fs) + 1;
-           complete t fready.(fd);
-           pc := next
-         | Pfabs (fd, fs) ->
-           fregs.(fd) <- Float.abs fregs.(fs);
-           fready.(fd) <- imax d fready.(fs) + 1;
-           complete t fready.(fd);
-           pc := next
-         | Pcvtif (fd, rs) ->
-           fregs.(fd) <- float_of_int regs.(rs);
-           fready.(fd) <- imax d ready.(rs) + flat_lat;
-           complete t fready.(fd);
-           pc := next
-         | Ptruncfi (rd, fs) ->
-           regs.(rd) <- Value.js_to_int32_float fregs.(fs);
-           ready.(rd) <- imax d fready.(fs) + flat_lat;
-           complete t ready.(rd);
-           pc := next
-         | Pbranch_r (c, r, ro, target) ->
-           let start = imax d (imax ready.(r) ready.(ro)) in
-           let taken = cond_apply c regs.(r) regs.(ro) in
-           branch_resolve t ~opt_id ~pc:pc0 ~start ~taken;
-           pc := (if taken then target else next)
-         | Pbranch_i (c, r, i, target) ->
-           let start = imax d ready.(r) in
-           let taken = cond_apply c regs.(r) i in
-           branch_resolve t ~opt_id ~pc:pc0 ~start ~taken;
-           pc := (if taken then target else next)
-         | Pfbranch (c, fa, fb, target) ->
-           let start = imax d (imax fready.(fa) fready.(fb)) in
-           let taken = fcond_apply c fregs.(fa) fregs.(fb) in
-           branch_resolve t ~opt_id ~pc:pc0 ~start ~taken;
-           pc := (if taken then target else next)
-         | Pjmp target ->
-           complete t (d + 1);
-           pc := target
-         | Pcall_fn (callee, argr, rd, deopt_id, cinstrs) ->
-           (* serialize on argument readiness *)
-           Array.iter (fun r -> if ready.(r) > t.cycle then t.cycle <- ready.(r)) argr;
-           t.slots <- 0;
-           charge_rt_i t ~pcost:Profile.cost_call ~cat_idx:cat_other_idx
-             ~instrs:cinstrs ~cycles:8;
-           let argv = Array.map (fun r -> regs.(r)) argr in
-           let v = host.call_fn callee argv in
-           (* the callee (a nested run) moved the attribution site; any
-              cycles this frame still books (deopt below, next dispatch)
-              belong to this call site again *)
-           if pon then Profile.set_site prof pacc pc0;
-           if host.is_invalidated opt_id then begin
-             (* on-stack replacement: this frame's code died during the call *)
-             if Tce_obs.Trace.on t.trace then
-               Tce_obs.Trace.emit t.trace
-                 (Tce_obs.Trace.Osr
-                    { func = f.Lir.name; pc = f.Lir.deopts.(deopt_id).Lir.bc_pc });
-             finish (do_deopt t host f regs fregs deopt_id ~result:(Some v))
-           end
-           else begin
-             regs.(rd) <- v;
-             ready.(rd) <- t.cycle + 1;
-             pc := next
-           end
-         | Pcall_rt_chk (rt, argr, rd, deopt_id, cinstrs, ccycles) ->
-           Array.iter (fun r -> if ready.(r) > t.cycle then t.cycle <- ready.(r)) argr;
-           charge_rt_i t ~pcost:Profile.cost_rt
-             ~cat_idx:(m land Predecode.meta_cat_mask) ~instrs:cinstrs
-             ~cycles:ccycles;
-           let argv = Array.map (fun r -> regs.(r)) argr in
-           let v, _ = host.rt_call rt argv [||] in
-           if rd >= 0 then begin
-             regs.(rd) <- v;
-             ready.(rd) <- t.cycle + 1
-           end;
-           if host.is_invalidated opt_id then begin
-             (* the stub's store retired a profile this code speculates on *)
-             if Tce_obs.Trace.on t.trace then
-               Tce_obs.Trace.emit t.trace
-                 (Tce_obs.Trace.Osr
-                    { func = f.Lir.name; pc = f.Lir.deopts.(deopt_id).Lir.bc_pc });
-             finish
-               (do_deopt t host f regs fregs deopt_id
-                  ~result:(if rd >= 0 then Some v else None))
-           end
-           else pc := next
-         | Pcall_rt (rt, argr, fargr, rd, fd, cinstrs, ccycles) ->
-           Array.iter (fun r -> if ready.(r) > t.cycle then t.cycle <- ready.(r)) argr;
-           Array.iter (fun r -> if fready.(r) > t.cycle then t.cycle <- fready.(r)) fargr;
-           charge_rt_i t ~pcost:Profile.cost_rt
-             ~cat_idx:(m land Predecode.meta_cat_mask) ~instrs:cinstrs
-             ~cycles:ccycles;
-           let argv = Array.map (fun r -> regs.(r)) argr in
-           let fargv = Array.map (fun r -> fregs.(r)) fargr in
-           let v, fv = host.rt_call rt argv fargv in
-           if rd >= 0 then begin
-             regs.(rd) <- v;
-             ready.(rd) <- t.cycle + 1
-           end;
-           if fd >= 0 then begin
-             fregs.(fd) <- fv;
-             fready.(fd) <- t.cycle + 1
-           end;
-           pc := next
-         | Pret r ->
-           complete t (d + 1);
-           finish regs.(r)
-         | Pdeopt deopt_id ->
-           finish (do_deopt t host f regs fregs deopt_id ~result:None)
-         | Pmov_classid r ->
-           let v = regs.(r) in
-           if Value.is_smi v then begin
-             t.reg_classid <- Tce_vm.Layout.smi_classid;
-             complete t (d + 1)
-           end
-           else begin
-             let addr = Value.ptr_addr v in
-             t.reg_classid <- Heap.classid_of t.heap v;
-             complete t (daccess t ~start:(imax d ready.(r)) addr)
-           end;
-           pc := next
-         | Pmov_classid_arr (k, r) ->
-           let v = regs.(r) in
-           if Value.is_smi v then begin
-             (* hoisted loads may execute speculatively with a non-object
-                value (loop body never entered); behave like movClassID *)
-             t.reg_classid_arr.(k) <- Tce_vm.Layout.smi_classid;
-             complete t (d + 1)
-           end
-           else begin
-             let addr = Value.ptr_addr v in
-             t.reg_classid_arr.(k) <- Heap.classid_of t.heap v;
-             complete t (daccess t ~start:(imax d ready.(r)) addr)
-           end;
-           pc := next
-         | Pstore_cc_r (rb, off, vr, deopt_id) -> (
-           let addr = regs.(rb) + off in
-           do_store t d ~addr ~start:(imax ready.(vr) ready.(rb))
-             ~word:regs.(vr);
-           (* the memory unit recovers (ClassID, Line, slot) from the line *)
-           let line_base = Tce_vm.Layout.line_base_of_addr addr in
-           let w = Mem.load mem line_base in
-           let classid = Tce_vm.Layout.classid_of_class_word w in
-           let line = Tce_vm.Layout.line_of_class_word w in
-           let pos = Tce_vm.Layout.slot_pos_of_addr addr in
-           try
-             cc_request_tagged t ~classid ~line ~pos ~stored:regs.(vr);
-             post_store_check deopt_id next
-           with Cc_exception fns -> handle_cc_exception deopt_id fns next)
-         | Pstore_cc_i (rb, off, i, deopt_id) -> (
-           let addr = regs.(rb) + off in
-           do_store t d ~addr ~start:ready.(rb) ~word:i;
-           let line_base = Tce_vm.Layout.line_base_of_addr addr in
-           let w = Mem.load mem line_base in
-           let classid = Tce_vm.Layout.classid_of_class_word w in
-           let line = Tce_vm.Layout.line_of_class_word w in
-           let pos = Tce_vm.Layout.slot_pos_of_addr addr in
-           try
-             cc_request_tagged t ~classid ~line ~pos ~stored:i;
-             post_store_check deopt_id next
-           with Cc_exception fns -> handle_cc_exception deopt_id fns next)
-         | Pstore_cca_r (k, rb, ri, off, vr, deopt_id) -> (
-           let addr = regs.(rb) + (regs.(ri) * 8) + off in
-           do_store t d ~addr
-             ~start:(imax ready.(vr) (imax ready.(rb) ready.(ri)))
-             ~word:regs.(vr);
-           let classid = t.reg_classid_arr.(k) in
-           try
-             cc_request_tagged t ~classid ~line:0
-               ~pos:Tce_vm.Layout.elements_ptr_slot ~stored:regs.(vr);
-             post_store_check deopt_id next
-           with Cc_exception fns -> handle_cc_exception deopt_id fns next)
-         | Pstore_cca_i (k, rb, ri, off, i, deopt_id) -> (
-           let addr = regs.(rb) + (regs.(ri) * 8) + off in
-           do_store t d ~addr ~start:(imax ready.(rb) ready.(ri)) ~word:i;
-           let classid = t.reg_classid_arr.(k) in
-           try
-             cc_request_tagged t ~classid ~line:0
-               ~pos:Tce_vm.Layout.elements_ptr_slot ~stored:i;
-             post_store_check deopt_id next
-           with Cc_exception fns -> handle_cc_exception deopt_id fns next)
-       end
-     done
-   with Cc_exception _ -> assert false);
-  !resv
-
 (* --- superinstruction templates: fused-closure compilation --- *)
 
-(* From here down — the templated executor only — array indexing compiles
-   to unchecked accesses: every register operand was validated against its
-   register file at layout time ({!Template.regs_in_range}), every control
-   target at layout time too, so the [a.(i)] bounds checks can never fire.
-   The per-instruction loop above keeps the checked accesses (it is the
-   fallback for streams that fail validation). *)
+(* From here down — the template compiler and executor — array indexing
+   compiles to unchecked accesses: {!Template.layout} validated every
+   register operand against its register file and every control target
+   against the stream, and a stream that fails validation never runs
+   ({!install_template} raises {!Trap}), so the [a.(i)] bounds checks can
+   never fire. *)
 module Array = struct
   include Stdlib.Array
 
@@ -1072,36 +592,8 @@ module Array = struct
   external set : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 end
 
-(* Unprofiled dispatch: templates only run with the profiler off, so the
-   [Profile.take] calls in [dispatch_k] are statically no-ops.
-   [tpl_dispatch_k] is [dispatch_k] with them removed — the same state
-   transitions in the same order, for every port [kind]. *)
-let tpl_win_retire t =
-  if t.win_len >= t.cfg.window_size then begin
-    let c = Array.unsafe_get t.win_buf t.win_head in
-    t.win_head <- (t.win_head + 1) land t.win_mask;
-    t.win_len <- t.win_len - 1;
-    if c > t.cycle then begin
-      t.cycle <- c;
-      t.slots <- 0;
-      t.load_slots <- 0;
-      t.store_slots <- 0
-    end
-  end
-
-let tpl_dispatch_k t kind =
-  if t.slots >= t.cfg.issue_width then advance t;
-  if kind = kind_load then while t.load_slots >= 1 do advance t done
-  else if kind = kind_store then while t.store_slots >= 1 do advance t done;
-  tpl_win_retire t;
-  t.slots <- t.slots + 1;
-  if kind = kind_load then t.load_slots <- t.load_slots + 1
-  else if kind = kind_store then t.store_slots <- t.store_slots + 1;
-  t.cycle
-
 (* Terminator epilogues shared by the deopt-capable step closures —
-   closures over nothing, mirroring [post_store_check] /
-   [handle_cc_exception] / the OSR arms of the slow loop. *)
+   closures over nothing. *)
 
 let t_osr_trace t (f : Lir.func) deopt_id =
   if Tce_obs.Trace.on t.trace then
@@ -1114,6 +606,13 @@ let t_finish_deopt t env (f : Lir.func) deopt_id ~result =
     do_deopt t env.te_host f env.te_regs env.te_fregs deopt_id ~result;
   env.te_running <- false
 
+(* Retire-path invariant check (fault campaigns only): a special store that
+   retires without raising re-validates this code's own speculation — the
+   host's [is_invalidated] runs the engine's staleness check when an
+   injector is armed, catching a dropped update or lost notification at the
+   very store that broke the profile. Unfaulted, optimized code can never
+   be invalidated on this path (exception delivery is synchronous), so the
+   check is skipped and timing is untouched. *)
 let t_post_store t env (f : Lir.func) deopt_id next =
   if
     Tce_fault.Injector.armed t.fault
@@ -1157,35 +656,35 @@ let compile_pseudo t (op : Predecode.pre) : tstep =
 
 (** Compile one non-pseudo instruction into a fused step closure. All
     operands, latencies, ALU/condition operators and the dispatch-port
-    kind are captured immediates; each closure body is the matching
-    arm of {!run_slow} minus the per-instruction counting (applied en bloc
-    at block entry), the profiler tests (templates only run with profiling
-    off) and the pc update for non-terminators (straight-line steps run in
-    array order; only terminators publish a pc). *)
-let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
+    kind are captured immediates. Per-instruction counting is applied en
+    bloc at block entry ({!Template.apply}), and only terminators publish
+    a pc (straight-line steps run in array order). [pacc] is the profile
+    accumulator of the stream, used only when the profiler is on. *)
+let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
   let mem = t.heap.Heap.mem in
   let opt_id = f.Lir.opt_id in
   let next = pc + 1 in
   let kind = (m lsr Predecode.meta_kind_shift) land 3 in
+  let pon = Profile.on t.prof in
   match op with
   | Predecode.Pprofile _ | Pprofile_store_r _ | Pprofile_store_c _ ->
     assert false
   | Pmov_imm (r, i) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       env.te_regs.(r) <- i;
       env.te_ready.(r) <- d + 1;
       complete t (d + 1)
   | Pmov (rd, rs) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       regs.(rd) <- regs.(rs);
       ready.(rd) <- imax d ready.(rs) + 1;
       complete t ready.(rd)
   | Palu_r (a, lat, rd, rs, ro) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(rs) ready.(ro)) in
       regs.(rd) <- alu_apply a regs.(rs) regs.(ro);
@@ -1193,7 +692,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       complete t ready.(rd)
   | Palu_i (a, lat, rd, rs, i) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d ready.(rs) in
       regs.(rd) <- alu_apply a regs.(rs) i;
@@ -1201,7 +700,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       complete t ready.(rd)
   | Psh64_r (sc, rd, rs, ro) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(rs) ready.(ro)) in
       regs.(rd) <- sh64_apply sc regs.(rs) (regs.(ro) land 63);
@@ -1210,7 +709,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
   | Psh64_i (sc, rd, rs, i) ->
     let y = i land 63 in
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d ready.(rs) in
       regs.(rd) <- sh64_apply sc regs.(rs) y;
@@ -1218,7 +717,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       complete t ready.(rd)
   | Palu32_r (a, lat, rd, rs, ro) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(rs) ready.(ro)) in
       regs.(rd) <- Value.to_int32 (alu_apply a regs.(rs) regs.(ro));
@@ -1226,7 +725,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       complete t ready.(rd)
   | Palu32_i (a, lat, rd, rs, i) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d ready.(rs) in
       regs.(rd) <- Value.to_int32 (alu_apply a regs.(rs) i);
@@ -1234,7 +733,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       complete t ready.(rd)
   | Paluov_r (a, lat, rd, rs, ro, target) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(rs) ready.(ro)) in
       let v = alu_apply a regs.(rs) regs.(ro) in
@@ -1247,7 +746,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       else env.te_pc <- target
   | Paluov_i (a, lat, rd, rs, i, target) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d ready.(rs) in
       let v = alu_apply a regs.(rs) i in
@@ -1260,7 +759,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       else env.te_pc <- target
   | Pload (rd, rb, off) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let addr = regs.(rb) + off in
       let start = imax d ready.(rb) in
@@ -1269,7 +768,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       complete t ready.(rd)
   | Pchecked_load (rd, rb, off, expected, deopt_id) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let base = regs.(rb) in
       let addr = base + off in
@@ -1286,7 +785,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       end
   | Pload_idx (rd, rb, ri, off) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let addr = regs.(rb) + (regs.(ri) * 8) + off in
       let start = imax d (imax ready.(rb) ready.(ri)) in
@@ -1295,7 +794,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       complete t ready.(rd)
   | Pfload (fd, rb, off) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let fregs = env.te_fregs and fready = env.te_fready in
       let addr = regs.(rb) + off in
@@ -1305,7 +804,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       complete t fready.(fd)
   | Pfload_idx (fd, rb, ri, off) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let fregs = env.te_fregs and fready = env.te_fready in
       let addr = regs.(rb) + (regs.(ri) * 8) + off in
@@ -1315,19 +814,19 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       complete t fready.(fd)
   | Pstore_r (rb, off, vr) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       do_store t d ~addr:(regs.(rb) + off)
         ~start:(imax ready.(vr) ready.(rb))
         ~word:regs.(vr)
   | Pstore_i (rb, off, i) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       do_store t d ~addr:(regs.(rb) + off) ~start:ready.(rb) ~word:i
   | Pstore_idx_r (rb, ri, off, vr) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       do_store t d
         ~addr:(regs.(rb) + (regs.(ri) * 8) + off)
@@ -1335,7 +834,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
         ~word:regs.(vr)
   | Pstore_idx_i (rb, ri, off, i) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       do_store t d
         ~addr:(regs.(rb) + (regs.(ri) * 8) + off)
@@ -1343,14 +842,14 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
         ~word:i
   | Pfstore (rb, off, fv) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       do_store t d ~addr:(regs.(rb) + off)
         ~start:(imax env.te_fready.(fv) ready.(rb))
         ~word:(Fbits.of_float env.te_fregs.(fv))
   | Pfstore_idx (rb, ri, off, fv) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       do_store t d
         ~addr:(regs.(rb) + (regs.(ri) * 8) + off)
@@ -1358,69 +857,69 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
         ~word:(Fbits.of_float env.te_fregs.(fv))
   | Pfmov (fd, fs) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let fregs = env.te_fregs and fready = env.te_fready in
       fregs.(fd) <- fregs.(fs);
       fready.(fd) <- imax d fready.(fs) + 1;
       complete t fready.(fd)
   | Pfmov_imm (fd, x) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       env.te_fregs.(fd) <- x;
       env.te_fready.(fd) <- d + 1;
       complete t (d + 1)
   | Pfadd (fd, fa, fb) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       falu t d env.te_fregs env.te_fready fd fa fb Fadd 3
   | Pfsub (fd, fa, fb) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       falu t d env.te_fregs env.te_fready fd fa fb Fsub 3
   | Pfmul (fd, fa, fb) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       falu t d env.te_fregs env.te_fready fd fa fb Fmul 5
   | Pfdiv (fd, fa, fb) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       falu t d env.te_fregs env.te_fready fd fa fb Fdiv 20
   | Pfsqrt (fd, fs) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let fregs = env.te_fregs and fready = env.te_fready in
       fregs.(fd) <- Fbits.canon (sqrt fregs.(fs));
       fready.(fd) <- imax d fready.(fs) + fsqrt_lat;
       complete t fready.(fd)
   | Pfneg (fd, fs) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let fregs = env.te_fregs and fready = env.te_fready in
       fregs.(fd) <- -.fregs.(fs);
       fready.(fd) <- imax d fready.(fs) + 1;
       complete t fready.(fd)
   | Pfabs (fd, fs) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let fregs = env.te_fregs and fready = env.te_fready in
       fregs.(fd) <- Float.abs fregs.(fs);
       fready.(fd) <- imax d fready.(fs) + 1;
       complete t fready.(fd)
   | Pcvtif (fd, rs) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       env.te_fregs.(fd) <- float_of_int env.te_regs.(rs);
       env.te_fready.(fd) <- imax d env.te_ready.(rs) + flat_lat;
       complete t env.te_fready.(fd)
   | Ptruncfi (rd, fs) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       env.te_regs.(rd) <- Value.js_to_int32_float env.te_fregs.(fs);
       env.te_ready.(rd) <- imax d env.te_fready.(fs) + flat_lat;
       complete t env.te_ready.(rd)
   | Pbranch_r (c, r, ro, target) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(r) ready.(ro)) in
       let taken = cond_apply c regs.(r) regs.(ro) in
@@ -1428,14 +927,14 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       env.te_pc <- (if taken then target else next)
   | Pbranch_i (c, r, i, target) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let start = imax d env.te_ready.(r) in
       let taken = cond_apply c env.te_regs.(r) i in
       branch_resolve t ~opt_id ~pc ~start ~taken;
       env.te_pc <- (if taken then target else next)
   | Pfbranch (c, fa, fb, target) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let fready = env.te_fready in
       let start = imax d (imax fready.(fa) fready.(fb)) in
       let taken = fcond_apply c env.te_fregs.(fa) env.te_fregs.(fb) in
@@ -1443,12 +942,12 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       env.te_pc <- (if taken then target else next)
   | Pjmp target ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       complete t (d + 1);
       env.te_pc <- target
   | Pcall_fn (callee, argr, rd, deopt_id, cinstrs) ->
     fun env ->
-      ignore (tpl_dispatch_k t kind);
+      ignore (dispatch_k t kind);
       let regs = env.te_regs and ready = env.te_ready in
       Array.iter
         (fun r -> if ready.(r) > t.cycle then t.cycle <- ready.(r))
@@ -1458,6 +957,10 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
         ~instrs:cinstrs ~cycles:8;
       let argv = Array.map (fun r -> regs.(r)) argr in
       let v = env.te_host.call_fn callee argv in
+      (* the callee (a nested run) moved the attribution site; any cycles
+         this frame still books (deopt below, next dispatch) belong to
+         this call site again *)
+      if pon then Profile.set_site t.prof pacc pc;
       if env.te_host.is_invalidated opt_id then begin
         t_osr_trace t f deopt_id;
         t_finish_deopt t env f deopt_id ~result:(Some v)
@@ -1470,7 +973,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
   | Pcall_rt_chk (rt, argr, rd, deopt_id, cinstrs, ccycles) ->
     let cat_idx = m land Predecode.meta_cat_mask in
     fun env ->
-      ignore (tpl_dispatch_k t kind);
+      ignore (dispatch_k t kind);
       let regs = env.te_regs and ready = env.te_ready in
       Array.iter
         (fun r -> if ready.(r) > t.cycle then t.cycle <- ready.(r))
@@ -1492,7 +995,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
   | Pcall_rt (rt, argr, fargr, rd, fd, cinstrs, ccycles) ->
     let cat_idx = m land Predecode.meta_cat_mask in
     fun env ->
-      ignore (tpl_dispatch_k t kind);
+      ignore (dispatch_k t kind);
       let regs = env.te_regs and ready = env.te_ready in
       let fregs = env.te_fregs and fready = env.te_fready in
       Array.iter
@@ -1517,17 +1020,17 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       env.te_pc <- next
   | Pret r ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       complete t (d + 1);
       env.te_res <- env.te_regs.(r);
       env.te_running <- false
   | Pdeopt deopt_id ->
     fun env ->
-      ignore (tpl_dispatch_k t kind);
+      ignore (dispatch_k t kind);
       t_finish_deopt t env f deopt_id ~result:None
   | Pmov_classid r ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let v = env.te_regs.(r) in
       if Value.is_smi v then begin
         t.reg_classid <- Tce_vm.Layout.smi_classid;
@@ -1540,7 +1043,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       end
   | Pmov_classid_arr (k, r) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let v = env.te_regs.(r) in
       if Value.is_smi v then begin
         t.reg_classid_arr.(k) <- Tce_vm.Layout.smi_classid;
@@ -1553,7 +1056,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       end
   | Pstore_cc_r (rb, off, vr, deopt_id) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let addr = regs.(rb) + off in
       do_store t d ~addr ~start:(imax ready.(vr) ready.(rb)) ~word:regs.(vr);
@@ -1568,7 +1071,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
        with Cc_exception info -> t_handle_cc t env f deopt_id info next)
   | Pstore_cc_i (rb, off, i, deopt_id) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let addr = regs.(rb) + off in
       do_store t d ~addr ~start:ready.(rb) ~word:i;
@@ -1583,7 +1086,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
        with Cc_exception info -> t_handle_cc t env f deopt_id info next)
   | Pstore_cca_r (k, rb, ri, off, vr, deopt_id) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let addr = regs.(rb) + (regs.(ri) * 8) + off in
       do_store t d ~addr
@@ -1597,7 +1100,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
        with Cc_exception info -> t_handle_cc t env f deopt_id info next)
   | Pstore_cca_i (k, rb, ri, off, i, deopt_id) ->
     fun env ->
-      let d = tpl_dispatch_k t kind in
+      let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let addr = regs.(rb) + (regs.(ri) * 8) + off in
       do_store t d ~addr ~start:(imax ready.(rb) ready.(ri)) ~word:i;
@@ -1613,11 +1116,17 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
     instruction [last_iline] equals its line, so only the block's first
     non-pseudo step needs the dynamic line compare — later steps either
     provably stay on the same line (no fetch) or provably cross into a new
-    one (unconditional fetch). Pseudo-ops never fetch. *)
-let compile_block t (f : Lir.func) (pf : Predecode.func) (b : Template.block)
-    : tblock =
+    one (unconditional fetch). Pseudo-ops never fetch.
+
+    With the profiler on, each non-pseudo step first makes its pc the
+    attribution site, so everything the clock does until the next step
+    (the fetch included) books to (this function, this pc). The choice is
+    made here, once per template: unprofiled steps carry no site code. *)
+let compile_block t (f : Lir.func) (pf : Predecode.func) ~pacc
+    (b : Template.block) : tblock =
   let ops = pf.Predecode.ops and meta = pf.Predecode.meta in
   let code_addr = f.Lir.code_addr in
+  let prof = t.prof in
   let steps = ref [] in
   let prev_line = ref (-1) in
   for pc = b.Template.b_start to b.Template.b_start + b.Template.b_len - 1 do
@@ -1626,7 +1135,7 @@ let compile_block t (f : Lir.func) (pf : Predecode.func) (b : Template.block)
       steps := compile_pseudo t op :: !steps
     else begin
       let line = (code_addr + (4 * pc)) lsr 6 in
-      let body = compile_body t f ~pc ~m op in
+      let body = compile_body t f ~pacc ~pc ~m op in
       let step =
         if !prev_line < 0 then fun env ->
           if line <> t.last_iline then ifetch_slow t line;
@@ -1635,6 +1144,12 @@ let compile_block t (f : Lir.func) (pf : Predecode.func) (b : Template.block)
         else fun env ->
           ifetch_slow t line;
           body env
+      in
+      let step =
+        if Profile.on prof then fun env ->
+          Profile.set_site prof pacc pc;
+          step env
+        else step
       in
       prev_line := line;
       steps := step :: !steps
@@ -1646,36 +1161,41 @@ let compile_block t (f : Lir.func) (pf : Predecode.func) (b : Template.block)
   end;
   { tb_steps = Array.of_list (List.rev !steps); tb_sum = b.Template.b_sum }
 
-(** Compile the full template for a decoded stream, or [None] when
-    {!Template.layout} rejects it (fall back to the slow loop forever). *)
-let compile_template t (f : Lir.func) (pf : Predecode.func) : template option
-    =
+(** Compile the full template for a decoded stream. A stream that
+    {!Template.layout} rejects is an install error: it raises {!Trap}
+    naming the function, its [opt_id] and the failed rule. *)
+let compile_template t (f : Lir.func) (pf : Predecode.func) : template =
   match Template.layout pf with
-  | None -> None
-  | Some lay ->
-    Some
-      {
-        tp_pf = pf;
-        tp_blocks =
-          Array.map (fun b -> compile_block t f pf b) lay.Template.blocks;
-        tp_block_of_pc = lay.Template.block_of_pc;
-      }
+  | Error reason ->
+    raise
+      (Trap
+         (Printf.sprintf "cannot install %s (opt_id %d): %s" f.Lir.name
+            f.Lir.opt_id reason))
+  | Ok lay ->
+    let pacc =
+      if Profile.on t.prof then prof_acc t.prof pf else Profile.dummy_acc
+    in
+    {
+      tp_blocks =
+        Array.map (fun b -> compile_block t f pf ~pacc b) lay.Template.blocks;
+      tp_block_of_pc = lay.Template.block_of_pc;
+    }
 
 (** Template for [f], compiling at most once per compilation — same keying
     discipline as {!install}: by [opt_id], with a physical-equality guard
     on the decoded stream covering id reuse. *)
 let install_template t (f : Lir.func) (pf : Predecode.func) =
   match Hashtbl.find_opt t.tpl_cache f.Lir.opt_id with
-  | Some (pf', tpl) when pf' == pf -> tpl
+  | Some (pf', Some tpl) when pf' == pf -> tpl
   | _ ->
     let tpl = compile_template t f pf in
-    Hashtbl.replace t.tpl_cache f.Lir.opt_id (pf, tpl);
+    Hashtbl.replace t.tpl_cache f.Lir.opt_id (pf, Some tpl);
     tpl
 
 (** Templated executor: enter the current leader's block, apply its counter
     summary en bloc, then run the fused steps in order; the terminator (or
     the synthetic fall-through step) publishes the next leader pc or
-    finishes the run. Bit-identical to {!run_slow} by construction. *)
+    finishes the run. *)
 let run_templated t (host : host) (f : Lir.func) (tpl : template)
     (args : Value.t array) : Value.t =
   let nr = imax f.Lir.n_regs 1 in
@@ -1739,19 +1259,8 @@ let run_templated t (host : host) (f : Lir.func) (tpl : template)
   res
 
 (** Execute optimized code [f] on [args] = [this :: params], returning the
-    function result (possibly via a deopt into the interpreter). Runs the
-    fused-template executor whenever it is equivalent to the
-    per-instruction loop: templates enabled, profiler off (per-pc
-    attribution needs per-instruction sites), no fault injector armed, and
-    the stream fusible. *)
+    function result (possibly via a deopt into the interpreter), on the
+    fused template of its decoded stream.
+    @raise Trap when the stream fails template validation. *)
 let run t (host : host) (f : Lir.func) (args : Value.t array) : Value.t =
-  let pf = install t f in
-  if
-    t.templates
-    && (not (Profile.on t.prof))
-    && not (Tce_fault.Injector.armed t.fault)
-  then
-    match install_template t f pf with
-    | Some tpl -> run_templated t host f tpl args
-    | None -> run_slow t host f pf args
-  else run_slow t host f pf args
+  run_templated t host f (install_template t f (install t f)) args

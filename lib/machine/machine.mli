@@ -8,6 +8,9 @@
     compilation), and the run loop is allocation-free — see
     lib/machine/README.md. *)
 
+(** An optimized-code stream the machine cannot execute: raised by {!run}
+    when {!Template.layout} rejects the stream, naming the function, its
+    [opt_id] and the failed rule. *)
 exception Trap of string
 
 (** A misspeculation exception with the faulting-store context attached —
@@ -40,9 +43,9 @@ type host = {
 }
 
 (** A compiled superinstruction template: fused straight-line closures per
-    basic block, bit-identical to the per-instruction loop (see
-    lib/machine/README.md, "Template fusion invariants"). Abstract — built
-    and consumed inside {!run}. *)
+    basic block (see lib/machine/README.md, "Template fusion invariants").
+    With the profiler on, each step also sets its attribution site.
+    Abstract — built and consumed inside {!run}. *)
 type template
 
 (** A pooled per-run template environment (register files and control
@@ -100,12 +103,10 @@ type t = {
           simulated cycles are bit-identical with it on or off *)
   mutable reg_classid : int;  (** regObjectClassId (paper §4.2.1.2) *)
   reg_classid_arr : int array;  (** regArrayObjectClassId 0-3 *)
-  templates : bool;
-      (** fuse pre-decoded streams into superinstruction templates — a pure
-          speedup, bit-identical simulated state *)
   tpl_cache : (int, Predecode.func * template option) Hashtbl.t;
-      (** compiled templates keyed like [pre_cache]; [None] = stream
-          rejected by {!Template.layout}, stay on the per-instruction loop *)
+      (** compiled templates keyed like [pre_cache]; always [Some] — a
+          stream {!Template.layout} rejects raises {!Trap} and is never
+          cached *)
   mutable env_pool : tenv list;
       (** free list of per-run template environments (register-file reuse) *)
 }
@@ -113,7 +114,7 @@ type t = {
 val create :
   ?cfg:Config.t -> ?mechanism:bool -> ?trace:Tce_obs.Trace.t ->
   ?fault:Tce_fault.Injector.t -> ?attr:Tce_attr.Ledger.t ->
-  ?prof:Tce_prof.Profile.t -> ?templates:bool -> heap:Tce_vm.Heap.t ->
+  ?prof:Tce_prof.Profile.t -> heap:Tce_vm.Heap.t ->
   cc:Tce_core.Class_cache.t -> cl:Tce_core.Class_list.t ->
   oracle:Tce_core.Oracle.t -> counters:Counters.t -> unit -> t
 
@@ -128,5 +129,7 @@ val install : t -> Tce_jit.Lir.func -> Predecode.func
 val prefill : t -> addr:int -> bytes:int -> unit
 
 (** Execute optimized code on [this :: params], returning the function
-    result (possibly produced by a deoptimized continuation). *)
+    result (possibly produced by a deoptimized continuation). The stream
+    runs on its fused template, compiled on first use.
+    @raise Trap when {!Template.layout} rejects the stream. *)
 val run : t -> host -> Tce_jit.Lir.func -> Tce_vm.Value.t array -> Tce_vm.Value.t

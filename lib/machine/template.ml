@@ -18,7 +18,7 @@
       exception, no host call), so the per-block counter summary is exactly
       what per-instruction counting would have accumulated;
     - measurement pseudo-ops are transparent: zero timing cost, excluded
-      from the summary (the per-instruction loop never counts them), and
+      from the summary (they are not dispatched instructions), and
       ignored by the I-cache line analysis (they never fetch). *)
 
 open Tce_jit
@@ -61,70 +61,91 @@ let targets (p : Predecode.pre) =
 let falls_through (p : Predecode.pre) =
   match p with Predecode.Pret _ | Pdeopt _ | Pjmp _ -> false | _ -> true
 
-(** Every register operand in range ([0, n_regs) ints, [0, n_fregs)
-    floats, classid-array indices 0-3)? The templated executor compiles
-    operand accesses to unchecked loads and stores (the register files are
-    sized once per run), so an out-of-range index must reject the stream —
-    the per-instruction loop keeps the checked accesses and fails exactly
-    as the reference executor would. *)
-let regs_in_range (pf : Predecode.func) : bool =
-  let nr = pf.Predecode.lf.Lir.n_regs and nf = pf.Predecode.lf.Lir.n_fregs in
-  let r i = i >= 0 && i < nr in
-  let fr i = i >= 0 && i < nf in
-  (* rd / fd = -1 means "no destination" on runtime-stub calls *)
-  let opt i = i < 0 || i < nr in
-  let fopt i = i < 0 || i < nf in
-  let k4 k = k >= 0 && k < 4 in
-  let all p a = Array.for_all p a in
-  Array.for_all
-    (fun (op : Predecode.pre) ->
-      match op with
-      | Predecode.Pprofile (x, _, _) | Pprofile_store_c (x, _, _, _) -> r x
-      | Pprofile_store_r (x, _, _, v) -> r x && r v
-      | Pmov_imm (x, _) | Pret x | Pmov_classid x -> r x
-      | Pmov (a, b) -> r a && r b
-      | Palu_r (_, _, a, b, c) | Palu32_r (_, _, a, b, c) | Psh64_r (_, a, b, c)
-        ->
-        r a && r b && r c
-      | Palu_i (_, _, a, b, _) | Palu32_i (_, _, a, b, _) | Psh64_i (_, a, b, _)
-        ->
-        r a && r b
-      | Paluov_r (_, _, a, b, c, _) -> r a && r b && r c
-      | Paluov_i (_, _, a, b, _, _) -> r a && r b
-      | Pload (a, b, _) | Pchecked_load (a, b, _, _, _) -> r a && r b
-      | Pload_idx (a, b, c, _) -> r a && r b && r c
-      | Pfload (fd, b, _) -> fr fd && r b
-      | Pfload_idx (fd, b, c, _) -> fr fd && r b && r c
-      | Pstore_r (b, _, v) -> r b && r v
-      | Pstore_i (b, _, _) -> r b
-      | Pstore_idx_r (b, i, _, v) -> r b && r i && r v
-      | Pstore_idx_i (b, i, _, _) -> r b && r i
-      | Pfstore (b, _, fv) -> r b && fr fv
-      | Pfstore_idx (b, i, _, fv) -> r b && r i && fr fv
-      | Pfmov (a, b) | Pfsqrt (a, b) | Pfneg (a, b) | Pfabs (a, b) ->
-        fr a && fr b
-      | Pfmov_imm (a, _) -> fr a
-      | Pfadd (a, b, c) | Pfsub (a, b, c) | Pfmul (a, b, c) | Pfdiv (a, b, c) ->
-        fr a && fr b && fr c
-      | Pcvtif (fd, rs) -> fr fd && r rs
-      | Ptruncfi (rd, fs) -> r rd && fr fs
-      | Pbranch_r (_, a, b, _) -> r a && r b
-      | Pbranch_i (_, a, _, _) -> r a
-      | Pfbranch (_, a, b, _) -> fr a && fr b
-      | Pjmp _ | Pdeopt _ -> true
-      | Pcall_fn (_, argr, rd, _, _) -> all r argr && r rd
-      | Pcall_rt_chk (_, args, rd, _, _, _) -> all r args && opt rd
-      | Pcall_rt (_, args, fargs, rd, fd, _, _) ->
-        all r args && all fr fargs && opt rd && fopt fd
-      | Pmov_classid_arr (k, x) -> k4 k && r x
-      | Pstore_cc_r (b, _, v, _) -> r b && r v
-      | Pstore_cc_i (b, _, _, _) -> r b
-      | Pstore_cca_r (k, b, i, _, v, _) -> k4 k && r b && r i && r v
-      | Pstore_cca_i (k, b, i, _, _, _) -> k4 k && r b && r i)
-    pf.Predecode.ops
+(* The register files an operand can index. *)
+type regfile = Int_reg | Float_reg | Classid_slot
 
-(** En-bloc counter summary: what {!Machine.count_meta} would have added,
-    instruction by instruction, over the block's non-pseudo instructions.
+(** Register operands of an instruction as (file, index) pairs. A negative
+    destination on a runtime-stub call means "no result" and is left out. *)
+let operands (op : Predecode.pre) =
+  let r x = (Int_reg, x) and fr x = (Float_reg, x) in
+  let k x = (Classid_slot, x) in
+  let all file a = List.map (fun x -> (file, x)) (Array.to_list a) in
+  let dest file x = if x < 0 then [] else [ (file, x) ] in
+  match op with
+  | Predecode.Pprofile (x, _, _) | Pprofile_store_c (x, _, _, _) -> [ r x ]
+  | Pprofile_store_r (x, _, _, v) -> [ r x; r v ]
+  | Pmov_imm (x, _) | Pret x | Pmov_classid x -> [ r x ]
+  | Pmov (a, b) -> [ r a; r b ]
+  | Palu_r (_, _, a, b, c) | Palu32_r (_, _, a, b, c) | Psh64_r (_, a, b, c)
+  | Paluov_r (_, _, a, b, c, _) ->
+    [ r a; r b; r c ]
+  | Palu_i (_, _, a, b, _) | Palu32_i (_, _, a, b, _) | Psh64_i (_, a, b, _)
+  | Paluov_i (_, _, a, b, _, _) ->
+    [ r a; r b ]
+  | Pload (a, b, _) | Pchecked_load (a, b, _, _, _) -> [ r a; r b ]
+  | Pload_idx (a, b, c, _) -> [ r a; r b; r c ]
+  | Pfload (fd, b, _) -> [ fr fd; r b ]
+  | Pfload_idx (fd, b, c, _) -> [ fr fd; r b; r c ]
+  | Pstore_r (b, _, v) -> [ r b; r v ]
+  | Pstore_i (b, _, _) -> [ r b ]
+  | Pstore_idx_r (b, i, _, v) -> [ r b; r i; r v ]
+  | Pstore_idx_i (b, i, _, _) -> [ r b; r i ]
+  | Pfstore (b, _, fv) -> [ r b; fr fv ]
+  | Pfstore_idx (b, i, _, fv) -> [ r b; r i; fr fv ]
+  | Pfmov (a, b) | Pfsqrt (a, b) | Pfneg (a, b) | Pfabs (a, b) -> [ fr a; fr b ]
+  | Pfmov_imm (a, _) -> [ fr a ]
+  | Pfadd (a, b, c) | Pfsub (a, b, c) | Pfmul (a, b, c) | Pfdiv (a, b, c) ->
+    [ fr a; fr b; fr c ]
+  | Pcvtif (fd, rs) -> [ fr fd; r rs ]
+  | Ptruncfi (rd, fs) -> [ r rd; fr fs ]
+  | Pbranch_r (_, a, b, _) -> [ r a; r b ]
+  | Pbranch_i (_, a, _, _) -> [ r a ]
+  | Pfbranch (_, a, b, _) -> [ fr a; fr b ]
+  | Pjmp _ | Pdeopt _ -> []
+  | Pcall_fn (_, argr, rd, _, _) -> all Int_reg argr @ [ r rd ]
+  | Pcall_rt_chk (_, args, rd, _, _, _) -> all Int_reg args @ dest Int_reg rd
+  | Pcall_rt (_, args, fargs, rd, fd, _, _) ->
+    all Int_reg args @ all Float_reg fargs @ dest Int_reg rd
+    @ dest Float_reg fd
+  | Pmov_classid_arr (kk, x) -> [ k kk; r x ]
+  | Pstore_cc_r (b, _, v, _) -> [ r b; r v ]
+  | Pstore_cc_i (b, _, _, _) -> [ r b ]
+  | Pstore_cca_r (kk, b, i, _, v, _) -> [ k kk; r b; r i; r v ]
+  | Pstore_cca_i (kk, b, i, _, _, _) -> [ k kk; r b; r i ]
+
+(** The first register operand out of range for its file ([0, n_regs)
+    ints, [0, n_fregs) floats, classid-array indices 0-3), as an error
+    text. The fused closures compile operand accesses to unchecked loads
+    and stores (the register files are sized once per run), so such a
+    stream must never run. *)
+let operand_error (pf : Predecode.func) : string option =
+  let bound = function
+    | Int_reg -> pf.Predecode.lf.Lir.n_regs
+    | Float_reg -> pf.Predecode.lf.Lir.n_fregs
+    | Classid_slot -> 4
+  in
+  let name = function
+    | Int_reg -> "register r"
+    | Float_reg -> "float register f"
+    | Classid_slot -> "classid-array index "
+  in
+  let n = Array.length pf.Predecode.ops in
+  let rec scan pc =
+    if pc >= n then None
+    else
+      match
+        List.find_opt
+          (fun (file, i) -> i < 0 || i >= bound file)
+          (operands pf.Predecode.ops.(pc))
+      with
+      | Some (file, i) ->
+        Some (Printf.sprintf "%s%d out of range at pc %d" (name file) i pc)
+      | None -> scan (pc + 1)
+  in
+  scan 0
+
+(** En-bloc counter summary: the counts of the block's non-pseudo
+    instructions, one per instruction by its packed {!Predecode} meta.
     Applied once at block entry — exact because no instruction before the
     terminator can exit the block. *)
 type summary = {
@@ -229,61 +250,66 @@ let apply (c : Counters.t) (s : summary) =
       | _ -> c.Counters.opt_fp <- c.Counters.opt_fp + d
   done
 
-(** Compute the template layout of a decoded stream, or [None] when the
-    stream is not well formed for fusion (a branch target out of range, or
-    straight-line code running off the end of the stream without a
-    terminator) — the executor then keeps the per-instruction loop for
-    this compilation instead of faulting. *)
-let layout (pf : Predecode.func) : t option =
+(** Compute the template layout of a decoded stream, or the first rule it
+    breaks: a branch target out of range, straight-line code (or a
+    fall-through terminator) running off the end of the stream, or a
+    register operand out of range. The machine refuses to install a
+    rejected stream. *)
+let layout (pf : Predecode.func) : (t, string) result =
   let ops = pf.Predecode.ops in
   let n = Array.length ops in
-  if n = 0 then None
+  let error = ref None in
+  let fail msg = if !error = None then error := Some msg in
+  let leader = Array.make n false in
+  if n = 0 then fail "empty stream"
   else begin
-    let ok = ref true in
-    let leader = Array.make n false in
     leader.(0) <- true;
     for pc = 0 to n - 1 do
       if is_terminator ops.(pc) then begin
         if pc + 1 < n then leader.(pc + 1) <- true;
         List.iter
           (fun tgt ->
-            if tgt < 0 || tgt >= n then ok := false else leader.(tgt) <- true)
+            if tgt < 0 || tgt >= n then
+              fail
+                (Printf.sprintf "branch target %d out of range at pc %d" tgt pc)
+            else leader.(tgt) <- true)
           (targets ops.(pc))
       end
     done;
     (* straight-line code must not run off the end of the stream — and a
        fall-through terminator last would publish pc = n *)
-    if (not (is_terminator ops.(n - 1))) || falls_through ops.(n - 1) then
-      ok := false;
-    (* unchecked operand accesses in the fused closures need every
-       register index validated up front *)
-    if not (regs_in_range pf) then ok := false;
-    if not !ok then None
-    else begin
-      let blocks = ref [] in
-      let block_of_pc = Array.make n (-1) in
-      let nblocks = ref 0 in
-      let pc = ref 0 in
-      while !pc < n do
-        let start = !pc in
-        let e = ref start in
-        (* extend past fusible instructions; stop at a terminator or just
-           before the next leader *)
-        while
-          (not (is_terminator ops.(!e))) && !e + 1 < n && not leader.(!e + 1)
-        do
-          incr e
-        done;
-        let terminated = is_terminator ops.(!e) in
-        let len = !e - start + 1 in
-        block_of_pc.(start) <- !nblocks;
-        incr nblocks;
-        blocks :=
-          { b_start = start; b_len = len; b_terminated = terminated;
-            b_sum = summarize pf ~start ~len }
-          :: !blocks;
-        pc := start + len
+    if not (is_terminator ops.(n - 1)) then
+      fail (Printf.sprintf "no terminator at the end (pc %d)" (n - 1))
+    else if falls_through ops.(n - 1) then
+      fail
+        (Printf.sprintf "fall-through terminator at the end (pc %d)" (n - 1));
+    Option.iter fail (operand_error pf)
+  end;
+  match !error with
+  | Some e -> Error e
+  | None ->
+    let blocks = ref [] in
+    let block_of_pc = Array.make n (-1) in
+    let nblocks = ref 0 in
+    let pc = ref 0 in
+    while !pc < n do
+      let start = !pc in
+      let e = ref start in
+      (* extend past fusible instructions; stop at a terminator or just
+         before the next leader *)
+      while
+        (not (is_terminator ops.(!e))) && !e + 1 < n && not leader.(!e + 1)
+      do
+        incr e
       done;
-      Some { blocks = Array.of_list (List.rev !blocks); block_of_pc }
-    end
-  end
+      let terminated = is_terminator ops.(!e) in
+      let len = !e - start + 1 in
+      block_of_pc.(start) <- !nblocks;
+      incr nblocks;
+      blocks :=
+        { b_start = start; b_len = len; b_terminated = terminated;
+          b_sum = summarize pf ~start ~len }
+        :: !blocks;
+      pc := start + len
+    done;
+    Ok { blocks = Array.of_list (List.rev !blocks); block_of_pc }

@@ -16,13 +16,9 @@ val targets : Predecode.pre -> int list
     unconditional exits ([Pret], [Pdeopt], [Pjmp]). *)
 val falls_through : Predecode.pre -> bool
 
-(** Every register operand in range for its register file? A stream that
-    fails this is rejected by {!layout}: the fused closures use unchecked
-    operand accesses, while the per-instruction loop keeps checked ones. *)
-val regs_in_range : Predecode.func -> bool
-
-(** What per-instruction counting ({!Machine} [count_meta]) would have
-    accumulated over the block's non-pseudo instructions. *)
+(** The counts of a run of instructions: one per non-pseudo instruction,
+    by its packed {!Predecode} meta (category, check kind, guard flag,
+    counter class). *)
 type summary = {
   s_by_cat : int array;  (** per-{!Tce_jit.Categories} dynamic instructions *)
   s_by_check : int array;  (** per-check-kind slot (slot 0 = unattributed) *)
@@ -59,8 +55,11 @@ val summarize : Predecode.func -> start:int -> len:int -> summary
     templated executor does at every block entry while measuring. *)
 val apply : Counters.t -> summary -> unit
 
-(** The template layout, or [None] when the stream cannot be fused (target
-    out of range, straight-line code or a fall-through terminator running
-    off the end, or a register operand out of range) — the executor then
-    falls back to the per-instruction loop. *)
-val layout : Predecode.func -> t option
+(** The template layout, or the first rule the stream breaks, as an
+    actionable text ("branch target 9 out of range at pc 2", "register r8
+    out of range at pc 0", "no terminator at the end (pc 4)", ...). The
+    rules: every branch target in the stream, a last instruction that
+    does not continue at [pc + 1], and every register operand in range
+    for its file (the fused closures use unchecked operand accesses). The
+    machine refuses to install a rejected stream ({!Machine.Trap}). *)
+val layout : Predecode.func -> (t, string) result

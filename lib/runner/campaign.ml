@@ -316,6 +316,21 @@ let save ?(latest = latest_path) ?(dir = campaigns_dir) (t : t) : string =
     path
   end
 
+let diff_cells ~reference t =
+  List.filter_map
+    (fun c ->
+      let same r = r.workload = c.workload && r.point = c.point in
+      match List.find_opt same reference.cells with
+      | Some r when r = c -> None
+      | Some r ->
+        Some
+          (Printf.sprintf "%s/%s: %s, reference %s" c.workload c.point
+             (J.to_string (json_of_cell c))
+             (J.to_string (json_of_cell r)))
+      | None ->
+        Some (Printf.sprintf "%s/%s: not in the reference" c.workload c.point))
+    t.cells
+
 let load path : (t, string) result =
   if not (Sys.file_exists path) then Error (path ^ ": no such file")
   else

@@ -180,6 +180,12 @@ val save : ?latest:string -> ?dir:string -> t -> string
 
 val load : string -> (t, string) result
 
+(** The cells of [t] that differ from the cell of the same (workload,
+    point) in [reference], or that [reference] lacks, one line each. A
+    rerun under the same spec and seed gives none: a cell is a pure
+    function of its workload, rule and seed. *)
+val diff_cells : reference:t -> t -> string list
+
 (** Per-point outcome table, recovery provenance (resumed/quarantined
     cells) and the list of [Wrong] cells, to stdout. *)
 val print_summary : t -> unit

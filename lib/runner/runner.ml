@@ -10,26 +10,17 @@ module H = Tce_metrics.Harness
 module W = Tce_workloads.Workload
 
 let simulate_one ?config (w : W.t) : Record.workload =
-  let off, on, wall_off, wall_on =
-    match config with
-    | None -> H.run_pair_timed w
-    | Some config -> H.run_pair_timed ~config w
-  in
+  let off, on, wall_off, wall_on = H.run_pair_timed ?config w in
   Record.of_pair ~wall_off ~wall_on off on
 
 (** Profile the roster serially: one {!H.run_pair_profiled} per workload,
     fresh engines and a fresh profile per side. *)
-let run_profiles ?config (ws : W.t list) : H.profiled list =
-  List.map
-    (fun w ->
-      match config with
-      | None -> H.run_pair_profiled w
-      | Some config -> H.run_pair_profiled ~config w)
-    ws
+let run_profiles (ws : W.t list) : H.profiled list =
+  List.map (fun w -> H.run_pair_profiled w) ws
 
 let bench_codec = Shard.workload_codec ~kind:"bench-row" ~field:"workload"
 
-let bench_cells ?config (ws : W.t list) : Record.workload Shard.cells =
+let bench_cells (ws : W.t list) : Record.workload Shard.cells =
   let arr = Array.of_list ws in
   (* parsed on first use only: workers and in-process runs never schedule *)
   let cost = lazy (Store.baseline_cost_of_workload ()) in
@@ -39,28 +30,27 @@ let bench_cells ?config (ws : W.t list) : Record.workload Shard.cells =
     count = Array.length arr;
     name = (fun i -> arr.(i).W.name);
     cost = (fun i -> Lazy.force cost arr.(i));
-    key = (fun i -> Cache.bench_key ?config arr.(i));
-    run = (fun i -> simulate_one ?config arr.(i));
+    key = (fun i -> Cache.bench_key arr.(i));
+    run = (fun i -> simulate_one arr.(i));
   }
 
-let run_one ?cache ?config (w : W.t) : Record.workload =
+let run_one ?cache (w : W.t) : Record.workload =
   let s =
     Shard.run ?cache ~journal_path:Store.bench_journal_path ~shards:1
-      ~worker_args:[] (bench_cells ?config [ w ])
+      ~worker_args:[] (bench_cells [ w ])
   in
   snd (List.hd s.Shard.rows)
 
 let run_suite ?exe ?spawn ?log_dir ?supervise
-    ?(journal_path = Store.bench_journal_path) ?resume ?chaos ?cache
-    ?config ?jobs ?on_row ?(shards = 1) ?(worker_args = []) (ws : W.t list) :
-    Record.run =
+    ?(journal_path = Store.bench_journal_path) ?resume ?chaos ?cache ?jobs
+    ?on_row ?(shards = 1) ?(worker_args = []) (ws : W.t list) : Record.run =
   Shard.serial_jobs jobs;
   let t0 = Unix.gettimeofday () in
   let s =
     Shard.run ?exe ?spawn ?log_dir ?supervise ~journal_path ?resume ?chaos
-      ?cache ?on_row ~shards ~worker_args (bench_cells ?config ws)
+      ?cache ?on_row ~shards ~worker_args (bench_cells ws)
   in
-  Store.make_run ?config ~shards ~quarantined:s.Shard.quarantined
+  Store.make_run ~shards ~quarantined:s.Shard.quarantined
     ~resumed_rows:s.Shard.resumed ~cache_stats:s.Shard.cache_stats
     ~host_wall_seconds:(Unix.gettimeofday () -. t0)
     (List.map snd s.Shard.rows)

@@ -14,11 +14,12 @@
     every simulated field ({!Record.equal_deterministic}). *)
 val run_one :
   ?cache:Cache.t ->
-  ?config:Tce_engine.Engine.config ->
   Tce_workloads.Workload.t ->
   Record.workload
 
-(** Measure one workload unconditionally (never consults the cache). *)
+(** Measure one workload unconditionally (never consults the cache), under
+    [config] (default {!Tce_engine.Engine.default_config}; the sweep passes
+    each point's geometry). *)
 val simulate_one :
   ?config:Tce_engine.Engine.config ->
   Tce_workloads.Workload.t ->
@@ -28,17 +29,15 @@ val simulate_one :
     {!Tce_metrics.Harness.run_pair_profiled} per workload — fresh engines
     and a fresh profile per side. Results come back in input order. *)
 val run_profiles :
-  ?config:Tce_engine.Engine.config ->
   Tce_workloads.Workload.t list ->
   Tce_metrics.Harness.profiled list
 
 (** [bench-row] envelopes: [{"index": i, "workload": row}]. *)
 val bench_codec : Record.workload Shard.codec
 
-(** The roster as a matrix: cell [i] is the off/on pair of workload [i]
-    under [config], worker mode [--bench]. *)
+(** The roster as a matrix: cell [i] is the off/on pair of workload [i],
+    worker mode [--bench]. *)
 val bench_cells :
-  ?config:Tce_engine.Engine.config ->
   Tce_workloads.Workload.t list ->
   Record.workload Shard.cells
 
@@ -47,11 +46,10 @@ val bench_cells :
     [shards], quarantine, resumed rows and this invocation's cell-cache
     counts). [shards] defaults to 1: serial, in this process. With
     [shards > 1] or [resume], the supervised mode runs, journaled to
-    [journal_path] (default {!Store.bench_journal_path}); [config] must
-    then agree with [worker_args]. [on_row] observes each in-process row
-    as it completes. [jobs] stays only for callers that still pass
-    [~jobs:1]; any other value raises [Invalid_argument]
-    ({!Shard.serial_jobs}).
+    [journal_path] (default {!Store.bench_journal_path}). [on_row]
+    observes each in-process row as it completes. [jobs] stays only for
+    callers that still pass [~jobs:1]; any other value raises
+    [Invalid_argument] ({!Shard.serial_jobs}).
     @raise Failure as {!Shard.run}. *)
 val run_suite :
   ?exe:string ->
@@ -62,7 +60,6 @@ val run_suite :
   ?resume:string ->
   ?chaos:Supervise.Chaos.mode * int ->
   ?cache:Cache.t ->
-  ?config:Tce_engine.Engine.config ->
   ?jobs:int ->
   ?on_row:(Record.workload -> unit) ->
   ?shards:int ->

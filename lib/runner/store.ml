@@ -200,13 +200,13 @@ let timestamp_utc () =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
 
-let make_run ?config ?(shards = 1) ?(quarantined = []) ?(resumed_rows = [])
+let make_run ?(shards = 1) ?(quarantined = []) ?(resumed_rows = [])
     ?(cache_stats = (0, 0)) ~host_wall_seconds workloads : Record.run =
   let cache_hits, cache_misses = cache_stats in
   {
     Record.schema = Tce_obs.Export.schema_version;
     git_sha = git_sha ();
-    config_hash = config_hash ?config ();
+    config_hash = config_hash ();
     created_utc = timestamp_utc ();
     jobs = 1;
     shards;

@@ -93,7 +93,6 @@ val timestamp_utc : unit -> string
     [quarantined]/[resumed_rows] (default empty) carry the supervised
     driver's recovery provenance. *)
 val make_run :
-  ?config:Tce_engine.Engine.config ->
   ?shards:int ->
   ?quarantined:Supervise.quarantined list ->
   ?resumed_rows:int list ->

@@ -362,10 +362,15 @@ let test_decode_func () =
 (* --- (b) spot check against the committed baseline --- *)
 
 (* The full 55-workload roster is gated by `bench/main.exe -- --check`;
-   here a 5-workload cross-section (property-heavy, call-heavy, integer,
-   float, GC-ish) must be bit-identical to the committed baseline, so a
-   fast-path regression fails `dune runtest` without needing the gate. *)
-let spot_names = [ "richards"; "deltablue"; "crypto"; "navier-stokes"; "splay" ]
+   here a 7-workload cross-section (property-heavy, call-heavy, integer,
+   float, GC-ish, hashing, string/array traffic) must be bit-identical to
+   the committed baseline, so a fast-path regression fails `dune runtest`
+   without needing the gate. The baseline was produced by the
+   per-instruction reference executor, so this is also the templated
+   executor's reference check. *)
+let spot_names =
+  [ "richards"; "deltablue"; "crypto"; "navier-stokes"; "splay"; "crypto-md5";
+    "json-stringify-tinderbox" ]
 
 (* dune runtest runs from _build/default/test, where the declared dep
    materializes at ../results/baseline.json; a direct `dune exec` runs
@@ -504,7 +509,7 @@ let () =
         ] );
       ( "baseline",
         [
-          Alcotest.test_case "5-workload spot check" `Slow
+          Alcotest.test_case "7-workload spot check" `Slow
             test_baseline_spot_check;
         ] );
       ( "schedule",

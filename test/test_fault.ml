@@ -2,7 +2,8 @@
    disabled path (simulated cycles bit-identical with the injector absent,
    and with an armed-but-inert injector), retire-path detection of lost
    deopts and dropped profiling updates (outputs must equal the checks-on
-   reference), and deopt-storm backoff + recovery. *)
+   reference), deopt-storm backoff + recovery, and a seeded campaign that
+   must reproduce the committed campaign's cells. *)
 
 module E = Tce_engine.Engine
 module T = Tce_obs.Trace
@@ -237,6 +238,47 @@ let test_storm_checksum_stable () =
   Alcotest.(check bool) "the storm actually deopts" true
     (on.Tce_metrics.Harness.deopts >= 0)
 
+(* --- the campaign oracle across commits --- *)
+
+(* The committed full-roster campaign under seed 1024279. dune runtest runs
+   from _build/default/test, where the declared dep materializes one level
+   up; a direct `dune exec` runs from the source root. *)
+let committed_campaign =
+  let p =
+    Filename.concat Tce_runner.Campaign.campaigns_dir
+      "2026-08-06T00-00-42Z-0a17b8b35c90-seed1024279.json"
+  in
+  if Sys.file_exists p then p else Filename.concat ".." p
+
+(* A cell is a pure function of (workload, rule, seed): rerunning two
+   workloads of that campaign (18 cells, every fault point, the OSR-fail
+   and deopt paths included) must reproduce its cells exactly. *)
+let test_campaign_matches_committed () =
+  let module C = Tce_runner.Campaign in
+  let reference =
+    match C.load committed_campaign with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "committed campaign unreadable: %s" e
+  in
+  let ws =
+    List.map
+      (fun n ->
+        match Tce_workloads.Workloads.by_name n with
+        | Some w -> w
+        | None -> Alcotest.failf "%s missing from the registry" n)
+      [ "richards"; "deopt-storm" ]
+  in
+  let spec =
+    match Spec.parse reference.C.spec with
+    | Ok spec -> spec
+    | Error e -> Alcotest.failf "committed campaign spec: %s" e
+  in
+  let c = C.run ~spec ~seed:reference.C.campaign_seed ws in
+  Alcotest.(check int) "every point on both workloads" 18
+    (List.length c.C.cells);
+  Alcotest.(check (list string)) "cells equal the committed ones" []
+    (C.diff_cells ~reference c)
+
 (* --- unfaulted engine unchanged by the fault layer --- *)
 
 let test_null_injector_shared_safely () =
@@ -284,5 +326,10 @@ let () =
             test_backoff_engages_and_recovers;
           Alcotest.test_case "storm checksum stable" `Quick
             test_storm_checksum_stable;
+        ] );
+      ( "campaign",
+        [
+          Alcotest.test_case "seeded cells match the committed campaign" `Slow
+            test_campaign_matches_committed;
         ] );
     ]

@@ -513,6 +513,18 @@ let test_fused_branch_executes () =
   let v = Machine.run m stub_host (mk_func code ~n_regs:4) [| 0 |] in
   Alcotest.(check int) "loop terminated with 0" 0 v
 
+(* A stream the template layout rejects is an install error, not a silent
+   run: no terminator at the end would run straight off the stream. *)
+let test_unfusible_stream_traps () =
+  let open Tce_jit.Lir in
+  let _, m = mk_machine () in
+  let f = mk_func [ MovImm (1, 5); Mov (2, 1) ] ~n_regs:4 in
+  match Machine.run m stub_host f [| 0 |] with
+  | _ -> Alcotest.fail "an unterminated stream ran"
+  | exception Machine.Trap msg ->
+    Alcotest.(check string) "names the function, its opt_id and the rule"
+      "cannot install lir-test (opt_id 0): no terminator at the end (pc 1)" msg
+
 let test_special_store_fires_class_cache () =
   let open Tce_jit.Lir in
   let heap, m = mk_machine () in
@@ -594,5 +606,7 @@ let () =
           Alcotest.test_case "branch loop" `Quick test_fused_branch_executes;
           Alcotest.test_case "special store" `Quick
             test_special_store_fires_class_cache;
+          Alcotest.test_case "unfusible stream traps" `Quick
+            test_unfusible_stream_traps;
         ] );
     ]

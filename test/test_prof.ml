@@ -3,8 +3,9 @@
        machine cycle and baseline instruction lands in exactly one cell;
    (b) profiling never changes a simulated number (bit-identity vs the
        unprofiled harness, via run_pair_profiled ~verify);
-   (c) the collapsed-stack export round-trips through parse_folded and its
-       machine-side counts are exact;
+   (c) the collapsed-stack export round-trips through parse_folded, its
+       machine-side counts are exact, and richards' per-pc attribution is
+       pinned by digest;
    (d) summaries round-trip through the prof-report JSON;
    (e) the checks-off vs checks-on differential has the right sign — the
        mechanism removes check cycles, it does not add them;
@@ -115,6 +116,19 @@ let test_folded_round_trip () =
       ("off", p.H.p_folded_off, p.H.p_off);
       ("on", p.H.p_folded_on, p.H.p_on);
     ]
+
+(* Per-pc attribution, pinned: the MD5 of richards' folded profile text,
+   mechanism off and on, as the per-instruction executor produced it. The
+   sums above cannot see a cycle that moves between two (pc, cost) cells;
+   this can. *)
+let test_folded_pinned () =
+  let p = profiled "richards" in
+  Alcotest.(check string) "richards off: folded profile unchanged"
+    "8c5a765bf5852ebc473110c2b5fc7810"
+    (Digest.to_hex (Digest.string p.H.p_folded_off));
+  Alcotest.(check string) "richards on: folded profile unchanged"
+    "273939a2a78a9edcf1c7f60d4a5c774b"
+    (Digest.to_hex (Digest.string p.H.p_folded_on))
 
 let test_parse_folded_rejects_garbage () =
   (match P.parse_folded "frames-without-count" with
@@ -285,6 +299,8 @@ let () =
       ( "folded",
         [
           Alcotest.test_case "round-trip" `Quick test_folded_round_trip;
+          Alcotest.test_case "richards per-pc attribution pinned" `Quick
+            test_folded_pinned;
           Alcotest.test_case "rejects garbage" `Quick
             test_parse_folded_rejects_garbage;
         ] );

@@ -5,11 +5,14 @@
        against the fusion invariants (lib/machine/README.md);
    (b) layout rejections: the streams the fused executor must refuse
        (no terminator at the end, fall-through off the end, branch target
-       or register operand out of range, empty stream);
-   (c) templated execution is bit-identical to the per-instruction loop on
-       real workloads (every simulated field of the benchmark record);
-   (d) the cycle-attribution profiler still reconciles exactly with
-       templates on (summarize fails the run otherwise);
+       or register operand out of range, empty stream), each with the
+       text that names the failed rule;
+   (c) every block the spot workloads compile has a consistent en-bloc
+       summary (bit-identity of those workloads against the committed
+       baseline is test_fastpath's spot check);
+   (d) profiled runs execute on templates too, and the cycle-attribution
+       profiler still reconciles exactly (summarize fails the run
+       otherwise);
    (e) shard-merge determinism: row envelopes merged in any completion
        order produce the identical run record, and malformed merges fail
        loudly. *)
@@ -216,8 +219,9 @@ let test_every_constructor () =
       Alcotest.(check bool) (name ^ ": falls_through") falls
         (Template.falls_through pf.Predecode.ops.(0));
       match Template.layout pf with
-      | None -> Alcotest.failf "%s: layout rejected a well-formed stream" name
-      | Some t ->
+      | Error e ->
+        Alcotest.failf "%s: layout rejected a well-formed stream: %s" name e
+      | Ok t ->
         check_invariants name pf t;
         if falls then
           (* a terminator opens a leader at pc 1: its block is a singleton;
@@ -243,29 +247,32 @@ let test_pseudo_ops_transparent () =
     ]
 
 let test_layout_rejections () =
-  let reject name code ~n_regs ~n_fregs =
+  let reject name code ~n_regs ~n_fregs ~reason =
     match Template.layout (Predecode.decode (mk_func ~n_regs ~n_fregs code)) with
-    | None -> ()
-    | Some _ -> Alcotest.failf "%s: layout accepted a stream it must reject" name
+    | Error e -> Alcotest.(check string) (name ^ ": names the rule") reason e
+    | Ok _ -> Alcotest.failf "%s: layout accepted a stream it must reject" name
   in
-  reject "no terminator at the end" [ Lir.MovImm (0, 1) ] ~n_regs:8 ~n_fregs:1;
+  reject "no terminator at the end"
+    [ Lir.MovImm (0, 1); Lir.MovImm (1, 2) ]
+    ~n_regs:8 ~n_fregs:1 ~reason:"no terminator at the end (pc 1)";
   reject "fall-through terminator runs off the end"
     [ Lir.Branch (Lir.Eq, 0, Lir.Imm 0, 0) ]
-    ~n_regs:8 ~n_fregs:1;
-  reject "branch target out of range" [ Lir.Jmp 5 ] ~n_regs:8 ~n_fregs:1;
+    ~n_regs:8 ~n_fregs:1 ~reason:"fall-through terminator at the end (pc 0)";
+  reject "branch target out of range"
+    [ Lir.MovImm (0, 1); Lir.MovImm (1, 2); Lir.Jmp 9 ]
+    ~n_regs:8 ~n_fregs:1 ~reason:"branch target 9 out of range at pc 2";
   reject "int register out of range"
-    [ Lir.Mov (0, 99); Lir.Ret 0 ]
-    ~n_regs:8 ~n_fregs:1;
+    [ Lir.Mov (0, 8); Lir.Ret 0 ]
+    ~n_regs:8 ~n_fregs:1 ~reason:"register r8 out of range at pc 0";
   reject "float register out of range"
-    [ Lir.FMov (0, 7); Lir.Ret 0 ]
-    ~n_regs:8 ~n_fregs:2;
+    [ Lir.MovImm (0, 1); Lir.FMov (0, 7); Lir.Ret 0 ]
+    ~n_regs:8 ~n_fregs:2 ~reason:"float register f7 out of range at pc 1";
   reject "classid-array index out of range"
     [ Lir.MovClassIDArray (4, 0); Lir.Ret 0 ]
-    ~n_regs:8 ~n_fregs:1;
-  Alcotest.(check bool) "empty stream" true
-    (Template.layout (Predecode.decode (mk_func [])) = None)
+    ~n_regs:8 ~n_fregs:1 ~reason:"classid-array index 4 out of range at pc 0";
+  reject "empty stream" [] ~n_regs:8 ~n_fregs:1 ~reason:"empty stream"
 
-(* --- (c) bit-identity on real workloads --- *)
+(* --- (c) en-bloc summaries on real workloads --- *)
 
 let spot_names =
   [ "richards"; "deltablue"; "crypto-md5"; "splay"; "json-stringify-tinderbox" ]
@@ -274,21 +281,6 @@ let workload name =
   match Tce_workloads.Workloads.by_name name with
   | Some w -> w
   | None -> Alcotest.failf "workload %s missing from the registry" name
-
-let no_templates =
-  { Tce_engine.Engine.default_config with templates = false }
-
-let test_bit_identity_vs_per_instruction () =
-  List.iter
-    (fun name ->
-      let w = workload name in
-      let templated = Runner.run_one w in
-      let reference = Runner.run_one ~config:no_templates w in
-      Alcotest.(check bool)
-        (name ^ ": templated record = per-instruction record")
-        true
-        (Record.equal_deterministic templated reference))
-    spot_names
 
 (* Every block of every stream the spot workloads compile: its sparse
    pairs add up to its dense summary. *)
@@ -305,8 +297,8 @@ let test_sparse_summary_on_workloads () =
       Hashtbl.iter
         (fun _ pf ->
           match Template.layout pf with
-          | None -> ()
-          | Some t ->
+          | Error e -> Alcotest.failf "%s: installed stream rejected: %s" name e
+          | Ok t ->
             Array.iter
               (fun (b : Template.block) ->
                 incr blocks;
@@ -317,16 +309,46 @@ let test_sparse_summary_on_workloads () =
         (!blocks > 0))
     spot_names
 
-(* --- (d) profile reconciliation with templates on --- *)
+(* --- (d) profiled runs on templates --- *)
 
+(* A profiled richards pair, each side on its own engine and profile: every
+   stream the machine installed ran on a compiled template, and summarize
+   raises unless every simulated cycle and baseline instruction lands in
+   exactly one (function, pc, cost) cell. *)
 let test_profile_reconciles_with_templates () =
-  (* summarize raises unless every simulated cycle and baseline instruction
-     lands in exactly one (function, pc, cost) cell; run_pair_profiled
-     additionally fails on an off/on checksum mismatch. Default config =
-     templates on. *)
-  let p = Tce_metrics.Harness.run_pair_profiled (workload "richards") in
-  Alcotest.(check string) "profiled the right workload" "richards"
-    p.Tce_metrics.Harness.p_name
+  let w = workload "richards" in
+  List.iter
+    (fun mechanism ->
+      let side = if mechanism then "on" else "off" in
+      let prof = Tce_prof.Profile.create () in
+      let config =
+        { Tce_engine.Engine.default_config with mechanism; prof }
+      in
+      let e = Tce_engine.Engine.of_source ~config w.W.source in
+      Tce_engine.Engine.set_measuring e true;
+      ignore (Tce_engine.Engine.run_main e);
+      for _ = 1 to w.W.iterations do
+        ignore (Tce_engine.Engine.call_by_name e "bench" [||])
+      done;
+      let m = e.Tce_engine.Engine.mach in
+      let installed = m.Tce_machine.Machine.pre_cache in
+      Alcotest.(check bool) (side ^ ": streams were installed") true
+        (Hashtbl.length installed > 0);
+      Hashtbl.iter
+        (fun opt_id pf ->
+          match Hashtbl.find_opt m.Tce_machine.Machine.tpl_cache opt_id with
+          | Some (pf', Some _) when pf' == pf -> ()
+          | _ -> Alcotest.failf "%s: opt_id %d has no template" side opt_id)
+        installed;
+      ignore
+        (Tce_prof.Profile.summarize prof ~program:"richards" ~mechanism
+           ~machine_cycles:(Tce_engine.Engine.opt_cycles e)
+           ~baseline_instrs:
+             e.Tce_engine.Engine.counters.Tce_machine.Counters.baseline_instrs
+           ~baseline_cpi:
+             config.Tce_engine.Engine.mach_cfg.Tce_machine.Config.baseline_cpi
+           ()))
+    [ false; true ]
 
 (* --- (e) shard-merge determinism --- *)
 
@@ -441,8 +463,6 @@ let () =
         ] );
       ( "execution",
         [
-          Alcotest.test_case "bit-identity vs per-instruction" `Slow
-            test_bit_identity_vs_per_instruction;
           Alcotest.test_case "sparse summary on spot workloads" `Slow
             test_sparse_summary_on_workloads;
           Alcotest.test_case "profile reconciles with templates" `Slow
