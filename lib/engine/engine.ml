@@ -964,9 +964,6 @@ and host t : Tce_machine.Machine.host =
           (fun ~opt_id ~bc_pc ~regs ~result ->
             (* resume on the shadow bytecode the code was compiled from *)
             let fn = Hashtbl.find t.shadow_table opt_id in
-            if Sys.getenv_opt "TCE_DEBUG_DEOPT" <> None then
-              Fmt.epr "deopt: %s (opt %d) at bc %d: %a@." fn.Bytecode.name opt_id
-                bc_pc Bytecode.pp_bc fn.Bytecode.code.(bc_pc);
             let r = Array.make (max fn.Bytecode.n_regs 1) t.heap.Heap.null_v in
             Array.blit regs 0 r 0 (min (Array.length regs) fn.Bytecode.n_regs);
             (match result with

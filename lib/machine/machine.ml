@@ -11,13 +11,13 @@
     see DESIGN.md).
 
     The executor runs the {!Predecode} stream, not [Lir.func.code], fused
-    into one closure per basic block ({!Template}) — see
-    lib/machine/README.md for the pre-decode and fusion invariants. The
-    run loop is
-    allocation-free: the window and store queue are int ring buffers, MSHR
-    fill tracking is an {!Tce_support.Int_table}, dispatch-port kinds are
-    ints, and loop exit is a [running] flag plus a result register instead
-    of an [option] compared per iteration. *)
+    into threaded closures ({!Template}): each step tail-calls the next,
+    and each terminator jumps straight to its successor block's entry, so
+    a run is one chain of tail calls from block 0 to a return or a deopt.
+    See lib/machine/README.md for the pre-decode and fusion invariants.
+    Execution allocates nothing per instruction: the window and store
+    queue are int ring buffers, MSHR fill tracking is an
+    {!Tce_support.Int_table} and dispatch-port kinds are ints. *)
 
 open Tce_vm
 open Tce_jit
@@ -58,33 +58,28 @@ type host = {
     Per-run mutable state threaded through the fused step closures. The
     closures themselves are compiled once per installed compilation (they
     capture the machine, the [Lir.func] and all operands as immediates);
-    everything that is fresh per {!run} call — the register files and the
-    control state — travels in this record. *)
+    the register files, which are fresh per {!run} call, travel in this
+    record. *)
 type tenv = {
   mutable te_host : host;
   mutable te_regs : Value.t array;
   mutable te_fregs : float array;
   mutable te_ready : int array;
   mutable te_fready : int array;
-  mutable te_pc : int;  (** always a block leader between steps *)
-  mutable te_running : bool;
-  mutable te_res : Value.t;
 }
 
-type tstep = tenv -> unit
-
-type tblock = {
-  tb_steps : tstep array;
-      (** fused straight-line steps, terminator (or a synthetic
-          fall-through pc update) last *)
-  tb_sum : Template.summary;
-      (** en-bloc counter summary, applied once per block entry when
-          measuring *)
-}
+(** One fused step: it runs its instruction, then tail-calls the next step
+    of its block or (a terminator) the entry step of the successor block.
+    The value is the run's result, returned by the [Pret] or deopt that
+    ends the chain. *)
+type tstep = tenv -> Value.t
 
 type template = {
-  tp_blocks : tblock array;
-  tp_block_of_pc : int array;
+  tp_entries : tstep array;  (** block index -> the block's first step *)
+  tp_counts : int array;
+      (** block index -> entries made while measuring and not yet folded
+          into the counters (zero outside {!run_templated}) *)
+  tp_sums : Template.summary array;  (** block index -> counter summary *)
 }
 
 type t = {
@@ -111,8 +106,8 @@ type t = {
   mutable slots : int;  (** instructions dispatched in this cycle *)
   mutable load_slots : int;  (** loads dispatched this cycle (1 load port) *)
   mutable store_slots : int;  (** stores dispatched this cycle (1 store port) *)
-  (* completion times of in-flight instructions: a ring buffer (the run
-     loop pushes ≤ 1 entry per dispatched instruction, so the capacity
+  (* completion times of in-flight instructions: a ring buffer (the
+     executor pushes ≤ 1 entry per dispatched instruction, so the capacity
      [window_size + 1] rounded to a power of two never overflows) *)
   win_buf : int array;
   win_mask : int;
@@ -160,7 +155,7 @@ type t = {
 
 (* Int-specialized max: [Stdlib.max] is polymorphic and compiles to a
    generic-compare C call — measurably hot at 2-5 uses per simulated
-   instruction (dependency-stall arithmetic in both executors). *)
+   instruction (dependency-stall arithmetic in the fused steps). *)
 let[@inline] imax (a : int) (b : int) = if a >= b then a else b
 
 let ring_capacity n =
@@ -592,6 +587,15 @@ module Array = struct
   external set : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 end
 
+(* Block jumps: every control transfer between blocks goes through [jump],
+   in tail position, so a run executes in constant stack. While measuring,
+   the jump bumps the target block's deferred count; {!fold_counts} turns
+   the counts into counter updates when the run exits. *)
+
+let[@inline] jump t (entries : tstep array) (counts : int array) bi env =
+  if t.measuring then Array.set counts bi (Array.get counts bi + 1);
+  (Array.get entries bi) env
+
 (* Terminator epilogues shared by the deopt-capable step closures —
    closures over nothing. *)
 
@@ -602,9 +606,11 @@ let t_osr_trace t (f : Lir.func) deopt_id =
          { func = f.Lir.name; pc = f.Lir.deopts.(deopt_id).Lir.bc_pc })
 
 let t_finish_deopt t env (f : Lir.func) deopt_id ~result =
-  env.te_res <-
-    do_deopt t env.te_host f env.te_regs env.te_fregs deopt_id ~result;
-  env.te_running <- false
+  do_deopt t env.te_host f env.te_regs env.te_fregs deopt_id ~result
+
+let t_osr_deopt t env (f : Lir.func) deopt_id ~result =
+  t_osr_trace t f deopt_id;
+  t_finish_deopt t env f deopt_id ~result
 
 (* Retire-path invariant check (fault campaigns only): a special store that
    retires without raising re-validates this code's own speculation — the
@@ -613,54 +619,56 @@ let t_finish_deopt t env (f : Lir.func) deopt_id ~result =
    very store that broke the profile. Unfaulted, optimized code can never
    be invalidated on this path (exception delivery is synchronous), so the
    check is skipped and timing is untouched. *)
-let t_post_store t env (f : Lir.func) deopt_id next =
+let t_post_store t env (f : Lir.func) deopt_id entries counts bn =
   if
     Tce_fault.Injector.armed t.fault
     && env.te_host.is_invalidated f.Lir.opt_id
-  then begin
-    t_osr_trace t f deopt_id;
-    t_finish_deopt t env f deopt_id ~result:None
-  end
-  else env.te_pc <- next
+  then t_osr_deopt t env f deopt_id ~result:None
+  else jump t entries counts bn env
 
-let t_handle_cc t env (f : Lir.func) deopt_id info next =
+let t_handle_cc t env (f : Lir.func) deopt_id info entries counts bn =
   if t.measuring then
     t.counters.cc_exception_deopts <- t.counters.cc_exception_deopts + 1;
   env.te_host.on_cc_exception info;
-  if env.te_host.is_invalidated f.Lir.opt_id then begin
-    t_osr_trace t f deopt_id;
-    t_finish_deopt t env f deopt_id ~result:None
-  end
-  else env.te_pc <- next
+  if env.te_host.is_invalidated f.Lir.opt_id then
+    t_osr_deopt t env f deopt_id ~result:None
+  else jump t entries counts bn env
 
-(** Measurement pseudo-ops: zero timing cost, no dispatch, no fetch. *)
-let compile_pseudo t (op : Predecode.pre) : tstep =
+(** Measurement pseudo-ops: zero timing cost, no dispatch, no fetch; each
+    tail-calls its continuation [k]. *)
+let compile_pseudo t (op : Predecode.pre) ~(k : tstep) : tstep =
   match op with
   | Predecode.Pprofile (r, line, pos) ->
     fun env ->
       if t.measuring then begin
         let classid = Heap.classid_of t.heap env.te_regs.(r) in
         Counters.record_obj_load t.counters ~classid ~line ~pos
-      end
+      end;
+      k env
   | Pprofile_store_r (r, line, pos, vr) ->
     fun env ->
       let regs = env.te_regs in
       let classid = Heap.classid_of t.heap regs.(r) in
       let value_classid = Heap.classid_of t.heap regs.(vr) in
-      Tce_core.Oracle.record t.oracle ~classid ~line ~pos ~value_classid
+      Tce_core.Oracle.record t.oracle ~classid ~line ~pos ~value_classid;
+      k env
   | Pprofile_store_c (r, line, pos, c) ->
     fun env ->
       let classid = Heap.classid_of t.heap env.te_regs.(r) in
-      Tce_core.Oracle.record t.oracle ~classid ~line ~pos ~value_classid:c
+      Tce_core.Oracle.record t.oracle ~classid ~line ~pos ~value_classid:c;
+      k env
   | _ -> assert false
 
 (** Compile one non-pseudo instruction into a fused step closure. All
     operands, latencies, ALU/condition operators and the dispatch-port
-    kind are captured immediates. Per-instruction counting is applied en
-    bloc at block entry ({!Template.apply}), and only terminators publish
-    a pc (straight-line steps run in array order). [pacc] is the profile
+    kind are captured immediates, and so are the successor block indices
+    ([block_at] resolves and checks them here, once). A non-terminator
+    ends by tail-calling its continuation [k]; a terminator ignores [k]
+    and {!jump}s to its successor block, returns, or deopts. Counting is
+    per block, folded at run exit ({!fold_counts}). [pacc] is the profile
     accumulator of the stream, used only when the profiler is on. *)
-let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
+let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
+    ~(k : tstep) (op : Predecode.pre) : tstep =
   let mem = t.heap.Heap.mem in
   let opt_id = f.Lir.opt_id in
   let next = pc + 1 in
@@ -674,14 +682,16 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       let d = dispatch_k t kind in
       env.te_regs.(r) <- i;
       env.te_ready.(r) <- d + 1;
-      complete t (d + 1)
+      complete t (d + 1);
+      k env
   | Pmov (rd, rs) ->
     fun env ->
       let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       regs.(rd) <- regs.(rs);
       ready.(rd) <- imax d ready.(rs) + 1;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      k env
   | Palu_r (a, lat, rd, rs, ro) ->
     fun env ->
       let d = dispatch_k t kind in
@@ -689,7 +699,8 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d (imax ready.(rs) ready.(ro)) in
       regs.(rd) <- alu_apply a regs.(rs) regs.(ro);
       ready.(rd) <- start + lat;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      k env
   | Palu_i (a, lat, rd, rs, i) ->
     fun env ->
       let d = dispatch_k t kind in
@@ -697,7 +708,8 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d ready.(rs) in
       regs.(rd) <- alu_apply a regs.(rs) i;
       ready.(rd) <- start + lat;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      k env
   | Psh64_r (sc, rd, rs, ro) ->
     fun env ->
       let d = dispatch_k t kind in
@@ -705,7 +717,8 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d (imax ready.(rs) ready.(ro)) in
       regs.(rd) <- sh64_apply sc regs.(rs) (regs.(ro) land 63);
       ready.(rd) <- start + 1;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      k env
   | Psh64_i (sc, rd, rs, i) ->
     let y = i land 63 in
     fun env ->
@@ -714,7 +727,8 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d ready.(rs) in
       regs.(rd) <- sh64_apply sc regs.(rs) y;
       ready.(rd) <- start + 1;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      k env
   | Palu32_r (a, lat, rd, rs, ro) ->
     fun env ->
       let d = dispatch_k t kind in
@@ -722,7 +736,8 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d (imax ready.(rs) ready.(ro)) in
       regs.(rd) <- Value.to_int32 (alu_apply a regs.(rs) regs.(ro));
       ready.(rd) <- start + lat;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      k env
   | Palu32_i (a, lat, rd, rs, i) ->
     fun env ->
       let d = dispatch_k t kind in
@@ -730,8 +745,10 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d ready.(rs) in
       regs.(rd) <- Value.to_int32 (alu_apply a regs.(rs) i);
       ready.(rd) <- start + lat;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      k env
   | Paluov_r (a, lat, rd, rs, ro, target) ->
+    let bn = block_at next and bt = block_at target in
     fun env ->
       let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
@@ -741,10 +758,11 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       complete t ready.(rd);
       if Value.smi_fits (v asr 1) then begin
         regs.(rd) <- v;
-        env.te_pc <- next
+        jump t entries counts bn env
       end
-      else env.te_pc <- target
+      else jump t entries counts bt env
   | Paluov_i (a, lat, rd, rs, i, target) ->
+    let bn = block_at next and bt = block_at target in
     fun env ->
       let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
@@ -754,9 +772,9 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       complete t ready.(rd);
       if Value.smi_fits (v asr 1) then begin
         regs.(rd) <- v;
-        env.te_pc <- next
+        jump t entries counts bn env
       end
-      else env.te_pc <- target
+      else jump t entries counts bt env
   | Pload (rd, rb, off) ->
     fun env ->
       let d = dispatch_k t kind in
@@ -765,8 +783,10 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d ready.(rb) in
       regs.(rd) <- Mem.load mem addr;
       ready.(rd) <- daccess t ~start addr;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      k env
   | Pchecked_load (rd, rb, off, expected, deopt_id) ->
+    let bn = block_at next in
     fun env ->
       let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
@@ -781,7 +801,7 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
         regs.(rd) <- Mem.load mem addr;
         ready.(rd) <- daccess t ~start addr;
         complete t ready.(rd);
-        env.te_pc <- next
+        jump t entries counts bn env
       end
   | Pload_idx (rd, rb, ri, off) ->
     fun env ->
@@ -791,7 +811,8 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d (imax ready.(rb) ready.(ri)) in
       regs.(rd) <- Mem.load mem addr;
       ready.(rd) <- daccess t ~start addr;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      k env
   | Pfload (fd, rb, off) ->
     fun env ->
       let d = dispatch_k t kind in
@@ -801,7 +822,8 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d ready.(rb) in
       fregs.(fd) <- Fbits.to_float (Mem.load mem addr);
       fready.(fd) <- daccess t ~start addr;
-      complete t fready.(fd)
+      complete t fready.(fd);
+      k env
   | Pfload_idx (fd, rb, ri, off) ->
     fun env ->
       let d = dispatch_k t kind in
@@ -811,19 +833,22 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d (imax ready.(rb) ready.(ri)) in
       fregs.(fd) <- Fbits.to_float (Mem.load mem addr);
       fready.(fd) <- daccess t ~start addr;
-      complete t fready.(fd)
+      complete t fready.(fd);
+      k env
   | Pstore_r (rb, off, vr) ->
     fun env ->
       let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       do_store t d ~addr:(regs.(rb) + off)
         ~start:(imax ready.(vr) ready.(rb))
-        ~word:regs.(vr)
+        ~word:regs.(vr);
+      k env
   | Pstore_i (rb, off, i) ->
     fun env ->
       let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
-      do_store t d ~addr:(regs.(rb) + off) ~start:ready.(rb) ~word:i
+      do_store t d ~addr:(regs.(rb) + off) ~start:ready.(rb) ~word:i;
+      k env
   | Pstore_idx_r (rb, ri, off, vr) ->
     fun env ->
       let d = dispatch_k t kind in
@@ -831,7 +856,8 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       do_store t d
         ~addr:(regs.(rb) + (regs.(ri) * 8) + off)
         ~start:(imax ready.(vr) (imax ready.(rb) ready.(ri)))
-        ~word:regs.(vr)
+        ~word:regs.(vr);
+      k env
   | Pstore_idx_i (rb, ri, off, i) ->
     fun env ->
       let d = dispatch_k t kind in
@@ -839,14 +865,16 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       do_store t d
         ~addr:(regs.(rb) + (regs.(ri) * 8) + off)
         ~start:(imax ready.(rb) ready.(ri))
-        ~word:i
+        ~word:i;
+      k env
   | Pfstore (rb, off, fv) ->
     fun env ->
       let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       do_store t d ~addr:(regs.(rb) + off)
         ~start:(imax env.te_fready.(fv) ready.(rb))
-        ~word:(Fbits.of_float env.te_fregs.(fv))
+        ~word:(Fbits.of_float env.te_fregs.(fv));
+      k env
   | Pfstore_idx (rb, ri, off, fv) ->
     fun env ->
       let d = dispatch_k t kind in
@@ -854,98 +882,115 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       do_store t d
         ~addr:(regs.(rb) + (regs.(ri) * 8) + off)
         ~start:(imax env.te_fready.(fv) (imax ready.(rb) ready.(ri)))
-        ~word:(Fbits.of_float env.te_fregs.(fv))
+        ~word:(Fbits.of_float env.te_fregs.(fv));
+      k env
   | Pfmov (fd, fs) ->
     fun env ->
       let d = dispatch_k t kind in
       let fregs = env.te_fregs and fready = env.te_fready in
       fregs.(fd) <- fregs.(fs);
       fready.(fd) <- imax d fready.(fs) + 1;
-      complete t fready.(fd)
+      complete t fready.(fd);
+      k env
   | Pfmov_imm (fd, x) ->
     fun env ->
       let d = dispatch_k t kind in
       env.te_fregs.(fd) <- x;
       env.te_fready.(fd) <- d + 1;
-      complete t (d + 1)
+      complete t (d + 1);
+      k env
   | Pfadd (fd, fa, fb) ->
     fun env ->
       let d = dispatch_k t kind in
-      falu t d env.te_fregs env.te_fready fd fa fb Fadd 3
+      falu t d env.te_fregs env.te_fready fd fa fb Fadd 3;
+      k env
   | Pfsub (fd, fa, fb) ->
     fun env ->
       let d = dispatch_k t kind in
-      falu t d env.te_fregs env.te_fready fd fa fb Fsub 3
+      falu t d env.te_fregs env.te_fready fd fa fb Fsub 3;
+      k env
   | Pfmul (fd, fa, fb) ->
     fun env ->
       let d = dispatch_k t kind in
-      falu t d env.te_fregs env.te_fready fd fa fb Fmul 5
+      falu t d env.te_fregs env.te_fready fd fa fb Fmul 5;
+      k env
   | Pfdiv (fd, fa, fb) ->
     fun env ->
       let d = dispatch_k t kind in
-      falu t d env.te_fregs env.te_fready fd fa fb Fdiv 20
+      falu t d env.te_fregs env.te_fready fd fa fb Fdiv 20;
+      k env
   | Pfsqrt (fd, fs) ->
     fun env ->
       let d = dispatch_k t kind in
       let fregs = env.te_fregs and fready = env.te_fready in
       fregs.(fd) <- Fbits.canon (sqrt fregs.(fs));
       fready.(fd) <- imax d fready.(fs) + fsqrt_lat;
-      complete t fready.(fd)
+      complete t fready.(fd);
+      k env
   | Pfneg (fd, fs) ->
     fun env ->
       let d = dispatch_k t kind in
       let fregs = env.te_fregs and fready = env.te_fready in
       fregs.(fd) <- -.fregs.(fs);
       fready.(fd) <- imax d fready.(fs) + 1;
-      complete t fready.(fd)
+      complete t fready.(fd);
+      k env
   | Pfabs (fd, fs) ->
     fun env ->
       let d = dispatch_k t kind in
       let fregs = env.te_fregs and fready = env.te_fready in
       fregs.(fd) <- Float.abs fregs.(fs);
       fready.(fd) <- imax d fready.(fs) + 1;
-      complete t fready.(fd)
+      complete t fready.(fd);
+      k env
   | Pcvtif (fd, rs) ->
     fun env ->
       let d = dispatch_k t kind in
       env.te_fregs.(fd) <- float_of_int env.te_regs.(rs);
       env.te_fready.(fd) <- imax d env.te_ready.(rs) + flat_lat;
-      complete t env.te_fready.(fd)
+      complete t env.te_fready.(fd);
+      k env
   | Ptruncfi (rd, fs) ->
     fun env ->
       let d = dispatch_k t kind in
       env.te_regs.(rd) <- Value.js_to_int32_float env.te_fregs.(fs);
       env.te_ready.(rd) <- imax d env.te_fready.(fs) + flat_lat;
-      complete t env.te_ready.(rd)
+      complete t env.te_ready.(rd);
+      k env
   | Pbranch_r (c, r, ro, target) ->
+    let bn = block_at next and bt = block_at target in
     fun env ->
       let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(r) ready.(ro)) in
       let taken = cond_apply c regs.(r) regs.(ro) in
       branch_resolve t ~opt_id ~pc ~start ~taken;
-      env.te_pc <- (if taken then target else next)
+      jump t entries counts (if taken then bt else bn) env
   | Pbranch_i (c, r, i, target) ->
+    let bn = block_at next and bt = block_at target in
     fun env ->
       let d = dispatch_k t kind in
       let start = imax d env.te_ready.(r) in
       let taken = cond_apply c env.te_regs.(r) i in
       branch_resolve t ~opt_id ~pc ~start ~taken;
-      env.te_pc <- (if taken then target else next)
+      jump t entries counts (if taken then bt else bn) env
   | Pfbranch (c, fa, fb, target) ->
+    let bn = block_at next and bt = block_at target in
     fun env ->
       let d = dispatch_k t kind in
       let fready = env.te_fready in
       let start = imax d (imax fready.(fa) fready.(fb)) in
       let taken = fcond_apply c env.te_fregs.(fa) env.te_fregs.(fb) in
       branch_resolve t ~opt_id ~pc ~start ~taken;
-      env.te_pc <- (if taken then target else next)
+      jump t entries counts (if taken then bt else bn) env
   | Pjmp target ->
+    let bt = block_at target in
     fun env ->
       let d = dispatch_k t kind in
       complete t (d + 1);
-      env.te_pc <- target
+      jump t entries counts bt env
   | Pcall_fn (callee, argr, rd, deopt_id, cinstrs) ->
+    let bn = block_at next in
     fun env ->
       ignore (dispatch_k t kind);
       let regs = env.te_regs and ready = env.te_ready in
@@ -961,17 +1006,16 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
          this frame still books (deopt below, next dispatch) belong to
          this call site again *)
       if pon then Profile.set_site t.prof pacc pc;
-      if env.te_host.is_invalidated opt_id then begin
-        t_osr_trace t f deopt_id;
-        t_finish_deopt t env f deopt_id ~result:(Some v)
-      end
+      if env.te_host.is_invalidated opt_id then
+        t_osr_deopt t env f deopt_id ~result:(Some v)
       else begin
         regs.(rd) <- v;
         ready.(rd) <- t.cycle + 1;
-        env.te_pc <- next
+        jump t entries counts bn env
       end
   | Pcall_rt_chk (rt, argr, rd, deopt_id, cinstrs, ccycles) ->
     let cat_idx = m land Predecode.meta_cat_mask in
+    let bn = block_at next in
     fun env ->
       ignore (dispatch_k t kind);
       let regs = env.te_regs and ready = env.te_ready in
@@ -986,14 +1030,13 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
         regs.(rd) <- v;
         ready.(rd) <- t.cycle + 1
       end;
-      if env.te_host.is_invalidated opt_id then begin
-        t_osr_trace t f deopt_id;
-        t_finish_deopt t env f deopt_id
+      if env.te_host.is_invalidated opt_id then
+        t_osr_deopt t env f deopt_id
           ~result:(if rd >= 0 then Some v else None)
-      end
-      else env.te_pc <- next
+      else jump t entries counts bn env
   | Pcall_rt (rt, argr, fargr, rd, fd, cinstrs, ccycles) ->
     let cat_idx = m land Predecode.meta_cat_mask in
+    let bn = block_at next in
     fun env ->
       ignore (dispatch_k t kind);
       let regs = env.te_regs and ready = env.te_ready in
@@ -1017,13 +1060,12 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
         fregs.(fd) <- fv;
         fready.(fd) <- t.cycle + 1
       end;
-      env.te_pc <- next
+      jump t entries counts bn env
   | Pret r ->
     fun env ->
       let d = dispatch_k t kind in
       complete t (d + 1);
-      env.te_res <- env.te_regs.(r);
-      env.te_running <- false
+      env.te_regs.(r)
   | Pdeopt deopt_id ->
     fun env ->
       ignore (dispatch_k t kind);
@@ -1040,21 +1082,26 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
         let addr = Value.ptr_addr v in
         t.reg_classid <- Heap.classid_of t.heap v;
         complete t (daccess t ~start:(imax d env.te_ready.(r)) addr)
-      end
-  | Pmov_classid_arr (k, r) ->
+      end;
+      k env
+  | Pmov_classid_arr (kk, r) ->
     fun env ->
       let d = dispatch_k t kind in
       let v = env.te_regs.(r) in
       if Value.is_smi v then begin
-        t.reg_classid_arr.(k) <- Tce_vm.Layout.smi_classid;
+        t.reg_classid_arr.(kk) <- Tce_vm.Layout.smi_classid;
         complete t (d + 1)
       end
       else begin
         let addr = Value.ptr_addr v in
-        t.reg_classid_arr.(k) <- Heap.classid_of t.heap v;
+        t.reg_classid_arr.(kk) <- Heap.classid_of t.heap v;
         complete t (daccess t ~start:(imax d env.te_ready.(r)) addr)
-      end
+      end;
+      k env
+  (* The Class Cache stores jump after the [match]: only the request runs
+     under the handler, so the jump stays a tail call. *)
   | Pstore_cc_r (rb, off, vr, deopt_id) ->
+    let bn = block_at next in
     fun env ->
       let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
@@ -1065,11 +1112,12 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       let classid = Tce_vm.Layout.classid_of_class_word w in
       let line = Tce_vm.Layout.line_of_class_word w in
       let pos = Tce_vm.Layout.slot_pos_of_addr addr in
-      (try
-         cc_request_tagged t ~classid ~line ~pos ~stored:regs.(vr);
-         t_post_store t env f deopt_id next
-       with Cc_exception info -> t_handle_cc t env f deopt_id info next)
+      (match cc_request_tagged t ~classid ~line ~pos ~stored:regs.(vr) with
+       | () -> t_post_store t env f deopt_id entries counts bn
+       | exception Cc_exception info ->
+         t_handle_cc t env f deopt_id info entries counts bn)
   | Pstore_cc_i (rb, off, i, deopt_id) ->
+    let bn = block_at next in
     fun env ->
       let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
@@ -1080,11 +1128,12 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       let classid = Tce_vm.Layout.classid_of_class_word w in
       let line = Tce_vm.Layout.line_of_class_word w in
       let pos = Tce_vm.Layout.slot_pos_of_addr addr in
-      (try
-         cc_request_tagged t ~classid ~line ~pos ~stored:i;
-         t_post_store t env f deopt_id next
-       with Cc_exception info -> t_handle_cc t env f deopt_id info next)
-  | Pstore_cca_r (k, rb, ri, off, vr, deopt_id) ->
+      (match cc_request_tagged t ~classid ~line ~pos ~stored:i with
+       | () -> t_post_store t env f deopt_id entries counts bn
+       | exception Cc_exception info ->
+         t_handle_cc t env f deopt_id info entries counts bn)
+  | Pstore_cca_r (kk, rb, ri, off, vr, deopt_id) ->
+    let bn = block_at next in
     fun env ->
       let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
@@ -1092,93 +1141,140 @@ let compile_body t (f : Lir.func) ~pacc ~pc ~m (op : Predecode.pre) : tstep =
       do_store t d ~addr
         ~start:(imax ready.(vr) (imax ready.(rb) ready.(ri)))
         ~word:regs.(vr);
-      let classid = t.reg_classid_arr.(k) in
-      (try
+      let classid = t.reg_classid_arr.(kk) in
+      (match
          cc_request_tagged t ~classid ~line:0
-           ~pos:Tce_vm.Layout.elements_ptr_slot ~stored:regs.(vr);
-         t_post_store t env f deopt_id next
-       with Cc_exception info -> t_handle_cc t env f deopt_id info next)
-  | Pstore_cca_i (k, rb, ri, off, i, deopt_id) ->
+           ~pos:Tce_vm.Layout.elements_ptr_slot ~stored:regs.(vr)
+       with
+       | () -> t_post_store t env f deopt_id entries counts bn
+       | exception Cc_exception info ->
+         t_handle_cc t env f deopt_id info entries counts bn)
+  | Pstore_cca_i (kk, rb, ri, off, i, deopt_id) ->
+    let bn = block_at next in
     fun env ->
       let d = dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let addr = regs.(rb) + (regs.(ri) * 8) + off in
       do_store t d ~addr ~start:(imax ready.(rb) ready.(ri)) ~word:i;
-      let classid = t.reg_classid_arr.(k) in
-      (try
+      let classid = t.reg_classid_arr.(kk) in
+      (match
          cc_request_tagged t ~classid ~line:0
-           ~pos:Tce_vm.Layout.elements_ptr_slot ~stored:i;
-         t_post_store t env f deopt_id next
-       with Cc_exception info -> t_handle_cc t env f deopt_id info next)
+           ~pos:Tce_vm.Layout.elements_ptr_slot ~stored:i
+       with
+       | () -> t_post_store t env f deopt_id entries counts bn
+       | exception Cc_exception info ->
+         t_handle_cc t env f deopt_id info entries counts bn)
 
-(** Compile one basic block into its fused step array. I-cache accounting
-    is resolved statically within the block: after any executed non-pseudo
-    instruction [last_iline] equals its line, so only the block's first
-    non-pseudo step needs the dynamic line compare — later steps either
-    provably stay on the same line (no fetch) or provably cross into a new
-    one (unconditional fetch). Pseudo-ops never fetch.
+(* The continuation of a terminator: never called, because a terminator
+   ends its block by jumping, returning or deopting. *)
+let unreachable : tstep = fun _ -> assert false
+
+(** Compile one basic block into its chain of fused steps and return the
+    entry step. The chain is built back to front, each step closing over
+    its successor; a block that ends without a terminator (the next pc
+    leads another block) ends in a jump to that block.
+
+    I-cache accounting is resolved statically within the block: after any
+    executed non-pseudo instruction [last_iline] equals its line, so only
+    the block's first non-pseudo step needs the dynamic line compare —
+    later steps either provably stay on the same line (no fetch) or
+    provably cross into a new one (unconditional fetch). Pseudo-ops never
+    fetch. The fetch and the profiler's site are separate wrapper
+    closures around the body, chosen here.
 
     With the profiler on, each non-pseudo step first makes its pc the
     attribution site, so everything the clock does until the next step
     (the fetch included) books to (this function, this pc). The choice is
     made here, once per template: unprofiled steps carry no site code. *)
-let compile_block t (f : Lir.func) (pf : Predecode.func) ~pacc
-    (b : Template.block) : tblock =
+let compile_block t (f : Lir.func) (pf : Predecode.func) ~pacc ~block_at
+    ~entries ~counts (b : Template.block) : tstep =
   let ops = pf.Predecode.ops and meta = pf.Predecode.meta in
   let code_addr = f.Lir.code_addr in
   let prof = t.prof in
-  let steps = ref [] in
-  let prev_line = ref (-1) in
-  for pc = b.Template.b_start to b.Template.b_start + b.Template.b_len - 1 do
+  let first = b.Template.b_start in
+  let last = first + b.Template.b_len - 1 in
+  let pseudo pc = meta.(pc) land Predecode.meta_pseudo_bit <> 0 in
+  let line_of pc = (code_addr + (4 * pc)) lsr 6 in
+  (* the line of the block's previous non-pseudo instruction, -1 if none *)
+  let prev_line = Stdlib.Array.make (last - first + 1) (-1) in
+  for pc = first + 1 to last do
+    prev_line.(pc - first) <-
+      (if pseudo (pc - 1) then prev_line.(pc - 1 - first) else line_of (pc - 1))
+  done;
+  let k =
+    ref
+      (if b.Template.b_terminated then unreachable
+       else
+         let bn = block_at (last + 1) in
+         fun env -> jump t entries counts bn env)
+  in
+  for pc = last downto first do
     let m = meta.(pc) and op = ops.(pc) in
-    if m land Predecode.meta_pseudo_bit <> 0 then
-      steps := compile_pseudo t op :: !steps
+    if pseudo pc then k := compile_pseudo t op ~k:!k
     else begin
-      let line = (code_addr + (4 * pc)) lsr 6 in
-      let body = compile_body t f ~pacc ~pc ~m op in
+      let line = line_of pc and prev = prev_line.(pc - first) in
+      let body =
+        compile_body t f ~pacc ~block_at ~entries ~counts ~pc ~m ~k:!k op
+      in
       let step =
-        if !prev_line < 0 then fun env ->
+        if prev < 0 then fun env ->
           if line <> t.last_iline then ifetch_slow t line;
           body env
-        else if !prev_line = line then body
+        else if prev = line then body
         else fun env ->
           ifetch_slow t line;
           body env
       in
-      let step =
+      k :=
         if Profile.on prof then fun env ->
           Profile.set_site prof pacc pc;
           step env
         else step
-      in
-      prev_line := line;
-      steps := step :: !steps
     end
   done;
-  if not b.Template.b_terminated then begin
-    let nxt = b.Template.b_start + b.Template.b_len in
-    steps := (fun env -> env.te_pc <- nxt) :: !steps
-  end;
-  { tb_steps = Array.of_list (List.rev !steps); tb_sum = b.Template.b_sum }
+  !k
 
 (** Compile the full template for a decoded stream. A stream that
     {!Template.layout} rejects is an install error: it raises {!Trap}
-    naming the function, its [opt_id] and the failed rule. *)
+    naming the function, its [opt_id] and the failed rule. Every successor
+    pc a step continues at is resolved to its block index here, and must
+    lead a block. *)
 let compile_template t (f : Lir.func) (pf : Predecode.func) : template =
-  match Template.layout pf with
-  | Error reason ->
+  let trap reason =
     raise
       (Trap
          (Printf.sprintf "cannot install %s (opt_id %d): %s" f.Lir.name
             f.Lir.opt_id reason))
+  in
+  match Template.layout pf with
+  | Error reason -> trap reason
   | Ok lay ->
     let pacc =
       if Profile.on t.prof then prof_acc t.prof pf else Profile.dummy_acc
     in
+    let block_of_pc = lay.Template.block_of_pc in
+    let block_at pc =
+      let bi =
+        if pc >= 0 && pc < Stdlib.Array.length block_of_pc then
+          block_of_pc.(pc)
+        else -1
+      in
+      if bi < 0 then
+        trap (Printf.sprintf "successor pc %d does not lead a block" pc);
+      bi
+    in
+    let nb = Stdlib.Array.length lay.Template.blocks in
+    let entries = Stdlib.Array.make nb unreachable in
+    let counts = Stdlib.Array.make nb 0 in
+    Stdlib.Array.iteri
+      (fun bi b ->
+        entries.(bi) <-
+          compile_block t f pf ~pacc ~block_at ~entries ~counts b)
+      lay.Template.blocks;
     {
-      tp_blocks =
-        Array.map (fun b -> compile_block t f pf ~pacc b) lay.Template.blocks;
-      tp_block_of_pc = lay.Template.block_of_pc;
+      tp_entries = entries;
+      tp_counts = counts;
+      tp_sums = Stdlib.Array.map (fun b -> b.Template.b_sum) lay.Template.blocks;
     }
 
 (** Template for [f], compiling at most once per compilation — same keying
@@ -1192,10 +1288,28 @@ let install_template t (f : Lir.func) (pf : Predecode.func) =
     Hashtbl.replace t.tpl_cache f.Lir.opt_id (pf, Some tpl);
     tpl
 
-(** Templated executor: enter the current leader's block, apply its counter
-    summary en bloc, then run the fused steps in order; the terminator (or
-    the synthetic fall-through step) publishes the next leader pc or
-    finishes the run. *)
+(** Add the template's deferred block counts to the counters, each as
+    [count × summary], and zero them. Exact because every counter a
+    summary moves is linear in block entries. A recursive activation of
+    the same template folds the outer one's counts so far too; the outer
+    one folds only what it adds afterwards. The scan reads every slot,
+    so a run exit costs one read per block of the template; bounding it
+    would put a compare on every jump instead (lib/machine/README.md,
+    invariant 7, has the measured costs). *)
+let fold_counts t (tpl : template) =
+  let counts = tpl.tp_counts in
+  for bi = 0 to Array.length counts - 1 do
+    let c = Array.get counts bi in
+    if c <> 0 then begin
+      Template.apply t.counters (Array.get tpl.tp_sums bi) ~times:c;
+      Array.set counts bi 0
+    end
+  done
+
+(** Templated executor: set up the register files and enter block 0. The
+    threaded steps run in constant stack until a [Pret] or a deopt returns
+    the result. Whether the run returns or raises, the block counts it
+    deferred are folded into the counters before it leaves. *)
 let run_templated t (host : host) (f : Lir.func) (tpl : template)
     (args : Value.t array) : Value.t =
   let nr = imax f.Lir.n_regs 1 in
@@ -1217,9 +1331,6 @@ let run_templated t (host : host) (f : Lir.func) (tpl : template)
           e.te_fready <- Array.make nf 0
         end;
         e.te_host <- host;
-        e.te_pc <- 0;
-        e.te_running <- true;
-        e.te_res <- 0;
         e
     | [] ->
         {
@@ -1228,9 +1339,6 @@ let run_templated t (host : host) (f : Lir.func) (tpl : template)
           te_fregs = Array.make nf 0.0;
           te_ready = Array.make nr 0;
           te_fready = Array.make nf 0;
-          te_pc = 0;
-          te_running = true;
-          te_res = 0;
         }
   in
   let regs = env.te_regs in
@@ -1244,19 +1352,15 @@ let run_templated t (host : host) (f : Lir.func) (tpl : template)
   for i = nargs to min (Array.length f.Lir.reprs) f.Lir.n_regs - 1 do
     regs.(i) <- t.heap.Heap.null_v
   done;
-  let blocks = tpl.tp_blocks and block_of_pc = tpl.tp_block_of_pc in
-  let counters = t.counters in
-  while env.te_running do
-    let b = blocks.(block_of_pc.(env.te_pc)) in
-    if t.measuring then Template.apply counters b.tb_sum;
-    let steps = b.tb_steps in
-    for i = 0 to Array.length steps - 1 do
-      (Array.unsafe_get steps i) env
-    done
-  done;
-  let res = env.te_res in
-  t.env_pool <- env :: t.env_pool;
-  res
+  match jump t tpl.tp_entries tpl.tp_counts 0 env with
+  | res ->
+    fold_counts t tpl;
+    t.env_pool <- env :: t.env_pool;
+    res
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    fold_counts t tpl;
+    Printexc.raise_with_backtrace e bt
 
 (** Execute optimized code [f] on [args] = [this :: params], returning the
     function result (possibly via a deopt into the interpreter), on the

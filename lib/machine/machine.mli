@@ -5,8 +5,8 @@
     A research-grade MARSS substitute (DESIGN.md §2).
 
     The executor runs the {!Predecode} stream (decoded once per installed
-    compilation), and the run loop is allocation-free — see
-    lib/machine/README.md. *)
+    compilation) as threaded closures that allocate nothing per
+    instruction — see lib/machine/README.md. *)
 
 (** An optimized-code stream the machine cannot execute: raised by {!run}
     when {!Template.layout} rejects the stream, naming the function, its
@@ -42,14 +42,16 @@ type host = {
   is_invalidated : int -> bool;
 }
 
-(** A compiled superinstruction template: fused straight-line closures per
-    basic block (see lib/machine/README.md, "Template fusion invariants").
-    With the profiler on, each step also sets its attribution site.
-    Abstract — built and consumed inside {!run}. *)
+(** A compiled superinstruction template: one threaded chain of fused
+    closures per basic block, each terminator jumping straight to its
+    successor block, plus the block counts deferred until the run exits
+    (see lib/machine/README.md, "Template fusion invariants"). With the
+    profiler on, each step also sets its attribution site. Abstract —
+    built and consumed inside {!run}. *)
 type template
 
-(** A pooled per-run template environment (register files and control
-    state). Abstract — recycled across guest calls via [env_pool]. *)
+(** A pooled per-run template environment (the register files).
+    Abstract — recycled across guest calls via [env_pool]. *)
 type tenv
 
 type t = {
@@ -130,6 +132,8 @@ val prefill : t -> addr:int -> bytes:int -> unit
 
 (** Execute optimized code on [this :: params], returning the function
     result (possibly produced by a deoptimized continuation). The stream
-    runs on its fused template, compiled on first use.
+    runs on its fused template, compiled on first use, in constant stack
+    per guest call. The counters are exact whenever [run] returns or
+    raises: the block counts a run defers are folded in on either exit.
     @raise Trap when {!Template.layout} rejects the stream. *)
 val run : t -> host -> Tce_jit.Lir.func -> Tce_vm.Value.t array -> Tce_vm.Value.t

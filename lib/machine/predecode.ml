@@ -1,5 +1,6 @@
 (** Pre-decoded LIR: the flat, specialized instruction stream the machine's
-    run loop executes (see lib/machine/README.md for the invariants).
+    template compiler fuses into threaded closures (see
+    lib/machine/README.md for the invariants).
 
     Decoding happens once per installed compilation ([Lir.func], keyed by
     its [opt_id]); the executor then never re-examines the [Lir.op] variant:

@@ -3,17 +3,18 @@
     closures (see lib/machine/README.md, "Template fusion invariants").
 
     This module is the pure analysis half: which pcs lead blocks, where
-    each block ends, and the en-bloc counter summary the executor applies
-    ({!apply}) once per block entry instead of once per instruction. The
-    closure compilation (the half that needs {!Machine.t}'s timing
-    primitives) lives in machine.ml; keeping the layout separate makes it
-    independently testable against the 39 LIR constructors
-    (test/test_template.ml).
+    each block ends, and the en-bloc counter summary of each block. The
+    executor counts block entries and, when a run exits, adds each
+    block's summary times its entries ({!apply}) instead of counting
+    instruction by instruction. The closure compilation (the half that
+    needs {!Machine.t}'s timing primitives) lives in machine.ml; keeping
+    the layout separate makes it independently testable against the 39
+    LIR constructors (test/test_template.ml).
 
     Invariants the layout guarantees (and the executor relies on):
     - every control-flow successor of a block (branch target, fall-through
-      after a terminator) is a block leader, so the templated run loop only
-      ever enters blocks at their first instruction;
+      after a terminator) is a block leader, so the executor only ever
+      enters blocks at their first instruction;
     - non-terminator instructions never leave the block (no deopt, no
       exception, no host call), so the per-block counter summary is exactly
       what per-instruction counting would have accumulated;
@@ -146,8 +147,8 @@ let operand_error (pf : Predecode.func) : string option =
 
 (** En-bloc counter summary: the counts of the block's non-pseudo
     instructions, one per instruction by its packed {!Predecode} meta.
-    Applied once at block entry — exact because no instruction before the
-    terminator can exit the block. *)
+    Exact per block entry because no instruction before the terminator
+    can exit the block. *)
 type summary = {
   s_by_cat : int array;  (** per-{!Categories} dynamic instructions *)
   s_by_check : int array;  (** per-check-kind slot (slot 0 = unattributed) *)
@@ -158,7 +159,7 @@ type summary = {
   s_fp : int;
   s_pairs : int array;
       (** the nonzero counts above as flat [slot; delta] pairs, the form
-          {!apply} adds at block entry *)
+          {!apply} adds *)
 }
 
 (* Sparse slot numbering: the category slots, then the check-kind slots,
@@ -223,16 +224,17 @@ let summarize (pf : Predecode.func) ~start ~len : summary =
     s_pairs = Array.of_list !pairs;
   }
 
-(** Add a block's summary to the counters: only its nonzero slots, one add
-    per counter the block moves instead of one per counter. The unsafe
-    accesses are in range because [summarize] emits only slots below
-    [Categories.count] into [by_cat] and below [check_kind_count + 1] into
-    [by_check_kind], the lengths {!Counters.create} gives them. *)
-let apply (c : Counters.t) (s : summary) =
+(** Add [times] × a block's summary to the counters: only its nonzero
+    slots, one add per counter the block moves instead of one per counter.
+    The unsafe accesses are in range because [summarize] emits only slots
+    below [Categories.count] into [by_cat] and below
+    [check_kind_count + 1] into [by_check_kind], the lengths
+    {!Counters.create} gives them. *)
+let apply (c : Counters.t) (s : summary) ~times =
   let p = s.s_pairs in
   for k = 0 to (Array.length p / 2) - 1 do
     let slot = Array.unsafe_get p (2 * k)
-    and d = Array.unsafe_get p ((2 * k) + 1) in
+    and d = Array.unsafe_get p ((2 * k) + 1) * times in
     if slot < slot_check0 then
       Array.unsafe_set c.Counters.by_cat slot
         (Array.unsafe_get c.Counters.by_cat slot + d)

@@ -51,9 +51,11 @@ type t = {
     exhaustive per-constructor test). *)
 val summarize : Predecode.func -> start:int -> len:int -> summary
 
-(** Add a summary's nonzero counts ([s_pairs]) to the counters — what the
-    templated executor does at every block entry while measuring. *)
-val apply : Counters.t -> summary -> unit
+(** [apply c s ~times] adds [times] × the summary's nonzero counts
+    ([s_pairs]) to the counters. The executor counts the entries of each
+    block while measuring and, when a run returns or raises, applies each
+    entered block's summary once with [~times] = its entry count. *)
+val apply : Counters.t -> summary -> times:int -> unit
 
 (** The template layout, or the first rule the stream breaks, as an
     actionable text ("branch target 9 out of range at pc 2", "register r8

@@ -15,7 +15,11 @@
        otherwise);
    (e) shard-merge determinism: row envelopes merged in any completion
        order produce the identical run record, and malformed merges fail
-       loudly. *)
+       loudly;
+   (f) the threaded executor: a long hand-built loop runs in constant
+       stack, and the block counts it defers are folded into the counters
+       exactly at every exit (return, deopt, an exception escaping a
+       nested call). *)
 
 open Tce_runner
 module Lir = Tce_jit.Lir
@@ -120,7 +124,7 @@ let patch tgt (op : Lir.op) : Lir.op =
 (* Applying the sparse pairs to zeroed counters gives the dense summary. *)
 let check_sparse name (s : Template.summary) =
   let c = Tce_machine.Counters.create () in
-  Template.apply c s;
+  Template.apply c s ~times:1;
   let module C = Tce_machine.Counters in
   Alcotest.(check (list int)) (name ^ ": sparse pairs = dense summary")
     (Array.to_list s.Template.s_by_cat
@@ -450,6 +454,280 @@ let test_campaign_row_round_trip () =
     Alcotest.(check int) "index survives the wire" 9 i;
     Alcotest.(check bool) "cell survives the wire" true (c = cell)
 
+(* --- (f) the threaded executor --- *)
+
+module Machine = Tce_machine.Machine
+module Counters = Tce_machine.Counters
+module Cat = Tce_jit.Categories
+
+let mk_machine ?prof () =
+  let heap = Tce_vm.Heap.create () in
+  let cl = Tce_core.Class_list.create heap.Tce_vm.Heap.mem in
+  let cc = Tce_core.Class_cache.create () in
+  let oracle = Tce_core.Oracle.create () in
+  let counters = Counters.create () in
+  (heap, Machine.create ?prof ~heap ~cc ~cl ~oracle ~counters ())
+
+let stub_host : Machine.host =
+  {
+    Machine.call_fn = (fun _ _ -> 0);
+    resume = (fun ~opt_id:_ ~bc_pc:_ ~regs:_ ~result:_ -> 0);
+    rt_call = (fun _ _ _ -> (0, 0.0));
+    on_cc_exception = (fun _ -> ());
+    on_deopt = (fun _ -> ());
+    is_invalidated = (fun _ -> false);
+  }
+
+let deopt0 =
+  {
+    Lir.bc_pc = 0;
+    result_into = None;
+    reason =
+      Tce_attr.Reason.make Tce_attr.Reason.K_check_map
+        Tce_attr.Reason.C_not_class ~pc:0;
+  }
+
+(* A stream of (category, flags, op) with every counter class in play. *)
+let mk_stream ?(opt_id = 0) code =
+  {
+    (mk_func []) with
+    Lir.opt_id;
+    name = Printf.sprintf "threaded-%d" opt_id;
+    code =
+      Array.of_list (List.map (fun (cat, flags, op) -> Lir.inst ~flags cat op) code);
+    deopts = [| deopt0 |];
+  }
+
+let guard_smi = Cat.flag_guards_obj_load lor Cat.flag_of_check_kind Cat.Ck_smi
+let ck_map = Cat.flag_of_check_kind Cat.Ck_map
+
+(* A counted loop of [n] iterations whose body touches every counter class
+   (categories, check kinds, guards, loads, stores, branches, fp); [exit]
+   is what follows the loop, from pc 9. Leaders: 0, 3 (the loop) and 9. *)
+let counted_loop ?opt_id ~addr n exit =
+  mk_stream ?opt_id
+    ([
+       (Cat.C_other, 0, Lir.MovImm (1, n));  (* 0 *)
+       (Cat.C_taguntag, 0, Lir.MovImm (2, 0));  (* 1 *)
+       (Cat.C_other, 0, Lir.MovImm (3, addr));  (* 2 *)
+       (Cat.C_math, 0, Lir.Alu (Lir.Add, 2, 2, Lir.Imm 3));  (* 3 *)
+       (Cat.C_other, 0, Lir.FAdd (0, 0, 1));  (* 4 *)
+       (Cat.C_check, guard_smi, Lir.Load (4, 3, 0));  (* 5 *)
+       (Cat.C_ccop, 0, Lir.Store (3, 8, Lir.Reg 2));  (* 6 *)
+       (Cat.C_math, 0, Lir.Alu (Lir.Sub, 1, 1, Lir.Imm 1));  (* 7 *)
+       (Cat.C_check, ck_map, Lir.Branch (Lir.Ne, 1, Lir.Imm 0, 3));  (* 8 *)
+     ]
+    @ exit)
+
+let dense_of_counters (c : Counters.t) =
+  Array.to_list c.Counters.by_cat
+  @ Array.to_list c.Counters.by_check_kind
+  @ Counters.
+      [ c.guards_obj_load; c.opt_loads; c.opt_stores; c.opt_branches; c.opt_fp ]
+
+(* The per-instruction reference: for each (stream, [(leader, entries)]),
+   every instruction of each entered block summarized on its own, times
+   the block's entries. *)
+let reference parts =
+  let zero = dense_of_counters (Counters.create ()) in
+  List.fold_left
+    (fun acc (f, entered) ->
+      let pf = Predecode.decode f in
+      match Template.layout pf with
+      | Error e -> Alcotest.failf "%s rejected: %s" f.Lir.name e
+      | Ok lay ->
+        List.fold_left
+          (fun acc (leader, times) ->
+            let b = lay.Template.blocks.(lay.Template.block_of_pc.(leader)) in
+            List.fold_left
+              (fun acc pc ->
+                let s = Template.summarize pf ~start:pc ~len:1 in
+                List.map2 (fun a x -> a + (times * x)) acc
+                  (Array.to_list s.Template.s_by_cat
+                  @ Array.to_list s.Template.s_by_check
+                  @ Template.
+                      [ s.s_guards; s.s_loads; s.s_stores; s.s_branches; s.s_fp ]))
+              acc
+              (List.init b.Template.b_len (fun i -> b.Template.b_start + i)))
+          acc entered)
+    zero parts
+
+(* [~times:k] on zeroed counters gives k × the dense summary. *)
+let test_apply_times () =
+  let f = counted_loop ~addr:0 1 [ (Cat.C_other, 0, Lir.Ret 2) ] in
+  let pf = Predecode.decode f in
+  let s = Template.summarize pf ~start:0 ~len:(Array.length pf.Predecode.ops) in
+  let dense =
+    Array.to_list s.Template.s_by_cat
+    @ Array.to_list s.Template.s_by_check
+    @ Template.[ s.s_guards; s.s_loads; s.s_stores; s.s_branches; s.s_fp ]
+  in
+  Alcotest.(check bool) "the summary moves most counters" true
+    (List.length (List.filter (fun x -> x <> 0) dense) >= 10);
+  List.iter
+    (fun k ->
+      let c = Counters.create () in
+      Template.apply c s ~times:k;
+      Alcotest.(check (list int))
+        (Printf.sprintf "~times:%d on zeroed counters" k)
+        (List.map (fun x -> k * x) dense)
+        (dense_of_counters c))
+    [ 0; 1; 2; 7; 1_000_003 ]
+
+(* One resident line the loops load from and store to. *)
+let scratch_line heap =
+  Tce_vm.Mem.allocate heap.Tce_vm.Heap.mem ~bytes:64 ~align:64
+
+(* A loop of 10⁶ iterations under a 64 Ki-word stack: a step that called
+   its successor or a block jump without a tail call (inside a [try], or
+   with work after it) would need a frame per step, millions deep. The
+   loop crosses I-cache lines, carries a pseudo-op and a Class Cache
+   special store, so every wrapper and the special-store jump are on the
+   path; it runs with the profiler off and on. *)
+let test_constant_stack () =
+  let iters = 1_000_000 in
+  let run prof =
+    let heap, m = mk_machine ?prof () in
+    let base =
+      Tce_vm.Hidden_class.Registry.fresh heap.Tce_vm.Heap.reg
+        ~kind:Tce_vm.Hidden_class.K_object ~name:"S" ~prop_names:[| "x" |]
+    in
+    let o = Tce_vm.Heap.alloc_object heap base ~reserve_props:1 in
+    let addr = scratch_line heap in
+    let pad = List.init 20 (fun i -> (Cat.C_other, 0, Lir.MovImm (5, i))) in
+    let f =
+      mk_stream
+        ([
+           (Cat.C_other, 0, Lir.MovImm (1, iters));  (* 0 *)
+           (Cat.C_other, 0, Lir.MovImm (3, addr));  (* 1 *)
+           (Cat.C_other, 0, Lir.MovImm (6, o));  (* 2 *)
+           (Cat.C_other, 0, Lir.MovImm (7, Tce_vm.Value.smi 9));  (* 3 *)
+           (Cat.C_other, 0, Lir.Profile (3, 0, 0));  (* 4: loop head *)
+           (Cat.C_other, 0, Lir.Load (4, 3, 0));
+         ]
+        @ pad
+        @ [
+            (Cat.C_ccop, 0, Lir.MovClassID 7);
+            (Cat.C_ccop, 0, Lir.StoreClassCache (6, 7, Lir.Reg 7, 0));
+            (Cat.C_math, 0, Lir.Alu (Lir.Sub, 1, 1, Lir.Imm 1));
+            (Cat.C_other, 0, Lir.Branch (Lir.Ne, 1, Lir.Imm 0, 4));
+            (Cat.C_other, 0, Lir.Ret 1);
+          ])
+    in
+    Machine.run m stub_host f [| 0 |]
+  in
+  let old = Gc.get () in
+  Fun.protect
+    ~finally:(fun () -> Gc.set old)
+    (fun () ->
+      Gc.set { old with Gc.stack_limit = 64 * 1024 };
+      List.iter
+        (fun (side, prof) ->
+          match run prof with
+          | v -> Alcotest.(check int) (side ^ ": loop ran to the end") 0 v
+          | exception Stack_overflow ->
+            Alcotest.failf "%s: the executor overflowed a 64 Ki-word stack" side)
+        [ ("profiler off", None); ("profiler on", Some (Tce_prof.Profile.create ())) ])
+
+(* After every exit — a return, a deopt, an exception escaping a nested
+   call — the counters equal the per-instruction reference. A second run
+   on reset counters must count exactly its own blocks again, so no
+   template kept an unfolded count from the first. *)
+let test_counts_exact_at_every_exit () =
+  let check_twice name m ~run ~expected =
+    let c = m.Machine.counters in
+    run ();
+    Alcotest.(check (list int)) (name ^ ": counters after the exit") expected
+      (dense_of_counters c);
+    Counters.reset c;
+    run ();
+    Alcotest.(check (list int)) (name ^ ": no count left behind") expected
+      (dense_of_counters c)
+  in
+  (* a normal return *)
+  let heap, m = mk_machine () in
+  let addr = scratch_line heap in
+  let f = counted_loop ~addr 5 [ (Cat.C_other, 0, Lir.Ret 2) ] in
+  check_twice "return" m
+    ~run:(fun () ->
+      Alcotest.(check int) "returns the sum" 15
+        (Machine.run m stub_host f [| 0 |]))
+    ~expected:(reference [ (f, [ (0, 1); (3, 5); (9, 1) ]) ]);
+  (* a failed checked load deopts: its base r3 holds a raw (even) address,
+     which reads as an SMI, and the line's class word is not 42 either *)
+  let heap, m = mk_machine () in
+  let addr = scratch_line heap in
+  let f =
+    counted_loop ~addr 4
+      [ (Cat.C_check, 0, Lir.CheckedLoad (4, 3, 8, 42, 0));
+        (Cat.C_other, 0, Lir.Ret 2) ]
+  in
+  let resumed = ref 0 in
+  let host =
+    { stub_host with
+      Machine.resume = (fun ~opt_id:_ ~bc_pc:_ ~regs:_ ~result:_ ->
+        incr resumed;
+        -7) }
+  in
+  check_twice "deopt" m
+    ~run:(fun () ->
+      Alcotest.(check int) "the deopt's value" (-7)
+        (Machine.run m host f [| 0 |]))
+    ~expected:(reference [ (f, [ (0, 1); (3, 4); (9, 1) ]) ]);
+  Alcotest.(check int) "deopted into the host each run" 2 !resumed;
+  (* an exception raised by [host.call_fn] inside a nested call: outer
+     calls inner (fn 7), inner calls fn 9, which raises *)
+  let heap, m = mk_machine () in
+  let addr = scratch_line heap in
+  let call callee =
+    [ (Cat.C_other, 0, Lir.CallFn (callee, [| 1 |], 2, 0));
+      (Cat.C_other, 0, Lir.Ret 2) ]
+  in
+  let outer = counted_loop ~opt_id:1 ~addr 3 (call 7) in
+  let inner = counted_loop ~opt_id:2 ~addr 6 (call 9) in
+  (* each call also charges its runtime instructions to C_other, outside
+     any block summary and before the callee runs *)
+  let plus_calls n expected =
+    let charge =
+      match (Predecode.decode outer).Predecode.ops.(9) with
+      | Predecode.Pcall_fn (_, _, _, _, cinstrs) -> cinstrs
+      | _ -> Alcotest.fail "pc 9 is not the call"
+    in
+    List.mapi
+      (fun i x -> if i = Cat.index Cat.C_other then x + (n * charge) else x)
+      expected
+  in
+  let raising = ref true in
+  let rec host =
+    { stub_host with
+      Machine.call_fn =
+        (fun callee _ ->
+          if callee = 7 then Machine.run m host inner [| 0 |]
+          else if !raising then raise Exit
+          else 0) }
+  in
+  check_twice "exception" m
+    ~run:(fun () ->
+      match Machine.run m host outer [| 0 |] with
+      | _ -> Alcotest.fail "the exception did not escape Machine.run"
+      | exception Exit -> ())
+    ~expected:
+      (plus_calls 2
+         (reference
+            [ (outer, [ (0, 1); (3, 3); (9, 1) ]);
+              (inner, [ (0, 1); (3, 6); (9, 1) ]) ]));
+  (* and once the host stops raising, both templates count only the new
+     run, returns included *)
+  raising := false;
+  Counters.reset m.Machine.counters;
+  ignore (Machine.run m host outer [| 0 |]);
+  Alcotest.(check (list int)) "exception: the next run counts only itself"
+    (plus_calls 2
+       (reference
+          [ (outer, [ (0, 1); (3, 3); (9, 1); (10, 1) ]);
+            (inner, [ (0, 1); (3, 6); (9, 1); (10, 1) ]) ]))
+    (dense_of_counters m.Machine.counters)
+
 let () =
   Alcotest.run "template+shard"
     [
@@ -460,6 +738,8 @@ let () =
           Alcotest.test_case "pseudo-ops transparent" `Quick
             test_pseudo_ops_transparent;
           Alcotest.test_case "rejections" `Quick test_layout_rejections;
+          Alcotest.test_case "apply ~times scales the summary" `Quick
+            test_apply_times;
         ] );
       ( "execution",
         [
@@ -467,6 +747,10 @@ let () =
             test_sparse_summary_on_workloads;
           Alcotest.test_case "profile reconciles with templates" `Slow
             test_profile_reconciles_with_templates;
+          Alcotest.test_case "threaded loop in constant stack" `Quick
+            test_constant_stack;
+          Alcotest.test_case "deferred counts exact at every exit" `Quick
+            test_counts_exact_at_every_exit;
         ] );
       ( "shard",
         [
