@@ -10,18 +10,17 @@
         (run the named workloads — default: the built-in smoke workload —
          and write every Harness.result field as versioned JSON)
       dune exec bench/main.exe -- --bench [--shards N] [--out FILE]
-          [--history DIR] [--suite all|selected|octane|sunspider|kraken]
-          [--time] [--profile[=FILE]] [--deterministic] [WORKLOAD ...]
+          [--suite all|selected|octane|sunspider|kraken] [--attr[=FILE]]
+          [--profile[=FILE]] [--deterministic] [WORKLOAD ...]
         (suite run through Tce_runner, serial in this process by default;
-         appends to the result store: BENCH_latest.json +
-         results/history/. --time additionally
-         prints the host wall clock per workload, slowest first — how fast
-         the simulator itself runs, not a simulated number — and writes
-         the same table as bench_time.json. --profile re-runs the roster
-         under the cycle-attribution profiler: prints the checks-off vs
-         checks-on differential, writes PROF_latest.json (+ a history
-         copy) and collapsed-stack flamegraph lines to FILE, default
-         bench_profile.folded — load it in speedscope or inferno.
+         writes one bench-run record, BENCH_latest.json (or --out FILE).
+         Each row carries its host wall clock (wall_seconds); host time
+         split by layer is perfbench's job (perfbench/README.md).
+         --attr writes the suite attribution report, ATTR_latest.json.
+         --profile re-runs the roster under the cycle-attribution
+         profiler: prints the checks-off vs checks-on differential, writes
+         PROF_latest.json and collapsed-stack flamegraph lines to FILE,
+         default bench_profile.folded — load it in speedscope or inferno.
          --shards N runs N supervised worker processes over the roster
          and merges their rows into one run, bit-identical to a serial
          run even when workers crash or hang: dead workers are respawned
@@ -57,7 +56,7 @@
       it, --cache-dir DIR relocates it.
       dune exec bench/main.exe -- --profile-diff BASE [CUR]
         (run-vs-run differential between two prof-report documents, e.g.
-         a results/history/prof-*.json snapshot vs PROF_latest.json;
+         a kept copy of an earlier PROF_latest.json vs the current one;
          CUR defaults to PROF_latest.json)
       dune exec bench/main.exe -- --check [--baseline FILE]
           [--tolerance PCT] [--shards N] [WORKLOAD ...]
@@ -267,31 +266,6 @@ let resolve_workloads ~suite names =
     | "kraken" -> Tce_workloads.Workloads.kraken
     | s -> usage_fail ("unknown suite " ^ s)
 
-(* Self-timing report (`--bench --time`): the host wall clock each
-   off/on pair took, slowest first. This is how long the *simulator*
-   runs, not anything simulated — the table is the measurement behind the
-   README's "performance of the simulator itself" numbers and the first
-   place to look before reaching for dev/profile.sh. *)
-let print_time_table (run : Tce_runner.Record.run) =
-  let module R = Tce_runner.Record in
-  let ws =
-    List.sort
-      (fun (a : R.workload) b -> compare b.R.wall_seconds a.R.wall_seconds)
-      run.R.workloads
-  in
-  let total = List.fold_left (fun s (w : R.workload) -> s +. w.R.wall_seconds) 0.0 ws in
-  Printf.printf "\nhost wall clock per workload (informational, slowest first)\n";
-  Printf.printf "%-22s %9s %9s %9s %7s\n" "workload" "off(s)" "on(s)" "pair(s)"
-    "share";
-  List.iter
-    (fun (w : R.workload) ->
-      Printf.printf "%-22s %9.2f %9.2f %9.2f %6.1f%%\n" w.R.name
-        w.R.wall_seconds_off w.R.wall_seconds_on w.R.wall_seconds
-        (if total > 0.0 then 100.0 *. w.R.wall_seconds /. total else 0.0))
-    ws;
-  Printf.printf "%-22s %9s %9s %9.2f %6s  (suite total %.2fs incl. scheduling)\n"
-    "total" "" "" total "" run.R.host_wall_seconds
-
 (* Shared by --bench / --faults / --check: the supervision knobs
    (--supervise-timeout SECONDS, --max-retries N) over the defaults. *)
 let supervise_config opts =
@@ -364,11 +338,9 @@ let serve_worker opts cells =
     exit 0
 
 let run_bench args =
-  (* `--time`, `--deterministic`, `--strict`, `--no-cache`, `--attr[=FILE]`
-     and `--profile[=FILE]` are value-less flags; peel them off before the
+  (* `--deterministic`, `--strict`, `--no-cache`, `--attr[=FILE]` and
+     `--profile[=FILE]` are value-less flags; peel them off before the
      value-taking flag parser sees them. *)
-  let time_args, args = List.partition (fun a -> a = "--time") args in
-  let show_time = time_args <> [] in
   let det_args, args = List.partition (fun a -> a = "--deterministic") args in
   let deterministic = det_args <> [] in
   let strict_args, args = List.partition (fun a -> a = "--strict") args in
@@ -405,7 +377,7 @@ let run_bench args =
   in
   let opts, names =
     parse_flags
-      [ "out"; "history"; "suite"; "shards"; "worker-indices";
+      [ "out"; "suite"; "shards"; "worker-indices";
         "chaos"; "supervise-timeout"; "max-retries"; "resume"; "chaos-worker";
         "chaos-seed"; "cache-dir" ]
       args
@@ -434,14 +406,9 @@ let run_bench args =
   let latest =
     Option.value ~default:Tce_runner.Store.latest_path (Hashtbl.find_opt opts "out")
   in
-  let history =
-    Option.value ~default:Tce_runner.Store.history_dir
-      (Hashtbl.find_opt opts "history")
-  in
-  let hist_path = Tce_runner.Store.save ~latest ~history run in
+  Tce_runner.Store.save ~latest run;
   Tce_runner.Store.print_summary run;
-  if show_time then print_time_table run;
-  Printf.printf "wrote %s (history: %s)\n" latest hist_path;
+  Printf.printf "wrote %s\n" latest;
   (match attr_out with
   | None -> ()
   | Some path ->
@@ -462,10 +429,6 @@ let run_bench args =
     Tce_obs.Export.to_file ~path
       (Tce_attr.Aggregate.suite_report_json per_workload);
     Printf.printf "wrote %s\n" path);
-  if show_time then begin
-    Tce_runner.Store.save_time_report run;
-    Printf.printf "wrote %s\n" Tce_runner.Store.time_latest_path
-  end;
   (match prof_out with
   | None -> ()
   | Some folded_path ->
@@ -492,11 +455,7 @@ let run_bench args =
         ~config_hash:run.Tce_runner.Record.config_hash
         ~created_utc:run.Tce_runner.Record.created_utc pairs
     in
-    let hist =
-      Tce_runner.Store.save_prof ~history
-        ~git_sha:run.Tce_runner.Record.git_sha
-        ~created_utc:run.Tce_runner.Record.created_utc doc
-    in
+    Tce_runner.Store.save_prof doc;
     let oc = open_out folded_path in
     List.iter
       (fun (p : Harness.profiled) ->
@@ -504,8 +463,8 @@ let run_bench args =
         output_string oc p.Harness.p_folded_on)
       profs;
     close_out oc;
-    Printf.printf "wrote %s (history: %s) and %s\n"
-      Tce_runner.Store.prof_latest_path hist folded_path);
+    Printf.printf "wrote %s and %s\n" Tce_runner.Store.prof_latest_path
+      folded_path);
   (* Non-strict runs survive quarantined cells (the remaining rows are
      intact and reported); --strict makes any quarantine fail the run. *)
   if strict && run.Tce_runner.Record.quarantined <> [] then begin

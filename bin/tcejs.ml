@@ -8,6 +8,9 @@
            tcejs disasm FILE            (bytecode listing)
            tcejs opt-dump FILE FUNC     (optimized LIR of FUNC, after warm-up)
            tcejs classlist FILE         (Class List dump after the run)
+
+    [opt-dump] and [classlist] also take a roster workload name (e.g.
+    [richards]) in place of FILE when no such file exists.
            tcejs config                 (print the simulated core, Table 2)
 
     The benchmark roster, the regression gate and the design-space sweep
@@ -282,10 +285,27 @@ let disasm_cmd =
   Cmd.v (Cmd.info "disasm" ~doc:"Print the bytecode of a program.")
     Term.(const disasm $ file)
 
+(* The program [input] names: the file at that path, else the roster
+   workload of that name. *)
+let program_source input =
+  if Sys.file_exists input then read_file input
+  else
+    match Tce_workloads.Workloads.by_name input with
+    | Some w -> w.Tce_workloads.Workload.source
+    | None ->
+      Printf.eprintf "%s: no such file or roster workload\n" input;
+      exit 1
+
+let program_arg =
+  Arg.(
+    required
+    & pos 0 (some string) None
+    & info [] ~docv:"FILE" ~doc:"A MiniJS file, or a roster workload name.")
+
 (* Run a program to a warm state: main once, then bench() (when present)
    ten times, so hot functions are optimized and profiles populated. *)
-let warm_engine ?(config = Tce_engine.Engine.default_config) file =
-  let t = Tce_engine.Engine.of_source ~config (read_file file) in
+let warm_engine ?(config = Tce_engine.Engine.default_config) input =
+  let t = Tce_engine.Engine.of_source ~config (program_source input) in
   Tce_engine.Engine.set_measuring t false;
   ignore (Tce_engine.Engine.run_main t);
   (match Tce_jit.Bytecode.find_func t.Tce_engine.Engine.prog "bench" with
@@ -297,7 +317,6 @@ let warm_engine ?(config = Tce_engine.Engine.default_config) file =
   t
 
 let opt_dump_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let fname = Arg.(required & pos 1 (some string) None & info [] ~docv:"FUNCTION") in
   let no_mech =
     Arg.(value & flag & info [ "no-mechanism" ] ~doc:"Disable the Class Cache mechanism.")
@@ -322,12 +341,11 @@ let opt_dump_cmd =
   Cmd.v
     (Cmd.info "opt-dump"
        ~doc:"Print the optimized LIR of a function (after a warm-up run).")
-    Term.(const dump $ file $ fname $ no_mech)
+    Term.(const dump $ program_arg $ fname $ no_mech)
 
 let classlist_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let show file =
-    let t = warm_engine file in
+  let show input =
+    let t = warm_engine input in
     let reg = t.Tce_engine.Engine.heap.Tce_vm.Heap.reg in
     let class_name id =
       if id = Tce_vm.Layout.smi_classid then "SMI"
@@ -351,7 +369,7 @@ let classlist_cmd =
   Cmd.v
     (Cmd.info "classlist"
        ~doc:"Dump the live Class List after running a program (Table 1 format).")
-    Term.(const show $ file)
+    Term.(const show $ program_arg)
 
 let config_cmd =
   let show () = Fmt.pr "%a" Tce_machine.Config.pp Tce_machine.Config.default in

@@ -61,7 +61,7 @@ if command -v perf >/dev/null 2>&1; then
     echo "profiling with perf ($mode): $workloads"
     # shellcheck disable=SC2086  # workload names/mode are intentionally split
     perf record -g -o "$out/perf.data" -- "$exe" --bench $mode --no-cache \
-        --history "" --out "$out/profile_bench.json" $workloads
+        --out "$out/profile_bench.json" $workloads
     perf report -i "$out/perf.data" --stdio | head -60
     echo "full profile: perf report -i $out/perf.data"
     exit 0
@@ -186,7 +186,7 @@ cc -O2 -shared -fPIC -o "$out/pcsample.so" "$out/pcsample.c"
 rm -f "$out"/pcs.*
 # shellcheck disable=SC2086  # workload names/mode are intentionally split
 PCSAMPLE_OUT="$out/pcs" LD_PRELOAD="$out/pcsample.so" "$exe" --bench $mode \
-    --no-cache --history "" --out "$out/profile_bench.json" $workloads >"$out/bench.log"
+    --no-cache --out "$out/profile_bench.json" $workloads >"$out/bench.log"
 
 # one "count pc" line per distinct PC
 od -An -v -tx8 "$out"/pcs.* | tr -s ' ' '\n' | sed '/^$/d' | sort | uniq -c \

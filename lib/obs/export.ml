@@ -5,11 +5,13 @@
    v3: bench-run workloads carry per-side host wall clocks
    ([wall_seconds_off]/[wall_seconds_on], provenance-only).
    v4: the [prof-report] (roster-wide cycle-attribution profiles) and
-   [time-report] (machine-readable --time wall table) document kinds
-   exist; Chrome traces gain [prof/<cost>] counter tracks.
+   the --time wall-table document kinds exist; Chrome traces gain
+   [prof/<cost>] counter tracks.
    v5: the [telem] worker heartbeat envelope kind existed (single-line
-   progress beats interleaved with bench-row/fault-cell streams); it has
-   since been retired, and no v5 document changed with it.
+   progress beats interleaved with bench-row/fault-cell streams). It has
+   since been retired, as have the --time wall table and the dev probe
+   kinds; no surviving v5 document changed with them, so the version
+   stays 5.
    Older documents remain readable ([open_document] accepts 1..version);
    readers that need version-dependent defaults use [open_document_v]. *)
 let schema_version = 5

@@ -133,7 +133,7 @@ let label_deltas (pairs : pair list) : (string * int) list =
 (* --- differential: run vs run --- *)
 
 (** Compare the mechanism-on profiles of two runs of the same roster
-    (e.g. PROF_latest.json vs a results/history snapshot): per-workload
+    (e.g. PROF_latest.json vs a kept copy of an earlier one): per-workload
     total drift plus the cost-kind mix shifts behind it. *)
 let diff_runs ~(base : pair list) ~(cur : pair list) : string =
   let b = Buffer.create 4096 in

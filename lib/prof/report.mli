@@ -3,8 +3,8 @@
     Three consumers of {!Profile.summary} data:
     - a single-run text breakdown for [tcejs --profile],
     - the differential views — checks-off vs checks-on ("where did the
-      removed checks' cycles go?") and run-vs-run drift against
-      [results/history] snapshots,
+      removed checks' cycles go?") and run-vs-run drift between two
+      [prof-report] files,
     - the roster-wide JSON suite the runner persists as
       [results/PROF_latest.json]. *)
 

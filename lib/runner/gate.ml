@@ -58,36 +58,6 @@ let composition_warnings ~tolerance_pct (b : Record.workload)
       b.Record.checks_by_kind
   end
 
-let wall_warn_threshold_pct = 25.0
-
-(** Warn-only host-wall-time drift: the simulator getting slower on the
-    host does not change any simulated number (so it must not gate), but a
-    >25% per-workload regression is exactly the kind of accidental hot-loop
-    pessimization that otherwise only surfaces when a nightly times out.
-    Schema v1/v2 baselines have no per-side clocks (they decode as 0.0) and
-    produce no warnings; wall times also vary with host load, hence
-    warn-only. *)
-let wall_warnings (b : Record.workload) (c : Record.workload) =
-  let warn side bw cw =
-    if bw > 0.0 && cw > bw *. (1.0 +. (wall_warn_threshold_pct /. 100.0)) then
-      Some
-        (Printf.sprintf
-           "%s: host wall time%s regressed %.2fs -> %.2fs (+%.0f%%, \
-            non-gating)"
-           b.Record.name side bw cw
-           (100.0 *. (cw -. bw) /. bw))
-    else None
-  in
-  List.filter_map Fun.id
-    (if b.Record.wall_seconds_off > 0.0 || b.Record.wall_seconds_on > 0.0 then
-       [
-         warn " (mechanism off)" b.Record.wall_seconds_off
-           c.Record.wall_seconds_off;
-         warn " (mechanism on)" b.Record.wall_seconds_on
-           c.Record.wall_seconds_on;
-       ]
-     else [ warn "" b.Record.wall_seconds c.Record.wall_seconds ])
-
 (** Compare [current] against [baseline] workload-by-workload (matched by
     name, over the baseline's roster). A workload fails when
     - its measured checksum changed (correctness regression),
@@ -100,23 +70,6 @@ let check_run ?(tolerance_pct = default_tolerance_pct) ~baseline ~current () :
     List.find_opt
       (fun (w : Record.workload) -> w.Record.name = name)
       current.Record.workloads
-  in
-  (* Wall-time drift is only meaningful like for like: a sharded run's
-     clocks include fork/pipe overhead a serial run doesn't pay (and vice
-     versa), so wall warnings require both sides to agree on jobs AND
-     shards AND the cell-cache hit ratio — a mostly-cached run spends
-     almost no wall time simulating, so warning it against an uncached
-     baseline (or vice versa) would be pure noise. Simulated verdicts are
-     never gated on any of this. *)
-  let cache_ratio (r : Record.run) =
-    let total = r.Record.cache_hits + r.Record.cache_misses in
-    if total = 0 then 0.0
-    else float_of_int r.Record.cache_hits /. float_of_int total
-  in
-  let wall_comparable =
-    baseline.Record.jobs = current.Record.jobs
-    && baseline.Record.shards = current.Record.shards
-    && cache_ratio baseline = cache_ratio current
   in
   (* A baseline workload absent because the supervisor quarantined it is
      not a perf regression — the gate compares only the completed rows and
@@ -173,32 +126,13 @@ let check_run ?(tolerance_pct = default_tolerance_pct) ~baseline ~current () :
             :: vs
           in
           (vs, miss, quar,
-           List.rev_append
-             (if wall_comparable then wall_warnings b c else [])
-             (List.rev_append (composition_warnings ~tolerance_pct b c) warns)))
+           List.rev_append (composition_warnings ~tolerance_pct b c) warns))
       ([], [], [], []) baseline.Record.workloads
-  in
-  let suite_wall_warnings =
-    let bw = baseline.Record.host_wall_seconds
-    and cw = current.Record.host_wall_seconds in
-    if
-      bw > 0.0 && wall_comparable
-      && cw > bw *. (1.0 +. (wall_warn_threshold_pct /. 100.0))
-    then
-      [
-        Printf.sprintf
-          "suite host wall time regressed %.2fs -> %.2fs (+%.0f%% at %d \
-           shards, non-gating)"
-          bw cw
-          (100.0 *. (cw -. bw) /. bw)
-          current.Record.shards;
-      ]
-    else []
   in
   let verdicts = List.rev verdicts
   and missing = List.rev missing
   and quarantined = List.rev quarantined
-  and warnings = List.rev warnings @ suite_wall_warnings in
+  and warnings = List.rev warnings in
   let config_mismatch =
     baseline.Record.config_hash <> current.Record.config_hash
   in
@@ -293,13 +227,13 @@ let run_gate ?(baseline_path = Store.baseline_path)
       Printf.eprintf
         "gate: baseline %s does not exist.\n\
          Generate one from a known-good checkout and commit it:\n\
-        \  dune exec bench/main.exe -- --bench --out %s --history ''\n"
+        \  dune exec bench/main.exe -- --bench --out %s\n"
         baseline_path baseline_path
     else
       Printf.eprintf
         "gate: baseline %s is unreadable or malformed: %s\n\
          Regenerate it from a known-good checkout:\n\
-        \  dune exec bench/main.exe -- --bench --out %s --history ''\n"
+        \  dune exec bench/main.exe -- --bench --out %s\n"
         baseline_path msg baseline_path;
     2
   | Ok baseline ->
@@ -323,7 +257,7 @@ let run_gate ?(baseline_path = Store.baseline_path)
          registry: %s.\n\
          The baseline was made from a different benchmark roster — \
          regenerate it:\n\
-        \  dune exec bench/main.exe -- --bench --out %s --history ''\n"
+        \  dune exec bench/main.exe -- --bench --out %s\n"
         baseline_path
         (List.length unresolved)
         (String.concat ", "
@@ -355,7 +289,7 @@ let run_gate ?(baseline_path = Store.baseline_path)
       | Some c ->
         Cache.print_stats (Cache.stats c);
         ignore (Cache.prune ~dir:(Cache.dir c) ()));
-      if save_latest then ignore (Store.save current);
+      if save_latest then Store.save current;
       let kept =
         List.filter
           (fun (b : Record.workload) ->

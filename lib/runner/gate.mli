@@ -41,21 +41,12 @@ type report = {
   warnings : string list;
       (** warn-only findings (never fail the gate): per-kind shares of the
           kept checks that shifted beyond tolerance vs the baseline, and
-          host wall times that regressed beyond
-          {!wall_warn_threshold_pct} *)
+          quarantined workloads. Host wall time is never compared; it is
+          measured by perfbench. *)
   ok : bool;
 }
 
 val default_tolerance_pct : float  (** 2.0 *)
-
-val wall_warn_threshold_pct : float  (** 25.0 *)
-
-(** Warn-only host-wall-time drift between two records of one workload:
-    a warning per side whose clock grew more than
-    {!wall_warn_threshold_pct} percent over a positive baseline (schema
-    v1/v2 baselines decode their per-side clocks as 0.0 and never warn).
-    Pure; exposed for tests. *)
-val wall_warnings : Record.workload -> Record.workload -> string list
 
 (** Pure comparison of two runs (no I/O, no execution). *)
 val check_run :

@@ -5,17 +5,6 @@ module J = Tce_obs.Json
 let latest_path = "BENCH_latest.json"
 let attr_latest_path = "ATTR_latest.json"
 let prof_latest_path = "PROF_latest.json"
-let time_latest_path = Filename.concat "results" "bench_time.json"
-
-(* Pre-v9 releases wrote the time report to the repo root; keep reading
-   the old location for one release so existing tooling migrates. *)
-let time_legacy_path = "bench_time.json"
-
-let time_report_path () =
-  if Sys.file_exists time_latest_path then time_latest_path
-  else if Sys.file_exists time_legacy_path then time_legacy_path
-  else time_latest_path
-let history_dir = Filename.concat "results" "history"
 let baseline_path = Filename.concat "results" "baseline.json"
 let journal_dir = Filename.concat "results" "journal"
 let bench_journal_path = Filename.concat journal_dir "bench.jsonl"
@@ -222,81 +211,11 @@ let make_run ?(shards = 1) ?(quarantined = []) ?(resumed_rows = [])
 
 let mkdir_p = Supervise.mkdir_p
 
-(** [created_utc] with the separators dropped, e.g. [20260805T120102Z] —
-    lexicographic order is chronological order. *)
-let compact_stamp created_utc =
-  String.concat ""
-    (String.split_on_char ':'
-       (String.concat "" (String.split_on_char '-' created_utc)))
+let save ?(latest = latest_path) (r : Record.run) =
+  Tce_obs.Export.to_file ~path:latest (Record.run_to_json r)
 
-(** History file name: sortable timestamp + SHA, e.g.
-    [run-20260805T120102Z-ab12cd34ef56.json]. *)
-let history_file (r : Record.run) =
-  Printf.sprintf "run-%s-%s.json" (compact_stamp r.Record.created_utc)
-    r.Record.git_sha
-
-let save ?(latest = latest_path) ?history:(dir = history_dir) (r : Record.run) =
-  Tce_obs.Export.to_file ~path:latest (Record.run_to_json r);
-  if dir <> "" then begin
-    mkdir_p dir;
-    let path = Filename.concat dir (history_file r) in
-    Tce_obs.Export.to_file ~path (Record.run_to_json r);
-    path
-  end
-  else latest
-
-(** Persist a [prof-report] document: always to [latest], and (when
-    [history] is non-empty) as [prof-<stamp>-<sha>.json] beside the bench
-    history, so {!Tce_prof.Report.diff_runs} has snapshots to diff
-    against. Returns the history path (or [latest] when history is off). *)
-let save_prof ?(latest = prof_latest_path) ?history:(dir = history_dir)
-    ~git_sha:sha ~created_utc (doc : J.t) =
-  Tce_obs.Export.to_file ~path:latest doc;
-  if dir <> "" then begin
-    mkdir_p dir;
-    let path =
-      Filename.concat dir
-        (Printf.sprintf "prof-%s-%s.json" (compact_stamp created_utc) sha)
-    in
-    Tce_obs.Export.to_file ~path doc;
-    path
-  end
-  else latest
-
-(** The [--time] wall table as a versioned [time-report] document:
-    workloads slowest-first by combined wall seconds, with both per-side
-    clocks. Machine-readable twin of the text table. *)
-let time_report_json (r : Record.run) : J.t =
-  let rows =
-    List.sort
-      (fun (a : Record.workload) (b : Record.workload) ->
-        compare b.Record.wall_seconds a.Record.wall_seconds)
-      r.Record.workloads
-  in
-  Tce_obs.Export.document ~kind:"time-report"
-    (J.Obj
-       [
-         ("git_sha", J.Str r.Record.git_sha);
-         ("created_utc", J.Str r.Record.created_utc);
-         ("jobs", J.Int r.Record.jobs);
-         ("host_wall_seconds", J.Float r.Record.host_wall_seconds);
-         ( "workloads",
-           J.List
-             (List.map
-                (fun (w : Record.workload) ->
-                  J.Obj
-                    [
-                      ("name", J.Str w.Record.name);
-                      ("wall_seconds", J.Float w.Record.wall_seconds);
-                      ("wall_seconds_off", J.Float w.Record.wall_seconds_off);
-                      ("wall_seconds_on", J.Float w.Record.wall_seconds_on);
-                    ])
-                rows) );
-       ])
-
-let save_time_report ?(path = time_latest_path) (r : Record.run) =
-  if path <> "-" then mkdir_p (Filename.dirname path);
-  Tce_obs.Export.to_file ~path (time_report_json r)
+let save_prof ?(latest = prof_latest_path) (doc : J.t) =
+  Tce_obs.Export.to_file ~path:latest doc
 
 (* --- the crash-safe row journal ---
 

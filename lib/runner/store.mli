@@ -1,9 +1,8 @@
 (** Persistent benchmark-result store.
 
-    Every runner invocation is saved twice: [BENCH_latest.json] is
-    overwritten with the most recent run, and an immutable copy is
-    appended to [results/history/] under a timestamp+SHA file name, so the
-    perf trajectory of the repository accumulates across commits. *)
+    Every runner invocation is saved once: [BENCH_latest.json] is
+    overwritten with the most recent run. Host time is measured from
+    outside, by perfbench; the store keeps no run history. *)
 
 val latest_path : string  (** ["BENCH_latest.json"] *)
 
@@ -13,19 +12,6 @@ val attr_latest_path : string
 val prof_latest_path : string
 (** ["PROF_latest.json"] — roster-wide cycle-attribution profiles
     (`--bench --profile`). *)
-
-val time_latest_path : string
-(** ["results/bench_time.json"] — machine-readable `--time` wall table. *)
-
-val time_legacy_path : string
-(** ["bench_time.json"] — the pre-v9 repo-root location, still read (not
-    written) for one release. *)
-
-val time_report_path : unit -> string
-(** Where to read the latest time report from: {!time_latest_path} if it
-    exists, else the legacy root path if that exists, else the new path. *)
-
-val history_dir : string  (** ["results/history"] *)
 
 val baseline_path : string  (** ["results/baseline.json"] *)
 
@@ -45,8 +31,7 @@ val sweep_latest_path : string
 (** ["SWEEP_latest.json"] — the most recent design-space sweep report. *)
 
 val sweeps_dir : string
-(** ["results/sweeps"] — immutable sweep-report history (like
-    {!history_dir} for bench runs). *)
+(** ["results/sweeps"] — immutable sweep-report archive. *)
 
 val cache_dir : string
 (** ["results/cache"] — the content-addressed cell cache ({!Cache}). *)
@@ -89,7 +74,7 @@ val timestamp_utc : unit -> string
 
 (** Stamp workload records with provenance (SHA, config hash, timestamp).
     [shards] (default 1) records how many worker processes produced the
-    rows — needed so the gate's wall-time warnings compare like for like.
+    rows.
     [quarantined]/[resumed_rows] (default empty) carry the supervised
     driver's recovery provenance. *)
 val make_run :
@@ -101,33 +86,14 @@ val make_run :
   Record.workload list ->
   Record.run
 
-(** Write [latest] (default {!latest_path}) and append a history copy
-    under [history] (default {!history_dir}; [""] disables history).
-    Returns the history file path (or [latest] when history is off). *)
-val save : ?latest:string -> ?history:string -> Record.run -> string
+(** Write the run to [latest] (default {!latest_path}). *)
+val save : ?latest:string -> Record.run -> unit
 
-(** Persist a [prof-report] document to [latest] (default
-    {!prof_latest_path}) and, when [history] is non-empty (default
-    {!history_dir}), as an immutable [prof-<stamp>-<sha>.json] copy.
-    Returns the history path (or [latest] when history is off). *)
-val save_prof :
-  ?latest:string ->
-  ?history:string ->
-  git_sha:string ->
-  created_utc:string ->
-  Tce_obs.Json.t ->
-  string
+(** Write a [prof-report] document to [latest] (default
+    {!prof_latest_path}). *)
+val save_prof : ?latest:string -> Tce_obs.Json.t -> unit
 
-(** The [--time] wall table as a versioned [time-report] document:
-    workloads slowest-first, with combined and per-side wall seconds. *)
-val time_report_json : Record.run -> Tce_obs.Json.t
-
-(** Write the time report to [path] (default {!time_latest_path}),
-    creating the parent directory; ["-"] writes to stdout. *)
-val save_time_report : ?path:string -> Record.run -> unit
-
-(** Parse a stored run (either the latest file, a history entry or a
-    committed baseline). *)
+(** Parse a stored run (the latest file or a committed baseline). *)
 val load : string -> (Record.run, string) result
 
 (** Baseline whole-run cycles per workload name (off + on sides), as the

@@ -9,8 +9,10 @@
    (d) summaries round-trip through the prof-report JSON;
    (e) the checks-off vs checks-on differential has the right sign — the
        mechanism removes check cycles, it does not add them;
-   (f) the gate's host-wall-time warnings fire (and stay non-gating) only
-       on >25% regressions over a positive baseline. *)
+   (f) the gate never looks at host wall time: the same verdicts and no
+       wall warnings whatever the wall fields hold;
+   (g) run-vs-run drift between two prof-report files on disk names the
+       cost kind that moved, and finds none between identical files. *)
 
 module P = Tce_prof.Profile
 module R = Tce_prof.Report
@@ -203,10 +205,9 @@ let test_differential_sign () =
   Alcotest.(check bool) "table mentions check-map" true
     (Astring.String.is_infix ~affix:"check-map" table)
 
-(* --- (f) gate wall-time warnings --- *)
+(* --- (f) the gate ignores host wall time --- *)
 
-let mk_rec ?(wall = 0.0) ?(wall_off = 0.0) ?(wall_on = 0.0) name :
-    Tce_runner.Record.workload =
+let mk_rec ~wall name : Tce_runner.Record.workload =
   {
     Tce_runner.Record.name;
     suite = "Octane";
@@ -228,41 +229,12 @@ let mk_rec ?(wall = 0.0) ?(wall_off = 0.0) ?(wall_on = 0.0) name :
     speedup_pct = 0.0;
     check_removal_pct = 0.0;
     wall_seconds = wall;
-    wall_seconds_off = wall_off;
-    wall_seconds_on = wall_on;
+    wall_seconds_off = wall;
+    wall_seconds_on = wall;
   }
 
-let test_wall_warnings () =
-  let module G = Tce_runner.Gate in
-  (* >25% on one side warns for that side only *)
-  let base = mk_rec ~wall:2.0 ~wall_off:1.0 ~wall_on:1.0 "w" in
-  let cur = mk_rec ~wall:2.5 ~wall_off:1.3 ~wall_on:1.2 "w" in
-  (match G.wall_warnings base cur with
-  | [ w ] ->
-    Alcotest.(check bool) "names the off side" true
-      (Astring.String.is_infix ~affix:"mechanism off" w);
-    Alcotest.(check bool) "marked non-gating" true
-      (Astring.String.is_infix ~affix:"non-gating" w)
-  | ws -> Alcotest.failf "expected 1 warning, got %d" (List.length ws));
-  (* within threshold: silent *)
-  Alcotest.(check int) "within 25% is silent" 0
-    (List.length
-       (G.wall_warnings base (mk_rec ~wall:2.4 ~wall_off:1.2 ~wall_on:1.2 "w")));
-  (* v1/v2 baselines decode per-side walls as 0.0: fall back to the pair
-     clock, and an all-zero baseline can never warn *)
-  (match
-     G.wall_warnings (mk_rec ~wall:1.0 "w") (mk_rec ~wall:2.0 "w")
-   with
-  | [ w ] ->
-    Alcotest.(check bool) "pair fallback has no side tag" false
-      (Astring.String.is_infix ~affix:"mechanism" w)
-  | ws -> Alcotest.failf "expected 1 pair warning, got %d" (List.length ws));
-  Alcotest.(check int) "zero baseline never warns" 0
-    (List.length (G.wall_warnings (mk_rec "w") (mk_rec ~wall:9.9 "w")))
-
-let test_wall_warnings_non_gating () =
-  (* a huge wall regression alone must not fail the gate *)
-  let mk ws : Tce_runner.Record.run =
+let test_gate_ignores_wall () =
+  let mk wall : Tce_runner.Record.run =
     {
       Tce_runner.Record.schema = Tce_obs.Export.schema_version;
       git_sha = "cafe01";
@@ -270,21 +242,102 @@ let test_wall_warnings_non_gating () =
       created_utc = "2026-08-08T00:00:00Z";
       jobs = 1;
       shards = 1;
-      host_wall_seconds = List.fold_left (fun a w -> a +. w) 0.0 ws;
-      workloads =
-        List.map (fun w -> mk_rec ~wall:w ~wall_off:w ~wall_on:w "w") ws;
+      host_wall_seconds = wall;
+      workloads = [ mk_rec ~wall "w" ];
       quarantined = [];
       resumed_rows = [];
       cache_hits = 0;
       cache_misses = 0;
     }
   in
-  let report =
-    Tce_runner.Gate.check_run ~baseline:(mk [ 1.0 ]) ~current:(mk [ 10.0 ]) ()
+  let verdicts (r : Tce_runner.Gate.report) =
+    List.map
+      (fun (v : Tce_runner.Gate.verdict) ->
+        (Tce_runner.Gate.metric_name v.metric, v.ok, v.delta))
+      r.Tce_runner.Gate.verdicts
   in
-  Alcotest.(check bool) "gate still passes" true report.Tce_runner.Gate.ok;
-  Alcotest.(check bool) "but warnings fired" true
-    (report.Tce_runner.Gate.warnings <> [])
+  let same = Tce_runner.Gate.check_run ~baseline:(mk 1.0) ~current:(mk 1.0) () in
+  List.iter
+    (fun (base, cur) ->
+      let r =
+        Tce_runner.Gate.check_run ~baseline:(mk base) ~current:(mk cur) ()
+      in
+      let what = Printf.sprintf "wall %.1f -> %.1f" base cur in
+      Alcotest.(check bool) (what ^ ": gate passes") true r.Tce_runner.Gate.ok;
+      Alcotest.(check bool) (what ^ ": same verdicts") true
+        (verdicts r = verdicts same);
+      Alcotest.(check (list string)) (what ^ ": no warnings") []
+        r.Tce_runner.Gate.warnings)
+    [ (1.0, 10.0); (10.0, 1.0); (0.0, 99.0); (2.0, 2.0) ]
+
+(* --- (g) run-vs-run drift across two files --- *)
+
+let read_suite path =
+  match
+    Result.bind
+      (Tce_obs.Json.of_string (In_channel.with_open_bin path In_channel.input_all))
+      R.suite_of_json
+  with
+  | Ok pairs -> pairs
+  | Error e -> Alcotest.failf "%s: %s" path e
+
+(* The cost kinds whose delta column is nonzero in a [diff_runs] table. *)
+let drifted_costs table =
+  let rec rows = function
+    | l :: _ :: rest when Astring.String.is_prefix ~affix:"machine cycles by" l
+      ->
+      rest
+    | _ :: rest -> rows rest
+    | [] -> []
+  in
+  List.filter_map
+    (fun l ->
+      match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+      | [ kind; _; _; delta ] when int_of_string delta <> 0 -> Some kind
+      | _ -> None)
+    (rows (String.split_on_char '\n' table))
+
+let test_profile_diff_files () =
+  let pairs =
+    List.map
+      (fun (name, (p : H.profiled)) ->
+        { R.p_name = name; p_off = Some p.H.p_off; p_on = Some p.H.p_on })
+      (Lazy.force sweep)
+  in
+  let first = List.hd pairs in
+  let on = Option.get first.R.p_on in
+  let kind, v = on.P.by_cost.(0) in
+  let by_cost = Array.copy on.P.by_cost in
+  by_cost.(0) <- (kind, v + 1000);
+  let perturbed =
+    { first with R.p_on = Some { on with P.by_cost } } :: List.tl pairs
+  in
+  let write pairs =
+    let path = Filename.temp_file "tce_prof" ".json" in
+    Tce_obs.Export.to_file ~path
+      (R.suite_doc ~git_sha:"cafe01" ~config_hash:"deadbeef"
+         ~created_utc:"2026-08-08T00:00:00Z" pairs);
+    path
+  in
+  let base_path = write pairs and cur_path = write perturbed in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ base_path; cur_path ])
+    (fun () ->
+      let base = read_suite base_path and cur = read_suite cur_path in
+      Alcotest.(check (list string)) "names the perturbed cost kind" [ kind ]
+        (drifted_costs (R.diff_runs ~base ~cur));
+      let same = R.diff_runs ~base ~cur:base in
+      Alcotest.(check (list string)) "identical files: no cost drift" []
+        (drifted_costs same);
+      let drift_rows =
+        List.filter
+          (Astring.String.is_suffix ~affix:"%")
+          (String.split_on_char '\n' same)
+      in
+      Alcotest.(check int) "identical files: one drift row per workload"
+        (List.length pairs) (List.length drift_rows);
+      Alcotest.(check bool) "identical files: every total drift is +0.00%" true
+        (List.for_all (Astring.String.is_suffix ~affix:"+0.00%") drift_rows))
 
 let () =
   Alcotest.run "tce_prof"
@@ -314,8 +367,10 @@ let () =
       ( "differential",
         [ Alcotest.test_case "sign" `Quick test_differential_sign ] );
       ( "gate-wall",
+        [ Alcotest.test_case "non-gating" `Quick test_gate_ignores_wall ] );
+      ( "run-diff",
         [
-          Alcotest.test_case "warnings" `Quick test_wall_warnings;
-          Alcotest.test_case "non-gating" `Quick test_wall_warnings_non_gating;
+          Alcotest.test_case "profile diff across two files" `Quick
+            test_profile_diff_files;
         ] );
     ]

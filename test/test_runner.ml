@@ -5,8 +5,9 @@
        jobs > 1;
    (b) the gate passes a clean run and fails an injected slowdown (library
        verdicts and end-to-end exit codes);
-   (c) run records round-trip through the Tce_obs.Json store format, and
-       the scheduler's baseline cost table follows its file;
+   (c) run records round-trip through the Tce_obs.Json store format, a
+       stored run is one file, and the scheduler's baseline cost table
+       follows its file;
    (d) the provenance SHA is resolved from synthetic repository layouts,
        streams packed-refs, and matches git's own answer on this
        checkout. *)
@@ -239,7 +240,7 @@ let test_gate_exit_codes () =
     ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
     (fun () ->
       let run = make_run (Lazy.force serial) in
-      ignore (Store.save ~latest:tmp ~history:"" run);
+      Store.save ~latest:tmp run;
       Alcotest.(check int) "clean gate exits 0" 0
         (Gate.run_gate ~baseline_path:tmp ~resolve ~save_latest:false ());
       (* bake a baseline that claims we used to be 10% faster *)
@@ -249,7 +250,7 @@ let test_gate_exit_codes () =
       let doctored =
         { run with Record.workloads = List.map speedier run.Record.workloads }
       in
-      ignore (Store.save ~latest:tmp ~history:"" doctored);
+      Store.save ~latest:tmp doctored;
       Alcotest.(check int) "regressed gate exits 1" 1
         (Gate.run_gate ~baseline_path:tmp ~resolve ~save_latest:false ());
       Alcotest.(check int) "unreadable baseline exits 2" 2
@@ -286,7 +287,7 @@ let test_store_file_round_trip () =
     ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
     (fun () ->
       let run = make_run (Lazy.force serial) in
-      ignore (Store.save ~latest:tmp ~history:"" run);
+      Store.save ~latest:tmp run;
       match Store.load tmp with
       | Error e -> Alcotest.fail e
       | Ok run' ->
@@ -309,16 +310,15 @@ let test_baseline_costs_follow_the_file () =
       in
       let whole = Some (poly.Record.whole_cycles_off +. poly.Record.whole_cycles_on) in
       let check what want = Alcotest.(check (option (float 0.0))) what want (cost ()) in
-      ignore (Store.save ~latest:tmp ~history:"" run);
+      Store.save ~latest:tmp run;
       check "read from the file" whole;
       check "unchanged file, same costs" whole;
-      ignore
-        (Store.save ~latest:tmp ~history:""
-           {
-             run with
-             Record.workloads =
-               List.filter (fun (w : Record.workload) -> w != poly) run.Record.workloads;
-           });
+      Store.save ~latest:tmp
+        {
+          run with
+          Record.workloads =
+            List.filter (fun (w : Record.workload) -> w != poly) run.Record.workloads;
+        };
       check "rewritten file is read again" None;
       Sys.remove tmp;
       check "absent file has no costs" None)
@@ -364,6 +364,22 @@ let in_layout ?(sub = "") layout f =
       f ())
 
 let sha_in ?sub layout = in_layout ?sub layout Store.git_sha
+
+(* A run is stored once: [save] and [save_prof] each write their latest
+   file and nothing else — no [results/] tree beside it. *)
+let test_store_one_file_per_run () =
+  let run = make_run (Lazy.force serial) in
+  let doc =
+    Tce_prof.Report.suite_doc ~git_sha:run.Record.git_sha
+      ~config_hash:run.Record.config_hash
+      ~created_utc:run.Record.created_utc []
+  in
+  in_layout ignore (fun () ->
+      Store.save ~latest:"BENCH_latest.json" run;
+      Store.save_prof ~latest:"PROF_latest.json" doc;
+      let files = List.sort compare (Array.to_list (Sys.readdir ".")) in
+      Alcotest.(check (list string)) "only the two latest files"
+        [ "BENCH_latest.json"; "PROF_latest.json" ] files)
 
 let short sha = String.sub sha 0 12
 
@@ -477,6 +493,8 @@ let () =
           Alcotest.test_case "rejects wrong kind" `Quick test_rejects_wrong_kind;
           Alcotest.test_case "baseline costs follow the file" `Quick
             test_baseline_costs_follow_the_file;
+          Alcotest.test_case "store writes one file per run" `Quick
+            test_store_one_file_per_run;
         ] );
       ( "provenance",
         [
