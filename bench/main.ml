@@ -1,148 +1,388 @@
-(** Benchmark harness: regenerates every table and figure of the paper's
-    evaluation (see DESIGN.md §4 for the per-experiment index), plus the
-    ablation studies and Bechamel micro-benchmarks of the simulator itself.
+(** The reproduction's one command-line interface (installed as [tcejs]):
+    run a MiniJS program under the two-tier engine and inspect what the
+    JIT made of it, regenerate the paper's tables and figures (DESIGN.md
+    §4 indexes them), and drive the benchmark runner — the roster, the
+    regression gate, the design-space sweep and the fault campaign.
+    [main.exe --help] lists the subcommands; each has its own [--help]. *)
 
-    Usage:
-      dune exec bench/main.exe             (everything)
-      dune exec bench/main.exe -- fig1 fig8 table1 ...
-      dune exec bench/main.exe -- bechamel
-      dune exec bench/main.exe -- --metrics-json FILE [WORKLOAD ...]
-        (run the named workloads — default: the built-in smoke workload —
-         and write every Harness.result field as versioned JSON)
-      dune exec bench/main.exe -- --bench [--shards N] [--out FILE]
-          [--suite all|selected|octane|sunspider|kraken] [--attr[=FILE]]
-          [--profile[=FILE]] [--deterministic] [WORKLOAD ...]
-        (suite run through Tce_runner, serial in this process by default;
-         writes one bench-run record, BENCH_latest.json (or --out FILE).
-         Each row carries its host wall clock (wall_seconds); host time
-         split by layer is perfbench's job (perfbench/README.md).
-         --attr writes the suite attribution report, ATTR_latest.json.
-         --profile re-runs the roster under the cycle-attribution
-         profiler: prints the checks-off vs checks-on differential, writes
-         PROF_latest.json and collapsed-stack flamegraph lines to FILE,
-         default bench_profile.folded — load it in speedscope or inferno.
-         --shards N runs N supervised worker processes over the roster
-         and merges their rows into one run, bit-identical to a serial
-         run even when workers crash or hang: dead workers are respawned
-         over their missing cells (--supervise-timeout SECONDS scales the
-         per-cell progress deadline, --max-retries N bounds how often one
-         cell may kill its worker before it is quarantined; --strict
-         turns any quarantine into exit 1). Accepted rows are journaled
-         to results/journal/bench.jsonl; --resume FILE replays a previous
-         journal and runs only the remainder. --chaos-worker MODE
-         [--chaos-seed N] arms one seeded worker fault (crash-after /
-         sigkill-after / hang-after / garbage-after / truncate-after /
-         poison) to drill the supervisor. --worker-indices i,j,k is the
-         worker side (row envelopes on stdout, spawned by the parent —
-         not meant for direct use).
-         --deterministic strips the host-dependent fields (timestamps,
-         wall clocks, shard counts) from the saved run so two runs of the
-         same tree compare with cmp(1))
-      dune exec bench/main.exe -- --sweep "cc.entries=32,64,128,256 cc.ways=1,2,4 cl.size=4,8"
-          [--shards N] [--out FILE] [--csv FILE] [--dir DIR]
-          [--resume FILE] [--deterministic] [--suite ...] [WORKLOAD ...]
-        (design-space explorer: expand the geometry grid — Class Cache
-         entries/ways, Class List size; an absent axis sweeps only its
-         paper default — run every (point x workload) cell and report the
-         Pareto frontier over simulated cycles, check removal and a
-         geometry cost proxy. Writes SWEEP_latest.json + .csv and an
-         immutable copy under results/sweeps/. Exits non-zero when the
-         default geometry's rows are not bit-identical to the committed
-         baseline)
-      Any runner-backed mode (--bench / --faults / --check / --sweep)
-      consults the content-addressed cell cache (results/cache/) by
-      default: a repeated identical run performs zero simulations, with
-      rows asserted byte-identical to fresh ones. --no-cache disables
-      it, --cache-dir DIR relocates it.
-      dune exec bench/main.exe -- --profile-diff BASE [CUR]
-        (run-vs-run differential between two prof-report documents, e.g.
-         a kept copy of an earlier PROF_latest.json vs the current one;
-         CUR defaults to PROF_latest.json)
-      dune exec bench/main.exe -- --check [--baseline FILE]
-          [--tolerance PCT] [--shards N] [WORKLOAD ...]
-        (perf-regression gate: re-run the baseline's roster and exit
-         non-zero when cycles or check-removal rates degrade)
-      dune exec bench/main.exe -- --faults [--fault-seed N] [--fault-spec S]
-          [--shards N] [--out FILE] [--dir DIR] [--suite ...] [WORKLOAD ...]
-        (fault-injection campaign: run the (workload x fault point) matrix
-         under the differential oracle, write FAULTS_latest.json +
-         results/campaigns/, exit non-zero on any silent wrong answer.
-         --shards N runs the matrix on the same supervised workers as
-         --bench, longest workload first, with the same recovery flags)
-      Every mode runs its cells serially in this process unless --shards N
-      (N > 1) or --resume asks for supervised workers: the parent spawns
-      workers of this executable with --worker-indices i,j,k and merges
-      their rows by index. *)
-
+open Cmdliner
 open Tce_metrics
+module W = Tce_workloads.Workload
+module Workloads = Tce_workloads.Workloads
+module Cache = Tce_runner.Cache
+module Chaos = Tce_runner.Supervise.Chaos
+module Record = Tce_runner.Record
+module Store = Tce_runner.Store
+module Sweep = Tce_runner.Sweep
+module Campaign = Tce_runner.Campaign
 
-let run_bechamel () =
-  (* Micro-benchmarks of the reproduction's own hot paths (host-side
-     wall-clock, not simulated cycles): how fast the simulator simulates. *)
-  print_endline "Bechamel — simulator throughput micro-benchmarks";
-  let open Bechamel in
-  let quick_engine src =
-    Staged.stage (fun () ->
-        let t = Tce_engine.Engine.of_source src in
-        Tce_engine.Engine.set_measuring t false;
-        ignore (Tce_engine.Engine.run_main t))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* [--fault-spec SPEC], parsed, with the text kept verbatim for workers. *)
+let fault_spec_conv =
+  Arg.conv'
+    ( (fun s -> Result.map (fun spec -> (s, spec)) (Tce_fault.Spec.parse s)),
+      fun ppf (s, _) -> Fmt.string ppf s )
+
+(* --- run / disasm / opt-dump / classlist / config --- *)
+
+let run_term =
+  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
+  let no_jit = Arg.(value & flag & info [ "no-jit" ] ~doc:"Pure interpreter.") in
+  let no_mech =
+    Arg.(value & flag & info [ "no-mechanism" ] ~doc:"Disable the Class Cache mechanism.")
   in
-  let tests =
-    [
-      Test.make ~name:"fig8:smoke-interp"
-        (Staged.stage (fun () ->
-             let t =
-               Tce_engine.Engine.of_source
-                 ~config:{ Tce_engine.Engine.default_config with jit = false }
-                 "var s = 0; for (var i = 0; i < 2000; i++) { s = (s + i) & 65535; } print(s);"
-             in
-             ignore (Tce_engine.Engine.run_main t)))
-      ;
-      Test.make ~name:"fig8:smoke-jit"
-        (quick_engine
-           "function f(n) { var s = 0; for (var i = 0; i < n; i++) { s = (s + i) & 65535; } return s; }\n\
-            var r = 0; for (var k = 0; k < 40; k++) { r = f(500); } print(r);")
-      ;
-      Test.make ~name:"fig1:bytecode-compile"
-        (Staged.stage (fun () ->
-             ignore
-               (Tce_jit.Bc_compile.compile_source
-                  (Option.get (Tce_workloads.Workloads.by_name "richards"))
-                    .Tce_workloads.Workload.source)))
-      ;
-      Test.make ~name:"table1:classlist-example"
-        (Staged.stage (fun () -> ignore (Table1.run ())))
-      ;
-    ]
+  let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print execution statistics.") in
+  let trace_file =
+    Arg.(
+      value
+      & opt ~vopt:(Some "trace.json") (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Record engine events and write them to $(docv) (default \
+             trace.json). Give $(docv) glued ($(b,--trace=FILE)): a \
+             separate word is read as $(docv).")
   in
-  (* run each Bechamel test a handful of times and report wall-clock means
-     (keeping the output format stable and dependency-light) *)
-  List.iter
-    (fun test ->
+  let trace_format =
+    Arg.(
+      value
+      & opt (enum [ ("json", `Jsonl); ("chrome", `Chrome) ]) `Jsonl
+      & info [ "trace-format" ] ~docv:"FORMAT"
+          ~doc:
+            "Trace output format: $(b,json) (one event per line) or \
+             $(b,chrome) (trace_event JSON loadable in Perfetto / \
+             chrome://tracing).")
+  in
+  let metrics_json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics-json" ] ~docv:"FILE"
+          ~doc:"Write engine counters as versioned JSON to $(docv) (- = stdout).")
+  in
+  let sample_cycles =
+    Arg.(
+      value
+      & opt int 0
+      & info [ "obs-sample-cycles" ] ~docv:"N"
+          ~doc:
+            "Sample counter tracks (deopts, Class-Cache occupancy, heap \
+             bytes) every $(docv) simulated cycles; 0 disables sampling.")
+  in
+  let fault_spec =
+    Arg.(
+      value
+      & opt (some fault_spec_conv) None
+      & info [ "fault-spec" ] ~docv:"SPEC"
+          ~doc:
+            "Arm the deterministic fault injector with $(docv) (e.g. \
+             $(b,lost-deopt:0.5,cc-evict:0.02); see lib/fault/README.md). \
+             Fired faults and retire-path detections are reported on \
+             stderr.")
+  in
+  let fault_seed =
+    Arg.(
+      value
+      & opt int 1
+      & info [ "fault-seed" ] ~docv:"N"
+          ~doc:
+            "Seed of the fault injector's PRNG; a run is replayable from \
+             (seed, spec) alone.")
+  in
+  let explain =
+    Arg.(
+      value
+      & opt ~vopt:(Some "-") (some string) None
+      & info [ "explain" ] ~docv:"FILE"
+          ~doc:
+            "Record check attribution and explain every kept check and \
+             deopt causal chain. Without $(docv) (or with $(b,-)) the text \
+             report goes to stdout; with $(docv) a versioned \
+             $(b,attr-report) JSON document is written instead.")
+  in
+  let profile =
+    Arg.(
+      value
+      & opt ~vopt:(Some "-") (some string) None
+      & info [ "profile" ] ~docv:"FILE"
+          ~doc:
+            "Attribute every simulated cycle to a (function, pc, cost) \
+             site. Without $(docv) (or with $(b,-)) a text breakdown — \
+             totals, cycles by cost kind and instruction label, hottest \
+             sites — goes to stdout; with $(docv), collapsed-stack \
+             flamegraph lines are written instead (load them in speedscope \
+             or inferno).")
+  in
+  let profile_json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "profile-json" ] ~docv:"FILE"
+          ~doc:
+            "Write the cycle-attribution profile as a versioned \
+             $(b,prof-report) JSON document to $(docv) (- = stdout). \
+             Implies profiling; combine with $(b,--profile) for the text \
+             or folded view of the same run.")
+  in
+  let run file no_jit no_mech stats trace_file trace_format metrics_json
+      sample_cycles fault_spec fault_seed explain profile profile_json =
+    let src = read_file file in
+    let trace =
+      match trace_file with
+      | Some _ -> Tce_obs.Trace.create ()
+      | None -> Tce_obs.Trace.null
+    in
+    let attr =
+      match explain with
+      | Some _ -> Tce_attr.Ledger.create ()
+      | None -> Tce_attr.Ledger.null
+    in
+    let fault =
+      match fault_spec with
+      | None -> Tce_fault.Injector.null
+      | Some (_, spec) -> Tce_fault.Injector.create ~seed:fault_seed spec
+    in
+    let prof =
+      if profile <> None || profile_json <> None then
+        Tce_prof.Profile.create ()
+      else Tce_prof.Profile.null
+    in
+    let config =
+      {
+        Tce_engine.Engine.default_config with
+        jit = not no_jit;
+        mechanism = not no_mech;
+        trace;
+        obs_sample_cycles = sample_cycles;
+        fault;
+        attr;
+        prof;
+      }
+    in
+    let t = Tce_engine.Engine.of_source ~config src in
+    (try ignore (Tce_engine.Engine.run_main t) with
+    | Tce_engine.Engine.Engine_error msg | Tce_engine.Runtime.Guest_error msg ->
+      Printf.eprintf "runtime error: %s\n" msg;
+      exit 1
+    | Tce_minijs.Parser.Error (msg, pos) ->
+      Printf.eprintf "parse error at %d:%d: %s\n" pos.Tce_minijs.Ast.line
+        pos.Tce_minijs.Ast.col msg;
+      exit 1);
+    print_string (Tce_engine.Engine.output t);
+    (match trace_file with
+    | Some path ->
+      Tce_obs.Sink.write_file ~path
+        (Tce_obs.Sink.render ~format:trace_format
+           ~counters:(Tce_obs.Sink.chrome_counters t.Tce_engine.Engine.snap)
+           trace)
+    | None -> ());
+    (match metrics_json with
+    | Some path -> Tce_obs.Export.to_file ~path (Export.engine_document t)
+    | None -> ());
+    (match explain with
+    | None -> ()
+    | Some dest ->
+      let c = t.Tce_engine.Engine.counters in
+      let checks_executed =
+        List.map
+          (fun k ->
+            ( Tce_jit.Categories.check_kind_name k,
+              c.Tce_machine.Counters.by_check_kind.(Tce_jit.Categories
+                                                   .check_kind_index k + 1) ))
+          Tce_jit.Categories.all_check_kinds
+      in
+      let cc_occupancy = Tce_core.Class_cache.set_occupancy t.Tce_engine.Engine.cc in
+      let cc_conflicts = Tce_core.Class_cache.set_conflicts t.Tce_engine.Engine.cc in
+      let program = Filename.basename file in
+      if dest = "-" then
+        print_string
+          (Tce_attr.Aggregate.explain_text ~program ~checks_executed
+             ~cc_occupancy ~cc_conflicts attr)
+      else
+        Tce_obs.Export.to_file ~path:dest
+          (Tce_attr.Aggregate.report_json ~program ~checks_executed
+             ~cc_occupancy ~cc_conflicts attr));
+    (if Tce_prof.Profile.on prof then begin
+       let cpi =
+         config.Tce_engine.Engine.mach_cfg.Tce_machine.Config.baseline_cpi
+       in
+       let s =
+         Tce_prof.Profile.summarize prof ~program:(Filename.basename file)
+           ~mechanism:(not no_mech)
+           ~machine_cycles:(Tce_engine.Engine.opt_cycles t)
+           ~baseline_instrs:
+             t.Tce_engine.Engine.counters.Tce_machine.Counters.baseline_instrs
+           ~baseline_cpi:cpi ()
+       in
+       (match profile with
+       | None -> ()
+       | Some "-" -> print_string (Tce_prof.Report.text_report s)
+       | Some path ->
+         let oc = open_out path in
+         output_string oc (Tce_prof.Profile.folded ~baseline_cpi:cpi prof);
+         close_out oc);
+       match profile_json with
+       | None -> ()
+       | Some path ->
+         let p =
+           {
+             Tce_prof.Report.p_name = Filename.basename file;
+             p_off = (if no_mech then Some s else None);
+             p_on = (if no_mech then None else Some s);
+           }
+         in
+         Tce_obs.Export.to_file ~path
+           (Tce_prof.Report.suite_doc ~git_sha:(Store.git_sha ())
+              ~config_hash:(Store.config_hash ~config ())
+              ~created_utc:(Store.timestamp_utc ()) [ p ])
+     end);
+    if Tce_fault.Injector.armed fault then
+      Printf.eprintf "faults: %s\n" (Tce_fault.Injector.summary fault);
+    if stats then begin
+      let c = t.Tce_engine.Engine.counters in
+      Printf.printf "--- stats ---\n";
+      Printf.printf "optimized instructions: %d\n"
+        (Tce_machine.Counters.opt_instrs c);
       List.iter
-        (fun v ->
-          let name = Test.Elt.name v in
-          match Test.Elt.fn v with
-          | Test.V { fn; kind = Test.Uniq; allocate; free } ->
-            let run () =
-              let w = allocate () in
-              ignore (fn `Init (Test.Uniq.prj w));
-              free w
-            in
-            run ();
-            let n = 5 in
-            let t0 = Unix.gettimeofday () in
-            for _ = 1 to n do
-              run ()
-            done;
-            let dt = (Unix.gettimeofday () -. t0) /. float_of_int n in
-            Printf.printf "  %-28s %8.2f ms/run\n%!" name (1000.0 *. dt)
-          | Test.V _ -> Printf.printf "  %-28s (skipped)\n" name)
-        (Test.elements test))
-    tests;
-  print_newline ()
+        (fun i ->
+          let cat = Tce_jit.Categories.of_index i in
+          Printf.printf "  %-22s %d\n" (Tce_jit.Categories.name cat)
+            (Tce_machine.Counters.cat c cat))
+        [ 0; 1; 2; 3; 4 ];
+      Printf.printf "baseline instructions:  %d\n"
+        c.Tce_machine.Counters.baseline_instrs;
+      Printf.printf "optimized cycles:       %d\n" (Tce_engine.Engine.opt_cycles t);
+      Printf.printf "deopts: %d (cc exceptions: %d), tier-ups: %d\n"
+        c.Tce_machine.Counters.deopts c.Tce_machine.Counters.cc_exception_deopts
+        c.Tce_machine.Counters.tierups;
+      Printf.printf "class cache: %d accesses, hit rate %.4f%%\n"
+        t.Tce_engine.Engine.cc.Tce_core.Class_cache.stats.accesses
+        (100.0 *. Tce_core.Class_cache.hit_rate t.Tce_engine.Engine.cc);
+      Printf.printf "hidden classes: %d\n"
+        (Tce_vm.Hidden_class.Registry.class_count
+           t.Tce_engine.Engine.heap.Tce_vm.Heap.reg)
+    end;
+    0
+  in
+  Term.(
+    const run $ file $ no_jit $ no_mech $ stats $ trace_file $ trace_format
+    $ metrics_json $ sample_cycles $ fault_spec $ fault_seed $ explain
+    $ profile $ profile_json)
 
-let all_experiments =
+let run_cmd = Cmd.v (Cmd.info "run" ~doc:"Run a MiniJS program (the default).") run_term
+
+let disasm_cmd =
+  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
+  let disasm file =
+    let prog = Tce_jit.Bc_compile.compile_source (read_file file) in
+    Array.iter
+      (fun fn -> Fmt.pr "%a@." Tce_jit.Bytecode.pp_func fn)
+      prog.Tce_jit.Bytecode.funcs;
+    0
+  in
+  Cmd.v (Cmd.info "disasm" ~doc:"Print the bytecode of a program.")
+    Term.(const disasm $ file)
+
+(* The program [input] names: the file at that path, else the roster
+   workload of that name. *)
+let program_source input =
+  if Sys.file_exists input then read_file input
+  else
+    match Workloads.by_name input with
+    | Some w -> w.W.source
+    | None ->
+      Printf.eprintf "%s: no such file or roster workload\n" input;
+      exit 1
+
+let program_arg =
+  Arg.(
+    required
+    & pos 0 (some string) None
+    & info [] ~docv:"FILE" ~doc:"A MiniJS file, or a roster workload name.")
+
+(* Run a program to a warm state: main once, then bench() (when present)
+   ten times, so hot functions are optimized and profiles populated. *)
+let warm_engine ?(config = Tce_engine.Engine.default_config) input =
+  let t = Tce_engine.Engine.of_source ~config (program_source input) in
+  Tce_engine.Engine.set_measuring t false;
+  ignore (Tce_engine.Engine.run_main t);
+  (match Tce_jit.Bytecode.find_func t.Tce_engine.Engine.prog "bench" with
+  | Some _ ->
+    for _ = 1 to 10 do
+      ignore (Tce_engine.Engine.call_by_name t "bench" [||])
+    done
+  | None -> ());
+  t
+
+let opt_dump_cmd =
+  let fname = Arg.(required & pos 1 (some string) None & info [] ~docv:"FUNCTION") in
+  let no_mech =
+    Arg.(value & flag & info [ "no-mechanism" ] ~doc:"Disable the Class Cache mechanism.")
+  in
+  let dump file fname no_mech =
+    let config =
+      { Tce_engine.Engine.default_config with mechanism = not no_mech }
+    in
+    let t = warm_engine ~config file in
+    match Tce_jit.Bytecode.find_func t.Tce_engine.Engine.prog fname with
+    | None ->
+      Printf.eprintf "no such function: %s\n" fname;
+      1
+    | Some fn -> (
+      match fn.Tce_jit.Bytecode.opt with
+      | Some code ->
+        Fmt.pr "%a@." Tce_jit.Lir.pp_func code;
+        0
+      | None ->
+        Printf.eprintf
+          "%s was not optimized (not hot, or optimization disabled)\n" fname;
+        1)
+  in
+  Cmd.v
+    (Cmd.info "opt-dump"
+       ~doc:"Print the optimized LIR of a function (after a warm-up run).")
+    Term.(const dump $ program_arg $ fname $ no_mech)
+
+let classlist_cmd =
+  let show input =
+    let t = warm_engine input in
+    let reg = t.Tce_engine.Engine.heap.Tce_vm.Heap.reg in
+    let class_name id =
+      if id = Tce_vm.Layout.smi_classid then "SMI"
+      else
+        match Tce_vm.Hidden_class.Registry.find reg id with
+        | Some c -> c.Tce_vm.Hidden_class.name
+        | None -> Printf.sprintf "?%d" id
+    in
+    let fn_name oid =
+      match Hashtbl.find_opt t.Tce_engine.Engine.opt_table oid with
+      | Some code -> code.Tce_jit.Lir.name
+      | None -> Printf.sprintf "opt%d" oid
+    in
+    List.iter
+      (fun (cid, line, e) ->
+        Fmt.pr "%a@."
+          (Tce_core.Class_list.pp_entry ~class_name ~fn_name)
+          (cid, line, e))
+      (Tce_core.Class_list.dump t.Tce_engine.Engine.cl);
+    0
+  in
+  Cmd.v
+    (Cmd.info "classlist"
+       ~doc:"Dump the live Class List after running a program (Table 1 format).")
+    Term.(const show $ program_arg)
+
+let config_cmd =
+  let show () =
+    Fmt.pr "%a" Tce_machine.Config.pp Tce_machine.Config.default;
+    0
+  in
+  Cmd.v (Cmd.info "config" ~doc:"Print the simulated core configuration (Table 2).")
+    Term.(const show $ const ())
+
+(* --- the paper's experiments --- *)
+
+let experiments =
   [
     ("fig1", Experiments.print_fig1);
     ("fig2", Experiments.print_fig2);
@@ -157,15 +397,54 @@ let all_experiments =
     ("ablation", Ablation.poly_sweep);
     ("hoisting", Ablation.hoisting_sweep);
     ("checked-load", Ablation.checked_load_comparison);
-    ("bechamel", run_bechamel);
-    ("csv", fun () -> Experiments.write_csvs ());
   ]
 
-(* A tiny built-in workload so `--metrics-json` has a fast default that
+let fig_cmd =
+  let names =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun (n, _) -> (n, n)) experiments)) []
+      & info [] ~docv:"NAME"
+          ~doc:
+            ("The experiment to print: "
+            ^ Arg.doc_alts (List.map fst experiments)
+            ^ ". Without $(docv), every one in that order."))
+  in
+  let fig names =
+    let chosen = if names = [] then List.map fst experiments else names in
+    (* an experiment that raises does not stop the others, but fails the run *)
+    let failed =
+      List.filter
+        (fun name ->
+          match List.assoc name experiments () with
+          | () -> false
+          | exception e ->
+            Printf.eprintf "experiment %s failed: %s\n%!" name
+              (Printexc.to_string e);
+            true)
+        chosen
+    in
+    if failed = [] then 0 else 1
+  in
+  Cmd.v
+    (Cmd.info "fig"
+       ~doc:"Print the paper's tables and figures and the ablation studies.")
+    Term.(const fig $ names)
+
+let csv_cmd =
+  Cmd.v
+    (Cmd.info "csv" ~doc:"Write every figure's rows to results/*.csv.")
+    Term.(const (fun () -> Experiments.write_csvs (); 0) $ const ())
+
+let workload_conv lookup =
+  Arg.conv'
+    ( (fun name -> Option.to_result ~none:("unknown workload " ^ name) (lookup name)),
+      fun ppf (w : W.t) -> Fmt.string ppf w.W.name )
+
+(* A tiny built-in workload so [metrics-json] has a fast default that
    still exercises tier-up, property ICs and the Class Cache. *)
 let smoke_workload =
-  Tce_workloads.Workload.make ~suite:Tce_workloads.Workload.Octane
-    ~selected:false "smoke"
+  W.make ~suite:W.Octane ~selected:false "smoke"
     {|
 function Pt(x, y) { this.x = x; this.y = y; }
 function bench() {
@@ -178,527 +457,534 @@ function bench() {
 }
 |}
 
-let run_metrics_json ~path names =
-  let names = if names = [] then [ "smoke" ] else names in
-  let results =
-    List.concat_map
-      (fun name ->
-        let w =
-          if name = "smoke" then smoke_workload
-          else
-            match Tce_workloads.Workloads.by_name name with
-            | Some w -> w
-            | None ->
-              Printf.eprintf "unknown workload %s\n" name;
-              exit 1
-        in
-        let off, on = Harness.run_pair w in
-        [ off; on ])
-      names
+let metrics_json_cmd =
+  let path =
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"FILE" ~doc:"Output file; $(b,-) is stdout.")
   in
-  Export.write_results ~path results
-
-(* --- runner-backed modes (--bench / --check) --- *)
-
-let usage_fail msg =
-  Printf.eprintf "bench: %s\n" msg;
-  exit 2
-
-(* Tiny flag parser shared by the two modes: [--flag V] / [--flag=V] pairs
-   plus positional workload names. *)
-let parse_flags spec args =
-  let opts = Hashtbl.create 8 in
-  let positional = ref [] in
-  let rec go = function
-    | [] -> ()
-    | a :: rest when String.length a > 2 && String.sub a 0 2 = "--" -> (
-      let body = String.sub a 2 (String.length a - 2) in
-      match String.index_opt body '=' with
-      | Some i ->
-        let k = String.sub body 0 i in
-        if not (List.mem k spec) then usage_fail ("unknown option --" ^ k);
-        Hashtbl.replace opts k (String.sub body (i + 1) (String.length body - i - 1));
-        go rest
-      | None ->
-        if not (List.mem body spec) then usage_fail ("unknown option --" ^ body);
-        (match rest with
-        | v :: rest' ->
-          Hashtbl.replace opts body v;
-          go rest'
-        | [] -> usage_fail (Printf.sprintf "--%s needs a value" body)))
-    | a :: rest ->
-      positional := a :: !positional;
-      go rest
+  let ws =
+    let lookup name =
+      if name = "smoke" then Some smoke_workload else Workloads.by_name name
+    in
+    Arg.(
+      value
+      & pos_right 0 (workload_conv lookup) [ smoke_workload ]
+      & info [] ~docv:"WORKLOAD"
+          ~doc:"Roster workloads to run, or $(b,smoke), a built-in one.")
   in
-  go args;
-  (opts, List.rev !positional)
+  let export path ws =
+    Export.write_results ~path
+      (List.concat_map
+         (fun w ->
+           let off, on = Harness.run_pair w in
+           [ off; on ])
+         ws);
+    0
+  in
+  Cmd.v
+    (Cmd.info "metrics-json"
+       ~doc:
+         "Run each workload with the mechanism off and on and write every \
+          Harness.result field as versioned JSON.")
+    Term.(const export $ path $ ws)
 
-let opt_int opts key ~default =
-  match Hashtbl.find_opt opts key with
-  | None -> default
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some i -> i
-    | None -> usage_fail (Printf.sprintf "--%s expects an integer, got %s" key v))
+let profile_diff_cmd =
+  let base = Arg.(required & pos 0 (some string) None & info [] ~docv:"BASE") in
+  let cur =
+    Arg.(
+      value
+      & pos 1 string Store.prof_latest_path
+      & info [] ~docv:"CUR" ~doc:"The current prof-report.")
+  in
+  let load path =
+    match
+      Result.bind
+        (Tce_obs.Json.of_string (read_file path))
+        Tce_prof.Report.suite_of_json
+    with
+    | Ok pairs -> Ok pairs
+    | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
+    | exception Sys_error msg -> Error msg
+  in
+  let diff base_path cur_path =
+    match (load base_path, load cur_path) with
+    | Ok base, Ok cur ->
+      Printf.printf "profile drift: %s -> %s (mechanism-on side)\n\n" base_path
+        cur_path;
+      print_string (Tce_prof.Report.diff_runs ~base ~cur);
+      0
+    | Error msg, _ | _, Error msg ->
+      Printf.eprintf "profile-diff: %s\n" msg;
+      1
+  in
+  Cmd.v
+    (Cmd.info "profile-diff"
+       ~doc:
+         "Run-vs-run differential between two prof-report documents, e.g. \
+          a kept copy of an earlier PROF_latest.json and the current one.")
+    Term.(const diff $ base $ cur)
 
-let opt_float opts key ~default =
-  match Hashtbl.find_opt opts key with
-  | None -> default
-  | Some v -> (
-    match float_of_string_opt v with
-    | Some f -> f
-    | None -> usage_fail (Printf.sprintf "--%s expects a number, got %s" key v))
+(* --- runner subcommands: bench / check / sweep / faults --- *)
 
-let resolve_workloads ~suite names =
-  if names <> [] then
-    List.map
-      (fun name ->
-        match Tce_workloads.Workloads.by_name name with
-        | Some w -> w
-        | None -> usage_fail ("unknown workload " ^ name))
-      names
-  else
-    match suite with
-    | "all" -> Tce_workloads.Workloads.all
-    | "selected" -> Tce_workloads.Workloads.selected
-    | "octane" -> Tce_workloads.Workloads.octane
-    | "sunspider" -> Tce_workloads.Workloads.sunspider
-    | "kraken" -> Tce_workloads.Workloads.kraken
-    | s -> usage_fail ("unknown suite " ^ s)
+let positive_int =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | _ -> Error (Printf.sprintf "expected a positive integer, got %S" s)),
+      Fmt.int )
 
-(* Shared by --bench / --faults / --check: the supervision knobs
-   (--supervise-timeout SECONDS, --max-retries N) over the defaults. *)
-let supervise_config opts =
+let shards_t =
+  Arg.(
+    value
+    & opt positive_int 1
+    & info [ "shards" ] ~docv:"N"
+        ~doc:
+          "Run the cells on $(docv) supervised worker processes of this \
+           executable, longest first, and merge their rows by index — \
+           bit-identical to a serial run even when workers crash or hang. \
+           1 runs them serially in this process.")
+
+let supervise_t =
   let d = Tce_runner.Supervise.default_config in
-  {
-    d with
-    Tce_runner.Supervise.cell_timeout_s =
-      opt_float opts "supervise-timeout"
-        ~default:d.Tce_runner.Supervise.cell_timeout_s;
-    max_retries =
-      opt_int opts "max-retries" ~default:d.Tce_runner.Supervise.max_retries;
-  }
+  let timeout =
+    Arg.(
+      value
+      & opt float d.Tce_runner.Supervise.cell_timeout_s
+      & info [ "supervise-timeout" ] ~docv:"SECONDS"
+          ~doc:"Scale of a worker's per-cell progress deadline.")
+  in
+  let retries =
+    Arg.(
+      value
+      & opt int d.Tce_runner.Supervise.max_retries
+      & info [ "max-retries" ] ~docv:"N"
+          ~doc:"Quarantine a cell once it has killed $(docv) workers.")
+  in
+  Term.(
+    const (fun cell_timeout_s max_retries ->
+        { d with Tce_runner.Supervise.cell_timeout_s; max_retries })
+    $ timeout $ retries)
 
-(* `--no-cache` / `--cache-dir DIR`: every runner-backed mode consults the
-   content-addressed cell cache by default (results/cache/) — a repeated
-   identical run performs zero simulations. [--no-cache] disables it,
-   [--cache-dir] relocates it (tests, CI isolation). *)
-let make_cache opts =
-  match Hashtbl.find_opt opts "cache-dir" with
-  | Some dir -> Tce_runner.Cache.create ~dir ()
-  | None -> Tce_runner.Cache.create ()
+(* The content-addressed cell cache (results/cache/): a repeated identical
+   run performs zero simulations. *)
+let cache_t =
+  let off =
+    Arg.(value & flag & info [ "no-cache" ] ~doc:"Simulate every cell; bypass the cell cache.")
+  in
+  let dir =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "cache-dir" ] ~docv:"DIR"
+          ~doc:"Keep the cell cache in $(docv) instead of results/cache.")
+  in
+  Term.(
+    const (fun off dir -> if off then None else Some (Cache.create ?dir ()))
+    $ off $ dir)
 
 (* Shared post-run bookkeeping: one stats line to stdout and the
    size-bounded LRU prune. *)
-let finish_cache cache =
-  match cache with
+let finish_cache = function
   | None -> ()
   | Some c ->
-    Tce_runner.Cache.print_stats (Tce_runner.Cache.stats c);
-    ignore (Tce_runner.Cache.prune ~dir:(Tce_runner.Cache.dir c) ())
+    Cache.print_stats (Cache.stats c);
+    ignore (Cache.prune ~dir:(Cache.dir c) ())
 
-(* `--chaos MODE:ARG` (hidden worker side of the chaos harness). *)
-let parse_worker_chaos opts =
-  match Hashtbl.find_opt opts "chaos" with
-  | None -> None
-  | Some spec -> (
-    match Tce_runner.Supervise.Chaos.parse spec with
-    | Ok c -> Some c
-    | Error e -> usage_fail e)
+let strict_t =
+  Arg.(value & flag & info [ "strict" ] ~doc:"Exit 1 when any cell is quarantined.")
 
-(* `--chaos-worker MODE [--chaos-seed N]` (parent side): arm one seeded
-   worker fault per run, for the CI chaos smoke and local drills. *)
-let parse_parent_chaos opts =
-  match Hashtbl.find_opt opts "chaos-worker" with
-  | None -> None
-  | Some m -> (
-    match Tce_runner.Supervise.Chaos.parse_mode m with
-    | Ok mode -> Some (mode, opt_int opts "chaos-seed" ~default:1)
-    | Error e -> usage_fail ("bad --chaos-worker: " ^ e))
+let deterministic_t =
+  Arg.(
+    value & flag
+    & info [ "deterministic" ]
+        ~doc:
+          "Strip the host-dependent fields (timestamps, wall clocks, shard \
+           counts) so two runs of the same tree compare with cmp(1).")
 
-(* Hidden worker mode (`--worker-indices i,j,k`, spawned by a supervised
-   parent): run exactly those cells of the matrix, in order, one row
-   envelope per cell on stdout, then exit — no summary, no result files.
-   `--chaos MODE:ARG` arms the worker side of the chaos harness. *)
-let serve_worker opts cells =
-  match Hashtbl.find_opt opts "worker-indices" with
-  | None -> ()
-  | Some s ->
-    let indices =
-      List.map
-        (fun t ->
-          match int_of_string_opt (String.trim t) with
-          | Some i -> i
-          | None ->
-            usage_fail (Printf.sprintf "--worker-indices: bad index %S" t))
-        (String.split_on_char ',' s)
+let out_t default =
+  Arg.(value & opt string default & info [ "out" ] ~docv:"FILE" ~doc:"Write the record to $(docv).")
+
+let dir_t default =
+  Arg.(
+    value & opt string default
+    & info [ "dir" ] ~docv:"DIR"
+        ~doc:"Archive an immutable copy under $(docv); empty disables.")
+
+(* What the matrix-running subcommands share. *)
+type runner = {
+  ws : W.t list;
+  shards : int;
+  supervise : Tce_runner.Supervise.config;
+  resume : string option;
+  chaos : (Chaos.mode * int) option;
+  cache : Cache.t option;
+  worker : (int list * Chaos.t option) option;
+}
+
+(* [pos] places the workload names: [Arg.pos_all], or [Arg.pos_right 0]
+   after a leading positional. [chaos] adds the chaos-harness options. *)
+let runner_t ~chaos pos =
+  let suites =
+    Workloads.
+      [ ("all", all); ("selected", selected); ("octane", octane);
+        ("sunspider", sunspider); ("kraken", kraken) ]
+  in
+  let suite =
+    Arg.(
+      value
+      & opt (enum (List.map (fun (n, _) -> (n, n)) suites)) "all"
+      & info [ "suite" ] ~docv:"SUITE"
+          ~doc:
+            ("The roster when no workload is named: "
+            ^ Arg.doc_alts (List.map fst suites) ^ "."))
+  in
+  let names =
+    Arg.value
+      (pos (workload_conv Workloads.by_name) []
+         (Arg.info [] ~docv:"WORKLOAD" ~doc:"Run these roster workloads."))
+  in
+  let resume =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "resume" ] ~docv:"FILE"
+          ~doc:
+            "Replay the rows journaled by an earlier run and run only the \
+             remainder, on supervised workers.")
+  in
+  let parent_chaos =
+    let mode =
+      Arg.(
+        value
+        & opt (some (conv' (Chaos.parse_mode, Fmt.of_to_string Chaos.mode_name))) None
+        & info [ "chaos-worker" ] ~docv:"MODE"
+            ~doc:
+              "Arm one seeded worker fault to drill the supervisor: \
+               $(b,crash-after), $(b,sigkill-after), $(b,hang-after), \
+               $(b,garbage-after), $(b,truncate-after) or $(b,poison). \
+               Disables the cell cache.")
     in
-    Tce_runner.Shard.worker ?chaos:(parse_worker_chaos opts) ~indices
-      ~out:stdout (cells ());
-    exit 0
-
-let run_bench args =
-  (* `--deterministic`, `--strict`, `--no-cache`, `--attr[=FILE]` and
-     `--profile[=FILE]` are value-less flags; peel them off before the
-     value-taking flag parser sees them. *)
-  let det_args, args = List.partition (fun a -> a = "--deterministic") args in
-  let deterministic = det_args <> [] in
-  let strict_args, args = List.partition (fun a -> a = "--strict") args in
-  let strict = strict_args <> [] in
-  let nc_args, args = List.partition (fun a -> a = "--no-cache") args in
-  let no_cache = nc_args <> [] in
-  let attr_args, args =
-    List.partition
-      (fun a ->
-        a = "--attr"
-        || (String.length a > 7 && String.sub a 0 7 = "--attr="))
-      args
-  in
-  let attr_out =
-    match attr_args with
-    | [] -> None
-    | a :: _ when String.length a > 7 ->
-      Some (String.sub a 7 (String.length a - 7))
-    | _ -> Some Tce_runner.Store.attr_latest_path
-  in
-  let prof_args, args =
-    List.partition
-      (fun a ->
-        a = "--profile"
-        || (String.length a > 10 && String.sub a 0 10 = "--profile="))
-      args
-  in
-  let prof_out =
-    match prof_args with
-    | [] -> None
-    | a :: _ when String.length a > 10 ->
-      Some (String.sub a 10 (String.length a - 10))
-    | _ -> Some "bench_profile.folded"
-  in
-  let opts, names =
-    parse_flags
-      [ "out"; "suite"; "shards"; "worker-indices";
-        "chaos"; "supervise-timeout"; "max-retries"; "resume"; "chaos-worker";
-        "chaos-seed"; "cache-dir" ]
-      args
-  in
-  let suite = Option.value ~default:"all" (Hashtbl.find_opt opts "suite") in
-  let ws = resolve_workloads ~suite names in
-  serve_worker opts (fun () -> Tce_runner.Runner.bench_cells ws);
-  let shards = opt_int opts "shards" ~default:1 in
-  if shards < 1 then usage_fail "--shards expects a positive integer";
-  if shards > 1 && (attr_out <> None || prof_out <> None) then
-    usage_fail "--attr/--profile are not supported with --shards (run them serially)";
-  let resume = Hashtbl.find_opt opts "resume" in
-  let chaos = parse_parent_chaos opts in
-  (* chaos drills exist to exercise live workers, so an armed chaos
-     harness disables the cell cache (a warm cache would pre-resolve the
-     cells the fault was aimed at) *)
-  let cache =
-    if no_cache || chaos <> None then None else Some (make_cache opts)
-  in
-  let run =
-    Tce_runner.Runner.run_suite ~shards ~supervise:(supervise_config opts)
-      ?resume ?chaos ?cache ws
-  in
-  finish_cache cache;
-  let run = if deterministic then Tce_runner.Record.normalize_run run else run in
-  let latest =
-    Option.value ~default:Tce_runner.Store.latest_path (Hashtbl.find_opt opts "out")
-  in
-  Tce_runner.Store.save ~latest run;
-  Tce_runner.Store.print_summary run;
-  Printf.printf "wrote %s\n" latest;
-  (match attr_out with
-  | None -> ()
-  | Some path ->
-    (* Suite attribution from the benchmark records themselves (the
-       composition block), so the report reflects exactly what the run
-       measured. *)
-    let per_workload =
-      List.map
-        (fun (w : Tce_runner.Record.workload) ->
-          ( w.Tce_runner.Record.name,
-            List.map
-              (fun (kind, off, on) ->
-                { Tce_attr.Aggregate.kind; off; on_ = on })
-              w.Tce_runner.Record.checks_by_kind ))
-        run.Tce_runner.Record.workloads
+    let seed =
+      Arg.(
+        value & opt int 1
+        & info [ "chaos-seed" ] ~docv:"N"
+            ~doc:"Seed choosing which worker misbehaves, and when.")
     in
-    print_string (Tce_attr.Aggregate.suite_table per_workload);
-    Tce_obs.Export.to_file ~path
-      (Tce_attr.Aggregate.suite_report_json per_workload);
-    Printf.printf "wrote %s\n" path);
-  (match prof_out with
-  | None -> ()
-  | Some folded_path ->
-    (* Second pass under the profiler: whole-run measurement per side (the
-       reconciliation invariant needs counters on from the first
-       instruction), so these runs are separate from the steady-state
-       numbers saved above. *)
-    let module R = Tce_prof.Report in
-    let profs = Tce_runner.Runner.run_profiles ws in
-    let pairs =
-      List.map
-        (fun (p : Harness.profiled) ->
-          {
-            R.p_name = p.Harness.p_name;
-            p_off = Some p.Harness.p_off;
-            p_on = Some p.Harness.p_on;
-          })
-        profs
-    in
-    print_newline ();
-    print_string (R.diff_table pairs);
-    let doc =
-      R.suite_doc ~git_sha:run.Tce_runner.Record.git_sha
-        ~config_hash:run.Tce_runner.Record.config_hash
-        ~created_utc:run.Tce_runner.Record.created_utc pairs
-    in
-    Tce_runner.Store.save_prof doc;
-    let oc = open_out folded_path in
-    List.iter
-      (fun (p : Harness.profiled) ->
-        output_string oc p.Harness.p_folded_off;
-        output_string oc p.Harness.p_folded_on)
-      profs;
-    close_out oc;
-    Printf.printf "wrote %s and %s\n" Tce_runner.Store.prof_latest_path
-      folded_path);
-  (* Non-strict runs survive quarantined cells (the remaining rows are
-     intact and reported); --strict makes any quarantine fail the run. *)
-  if strict && run.Tce_runner.Record.quarantined <> [] then begin
-    Printf.eprintf "bench: --strict and %d cell(s) quarantined\n"
-      (List.length run.Tce_runner.Record.quarantined);
-    exit 1
-  end;
-  exit 0
+    Term.(const (fun m seed -> Option.map (fun m -> (m, seed)) m) $ mode $ seed)
+  in
+  (* the worker side, spawned by a supervised parent; not for direct use *)
+  let indices =
+    Arg.(
+      value
+      & opt (some (list int)) None
+      & info [ "worker-indices" ] ~docs:Manpage.s_none)
+  in
+  let worker_chaos =
+    Arg.(
+      value
+      & opt (some (conv' (Chaos.parse, Fmt.of_to_string Chaos.to_string))) None
+      & info [ "chaos" ] ~docs:Manpage.s_none)
+  in
+  let parent_chaos, worker_chaos =
+    if chaos then (parent_chaos, worker_chaos) else Term.(const None, const None)
+  in
+  let make suite names shards supervise resume chaos cache indices wchaos =
+    {
+      ws = (if names <> [] then names else List.assoc suite suites);
+      shards;
+      supervise;
+      resume;
+      chaos;
+      (* a chaos drill exists to exercise live workers, and a warm cache
+         would pre-resolve the cells the fault was aimed at *)
+      cache = (if chaos <> None then None else cache);
+      worker = Option.map (fun i -> (i, wchaos)) indices;
+    }
+  in
+  Term.(
+    const make $ suite $ names $ shards_t $ supervise_t $ resume $ parent_chaos
+    $ cache_t $ indices $ worker_chaos)
 
-(* Run-vs-run differential between two stored prof-report documents. *)
-let run_profile_diff args =
-  let load_pairs path =
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception Sys_error msg -> usage_fail msg
-    | text -> (
-      match Result.bind (Tce_obs.Json.of_string text) Tce_prof.Report.suite_of_json with
-      | Ok pairs -> pairs
-      | Error msg -> usage_fail (Printf.sprintf "%s: %s" path msg))
-  in
-  let base_path, cur_path =
-    match args with
-    | [ b ] -> (b, Tce_runner.Store.prof_latest_path)
-    | [ b; c ] -> (b, c)
-    | _ -> usage_fail "--profile-diff needs BASE [CUR] prof-report files"
-  in
-  let base = load_pairs base_path and cur = load_pairs cur_path in
-  Printf.printf "profile drift: %s -> %s (mechanism-on side)\n\n" base_path
-    cur_path;
-  print_string (Tce_prof.Report.diff_runs ~base ~cur);
-  exit 0
+(* Spawned as a worker: run exactly the given cells of the matrix, in
+   order, one row envelope per cell on stdout, and nothing else.
+   Otherwise run [k]. *)
+let serve_or r cells k =
+  match r.worker with
+  | Some (indices, chaos) ->
+    Tce_runner.Shard.worker ?chaos ~indices ~out:stdout (cells ());
+    0
+  | None -> k ()
 
-let run_faults args =
-  let strict_args, args = List.partition (fun a -> a = "--strict") args in
-  let strict = strict_args <> [] in
-  let nc_args, args = List.partition (fun a -> a = "--no-cache") args in
-  let no_cache = nc_args <> [] in
-  let opts, names =
-    parse_flags
-      [ "fault-seed"; "fault-spec"; "out"; "dir"; "suite"; "shards";
-        "worker-indices"; "chaos"; "supervise-timeout"; "max-retries";
-        "resume"; "chaos-worker"; "chaos-seed"; "cache-dir" ]
-      args
+let bench_cmd =
+  let attr =
+    Arg.(
+      value & flag
+      & info [ "attr" ]
+          ~doc:"Also print the suite attribution report and write ATTR_latest.json.")
   in
+  let profile =
+    Arg.(
+      value & flag
+      & info [ "profile" ]
+          ~doc:
+            "Re-run the roster under the cycle-attribution profiler: print \
+             the checks-off vs checks-on differential, write \
+             PROF_latest.json and collapsed-stack flamegraph lines to \
+             bench_profile.folded (load them in speedscope or inferno).")
+  in
+  let bench r out deterministic strict attr profile =
+    if r.worker = None && r.shards > 1 && (attr || profile) then
+      `Error (true, "--attr/--profile are not supported with --shards (run them serially)")
+    else
+      `Ok
+        (serve_or r (fun () -> Tce_runner.Runner.bench_cells r.ws) @@ fun () ->
+         let run =
+           Tce_runner.Runner.run_suite ~shards:r.shards ~supervise:r.supervise
+             ?resume:r.resume ?chaos:r.chaos ?cache:r.cache r.ws
+         in
+         finish_cache r.cache;
+         let run = if deterministic then Record.normalize_run run else run in
+         Store.save ~latest:out run;
+         Store.print_summary run;
+         Printf.printf "wrote %s\n" out;
+         if attr then begin
+           (* Suite attribution from the benchmark records themselves (the
+              composition block), so the report reflects exactly what the
+              run measured. *)
+           let per_workload =
+             List.map
+               (fun (w : Record.workload) ->
+                 ( w.Record.name,
+                   List.map
+                     (fun (kind, off, on) ->
+                       { Tce_attr.Aggregate.kind; off; on_ = on })
+                     w.Record.checks_by_kind ))
+               run.Record.workloads
+           in
+           print_string (Tce_attr.Aggregate.suite_table per_workload);
+           Tce_obs.Export.to_file ~path:Store.attr_latest_path
+             (Tce_attr.Aggregate.suite_report_json per_workload);
+           Printf.printf "wrote %s\n" Store.attr_latest_path
+         end;
+         if profile then begin
+           (* Second pass under the profiler: whole-run measurement per side
+              (the reconciliation invariant needs counters on from the first
+              instruction), so these runs are separate from the
+              steady-state numbers saved above. *)
+           let module R = Tce_prof.Report in
+           let profs = Tce_runner.Runner.run_profiles r.ws in
+           let pairs =
+             List.map
+               (fun (p : Harness.profiled) ->
+                 {
+                   R.p_name = p.Harness.p_name;
+                   p_off = Some p.Harness.p_off;
+                   p_on = Some p.Harness.p_on;
+                 })
+               profs
+           in
+           print_newline ();
+           print_string (R.diff_table pairs);
+           Store.save_prof
+             (R.suite_doc ~git_sha:run.Record.git_sha
+                ~config_hash:run.Record.config_hash
+                ~created_utc:run.Record.created_utc pairs);
+           let folded_path = "bench_profile.folded" in
+           Out_channel.with_open_text folded_path (fun oc ->
+               List.iter
+                 (fun (p : Harness.profiled) ->
+                   output_string oc p.Harness.p_folded_off;
+                   output_string oc p.Harness.p_folded_on)
+                 profs);
+           Printf.printf "wrote %s and %s\n" Store.prof_latest_path folded_path
+         end;
+         (* Non-strict runs survive quarantined cells (the remaining rows
+            are intact and reported); --strict makes any quarantine fail. *)
+         if strict && run.Record.quarantined <> [] then begin
+           Printf.eprintf "bench: --strict and %d cell(s) quarantined\n"
+             (List.length run.Record.quarantined);
+           1
+         end
+         else 0)
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Run the roster (mechanism off and on per workload) and write one \
+          bench-run record, BENCH_latest.json by default. Rows accepted \
+          from workers are journaled to results/journal/bench.jsonl.")
+    Term.(
+      ret
+        (const bench $ runner_t ~chaos:true Arg.pos_all
+        $ out_t Store.latest_path $ deterministic_t $ strict_t $ attr $ profile))
+
+let check_cmd =
+  let baseline =
+    Arg.(
+      value
+      & opt string Store.baseline_path
+      & info [ "baseline" ] ~docv:"FILE" ~doc:"The baseline bench-run record.")
+  in
+  let tolerance =
+    Arg.(
+      value
+      & opt float Tce_runner.Gate.default_tolerance_pct
+      & info [ "tolerance" ] ~docv:"PCT"
+          ~doc:"Largest cycle regression per workload that still passes.")
+  in
+  let names =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"WORKLOAD" ~doc:"Gate only these rows of the baseline.")
+  in
+  let check baseline_path tolerance_pct names shards supervise cache =
+    Tce_runner.Gate.run_gate ~baseline_path ~tolerance_pct ?cache
+      ~names ~shards ~supervise ()
+  in
+  Cmd.v
+    (Cmd.info "check"
+       ~doc:
+         "Perf-regression gate: re-run the baseline's roster and exit \
+          non-zero when cycles or check-removal rates degrade.")
+    Term.(
+      const check $ baseline $ tolerance $ names $ shards_t $ supervise_t
+      $ cache_t)
+
+let sweep_cmd =
+  let axes =
+    let parse s =
+      Result.bind (Sweep.parse_spec s) (fun axes ->
+          if fst (Sweep.expand axes) = [] then
+            Error "empty sweep grid (every combination invalid)"
+          else Ok axes)
+    in
+    Arg.(
+      required
+      & pos 0 (some (conv' (parse, Fmt.of_to_string Sweep.axes_to_string))) None
+      & info [] ~docv:"SPEC"
+          ~doc:
+            "The geometry grid, e.g. $(b,\"cc.entries=32,64,128,256 \
+             cc.ways=1,2,4 cl.size=4,8\"): Class Cache entries and ways, \
+             Class List size. An absent axis sweeps only its paper default.")
+  in
+  let csv =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv" ] ~docv:"FILE"
+          ~doc:"Write the CSV to $(docv) (default: the record's path, .csv).")
+  in
+  let sweep r axes out csv dir deterministic strict =
+    serve_or r (fun () -> Sweep.cells ~axes r.ws) @@ fun () ->
+    let sweep =
+      Sweep.run ~supervise:r.supervise ?resume:r.resume ?cache:r.cache
+        ~shards:r.shards ~axes r.ws
+    in
+    finish_cache r.cache;
+    let sweep = if deterministic then Sweep.normalize sweep else sweep in
+    print_string (Sweep.report sweep);
+    let archive = Sweep.save ~latest:out ~dir sweep in
+    let csv_path =
+      Option.value csv ~default:(Filename.remove_extension out ^ ".csv")
+    in
+    Out_channel.with_open_text csv_path (fun oc ->
+        output_string oc (Sweep.to_csv sweep));
+    Printf.printf "wrote %s (archive: %s) and %s\n" out archive csv_path;
+    if strict && sweep.Sweep.quarantined <> [] then begin
+      Printf.eprintf "sweep: --strict and %d cell(s) quarantined\n"
+        (List.length sweep.Sweep.quarantined);
+      1
+    end
+    else
+      (* a default-point row differing from the committed baseline is a
+         real regression, not a reporting detail *)
+      match Sweep.baseline_check sweep with Ok _ -> 0 | Error _ -> 1
+  in
+  Cmd.v
+    (Cmd.info "sweep"
+       ~doc:
+         "Design-space explorer: run every (geometry point × workload) cell \
+          and report the Pareto frontier over simulated cycles, check \
+          removal and a geometry cost proxy. Writes SWEEP_latest.json and \
+          .csv; exits 1 when the default geometry's rows differ from the \
+          committed baseline.")
+    Term.(
+      const sweep $ runner_t ~chaos:false (Arg.pos_right 0) $ axes
+      $ out_t Store.sweep_latest_path $ csv $ dir_t Store.sweeps_dir
+      $ deterministic_t $ strict_t)
+
+let faults_cmd =
   let seed =
-    opt_int opts "fault-seed" ~default:Tce_runner.Campaign.default_seed
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "fault-seed" ] ~docv:"N"
+          ~doc:
+            (Printf.sprintf "Campaign seed (default %d)."
+               Campaign.default_seed))
   in
   let spec =
-    match Hashtbl.find_opt opts "fault-spec" with
-    | None -> Tce_fault.Spec.default
-    | Some s -> (
-      match Tce_fault.Spec.parse s with
-      | Ok spec -> spec
-      | Error e -> usage_fail ("bad --fault-spec: " ^ e))
+    Arg.(
+      value
+      & opt (some fault_spec_conv) None
+      & info [ "fault-spec" ] ~docv:"SPEC"
+          ~doc:"The fault points to inject (default: every point).")
   in
-  let suite = Option.value ~default:"all" (Hashtbl.find_opt opts "suite") in
-  let ws = resolve_workloads ~suite names in
-  serve_worker opts (fun () -> Tce_runner.Campaign.cells ~spec ~seed ws);
-  let shards = opt_int opts "shards" ~default:1 in
-  if shards < 1 then usage_fail "--shards expects a positive integer";
-  let resume = Hashtbl.find_opt opts "resume" in
-  let chaos = parse_parent_chaos opts in
-  (* as for --bench: a chaos drill needs live workers, not cache hits *)
-  let cache =
-    if no_cache || chaos <> None then None else Some (make_cache opts)
+  let faults r seed_arg spec_arg out dir strict =
+    let seed = Option.value seed_arg ~default:Campaign.default_seed in
+    let spec =
+      Option.fold ~none:Tce_fault.Spec.default ~some:snd spec_arg
+    in
+    serve_or r (fun () -> Campaign.cells ~spec ~seed r.ws) @@ fun () ->
+    (* pass the cell-identity inputs through verbatim to any workers; the
+       roster goes as positional names, so --suite need not survive the hop *)
+    let worker_args =
+      Option.fold ~none:[] ~some:(fun s -> [ "--fault-seed"; string_of_int s ]) seed_arg
+      @ Option.fold ~none:[] ~some:(fun (s, _) -> [ "--fault-spec"; s ]) spec_arg
+    in
+    let campaign =
+      Campaign.run ~spec ~seed ~shards:r.shards ~supervise:r.supervise
+        ?resume:r.resume ?chaos:r.chaos ?cache:r.cache ~worker_args r.ws
+    in
+    finish_cache r.cache;
+    let archive = Campaign.save ~latest:out ~dir campaign in
+    Campaign.print_summary campaign;
+    Printf.printf "wrote %s (archive: %s)\n" out archive;
+    Campaign.exit_code ~strict campaign
   in
-  (* pass the cell-identity inputs through verbatim to any workers; the
-     roster goes as positional names, so --suite need not survive the hop *)
-  let pass key =
-    match Hashtbl.find_opt opts key with
-    | None -> []
-    | Some v -> [ "--" ^ key; v ]
-  in
-  let campaign =
-    Tce_runner.Campaign.run ~spec ~seed ~shards
-      ~supervise:(supervise_config opts) ?resume ?chaos ?cache
-      ~worker_args:(pass "fault-seed" @ pass "fault-spec")
-      ws
-  in
-  finish_cache cache;
-  let latest =
-    Option.value ~default:Tce_runner.Campaign.latest_path
-      (Hashtbl.find_opt opts "out")
-  in
-  let dir =
-    Option.value ~default:Tce_runner.Campaign.campaigns_dir
-      (Hashtbl.find_opt opts "dir")
-  in
-  let archive = Tce_runner.Campaign.save ~latest ~dir campaign in
-  Tce_runner.Campaign.print_summary campaign;
-  Printf.printf "wrote %s (archive: %s)\n" latest archive;
-  exit (Tce_runner.Campaign.exit_code ~strict campaign)
-
-(* `--sweep "cc.entries=... cc.ways=... cl.size=..."`: the design-space
-   explorer — expand the geometry grid, run the (point × workload) cell
-   matrix (in this process, or supervised across --shards N workers), and
-   report the Pareto frontier. Cells flow through the cell cache, so a
-   repeated sweep performs zero simulations and changing one axis value
-   re-simulates only that axis's cells. *)
-let run_sweep args =
-  let spec_str, args =
-    match args with
-    | spec :: rest when String.length spec < 2 || String.sub spec 0 2 <> "--" ->
-      (spec, rest)
-    | _ ->
-      usage_fail
-        "--sweep needs a spec string (e.g. \"cc.entries=64,128 cc.ways=1,2\")"
-  in
-  let det_args, args = List.partition (fun a -> a = "--deterministic") args in
-  let deterministic = det_args <> [] in
-  let nc_args, args = List.partition (fun a -> a = "--no-cache") args in
-  let no_cache = nc_args <> [] in
-  let strict_args, args = List.partition (fun a -> a = "--strict") args in
-  let strict = strict_args <> [] in
-  let opts, names =
-    parse_flags
-      [ "out"; "csv"; "dir"; "suite"; "shards"; "worker-indices";
-        "supervise-timeout"; "max-retries"; "resume"; "cache-dir" ]
-      args
-  in
-  let axes =
-    match Tce_runner.Sweep.parse_spec spec_str with
-    | Ok a -> a
-    | Error e -> usage_fail ("bad --sweep spec: " ^ e)
-  in
-  let suite = Option.value ~default:"all" (Hashtbl.find_opt opts "suite") in
-  let ws = resolve_workloads ~suite names in
-  serve_worker opts (fun () -> Tce_runner.Sweep.cells ~axes ws);
-  let shards = opt_int opts "shards" ~default:1 in
-  if shards < 1 then usage_fail "--shards expects a positive integer";
-  let resume = Hashtbl.find_opt opts "resume" in
-  let points, _ = Tce_runner.Sweep.expand axes in
-  if points = [] then usage_fail "empty sweep grid (every combination invalid)";
-  let cache = if no_cache then None else Some (make_cache opts) in
-  let sweep =
-    Tce_runner.Sweep.run ~supervise:(supervise_config opts) ?resume ?cache
-      ~shards ~axes ws
-  in
-  finish_cache cache;
-  let sweep =
-    if deterministic then Tce_runner.Sweep.normalize sweep else sweep
-  in
-  print_string (Tce_runner.Sweep.report sweep);
-  let latest =
-    Option.value ~default:Tce_runner.Store.sweep_latest_path
-      (Hashtbl.find_opt opts "out")
-  in
-  let dir =
-    Option.value ~default:Tce_runner.Store.sweeps_dir
-      (Hashtbl.find_opt opts "dir")
-  in
-  let archive = Tce_runner.Sweep.save ~latest ~dir sweep in
-  let csv_path =
-    Option.value
-      ~default:(Filename.remove_extension latest ^ ".csv")
-      (Hashtbl.find_opt opts "csv")
-  in
-  let oc = open_out csv_path in
-  output_string oc (Tce_runner.Sweep.to_csv sweep);
-  close_out oc;
-  Printf.printf "wrote %s (archive: %s) and %s\n" latest archive csv_path;
-  if strict && sweep.Tce_runner.Sweep.quarantined <> [] then begin
-    Printf.eprintf "sweep: --strict and %d cell(s) quarantined\n"
-      (List.length sweep.Tce_runner.Sweep.quarantined);
-    exit 1
-  end;
-  (* a default-point row differing from the committed baseline is a real
-     regression, not a reporting detail *)
-  match Tce_runner.Sweep.baseline_check sweep with
-  | Ok _ -> exit 0
-  | Error _ -> exit 1
-
-let run_check args =
-  let nc_args, args = List.partition (fun a -> a = "--no-cache") args in
-  let no_cache = nc_args <> [] in
-  let opts, names =
-    parse_flags
-      [ "baseline"; "tolerance"; "shards"; "supervise-timeout";
-        "max-retries"; "cache-dir" ]
-      args
-  in
-  let baseline_path =
-    Option.value ~default:Tce_runner.Store.baseline_path
-      (Hashtbl.find_opt opts "baseline")
-  in
-  let tolerance_pct =
-    opt_float opts "tolerance" ~default:Tce_runner.Gate.default_tolerance_pct
-  in
-  let shards = opt_int opts "shards" ~default:1 in
-  if shards < 1 then usage_fail "--shards expects a positive integer";
-  let cache = if no_cache then None else Some (make_cache opts) in
-  let code =
-    Tce_runner.Gate.run_gate ~baseline_path ~tolerance_pct ?cache ~names
-      ~shards ~supervise:(supervise_config opts) ()
-  in
-  exit code
+  Cmd.v
+    (Cmd.info "faults"
+       ~doc:
+         "Fault-injection campaign: run the (workload × fault point) matrix \
+          under the differential oracle, write FAULTS_latest.json and an \
+          archive copy, and exit non-zero on any silent wrong answer.")
+    Term.(
+      const faults $ runner_t ~chaos:true Arg.pos_all $ seed $ spec
+      $ out_t Campaign.latest_path $ dir_t Campaign.campaigns_dir $ strict_t)
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* `--metrics-json FILE [workload ...]` / `--metrics-json=FILE` is a
-     separate mode: JSON export instead of the experiment tables. *)
-  (match args with
-  | "--bench" :: rest -> run_bench rest
-  | "--check" :: rest -> run_check rest
-  | "--faults" :: rest -> run_faults rest
-  | "--sweep" :: rest -> run_sweep rest
-  | "--profile-diff" :: rest -> run_profile_diff rest
-  | "--metrics-json" :: path :: rest ->
-    run_metrics_json ~path rest;
-    exit 0
-  | first :: rest when String.length first > 15
-                       && String.sub first 0 15 = "--metrics-json=" ->
-    run_metrics_json
-      ~path:(String.sub first 15 (String.length first - 15))
-      rest;
-    exit 0
-  | [ "--metrics-json" ] -> usage_fail "--metrics-json needs a FILE"
-  | opt :: _ when String.length opt > 2 && String.sub opt 0 2 = "--" ->
-    usage_fail ("unknown option " ^ opt)
-  | _ -> ());
-  let chosen =
-    if args = [] then List.map fst all_experiments
-    else args
+  let cmds =
+    [
+      run_cmd; disasm_cmd; opt_dump_cmd; classlist_cmd; config_cmd; bench_cmd;
+      check_cmd; sweep_cmd; faults_cmd; profile_diff_cmd; metrics_json_cmd;
+      fig_cmd; csv_cmd;
+    ]
   in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name all_experiments with
-      | Some f ->
-        (try f ()
-         with e ->
-           Printf.printf "experiment %s failed: %s\n" name (Printexc.to_string e))
-      | None -> Printf.printf "unknown experiment %s\n" name)
-    chosen
+  (* a first argument naming a file rather than a subcommand runs it *)
+  let argv =
+    match Array.to_list Sys.argv with
+    | exe :: first :: rest
+      when Sys.file_exists first
+           && (not (Sys.is_directory first))
+           && not (List.exists (fun c -> Cmd.name c = first) cmds) ->
+      Array.of_list (exe :: "run" :: first :: rest)
+    | _ -> Sys.argv
+  in
+  let info =
+    Cmd.info "tcejs"
+      ~doc:"MiniJS engine with HW-assisted type-check elision, and its evaluation"
+  in
+  exit (Cmd.eval' ~argv (Cmd.group ~default:run_term info cmds))

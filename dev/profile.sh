@@ -60,7 +60,7 @@ mode="--shards $shards"
 if command -v perf >/dev/null 2>&1; then
     echo "profiling with perf ($mode): $workloads"
     # shellcheck disable=SC2086  # workload names/mode are intentionally split
-    perf record -g -o "$out/perf.data" -- "$exe" --bench $mode --no-cache \
+    perf record -g -o "$out/perf.data" -- "$exe" bench $mode --no-cache \
         --out "$out/profile_bench.json" $workloads
     perf report -i "$out/perf.data" --stdio | head -60
     echo "full profile: perf report -i $out/perf.data"
@@ -185,7 +185,7 @@ cc -O2 -shared -fPIC -o "$out/pcsample.so" "$out/pcsample.c"
 
 rm -f "$out"/pcs.*
 # shellcheck disable=SC2086  # workload names/mode are intentionally split
-PCSAMPLE_OUT="$out/pcs" LD_PRELOAD="$out/pcsample.so" "$exe" --bench $mode \
+PCSAMPLE_OUT="$out/pcs" LD_PRELOAD="$out/pcsample.so" "$exe" bench $mode \
     --no-cache --out "$out/profile_bench.json" $workloads >"$out/bench.log"
 
 # one "count pc" line per distinct PC

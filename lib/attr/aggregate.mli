@@ -3,8 +3,9 @@
     documents in the {!Tce_obs.Export} envelope (kind ["attr-report"]), and
     the [--explain] rendering.
 
-    [Aggregate] is pure presentation: callers (tcejs, bench, the runner)
-    hand it plain data — it never reaches into the engine. *)
+    [Aggregate] is pure presentation: callers (the CLI's [run] and [bench]
+    subcommands, the runner) hand it plain data — it never reaches into
+    the engine. *)
 
 val report_kind : string
 (** The envelope kind, ["attr-report"]. *)

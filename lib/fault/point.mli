@@ -31,7 +31,7 @@ val name : t -> string
 
 val of_name : string -> t option
 
-(** One-line human description (campaign reports, [--faults --list]). *)
+(** One-line human description (campaign reports). *)
 val describe : t -> string
 
 val pp : Format.formatter -> t -> unit

@@ -1,7 +1,7 @@
 (** Fault-campaign specifications: which fault points are armed, with what
-    trigger. The concrete syntax (accepted by [--fault-spec] on both
-    [bench/main.exe -- --faults] and [tcejs run]) is a comma-separated list
-    of rules:
+    trigger. The concrete syntax (accepted by [--fault-spec] on both the
+    [faults] and the [run] subcommand of [bench/main.exe]) is a
+    comma-separated list of rules:
 
     {v
       point            fire on every opportunity (probability 1)

@@ -365,7 +365,7 @@ let cells ~spec ~seed (ws : W.t list) : cell Shard.cells =
   in
   {
     Shard.codec;
-    argv = "--faults" :: List.map (fun (w : W.t) -> w.W.name) ws;
+    argv = "faults" :: List.map (fun (w : W.t) -> w.W.name) ws;
     count = Array.length m;
     name =
       (fun i ->

@@ -21,9 +21,12 @@
     - [Masked] — the fault fired yet changed nothing measurable.
     - [Not_exercised] — the fault point had no opportunity to fire.
 
-    Every cell records its injector seed, so any outcome is replayable:
-    [tcejs run --fault-spec SPEC --fault-seed SEED] (or the bench driver
-    with the same flags). *)
+    Every cell records its injector seed, a function of the campaign seed
+    and the cell's identity only, so any outcome is replayable on its own:
+    [bench/main.exe -- faults --fault-seed CAMPAIGN_SEED --fault-spec SPEC
+    WORKLOAD] reruns exactly that cell, and [bench/main.exe -- run FILE
+    --fault-spec SPEC --fault-seed SEED] arms the same injector on a
+    program file. *)
 
 val latest_path : string  (** ["FAULTS_latest.json"] *)
 
@@ -105,7 +108,7 @@ val matrix :
 (** [fault-cell] envelopes: [{"index": i, "cell": cell}]. *)
 val codec : cell Shard.codec
 
-(** {!matrix} as a {!Shard.cells} matrix, worker mode [--faults]. Each
+(** {!matrix} as a {!Shard.cells} matrix, worker subcommand [faults]. Each
     process prepares a workload's reference/clean observations once, on
     the first of its cells that needs them. Cells are keyed by
     {!Cache.fault_key}. *)

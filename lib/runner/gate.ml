@@ -213,7 +213,7 @@ let print_report ~baseline ~current (r : report) =
     | [] -> ""
     | qs -> Printf.sprintf ", quarantined: %s" (String.concat ", " qs))
 
-(* --- end-to-end driver (bench/main.exe --check) --- *)
+(* --- end-to-end driver (bench/main.exe -- check) --- *)
 
 let run_gate ?(baseline_path = Store.baseline_path)
     ?(tolerance_pct = default_tolerance_pct) ?cache ?(names = [])
@@ -227,13 +227,13 @@ let run_gate ?(baseline_path = Store.baseline_path)
       Printf.eprintf
         "gate: baseline %s does not exist.\n\
          Generate one from a known-good checkout and commit it:\n\
-        \  dune exec bench/main.exe -- --bench --out %s\n"
+        \  dune exec bench/main.exe -- bench --out %s\n"
         baseline_path baseline_path
     else
       Printf.eprintf
         "gate: baseline %s is unreadable or malformed: %s\n\
          Regenerate it from a known-good checkout:\n\
-        \  dune exec bench/main.exe -- --bench --out %s\n"
+        \  dune exec bench/main.exe -- bench --out %s\n"
         baseline_path msg baseline_path;
     2
   | Ok baseline ->
@@ -257,7 +257,7 @@ let run_gate ?(baseline_path = Store.baseline_path)
          registry: %s.\n\
          The baseline was made from a different benchmark roster — \
          regenerate it:\n\
-        \  dune exec bench/main.exe -- --bench --out %s\n"
+        \  dune exec bench/main.exe -- bench --out %s\n"
         baseline_path
         (List.length unresolved)
         (String.concat ", "

@@ -26,7 +26,7 @@ let bench_cells (ws : W.t list) : Record.workload Shard.cells =
   let cost = lazy (Store.baseline_cost_of_workload ()) in
   {
     Shard.codec = bench_codec;
-    argv = "--bench" :: List.map (fun (w : W.t) -> w.W.name) ws;
+    argv = "bench" :: List.map (fun (w : W.t) -> w.W.name) ws;
     count = Array.length arr;
     name = (fun i -> arr.(i).W.name);
     cost = (fun i -> Lazy.force cost arr.(i));

@@ -36,7 +36,7 @@ val run_profiles :
 val bench_codec : Record.workload Shard.codec
 
 (** The roster as a matrix: cell [i] is the off/on pair of workload [i],
-    worker mode [--bench]. *)
+    worker subcommand [bench]. *)
 val bench_cells :
   Tce_workloads.Workload.t list ->
   Record.workload Shard.cells

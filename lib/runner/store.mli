@@ -7,11 +7,11 @@
 val latest_path : string  (** ["BENCH_latest.json"] *)
 
 val attr_latest_path : string
-(** ["ATTR_latest.json"] — suite attribution report (`--bench --attr`). *)
+(** ["ATTR_latest.json"] — suite attribution report (`bench --attr`). *)
 
 val prof_latest_path : string
 (** ["PROF_latest.json"] — roster-wide cycle-attribution profiles
-    (`--bench --profile`). *)
+    (`bench --profile`). *)
 
 val baseline_path : string  (** ["results/baseline.json"] *)
 

@@ -216,7 +216,7 @@ let cells ~axes (ws : W.t list) : Record.workload Shard.cells =
   {
     Shard.codec = Shard.workload_codec ~kind:"sweep-cell" ~field:"row";
     argv =
-      "--sweep" :: axes_to_string axes
+      "sweep" :: axes_to_string axes
       :: List.map (fun (w : W.t) -> w.W.name) ws;
     count = Array.length m;
     name =

@@ -3,7 +3,7 @@
 
     A sweep spec names one value list per hardware axis:
 
-    {v --sweep "cc.entries=32,64,128,256 cc.ways=1,2,4 cl.size=4,8" v}
+    {v sweep "cc.entries=32,64,128,256 cc.ways=1,2,4 cl.size=4,8" v}
 
     - [cc.entries] — Class Cache entry count;
     - [cc.ways] — Class Cache associativity;
@@ -95,7 +95,7 @@ val normalize : t -> t
 val cells : axes:axes -> Tce_workloads.Workload.t list ->
   Record.workload Shard.cells
 (** {!matrix} as a {!Shard.cells} matrix of [sweep-cell] envelopes
-    ([{"index": i, "row": row}]), worker mode [--sweep SPEC] with the
+    ([{"index": i, "row": row}]), worker subcommand [sweep SPEC] with the
     canonical spec, so a worker re-expands the same grid.
     @raise Failure when the grid is empty. *)
 

@@ -4,7 +4,7 @@
        for every Lir.op constructor (specialized form, baked latencies and
        costs, packed meta bits), and Predecode.decode applies it per pc;
    (b) a spot check of real workloads stays bit-identical to the committed
-       results/baseline.json (the full roster is gated by --check);
+       results/baseline.json (the full roster is gated by `check`);
    (c) the runner's longest-first schedule is the documented permutation
        and never changes results or their order. *)
 
@@ -361,7 +361,7 @@ let test_decode_func () =
 
 (* --- (b) spot check against the committed baseline --- *)
 
-(* The full 55-workload roster is gated by `bench/main.exe -- --check`;
+(* The full 55-workload roster is gated by `bench/main.exe -- check`;
    here a 7-workload cross-section (property-heavy, call-heavy, integer,
    float, GC-ish, hashing, string/array traffic) must be bit-identical to
    the committed baseline, so a fast-path regression fails `dune runtest`

@@ -233,7 +233,7 @@ let test_gate_missing_workload () =
   Alcotest.(check bool) "missing workloads fail the gate" false report.Gate.ok
 
 (* End-to-end exit codes through baseline files on disk, exactly as
-   bench/main.exe -- --check drives it. *)
+   bench/main.exe -- check drives it. *)
 let test_gate_exit_codes () =
   let tmp = Filename.temp_file "tce_baseline" ".json" in
   Fun.protect
