@@ -613,6 +613,11 @@ let dir_t default =
     & info [ "dir" ] ~docv:"DIR"
         ~doc:"Archive an immutable copy under $(docv); empty disables.")
 
+(* The "wrote ..." line names an archive copy only when one was written. *)
+let archive_clause = function
+  | None -> ""
+  | Some path -> Printf.sprintf " (archive: %s)" path
+
 (* What the matrix-running subcommands share. *)
 type runner = {
   ws : W.t list;
@@ -892,7 +897,7 @@ let sweep_cmd =
     in
     Out_channel.with_open_text csv_path (fun oc ->
         output_string oc (Sweep.to_csv sweep));
-    Printf.printf "wrote %s (archive: %s) and %s\n" out archive csv_path;
+    Printf.printf "wrote %s%s and %s\n" out (archive_clause archive) csv_path;
     if strict && sweep.Sweep.quarantined <> [] then begin
       Printf.eprintf "sweep: --strict and %d cell(s) quarantined\n"
         (List.length sweep.Sweep.quarantined);
@@ -952,7 +957,7 @@ let faults_cmd =
     finish_cache r.cache;
     let archive = Campaign.save ~latest:out ~dir campaign in
     Campaign.print_summary campaign;
-    Printf.printf "wrote %s (archive: %s)\n" out archive;
+    Printf.printf "wrote %s%s\n" out (archive_clause archive);
     Campaign.exit_code ~strict campaign
   in
   Cmd.v

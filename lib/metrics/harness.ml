@@ -213,32 +213,32 @@ let run ?(config = E.default_config) (w : Workload.t) : result =
     objects_allocated = hs.Tce_vm.Heap.objects_allocated;
   }
 
-(** Run mechanism-off and mechanism-on and check that the checksums agree
+(** Fail unless the mechanism-off and mechanism-on checksums of [w] agree
     (differential correctness is part of every experiment). *)
+let check_agree (w : Workload.t) ~off ~on =
+  if off <> on then
+    failwith
+      (Printf.sprintf "%s: checksum mismatch (off=%s on=%s)" w.Workload.name
+         off on)
+
+(** Run mechanism-off and mechanism-on and check that the checksums agree. *)
 let run_pair ?(config = E.default_config) (w : Workload.t) : result * result =
   let off = run ~config:{ config with E.mechanism = false } w in
   let on = run ~config:{ config with E.mechanism = true } w in
-  if off.checksum <> on.checksum then
-    failwith
-      (Printf.sprintf "%s: checksum mismatch (off=%s on=%s)" w.Workload.name
-         off.checksum on.checksum);
+  check_agree w ~off:off.checksum ~on:on.checksum;
   (off, on)
 
-(** [run_pair] plus the host wall-clock seconds each side took
-    [(off, on, wall_off, wall_on)]. The wall times are informational (they
-    depend on the host machine and load); every simulated number in the
-    two results stays deterministic. *)
-let run_pair_timed ?(config = E.default_config) (w : Workload.t) :
-    result * result * float * float =
+(** [run_pair] under {!E.default_config} plus the host wall-clock seconds
+    each side took [(off, on, wall_off, wall_on)]. The wall times are
+    informational (they depend on the host machine and load); every
+    simulated number in the two results stays deterministic. *)
+let run_pair_timed (w : Workload.t) : result * result * float * float =
   let t0 = Unix.gettimeofday () in
-  let off = run ~config:{ config with E.mechanism = false } w in
+  let off = run ~config:{ E.default_config with E.mechanism = false } w in
   let t1 = Unix.gettimeofday () in
-  let on = run ~config:{ config with E.mechanism = true } w in
+  let on = run ~config:{ E.default_config with E.mechanism = true } w in
   let t2 = Unix.gettimeofday () in
-  if off.checksum <> on.checksum then
-    failwith
-      (Printf.sprintf "%s: checksum mismatch (off=%s on=%s)" w.Workload.name
-         off.checksum on.checksum);
+  check_agree w ~off:off.checksum ~on:on.checksum;
   (off, on, t1 -. t0, t2 -. t1)
 
 (* --- cycle-attribution profiling --- *)
@@ -290,10 +290,7 @@ let run_pair_profiled ?(verify = false) ?(config = E.default_config)
     run_profiled_one ~config ~mechanism:false w
   in
   let ck_on, p_on, p_folded_on = run_profiled_one ~config ~mechanism:true w in
-  if ck_off <> ck_on then
-    failwith
-      (Printf.sprintf "%s: checksum mismatch (off=%s on=%s)" w.Workload.name
-         ck_off ck_on);
+  check_agree w ~off:ck_off ~on:ck_on;
   if verify then
     List.iter
       (fun (mech, (s : Tce_prof.Profile.summary)) ->

@@ -300,10 +300,11 @@ let of_json (j : J.t) : (t, string) result =
           })
     | _ -> Error "malformed fault-campaign document")
 
-let save ?(latest = latest_path) ?(dir = campaigns_dir) (t : t) : string =
+let save ?(latest = latest_path) ?(dir = campaigns_dir) (t : t) :
+    string option =
   let doc = to_json t in
   Tce_obs.Export.to_file ~path:latest doc;
-  if dir = "" then latest
+  if dir = "" then None
   else begin
     Store.mkdir_p dir;
     let name =
@@ -313,7 +314,7 @@ let save ?(latest = latest_path) ?(dir = campaigns_dir) (t : t) : string =
     in
     let path = Filename.concat dir name in
     Tce_obs.Export.to_file ~path doc;
-    path
+    Some path
   end
 
 let diff_cells ~reference t =

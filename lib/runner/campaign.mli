@@ -177,9 +177,9 @@ val to_json : t -> Tce_obs.Json.t
 val of_json : Tce_obs.Json.t -> (t, string) result
 
 (** Write [latest] (default {!latest_path}) and an immutable copy under
-    [dir] (default {!campaigns_dir}; [""] disables). Returns the archive
-    path. *)
-val save : ?latest:string -> ?dir:string -> t -> string
+    [dir] (default {!campaigns_dir}). Returns the copy's path, or [None]
+    when [dir] is [""], which turns the copy off. *)
+val save : ?latest:string -> ?dir:string -> t -> string option
 
 val load : string -> (t, string) result
 

@@ -242,6 +242,23 @@ let run_gate ?(baseline_path = Store.baseline_path)
     let wanted (b : Record.workload) =
       names = [] || List.mem b.Record.name names
     in
+    let unmatched =
+      List.filter
+        (fun n ->
+          not
+            (List.exists
+               (fun (b : Record.workload) -> b.Record.name = n)
+               baseline.Record.workloads))
+        names
+    in
+    if unmatched <> [] then begin
+      (* a misspelt name must not shrink the comparison to the others *)
+      Printf.eprintf "gate: baseline %s has no row for %d workload(s): %s\n"
+        baseline_path (List.length unmatched)
+        (String.concat ", " unmatched);
+      2
+    end
+    else
     let unresolved =
       List.filter
         (fun (b : Record.workload) ->
@@ -275,11 +292,8 @@ let run_gate ?(baseline_path = Store.baseline_path)
     if roster = [] then begin
       Printf.eprintf
         "gate: no baseline workloads selected to compare (baseline %s has \
-         %d workloads%s)\n"
-        baseline_path
-        (List.length baseline.Record.workloads)
-        (if names = [] then ""
-         else "; none match " ^ String.concat ", " names);
+         no workloads)\n"
+        baseline_path;
       2
     end
     else begin

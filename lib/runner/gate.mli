@@ -65,8 +65,10 @@ val print_report : baseline:Record.run -> current:Record.run -> report -> unit
     there: serial in this process by default), persist the run through
     {!Store.save} (unless [save_latest] is false), print the delta table
     and return the process exit code: 0 = pass, 1 = regression, 2 =
-    usage/baseline error. [cache] threads the cell cache into the run,
-    prints its stats and prunes it after the run. *)
+    usage/baseline error, among them a name in [names] that matches no
+    baseline row (every such name is listed on stderr). [cache] threads
+    the cell cache into the run, prints its stats and prunes it after
+    the run. *)
 val run_gate :
   ?baseline_path:string ->
   ?tolerance_pct:float ->

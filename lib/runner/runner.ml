@@ -9,8 +9,8 @@
 module H = Tce_metrics.Harness
 module W = Tce_workloads.Workload
 
-let simulate_one ?config (w : W.t) : Record.workload =
-  let off, on, wall_off, wall_on = H.run_pair_timed ?config w in
+let simulate_one (w : W.t) : Record.workload =
+  let off, on, wall_off, wall_on = H.run_pair_timed w in
   Record.of_pair ~wall_off ~wall_on off on
 
 (** Profile the roster serially: one {!H.run_pair_profiled} per workload,

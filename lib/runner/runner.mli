@@ -18,12 +18,10 @@ val run_one :
   Record.workload
 
 (** Measure one workload unconditionally (never consults the cache), under
-    [config] (default {!Tce_engine.Engine.default_config}; the sweep passes
-    each point's geometry). *)
-val simulate_one :
-  ?config:Tce_engine.Engine.config ->
-  Tce_workloads.Workload.t ->
-  Record.workload
+    {!Tce_engine.Engine.default_config}. The sweep does not come through
+    here: it simulates each workload's mechanism-off half once and each
+    cell's mechanism-on half at the cell's geometry ({!Sweep.cells}). *)
+val simulate_one : Tce_workloads.Workload.t -> Record.workload
 
 (** Profile the roster serially, one
     {!Tce_metrics.Harness.run_pair_profiled} per workload — fresh engines

@@ -4,6 +4,7 @@
 
 module J = Tce_obs.Json
 module W = Tce_workloads.Workload
+module H = Tce_metrics.Harness
 module E = Tce_engine.Engine
 module CC = Tce_core.Class_cache
 module CL = Tce_core.Class_list
@@ -213,6 +214,21 @@ let cells ~axes (ws : W.t list) : Record.workload Shard.cells =
   let points, _ = expand_or_fail axes in
   let m = Array.of_list (matrix points ws) in
   let cost = lazy (Store.baseline_cost_of_workload ()) in
+  (* The mechanism-off half runs the baseline core, which has no Class
+     Cache or Class List, so it is the same at every point: simulate it
+     once per workload this process runs, at the default geometry. The
+     cell that simulates it reports its host time; the others report 0. *)
+  let off_halves = Array.make (List.length ws) None in
+  let off_half i w =
+    let col = i mod Array.length off_halves in
+    match off_halves.(col) with
+    | Some off -> (off, 0.0)
+    | None ->
+      let t0 = Unix.gettimeofday () in
+      let off = H.run ~config:{ E.default_config with E.mechanism = false } w in
+      off_halves.(col) <- Some off;
+      (off, Unix.gettimeofday () -. t0)
+  in
   {
     Shard.codec = Shard.workload_codec ~kind:"sweep-cell" ~field:"row";
     argv =
@@ -231,7 +247,14 @@ let cells ~axes (ws : W.t list) : Record.workload Shard.cells =
     run =
       (fun i ->
         let p, w = m.(i) in
-        Runner.simulate_one ~config:(config_of_point p) w);
+        let off, wall_off = off_half i w in
+        let t0 = Unix.gettimeofday () in
+        let on =
+          H.run ~config:{ (config_of_point p) with E.mechanism = true } w
+        in
+        let wall_on = Unix.gettimeofday () -. t0 in
+        H.check_agree w ~off:off.H.checksum ~on:on.H.checksum;
+        Record.of_pair ~wall_off ~wall_on off on);
   }
 
 let run ?exe ?spawn ?log_dir ?supervise
@@ -375,10 +398,10 @@ let of_json (j : J.t) : (t, string) result =
     | _ -> Error "malformed sweep document")
 
 let save ?(latest = Store.sweep_latest_path) ?(dir = Store.sweeps_dir) (t : t)
-    : string =
+    : string option =
   let doc = to_json t in
   Tce_obs.Export.to_file ~path:latest doc;
-  if dir = "" then latest
+  if dir = "" then None
   else begin
     Store.mkdir_p dir;
     let name =
@@ -388,7 +411,7 @@ let save ?(latest = Store.sweep_latest_path) ?(dir = Store.sweeps_dir) (t : t)
     in
     let path = Filename.concat dir name in
     Tce_obs.Export.to_file ~path doc;
-    path
+    Some path
   end
 
 let load path : (t, string) result =

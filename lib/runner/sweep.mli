@@ -20,7 +20,9 @@
     standard benchmark pair under that point's {!config_of_point}, so
     cells flow through the content-addressed cell cache ({!Cache})
     unchanged — a repeated sweep performs zero simulations, and changing
-    one axis value re-simulates only that axis's cells.
+    one axis value re-simulates only that axis's cells. The
+    mechanism-off half of a pair does not depend on the geometry, so a
+    process simulates it once per workload, not once per point.
 
     Reports rank points on three objectives: simulated mechanism-on
     cycles (minimize), dynamic check removal (maximize) and a geometry
@@ -96,8 +98,15 @@ val cells : axes:axes -> Tce_workloads.Workload.t list ->
   Record.workload Shard.cells
 (** {!matrix} as a {!Shard.cells} matrix of [sweep-cell] envelopes
     ([{"index": i, "row": row}]), worker subcommand [sweep SPEC] with the
-    canonical spec, so a worker re-expands the same grid.
-    @raise Failure when the grid is empty. *)
+    canonical spec, so a worker re-expands the same grid. A cell's row
+    is {!Record.of_pair} of the workload's mechanism-off half under
+    {!Tce_engine.Engine.default_config}, simulated by the first cell of
+    that workload these cells run and kept for the rest, and its own
+    mechanism-on half under {!config_of_point}. Every simulated field
+    equals {!Tce_metrics.Harness.run_pair} under {!config_of_point}; a
+    cell that reuses the off half reports [wall_seconds_off] 0.
+    @raise Failure when the grid is empty, or from a cell when the two
+    halves' checksums differ. *)
 
 val run :
   ?exe:string ->
@@ -127,7 +136,12 @@ val run :
 
 val to_json : t -> Tce_obs.Json.t
 val of_json : Tce_obs.Json.t -> (t, string) result
-val save : ?latest:string -> ?dir:string -> t -> string
+
+(** Write [latest] (default {!Store.sweep_latest_path}) and an immutable
+    copy under [dir] (default {!Store.sweeps_dir}). Returns the copy's
+    path, or [None] when [dir] is [""], which turns the copy off. *)
+val save : ?latest:string -> ?dir:string -> t -> string option
+
 val load : string -> (t, string) result
 
 (** Per-point objective summary ([s_cost] = {!cost_bytes};

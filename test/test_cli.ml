@@ -5,11 +5,21 @@
    (b) an unknown experiment name is a command-line error;
    (c) `bench --profile` is a plain flag: the workload after it is run,
        and the record, PROF_latest.json and the folded stacks land in cwd;
-   (d) `config` prints the simulated core exactly as Config.pp does. *)
+   (d) `config` prints the simulated core exactly as Config.pp does;
+   (e) `check` with a workload the baseline lacks fails and names it. *)
 
 let bench_exe =
   let p =
     Filename.concat (Filename.dirname Sys.executable_name) "../bench/main.exe"
+  in
+  if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p
+
+(* Absolute, because the binary runs in a temporary cwd. *)
+let baseline =
+  let p =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "../results/baseline.json"
   in
   if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p
 
@@ -120,6 +130,28 @@ let test_config () =
     (Fmt.str "%a" Tce_machine.Config.pp Tce_machine.Config.default)
     out
 
+(* --- (e) check with an unknown workload --- *)
+
+(* A name that matches no baseline row fails the gate before anything
+   runs, even beside a name that does match. *)
+let test_check_unmatched_names () =
+  List.iter
+    (fun (names, unmatched) ->
+      spawn ("check" :: "--baseline" :: baseline :: names)
+      @@ fun _ code _ err ->
+      if code <> 2 then
+        Alcotest.failf "check %s exited %d, not 2:\n%s"
+          (String.concat " " names) code err;
+      List.iter
+        (fun n ->
+          if not (contains ~sub:n err) then
+            Alcotest.failf "stderr does not name %s:\n%s" n err)
+        unmatched)
+    [
+      ([ "richards"; "nosuch" ], [ "nosuch" ]);
+      ([ "nosuch"; "richards"; "other" ], [ "nosuch"; "other" ]);
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -127,6 +159,8 @@ let () =
         [
           Alcotest.test_case "misspelt option named" `Quick test_misspelt_options;
           Alcotest.test_case "unknown experiment" `Quick test_unknown_experiment;
+          Alcotest.test_case "check names unmatched workloads" `Quick
+            test_check_unmatched_names;
         ] );
       ( "outputs",
         [

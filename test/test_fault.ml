@@ -279,6 +279,27 @@ let test_campaign_matches_committed () =
   Alcotest.(check (list string)) "cells equal the committed ones" []
     (C.diff_cells ~reference c)
 
+(* With dir "" the campaign writes only its latest document and names no
+   archive. *)
+let test_campaign_save_without_archive () =
+  let module C = Tce_runner.Campaign in
+  let c =
+    match C.load committed_campaign with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "committed campaign unreadable: %s" e
+  in
+  let latest = Filename.temp_file "tce-faults-latest" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove latest)
+    (fun () ->
+      Alcotest.(check (option string)) "no archive" None
+        (C.save ~latest ~dir:"" c);
+      match C.load latest with
+      | Ok c' ->
+        Alcotest.(check (list string)) "latest holds the same cells" []
+          (C.diff_cells ~reference:c c')
+      | Error e -> Alcotest.fail e)
+
 (* --- unfaulted engine unchanged by the fault layer --- *)
 
 let test_null_injector_shared_safely () =
@@ -329,6 +350,8 @@ let () =
         ] );
       ( "campaign",
         [
+          Alcotest.test_case "save with dir \"\" writes no archive" `Quick
+            test_campaign_save_without_archive;
           Alcotest.test_case "seeded cells match the committed campaign" `Slow
             test_campaign_matches_committed;
         ] );

@@ -12,7 +12,11 @@
    (e) LRU prune: evicts oldest-first and bounds the directory size;
    (f) end-to-end: a supervised sweep over the real bench binary is
        byte-identical to the in-process run, and resuming from a torn
-       mid-grid journal completes with resume provenance. *)
+       mid-grid journal completes with resume provenance;
+   (g) shared off halves: the mechanism-off run does not depend on the
+       geometry, a sweep's rows equal the per-cell pair at each point, and
+       a sweep simulates each workload's off half once;
+   (h) save with dir "" writes the latest document and no archive. *)
 
 open Tce_runner
 module W = Tce_workloads.Workload
@@ -303,6 +307,104 @@ let test_e2e_resume_mid_grid () =
   Alcotest.(check string) "resumed run byte-identical to in-process"
     (sweep_bytes serial) (sweep_bytes resumed)
 
+(* --- shared off halves --- *)
+
+let by_names names =
+  List.map
+    (fun n ->
+      match Tce_workloads.Workloads.by_name n with
+      | Some w -> w
+      | None -> Alcotest.failf "%s missing from the registry" n)
+    names
+
+(* The sweep simulates the mechanism-off half once, at the default
+   geometry, and reuses it at every point: that is sound only because the
+   baseline core never touches the Class Cache or the Class List. *)
+let test_off_half_ignores_geometry () =
+  let off p =
+    { (Sweep.config_of_point p) with Tce_engine.Engine.mechanism = false }
+  in
+  List.iter
+    (fun w ->
+      let at config = Tce_metrics.Harness.run ~config w in
+      let default = at (off Sweep.default_point) in
+      List.iter
+        (fun p ->
+          if compare default (at (off p)) <> 0 then
+            Alcotest.failf "%s: mechanism-off result differs at %s" w.W.name
+              (Sweep.point_name p))
+        [
+          { Sweep.entries = 32; ways = 1; cl_size = 1 };
+          { Sweep.entries = 256; ways = 4; cl_size = 4 };
+        ])
+    (by_names [ "stanford-crypto-ccm"; "deopt-storm"; "controlflow-recursive" ])
+
+let shared_roster = by_names [ "controlflow-recursive"; "deopt-storm" ]
+let shared_sweep =
+  lazy
+    (Sweep.run ~axes:(expect_axes "cc.entries=64,128 cl.size=4,7")
+       shared_roster)
+
+(* Every row equals the pair the sweep used to simulate per cell: both
+   halves under the point's geometry. *)
+let test_rows_equal_per_cell_pairs () =
+  let t = Lazy.force shared_sweep in
+  Alcotest.(check int) "2x2 points x 2 workloads" 8 (List.length t.Sweep.cells);
+  List.iter2
+    (fun (p, row) (q, w) ->
+      let off, on =
+        Tce_metrics.Harness.run_pair ~config:(Sweep.config_of_point q) w
+      in
+      if
+        p <> q
+        || not
+             (Record.equal_deterministic row
+                (Record.of_pair ~wall_off:0.0 ~wall_on:0.0 off on))
+      then
+        Alcotest.failf "%s at %s differs from its per-cell pair" w.W.name
+          (Sweep.point_name q))
+    t.Sweep.cells
+    (Sweep.matrix t.Sweep.points shared_roster)
+
+(* The cell that simulates a workload's off half reports its host time;
+   the cells that reuse it report 0. *)
+let test_off_half_simulated_once () =
+  let t = Lazy.force shared_sweep in
+  List.iter
+    (fun (w : W.t) ->
+      let timed =
+        List.filter
+          (fun (_, (r : Record.workload)) ->
+            r.Record.name = w.W.name && r.Record.wall_seconds_off > 0.0)
+          t.Sweep.cells
+      in
+      Alcotest.(check int)
+        (w.W.name ^ ": one row simulated the off half")
+        1 (List.length timed))
+    shared_roster
+
+(* --- save without an archive --- *)
+
+let test_save_without_archive () =
+  let dir = tmp_dir "tce-sweep-save" in
+  let latest = Filename.concat dir "SWEEP_latest.json" in
+  let t = Sweep.run ~axes:(expect_axes "cc.entries=64") [ List.hd roster5 ] in
+  Alcotest.(check (option string)) "no archive" None
+    (Sweep.save ~latest ~dir:"" t);
+  Alcotest.(check (list string)) "only the latest document written"
+    [ "SWEEP_latest.json" ]
+    (Array.to_list (Sys.readdir dir));
+  (match Sweep.load latest with
+  | Ok t' -> Alcotest.(check bool) "latest round-trips" true (Sweep.equal t t')
+  | Error e -> Alcotest.fail e);
+  let archives = Filename.concat dir "archive" in
+  match Sweep.save ~latest ~dir:archives t with
+  | None -> Alcotest.fail "an archive directory was given"
+  | Some path ->
+    Alcotest.(check bool) "archive written" true (Sys.file_exists path);
+    Alcotest.(check string) "under the archive directory" archives
+      (Filename.dirname path)
+
 let () =
   Alcotest.run "sweep"
     [
@@ -336,5 +438,19 @@ let () =
           Alcotest.test_case "supervised sweep byte-identical" `Slow
             test_e2e_supervised_byte_identical;
           Alcotest.test_case "resume mid-grid" `Slow test_e2e_resume_mid_grid;
+        ] );
+      ( "off-half",
+        [
+          Alcotest.test_case "mechanism-off ignores geometry" `Slow
+            test_off_half_ignores_geometry;
+          Alcotest.test_case "rows equal per-cell pairs" `Slow
+            test_rows_equal_per_cell_pairs;
+          Alcotest.test_case "off half simulated once" `Slow
+            test_off_half_simulated_once;
+        ] );
+      ( "save",
+        [
+          Alcotest.test_case "dir \"\" writes no archive" `Quick
+            test_save_without_archive;
         ] );
     ]
