@@ -354,7 +354,9 @@ let codec =
 let cells ~spec ~seed (ws : W.t list) : cell Shard.cells =
   let m = Array.of_list (matrix ~spec ws) in
   let cost = lazy (Store.baseline_cost_of_workload ()) in
-  (* reference/clean observations, once per workload this process runs *)
+  (* Reference/clean observations, once per workload this process runs.
+     A sharded run gives each workload's cells to one worker process, so
+     a run preps each workload once, sharded or not. *)
   let prepped = Hashtbl.create 8 in
   let prep_once (w : W.t) =
     match Hashtbl.find_opt prepped w.W.name with
@@ -372,6 +374,7 @@ let cells ~spec ~seed (ws : W.t list) : cell Shard.cells =
       (fun i ->
         let w, rule = m.(i) in
         Printf.sprintf "%s×%s" w.W.name (Point.name rule.Spec.point));
+    workload = (fun i -> (fst m.(i)).W.name);
     (* a cell costs about one run of its workload *)
     cost = (fun i -> Lazy.force cost (fst m.(i)));
     key = (fun i -> cell_key ~campaign_seed:seed (fst m.(i)) (snd m.(i)));

@@ -29,6 +29,7 @@ let bench_cells (ws : W.t list) : Record.workload Shard.cells =
     argv = "bench" :: List.map (fun (w : W.t) -> w.W.name) ws;
     count = Array.length arr;
     name = (fun i -> arr.(i).W.name);
+    workload = (fun i -> arr.(i).W.name);
     cost = (fun i -> Lazy.force cost arr.(i));
     key = (fun i -> Cache.bench_key arr.(i));
     run = (fun i -> simulate_one arr.(i));

@@ -117,6 +117,7 @@ type 'row cells = {
   argv : string list;
   count : int;
   name : int -> string;
+  workload : int -> string;
   cost : int -> float option;
   key : int -> string;
   run : int -> 'row;
@@ -194,31 +195,6 @@ let run ?exe ?spawn ?(log_dir = default_log_dir)
            (i, row))
          all)
   else
-    let tasks =
-      Array.to_list
-        (Array.map
-           (fun i ->
-             { Supervise.t_index = i; t_name = c.name i; t_cost = c.cost i })
-           (longest_first_order ~cost:c.cost all))
-    in
-    (* the first wave as the supervisor deals it, for aiming chaos *)
-    let assignment =
-      Supervise.deal ~shards (List.map (fun t -> t.Supervise.t_index) tasks)
-    in
-    let argv_of_indices ~slot ~attempt indices =
-      let chaos_args =
-        match chaos with
-        | None -> []
-        | Some (mode, seed) ->
-          Option.value ~default:[]
-            (Supervise.Chaos.worker_args ~mode ~seed ~assignment ~slot ~attempt)
-      in
-      Array.of_list
-        ((Sys.executable_name :: c.argv)
-        @ "--worker-indices"
-          :: String.concat "," (List.map string_of_int indices)
-          :: (chaos_args @ worker_args))
-    in
     let decode line =
       Result.map_error
         (fun e -> Printf.sprintf "bad %s: %s" c.codec.kind e)
@@ -247,6 +223,47 @@ let run ?exe ?spawn ?(log_dir = default_log_dir)
           else Option.map (fun row -> (i, row)) (cached i))
         all
     in
+    (* The queue: one group per workload, its cells in index order,
+       longest group first. A group costs the sum of its cells. *)
+    let groups =
+      let groups =
+        List.map
+          (fun w -> List.filter (fun i -> c.workload i = w) all)
+          (List.sort_uniq compare (List.map c.workload all))
+      in
+      let cost g =
+        List.fold_left
+          (fun acc i ->
+            Option.bind acc (fun a -> Option.map (( +. ) a) (c.cost i)))
+          (Some 0.0) g
+      in
+      let task i =
+        { Supervise.t_index = i; t_name = c.name i; t_cost = c.cost i }
+      in
+      let arr = Array.of_list groups in
+      Array.to_list
+        (Array.map
+           (fun k -> List.map task arr.(k))
+           (longest_first_order ~cost groups))
+    in
+    let chaos_args =
+      match chaos with
+      | None -> fun _ -> None
+      | Some (mode, seed) ->
+        (* aimed at a cell the workers will run, not a resolved one *)
+        let resolved i =
+          List.mem_assoc i journal_rows || List.mem_assoc i cached_rows
+        in
+        Supervise.Chaos.arm ~mode ~seed
+          (List.filter (fun i -> not (resolved i)) all)
+    in
+    let argv_of_indices ~slot:_ ~attempt:_ indices =
+      Array.of_list
+        ((Sys.executable_name :: c.argv)
+        @ "--worker-indices"
+          :: String.concat "," (List.map string_of_int indices)
+          :: (Option.value ~default:[] (chaos_args indices) @ worker_args))
+    in
     let parse line =
       match decode line with
       | Ok (i, _) when i >= c.count ->
@@ -264,7 +281,7 @@ let run ?exe ?spawn ?(log_dir = default_log_dir)
           Supervise.run ?exe ?spawn ~config:supervise ~shards ~log_dir
             ~journal:(Store.journal_append journal) ~serial_run:fresh
             ~resume_rows:(journal_rows @ cached_rows) ~argv_of_indices
-            ~parse ~to_line tasks)
+            ~parse ~to_line groups)
     in
     match result with
     | Error e ->

@@ -5,13 +5,14 @@
     its identity, described by a {!cells} value that both sides build
     from the same inputs. The driver ({!run}) has two modes. With one
     shard and no journal to resume, it runs the cells in this process,
-    serially in index order. Otherwise it orders them longest-first by
-    committed baseline cost and hands them to {!Supervise.run}: worker
-    processes of the current executable are spawned with an explicit
-    cell list ([--worker-indices i,j,k]), dead or hung workers are
-    respawned over the cells they still owed, and every accepted row is
-    journaled. Both modes share the cell-cache pre-resolution and
-    install. The {e worker} ({!worker}) runs exactly its cells, in order,
+    serially in index order. Otherwise it groups them by workload,
+    queues the groups longest-first by committed baseline cost and hands
+    them to {!Supervise.run}: one worker process of the current
+    executable per group is spawned with an explicit cell list
+    ([--worker-indices i,j,k]), dead or hung workers are respawned over
+    the cells they still owed, and every accepted row is journaled.
+    Both modes share the cell-cache pre-resolution and install. The
+    {e worker} ({!worker}) runs exactly its cells, in order,
     streaming one versioned single-line JSON envelope per cell on stdout;
     stderr is free-form logging. Rows are merged by index
     ({!merge_rows}), whatever order they arrived in.
@@ -77,15 +78,19 @@ val longest_first_order : cost:('a -> float option) -> 'a list -> int array
 (** One matrix as both sides see it. [argv] is the worker's mode flag
     and the cell-identity arguments (roster names, sweep spec) that let a
     worker rebuild the same matrix; [name] labels cell [i] in
-    diagnostics; [cost] is its committed baseline cost (longest-first
-    order and progress deadlines; only the supervised mode forces it);
-    [key] its cell-cache key; [run]
-    computes it in this process. Indices run over [0 .. count-1]. *)
+    diagnostics; [workload] names the workload it runs (the supervised
+    mode runs a workload's cells in one worker process, so per-process
+    set-up such as a campaign's [prep] or a sweep's off half runs once);
+    [cost] is its committed baseline cost (longest-first order and
+    progress deadlines; only the supervised mode forces it); [key] its
+    cell-cache key; [run] computes it in this process. Indices run over
+    [0 .. count-1]. *)
 type 'row cells = {
   codec : 'row codec;
   argv : string list;
   count : int;
   name : int -> string;
+  workload : int -> string;
   cost : int -> float option;
   key : int -> string;
   run : int -> 'row;
@@ -127,16 +132,20 @@ val serial_jobs : int option -> unit
     in this process: cell-cache hits are taken as they are, misses run
     serially in index order through [cells.run] and are installed, each
     finished row is reported to [on_row], and no journal is written.
-    Otherwise across [shards] supervised workers ({!Supervise.run}):
-    cells are scheduled longest-first and dealt by {!Supervise.deal};
-    dead or hung workers are respawned over their missing cells and
-    poison cells quarantine after [supervise.max_retries] kills. Accepted rows are journaled to
+    Otherwise across [shards] supervised worker lineages
+    ({!Supervise.run}): the cells of each workload form one group, in
+    index order; groups are queued longest first (summed cell cost), and
+    a lineage whose process finishes takes the next group. Dead or hung
+    workers are respawned over their group's missing cells and poison
+    cells quarantine after [supervise.max_retries] kills. Accepted rows
+    are journaled to
     [journal_path]; [resume] replays a previous journal so only the
     remainder runs. With [cache], hits are pre-resolved before
     scheduling (a fully cached matrix starts no worker) and fresh rows
     are installed as they arrive. [worker_args] pass through to each
     worker after the cells' own [argv]; [chaos] is the parent side of
-    the chaos harness ([mode, seed]); [exe]/[spawn] are test injection
+    the chaos harness ([mode, seed]), aimed by {!Supervise.Chaos.arm} at
+    one of the cells the workers run; [exe]/[spawn] are test injection
     points. If spawning fails, the remaining cells run in-process.
     [on_row] sees in-process rows only.
     @raise Failure when supervision fails unrecoverably or the merge is

@@ -139,36 +139,32 @@ module Chaos = struct
 
   let to_string t = Printf.sprintf "%s:%d" (mode_name t.mode) t.arg
 
-  (* Cheap deterministic mixing — which first-wave worker misbehaves and
-     after how many rows must be a pure function of the seed, never of
-     scheduling. *)
+  (* Cheap deterministic mixing — which cell the drill is aimed at must be
+     a pure function of the seed, never of scheduling. *)
   let mix seed salt =
     let h = (seed lxor (salt * 0x9E3779B1)) * 0x85EBCA6B in
     let h = h lxor (h lsr 13) in
     abs (h * 0xC2B2AE35)
 
-  let worker_args ~mode ~seed ~(assignment : int list array) ~slot ~attempt =
-    let shards = Array.length assignment in
-    if shards = 0 then None
-    else begin
-      let victim = 1 + (mix seed 1 mod shards) in
-      let victim_cells = assignment.(victim - 1) in
-      match mode with
-      | Poison ->
-        (* every spawn is armed with the same doomed cell, so retries keep
-           dying until the supervisor quarantines it *)
-        if victim_cells = [] then None
-        else
-          let k = mix seed 2 mod List.length victim_cells in
-          Some [ "--chaos"; to_string { mode; arg = List.nth victim_cells k } ]
-      | Crash_after | Sigkill_after | Hang_after | Garbage_after
-      | Truncate_after ->
-        (* recoverable faults fire once, on the victim's first spawn *)
-        if slot <> victim || attempt > 0 || victim_cells = [] then None
-        else
-          let k = mix seed 2 mod List.length victim_cells in
-          Some [ "--chaos"; to_string { mode; arg = k } ]
-    end
+  let arm ~mode ~seed (scheduled : int list) =
+    let target =
+      match scheduled with
+      | [] -> None
+      | _ -> Some (List.nth scheduled (mix seed 2 mod List.length scheduled))
+    in
+    let fired = ref false in
+    fun (indices : int list) ->
+      match Option.bind target (fun t -> List.find_index (( = ) t) indices) with
+      | None -> None
+      | Some _ when mode = Poison ->
+        (* every spawn that reaches the doomed cell dies on it, so retries
+           keep dying until the supervisor quarantines it *)
+        Some [ "--chaos"; to_string { mode; arg = Option.get target } ]
+      | Some _ when !fired -> None
+      | Some k ->
+        (* recoverable faults fire once, just before the target's row *)
+        fired := true;
+        Some [ "--chaos"; to_string { mode; arg = k } ]
 
   let truncate_line out line =
     output_string out (String.sub line 0 (String.length line / 2));
@@ -230,31 +226,18 @@ let rec mkdir_p dir =
 
 (* --- the supervisor --- *)
 
-(* Snake order: lineages 1..N, then N..1, and so on. Dealt longest-first,
-   plain round-robin hands lineage 1 the longer cell of every round; the
-   snake evens that out round by round. *)
-let deal ~shards xs =
-  let shards = max 1 shards in
-  let a = Array.make shards [] in
-  List.iteri
-    (fun pos x ->
-      let round = pos / shards and k = pos mod shards in
-      let slot = if round mod 2 = 0 then k else shards - 1 - k in
-      a.(slot) <- x :: a.(slot))
-    xs;
-  Array.map List.rev a
-
 type wstate = {
   ws_slot : int;  (** 1-based worker lineage *)
-  mutable ws_attempt : int;  (** spawns of this lineage so far - 1 *)
+  mutable ws_attempt : int;  (** faults this lineage has respawned after *)
   mutable ws_pid : int;
   mutable ws_fd : Unix.file_descr;
-  mutable ws_buf : Buffer.t;
-  mutable ws_pending : int list;  (** indices owed, in execution order *)
+  ws_buf : Buffer.t;  (** partial stdout line *)
+  mutable ws_pending : int list;
+      (** the in-flight group's cells still owed, in execution order; [] when
+          the lineage is idle *)
   mutable ws_deadline : float;  (** absolute; progress resets it *)
   mutable ws_alive : bool;
-  mutable ws_respawn_at : float;  (** backoff wake-up when not alive *)
-  mutable ws_needs_respawn : bool;
+  mutable ws_respawn_at : float;  (** backoff wake-up after a fault *)
   ws_log : string;
   mutable ws_err_fd : Unix.file_descr;  (** stderr pipe read end *)
   mutable ws_err_open : bool;
@@ -264,7 +247,7 @@ type wstate = {
 
 let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
     ?serial_run ?(resume_rows = []) ~config ~shards ~log_dir ~argv_of_indices
-    ~parse ~to_line (tasks : task list) :
+    ~parse ~to_line (groups : task list list) :
     ('row outcome, string) result =
   (* The parent allocates little while it waits on its workers, so its
      few collections would fall wherever the work before this run left
@@ -278,6 +261,7 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
       (fun s -> if config.verbose then Printf.eprintf "supervise: %s\n%!" s)
       fmt
   in
+  let tasks = List.concat groups in
   let total = List.length tasks in
   let by_index = Hashtbl.create 64 in
   List.iter (fun t -> Hashtbl.replace by_index t.t_index t) tasks;
@@ -327,10 +311,17 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
   in
   let journal_line line = match journal with None -> () | Some j -> j line in
   List.iter (fun (i, r) -> journal_line (to_line i r)) resumed_rows;
-  let todo =
-    List.filter (fun t -> not (List.mem t.t_index resumed)) tasks
+  (* the queue: each group's cells still to run, in order; a group with
+     none left is dropped *)
+  let queue =
+    ref
+      (List.filter
+         (fun g -> g <> [])
+         (List.map
+            (List.filter_map (fun t ->
+                 if List.mem t.t_index resumed then None else Some t.t_index))
+            groups))
   in
-  let assignment = deal ~shards (List.map (fun t -> t.t_index) todo) in
   let rows = ref (List.rev resumed_rows) (* accumulated in reverse *) in
   let kills : (int, int * string) Hashtbl.t = Hashtbl.create 8 in
   let quarantined = ref [] in
@@ -340,7 +331,7 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
   let chunk = Bytes.create 65536 in
   let now () = Unix.gettimeofday () in
   let serial_fallback w =
-    (* Forking failed: finish this lineage's cells in-process so resource
+    (* Forking failed: finish this group's cells in-process so resource
        pressure degrades the run to serial instead of killing it. *)
     match serial_run with
     | None ->
@@ -419,29 +410,27 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
       try Unix.close w.ws_err_fd with Unix.Unix_error _ -> ()
     end
   in
-  let spawn_worker w =
-    match w.ws_pending with
-    | [] -> ()
-    | indices -> (
-      let argv =
-        argv_of_indices ~slot:w.ws_slot ~attempt:w.ws_attempt indices
-      in
-      let err_r, err_w = Unix.pipe ~cloexec:false () in
-      Unix.set_nonblock err_r;
-      let r, wr = Unix.pipe ~cloexec:false () in
-      match spawn ~exe ~argv ~stdout:wr ~stderr:err_w with
-      | pid ->
-        Unix.close wr;
-        Unix.close err_w;
-        w.ws_pid <- pid;
-        w.ws_fd <- r;
-        w.ws_err_fd <- err_r;
-        w.ws_err_open <- true;
-        w.ws_buf <- Buffer.create 256;
-        w.ws_alive <- true;
-        w.ws_needs_respawn <- false;
-        w.ws_deadline <- now () +. deadline_for (List.hd indices);
-        if w.ws_attempt > 0 then incr respawns;
+  (* Spawn a process over the lineage's pending cells: a fresh group, or
+     with [~retry] the remainder of one whose worker died. *)
+  let spawn_worker ~retry w =
+    let indices = w.ws_pending in
+    let argv = argv_of_indices ~slot:w.ws_slot ~attempt:w.ws_attempt indices in
+    let err_r, err_w = Unix.pipe ~cloexec:false () in
+    Unix.set_nonblock err_r;
+    let r, wr = Unix.pipe ~cloexec:false () in
+    match spawn ~exe ~argv ~stdout:wr ~stderr:err_w with
+    | pid ->
+      Unix.close wr;
+      Unix.close err_w;
+      w.ws_pid <- pid;
+      w.ws_fd <- r;
+      w.ws_err_fd <- err_r;
+      w.ws_err_open <- true;
+      Buffer.clear w.ws_buf;
+      w.ws_alive <- true;
+      w.ws_deadline <- now () +. deadline_for (List.hd indices);
+      if retry then begin
+        incr respawns;
         let preview =
           let names = List.map name_of indices in
           match names with
@@ -452,43 +441,39 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
         in
         say "worker %d/%d attempt %d (pid %d) covers %d cell(s): %s" w.ws_slot
           shards w.ws_attempt pid (List.length indices) preview
-      | exception e ->
-        Unix.close wr;
-        Unix.close r;
-        Unix.close err_w;
-        Unix.close err_r;
-        w.ws_alive <- false;
-        w.ws_needs_respawn <- false;
-        say "worker %d/%d spawn failed (%s); degrading to in-process serial \
-             execution"
-          w.ws_slot shards (Printexc.to_string e);
-        serial_fallback w)
+      end
+    | exception e ->
+      Unix.close wr;
+      Unix.close r;
+      Unix.close err_w;
+      Unix.close err_r;
+      w.ws_alive <- false;
+      say "worker %d/%d spawn failed (%s); degrading to in-process serial \
+           execution"
+        w.ws_slot shards (Printexc.to_string e);
+      serial_fallback w
   in
   let workers =
-    Array.to_list
-      (Array.mapi
-         (fun i indices ->
-           {
-             ws_slot = i + 1;
-             ws_attempt = 0;
-             ws_pid = -1;
-             ws_fd = Unix.stdin;
-             ws_buf = Buffer.create 256;
-             ws_pending = indices;
-             ws_deadline = infinity;
-             ws_alive = false;
-             ws_respawn_at = 0.0;
-             ws_needs_respawn = indices <> [];
-             ws_log =
-               Filename.concat log_dir (Printf.sprintf "shard-%d.log" (i + 1));
-             ws_err_fd = Unix.stdin;
-             ws_err_open = false;
-             ws_err_buf = Buffer.create 256;
-             ws_log_oc = None;
-           })
-         assignment)
+    List.init shards (fun i ->
+        {
+          ws_slot = i + 1;
+          ws_attempt = 0;
+          ws_pid = -1;
+          ws_fd = Unix.stdin;
+          ws_buf = Buffer.create 256;
+          ws_pending = [];
+          ws_deadline = infinity;
+          ws_alive = false;
+          ws_respawn_at = 0.0;
+          ws_log =
+            Filename.concat log_dir (Printf.sprintf "shard-%d.log" (i + 1));
+          ws_err_fd = Unix.stdin;
+          ws_err_open = false;
+          ws_err_buf = Buffer.create 256;
+          ws_log_oc = None;
+        })
   in
-  (* fresh logs per run: spawn appends across attempts within the run *)
+  (* fresh logs per run: a lineage's processes append to its log *)
   List.iter
     (fun w ->
       let fd =
@@ -514,7 +499,7 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
   in
   (* A worker died (or was shot) with cells still owed: blame the cell in
      flight, quarantine it after max_retries kills, back off, respawn the
-     remainder. *)
+     group's remainder. *)
   let fault w reason =
     let st = reap w in
     let reason =
@@ -546,7 +531,6 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
       in
       w.ws_attempt <- w.ws_attempt + 1;
       w.ws_respawn_at <- now () +. delay;
-      w.ws_needs_respawn <- true;
       say "respawning worker %d/%d in %.2fs over %d cell(s)" w.ws_slot shards
         delay (List.length w.ws_pending)
     end
@@ -604,83 +588,86 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
           (describe_status st) w.ws_log
     end
   in
-  (* first wave *)
-  List.iter
-    (fun w -> if w.ws_needs_respawn then spawn_worker w)
-    workers;
+  (* An idle lineage takes the next group at once. A spawn that fails runs
+     its group in-process, and the lineage takes the one after. *)
+  let rec take w =
+    if !failure = None && (not w.ws_alive) && w.ws_pending = [] then
+      match !queue with
+      | [] -> ()
+      | g :: rest ->
+        queue := rest;
+        w.ws_pending <- g;
+        spawn_worker ~retry:false w;
+        take w
+  in
+  let waiting w = (not w.ws_alive) && w.ws_pending <> [] in
   let rec loop () =
     if !failure <> None then ()
     else begin
+      let t = now () in
+      List.iter
+        (fun w ->
+          if waiting w && w.ws_respawn_at <= t then spawn_worker ~retry:true w)
+        workers;
+      List.iter take workers;
       let live = List.filter (fun w -> w.ws_alive) workers in
-      let due_respawn =
-        List.filter (fun w -> (not w.ws_alive) && w.ws_needs_respawn) workers
-      in
-      if live = [] && due_respawn = [] then ()
+      let waiting = List.filter waiting workers in
+      (* every lineage idle: [take] has emptied the queue, or failed *)
+      if live = [] && waiting = [] then ()
       else begin
         let t = now () in
-        List.iter
-          (fun w -> if w.ws_respawn_at <= t then spawn_worker w)
-          due_respawn;
-        let live = List.filter (fun w -> w.ws_alive) workers in
-        let waiting =
-          List.filter (fun w -> (not w.ws_alive) && w.ws_needs_respawn) workers
+        let next_event =
+          List.fold_left
+            (fun acc w -> Stdlib.min acc (w.ws_deadline -. t))
+            (List.fold_left
+               (fun acc w -> Stdlib.min acc (w.ws_respawn_at -. t))
+               1.0 waiting)
+            live
         in
-        if live = [] && waiting = [] then loop ()
-        else begin
-          let t = now () in
-          let next_event =
-            List.fold_left
-              (fun acc w -> Stdlib.min acc (w.ws_deadline -. t))
-              (List.fold_left
-                 (fun acc w -> Stdlib.min acc (w.ws_respawn_at -. t))
-                 1.0 waiting)
-              live
-          in
-          let timeout = Stdlib.min 1.0 (Stdlib.max 0.02 next_event) in
-          let fds = List.map (fun w -> w.ws_fd) live in
-          let err_fds =
-            List.filter_map
-              (fun w -> if w.ws_err_open then Some w.ws_err_fd else None)
-              live
-          in
-          let ready, _, _ = select_restart (fds @ err_fds) [] [] timeout in
-          List.iter
-            (fun w ->
-              if w.ws_err_open && List.mem w.ws_err_fd ready then
-                match read_nb w.ws_err_fd chunk 0 (Bytes.length chunk) with
-                | 0 ->
-                  (* worker closed its stderr while still running *)
-                  w.ws_err_open <- false;
-                  (try Unix.close w.ws_err_fd with Unix.Unix_error _ -> ())
-                | -1 -> ()
-                | n -> err_write_lines w (Bytes.sub_string chunk 0 n))
-            live;
-          List.iter
-            (fun w ->
-              if w.ws_alive && List.mem w.ws_fd ready then
-                match read_restart w.ws_fd chunk 0 (Bytes.length chunk) with
-                | 0 -> eof w
-                | n -> drain w n)
-            live;
-          (* hang detection: no progress before the in-flight cell's
-             deadline means the worker is wedged — SIGKILL and blame *)
-          let t = now () in
-          List.iter
-            (fun w ->
-              if w.ws_alive && t > w.ws_deadline then begin
-                Unix.kill w.ws_pid Sys.sigkill;
-                fault w
-                  (Printf.sprintf
-                     "no progress for %.1fs (deadline for %s exceeded)"
-                     (deadline_for
-                        (match w.ws_pending with i :: _ -> i | [] -> 0))
-                     (match w.ws_pending with
-                     | i :: _ -> name_of i
-                     | [] -> "final flush"))
-              end)
-            workers;
-          loop ()
-        end
+        let timeout = Stdlib.min 1.0 (Stdlib.max 0.02 next_event) in
+        let fds = List.map (fun w -> w.ws_fd) live in
+        let err_fds =
+          List.filter_map
+            (fun w -> if w.ws_err_open then Some w.ws_err_fd else None)
+            live
+        in
+        let ready, _, _ = select_restart (fds @ err_fds) [] [] timeout in
+        List.iter
+          (fun w ->
+            if w.ws_err_open && List.mem w.ws_err_fd ready then
+              match read_nb w.ws_err_fd chunk 0 (Bytes.length chunk) with
+              | 0 ->
+                (* worker closed its stderr while still running *)
+                w.ws_err_open <- false;
+                (try Unix.close w.ws_err_fd with Unix.Unix_error _ -> ())
+              | -1 -> ()
+              | n -> err_write_lines w (Bytes.sub_string chunk 0 n))
+          live;
+        List.iter
+          (fun w ->
+            if w.ws_alive && List.mem w.ws_fd ready then
+              match read_restart w.ws_fd chunk 0 (Bytes.length chunk) with
+              | 0 -> eof w
+              | n -> drain w n)
+          live;
+        (* hang detection: no progress before the in-flight cell's
+           deadline means the worker is wedged — SIGKILL and blame *)
+        let t = now () in
+        List.iter
+          (fun w ->
+            if w.ws_alive && t > w.ws_deadline then begin
+              Unix.kill w.ws_pid Sys.sigkill;
+              fault w
+                (Printf.sprintf
+                   "no progress for %.1fs (deadline for %s exceeded)"
+                   (deadline_for
+                      (match w.ws_pending with i :: _ -> i | [] -> 0))
+                   (match w.ws_pending with
+                   | i :: _ -> name_of i
+                   | [] -> "final flush"))
+            end)
+          workers;
+        loop ()
       end
     end
   in

@@ -5,14 +5,19 @@
     driver's sharded mode ({!Shard.run}) runs on this supervisor, which keeps
     a deterministic run alive through worker loss:
 
+    - {e Work queue} — cells come in groups (the cells of one workload),
+      queued longest first. Each of the [shards] worker lineages runs one
+      group per process; when that process exits clean, the lineage spawns
+      the next group at once, so no worker idles while work is queued and
+      each group's per-process set-up runs once.
     - {e Liveness tracking} — each worker owes the supervisor one row per
-      assigned cell, in order. The progress deadline for the in-flight
+      cell of its group, in order. The progress deadline for the in-flight
       cell is [cell_timeout_s] scaled by the cell's committed baseline
       cost relative to the roster median, so a hung worker (or one stuck
       on a pathological cell) is SIGKILLed and logged instead of blocking
       the drain forever.
     - {e Crash/hang recovery} — when a worker dies (crash, hang, garbage
-      or truncated output), a replacement is spawned over only the
+      or truncated output), its lineage respawns over only the group's
       {e missing} cell indices. Rows carry their roster index and every
       cell is deterministic, so the merged record is byte-identical to a
       serial run under any interleaving of failures.
@@ -25,19 +30,22 @@
       crash-safe journal (caller-provided sink); a later run can replay
       the journal ([resume_rows]) and schedule only the remainder.
     - {e Graceful degradation} — if forking itself fails (fd/memory
-      pressure), the supervisor falls back to running the remaining
-      cells in-process, serially, via [serial_run].
+      pressure), the supervisor runs that group's cells in-process,
+      serially, via [serial_run].
 
     The supervisor is generic over the row type: {!Shard.run}
     instantiates it with [bench-row], [fault-cell] and [sweep-cell]
     envelopes. State machine per worker lineage:
 
-    {v spawn -> drain -> (EOF, all rows in)        -> done
-                      -> (crash/garbage/partial)   -> blame in-flight cell
-                      -> (deadline exceeded)       -> SIGKILL, blame
-       blame -> kills(cell) >= max_retries         -> quarantine cell
-             -> remaining cells                    -> backoff -> respawn
-             -> spawn raises                       -> in-process serial v} *)
+    {v idle  -> queue empty                        -> done
+          -> spawn over the next group
+     spawn -> drain -> (EOF, all rows in)          -> idle
+                    -> (crash/garbage/partial)     -> blame in-flight cell
+                    -> (deadline exceeded)         -> SIGKILL, blame
+     blame -> kills(cell) >= max_retries           -> quarantine cell
+           -> group cells remain                   -> backoff -> respawn
+           -> none remain                          -> idle
+     spawn raises                                  -> group in-process v} *)
 
 (** One schedulable cell: a roster/matrix index, a human name for
     diagnostics, and the committed baseline cost (arbitrary unit — only
@@ -96,7 +104,9 @@ type 'row outcome = {
   rows : (int * 'row) list;
   quarantined : quarantined list;  (** in roster-index order *)
   resumed : int list;  (** indices replayed from a journal, ascending *)
-  respawns : int;  (** worker processes spawned beyond the first wave *)
+  respawns : int;
+      (** worker processes spawned to resume a group after a fault; 0 for
+          a clean run *)
   degraded_serial : int;  (** cells that fell back to in-process execution *)
 }
 
@@ -112,21 +122,18 @@ type spawn =
 
 val default_spawn : spawn
 
-(** [deal ~shards xs] splits the schedule-ordered [xs] over [shards]
-    worker lineages in snake order (lineage 1..N, then N..1, …), keeping
-    each lineage's items in schedule order. Dealt longest-first, this
-    gives every lineage a like share of the long head, where plain
-    round-robin gives lineage 1 the longer item of every round. *)
-val deal : shards:int -> 'a list -> 'a list array
-
-(** [run ~config ~shards ~argv_of_indices ~parse ~to_line tasks] executes
-    every task across [shards] supervised worker processes of [exe]
-    (default [Sys.executable_name]).
+(** [run ~config ~shards ~argv_of_indices ~parse ~to_line groups]
+    executes every task across [shards] supervised worker lineages, each
+    a succession of processes of [exe] (default [Sys.executable_name]).
+    [groups] is the queue, in the order the groups are taken (pass the
+    longest first); each group's tasks are in execution order. A group
+    runs in one process unless its worker dies.
 
     - [argv_of_indices ~slot ~attempt indices] is the full argv for a
-      worker covering exactly [indices] (in execution order). [slot] is
-      the 1-based worker lineage, [attempt] 0 for the first wave — the
-      chaos harness uses them to aim a fault at one spawn.
+      worker covering exactly [indices] (in execution order): one group,
+      or the remainder of one after a fault. [slot] is the 1-based
+      lineage, whose processes share [log_dir/shard-K.log]; [attempt]
+      counts the faults the lineage has respawned after.
     - [parse line] decodes one worker stdout line into [(index, row)];
       any [Error] is a worker fault (garbage output kills the worker).
     - [to_line index row] re-serializes a row for the journal.
@@ -138,10 +145,8 @@ val deal : shards:int -> 'a list -> 'a list array
       scheduled, and they are re-journaled so the new journal stays a
       complete checkpoint.
 
-    Tasks are dealt over the given task order by {!deal}, so pass them
-    schedule-ordered (longest first). The run starts with a full major
-    collection, so the parent's heap use is the same from one identical
-    run to the next.
+    The run starts with a full major collection, so the parent's heap
+    use is the same from one identical run to the next.
     Returns [Error] only for unrecoverable supervision failures (fork
     failed with no [serial_run]); quarantined cells are reported in the
     outcome, not as errors — strictness is the caller's policy. *)
@@ -157,7 +162,7 @@ val run :
   argv_of_indices:(slot:int -> attempt:int -> int list -> string array) ->
   parse:(string -> (int * 'row, string) result) ->
   to_line:(int -> 'row -> string) ->
-  task list ->
+  task list list ->
   ('row outcome, string) result
 
 (** Deterministic process-level chaos, for proving the supervisor: a
@@ -191,19 +196,15 @@ module Chaos : sig
 
   val to_string : t -> string
 
-  (** Parent side: the worker argv fragment (["--chaos"; spec]) for the
-      spawn of [slot]/[attempt] given the whole first-wave assignment,
-      derived deterministically from [seed]. Exactly one first-wave
-      worker misbehaves ([seed] picks which, and after how many rows);
-      recoverable modes never fire on respawns, [poison] arms every
-      spawn with the same doomed cell. [None] when this spawn is clean. *)
-  val worker_args :
-    mode:mode ->
-    seed:int ->
-    assignment:int list array ->
-    slot:int ->
-    attempt:int ->
-    string list option
+  (** Parent side: [arm ~mode ~seed scheduled] aims one drill, chosen by
+      [seed], at one index of [scheduled] (the cells the workers will
+      run) and returns the per-spawn chooser: given the indices a spawn
+      covers, in order, the worker argv fragment (["--chaos"; spec]), or
+      [None] when that spawn runs clean. Recoverable modes arm only the
+      first spawn that covers the target and fire just before its row;
+      [poison] arms every spawn that covers it. The chooser remembers
+      whether it has fired: make one per run. *)
+  val arm : mode:mode -> seed:int -> int list -> int list -> string list option
 
   (** Worker side: call before computing the row for [index] with
       [emitted] rows already streamed. Depending on the armed mode this

@@ -216,7 +216,9 @@ let cells ~axes (ws : W.t list) : Record.workload Shard.cells =
   let cost = lazy (Store.baseline_cost_of_workload ()) in
   (* The mechanism-off half runs the baseline core, which has no Class
      Cache or Class List, so it is the same at every point: simulate it
-     once per workload this process runs, at the default geometry. The
+     once per workload this process runs, at the default geometry. A
+     sharded run gives each workload's cells to one worker process, so
+     the table is filled once per workload per run, sharded or not. The
      cell that simulates it reports its host time; the others report 0. *)
   let off_halves = Array.make (List.length ws) None in
   let off_half i w =
@@ -239,6 +241,7 @@ let cells ~axes (ws : W.t list) : Record.workload Shard.cells =
       (fun i ->
         let p, w = m.(i) in
         Printf.sprintf "%s@%s" w.W.name (point_name p));
+    workload = (fun i -> (snd m.(i)).W.name);
     cost = (fun i -> Lazy.force cost (snd m.(i)));
     key =
       (fun i ->

@@ -3,6 +3,9 @@
        partial final line, unexpected index — each recovered by respawning
        over the missing cells, with the merged row set identical to a
        clean run;
+   (a') the work queue: a workload group's cells run in one process, a
+       lineage that finishes early takes the next group, and a clean run
+       over more groups than lineages respawns nothing;
    (b) quarantine semantics: a poison cell is excluded after max_retries
        kills while the rest of the run completes;
    (c) graceful degradation to in-process serial when spawning fails;
@@ -33,13 +36,13 @@ let cfg =
     verbose = false;
   }
 
-let tasks n =
-  List.init n (fun i ->
-      {
-        Supervise.t_index = i;
-        t_name = Printf.sprintf "cell-%d" i;
-        t_cost = None;
-      })
+let task i =
+  { Supervise.t_index = i; t_name = Printf.sprintf "cell-%d" i; t_cost = None }
+
+(* cells 0 .. n-1 in groups of [size] consecutive cells, queued in order *)
+let chunks ~size n =
+  List.init ((n + size - 1) / size) (fun g ->
+      List.init (min size (n - (g * size))) (fun k -> (g * size) + k))
 
 let parse line =
   match String.index_opt line ':' with
@@ -56,10 +59,17 @@ let echoes indices = List.map (fun i -> Printf.sprintf "echo %d:v%d" i i) indice
 let clean_argv ~slot:_ ~attempt:_ indices =
   sh (String.concat "; " (echoes indices))
 
-let run_sh ?spawn ?journal ?serial_run ?resume_rows ?(config = cfg) ~shards
-    ~argv n =
+let run_groups ?spawn ?journal ?serial_run ?resume_rows ?(config = cfg)
+    ~shards ~argv groups =
   Supervise.run ~exe:"/bin/sh" ?spawn ?journal ?serial_run ?resume_rows
-    ~config ~shards ~log_dir ~argv_of_indices:argv ~parse ~to_line (tasks n)
+    ~config ~shards ~log_dir ~argv_of_indices:argv ~parse ~to_line
+    (List.map (List.map task) groups)
+
+(* one-cell groups unless [size] says otherwise *)
+let run_sh ?spawn ?journal ?serial_run ?resume_rows ?config ?(size = 1)
+    ~shards ~argv n =
+  run_groups ?spawn ?journal ?serial_run ?resume_rows ?config ~shards ~argv
+    (chunks ~size n)
 
 let rows_t = Alcotest.(list (pair int string))
 let sorted o = List.sort compare o.Supervise.rows
@@ -75,15 +85,17 @@ let test_clean_run () =
   Alcotest.(check int) "no respawns" 0 o.Supervise.respawns;
   Alcotest.(check int) "no quarantine" 0 (List.length o.Supervise.quarantined)
 
-(* Each recoverable failure mode: slot 1's first spawn misbehaves, every
-   later spawn is clean — the run must still produce the full row set. *)
+(* Each recoverable failure mode: slot 1's spawns misbehave until its first
+   fault, every later spawn is clean — the run must still produce the full
+   row set. The groups have two cells, so a worker that dies after its
+   first row still owes one and the fault is seen. *)
 let recoverable_argv misbehave ~slot ~attempt indices =
   if slot = 1 && attempt = 0 then sh (misbehave indices)
   else clean_argv ~slot ~attempt indices
 
 let check_recovers name misbehave =
   let argv = recoverable_argv misbehave in
-  let o = expect_ok (run_sh ~shards:2 ~argv 5) in
+  let o = expect_ok (run_sh ~size:2 ~shards:2 ~argv 5) in
   Alcotest.check rows_t (name ^ ": all rows recovered") (complete 5) (sorted o);
   Alcotest.(check bool) (name ^ ": respawned") true (o.Supervise.respawns >= 1);
   Alcotest.(check int)
@@ -121,7 +133,7 @@ let test_hang_recovery () =
         | [] -> "exec sleep 60")
   in
   let config = { cfg with Supervise.cell_timeout_s = 1.0 } in
-  let o = expect_ok (run_sh ~config ~shards:2 ~argv 5) in
+  let o = expect_ok (run_sh ~config ~size:2 ~shards:2 ~argv 5) in
   Alcotest.check rows_t "hang: all rows recovered" (complete 5) (sorted o);
   Alcotest.(check bool) "hang: respawned" true (o.Supervise.respawns >= 1)
 
@@ -204,18 +216,67 @@ let test_resume_schedules_remainder () =
     [ "0:v0"; "1:v1" ]
     [ List.nth lines 0; List.nth lines 1 ]
 
-let test_deal_snakes () =
-  Alcotest.(check (array (list int))) "1..N, then N..1"
-    [| [ 0; 3; 4 ]; [ 1; 2; 5 ] |]
-    (Supervise.deal ~shards:2 [ 0; 1; 2; 3; 4; 5 ]);
+(* --- the work queue --- *)
+
+(* The fake worker answers every cell with its own pid, so cells that
+   share a value ran in one process. *)
+let pid_argv ~slot:_ ~attempt:_ indices =
+  sh
+    (String.concat "; "
+       (List.map (fun i -> Printf.sprintf "echo %d:$$" i) indices))
+
+let test_group_runs_in_one_process () =
+  let groups = [ [ 0; 1; 2 ]; [ 3; 4 ]; [ 5 ] ] in
+  let o = expect_ok (run_groups ~shards:2 ~argv:pid_argv groups) in
+  Alcotest.(check (list int)) "every cell emitted" [ 0; 1; 2; 3; 4; 5 ]
+    (List.map fst (sorted o));
   List.iter
-    (fun (shards, n) ->
-      let dealt = Supervise.deal ~shards (List.init n Fun.id) in
-      Alcotest.(check (list int))
-        (Printf.sprintf "shards=%d n=%d: a partition" shards n)
-        (List.init n Fun.id)
-        (List.sort compare (List.concat (Array.to_list dealt))))
-    [ (1, 5); (3, 5); (7, 5); (4, 0); (3, 55) ]
+    (fun g ->
+      let pids =
+        List.sort_uniq compare
+          (List.map (fun i -> List.assoc i o.Supervise.rows) g)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "group of %d cell(s): one process" (List.length g))
+        1 (List.length pids))
+    groups
+
+(* One long group beside four short ones on two lineages: the lineage
+   that drew the long group keeps it, the other takes every short one as
+   soon as its previous process exits. *)
+let test_free_lineage_takes_next_group () =
+  let taken = ref [] in
+  let argv ~slot ~attempt:_ indices =
+    taken := (slot, indices) :: !taken;
+    let body = String.concat "; " (echoes indices) in
+    sh (if indices = [ 0 ] then "sleep 2; " ^ body else body)
+  in
+  let o =
+    expect_ok (run_groups ~shards:2 ~argv [ [ 0 ]; [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ] ])
+  in
+  Alcotest.check rows_t "all rows" (complete 5) (sorted o);
+  let of_slot k =
+    List.rev
+      (List.filter_map (fun (s, g) -> if s = k then Some g else None) !taken)
+  in
+  Alcotest.(check (list (list int))) "lineage 1 runs the long group" [ [ 0 ] ]
+    (of_slot 1);
+  Alcotest.(check (list (list int))) "lineage 2 takes the short groups in turn"
+    [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ] ]
+    (of_slot 2)
+
+let test_clean_queue_no_respawns () =
+  let spawns = ref [] in
+  let argv ~slot ~attempt indices =
+    spawns := attempt :: !spawns;
+    clean_argv ~slot ~attempt indices
+  in
+  let o = expect_ok (run_sh ~shards:2 ~argv 6) in
+  Alcotest.check rows_t "all rows" (complete 6) (sorted o);
+  Alcotest.(check int) "one process per group" 6 (List.length !spawns);
+  Alcotest.(check bool) "every spawn a first attempt" true
+    (List.for_all (( = ) 0) !spawns);
+  Alcotest.(check int) "no respawns" 0 o.Supervise.respawns
 
 (* A worker row whose index lies outside the matrix is a worker fault for
    the shared parent too: with a cache it must not reach the key table. *)
@@ -238,6 +299,7 @@ let test_out_of_range_row_is_worker_fault () =
       argv = [ "-c"; Printf.sprintf "echo '%s'; exec sleep 60" line ];
       count = 1;
       name = (fun _ -> "only");
+      workload = (fun _ -> "only");
       cost = (fun _ -> None);
       key = (fun _ -> "k");
       run = (fun _ -> "v");
@@ -325,7 +387,7 @@ let test_shard_logs_utc_stamped () =
       (Printf.sprintf "echo warn: something odd >&2; %s"
          (String.concat "; " (echoes indices)))
   in
-  let o = expect_ok (run_sh ~shards:1 ~argv 2) in
+  let o = expect_ok (run_sh ~size:2 ~shards:1 ~argv 2) in
   Alcotest.check rows_t "rows intact" (complete 2) (sorted o);
   let lines = read_lines (Filename.concat log_dir "shard-1.log") in
   Alcotest.(check int) "one stderr line" 1 (List.length lines);
@@ -447,24 +509,48 @@ let test_chaos_parse () =
         (Result.is_error (Supervise.Chaos.parse bad)))
     [ "bogus:1"; "crash-after"; "crash-after:-1"; "crash-after:x" ]
 
-let test_chaos_arms_one_first_wave_worker () =
-  let assignment = [| [ 0; 2 ]; [ 1; 3 ] |] in
-  let args slot attempt =
-    Supervise.Chaos.worker_args ~mode:Supervise.Chaos.Sigkill_after ~seed:42
-      ~assignment ~slot ~attempt
-  in
-  let armed = List.filter_map (fun s -> args s 0) [ 1; 2 ] in
-  Alcotest.(check int) "exactly one first-wave worker armed" 1
-    (List.length armed);
+(* The drill is aimed, by seed, at one scheduled cell: whatever the seed,
+   some spawn covers it, so the drill cannot silently disarm. *)
+let test_chaos_arms_one_scheduled_cell () =
+  let module C = Supervise.Chaos in
+  let scheduled = [ 0; 1; 2; 3 ] in
+  let spawns = [ [ 0; 2 ]; [ 1; 3 ] ] in
+  let args = C.arm ~mode:C.Sigkill_after ~seed:42 scheduled in
+  let armed = List.filter_map args spawns in
+  Alcotest.(check int) "exactly one spawn armed" 1 (List.length armed);
   Alcotest.(check bool) "respawns are never armed" true
-    (args 1 1 = None && args 2 1 = None);
-  (* poison arms every attempt with the same doomed cell *)
-  let p attempt =
-    Supervise.Chaos.worker_args ~mode:Supervise.Chaos.Poison ~seed:42
-      ~assignment ~slot:1 ~attempt
-  in
+    (List.for_all (fun g -> args g = None) spawns);
+  (* poison arms every spawn that covers its cell, with the same cell *)
+  let p = C.arm ~mode:C.Poison ~seed:42 scheduled in
+  let first = List.map p spawns in
+  Alcotest.(check int) "poison arms the spawns that cover its cell" 1
+    (List.length (List.filter Option.is_some first));
   Alcotest.(check bool) "poison is persistent across attempts" true
-    (p 0 = p 3 && p 0 <> None || p 0 = None)
+    (List.map p spawns = first);
+  (* the same seed aims at the same cell; recoverable modes fire just
+     before its row *)
+  for seed = 0 to 31 do
+    let target =
+      match C.arm ~mode:C.Poison ~seed scheduled scheduled with
+      | Some [ "--chaos"; spec ] -> (
+        match C.parse spec with
+        | Ok { C.arg; _ } -> arg
+        | Error e -> Alcotest.fail e)
+      | _ -> Alcotest.failf "seed %d: poison armed no spawn" seed
+    in
+    Alcotest.(check (option (list string)))
+      (Printf.sprintf "seed %d: fires before the target's row" seed)
+      (Some [ "--chaos"; Printf.sprintf "sigkill-after:%d" target ])
+      (C.arm ~mode:C.Sigkill_after ~seed scheduled scheduled);
+    let singles = List.map (fun i -> [ i ]) scheduled in
+    Alcotest.(check (list (option (list string))))
+      (Printf.sprintf "seed %d: only the target's own spawn armed" seed)
+      (List.map
+         (fun i ->
+           if i = target then Some [ "--chaos"; "sigkill-after:0" ] else None)
+         scheduled)
+      (List.map (C.arm ~mode:C.Sigkill_after ~seed scheduled) singles)
+  done
 
 (* --- end-to-end over the real bench binary --- *)
 
@@ -505,6 +591,36 @@ let test_e2e_chaos_sigkill_byte_identical () =
   in
   Alcotest.(check string) "chaos-recovered run byte-identical to serial"
     (normalized_json serial) (normalized_json sup)
+
+(* More lineages than workloads: the drill is aimed at a cell, not at a
+   lineage that may have drawn no work, so every seed fires and heals. *)
+let test_e2e_chaos_fires_beyond_the_roster () =
+  require_bench_exe ();
+  let roster =
+    List.filter_map Tce_workloads.Workloads.by_name
+      [ "stanford-crypto-ccm"; "date-format-xparb" ]
+  in
+  let serial = Runner.run_suite roster in
+  List.iter
+    (fun seed ->
+      let spawns = ref 0 in
+      let spawn ~exe ~argv ~stdout ~stderr =
+        incr spawns;
+        Supervise.default_spawn ~exe ~argv ~stdout ~stderr
+      in
+      let sup =
+        Runner.run_suite ~exe:bench_exe ~spawn ~log_dir ~supervise:e2e_cfg
+          ~journal_path:(tmp_journal ())
+          ~chaos:(Supervise.Chaos.Sigkill_after, seed) ~shards:4
+          ~worker_args:[] roster
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: a worker was killed and respawned" seed)
+        true (!spawns > List.length roster);
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d: healed run byte-identical to serial" seed)
+        (normalized_json serial) (normalized_json sup))
+    [ 4; 6 ]
 
 let test_e2e_poison_quarantines () =
   require_bench_exe ();
@@ -611,10 +727,17 @@ let () =
             test_spawn_failure_without_fallback_errors;
           Alcotest.test_case "resume schedules only the remainder" `Quick
             test_resume_schedules_remainder;
-          Alcotest.test_case "deal snakes and partitions" `Quick
-            test_deal_snakes;
           Alcotest.test_case "out-of-range row index is a worker fault"
             `Quick test_out_of_range_row_is_worker_fault;
+        ] );
+      ( "queue",
+        [
+          Alcotest.test_case "a group runs in one process" `Quick
+            test_group_runs_in_one_process;
+          Alcotest.test_case "a free lineage takes the next group" `Quick
+            test_free_lineage_takes_next_group;
+          Alcotest.test_case "clean run over more groups than lineages"
+            `Quick test_clean_queue_no_respawns;
         ] );
       ( "journal",
         [
@@ -652,12 +775,14 @@ let () =
         [
           Alcotest.test_case "spec parsing" `Quick test_chaos_parse;
           Alcotest.test_case "deterministic arming" `Quick
-            test_chaos_arms_one_first_wave_worker;
+            test_chaos_arms_one_scheduled_cell;
         ] );
       ( "end-to-end",
         [
           Alcotest.test_case "chaos sigkill byte-identical" `Slow
             test_e2e_chaos_sigkill_byte_identical;
+          Alcotest.test_case "chaos fires with more shards than workloads"
+            `Slow test_e2e_chaos_fires_beyond_the_roster;
           Alcotest.test_case "poison quarantines, rest intact" `Slow
             test_e2e_poison_quarantines;
           Alcotest.test_case "resume from truncated journal" `Slow

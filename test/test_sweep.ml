@@ -340,10 +340,8 @@ let test_off_half_ignores_geometry () =
     (by_names [ "stanford-crypto-ccm"; "deopt-storm"; "controlflow-recursive" ])
 
 let shared_roster = by_names [ "controlflow-recursive"; "deopt-storm" ]
-let shared_sweep =
-  lazy
-    (Sweep.run ~axes:(expect_axes "cc.entries=64,128 cl.size=4,7")
-       shared_roster)
+let shared_axes = expect_axes "cc.entries=64,128 cl.size=4,7"
+let shared_sweep = lazy (Sweep.run ~axes:shared_axes shared_roster)
 
 (* Every row equals the pair the sweep used to simulate per cell: both
    halves under the point's geometry. *)
@@ -368,8 +366,7 @@ let test_rows_equal_per_cell_pairs () =
 
 (* The cell that simulates a workload's off half reports its host time;
    the cells that reuse it report 0. *)
-let test_off_half_simulated_once () =
-  let t = Lazy.force shared_sweep in
+let check_off_half_once (t : Sweep.t) =
   List.iter
     (fun (w : W.t) ->
       let timed =
@@ -382,6 +379,30 @@ let test_off_half_simulated_once () =
         (w.W.name ^ ": one row simulated the off half")
         1 (List.length timed))
     shared_roster
+
+let test_off_half_simulated_once () =
+  check_off_half_once (Lazy.force shared_sweep)
+
+(* Sharded, each workload's cells run in one worker process, so the off
+   half is still simulated once per workload, and the rows are the serial
+   sweep's. *)
+let test_off_half_once_sharded () =
+  require_bench_exe ();
+  let serial = Lazy.force shared_sweep in
+  let sharded =
+    Sweep.run ~exe:bench_exe ~log_dir ~supervise:e2e_cfg
+      ~journal_path:(tmp_journal ()) ~shards:2 ~worker_args:[]
+      ~axes:shared_axes shared_roster
+  in
+  Alcotest.(check int) "4 points x 2 workloads" 8
+    (List.length sharded.Sweep.cells);
+  List.iter2
+    (fun (p, a) (q, b) ->
+      if p <> q || not (Record.equal_deterministic a b) then
+        Alcotest.failf "%s at %s differs from the serial sweep" a.Record.name
+          (Sweep.point_name q))
+    serial.Sweep.cells sharded.Sweep.cells;
+  check_off_half_once sharded
 
 (* --- save without an archive --- *)
 
@@ -447,6 +468,8 @@ let () =
             test_rows_equal_per_cell_pairs;
           Alcotest.test_case "off half simulated once" `Slow
             test_off_half_simulated_once;
+          Alcotest.test_case "off half once per workload, sharded" `Slow
+            test_off_half_once_sharded;
         ] );
       ( "save",
         [
