@@ -382,22 +382,43 @@ let config_cmd =
 
 (* --- the paper's experiments --- *)
 
+module Experiments = Tce_runner.Experiments
+
+(* Shared post-run bookkeeping: one stats line ([oc], default stdout) and
+   the size-bounded LRU prune. *)
+let finish_cache ?oc = function
+  | None -> ()
+  | Some c ->
+    Cache.print_stats ?oc (Cache.stats c);
+    ignore (Cache.prune ~dir:(Cache.dir c) ())
+
+(* The roster figures are views of the runner's rows: [Rows (`All, f)]
+   reads all 55 workloads, [Rows (`Selected, f)] the paper's 26. *)
+type experiment =
+  | Plain of (unit -> unit)
+  | Rows of [ `All | `Selected ] * (Experiments.input list -> unit)
+
 let experiments =
   [
-    ("fig1", Experiments.print_fig1);
-    ("fig2", Experiments.print_fig2);
-    ("fig3", Experiments.print_fig3);
-    ("table1", Table1.print);
-    ("table2", Experiments.print_table2);
-    ("fig8", Experiments.print_fig8);
-    ("fig9", Experiments.print_fig9);
-    ("overheads", Experiments.print_overheads);
-    ("census", Experiments.print_census);
-    ("cc-sweep", Ablation.cc_geometry_sweep);
-    ("ablation", Ablation.poly_sweep);
-    ("hoisting", Ablation.hoisting_sweep);
-    ("checked-load", Ablation.checked_load_comparison);
+    ("fig1", Rows (`All, Experiments.print_fig1));
+    ("fig2", Rows (`Selected, Experiments.print_fig2));
+    ("fig3", Rows (`Selected, Experiments.print_fig3));
+    ("table1", Plain Table1.print);
+    ("table2", Plain Experiments.print_table2);
+    ("fig8", Rows (`Selected, Experiments.print_fig8));
+    ("fig9", Rows (`Selected, Experiments.print_fig9));
+    ("overheads", Rows (`Selected, Experiments.print_overheads));
+    ("census", Rows (`All, Experiments.print_census));
+    ("cc-sweep", Plain Ablation.cc_geometry_sweep);
+    ("ablation", Plain Ablation.poly_sweep);
+    ("hoisting", Plain Ablation.hoisting_sweep);
+    ("checked-load", Plain Ablation.checked_load_comparison);
   ]
+
+(* The rows of [ws] through the default cell cache: one serial run in this
+   process, saving no record. *)
+let figure_inputs cache ws =
+  Experiments.inputs_of_run (Tce_runner.Runner.run_suite ~cache ws)
 
 let fig_cmd =
   let names =
@@ -412,11 +433,27 @@ let fig_cmd =
   in
   let fig names =
     let chosen = if names = [] then List.map fst experiments else names in
+    let reads_all =
+      List.exists
+        (fun n -> match List.assoc n experiments with Rows (`All, _) -> true | _ -> false)
+        chosen
+    in
+    let cache = Cache.create () in
+    let inputs =
+      lazy
+        (figure_inputs cache
+           (if reads_all then Workloads.all else Workloads.selected))
+    in
     (* an experiment that raises does not stop the others, but fails the run *)
     let failed =
       List.filter
         (fun name ->
-          match List.assoc name experiments () with
+          match
+            match List.assoc name experiments with
+            | Plain f -> f ()
+            | Rows (`All, f) -> f (Lazy.force inputs)
+            | Rows (`Selected, f) -> f (Experiments.selected (Lazy.force inputs))
+          with
           | () -> false
           | exception e ->
             Printf.eprintf "experiment %s failed: %s\n%!" name
@@ -424,6 +461,8 @@ let fig_cmd =
             true)
         chosen
     in
+    (* stdout carries only the experiments *)
+    finish_cache ~oc:stderr (Some cache);
     if failed = [] then 0 else 1
   in
   Cmd.v
@@ -432,9 +471,18 @@ let fig_cmd =
     Term.(const fig $ names)
 
 let csv_cmd =
+  let csv () =
+    let cache = Cache.create () in
+    Experiments.write_csvs (figure_inputs cache Workloads.all);
+    finish_cache (Some cache);
+    0
+  in
   Cmd.v
-    (Cmd.info "csv" ~doc:"Write every figure's rows to results/*.csv.")
-    Term.(const (fun () -> Experiments.write_csvs (); 0) $ const ())
+    (Cmd.info "csv"
+       ~doc:
+         "Write every figure's rows to results/*.csv, from the roster's rows \
+          through the cell cache.")
+    Term.(const csv $ const ())
 
 let workload_conv lookup =
   Arg.conv'
@@ -584,14 +632,6 @@ let cache_t =
   Term.(
     const (fun off dir -> if off then None else Some (Cache.create ?dir ()))
     $ off $ dir)
-
-(* Shared post-run bookkeeping: one stats line to stdout and the
-   size-bounded LRU prune. *)
-let finish_cache = function
-  | None -> ()
-  | Some c ->
-    Cache.print_stats (Cache.stats c);
-    ignore (Cache.prune ~dir:(Cache.dir c) ())
 
 let strict_t =
   Arg.(value & flag & info [ "strict" ] ~doc:"Exit 1 when any cell is quarantined.")

@@ -228,6 +228,153 @@ let run_pair ?(config = E.default_config) (w : Workload.t) : result * result =
   check_agree w ~off:off.checksum ~on:on.checksum;
   (off, on)
 
+(** The inputs of the paper's roster figures that the runner's row does
+    not already carry: what Figures 1–3, 8 and 9, the §5.3 overheads and
+    the hidden-class census read of one mechanism-off / mechanism-on pair
+    besides the row's whole-run cycles, object-load guards and Class
+    Cache counts. Plain data, so structural equality compares two blocks. *)
+module Figures = struct
+  type t = {
+    whole_instrs_off : int;
+    whole_by_cat_off : int array;  (** one count per {!Tce_jit.Categories} *)
+    whole_guards_off : int;
+    opt_instrs_off : int;
+    opt_cycles_off : int;
+    fig3_off : int * int * int * int;
+        (** (mono prop, mono elem, poly prop, poly elem) object loads *)
+    energy_nj_off : float;
+    energy_dynamic_nj_off : float;
+    hidden_classes_off : int;
+    whole_instrs_on : int;
+    opt_instrs_on : int;
+    opt_cycles_on : int;
+    energy_nj_on : float;
+    energy_dynamic_nj_on : float;
+    hidden_classes_on : int;
+    heap_object_bytes_on : int;
+    heap_header_extra_bytes_on : int;
+    obj_loads_total_on : int;
+    obj_loads_first_line_on : int;
+  }
+
+  let of_pair (off : result) (on : result) : t =
+    {
+      whole_instrs_off = off.whole_instrs;
+      whole_by_cat_off = off.whole_by_cat;
+      whole_guards_off = off.whole_guards;
+      opt_instrs_off = off.opt_instrs;
+      opt_cycles_off = off.opt_cycles;
+      fig3_off = off.fig3;
+      energy_nj_off = off.energy_nj;
+      energy_dynamic_nj_off = off.energy_dynamic_nj;
+      hidden_classes_off = off.hidden_classes;
+      whole_instrs_on = on.whole_instrs;
+      opt_instrs_on = on.opt_instrs;
+      opt_cycles_on = on.opt_cycles;
+      energy_nj_on = on.energy_nj;
+      energy_dynamic_nj_on = on.energy_dynamic_nj;
+      hidden_classes_on = on.hidden_classes;
+      heap_object_bytes_on = on.heap_object_bytes;
+      heap_header_extra_bytes_on = on.heap_header_extra_bytes;
+      obj_loads_total_on = on.obj_loads_total;
+      obj_loads_first_line_on = on.obj_loads_first_line;
+    }
+
+  module J = Tce_obs.Json
+
+  let ints xs = J.List (List.map (fun i -> J.Int i) xs)
+
+  let to_json (f : t) : J.t =
+    let mp, me, pp, pe = f.fig3_off in
+    J.Obj
+      [
+        ("whole_instrs_off", J.Int f.whole_instrs_off);
+        ("whole_by_cat_off", ints (Array.to_list f.whole_by_cat_off));
+        ("whole_guards_off", J.Int f.whole_guards_off);
+        ("opt_instrs_off", J.Int f.opt_instrs_off);
+        ("opt_cycles_off", J.Int f.opt_cycles_off);
+        ("fig3_off", ints [ mp; me; pp; pe ]);
+        ("energy_nj_off", J.Float f.energy_nj_off);
+        ("energy_dynamic_nj_off", J.Float f.energy_dynamic_nj_off);
+        ("hidden_classes_off", J.Int f.hidden_classes_off);
+        ("whole_instrs_on", J.Int f.whole_instrs_on);
+        ("opt_instrs_on", J.Int f.opt_instrs_on);
+        ("opt_cycles_on", J.Int f.opt_cycles_on);
+        ("energy_nj_on", J.Float f.energy_nj_on);
+        ("energy_dynamic_nj_on", J.Float f.energy_dynamic_nj_on);
+        ("hidden_classes_on", J.Int f.hidden_classes_on);
+        ("heap_object_bytes_on", J.Int f.heap_object_bytes_on);
+        ("heap_header_extra_bytes_on", J.Int f.heap_header_extra_bytes_on);
+        ("obj_loads_total_on", J.Int f.obj_loads_total_on);
+        ("obj_loads_first_line_on", J.Int f.obj_loads_first_line_on);
+      ]
+
+  let ( let* ) = Result.bind
+
+  (* Every field is required; an error names the first bad one. *)
+  let of_json (j : J.t) : (t, string) Stdlib.result =
+    let bad name = Error (Printf.sprintf "bad or missing figures field %S" name) in
+    let field name conv =
+      match Option.bind (J.member name j) conv with
+      | Some v -> Ok v
+      | None -> bad name
+    in
+    let int name = field name J.to_int and float name = field name J.to_float in
+    let ints name =
+      let* items = field name J.to_list in
+      let xs = List.filter_map J.to_int items in
+      if List.compare_lengths xs items = 0 then Ok xs else bad name
+    in
+    let* whole_instrs_off = int "whole_instrs_off" in
+    let* by_cat = ints "whole_by_cat_off" in
+    let* whole_by_cat_off =
+      if List.length by_cat = Tce_jit.Categories.count then Ok (Array.of_list by_cat)
+      else bad "whole_by_cat_off"
+    in
+    let* whole_guards_off = int "whole_guards_off" in
+    let* opt_instrs_off = int "opt_instrs_off" in
+    let* opt_cycles_off = int "opt_cycles_off" in
+    let* fig3_off =
+      let* xs = ints "fig3_off" in
+      match xs with [ mp; me; pp; pe ] -> Ok (mp, me, pp, pe) | _ -> bad "fig3_off"
+    in
+    let* energy_nj_off = float "energy_nj_off" in
+    let* energy_dynamic_nj_off = float "energy_dynamic_nj_off" in
+    let* hidden_classes_off = int "hidden_classes_off" in
+    let* whole_instrs_on = int "whole_instrs_on" in
+    let* opt_instrs_on = int "opt_instrs_on" in
+    let* opt_cycles_on = int "opt_cycles_on" in
+    let* energy_nj_on = float "energy_nj_on" in
+    let* energy_dynamic_nj_on = float "energy_dynamic_nj_on" in
+    let* hidden_classes_on = int "hidden_classes_on" in
+    let* heap_object_bytes_on = int "heap_object_bytes_on" in
+    let* heap_header_extra_bytes_on = int "heap_header_extra_bytes_on" in
+    let* obj_loads_total_on = int "obj_loads_total_on" in
+    let* obj_loads_first_line_on = int "obj_loads_first_line_on" in
+    Ok
+      {
+        whole_instrs_off;
+        whole_by_cat_off;
+        whole_guards_off;
+        opt_instrs_off;
+        opt_cycles_off;
+        fig3_off;
+        energy_nj_off;
+        energy_dynamic_nj_off;
+        hidden_classes_off;
+        whole_instrs_on;
+        opt_instrs_on;
+        opt_cycles_on;
+        energy_nj_on;
+        energy_dynamic_nj_on;
+        hidden_classes_on;
+        heap_object_bytes_on;
+        heap_header_extra_bytes_on;
+        obj_loads_total_on;
+        obj_loads_first_line_on;
+      }
+end
+
 (** [run_pair] under {!E.default_config} plus the host wall-clock seconds
     each side took [(off, on, wall_off, wall_on)]. The wall times are
     informational (they depend on the host machine and load); every

@@ -235,9 +235,9 @@ let prune ?(dir = Store.cache_dir) ?(max_bytes = default_max_bytes) () :
   in
   evict 0 0 (total - max_bytes) cells
 
-let print_stats ?(label = "cache") (s : stats) =
+let print_stats ?(oc = stdout) ?(label = "cache") (s : stats) =
   if s.hits + s.misses > 0 then
-    Printf.printf
+    Printf.fprintf oc
       "%s: %d hit(s), %d miss(es) (%.0f%% hit rate), %d B read, %d B written\n"
       label s.hits s.misses
       (100.0 *. hit_ratio s)

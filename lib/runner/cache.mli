@@ -82,5 +82,6 @@ val prune : ?dir:string -> ?max_bytes:int -> unit -> int * int
     (default {!default_max_bytes}); returns [(files_removed,
     bytes_freed)]. *)
 
-val print_stats : ?label:string -> stats -> unit
-(** One summary line to stdout; silent when nothing was looked up. *)
+val print_stats : ?oc:out_channel -> ?label:string -> stats -> unit
+(** One summary line to [oc] (default stdout); silent when nothing was
+    looked up. *)

@@ -1,50 +1,54 @@
-(** Experiment runners: one per table/figure of the paper (see DESIGN.md §4
-    for the index). Each prints the same rows/series the paper reports and
-    returns the numbers for EXPERIMENTS.md / tests. *)
+(** The paper's tables and figures (see DESIGN.md §4 for the index).
+    Each roster figure is a view of the runner's rows: it reads a
+    {!Record.workload} and its figure inputs ({!Record.figures}), prints
+    the same rows/series the paper reports and returns the numbers for
+    EXPERIMENTS.md / tests. *)
 
 open Tce_support
 open Tce_workloads
-module E = Tce_engine.Engine
+module F = Tce_metrics.Harness.Figures
 
 let pct = Table.pct
+
+(** One workload as the figures read it. *)
+type input = Record.workload * Record.figures
+
+(** The inputs of every row of [run], in row order.
+    @raise Failure naming the first row that carries no figure inputs. *)
+let inputs_of_run (run : Record.run) : input list =
+  List.map
+    (fun (w : Record.workload) ->
+      match List.assoc_opt w.Record.name run.Record.figures with
+      | Some f -> (w, f)
+      | None ->
+        failwith (Printf.sprintf "%s: row carries no figure inputs" w.Record.name))
+    run.Record.workloads
+
+(** The rows of the paper's ">1% check overhead" subset
+    ({!Workloads.selected}), in input order. *)
+let selected (rows : input list) : input list =
+  List.filter
+    (fun ((w : Record.workload), _) ->
+      List.exists (fun s -> s.Workload.name = w.Record.name) Workloads.selected)
+    rows
 
 let suite_order = [ Workload.Octane; Workload.Sunspider; Workload.Kraken ]
 
 (** Group results and append per-suite averages, like the paper's
-    "<suite> average" bars. *)
-let with_suite_averages rows value_of label_of =
+    "<suite> average" bars. [suite_of r] is the suite's name. *)
+let with_suite_averages rows value_of name_of suite_of =
   List.concat_map
     (fun suite ->
-      let in_suite =
-        List.filter (fun r -> (label_of r : Workload.t).Workload.suite = suite) rows
-      in
+      let suite = Workload.suite_name suite in
+      let in_suite = List.filter (fun r -> suite_of r = suite) rows in
       if in_suite = [] then []
       else
         let avg =
           Stats.mean (List.map value_of in_suite)
         in
-        List.map (fun r -> ((label_of r).Workload.name, value_of r)) in_suite
-        @ [ (Workload.suite_name suite ^ " average", avg) ])
+        List.map (fun r -> (name_of r, value_of r)) in_suite
+        @ [ (suite ^ " average", avg) ])
     suite_order
-
-(* --- caching of runs (each figure reuses the same measurements) --- *)
-
-type cached = {
-  mutable pairs : (string * (Harness.result * Harness.result)) list;
-}
-
-let cache = { pairs = [] }
-
-let run_pair ?(config = E.default_config) w =
-  match List.assoc_opt w.Workload.name cache.pairs with
-  | Some p -> p
-  | None ->
-    let p = Harness.run_pair ~config w in
-    cache.pairs <- (w.Workload.name, p) :: cache.pairs;
-    p
-
-let off_result w = fst (run_pair w)
-let on_result w = snd (run_pair w)
 
 (* --- Figure 1: breakdown of dynamic instructions --- *)
 
@@ -61,28 +65,27 @@ type fig1_row = {
     characterization of the baseline engine, paper Fig. 1; our programs
     reach full optimization faster than the paper's, so "Rest of Code" is
     the warm-up/runtime share of the whole run). *)
-let fig1 ?(workloads = Workloads.all) () : fig1_row list =
+let fig1 (rows : input list) : fig1_row list =
   List.map
-    (fun w ->
-      let r = off_result w in
-      let total = float_of_int r.Harness.whole_instrs in
-      let c i = 100.0 *. float_of_int r.Harness.whole_by_cat.(i) /. Float.max total 1.0 in
-      let opt = Array.fold_left ( + ) 0 r.Harness.whole_by_cat in
+    (fun ((w : Record.workload), (f : F.t)) ->
+      let total = float_of_int f.F.whole_instrs_off in
+      let c i = 100.0 *. float_of_int f.F.whole_by_cat_off.(i) /. Float.max total 1.0 in
+      let opt = Array.fold_left ( + ) 0 f.F.whole_by_cat_off in
       {
-        f1_name = w.Workload.name;
+        f1_name = w.Record.name;
         checks = c 0;
         tags = c 1;
         math = c 2;
         other_opt = c 4 +. c 3;
         rest =
           100.0
-          *. float_of_int (r.Harness.whole_instrs - opt)
+          *. float_of_int (f.F.whole_instrs_off - opt)
           /. Float.max total 1.0;
       })
-    workloads
+    rows
 
-let print_fig1 () =
-  let rows = fig1 () in
+let print_fig1 inputs =
+  let rows = fig1 inputs in
   print_endline
     "Figure 1 — Breakdown of dynamic instructions (steady state, mechanism off)";
   print_string
@@ -104,27 +107,26 @@ type fig2_row = { f2_name : string; whole_app : float; opt_only : float }
 
 (** Overhead of checking + untag-guard operations that verify values
     obtained from object property / elements loads. *)
-let fig2 ?(workloads = Workloads.selected) () : fig2_row list =
+let fig2 (rows : input list) : fig2_row list =
   List.map
-    (fun w ->
-      let r = off_result w in
+    (fun ((w : Record.workload), (f : F.t)) ->
       {
-        f2_name = w.Workload.name;
+        f2_name = w.Record.name;
         (* whole application: guard share of the entire run *)
         whole_app =
           100.0
-          *. float_of_int r.Harness.whole_guards
-          /. Float.max (float_of_int r.Harness.whole_instrs) 1.0;
+          *. float_of_int f.F.whole_guards_off
+          /. Float.max (float_of_int f.F.whole_instrs_off) 1.0;
         (* optimized code only: steady state *)
         opt_only =
           100.0
-          *. float_of_int r.Harness.guards_obj_load
-          /. Float.max (float_of_int r.Harness.opt_instrs) 1.0;
+          *. float_of_int w.Record.guards_off
+          /. Float.max (float_of_int f.F.opt_instrs_off) 1.0;
       })
-    workloads
+    rows
 
-let print_fig2 () =
-  let rows = fig2 () in
+let print_fig2 inputs =
+  let rows = fig2 inputs in
   print_endline
     "Figure 2 — Checking/untagging overhead after object load accesses (mechanism off)";
   print_string
@@ -145,24 +147,23 @@ type fig3_row = {
   poly_elem : float;
 }
 
-let fig3 ?(workloads = Workloads.selected) () : fig3_row list =
+let fig3 (rows : input list) : fig3_row list =
   List.map
-    (fun w ->
-      let r = off_result w in
-      let mp, me, pp, pe = r.Harness.fig3 in
+    (fun ((w : Record.workload), (f : F.t)) ->
+      let mp, me, pp, pe = f.F.fig3_off in
       let total = float_of_int (max 1 (mp + me + pp + pe)) in
       let p x = 100.0 *. float_of_int x /. total in
       {
-        f3_name = w.Workload.name;
+        f3_name = w.Record.name;
         mono_prop = p mp;
         mono_elem = p me;
         poly_prop = p pp;
         poly_elem = p pe;
       })
-    workloads
+    rows
 
-let print_fig3 () =
-  let rows = fig3 () in
+let print_fig3 inputs =
+  let rows = fig3 inputs in
   print_endline
     "Figure 3 — Object load accesses to monomorphic properties / elements arrays";
   print_string
@@ -179,27 +180,26 @@ let print_fig3 () =
 
 (* --- Figure 8: cycle-count improvement --- *)
 
-type fig8_row = { f8_name : string; whole : float; opt : float; workload : Workload.t }
+type fig8_row = { f8_name : string; whole : float; opt : float; f8_suite : string }
 
-let fig8 ?(workloads = Workloads.selected) () : fig8_row list =
+let fig8 (rows : input list) : fig8_row list =
   List.map
-    (fun w ->
-      let off, on = run_pair w in
+    (fun ((w : Record.workload), (f : F.t)) ->
       {
-        f8_name = w.Workload.name;
-        workload = w;
+        f8_name = w.Record.name;
+        f8_suite = w.Record.suite;
         whole =
-          Stats.improvement ~base:off.Harness.whole_cycles
-            ~opt:on.Harness.whole_cycles;
+          Stats.improvement ~base:w.Record.whole_cycles_off
+            ~opt:w.Record.whole_cycles_on;
         opt =
           Stats.improvement
-            ~base:(float_of_int off.Harness.opt_cycles)
-            ~opt:(float_of_int on.Harness.opt_cycles);
+            ~base:(float_of_int f.F.opt_cycles_off)
+            ~opt:(float_of_int f.F.opt_cycles_on);
       })
-    workloads
+    rows
 
-let print_fig8 () =
-  let rows = fig8 () in
+let print_fig8 inputs =
+  let rows = fig8 inputs in
   print_endline "Figure 8 — Improvement in number of cycles (speedup, %)";
   print_string
     (Table.render
@@ -208,7 +208,10 @@ let print_fig8 () =
   print_newline ();
   print_string
     (Table.bars ~width:40
-       (with_suite_averages rows (fun r -> r.opt) (fun r -> r.workload)));
+       (with_suite_averages rows
+          (fun r -> r.opt)
+          (fun r -> r.f8_name)
+          (fun r -> r.f8_suite)));
   Printf.printf
     "mean speedup: optimized code %s (paper: 7.1%%), whole application %s (paper: 5%%)\n\n"
     (pct (Stats.mean (List.map (fun r -> r.opt) rows)))
@@ -218,10 +221,9 @@ let print_fig8 () =
 
 type fig9_row = { f9_name : string; e_whole : float; e_opt : float }
 
-let fig9 ?(workloads = Workloads.selected) () : fig9_row list =
+let fig9 (rows : input list) : fig9_row list =
   List.map
-    (fun w ->
-      let off, on = run_pair w in
+    (fun ((w : Record.workload), (f : F.t)) ->
       (* whole-application energy: dynamic energy scaled to the whole run's
          instruction count (at the steady-state per-instruction rate) plus
          leakage over the whole run's cycles *)
@@ -229,24 +231,29 @@ let fig9 ?(workloads = Workloads.selected) () : fig9_row list =
         Tce_machine.Energy.default.Tce_machine.Energy.leakage_w
         /. Tce_machine.Energy.default.Tce_machine.Energy.freq_ghz
       in
-      let whole_energy (r : Harness.result) =
-        let dyn_per_instr =
-          r.Harness.energy_dynamic_nj /. Float.max 1.0 (float_of_int r.Harness.opt_instrs)
-        in
-        (float_of_int r.Harness.whole_instrs *. dyn_per_instr)
-        +. (leak_per_cycle *. r.Harness.whole_cycles)
+      let whole_energy ~dynamic_nj ~opt_instrs ~whole_instrs ~whole_cycles =
+        let dyn_per_instr = dynamic_nj /. Float.max 1.0 (float_of_int opt_instrs) in
+        (float_of_int whole_instrs *. dyn_per_instr)
+        +. (leak_per_cycle *. whole_cycles)
       in
       {
-        f9_name = w.Workload.name;
+        f9_name = w.Record.name;
         e_whole =
-          Stats.improvement ~base:(whole_energy off) ~opt:(whole_energy on);
-        e_opt =
-          Stats.improvement ~base:off.Harness.energy_nj ~opt:on.Harness.energy_nj;
+          Stats.improvement
+            ~base:
+              (whole_energy ~dynamic_nj:f.F.energy_dynamic_nj_off
+                 ~opt_instrs:f.F.opt_instrs_off ~whole_instrs:f.F.whole_instrs_off
+                 ~whole_cycles:w.Record.whole_cycles_off)
+            ~opt:
+              (whole_energy ~dynamic_nj:f.F.energy_dynamic_nj_on
+                 ~opt_instrs:f.F.opt_instrs_on ~whole_instrs:f.F.whole_instrs_on
+                 ~whole_cycles:w.Record.whole_cycles_on);
+        e_opt = Stats.improvement ~base:f.F.energy_nj_off ~opt:f.F.energy_nj_on;
       })
-    workloads
+    rows
 
-let print_fig9 () =
-  let rows = fig9 () in
+let print_fig9 inputs =
+  let rows = fig9 inputs in
   print_endline "Figure 9 — Energy reduction (%)";
   print_string
     (Table.render
@@ -265,26 +272,25 @@ let print_table2 () =
 
 (* --- §5.3 / §5.4 overheads and hardware cost --- *)
 
-let print_overheads () =
+let print_overheads (inputs : input list) =
   print_endline "Section 5.3/5.4 — Incurred overheads and hardware cost";
   let rows =
     List.map
-      (fun w ->
-        let on = on_result w in
+      (fun ((w : Record.workload), (f : F.t)) ->
         [
-          w.Workload.name;
-          string_of_int on.Harness.cc_accesses;
-          Printf.sprintf "%.4f%%" (100.0 *. on.Harness.cc_hit_rate);
-          string_of_int on.Harness.hidden_classes;
+          w.Record.name;
+          string_of_int w.Record.cc_accesses_on;
+          Printf.sprintf "%.4f%%" (100.0 *. w.Record.cc_hit_rate_on);
+          string_of_int f.F.hidden_classes_on;
           Printf.sprintf "%.1f%%"
-            (Stats.percent on.Harness.heap_header_extra_bytes
-               (max 1 on.Harness.heap_object_bytes));
+            (Stats.percent f.F.heap_header_extra_bytes_on
+               (max 1 f.F.heap_object_bytes_on));
           Printf.sprintf "%.1f%%"
-            (Stats.percent on.Harness.obj_loads_first_line
-               (max 1 on.Harness.obj_loads_total));
-          string_of_int on.Harness.cc_exceptions;
+            (Stats.percent f.F.obj_loads_first_line_on
+               (max 1 f.F.obj_loads_total_on));
+          string_of_int w.Record.cc_exceptions_on;
         ])
-      Workloads.selected
+      inputs
   in
   print_string
     (Table.render
@@ -298,22 +304,24 @@ let print_overheads () =
 
 (* --- hidden class census (§4.1 / §5.3.1) --- *)
 
-let print_census () =
+let print_census (inputs : input list) =
   print_endline "Hidden-class census (paper §4.1: <= 32 for all but 2 benchmarks)";
   let rows =
     List.map
-      (fun w ->
-        let r = off_result w in
-        [ w.Workload.name; string_of_int r.Harness.hidden_classes ])
-      Workloads.all
+      (fun ((w : Record.workload), (f : F.t)) ->
+        [ w.Record.name; string_of_int f.F.hidden_classes_off ])
+      inputs
   in
   print_string (Table.render ~headers:[ "benchmark"; "hidden classes" ] rows);
   print_newline ()
 
 (* --- CSV export --- *)
 
-(** Write every figure's rows as CSV under [dir] (plots, spreadsheets). *)
-let write_csvs ?(dir = "results") () =
+(** Write every figure's rows as CSV under [dir] (plots, spreadsheets):
+    Figure 1 over all of [inputs], the others over their {!selected}
+    subset. *)
+let write_csvs ?(dir = "results") (inputs : input list) =
+  let sel = selected inputs in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let save name headers rows =
     let oc = open_out (Filename.concat dir name) in
@@ -327,19 +335,19 @@ let write_csvs ?(dir = "results") () =
     (List.map
        (fun r ->
          [ r.f1_name; f r.checks; f r.tags; f r.math; f r.other_opt; f r.rest ])
-       (fig1 ()));
+       (fig1 inputs));
   save "fig2.csv"
     [ "benchmark"; "whole_app_pct"; "optimized_pct" ]
-    (List.map (fun r -> [ r.f2_name; f r.whole_app; f r.opt_only ]) (fig2 ()));
+    (List.map (fun r -> [ r.f2_name; f r.whole_app; f r.opt_only ]) (fig2 sel));
   save "fig3.csv"
     [ "benchmark"; "mono_props"; "mono_elems"; "poly_props"; "poly_elems" ]
     (List.map
        (fun r ->
          [ r.f3_name; f r.mono_prop; f r.mono_elem; f r.poly_prop; f r.poly_elem ])
-       (fig3 ()));
+       (fig3 sel));
   save "fig8.csv"
     [ "benchmark"; "whole_app_speedup"; "optimized_speedup" ]
-    (List.map (fun r -> [ r.f8_name; f r.whole; f r.opt ]) (fig8 ()));
+    (List.map (fun r -> [ r.f8_name; f r.whole; f r.opt ]) (fig8 sel));
   save "fig9.csv"
     [ "benchmark"; "whole_app_energy_reduction"; "optimized_energy_reduction" ]
-    (List.map (fun r -> [ r.f9_name; f r.e_whole; f r.e_opt ]) (fig9 ()))
+    (List.map (fun r -> [ r.f9_name; f r.e_whole; f r.e_opt ]) (fig9 sel))

@@ -31,6 +31,9 @@ type workload = {
   wall_seconds_on : float;
 }
 
+type figures = H.Figures.t
+type cell = workload * figures option
+
 type run = {
   schema : int;
   git_sha : string;
@@ -47,6 +50,7 @@ type run = {
           depends on local cache state, normalized away; omitted from the
           JSON with [cache_misses] when both are zero) *)
   cache_misses : int;  (** rows that had to be simulated on a cached run *)
+  figures : (string * figures) list;
 }
 
 (* The reconciliation invariant (ISSUE 4): every dynamic [C_check]
@@ -141,6 +145,7 @@ let equal_run (a : run) (b : run) =
   && a.resumed_rows = b.resumed_rows
   && a.cache_hits = b.cache_hits
   && a.cache_misses = b.cache_misses
+  && a.figures = b.figures
   && List.length a.workloads = List.length b.workloads
   && List.for_all2 equal_workload a.workloads b.workloads
 
@@ -179,6 +184,14 @@ let workload_to_json (w : workload) : J.t =
       ("wall_seconds_on", J.Float w.wall_seconds_on);
     ]
 
+let figures_of_cells (cells : cell list) : (string * figures) list =
+  List.filter_map (fun (w, f) -> Option.map (fun f -> (w.name, f)) f) cells
+
+let cell_to_json ((w, figures) : cell) : J.t =
+  match (workload_to_json w, figures) with
+  | J.Obj fields, Some f -> J.Obj (fields @ [ ("figures", H.Figures.to_json f) ])
+  | j, _ -> j
+
 let run_to_json (r : run) : J.t =
   Tce_obs.Export.document ~kind:"bench-run"
     (J.Obj
@@ -189,7 +202,12 @@ let run_to_json (r : run) : J.t =
           ("jobs", J.Int r.jobs);
           ("shards", J.Int r.shards);
           ("host_wall_seconds", J.Float r.host_wall_seconds);
-          ("workloads", J.List (List.map workload_to_json r.workloads));
+          ( "workloads",
+            J.List
+              (List.map
+                 (fun w ->
+                   cell_to_json (w, List.assoc_opt w.name r.figures))
+                 r.workloads) );
         ]
        (* emitted only when present, so documents from clean runs — the
           committed baseline included — keep their pre-supervision bytes *)
@@ -302,11 +320,22 @@ let workload_of_json (j : J.t) : (workload, string) result =
       wall_seconds_on;
     }
 
+(* The figures block is optional: rows written before it existed, the
+   committed baseline among them, decode to [None]. *)
+let cell_of_json (j : J.t) : (cell, string) result =
+  let* w = workload_of_json j in
+  match J.member "figures" j with
+  | None -> Ok (w, None)
+  | Some fj -> (
+    match H.Figures.of_json fj with
+    | Ok f -> Ok (w, Some f)
+    | Error e -> Error (Printf.sprintf "%s: %s" w.name e))
+
 let rec all_ok acc = function
   | [] -> Ok (List.rev acc)
   | x :: rest -> (
-    match workload_of_json x with
-    | Ok w -> all_ok (w :: acc) rest
+    match cell_of_json x with
+    | Ok c -> all_ok (c :: acc) rest
     | Error _ as e -> e)
 
 let run_of_json (j : J.t) : (run, string) result =
@@ -330,7 +359,7 @@ let run_of_json (j : J.t) : (run, string) result =
     in
     let* host_wall_seconds = field "host_wall_seconds" J.to_float data in
     let* items = field "workloads" J.to_list data in
-    let* workloads = all_ok [] items in
+    let* cells = all_ok [] items in
     (* Optional blocks: documents from clean (or pre-supervision) runs
        simply have no quarantined cells and no resumed rows. *)
     let* quarantined =
@@ -379,11 +408,12 @@ let run_of_json (j : J.t) : (run, string) result =
         jobs;
         shards;
         host_wall_seconds;
-        workloads;
+        workloads = List.map fst cells;
         quarantined;
         resumed_rows;
         cache_hits;
         cache_misses;
+        figures = figures_of_cells cells;
       }
 
 (** Zero the host wall clocks of a row: what remains is a pure function

@@ -36,6 +36,23 @@ type workload = {
   wall_seconds_on : float;  (** ditto, mechanism-on side (schema ≥ 3) *)
 }
 
+(** The inputs of the paper's roster figures for one row
+    ({!Tce_metrics.Harness.Figures}): what the figures read and the row
+    lacks. *)
+type figures = Tce_metrics.Harness.Figures.t
+
+(** One cell of the roster or sweep matrix as the runner computes, caches
+    and journals it: the row and its figure inputs. The runner always
+    fills the block; it is [None] only when decoded from a row written
+    before the block existed — the committed baseline among them. The
+    block is not part of {!workload} because the benchmark under
+    [perfbench/] builds {!workload} values field by field. *)
+type cell = workload * figures option
+
+(** The figure inputs of the cells that carry them, keyed by workload
+    name, in cell order — the form {!run} keeps them in. *)
+val figures_of_cells : cell list -> (string * figures) list
+
 (** One runner invocation: provenance plus the per-workload records. *)
 type run = {
   schema : int;
@@ -68,6 +85,10 @@ type run = {
           their old bytes. *)
   cache_misses : int;
       (** rows that had to be simulated despite the cache being on *)
+  figures : (string * figures) list;
+      (** the figure inputs of the rows that carry them, keyed by workload
+          name. Serialized inside each row (its ["figures"] member);
+          simulated data, so {!normalize_run} keeps it. *)
 }
 
 (** Build a record from a measured off/on pair; [wall_off]/[wall_on] are
@@ -94,6 +115,13 @@ val equal_run : run -> run -> bool
 
 val workload_to_json : workload -> Tce_obs.Json.t
 val workload_of_json : Tce_obs.Json.t -> (workload, string) result
+
+(** A cell is its row's JSON object plus, when present, a ["figures"]
+    member. {!workload_of_json} ignores that member; {!cell_of_json}
+    decodes a row without it to [None]. *)
+val cell_to_json : cell -> Tce_obs.Json.t
+
+val cell_of_json : Tce_obs.Json.t -> (cell, string) result
 
 (** Wrap / unwrap a run in the versioned {!Tce_obs.Export} envelope
     (kind ["bench-run"]). *)

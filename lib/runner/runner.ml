@@ -9,18 +9,18 @@
 module H = Tce_metrics.Harness
 module W = Tce_workloads.Workload
 
-let simulate_one (w : W.t) : Record.workload =
+let simulate_one (w : W.t) : Record.cell =
   let off, on, wall_off, wall_on = H.run_pair_timed w in
-  Record.of_pair ~wall_off ~wall_on off on
+  (Record.of_pair ~wall_off ~wall_on off on, Some (H.Figures.of_pair off on))
 
 (** Profile the roster serially: one {!H.run_pair_profiled} per workload,
     fresh engines and a fresh profile per side. *)
 let run_profiles (ws : W.t list) : H.profiled list =
   List.map (fun w -> H.run_pair_profiled w) ws
 
-let bench_codec = Shard.workload_codec ~kind:"bench-row" ~field:"workload"
+let bench_codec = Shard.cell_codec ~kind:"bench-row" ~field:"workload"
 
-let bench_cells (ws : W.t list) : Record.workload Shard.cells =
+let bench_cells (ws : W.t list) : Record.cell Shard.cells =
   let arr = Array.of_list ws in
   (* parsed on first use only: workers and in-process runs never schedule *)
   let cost = lazy (Store.baseline_cost_of_workload ()) in
@@ -40,7 +40,7 @@ let run_one ?cache (w : W.t) : Record.workload =
     Shard.run ?cache ~journal_path:Store.bench_journal_path ~shards:1
       ~worker_args:[] (bench_cells [ w ])
   in
-  snd (List.hd s.Shard.rows)
+  fst (snd (List.hd s.Shard.rows))
 
 let run_suite ?exe ?spawn ?log_dir ?supervise
     ?(journal_path = Store.bench_journal_path) ?resume ?chaos ?cache ?jobs
@@ -49,9 +49,13 @@ let run_suite ?exe ?spawn ?log_dir ?supervise
   let t0 = Unix.gettimeofday () in
   let s =
     Shard.run ?exe ?spawn ?log_dir ?supervise ~journal_path ?resume ?chaos
-      ?cache ?on_row ~shards ~worker_args (bench_cells ws)
+      ?cache
+      ?on_row:(Option.map (fun f (w, _) -> f w) on_row)
+      ~shards ~worker_args (bench_cells ws)
   in
+  let cells = List.map snd s.Shard.rows in
   Store.make_run ~shards ~quarantined:s.Shard.quarantined
     ~resumed_rows:s.Shard.resumed ~cache_stats:s.Shard.cache_stats
+    ~figures:(Record.figures_of_cells cells)
     ~host_wall_seconds:(Unix.gettimeofday () -. t0)
-    (List.map snd s.Shard.rows)
+    (List.map fst cells)

@@ -21,7 +21,7 @@ val run_one :
     {!Tce_engine.Engine.default_config}. The sweep does not come through
     here: it simulates each workload's mechanism-off half once and each
     cell's mechanism-on half at the cell's geometry ({!Sweep.cells}). *)
-val simulate_one : Tce_workloads.Workload.t -> Record.workload
+val simulate_one : Tce_workloads.Workload.t -> Record.cell
 
 (** Profile the roster serially, one
     {!Tce_metrics.Harness.run_pair_profiled} per workload — fresh engines
@@ -31,19 +31,20 @@ val run_profiles :
   Tce_metrics.Harness.profiled list
 
 (** [bench-row] envelopes: [{"index": i, "workload": row}]. *)
-val bench_codec : Record.workload Shard.codec
+val bench_codec : Record.cell Shard.codec
 
 (** The roster as a matrix: cell [i] is the off/on pair of workload [i],
     worker subcommand [bench]. *)
 val bench_cells :
   Tce_workloads.Workload.t list ->
-  Record.workload Shard.cells
+  Record.cell Shard.cells
 
 (** Run the roster through {!Shard.run} over {!bench_cells} and stamp a
     provenance-stamped {!Record.run} (git SHA, config hash, wall clock,
     [shards], quarantine, resumed rows and this invocation's cell-cache
-    counts). [shards] defaults to 1: serial, in this process. With
-    [shards > 1] or [resume], the supervised mode runs, journaled to
+    counts) that keeps the rows' figure inputs in [figures]. [shards]
+    defaults to 1: serial, in this process. With [shards > 1] or
+    [resume], the supervised mode runs, journaled to
     [journal_path] (default {!Store.bench_journal_path}). [on_row]
     observes each in-process row as it completes. [jobs] stays only for
     callers that still pass [~jobs:1]; any other value raises

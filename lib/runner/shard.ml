@@ -70,13 +70,13 @@ type 'row codec = {
   cache_form : 'row -> 'row;
 }
 
-let workload_codec ~kind ~field =
+let cell_codec ~kind ~field =
   {
     kind;
     field;
-    encode = Record.workload_to_json;
-    decode = Record.workload_of_json;
-    cache_form = Record.zero_walls;
+    encode = Record.cell_to_json;
+    decode = Record.cell_of_json;
+    cache_form = (fun (w, f) -> (Record.zero_walls w, f));
   }
 
 let row_to_json codec ~index row : J.t =

@@ -56,8 +56,8 @@ type 'row codec = {
   cache_form : 'row -> 'row;
 }
 
-(** A codec for {!Record.workload} rows under [kind], payload in [field]. *)
-val workload_codec : kind:string -> field:string -> Record.workload codec
+(** A codec for {!Record.cell} rows under [kind], payload in [field]. *)
+val cell_codec : kind:string -> field:string -> Record.cell codec
 
 (** Wrap / unwrap one positioned row in its versioned single-line
     envelope — the unit a worker streams and the journal stores. [index]

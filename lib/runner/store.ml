@@ -190,7 +190,8 @@ let timestamp_utc () =
     tm.Unix.tm_sec
 
 let make_run ?(shards = 1) ?(quarantined = []) ?(resumed_rows = [])
-    ?(cache_stats = (0, 0)) ~host_wall_seconds workloads : Record.run =
+    ?(cache_stats = (0, 0)) ?(figures = []) ~host_wall_seconds workloads :
+    Record.run =
   let cache_hits, cache_misses = cache_stats in
   {
     Record.schema = Tce_obs.Export.schema_version;
@@ -205,6 +206,7 @@ let make_run ?(shards = 1) ?(quarantined = []) ?(resumed_rows = [])
     resumed_rows;
     cache_hits;
     cache_misses;
+    figures;
   }
 
 (* --- persistence --- *)
@@ -271,15 +273,30 @@ let load path : (Record.run, string) result =
   | exception Sys_error msg -> Error msg
   | text -> Result.bind (J.of_string text) Record.run_of_json
 
-(* The cost table last read from each baseline path, with the version
-   of the file it was read from. Every supervised run asks for the table;
-   a process that starts several decodes an unchanged file once. *)
-let baseline_costs = Hashtbl.create 1
-
 let file_version path =
   match Unix.stat path with
   | st -> Some (st.Unix.st_dev, st.Unix.st_ino, st.Unix.st_size, st.Unix.st_mtime)
   | exception Unix.Unix_error _ -> None
+
+(* [by_version tbl read path] is [read path], remembered in [tbl] with the
+   version (device, inode, size, mtime) of the file it was read from: a
+   process that asks again decodes an unchanged file once, and a
+   rewritten or vanished one again. *)
+let by_version tbl read path =
+  let version = file_version path in
+  match Hashtbl.find_opt tbl path with
+  | Some (v, x) when version <> None && v = version -> x
+  | _ ->
+    let x = read path in
+    Hashtbl.replace tbl path (version, x);
+    x
+
+(* Two projections of the baseline, each kept apart: every supervised run
+   asks for the cost table, a sweep for the rows. The cost table is not
+   derived from retained rows, so a process that only schedules (the
+   fault campaign's parent) never holds the decoded baseline. *)
+let baseline_costs = Hashtbl.create 1
+let baseline_rows_by_path = Hashtbl.create 1
 
 let read_baseline_costs path =
   Result.to_option
@@ -300,18 +317,27 @@ let read_baseline_costs path =
     order) — scheduling must never make a benchmark run fail. *)
 let baseline_cost_of_workload ?(path = baseline_path) () :
     Tce_workloads.Workload.t -> float option =
-  let version = file_version path in
-  let costs =
-    match Hashtbl.find_opt baseline_costs path with
-    | Some (v, costs) when version <> None && v = version -> costs
-    | _ ->
-      let costs = read_baseline_costs path in
-      Hashtbl.replace baseline_costs path (version, costs);
-      costs
-  in
-  match costs with
+  match by_version baseline_costs read_baseline_costs path with
   | None -> fun _ -> None
   | Some tbl -> fun w -> Hashtbl.find_opt tbl w.Tce_workloads.Workload.name
+
+let read_baseline_rows path =
+  Result.map
+    (fun (r : Record.run) ->
+      let tbl = Hashtbl.create 64 in
+      (* the first row of a name wins, as a scan of the list would find it *)
+      List.iter
+        (fun (w : Record.workload) ->
+          if not (Hashtbl.mem tbl w.Record.name) then
+            Hashtbl.add tbl w.Record.name w)
+        r.Record.workloads;
+      tbl)
+    (load path)
+
+let baseline_rows ?(path = baseline_path) () =
+  Result.map
+    (fun tbl name -> Hashtbl.find_opt tbl name)
+    (by_version baseline_rows_by_path read_baseline_rows path)
 
 (* --- reporting --- *)
 

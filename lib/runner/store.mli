@@ -76,12 +76,14 @@ val timestamp_utc : unit -> string
     [shards] (default 1) records how many worker processes produced the
     rows.
     [quarantined]/[resumed_rows] (default empty) carry the supervised
-    driver's recovery provenance. *)
+    driver's recovery provenance; [figures] (default empty) the rows'
+    figure inputs, keyed by workload name. *)
 val make_run :
   ?shards:int ->
   ?quarantined:Supervise.quarantined list ->
   ?resumed_rows:int list ->
   ?cache_stats:int * int ->
+  ?figures:(string * Record.figures) list ->
   host_wall_seconds:float ->
   Record.workload list ->
   Record.run
@@ -103,6 +105,12 @@ val load : string -> (Record.run, string) result
     size, modification time) and reused while the file is unchanged. *)
 val baseline_cost_of_workload :
   ?path:string -> unit -> Tce_workloads.Workload.t -> float option
+
+(** The baseline's row of a workload name (default {!baseline_path}), or
+    why the file could not be read. Decoded once per version of the file,
+    like {!baseline_cost_of_workload}'s table but kept apart from it. *)
+val baseline_rows :
+  ?path:string -> unit -> (string -> Record.workload option, string) result
 
 (** Per-workload cycle/speedup table plus run provenance, to stdout. *)
 val print_summary : Record.run -> unit

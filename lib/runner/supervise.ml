@@ -226,6 +226,22 @@ let rec mkdir_p dir =
 
 (* --- the supervisor --- *)
 
+(* OCaml reports a signal by its own negative constant ([Sys.sigkill] is
+   -7); name the ones a worker can die of as the OS does, with their
+   Linux numbers, and print any other as the raw constant. *)
+let signal_name s =
+  match
+    List.assoc_opt s
+      [
+        (Sys.sigkill, ("SIGKILL", 9)); (Sys.sigterm, ("SIGTERM", 15));
+        (Sys.sigint, ("SIGINT", 2)); (Sys.sigsegv, ("SIGSEGV", 11));
+        (Sys.sigabrt, ("SIGABRT", 6)); (Sys.sigbus, ("SIGBUS", 7));
+        (Sys.sigfpe, ("SIGFPE", 8));
+      ]
+  with
+  | Some (name, n) -> Printf.sprintf "%s (%d)" name n
+  | None -> Printf.sprintf "signal %d" s
+
 type wstate = {
   ws_slot : int;  (** 1-based worker lineage *)
   mutable ws_attempt : int;  (** faults this lineage has respawned after *)
@@ -494,8 +510,8 @@ let run ?(exe = Sys.executable_name) ?(spawn = default_spawn) ?journal
   let describe_status = function
     | Unix.WEXITED 0 -> "exited 0"
     | Unix.WEXITED c -> Printf.sprintf "exited %d" c
-    | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
-    | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
+    | Unix.WSIGNALED s -> "killed by " ^ signal_name s
+    | Unix.WSTOPPED s -> "stopped by " ^ signal_name s
   in
   (* A worker died (or was shot) with cells still owed: blame the cell in
      flight, quarantine it after max_retries kills, back off, respawn the

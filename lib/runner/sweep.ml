@@ -210,7 +210,7 @@ let expand_or_fail axes =
 
 (* --- the cell matrix (sweep-cell envelopes) --- *)
 
-let cells ~axes (ws : W.t list) : Record.workload Shard.cells =
+let cells ~axes (ws : W.t list) : Record.cell Shard.cells =
   let points, _ = expand_or_fail axes in
   let m = Array.of_list (matrix points ws) in
   let cost = lazy (Store.baseline_cost_of_workload ()) in
@@ -232,7 +232,7 @@ let cells ~axes (ws : W.t list) : Record.workload Shard.cells =
       (off, Unix.gettimeofday () -. t0)
   in
   {
-    Shard.codec = Shard.workload_codec ~kind:"sweep-cell" ~field:"row";
+    Shard.codec = Shard.cell_codec ~kind:"sweep-cell" ~field:"row";
     argv =
       "sweep" :: axes_to_string axes
       :: List.map (fun (w : W.t) -> w.W.name) ws;
@@ -257,7 +257,7 @@ let cells ~axes (ws : W.t list) : Record.workload Shard.cells =
         in
         let wall_on = Unix.gettimeofday () -. t0 in
         H.check_agree w ~off:off.H.checksum ~on:on.H.checksum;
-        Record.of_pair ~wall_off ~wall_on off on);
+        (Record.of_pair ~wall_off ~wall_on off on, Some (H.Figures.of_pair off on)));
   }
 
 let run ?exe ?spawn ?log_dir ?supervise
@@ -283,7 +283,7 @@ let run ?exe ?spawn ?log_dir ?supervise
     skipped_points = skipped;
     roster = List.map (fun (w : W.t) -> w.W.name) ws;
     points;
-    cells = List.map (fun (i, row) -> (fst m.(i), row)) s.Shard.rows;
+    cells = List.map (fun (i, (row, _)) -> (fst m.(i), row)) s.Shard.rows;
     quarantined = s.Shard.quarantined;
     resumed_rows = s.Shard.resumed;
   }
@@ -563,7 +563,7 @@ let baseline_check ?(baseline_path = Store.baseline_path) (t : t) :
           checked"
          (point_name default_point))
   | rows -> (
-    match Store.load baseline_path with
+    match Store.baseline_rows ~path:baseline_path () with
     | Error e ->
       Ok (Printf.sprintf "baseline %s unreadable (%s)" baseline_path e)
     | Ok base ->
@@ -571,11 +571,7 @@ let baseline_check ?(baseline_path = Store.baseline_path) (t : t) :
       let mismatches =
         List.filter_map
           (fun (r : Record.workload) ->
-            match
-              List.find_opt
-                (fun (b : Record.workload) -> b.Record.name = r.Record.name)
-                base.Record.workloads
-            with
+            match base r.Record.name with
             | None -> None
             | Some b ->
               incr checked;

@@ -95,16 +95,20 @@ val normalize : t -> t
     ([--deterministic]). *)
 
 val cells : axes:axes -> Tce_workloads.Workload.t list ->
-  Record.workload Shard.cells
+  Record.cell Shard.cells
 (** {!matrix} as a {!Shard.cells} matrix of [sweep-cell] envelopes
     ([{"index": i, "row": row}]), worker subcommand [sweep SPEC] with the
-    canonical spec, so a worker re-expands the same grid. A cell's row
-    is {!Record.of_pair} of the workload's mechanism-off half under
+    canonical spec, so a worker re-expands the same grid. A cell is
+    {!Record.of_pair}, with its figure inputs, of the workload's
+    mechanism-off half under
     {!Tce_engine.Engine.default_config}, simulated by the first cell of
     that workload these cells run and kept for the rest, and its own
     mechanism-on half under {!config_of_point}. Every simulated field
     equals {!Tce_metrics.Harness.run_pair} under {!config_of_point}; a
-    cell that reuses the off half reports [wall_seconds_off] 0.
+    cell that reuses the off half reports [wall_seconds_off] 0. The
+    default point's cells share their cell-cache entries with the
+    roster's ({!Runner.bench_cells}), so both write the figure block;
+    {!t} keeps only the rows.
     @raise Failure when the grid is empty, or from a cell when the two
     halves' checksums differ. *)
 
@@ -181,7 +185,9 @@ val cheapest_within : ?slack_pct:float -> summary list ->
 val baseline_check : ?baseline_path:string -> t -> (string, string) result
 (** One report line checking the default geometry's rows against the
     committed baseline ({!Record.equal_deterministic} per matching
-    workload); [Error] when any row differs. *)
+    workload); [Error] when any row differs. The baseline is decoded
+    once per version of the file ({!Store.baseline_rows}), so the
+    report and the exit status of one [sweep] share one decode. *)
 
 val to_csv : t -> string
 (** One CSV row per (scope, point) summary; scope ["all"] is the roster

@@ -470,7 +470,9 @@ let test_schedule_preserves_results () =
   let module R = Tce_runner in
   let cells = R.Runner.bench_cells sched_roster in
   let journal_path = Filename.temp_file "tce-sched-journal" ".jsonl" in
-  let rows (s : R.Record.workload R.Shard.outcome) = List.map snd s.R.Shard.rows in
+  let rows (s : R.Record.cell R.Shard.outcome) =
+    List.map (fun (_, (w, _)) -> w) s.R.Shard.rows
+  in
   let plain = rows (R.Shard.run ~journal_path ~shards:1 ~worker_args:[] cells) in
   (* a cost function that reverses the roster: sched-a cheapest *)
   let cost i = Some (float_of_int (i + 1)) in

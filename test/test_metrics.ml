@@ -72,8 +72,17 @@ let test_determinism () =
   Alcotest.(check (float 0.0)) "whole-run deterministic" a.Harness.whole_cycles
     b.Harness.whole_cycles
 
+(* The figure views read a runner row and its figure inputs, both built
+   here from the measured pair. *)
 let test_experiment_rows_well_formed () =
-  let ws = [ tiny ] in
+  let module Experiments = Tce_runner.Experiments in
+  let ws =
+    let off, on = Lazy.force pair in
+    [
+      ( Tce_runner.Record.of_pair ~wall_off:0.0 ~wall_on:0.0 off on,
+        Harness.Figures.of_pair off on );
+    ]
+  in
   List.iter
     (fun (r : Experiments.fig1_row) ->
       List.iter
@@ -87,7 +96,7 @@ let test_experiment_rows_well_formed () =
            +. r.Experiments.other_opt +. r.Experiments.rest
          in
          s > 99.0 && s < 101.0))
-    (Experiments.fig1 ~workloads:ws ());
+    (Experiments.fig1 ws);
   List.iter
     (fun (r : Experiments.fig3_row) ->
       let s =
@@ -95,12 +104,12 @@ let test_experiment_rows_well_formed () =
         +. r.Experiments.poly_prop +. r.Experiments.poly_elem
       in
       Alcotest.(check bool) "fig3 stacks to 100%" true (s > 99.0 && s < 101.0))
-    (Experiments.fig3 ~workloads:ws ());
+    (Experiments.fig3 ws);
   List.iter
     (fun (r : Experiments.fig8_row) ->
       Alcotest.(check bool) "sane speedup range" true
         (r.Experiments.opt > -50.0 && r.Experiments.opt < 80.0))
-    (Experiments.fig8 ~workloads:ws ())
+    (Experiments.fig8 ws)
 
 let test_table1_runs () =
   let t = Table1.run () in

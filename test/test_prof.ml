@@ -248,6 +248,7 @@ let test_gate_ignores_wall () =
       resumed_rows = [];
       cache_hits = 0;
       cache_misses = 0;
+      figures = [];
     }
   in
   let verdicts (r : Tce_runner.Gate.report) =

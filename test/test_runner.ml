@@ -109,6 +109,17 @@ let test_in_process_mode () =
       Alcotest.(check bool) ("bench: warm row equals cold " ^ a.Record.name) true
         (Record.equal_deterministic a b))
     cold.Record.workloads warm.Record.workloads;
+  (* the paper's figures read cached rows exactly as fresh ones *)
+  let figures run =
+    let i = Experiments.inputs_of_run run in
+    ( Experiments.fig1 i,
+      Experiments.fig2 i,
+      Experiments.fig3 i,
+      Experiments.fig8 i,
+      Experiments.fig9 i )
+  in
+  Alcotest.(check bool) "bench: figures from warm rows equal cold" true
+    (figures cold = figures warm);
   let cold, warm =
     cold_warm "campaign" (fun cache -> Campaign.run ~cache ~seed:7 roster)
   in
@@ -268,6 +279,59 @@ let test_workload_json_round_trip () =
           (Record.equal_workload w w')
       | Error e -> Alcotest.fail e)
     (Lazy.force serial)
+
+(* The figure-input block: it round-trips with its row, a row without it
+   (the committed baseline's form) decodes to [None], and a difference in
+   one figure field is a different result. *)
+let figures_run = lazy (Runner.run_suite [ tiny_poly ])
+
+let test_figures_json () =
+  let run = Lazy.force figures_run in
+  let w = List.hd run.Record.workloads in
+  let f = List.assoc w.Record.name run.Record.figures in
+  let decode j =
+    match Record.cell_of_json j with Ok c -> c | Error e -> Alcotest.fail e
+  in
+  let w', f' = decode (Record.cell_to_json (w, Some f)) in
+  Alcotest.(check bool) "row round-trips" true (Record.equal_workload w w');
+  Alcotest.(check bool) "figures round-trip" true (f' = Some f);
+  let _, none = decode (Record.workload_to_json w) in
+  Alcotest.(check bool) "a row without the block decodes to None" true
+    (none = None);
+  (match
+     Record.cell_of_json
+       (match Record.cell_to_json (w, Some f) with
+       | Tce_obs.Json.Obj kvs ->
+         Tce_obs.Json.Obj
+           (List.map
+              (fun (k, v) ->
+                if k = "figures" then (k, Tce_obs.Json.Obj []) else (k, v))
+              kvs)
+       | j -> j)
+   with
+  | Ok _ -> Alcotest.fail "an empty figures block decoded"
+  | Error e ->
+    Alcotest.(check bool) ("error names the field: " ^ e) true
+      (Astring.String.is_infix ~affix:"whole_instrs_off" e));
+  let bumped =
+    {
+      run with
+      Record.figures =
+        [
+          ( w.Record.name,
+            {
+              f with
+              Tce_metrics.Harness.Figures.hidden_classes_on =
+                f.Tce_metrics.Harness.Figures.hidden_classes_on + 1;
+            } );
+        ];
+    }
+  in
+  Alcotest.(check bool) "one figure field apart: different runs" false
+    (Record.equal_run run bumped);
+  Alcotest.(check bool) "and different documents" false
+    (Tce_obs.Json.to_string (Record.run_to_json (Record.normalize_run run))
+    = Tce_obs.Json.to_string (Record.run_to_json (Record.normalize_run bumped)))
 
 let test_run_json_round_trip_through_text () =
   let run = make_run (Lazy.force serial) in
@@ -487,6 +551,7 @@ let () =
         [
           Alcotest.test_case "workload json round-trip" `Quick
             test_workload_json_round_trip;
+          Alcotest.test_case "figures block json" `Quick test_figures_json;
           Alcotest.test_case "run json round-trip" `Quick
             test_run_json_round_trip_through_text;
           Alcotest.test_case "file round-trip" `Quick test_store_file_round_trip;

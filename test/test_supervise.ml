@@ -110,10 +110,25 @@ let test_crash_recovery () =
       | [] -> "exit 7")
 
 let test_sigkill_recovery () =
-  check_recovers "sigkill" (fun indices ->
-      match echoes indices with
-      | e :: _ -> e ^ "; kill -9 $$"
-      | [] -> "kill -9 $$")
+  let sigkill indices =
+    match echoes indices with
+    | e :: _ -> e ^ "; kill -9 $$"
+    | [] -> "kill -9 $$"
+  in
+  check_recovers "sigkill" sigkill;
+  (* with one kill allowed, the blamed cell quarantines at once, and its
+     reason names the signal as the OS does *)
+  let config = { cfg with Supervise.max_retries = 1 } in
+  let o =
+    expect_ok (run_sh ~config ~size:2 ~shards:2 ~argv:(recoverable_argv sigkill) 5)
+  in
+  match o.Supervise.quarantined with
+  | [ q ] ->
+    Alcotest.(check bool)
+      ("sigkill: reason names SIGKILL: " ^ q.Supervise.q_reason)
+      true
+      (Astring.String.is_infix ~affix:"killed by SIGKILL (9)" q.Supervise.q_reason)
+  | qs -> Alcotest.failf "expected 1 quarantined cell, got %d" (List.length qs)
 
 let test_garbage_recovery () =
   check_recovers "garbage" (fun _ -> "echo not-a-row; exec sleep 60")

@@ -389,12 +389,13 @@ let test_merge_rows_failures () =
   fails "dup-row" [ (0, "a"); (0, "b") ] ~expected:2;
   fails "range-row" [ (5, "a") ] ~expected:2
 
-(* Row envelopes + merge on real records: merging permuted completion
-   orders yields the identical normalized run. *)
+(* Row envelopes + merge on real records, figure inputs included:
+   merging permuted completion orders yields the identical normalized
+   run. *)
 let test_merged_record_deterministic () =
   let ws = List.map workload [ "richards"; "deltablue"; "crypto-md5" ] in
   let rows =
-    List.mapi (fun i w -> (i, Runner.run_one w)) ws
+    List.mapi (fun i w -> (i, Runner.simulate_one w)) ws
   in
   let through_wire order =
     let rows' =
@@ -415,10 +416,14 @@ let test_merged_record_deterministic () =
     | Error e -> Alcotest.failf "merge: %s" e
     | Ok merged ->
       Record.normalize_run
-        (Store.make_run ~shards:2 ~host_wall_seconds:1.5 merged)
+        (Store.make_run ~shards:2 ~host_wall_seconds:1.5
+           ~figures:(Record.figures_of_cells merged)
+           (List.map fst merged))
   in
   let a = through_wire rows
   and b = through_wire (List.rev rows) in
+  Alcotest.(check int) "every row kept its figure inputs" (List.length ws)
+    (List.length a.Record.figures);
   Alcotest.(check bool) "permuted completion order, identical record" true
     (Record.equal_run a b);
   Alcotest.(check string) "normalized runs serialize identically"
