@@ -4,9 +4,10 @@
 # Usage:
 #   dev/profile.sh [--shards N] [WORKLOAD ...]
 #
-# Runs the named workloads (default: a representative slow trio) through
-# the benchmark runner, bypassing the cell cache so every cell is
-# simulated, and reports where the host time goes:
+# Runs the named workloads (default: the full 55-workload roster, about
+# 4,700 samples; a three-workload subset gives only ~150) through the
+# benchmark runner, bypassing the cell cache so every cell is simulated,
+# and reports where the host time goes:
 #
 #   * with Linux `perf` installed: `perf record` + `perf report` over the
 #     run, giving a per-function profile of the executor;
@@ -15,9 +16,14 @@
 #     LD_PRELOAD shim that takes a sample every millisecond of CPU time,
 #     writes each PC relative to the executable's load base (read from
 #     /proc/self/maps) and resolves the PCs with `addr2line`. It prints
-#     the hottest source lines and functions with their share of all
-#     samples; samples outside the executable (libc, the kernel's vDSO)
-#     are one "[outside]" row.
+#     the hottest source files, functions and source lines with their
+#     share of all samples; samples outside the executable (libc, the
+#     kernel's vDSO) are one "[outside]" row. The per-file table is the
+#     one to price a module by: the compiler inlines small functions of
+#     one module into another's (Cache, Tlb and Int_table code into
+#     Machine.daccess and the step closures), so the per-function table
+#     charges their samples to the caller, while the line table keeps
+#     each sample's own source file.
 #
 # --shards N runs the roster across N worker processes (the CI
 # configuration). Under perf, -g follows the forked workers; the sampler
@@ -46,7 +52,7 @@ case "$shards" in
     ;;
 esac
 
-workloads="${*:-splay mandreel typescript}"
+workloads="$*"
 out=/tmp/tce-profile
 mkdir -p "$out"
 
@@ -58,7 +64,7 @@ exe=_build/default/bench/main.exe
 mode="--shards $shards"
 
 if command -v perf >/dev/null 2>&1; then
-    echo "profiling with perf ($mode): $workloads"
+    echo "profiling with perf ($mode): ${workloads:-full roster}"
     # shellcheck disable=SC2086  # workload names/mode are intentionally split
     perf record -g -o "$out/perf.data" -- "$exe" bench $mode --no-cache \
         --out "$out/profile_bench.json" $workloads
@@ -74,7 +80,7 @@ for tool in cc addr2line; do
     fi
 done
 
-echo "perf not found; sampling PCs with SIGPROF ($mode): $workloads"
+echo "perf not found; sampling PCs with SIGPROF ($mode): ${workloads:-full roster}"
 cat >"$out/pcsample.c" <<'EOF'
 /* SIGPROF PC sampler, loaded with LD_PRELOAD. Each sample is the
    interrupted PC minus the executable's load base (0 for a non-PIE
@@ -200,10 +206,11 @@ fi
 awk '{ print "0x" $2 }' "$out/pc_counts.txt" | addr2line -f -e "$exe" |
     paste -d ' ' "$out/pc_counts.txt" - - |
     awk '$2 == "ffffffffffffffff" { $3 = "[outside]"; $4 = "[outside]" }
-         { sub("^/workspace_root/", "", $4); print $1 "\t" $3 "\t" $4 }' \
+         { sub("^/workspace_root/", "", $4); file = $4; sub(":[^:]*$", "", file)
+           print $1 "\t" $3 "\t" $4 "\t" file }' \
         >"$out/pc_lines.tsv"
 
-report() { # $1 = column (2 function, 3 source line), $2 = title
+report() { # $1 = column (2 function, 3 source line, 4 source file), $2 = title
     echo
     echo "$2 (share of $total samples):"
     awk -F '\t' -v col="$1" '{ n[$col] += $1 }
@@ -212,7 +219,8 @@ report() { # $1 = column (2 function, 3 source line), $2 = title
         awk -F '\t' -v total="$total" \
             '{ printf "  %6.2f%%  %8d  %s\n", 100 * $1 / total, $1, $2 }'
 }
+report 4 "hottest source files"
 report 2 "hottest functions"
 report 3 "hottest source lines"
 echo
-echo "per-PC samples: $out/pc_lines.tsv (count, function, file:line)"
+echo "per-PC samples: $out/pc_lines.tsv (count, function, file:line, file)"

@@ -16,8 +16,8 @@
     a run is one chain of tail calls from block 0 to a return or a deopt.
     See lib/machine/README.md for the pre-decode and fusion invariants.
     Execution allocates nothing per instruction: the window and store
-    queue are int ring buffers, MSHR fill tracking is an
-    {!Tce_support.Int_table} and dispatch-port kinds are ints. *)
+    queue are int ring buffers, MSHR fill times live in the L1D's ways
+    and an {!Tce_support.Int_table}, and dispatch-port kinds are ints. *)
 
 open Tce_vm
 open Tce_jit
@@ -84,6 +84,9 @@ type template = {
 
 type t = {
   cfg : Config.t;
+  issue_width : int;
+      (** [cfg.issue_width]; every dispatch reads it, one load nearer *)
+  window_size : int;  (** [cfg.window_size], likewise *)
   heap : Heap.t;
   cc : Tce_core.Class_cache.t;
   cl : Tce_core.Class_list.t;
@@ -120,10 +123,12 @@ type t = {
   mutable stq_len : int;
   mutable last_iline : int;  (** last instruction-cache line fetched *)
   fills : Tce_support.Int_table.t;
-      (** in-flight line fills: line -> cycle the data arrives (MSHR
+      (** line -> cycle the data of its last L1D miss arrives (MSHR
           merging: a second access to a line being filled waits for the
           fill instead of seeing an instant hit); 0 = no fill recorded
-          (completion cycles are always >= 1) *)
+          (completion cycles are always >= 1). Written on every L1D miss,
+          read only by {!prefill}: an L1 hit reads the same time from the
+          way that hit ([Cache.ready]). *)
   pre_cache : (int, Predecode.func) Hashtbl.t;
       (** decoded streams keyed by [opt_id] (fresh per compilation; the
           physical-equality guard in {!install} covers id reuse) *)
@@ -140,6 +145,7 @@ type t = {
       (** cycle-attribution profiler ({!Tce_prof.Profile.null} = disabled):
           every site that advances [cycle] reports the delta; reads the
           clock, never writes timing state *)
+  prof_on : bool;  (** [Profile.on prof], fixed for the machine's life *)
   (* special registers (paper §4.2.1.2) *)
   mutable reg_classid : int;
   reg_classid_arr : int array;
@@ -170,6 +176,8 @@ let create ?(cfg = Config.default) ?(mechanism = true)
   let stq_cap = ring_capacity cfg.Config.outstanding_ldst in
   {
     cfg;
+    issue_width = cfg.issue_width;
+    window_size = cfg.window_size;
     heap;
     cc;
     cl;
@@ -203,6 +211,7 @@ let create ?(cfg = Config.default) ?(mechanism = true)
     fault;
     attr;
     prof;
+    prof_on = Profile.on prof;
     reg_classid = 0;
     reg_classid_arr = Array.make 4 0;
     tpl_cache = Hashtbl.create 64;
@@ -225,6 +234,7 @@ let install t (f : Lir.func) =
 (* --- timing primitives --- *)
 
 (* dispatch-port kinds, matching Predecode.kind_* *)
+let kind_other = Predecode.kind_other
 let kind_load = Predecode.kind_load
 let kind_store = Predecode.kind_store
 
@@ -234,17 +244,9 @@ let advance t =
   t.load_slots <- 0;
   t.store_slots <- 0
 
-(** Dispatch one instruction; returns its dispatch cycle. Loads and stores
-    additionally contend for their single AGU/port (Nehalem: one load port,
-    one store port), so memory-heavy code is port-bound — which is what
-    makes removing Check Map loads profitable. *)
-let dispatch_k t kind =
-  if t.slots >= t.cfg.issue_width then advance t;
-  if kind = kind_load then while t.load_slots >= 1 do advance t done
-  else if kind = kind_store then while t.store_slots >= 1 do advance t done;
-  if Profile.on t.prof then Profile.take t.prof Profile.cost_dispatch t.cycle;
-  if t.win_len >= t.cfg.window_size then begin
-    (* window full: retire the oldest in-flight instruction *)
+(* Window full: retire the oldest in-flight instruction. *)
+let[@inline] retire_oldest t =
+  if t.win_len >= t.window_size then begin
     let c = Array.unsafe_get t.win_buf t.win_head in
     t.win_head <- (t.win_head + 1) land t.win_mask;
     t.win_len <- t.win_len - 1;
@@ -254,12 +256,63 @@ let dispatch_k t kind =
       t.load_slots <- 0;
       t.store_slots <- 0
     end
-  end;
-  if Profile.on t.prof then Profile.take t.prof Profile.cost_window t.cycle;
+  end
+
+(** Dispatch one instruction; returns its dispatch cycle. Loads and stores
+    additionally contend for their single AGU/port (Nehalem: one load port,
+    one store port), so memory-heavy code is port-bound — which is what
+    makes removing Check Map loads profitable.
+
+    Each step calls the dispatch of its own port kind — [dispatch_other],
+    [dispatch_load] or [dispatch_store] — named in its closure when the
+    step is compiled (the pre-decoded constructor fixes the kind). On a
+    profiled machine they go on to [dispatch_k], which also takes the
+    [cost_dispatch] and [cost_window] profile costs; [prof_on] is fixed
+    for the machine's life, so that test always goes the same way. A port
+    wait is one [advance] at most, because [advance] zeroes the port's
+    slot count. *)
+let dispatch_k t kind =
+  if t.slots >= t.issue_width then advance t;
+  if kind = kind_load then while t.load_slots >= 1 do advance t done
+  else if kind = kind_store then while t.store_slots >= 1 do advance t done;
+  Profile.take t.prof Profile.cost_dispatch t.cycle;
+  retire_oldest t;
+  Profile.take t.prof Profile.cost_window t.cycle;
   t.slots <- t.slots + 1;
   if kind = kind_load then t.load_slots <- t.load_slots + 1
   else if kind = kind_store then t.store_slots <- t.store_slots + 1;
   t.cycle
+
+let dispatch_other t =
+  if t.prof_on then dispatch_k t kind_other
+  else begin
+    if t.slots >= t.issue_width then advance t;
+    retire_oldest t;
+    t.slots <- t.slots + 1;
+    t.cycle
+  end
+
+let dispatch_load t =
+  if t.prof_on then dispatch_k t kind_load
+  else begin
+    if t.slots >= t.issue_width then advance t;
+    if t.load_slots >= 1 then advance t;
+    retire_oldest t;
+    t.slots <- t.slots + 1;
+    t.load_slots <- t.load_slots + 1;
+    t.cycle
+  end
+
+let dispatch_store t =
+  if t.prof_on then dispatch_k t kind_store
+  else begin
+    if t.slots >= t.issue_width then advance t;
+    if t.store_slots >= 1 then advance t;
+    retire_oldest t;
+    t.slots <- t.slots + 1;
+    t.store_slots <- t.store_slots + 1;
+    t.cycle
+  end
 
 let complete t c =
   Array.unsafe_set t.win_buf ((t.win_head + t.win_len) land t.win_mask) c;
@@ -267,27 +320,31 @@ let complete t c =
 
 (** Completion time of a data access to [addr] issued at [start], through
     DTLB + D-cache hierarchy, with MSHR merging of accesses to lines whose
-    fill is still in flight. *)
+    fill is still in flight. An L1 hit reads its line's fill time from the
+    way that hit, which always equals the line's entry in [fills]: both are
+    written together on the line's L1 miss, a resident line cannot miss,
+    and {!prefill} copies [fills] into the way of a line it brings back
+    (lib/machine/README.md, "The cache model"). *)
 let daccess t ~start addr =
   let tlb_hit = Tlb.access t.dtlb addr in
-  let line = addr lsr 6 in
-  let hit_l1 = Cache.access t.l1d addr in
-  let lat =
-    if hit_l1 then t.cfg.l1_load_latency
-    else if Cache.access t.l2 addr then t.cfg.l1_load_latency + t.cfg.l2_latency
-    else t.cfg.l1_load_latency + t.cfg.l2_latency + t.cfg.mem_latency
-  in
-  let lat = if tlb_hit then lat else lat + t.cfg.tlb_miss_penalty in
-  if hit_l1 then begin
-    let ready = Tce_support.Int_table.find t.fills line 0 in
+  let s = Cache.access_slot t.l1d addr in
+  if s >= 0 then begin
+    let ready = Cache.ready t.l1d s in
     if ready > start then
       (* the line is still being filled: wait for it *)
       ready + t.cfg.l1_load_latency
-    else start + lat
+    else if tlb_hit then start + t.cfg.l1_load_latency
+    else start + t.cfg.l1_load_latency + t.cfg.tlb_miss_penalty
   end
   else begin
+    let lat =
+      if Cache.access t.l2 addr then t.cfg.l1_load_latency + t.cfg.l2_latency
+      else t.cfg.l1_load_latency + t.cfg.l2_latency + t.cfg.mem_latency
+    in
+    let lat = if tlb_hit then lat else lat + t.cfg.tlb_miss_penalty in
     let done_at = start + lat in
-    Tce_support.Int_table.set t.fills line done_at;
+    Cache.set_ready t.l1d (lnot s) done_at;
+    Tce_support.Int_table.set t.fills (addr lsr 6) done_at;
     done_at
   end
 
@@ -315,7 +372,7 @@ let ifetch_slow t line =
     t.load_slots <- 0;
     t.store_slots <- 0
   end;
-  if Profile.on t.prof then Profile.take t.prof Profile.cost_icache t.cycle
+  if t.prof_on then Profile.take t.prof Profile.cost_icache t.cycle
 
 let cat_check_idx = Categories.index Categories.C_check
 
@@ -332,7 +389,7 @@ let charge_rt_i t ~pcost ~cat_idx ~instrs ~cycles =
   t.slots <- 0;
   t.load_slots <- 0;
   t.store_slots <- 0;
-  if Profile.on t.prof then Profile.take t.prof pcost t.cycle
+  if t.prof_on then Profile.take t.prof pcost t.cycle
 
 let cat_other_idx = Categories.index Categories.C_other
 
@@ -343,8 +400,10 @@ let cat_other_idx = Categories.index Categories.C_other
 let prefill t ~addr ~bytes =
   let first = addr lsr 6 and last = (addr + bytes - 1) lsr 6 in
   for line = first to last do
-    Cache.insert t.l1d (line lsl 6);
-    Cache.insert t.l2 (line lsl 6)
+    let s = Cache.insert t.l1d (line lsl 6) in
+    if s >= 0 then
+      Cache.set_ready t.l1d s (Tce_support.Int_table.find t.fills line 0);
+    ignore (Cache.insert t.l2 (line lsl 6))
   done
 
 exception Cc_exception of cc_exn_info
@@ -422,7 +481,7 @@ let do_deopt t host (f : Lir.func) regs fregs deopt_id ~result =
     t.counters.deopts <- t.counters.deopts + 1;
     t.counters.baseline_instrs <-
       t.counters.baseline_instrs + Costs.deopt_transition_instrs;
-    if Profile.on t.prof then
+    if t.prof_on then
       Profile.base_extra t.prof Profile.extra_deopt_transition
         Costs.deopt_transition_instrs
   end;
@@ -438,13 +497,13 @@ let do_deopt t host (f : Lir.func) regs fregs deopt_id ~result =
     if t.measuring then begin
       t.counters.baseline_instrs <-
         t.counters.baseline_instrs + Costs.deopt_transition_instrs;
-      if Profile.on t.prof then
+      if t.prof_on then
         Profile.base_extra t.prof Profile.extra_deopt_transition
           Costs.deopt_transition_instrs
     end;
     t.cycle <- t.cycle + t.cfg.deopt_penalty
   end;
-  if Profile.on t.prof then Profile.take t.prof Profile.cost_deopt t.cycle;
+  if t.prof_on then Profile.take t.prof Profile.cost_deopt t.cycle;
   t.slots <- 0;
   let n = Array.length f.Lir.reprs in
   let vals =
@@ -471,7 +530,7 @@ let do_store t d ~addr ~start ~word =
       t.slots <- 0
     end
   end;
-  if Profile.on t.prof then Profile.take t.prof Profile.cost_storeq t.cycle;
+  if t.prof_on then Profile.take t.prof Profile.cost_storeq t.cycle;
   Mem.store t.heap.Heap.mem addr word;
   let done_at = daccess t ~start:(imax d start) addr in
   Array.unsafe_set t.stq_buf ((t.stq_head + t.stq_len) land t.stq_mask) done_at;
@@ -484,10 +543,11 @@ let falu t d fregs fready fd fa fb op lat =
   fready.(fd) <- start + lat;
   complete t fready.(fd)
 
-let branch_resolve t ~opt_id ~pc ~start ~taken =
+(* [bi] is the branch's predictor counter, fixed when its step is compiled *)
+let branch_resolve t ~bi ~start ~taken =
   let completion = start + 1 in
   complete t completion;
-  let correct = Branch.record t.bp ~fn:opt_id ~pc ~taken in
+  let correct = Branch.record_at t.bp bi ~taken in
   if not correct then begin
     let restart = completion + t.cfg.branch_mispredict_penalty in
     if restart > t.cycle then begin
@@ -495,7 +555,7 @@ let branch_resolve t ~opt_id ~pc ~start ~taken =
       t.slots <- 0
     end
   end;
-  if Profile.on t.prof then Profile.take t.prof Profile.cost_branch t.cycle
+  if t.prof_on then Profile.take t.prof Profile.cost_branch t.cycle
 
 let cc_request_tagged t ~classid ~line ~pos ~stored =
   (* With the mechanism on, regObjectClassId was set by the preceding
@@ -518,7 +578,7 @@ let cc_request_tagged t ~classid ~line ~pos ~stored =
       let fin = daccess t ~start:t.cycle addr in
       t.cycle <- fin + t.cfg.class_cache_miss_penalty - t.cfg.l1_load_latency;
       t.slots <- 0;
-      if Profile.on t.prof then
+      if t.prof_on then
         Profile.take t.prof Profile.cost_ccmiss t.cycle
     end;
     if r.exn_raised then
@@ -660,9 +720,13 @@ let compile_pseudo t (op : Predecode.pre) ~(k : tstep) : tstep =
   | _ -> assert false
 
 (** Compile one non-pseudo instruction into a fused step closure. All
-    operands, latencies, ALU/condition operators and the dispatch-port
-    kind are captured immediates, and so are the successor block indices
-    ([block_at] resolves and checks them here, once). A non-terminator
+    operands, latencies and ALU/condition operators are captured
+    immediates, and so are the successor block indices ([block_at]
+    resolves and checks them here, once) and a conditional branch's
+    predictor counter. Each step calls the dispatch of its port kind by
+    name: the kind {!Predecode} packs into [m] is the one its constructor
+    implies (loads [Pload*]/[Pfload*]/[Pchecked_load], stores
+    [Pstore*]/[Pfstore*]). A non-terminator
     ends by tail-calling its continuation [k]; a terminator ignores [k]
     and {!jump}s to its successor block, returns, or deopts. Counting is
     per block, folded at run exit ({!fold_counts}). [pacc] is the profile
@@ -672,21 +736,20 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
   let mem = t.heap.Heap.mem in
   let opt_id = f.Lir.opt_id in
   let next = pc + 1 in
-  let kind = (m lsr Predecode.meta_kind_shift) land 3 in
-  let pon = Profile.on t.prof in
+  let pon = t.prof_on in
   match op with
   | Predecode.Pprofile _ | Pprofile_store_r _ | Pprofile_store_c _ ->
     assert false
   | Pmov_imm (r, i) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       env.te_regs.(r) <- i;
       env.te_ready.(r) <- d + 1;
       complete t (d + 1);
       k env
   | Pmov (rd, rs) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let regs = env.te_regs and ready = env.te_ready in
       regs.(rd) <- regs.(rs);
       ready.(rd) <- imax d ready.(rs) + 1;
@@ -694,7 +757,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Palu_r (a, lat, rd, rs, ro) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(rs) ready.(ro)) in
       regs.(rd) <- alu_apply a regs.(rs) regs.(ro);
@@ -703,7 +766,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Palu_i (a, lat, rd, rs, i) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d ready.(rs) in
       regs.(rd) <- alu_apply a regs.(rs) i;
@@ -712,7 +775,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Psh64_r (sc, rd, rs, ro) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(rs) ready.(ro)) in
       regs.(rd) <- sh64_apply sc regs.(rs) (regs.(ro) land 63);
@@ -722,7 +785,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
   | Psh64_i (sc, rd, rs, i) ->
     let y = i land 63 in
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d ready.(rs) in
       regs.(rd) <- sh64_apply sc regs.(rs) y;
@@ -731,7 +794,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Palu32_r (a, lat, rd, rs, ro) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(rs) ready.(ro)) in
       regs.(rd) <- Value.to_int32 (alu_apply a regs.(rs) regs.(ro));
@@ -740,7 +803,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Palu32_i (a, lat, rd, rs, i) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d ready.(rs) in
       regs.(rd) <- Value.to_int32 (alu_apply a regs.(rs) i);
@@ -750,7 +813,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
   | Paluov_r (a, lat, rd, rs, ro, target) ->
     let bn = block_at next and bt = block_at target in
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(rs) ready.(ro)) in
       let v = alu_apply a regs.(rs) regs.(ro) in
@@ -764,7 +827,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
   | Paluov_i (a, lat, rd, rs, i, target) ->
     let bn = block_at next and bt = block_at target in
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d ready.(rs) in
       let v = alu_apply a regs.(rs) i in
@@ -777,7 +840,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       else jump t entries counts bt env
   | Pload (rd, rb, off) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_load t in
       let regs = env.te_regs and ready = env.te_ready in
       let addr = regs.(rb) + off in
       let start = imax d ready.(rb) in
@@ -788,7 +851,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
   | Pchecked_load (rd, rb, off, expected, deopt_id) ->
     let bn = block_at next in
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_load t in
       let regs = env.te_regs and ready = env.te_ready in
       let base = regs.(rb) in
       let addr = base + off in
@@ -805,7 +868,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       end
   | Pload_idx (rd, rb, ri, off) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_load t in
       let regs = env.te_regs and ready = env.te_ready in
       let addr = regs.(rb) + (regs.(ri) * 8) + off in
       let start = imax d (imax ready.(rb) ready.(ri)) in
@@ -815,7 +878,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Pfload (fd, rb, off) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_load t in
       let regs = env.te_regs and ready = env.te_ready in
       let fregs = env.te_fregs and fready = env.te_fready in
       let addr = regs.(rb) + off in
@@ -826,7 +889,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Pfload_idx (fd, rb, ri, off) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_load t in
       let regs = env.te_regs and ready = env.te_ready in
       let fregs = env.te_fregs and fready = env.te_fready in
       let addr = regs.(rb) + (regs.(ri) * 8) + off in
@@ -837,7 +900,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Pstore_r (rb, off, vr) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_store t in
       let regs = env.te_regs and ready = env.te_ready in
       do_store t d ~addr:(regs.(rb) + off)
         ~start:(imax ready.(vr) ready.(rb))
@@ -845,13 +908,13 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Pstore_i (rb, off, i) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_store t in
       let regs = env.te_regs and ready = env.te_ready in
       do_store t d ~addr:(regs.(rb) + off) ~start:ready.(rb) ~word:i;
       k env
   | Pstore_idx_r (rb, ri, off, vr) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_store t in
       let regs = env.te_regs and ready = env.te_ready in
       do_store t d
         ~addr:(regs.(rb) + (regs.(ri) * 8) + off)
@@ -860,7 +923,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Pstore_idx_i (rb, ri, off, i) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_store t in
       let regs = env.te_regs and ready = env.te_ready in
       do_store t d
         ~addr:(regs.(rb) + (regs.(ri) * 8) + off)
@@ -869,7 +932,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Pfstore (rb, off, fv) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_store t in
       let regs = env.te_regs and ready = env.te_ready in
       do_store t d ~addr:(regs.(rb) + off)
         ~start:(imax env.te_fready.(fv) ready.(rb))
@@ -877,7 +940,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Pfstore_idx (rb, ri, off, fv) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_store t in
       let regs = env.te_regs and ready = env.te_ready in
       do_store t d
         ~addr:(regs.(rb) + (regs.(ri) * 8) + off)
@@ -886,7 +949,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Pfmov (fd, fs) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let fregs = env.te_fregs and fready = env.te_fready in
       fregs.(fd) <- fregs.(fs);
       fready.(fd) <- imax d fready.(fs) + 1;
@@ -894,34 +957,34 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Pfmov_imm (fd, x) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       env.te_fregs.(fd) <- x;
       env.te_fready.(fd) <- d + 1;
       complete t (d + 1);
       k env
   | Pfadd (fd, fa, fb) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       falu t d env.te_fregs env.te_fready fd fa fb Fadd 3;
       k env
   | Pfsub (fd, fa, fb) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       falu t d env.te_fregs env.te_fready fd fa fb Fsub 3;
       k env
   | Pfmul (fd, fa, fb) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       falu t d env.te_fregs env.te_fready fd fa fb Fmul 5;
       k env
   | Pfdiv (fd, fa, fb) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       falu t d env.te_fregs env.te_fready fd fa fb Fdiv 20;
       k env
   | Pfsqrt (fd, fs) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let fregs = env.te_fregs and fready = env.te_fready in
       fregs.(fd) <- Fbits.canon (sqrt fregs.(fs));
       fready.(fd) <- imax d fready.(fs) + fsqrt_lat;
@@ -929,7 +992,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Pfneg (fd, fs) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let fregs = env.te_fregs and fready = env.te_fready in
       fregs.(fd) <- -.fregs.(fs);
       fready.(fd) <- imax d fready.(fs) + 1;
@@ -937,7 +1000,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Pfabs (fd, fs) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let fregs = env.te_fregs and fready = env.te_fready in
       fregs.(fd) <- Float.abs fregs.(fs);
       fready.(fd) <- imax d fready.(fs) + 1;
@@ -945,54 +1008,57 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Pcvtif (fd, rs) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       env.te_fregs.(fd) <- float_of_int env.te_regs.(rs);
       env.te_fready.(fd) <- imax d env.te_ready.(rs) + flat_lat;
       complete t env.te_fready.(fd);
       k env
   | Ptruncfi (rd, fs) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       env.te_regs.(rd) <- Value.js_to_int32_float env.te_fregs.(fs);
       env.te_ready.(rd) <- imax d env.te_fready.(fs) + flat_lat;
       complete t env.te_ready.(rd);
       k env
   | Pbranch_r (c, r, ro, target) ->
     let bn = block_at next and bt = block_at target in
+    let bi = Branch.index t.bp ~fn:opt_id ~pc in
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(r) ready.(ro)) in
       let taken = cond_apply c regs.(r) regs.(ro) in
-      branch_resolve t ~opt_id ~pc ~start ~taken;
+      branch_resolve t ~bi ~start ~taken;
       jump t entries counts (if taken then bt else bn) env
   | Pbranch_i (c, r, i, target) ->
     let bn = block_at next and bt = block_at target in
+    let bi = Branch.index t.bp ~fn:opt_id ~pc in
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let start = imax d env.te_ready.(r) in
       let taken = cond_apply c env.te_regs.(r) i in
-      branch_resolve t ~opt_id ~pc ~start ~taken;
+      branch_resolve t ~bi ~start ~taken;
       jump t entries counts (if taken then bt else bn) env
   | Pfbranch (c, fa, fb, target) ->
     let bn = block_at next and bt = block_at target in
+    let bi = Branch.index t.bp ~fn:opt_id ~pc in
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let fready = env.te_fready in
       let start = imax d (imax fready.(fa) fready.(fb)) in
       let taken = fcond_apply c env.te_fregs.(fa) env.te_fregs.(fb) in
-      branch_resolve t ~opt_id ~pc ~start ~taken;
+      branch_resolve t ~bi ~start ~taken;
       jump t entries counts (if taken then bt else bn) env
   | Pjmp target ->
     let bt = block_at target in
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       complete t (d + 1);
       jump t entries counts bt env
   | Pcall_fn (callee, argr, rd, deopt_id, cinstrs) ->
     let bn = block_at next in
     fun env ->
-      ignore (dispatch_k t kind);
+      ignore (dispatch_other t);
       let regs = env.te_regs and ready = env.te_ready in
       Array.iter
         (fun r -> if ready.(r) > t.cycle then t.cycle <- ready.(r))
@@ -1017,7 +1083,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
     let cat_idx = m land Predecode.meta_cat_mask in
     let bn = block_at next in
     fun env ->
-      ignore (dispatch_k t kind);
+      ignore (dispatch_other t);
       let regs = env.te_regs and ready = env.te_ready in
       Array.iter
         (fun r -> if ready.(r) > t.cycle then t.cycle <- ready.(r))
@@ -1038,7 +1104,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
     let cat_idx = m land Predecode.meta_cat_mask in
     let bn = block_at next in
     fun env ->
-      ignore (dispatch_k t kind);
+      ignore (dispatch_other t);
       let regs = env.te_regs and ready = env.te_ready in
       let fregs = env.te_fregs and fready = env.te_fready in
       Array.iter
@@ -1063,16 +1129,16 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       jump t entries counts bn env
   | Pret r ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       complete t (d + 1);
       env.te_regs.(r)
   | Pdeopt deopt_id ->
     fun env ->
-      ignore (dispatch_k t kind);
+      ignore (dispatch_other t);
       t_finish_deopt t env f deopt_id ~result:None
   | Pmov_classid r ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let v = env.te_regs.(r) in
       if Value.is_smi v then begin
         t.reg_classid <- Tce_vm.Layout.smi_classid;
@@ -1086,7 +1152,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
       k env
   | Pmov_classid_arr (kk, r) ->
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_other t in
       let v = env.te_regs.(r) in
       if Value.is_smi v then begin
         t.reg_classid_arr.(kk) <- Tce_vm.Layout.smi_classid;
@@ -1103,7 +1169,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
   | Pstore_cc_r (rb, off, vr, deopt_id) ->
     let bn = block_at next in
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_store t in
       let regs = env.te_regs and ready = env.te_ready in
       let addr = regs.(rb) + off in
       do_store t d ~addr ~start:(imax ready.(vr) ready.(rb)) ~word:regs.(vr);
@@ -1119,7 +1185,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
   | Pstore_cc_i (rb, off, i, deopt_id) ->
     let bn = block_at next in
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_store t in
       let regs = env.te_regs and ready = env.te_ready in
       let addr = regs.(rb) + off in
       do_store t d ~addr ~start:ready.(rb) ~word:i;
@@ -1135,7 +1201,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
   | Pstore_cca_r (kk, rb, ri, off, vr, deopt_id) ->
     let bn = block_at next in
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_store t in
       let regs = env.te_regs and ready = env.te_ready in
       let addr = regs.(rb) + (regs.(ri) * 8) + off in
       do_store t d ~addr
@@ -1152,7 +1218,7 @@ let compile_body t (f : Lir.func) ~pacc ~block_at ~entries ~counts ~pc ~m
   | Pstore_cca_i (kk, rb, ri, off, i, deopt_id) ->
     let bn = block_at next in
     fun env ->
-      let d = dispatch_k t kind in
+      let d = dispatch_store t in
       let regs = env.te_regs and ready = env.te_ready in
       let addr = regs.(rb) + (regs.(ri) * 8) + off in
       do_store t d ~addr ~start:(imax ready.(rb) ready.(ri)) ~word:i;
@@ -1226,7 +1292,7 @@ let compile_block t (f : Lir.func) (pf : Predecode.func) ~pacc ~block_at
           body env
       in
       k :=
-        if Profile.on prof then fun env ->
+        if t.prof_on then fun env ->
           Profile.set_site prof pacc pc;
           step env
         else step
@@ -1250,7 +1316,7 @@ let compile_template t (f : Lir.func) (pf : Predecode.func) : template =
   | Error reason -> trap reason
   | Ok lay ->
     let pacc =
-      if Profile.on t.prof then prof_acc t.prof pf else Profile.dummy_acc
+      if t.prof_on then prof_acc t.prof pf else Profile.dummy_acc
     in
     let block_of_pc = lay.Template.block_of_pc in
     let block_at pc =

@@ -56,6 +56,8 @@ type tenv
 
 type t = {
   cfg : Config.t;
+  issue_width : int;  (** [cfg.issue_width] *)
+  window_size : int;  (** [cfg.window_size] *)
   heap : Tce_vm.Heap.t;
   cc : Tce_core.Class_cache.t;
   cl : Tce_core.Class_list.t;
@@ -86,7 +88,9 @@ type t = {
   mutable stq_len : int;
   mutable last_iline : int;
   fills : Tce_support.Int_table.t;
-      (** in-flight line fills (MSHR merging); 0 = none *)
+      (** line -> fill cycle of its last L1D miss (MSHR merging); 0 =
+          none. Read only when {!prefill} brings a line back: an L1 hit
+          reads the time from the way that hit. *)
   pre_cache : (int, Predecode.func) Hashtbl.t;
       (** decoded streams keyed by [opt_id] *)
   mutable measuring : bool;
@@ -103,6 +107,7 @@ type t = {
           every clock-advancing site reports its delta to the current
           (function, pc) site; reads timing state, never writes it, so
           simulated cycles are bit-identical with it on or off *)
+  prof_on : bool;  (** [Tce_prof.Profile.on prof] *)
   mutable reg_classid : int;  (** regObjectClassId (paper §4.2.1.2) *)
   reg_classid_arr : int array;  (** regArrayObjectClassId 0-3 *)
   tpl_cache : (int, Predecode.func * template option) Hashtbl.t;
@@ -125,6 +130,11 @@ val create :
     calling this at compile-install time just moves the decode cost off the
     first execution. *)
 val install : t -> Tce_jit.Lir.func -> Predecode.func
+
+(** Completion cycle of a data access to the address issued at cycle
+    [start], through the DTLB, L1D and L2, waiting for the line's fill when
+    an earlier miss of it is still in flight (MSHR merging). *)
+val daccess : t -> start:int -> int -> int
 
 (** Model a fresh allocation as nursery-resident (DESIGN.md §5b): insert its
     lines into the D-caches without cost. *)

@@ -217,8 +217,7 @@ let print_report ~baseline ~current (r : report) =
 
 let run_gate ?(baseline_path = Store.baseline_path)
     ?(tolerance_pct = default_tolerance_pct) ?cache ?(names = [])
-    ?(resolve = Tce_workloads.Workloads.by_name) ?(save_latest = true) ?shards
-    ?supervise () : int =
+    ?(resolve = Tce_workloads.Workloads.by_name) ?shards ?supervise () : int =
   match Store.load baseline_path with
   | Error msg ->
     (* Actionable failure: say *why* the baseline is unusable and how to
@@ -303,7 +302,6 @@ let run_gate ?(baseline_path = Store.baseline_path)
       | Some c ->
         Cache.print_stats (Cache.stats c);
         ignore (Cache.prune ~dir:(Cache.dir c) ()));
-      if save_latest then Store.save current;
       let kept =
         List.filter
           (fun (b : Record.workload) ->

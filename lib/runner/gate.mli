@@ -62,20 +62,19 @@ val print_report : baseline:Record.run -> current:Record.run -> report -> unit
 (** Load the baseline, re-run its roster (narrowed to [names] when
     non-empty; workloads resolved through [resolve], default the global
     registry) through {!Runner.run_suite} ([shards] and [supervise] as
-    there: serial in this process by default), persist the run through
-    {!Store.save} (unless [save_latest] is false), print the delta table
+    there: serial in this process by default), print the delta table
     and return the process exit code: 0 = pass, 1 = regression, 2 =
     usage/baseline error, among them a name in [names] that matches no
     baseline row (every such name is listed on stderr). [cache] threads
     the cell cache into the run, prints its stats and prunes it after
-    the run. *)
+    the run. It writes no record: a gate run leaves [BENCH_latest.json]
+    as it was. *)
 val run_gate :
   ?baseline_path:string ->
   ?tolerance_pct:float ->
   ?cache:Cache.t ->
   ?names:string list ->
   ?resolve:(string -> Tce_workloads.Workload.t option) ->
-  ?save_latest:bool ->
   ?shards:int ->
   ?supervise:Supervise.config ->
   unit ->

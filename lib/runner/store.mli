@@ -1,7 +1,7 @@
 (** Persistent benchmark-result store.
 
-    Every runner invocation is saved once: [BENCH_latest.json] is
-    overwritten with the most recent run. Host time is measured from
+    Every [bench] run is saved once: [BENCH_latest.json] is overwritten
+    with the most recent run ([check] saves nothing). Host time is measured from
     outside, by perfbench; the store keeps no run history. *)
 
 val latest_path : string  (** ["BENCH_latest.json"] *)

@@ -25,7 +25,7 @@ let test_cache_lru_eviction () =
 
 let test_cache_insert_is_free () =
   let c = Cache.create ~size_kb:1 ~ways:2 ~line_bytes:64 in
-  Cache.insert c 0x3000;
+  ignore (Cache.insert c 0x3000);
   let before = c.Cache.stats.accesses in
   Alcotest.(check int) "insert does not count" 0 before;
   Alcotest.(check bool) "inserted line hits" true (Cache.access c 0x3000)
@@ -156,7 +156,7 @@ let prop_cache_matches_lru =
       let real ~count a =
         if count then Cache.access c a
         else begin
-          Cache.insert c a;
+          ignore (Cache.insert c a);
           false
         end
       in
@@ -198,6 +198,175 @@ let prop_tlb_matches_lru =
 let seeded_test prop =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop
 
+(* A machine over a fresh heap, Class Cache and Class List. *)
+let mk_machine () =
+  let heap = Tce_vm.Heap.create () in
+  let cl = Tce_core.Class_list.create heap.Tce_vm.Heap.mem in
+  let cc = Tce_core.Class_cache.create () in
+  let oracle = Tce_core.Oracle.create () in
+  let counters = Counters.create () in
+  (heap, Machine.create ~heap ~cc ~cl ~oracle ~counters ())
+
+(* --- fill times kept in the ways of the L1D ---
+
+   [Machine.daccess] reads an L1 hit's fill time from the way that hit,
+   where the reference model kept a [line -> fill time] table and probed
+   it on every hit. The model below is that reference, over linear-scan
+   LRUs for the L1D and L2: a seeded stream of accesses and [prefill]
+   inserts must give the same completion cycle, access by access. The
+   stream makes both cases that need the table: a hit while the line's
+   fill is still in flight, and a line evicted, brought back by [prefill]
+   and hit while its old fill is still in flight. *)
+
+type ref_daccess = {
+  d_l1 : ref_lru;
+  d_l2 : ref_lru;
+  d_tlb : Tlb.t;
+  d_fills : (int, int) Hashtbl.t;
+  d_prefilled : (int, unit) Hashtbl.t;  (** lines [prefill] brought in *)
+  mutable d_fill_hits : int;  (** hits while the line's fill is in flight *)
+  mutable d_prefill_hits : int;  (** ... of a line [prefill] brought back *)
+}
+
+let ref_daccess_create (m : Machine.t) =
+  let l1 = m.Machine.l1d and l2 = m.Machine.l2 in
+  {
+    d_l1 = ref_create ~sets:l1.Cache.nsets ~ways:l1.Cache.ways;
+    d_l2 = ref_create ~sets:l2.Cache.nsets ~ways:l2.Cache.ways;
+    d_tlb = Tlb.create ~entries:m.Machine.cfg.Config.dtlb_entries;
+    d_fills = Hashtbl.create 64;
+    d_prefilled = Hashtbl.create 64;
+    d_fill_hits = 0;
+    d_prefill_hits = 0;
+  }
+
+let ref_touch_line (r : ref_lru) line ~count =
+  ref_touch r ~set:(line mod Array.length r.r_tags) ~tag:line ~count
+
+let ref_daccess_access d (cfg : Config.t) ~start addr =
+  let tlb_hit = Tlb.access d.d_tlb addr in
+  let line = addr lsr 6 in
+  let hit_l1 = ref_touch_line d.d_l1 line ~count:true in
+  let lat =
+    if hit_l1 then cfg.l1_load_latency
+    else if ref_touch_line d.d_l2 line ~count:true then
+      cfg.l1_load_latency + cfg.l2_latency
+    else cfg.l1_load_latency + cfg.l2_latency + cfg.mem_latency
+  in
+  let lat = if tlb_hit then lat else lat + cfg.tlb_miss_penalty in
+  if hit_l1 then begin
+    let ready = Option.value ~default:0 (Hashtbl.find_opt d.d_fills line) in
+    if ready > start then begin
+      d.d_fill_hits <- d.d_fill_hits + 1;
+      if Hashtbl.mem d.d_prefilled line then
+        d.d_prefill_hits <- d.d_prefill_hits + 1;
+      ready + cfg.l1_load_latency
+    end
+    else start + lat
+  end
+  else begin
+    Hashtbl.remove d.d_prefilled line;
+    Hashtbl.replace d.d_fills line (start + lat);
+    start + lat
+  end
+
+let ref_daccess_prefill d ~addr ~bytes =
+  for line = addr lsr 6 to (addr + bytes - 1) lsr 6 do
+    if not (ref_touch_line d.d_l1 line ~count:false) then
+      Hashtbl.replace d.d_prefilled line ();
+    ignore (ref_touch_line d.d_l2 line ~count:false)
+  done
+
+let test_daccess_matches_fill_table () =
+  let _, m = mk_machine () in
+  let cfg = m.Machine.cfg in
+  let d = ref_daccess_create m in
+  let rand = Random.State.make [| 0xf111 |] in
+  let sets = m.Machine.l1d.Cache.nsets and ways = m.Machine.l1d.Cache.ways in
+  (* 2 ways' worth of lines in each of L1D sets 0-2, so every set evicts *)
+  let line_of s j = s + (sets * j) in
+  let clock = ref 1 and n = ref 0 and fresh = ref (2 * ways) in
+  let access ?(dt = Random.State.int rand 24) addr =
+    incr n;
+    let start = !clock in
+    let got = Machine.daccess m ~start addr in
+    let want = ref_daccess_access d cfg ~start addr in
+    if got <> want then
+      Alcotest.failf "access %d (addr %#x, start %d): completes at %d, reference %d"
+        !n addr start got want;
+    clock := !clock + dt
+  in
+  let prefill addr bytes =
+    Machine.prefill m ~addr ~bytes;
+    ref_daccess_prefill d ~addr ~bytes
+  in
+  for _ = 1 to 20_000 do
+    let s = Random.State.int rand 3 and j = Random.State.int rand (2 * ways) in
+    let addr = (line_of s j * 64) + Random.State.int rand 64 in
+    match Random.State.int rand 4 with
+    | 0 | 1 -> access addr
+    | 2 -> prefill addr (1 + Random.State.int rand 192)
+    | _ ->
+      (* miss a line never seen, so its fill comes from memory; evict it
+         by touching [ways] others of its set, bring it back with
+         [prefill] and hit it, all before that fill completes *)
+      let addr = line_of s !fresh * 64 in
+      incr fresh;
+      access ~dt:1 addr;
+      for w = 1 to ways do
+        access ~dt:1 (line_of s ((j + w) mod (2 * ways)) * 64)
+      done;
+      prefill addr 8;
+      access addr
+  done;
+  Alcotest.(check bool) "hits during a fill" true (d.d_fill_hits > 1000);
+  Alcotest.(check bool) "evict, prefill, hit during the old fill" true
+    (d.d_prefill_hits > 1000);
+  let c = m.Machine.l1d.Cache.stats in
+  Alcotest.(check (pair int int)) "L1D hits and misses"
+    (d.d_l1.r_hits, d.d_l1.r_misses) (c.Cache.hits, c.Cache.misses)
+
+(* --- the byte-wide predictor table ---
+
+   Each counter is one byte of [Branch.t.table]; the reference keeps the
+   2-bit counters in an [int array] under the same (fn, pc) hash. A
+   16-counter table makes distinct branches share counters, and runs of
+   one outcome push counters into saturation at 0 and at 3. *)
+let test_branch_matches_int_table () =
+  let bits = 4 in
+  let b = Branch.create ~bits () and b' = Branch.create ~bits () in
+  let table = Array.make (1 lsl bits) 1 in
+  let index ~fn ~pc = ((fn * 4096) + (pc * 7)) land ((1 lsl bits) - 1) in
+  let rand = Random.State.make [| 0xb4a4c |] in
+  let sat0 = ref 0 and sat3 = ref 0 and mispredicts = ref 0 in
+  let users = Array.make (1 lsl bits) [] in
+  for n = 1 to 20_000 do
+    let fn = Random.State.int rand 4 and pc = Random.State.int rand 40 in
+    let taken = Random.State.int rand 8 < (if n / 500 mod 2 = 0 then 7 else 1) in
+    let i = index ~fn ~pc in
+    if not (List.mem (fn, pc) users.(i)) then users.(i) <- (fn, pc) :: users.(i);
+    let c = table.(i) in
+    let want = c >= 2 = taken in
+    if not want then incr mispredicts;
+    if taken && c = 3 then incr sat3;
+    if (not taken) && c = 0 then incr sat0;
+    table.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+    let got = Branch.record_at b (Branch.index b ~fn ~pc) ~taken in
+    let got' = Branch.record b' ~fn ~pc ~taken in
+    if got <> want || got' <> want then
+      Alcotest.failf "branch %d (fn %d, pc %d): record_at %b, record %b, reference %b"
+        n fn pc got got' want
+  done;
+  Alcotest.(check bool) "saturated at 3" true (!sat3 > 100);
+  Alcotest.(check bool) "saturated at 0" true (!sat0 > 100);
+  Alcotest.(check bool) "aliased counters" true
+    (Array.exists (fun l -> List.length l > 1) users);
+  Alcotest.(check (pair int int)) "stats"
+    (20_000, !mispredicts)
+    (b.Branch.stats.branches, b.Branch.stats.mispredicts);
+  Alcotest.(check int) "one byte per counter" 65536
+    (Bytes.length (Branch.create ()).Branch.table)
+
 (* --- allocation discipline ---
 
    The memory-model lookups run on every simulated load, store and fetch,
@@ -232,6 +401,20 @@ let test_lookups_allocate_nothing () =
   (* lines 64 apart all fall in set 0 of 64: each access misses its 8 ways *)
   check_no_alloc "Cache.access (misses)" (fun i -> Cache.access c (i * 64 * 64));
   check_no_alloc "Cache.insert" (fun i -> Cache.insert c (i * 64 * 64));
+  check_no_alloc "Cache.access_slot (hits)" (fun i ->
+      Cache.access_slot c ((i land 63) * 64));
+  check_no_alloc "Cache.access_slot (misses)" (fun i ->
+      Cache.access_slot c (i * 64 * 64));
+  let b = Branch.create () in
+  check_no_alloc "Branch.record_at" (fun i ->
+      Branch.record_at b (Branch.index b ~fn:(i land 7) ~pc:i) ~taken:(i land 3 = 0));
+  let _, m = mk_machine () in
+  check_no_alloc "Machine.daccess (L1 hits)" (fun i ->
+      Machine.daccess m ~start:i ((i land 63) * 64));
+  check_no_alloc "Machine.daccess (misses)" (fun i ->
+      Machine.daccess m ~start:i (i * 64 * 64));
+  check_no_alloc "Machine.prefill" (fun i ->
+      Machine.prefill m ~addr:(i * 64 * 64) ~bytes:128);
   (* the page index's occasional tombstone sweep allocates its new arrays
      in the major heap at this size (see lib/machine/README.md) *)
   let t = Tlb.create ~entries:Config.default.Config.dtlb_entries in
@@ -410,14 +593,6 @@ function bench() {
 
 (* --- direct LIR timing tests (hand-built machine + host) --- *)
 
-let mk_machine () =
-  let heap = Tce_vm.Heap.create () in
-  let cl = Tce_core.Class_list.create heap.Tce_vm.Heap.mem in
-  let cc = Tce_core.Class_cache.create () in
-  let oracle = Tce_core.Oracle.create () in
-  let counters = Counters.create () in
-  (heap, Machine.create ~heap ~cc ~cl ~oracle ~counters ())
-
 let stub_host : Machine.host =
   {
     Machine.call_fn = (fun _ _ -> 0);
@@ -578,6 +753,16 @@ let () =
             test_lookups_allocate_nothing;
         ] );
       ("branch", [ Alcotest.test_case "bimodal learning" `Quick test_branch_predictor_learns ]);
+      ( "reference fills",
+        [
+          Alcotest.test_case "daccess matches a line -> fill time table" `Quick
+            test_daccess_matches_fill_table;
+        ] );
+      ( "reference predictor",
+        [
+          Alcotest.test_case "byte table matches an int array" `Quick
+            test_branch_matches_int_table;
+        ] );
       ( "config/costs/energy",
         [
           Alcotest.test_case "Table 2" `Quick test_config_table2;

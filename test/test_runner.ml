@@ -253,7 +253,7 @@ let test_gate_exit_codes () =
       let run = make_run (Lazy.force serial) in
       Store.save ~latest:tmp run;
       Alcotest.(check int) "clean gate exits 0" 0
-        (Gate.run_gate ~baseline_path:tmp ~resolve ~save_latest:false ());
+        (Gate.run_gate ~baseline_path:tmp ~resolve ());
       (* bake a baseline that claims we used to be 10% faster *)
       let speedier (w : Record.workload) =
         { w with Record.cycles_on = w.Record.cycles_on *. 0.9 }
@@ -263,10 +263,10 @@ let test_gate_exit_codes () =
       in
       Store.save ~latest:tmp doctored;
       Alcotest.(check int) "regressed gate exits 1" 1
-        (Gate.run_gate ~baseline_path:tmp ~resolve ~save_latest:false ());
+        (Gate.run_gate ~baseline_path:tmp ~resolve ());
       Alcotest.(check int) "unreadable baseline exits 2" 2
         (Gate.run_gate ~baseline_path:"/nonexistent/baseline.json" ~resolve
-           ~save_latest:false ()))
+           ()))
 
 (* --- (c) JSON round-trip --- *)
 
@@ -445,6 +445,18 @@ let test_store_one_file_per_run () =
       Alcotest.(check (list string)) "only the two latest files"
         [ "BENCH_latest.json"; "PROF_latest.json" ] files)
 
+(* The gate compares and reports; it writes no record, so a checkout that
+   runs [check] keeps its committed [BENCH_latest.json]. *)
+let test_gate_writes_no_record () =
+  let run = make_run (Lazy.force serial) in
+  in_layout ignore (fun () ->
+      Store.save ~latest:"baseline.json" run;
+      Alcotest.(check int) "clean gate exits 0" 0
+        (Gate.run_gate ~baseline_path:"baseline.json" ~resolve ());
+      Alcotest.(check (list string)) "only the baseline"
+        [ "baseline.json" ]
+        (Array.to_list (Sys.readdir ".")))
+
 let short sha = String.sub sha 0 12
 
 let test_git_sha_layouts () =
@@ -560,6 +572,8 @@ let () =
             test_baseline_costs_follow_the_file;
           Alcotest.test_case "store writes one file per run" `Quick
             test_store_one_file_per_run;
+          Alcotest.test_case "gate writes no record" `Quick
+            test_gate_writes_no_record;
         ] );
       ( "provenance",
         [
