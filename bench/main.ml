@@ -489,55 +489,6 @@ let workload_conv lookup =
     ( (fun name -> Option.to_result ~none:("unknown workload " ^ name) (lookup name)),
       fun ppf (w : W.t) -> Fmt.string ppf w.W.name )
 
-(* A tiny built-in workload so [metrics-json] has a fast default that
-   still exercises tier-up, property ICs and the Class Cache. *)
-let smoke_workload =
-  W.make ~suite:W.Octane ~selected:false "smoke"
-    {|
-function Pt(x, y) { this.x = x; this.y = y; }
-function bench() {
-  var s = 0;
-  for (var i = 0; i < 60; i++) {
-    var p = new Pt(i, i + 1);
-    s = (s + p.x + p.y) & 65535;
-  }
-  return s;
-}
-|}
-
-let metrics_json_cmd =
-  let path =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Output file; $(b,-) is stdout.")
-  in
-  let ws =
-    let lookup name =
-      if name = "smoke" then Some smoke_workload else Workloads.by_name name
-    in
-    Arg.(
-      value
-      & pos_right 0 (workload_conv lookup) [ smoke_workload ]
-      & info [] ~docv:"WORKLOAD"
-          ~doc:"Roster workloads to run, or $(b,smoke), a built-in one.")
-  in
-  let export path ws =
-    Export.write_results ~path
-      (List.concat_map
-         (fun w ->
-           let off, on = Harness.run_pair w in
-           [ off; on ])
-         ws);
-    0
-  in
-  Cmd.v
-    (Cmd.info "metrics-json"
-       ~doc:
-         "Run each workload with the mechanism off and on and write every \
-          Harness.result field as versioned JSON.")
-    Term.(const export $ path $ ws)
-
 let profile_diff_cmd =
   let base = Arg.(required & pos 0 (some string) None & info [] ~docv:"BASE") in
   let cur =
@@ -754,14 +705,19 @@ let runner_t ~chaos pos =
     $ cache_t $ indices $ worker_chaos)
 
 (* Spawned as a worker: run exactly the given cells of the matrix, in
-   order, one row envelope per cell on stdout, and nothing else.
-   Otherwise run [k]. *)
+   order, one row document per cell on stdout, and nothing else.
+   Otherwise run [k], whose failure (a refused --resume journal, a
+   supervised run that cannot finish) is one line on stderr. *)
 let serve_or r cells k =
   match r.worker with
   | Some (indices, chaos) ->
     Tce_runner.Shard.worker ?chaos ~indices ~out:stdout (cells ());
     0
-  | None -> k ()
+  | None -> (
+    try k ()
+    with Failure msg ->
+      prerr_endline msg;
+      1)
 
 let bench_cmd =
   let attr =
@@ -1014,8 +970,7 @@ let () =
   let cmds =
     [
       run_cmd; disasm_cmd; opt_dump_cmd; classlist_cmd; config_cmd; bench_cmd;
-      check_cmd; sweep_cmd; faults_cmd; profile_diff_cmd; metrics_json_cmd;
-      fig_cmd; csv_cmd;
+      check_cmd; sweep_cmd; faults_cmd; profile_diff_cmd; fig_cmd; csv_cmd;
     ]
   in
   (* a first argument naming a file rather than a subcommand runs it *)

@@ -159,13 +159,6 @@ let claimed_class_peek t ~classid ~line ~pos =
   in
   walk classid
 
-(** Non-materializing oracle for the retire-path invariant check: does any
-    still-installed speculation record exist for the slot? *)
-let speculates_peek t ~classid ~line ~pos ~fn =
-  match t.entries.(index ~classid ~line) with
-  | None -> false
-  | Some e -> List.mem fn e.func_lists.(pos)
-
 (** Fault injection only (Tce_fault [Cl_flip_*]): flip one bit of one map,
     modelling a corrupted or aliased Class List entry. Never called in
     unfaulted runs. *)

@@ -87,10 +87,6 @@ val is_valid_peek : t -> classid:int -> line:int -> pos:int -> bool
     ground-truth oracle. *)
 val claimed_class_peek : t -> classid:int -> line:int -> pos:int -> int option
 
-(** Non-materializing: is [fn] still on the slot's FunctionList? *)
-val speculates_peek :
-  t -> classid:int -> line:int -> pos:int -> fn:int -> bool
-
 (** Fault injection only: flip one bit of one map of the (materialized)
     entry, modelling a corrupted or aliased Class List entry. *)
 type map_id = Init_map | Valid_map | Speculate_map

@@ -102,7 +102,6 @@ let tick_delayed t =
     fns
   end
 
-let pending_delayed t = List.length t.delayed
 let delivered_late t = t.delivered_late
 let note_detected t = t.detections <- t.detections + 1
 let detections t = t.detections

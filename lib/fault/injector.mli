@@ -51,7 +51,6 @@ val stash_delayed : t -> int list -> unit
     victims whose delivery is now due. *)
 val tick_delayed : t -> int list
 
-val pending_delayed : t -> int
 val delivered_late : t -> int
 
 (** The engine's retire-path invariant check caught an injected

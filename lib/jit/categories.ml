@@ -85,8 +85,3 @@ let check_kind_slot flags =
   let v = flags lsr 2 in
   if v >= 1 && v <= check_kind_count then v else 0
 
-let check_kind_of_flags flags =
-  let v = flags lsr 2 in
-  if v >= 1 && v <= check_kind_count then
-    Some (List.nth all_check_kinds (v - 1))
-  else None

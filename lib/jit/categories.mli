@@ -39,5 +39,3 @@ val flag_of_check_kind : check_kind -> int
 (** 1-based counter slot from an instruction's flags: 0 when the
     instruction carries no kind tag, else [check_kind_index k + 1]. *)
 val check_kind_slot : int -> int
-
-val check_kind_of_flags : int -> check_kind option

@@ -163,22 +163,6 @@ type func = {
   mutable deopt_hits : int;  (** failed-check bails from this code *)
 }
 
-(* --- statistics helpers --- *)
-
-let is_branch = function
-  | Branch _ | FBranch _ | Jmp _ | Deopt _ -> true
-  | _ -> false
-
-let is_memory_read = function
-  | Load _ | CheckedLoad _ | LoadIdx _ | FLoad _ | FLoadIdx _ -> true
-  | _ -> false
-
-let is_memory_write = function
-  | Store _ | StoreIdx _ | FStore _ | FStoreIdx _ | StoreClassCache _
-  | StoreClassCacheArray _ ->
-    true
-  | _ -> false
-
 (* --- pretty printing (debugging, docs) --- *)
 
 let pp_operand ppf = function

@@ -131,10 +131,6 @@ type func = {
   mutable deopt_hits : int;
 }
 
-val is_branch : op -> bool
-val is_memory_read : op -> bool
-val is_memory_write : op -> bool
-
 val pp_operand : Format.formatter -> operand -> unit
 val pp_cond : Format.formatter -> cond -> unit
 val pp_alu : Format.formatter -> alu -> unit

@@ -35,10 +35,6 @@ let record_at t i ~taken =
 
 let record t ~fn ~pc ~taken = record_at t (index t ~fn ~pc) ~taken
 
-let mispredict_rate t =
-  if t.stats.branches = 0 then 0.0
-  else float_of_int t.stats.mispredicts /. float_of_int t.stats.branches
-
 let reset_stats t =
   t.stats.branches <- 0;
   t.stats.mispredicts <- 0

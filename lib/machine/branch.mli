@@ -18,5 +18,4 @@ val record_at : t -> int -> taken:bool -> bool
 (** [record t ~fn ~pc ~taken] is [record_at t (index t ~fn ~pc) ~taken]. *)
 val record : t -> fn:int -> pc:int -> taken:bool -> bool
 
-val mispredict_rate : t -> float
 val reset_stats : t -> unit

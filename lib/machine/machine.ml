@@ -233,10 +233,10 @@ let install t (f : Lir.func) =
 
 (* --- timing primitives --- *)
 
-(* dispatch-port kinds, matching Predecode.kind_* *)
-let kind_other = Predecode.kind_other
-let kind_load = Predecode.kind_load
-let kind_store = Predecode.kind_store
+(* dispatch-port kinds *)
+let kind_other = 0
+let kind_load = 1
+let kind_store = 2
 
 let advance t =
   t.cycle <- t.cycle + 1;

@@ -13,29 +13,24 @@
     - per-op constants are baked in: ALU/FP latencies, runtime-stub costs
       ([Costs.rt_cost] evaluated at decode time), pre-canonicalized float
       immediates, and the 64-bit-shift special form of [Alu];
-    - everything {!Machine.count} and dispatch-port selection need
-      (category index, check-kind slot, guard flag, load/store/branch/fp
-      class, port kind) is packed into one int per pc ({!meta} bits). *)
+    - everything {!Machine.count} needs (category index, check-kind
+      slot, guard flag, load/store/branch/fp class) is packed into one
+      int per pc ({!meta} bits). A step's dispatch port is not: the
+      constructor fixes it. *)
 
 open Tce_jit
 
 (** {1 Packed per-pc metadata} *)
 
 (* bits 0-2: Categories index; bits 3-5: check-kind slot; bit 6:
-   guards-obj-load flag; bits 7-9: counter class; bits 10-11: dispatch
-   port kind; bit 12: measurement pseudo-op. *)
+   guards-obj-load flag; bits 7-9: counter class; bit 12: measurement
+   pseudo-op. *)
 
 let meta_cat_mask = 0x7
 let meta_check_shift = 3
 let meta_guards_bit = 0x40
 let meta_class_shift = 7
-let meta_kind_shift = 10
 let meta_pseudo_bit = 0x1000
-
-(* dispatch port kinds *)
-let kind_other = 0
-let kind_load = 1
-let kind_store = 2
 
 (* counter classes (Machine.count's op-class breakdown) *)
 let class_none = 0
@@ -203,11 +198,6 @@ let decode_inst (inst : Lir.inst) : pre * int =
       class_fp
     | _ -> class_none
   in
-  let kind =
-    if Lir.is_memory_read inst.Lir.op then kind_load
-    else if Lir.is_memory_write inst.Lir.op then kind_store
-    else kind_other
-  in
   let pseudo =
     match inst.Lir.op with
     | Lir.Profile _ | ProfileStore _ -> meta_pseudo_bit
@@ -220,7 +210,6 @@ let decode_inst (inst : Lir.inst) : pre * int =
            meta_guards_bit
          else 0)
     lor (opclass lsl meta_class_shift)
-    lor (kind lsl meta_kind_shift)
     lor pseudo
   in
   (pre, meta)

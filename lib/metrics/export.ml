@@ -1,10 +1,6 @@
-(** JSON export of measurement results.
-
-    Serializes every field of {!Harness.result} into a versioned
-    {!Tce_obs.Export} document (kind ["harness-results"]) so external
-    tooling can consume benchmark runs without parsing the pretty-printed
-    tables. Also exports a lighter engine-counter document (kind
-    ["run-stats"]) for ad-hoc [tcejs --metrics-json] runs. *)
+(** JSON export of an engine's counters: the versioned
+    {!Tce_obs.Export} document of kind ["run-stats"] that
+    [tcejs run --metrics-json] writes for arbitrary programs. *)
 
 module J = Tce_obs.Json
 module E = Tce_engine.Engine
@@ -15,74 +11,6 @@ let by_cat_json (a : int array) : J.t =
   J.Obj
     (List.init (Array.length a) (fun i ->
          (Tce_jit.Categories.name (Tce_jit.Categories.of_index i), J.Int a.(i))))
-
-(** Every field of {!Harness.result}, flat, with the workload descriptor
-    inlined as a sub-object. *)
-let result_json (r : Harness.result) : J.t =
-  let w = r.Harness.workload in
-  let mono_p, mono_e, poly_p, poly_e = r.Harness.fig3 in
-  J.Obj
-    [
-      ( "workload",
-        J.Obj
-          [
-            ("name", J.Str w.Tce_workloads.Workload.name);
-            ( "suite",
-              J.Str (Tce_workloads.Workload.suite_name w.Tce_workloads.Workload.suite) );
-            ("selected", J.Bool w.Tce_workloads.Workload.selected);
-            ("iterations", J.Int w.Tce_workloads.Workload.iterations);
-          ] );
-      ("mechanism", J.Bool r.Harness.mechanism);
-      ("checksum", J.Str r.Harness.checksum);
-      ("whole_cycles", J.Float r.Harness.whole_cycles);
-      ("whole_instrs", J.Int r.Harness.whole_instrs);
-      ("whole_guards", J.Int r.Harness.whole_guards);
-      ("whole_by_cat", by_cat_json r.Harness.whole_by_cat);
-      ("by_cat", by_cat_json r.Harness.by_cat);
-      ("opt_instrs", J.Int r.Harness.opt_instrs);
-      ("baseline_instrs", J.Int r.Harness.baseline_instrs);
-      ("guards_obj_load", J.Int r.Harness.guards_obj_load);
-      ("opt_cycles", J.Int r.Harness.opt_cycles);
-      ("baseline_cycles", J.Float r.Harness.baseline_cycles);
-      ("total_cycles", J.Float r.Harness.total_cycles);
-      ("opt_loads", J.Int r.Harness.opt_loads);
-      ("opt_stores", J.Int r.Harness.opt_stores);
-      ("opt_branches", J.Int r.Harness.opt_branches);
-      ("opt_fp", J.Int r.Harness.opt_fp);
-      ("deopts", J.Int r.Harness.deopts);
-      ("cc_exceptions", J.Int r.Harness.cc_exceptions);
-      ("cc_accesses", J.Int r.Harness.cc_accesses);
-      ("cc_hit_rate", J.Float r.Harness.cc_hit_rate);
-      ("l1d_hit_rate", J.Float r.Harness.l1d_hit_rate);
-      ("l2_hit_rate", J.Float r.Harness.l2_hit_rate);
-      ("dtlb_hit_rate", J.Float r.Harness.dtlb_hit_rate);
-      ("energy_nj", J.Float r.Harness.energy_nj);
-      ("energy_dynamic_nj", J.Float r.Harness.energy_dynamic_nj);
-      ("energy_leakage_nj", J.Float r.Harness.energy_leakage_nj);
-      ( "fig3",
-        J.Obj
-          [
-            ("mono_prop", J.Int mono_p);
-            ("mono_elem", J.Int mono_e);
-            ("poly_prop", J.Int poly_p);
-            ("poly_elem", J.Int poly_e);
-          ] );
-      ("obj_loads_total", J.Int r.Harness.obj_loads_total);
-      ("obj_loads_first_line", J.Int r.Harness.obj_loads_first_line);
-      ("hidden_classes", J.Int r.Harness.hidden_classes);
-      ("heap_object_bytes", J.Int r.Harness.heap_object_bytes);
-      ("heap_header_extra_bytes", J.Int r.Harness.heap_header_extra_bytes);
-      ("multi_line_objects", J.Int r.Harness.multi_line_objects);
-      ("objects_allocated", J.Int r.Harness.objects_allocated);
-    ]
-
-(** Versioned document holding a list of results. *)
-let results_document (rs : Harness.result list) : J.t =
-  Tce_obs.Export.document ~kind:"harness-results"
-    (J.Obj [ ("results", J.List (List.map result_json rs)) ])
-
-let write_results ~path (rs : Harness.result list) =
-  Tce_obs.Export.to_file ~path (results_document rs)
 
 (** Live engine counters (for [tcejs --metrics-json] on arbitrary
     programs, where no {!Harness.result} exists). *)

@@ -1,17 +1,8 @@
-(** JSON export of measurement results (versioned {!Tce_obs.Export}
-    documents). *)
+(** JSON export of an engine's counters (a versioned {!Tce_obs.Export}
+    document). *)
 
 (** Per-category instruction counts keyed by {!Tce_jit.Categories} name. *)
 val by_cat_json : int array -> Tce_obs.Json.t
-
-(** Every field of a {!Harness.result}, flat, workload descriptor inlined. *)
-val result_json : Harness.result -> Tce_obs.Json.t
-
-(** Document of kind ["harness-results"] holding a list of results. *)
-val results_document : Harness.result list -> Tce_obs.Json.t
-
-(** Write [results_document] to [path] (["-"] = stdout). *)
-val write_results : path:string -> Harness.result list -> unit
 
 (** Live engine counters, for runs of arbitrary programs (kind
     ["run-stats"]). *)

@@ -19,8 +19,6 @@ let pp_token ppf = function
   | PUNCT s -> Fmt.pf ppf "PUNCT %s" s
   | EOF -> Fmt.string ppf "EOF"
 
-let equal_token (a : token) (b : token) = a = b
-
 exception Error of string * Ast.pos
 
 let keywords =

@@ -11,7 +11,6 @@ type token =
   | EOF
 
 val pp_token : Format.formatter -> token -> unit
-val equal_token : token -> token -> bool
 
 exception Error of string * Ast.pos
 

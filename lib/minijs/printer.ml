@@ -103,4 +103,3 @@ let pp_program ppf (p : program) =
 
 let to_string p = Fmt.str "%a" pp_program p
 
-let expr_to_string e = Fmt.str "%a" pp_expr e

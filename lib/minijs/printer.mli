@@ -8,4 +8,3 @@ val pp_block : int -> Format.formatter -> Ast.block -> unit
 val pp_func : Format.formatter -> Ast.func -> unit
 val pp_program : Format.formatter -> Ast.program -> unit
 val to_string : Ast.program -> string
-val expr_to_string : Ast.expr -> string

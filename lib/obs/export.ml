@@ -8,10 +8,13 @@
    the --time wall-table document kinds exist; Chrome traces gain
    [prof/<cost>] counter tracks.
    v5: the [telem] worker heartbeat envelope kind existed (single-line
-   progress beats interleaved with bench-row/fault-cell streams). It has
-   since been retired, as have the --time wall table and the dev probe
-   kinds; no surviving v5 document changed with them, so the version
-   stays 5.
+   progress beats interleaved with the workers' row streams). It has
+   since been retired, as have the --time wall table, the dev probe
+   kinds and the every-field harness dump; no surviving v5 document
+   changed with them, so the version stays 5. The bench, fault and sweep
+   row envelopes became one [row] kind, and journals gained a [journal]
+   header; both pass only between a parent and its own workers and into
+   journals pinned to one build, so neither needed a bump.
    Older documents remain readable ([open_document] accepts 1..version);
    readers that need version-dependent defaults use [open_document_v]. *)
 let schema_version = 5

@@ -33,8 +33,6 @@ let cost_names =
     "call"; "deopt";
   |]
 
-let cost_name i = cost_names.(i)
-
 (** {1 Baseline extras — instruction charges with no bytecode pc} *)
 
 let n_extra = 3

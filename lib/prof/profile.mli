@@ -37,8 +37,6 @@ val cost_rt : int
 val cost_call : int
 val cost_deopt : int
 
-val cost_name : int -> string
-
 (** {1 Baseline extras — analytic instruction charges with no bytecode pc} *)
 
 val n_extra : int

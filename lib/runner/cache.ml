@@ -105,11 +105,19 @@ let key (parts : (string * string) list) : string =
     sorted;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* The default configuration's hash, computed once: every roster and
+   campaign cell key digests it, and hashing a configuration allocates
+   (55 of them before a supervised campaign grew its parent's peak heap). *)
+let default_config_hash = Store.config_hash ()
+
 (** The identity parts shared by every cell kind: config, schema and
     simulator fingerprint. *)
 let base_parts ?config () =
   [
-    ("config", Store.config_hash ?config ());
+    ( "config",
+      match config with
+      | None -> default_config_hash
+      | Some config -> Store.config_hash ~config () );
     ("schema", string_of_int Tce_obs.Export.schema_version);
     ("sim", sim_fingerprint ());
   ]

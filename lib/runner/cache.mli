@@ -1,8 +1,9 @@
 (** Content-addressed cell cache under [results/cache/].
 
     A {e cell} is one deterministic unit of simulation — a benchmark pair
-    ([bench-row]) or a fault-campaign cell ([fault-cell]). Its cache key
-    digests everything that can change the simulated result:
+    (key label [kind=bench-row]) or a fault-campaign cell
+    ([kind=fault-cell]). Its cache key digests everything that can change
+    the simulated result:
 
     - the workload identity (name, source digest, iteration count),
     - the full engine/machine configuration via {!Store.config_hash}

@@ -340,13 +340,11 @@ let load path : (t, string) result =
     close_in ic;
     match J.of_string s with Error e -> Error e | Ok j -> of_json j
 
-(* --- execution (fault-cell envelopes) --- *)
+(* --- execution --- *)
 
 let codec =
   {
-    Shard.kind = "fault-cell";
-    field = "cell";
-    encode = json_of_cell;
+    Shard.encode = json_of_cell;
     decode = cell_of_json;
     cache_form = Fun.id;
   }

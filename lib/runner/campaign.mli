@@ -105,7 +105,7 @@ val matrix :
   Tce_workloads.Workload.t list ->
   (Tce_workloads.Workload.t * Tce_fault.Spec.rule) list
 
-(** [fault-cell] envelopes: [{"index": i, "cell": cell}]. *)
+(** A cell's payload in its [row] document ({!Shard.row_to_json}). *)
 val codec : cell Shard.codec
 
 (** {!matrix} as a {!Shard.cells} matrix, worker subcommand [faults]. Each
@@ -133,8 +133,11 @@ val cells :
     zero simulations and starts no worker. [jobs] stays only for callers
     that still pass [~jobs:1]; any other value raises [Invalid_argument]
     ({!Shard.serial_jobs}).
-    @raise Failure when supervision fails unrecoverably or the merge is
-    incomplete (a missing cell that is not quarantined). *)
+    @raise Failure when supervision fails unrecoverably, when the merge
+    is incomplete (a missing cell that is not quarantined), or when the
+    [resume] journal is not this matrix's: its header pins the cells'
+    keys, so another seed's or spec's journal is refused
+    ({!Shard.run}). *)
 val run :
   ?exe:string ->
   ?spawn:Supervise.spawn ->

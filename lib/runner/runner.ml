@@ -18,14 +18,12 @@ let simulate_one (w : W.t) : Record.cell =
 let run_profiles (ws : W.t list) : H.profiled list =
   List.map (fun w -> H.run_pair_profiled w) ws
 
-let bench_codec = Shard.cell_codec ~kind:"bench-row" ~field:"workload"
-
 let bench_cells (ws : W.t list) : Record.cell Shard.cells =
   let arr = Array.of_list ws in
   (* parsed on first use only: workers and in-process runs never schedule *)
   let cost = lazy (Store.baseline_cost_of_workload ()) in
   {
-    Shard.codec = bench_codec;
+    Shard.codec = Shard.cell_codec;
     argv = "bench" :: List.map (fun (w : W.t) -> w.W.name) ws;
     count = Array.length arr;
     name = (fun i -> arr.(i).W.name);

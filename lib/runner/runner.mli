@@ -30,9 +30,6 @@ val run_profiles :
   Tce_workloads.Workload.t list ->
   Tce_metrics.Harness.profiled list
 
-(** [bench-row] envelopes: [{"index": i, "workload": row}]. *)
-val bench_codec : Record.cell Shard.codec
-
 (** The roster as a matrix: cell [i] is the off/on pair of workload [i],
     worker subcommand [bench]. *)
 val bench_cells :
@@ -49,7 +46,8 @@ val bench_cells :
     observes each in-process row as it completes. [jobs] stays only for
     callers that still pass [~jobs:1]; any other value raises
     [Invalid_argument] ({!Shard.serial_jobs}).
-    @raise Failure as {!Shard.run}. *)
+    @raise Failure as {!Shard.run}, which refuses a [resume] journal of
+    another roster or roster order. *)
 val run_suite :
   ?exe:string ->
   ?spawn:Supervise.spawn ->

@@ -63,38 +63,74 @@ let merge_rows ?names ?(quarantined = []) ~what ~expected
 (* --- row envelopes --- *)
 
 type 'row codec = {
-  kind : string;
-  field : string;
   encode : 'row -> J.t;
   decode : J.t -> ('row, string) result;
   cache_form : 'row -> 'row;
 }
 
-let cell_codec ~kind ~field =
+let cell_codec =
   {
-    kind;
-    field;
     encode = Record.cell_to_json;
     decode = Record.cell_of_json;
     cache_form = (fun (w, f) -> (Record.zero_walls w, f));
   }
 
 let row_to_json codec ~index row : J.t =
-  Tce_obs.Export.document ~kind:codec.kind
-    (J.Obj [ ("index", J.Int index); (codec.field, codec.encode row) ])
+  Tce_obs.Export.document ~kind:"row"
+    (J.Obj [ ("index", J.Int index); ("row", codec.encode row) ])
 
 let row_of_json codec (j : J.t) : (int * 'row, string) result =
   match Tce_obs.Export.open_document j with
   | Error e -> Error e
-  | Ok (kind, _) when kind <> codec.kind ->
-    Error (Printf.sprintf "expected a %s document, got %S" codec.kind kind)
+  | Ok (kind, _) when kind <> "row" ->
+    Error (Printf.sprintf "expected a row document, got %S" kind)
   | Ok (_, data) -> (
-    match
-      (Option.bind (J.member "index" data) J.to_int, J.member codec.field data)
-    with
+    match (Option.bind (J.member "index" data) J.to_int, J.member "row" data) with
     | Some i, Some pj when i >= 0 ->
       Result.map (fun r -> (i, r)) (codec.decode pj)
-    | _ -> Error (Printf.sprintf "malformed %s row" codec.kind))
+    | _ -> Error "malformed row")
+
+(* --- the journal header ---
+
+   The first line of every journal names the matrix that wrote it: the
+   digest of its cells' cache keys in index order (the keys include the
+   simulator fingerprint, so another build's journal differs as a cache
+   entry would), the cell count, and the worker argv that names the
+   matrix in errors. [--resume] replays a journal only under its own
+   matrix's header. *)
+
+type header = { h_argv : string list; h_cells : int; h_keys : string }
+
+let header_of_keys argv keys =
+  {
+    h_argv = argv;
+    h_cells = Array.length keys;
+    h_keys = Digest.to_hex (Digest.string (String.concat "\n" (Array.to_list keys)));
+  }
+
+let header_to_line h =
+  J.to_string
+    (Tce_obs.Export.document ~kind:"journal"
+       (J.Obj
+          [
+            ("argv", J.List (List.map (fun a -> J.Str a) h.h_argv));
+            ("cells", J.Int h.h_cells);
+            ("keys", J.Str h.h_keys);
+          ]))
+
+let header_of_line line =
+  match Result.bind (J.of_string line) Tce_obs.Export.open_document with
+  | Ok ("journal", data) -> (
+    match (J.member "argv" data, J.member "cells" data, J.member "keys" data) with
+    | Some (J.List argv), Some (J.Int h_cells), Some (J.Str h_keys) ->
+      Some { h_argv = List.filter_map J.to_str argv; h_cells; h_keys }
+    | _ -> None)
+  | _ -> None
+
+let describe h =
+  Printf.sprintf "%S (%d cell(s), keys %s)"
+    (String.concat " " h.h_argv) h.h_cells
+    (String.sub h.h_keys 0 (min 12 (String.length h.h_keys)))
 
 (* --- the cell matrix --- *)
 
@@ -195,22 +231,46 @@ let run ?exe ?spawn ?(log_dir = default_log_dir)
            (i, row))
          all)
   else
+    (* the matrix's name in errors: bench, sweep or faults *)
+    let matrix = List.hd c.argv in
     let decode line =
       Result.map_error
-        (fun e -> Printf.sprintf "bad %s: %s" c.codec.kind e)
+        (fun e -> Printf.sprintf "bad %s row: %s" matrix e)
         (Result.bind (J.of_string line) (row_of_json c.codec))
     in
     let to_line i row = J.to_string (row_to_json c.codec ~index:i row) in
-    (* Resume: replay every complete row of the crashed run's journal;
-       only the remainder is scheduled. *)
+    let header = header_of_keys c.argv (Lazy.force keys) in
+    (* Resume: replay every complete row of the crashed run's journal, if
+       its header names this matrix; only the remainder is scheduled. A
+       journal of another matrix is refused before anything runs or the
+       new journal (often the same file) is opened. *)
     let journal_rows =
       match resume with
       | None -> []
       | Some path -> (
+        let refuse why =
+          failwith (Printf.sprintf "--resume %s: %s" path why)
+        in
         match Store.journal_lines path with
-        | Error e -> failwith (Printf.sprintf "--resume %s: %s" path e)
-        | Ok lines ->
-          List.filter_map (fun line -> Result.to_option (decode line)) lines)
+        | Error e -> refuse e
+        | Ok [] -> []
+        | Ok (first :: lines) -> (
+          match header_of_line first with
+          | Some h when h.h_cells = header.h_cells && h.h_keys = header.h_keys ->
+            List.filter_map (fun line -> Result.to_option (decode line)) lines
+          | Some h ->
+            refuse
+              (Printf.sprintf "journal of %s, not of this run's %s%s"
+                 (describe h) (describe header)
+                 (if h.h_argv = header.h_argv then
+                    " (same argv, other cell keys: another build or other \
+                     cell options)"
+                  else ""))
+          | None ->
+            refuse
+              (Printf.sprintf
+                 "no journal header, so not known to be of this run's %s"
+                 (describe header))))
     in
     (* Cache pre-resolution: indices the journal did not cover are looked
        up in the cell cache. Hits ride the resume path (not scheduled,
@@ -267,7 +327,7 @@ let run ?exe ?spawn ?(log_dir = default_log_dir)
     let parse line =
       match decode line with
       | Ok (i, _) when i >= c.count ->
-        Error (Printf.sprintf "bad %s: index %d out of range" c.codec.kind i)
+        Error (Printf.sprintf "bad %s row: index %d out of range" matrix i)
       | Ok (i, row) as ok ->
         install i row;
         ok
@@ -278,6 +338,7 @@ let run ?exe ?spawn ?(log_dir = default_log_dir)
       Fun.protect
         ~finally:(fun () -> Store.journal_close journal)
         (fun () ->
+          Store.journal_append journal (header_to_line header);
           Supervise.run ?exe ?spawn ~config:supervise ~shards ~log_dir
             ~journal:(Store.journal_append journal) ~serial_run:fresh
             ~resume_rows:(journal_rows @ cached_rows) ~argv_of_indices
@@ -285,7 +346,7 @@ let run ?exe ?spawn ?(log_dir = default_log_dir)
     in
     match result with
     | Error e ->
-      failwith (Printf.sprintf "supervised %s run failed: %s" c.codec.kind e)
+      failwith (Printf.sprintf "supervised %s run failed: %s" matrix e)
     | Ok o -> (
       let resumed =
         List.filter
@@ -297,7 +358,7 @@ let run ?exe ?spawn ?(log_dir = default_log_dir)
       match
         merge_rows ~names:name_of
           ~quarantined:(List.map (fun q -> q.Supervise.q_index) quarantined)
-          ~what:c.codec.kind ~expected:c.count
+          ~what:matrix ~expected:c.count
           (* keep each row's index through the merge *)
           (List.map (fun (i, row) -> (i, (i, row))) o.Supervise.rows)
       with

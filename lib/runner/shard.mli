@@ -13,9 +13,10 @@
     the cells they still owed, and every accepted row is journaled.
     Both modes share the cell-cache pre-resolution and install. The
     {e worker} ({!worker}) runs exactly its cells, in order,
-    streaming one versioned single-line JSON envelope per cell on stdout;
+    streaming one single-line [row] document per cell on stdout;
     stderr is free-form logging. Rows are merged by index
-    ({!merge_rows}), whatever order they arrived in.
+    ({!merge_rows}), whatever order they arrived in. A journal's first
+    line is a [journal] header that pins it to its matrix.
 
     Simulated numbers are bit-identical across modes by construction
     (each cell runs in its own engine); a merged benchmark document is
@@ -26,9 +27,9 @@
     dense [expected]-slot array and returns the rows in index order.
     [Error] when an index is out of range, arrives twice, or is missing —
     a sharding bug must fail the run, never truncate it silently. [what]
-    names the row kind in errors; [names] maps an index to its workload
-    name so errors read [missing: fib, deopt-storm (indices 3, 54)]
-    instead of bare indices. Indices in [quarantined] are allowed to be
+    names the matrix in errors ([bench], [sweep] or [faults]); [names]
+    maps an index to its workload name so errors read
+    [missing: fib, deopt-storm (indices 3, 54)] instead of bare indices. Indices in [quarantined] are allowed to be
     absent (the supervisor excluded them); their slots are skipped. *)
 val merge_rows :
   ?names:(int -> string option) ->
@@ -41,27 +42,24 @@ val merge_rows :
 (** Default parent-side worker stderr directory (["results/shard_logs"]). *)
 val default_log_dir : string
 
-(** {1 Row envelopes} *)
+(** {1 Rows} *)
 
-(** How one row crosses the process boundary: the envelope [kind]
-    (["bench-row"], ["fault-cell"], ["sweep-cell"]), the data [field]
-    that carries the payload next to ["index"], the payload codec, and
+(** How one row's payload crosses the process boundary, and
     [cache_form], the row as the cell cache stores it (host wall clocks
     cleared). *)
 type 'row codec = {
-  kind : string;
-  field : string;
   encode : 'row -> Tce_obs.Json.t;
   decode : Tce_obs.Json.t -> ('row, string) result;
   cache_form : 'row -> 'row;
 }
 
-(** A codec for {!Record.cell} rows under [kind], payload in [field]. *)
-val cell_codec : kind:string -> field:string -> Record.cell codec
+(** The codec of {!Record.cell} rows, the bench and sweep matrices'. *)
+val cell_codec : Record.cell codec
 
-(** Wrap / unwrap one positioned row in its versioned single-line
-    envelope — the unit a worker streams and the journal stores. [index]
-    is the cell's position in the matrix. *)
+(** Wrap / unwrap one positioned row in its versioned single-line [row]
+    document, [{"index": i, "row": payload}] — the unit a worker streams
+    and the journal stores, whatever the matrix. [index] is the cell's
+    position in the matrix. *)
 val row_to_json : 'row codec -> index:int -> 'row -> Tce_obs.Json.t
 
 val row_of_json : 'row codec -> Tce_obs.Json.t -> (int * 'row, string) result
@@ -75,7 +73,8 @@ val row_of_json : 'row codec -> Tce_obs.Json.t -> (int * 'row, string) result
     deterministic function of the inputs. *)
 val longest_first_order : cost:('a -> float option) -> 'a list -> int array
 
-(** One matrix as both sides see it. [argv] is the worker's mode flag
+(** One matrix as both sides see it. [argv] is the worker's subcommand
+    ([bench], [sweep] or [faults], which names the matrix in errors)
     and the cell-identity arguments (roster names, sweep spec) that let a
     worker rebuild the same matrix; [name] labels cell [i] in
     diagnostics; [workload] names the workload it runs (the supervised
@@ -97,8 +96,8 @@ type 'row cells = {
 }
 
 (** Worker side of [--worker-indices i,j,k]: run exactly [indices] (in
-    the given order), streaming one envelope per cell to [out], flushed
-    per row so the parent loses only the in-flight cell if this process
+    the given order), streaming one [row] document per cell to [out],
+    flushed per row so the parent loses only the in-flight cell if this process
     dies. [chaos] arms a deterministic fault for the chaos harness
     ({!Supervise.Chaos}).
     @raise Failure on an index outside the matrix. *)
@@ -138,9 +137,12 @@ val serial_jobs : int option -> unit
     a lineage whose process finishes takes the next group. Dead or hung
     workers are respawned over their group's missing cells and poison
     cells quarantine after [supervise.max_retries] kills. Accepted rows
-    are journaled to
-    [journal_path]; [resume] replays a previous journal so only the
-    remainder runs. With [cache], hits are pre-resolved before
+    are journaled to [journal_path], after a first line, the [journal]
+    header: the digest of the cells' cache keys in index order, the cell
+    count and [argv]. [resume] replays a previous journal so only the
+    remainder runs, if its header is this matrix's (the keys include the
+    simulator fingerprint, so this build's too); a journal with no
+    complete line resumes nothing. With [cache], hits are pre-resolved before
     scheduling (a fully cached matrix starts no worker) and fresh rows
     are installed as they arrive. [worker_args] pass through to each
     worker after the cells' own [argv]; [chaos] is the parent side of
@@ -148,8 +150,11 @@ val serial_jobs : int option -> unit
     one of the cells the workers run; [exe]/[spawn] are test injection
     points. If spawning fails, the remaining cells run in-process.
     [on_row] sees in-process rows only.
-    @raise Failure when supervision fails unrecoverably or the merge is
-    incomplete (a missing index that is not quarantined). *)
+    @raise Failure when supervision fails unrecoverably, when the merge
+    is incomplete (a missing index that is not quarantined), or when the
+    [resume] journal cannot be read, has no header or has another
+    matrix's. The refusal is one line naming the file and both matrices;
+    nothing has run and the journal is untouched. *)
 val run :
   ?exe:string ->
   ?spawn:Supervise.spawn ->

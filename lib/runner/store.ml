@@ -221,9 +221,9 @@ let save_prof ?(latest = prof_latest_path) (doc : J.t) =
 
 (* --- the crash-safe row journal ---
 
-   One line per completed shard row (bench-row / fault-cell envelope),
-   fsynced as it lands, so a crashed or OOM-killed parent leaves behind a
-   replayable checkpoint: `--resume FILE` re-schedules only the cells the
+   A header line, then one line per completed shard row ([row]
+   document), each fsynced as it lands, so a crashed or OOM-killed
+   parent leaves behind a replayable checkpoint: `--resume FILE` re-schedules only the cells the
    journal does not already hold. A torn write can only damage the final
    line, which [journal_lines] drops. *)
 

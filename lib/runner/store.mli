@@ -19,13 +19,14 @@ val journal_dir : string  (** ["results/journal"] *)
 
 val bench_journal_path : string
 (** ["results/journal/bench.jsonl"] — the supervised bench driver's
-    crash-safe row journal (one [bench-row] envelope per line). *)
+    crash-safe row journal: a [journal] header line naming the matrix,
+    then one [row] document per line. *)
 
 val faults_journal_path : string
-(** ["results/journal/faults.jsonl"] — ditto for [fault-cell] envelopes. *)
+(** ["results/journal/faults.jsonl"] — ditto for the fault campaign. *)
 
 val sweep_journal_path : string
-(** ["results/journal/sweep.jsonl"] — ditto for [sweep-cell] envelopes. *)
+(** ["results/journal/sweep.jsonl"] — ditto for the sweep. *)
 
 val sweep_latest_path : string
 (** ["SWEEP_latest.json"] — the most recent design-space sweep report. *)

@@ -34,8 +34,8 @@
       serially, via [serial_run].
 
     The supervisor is generic over the row type: {!Shard.run}
-    instantiates it with [bench-row], [fault-cell] and [sweep-cell]
-    envelopes. State machine per worker lineage:
+    instantiates it with the [row] documents of the bench, fault and
+    sweep matrices. State machine per worker lineage:
 
     {v idle  -> queue empty                        -> done
           -> spawn over the next group

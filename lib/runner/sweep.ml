@@ -208,7 +208,7 @@ let expand_or_fail axes =
   | [], _ -> failwith "sweep: empty grid (every combination invalid)"
   | points, skipped -> (points, skipped)
 
-(* --- the cell matrix (sweep-cell envelopes) --- *)
+(* --- the cell matrix --- *)
 
 let cells ~axes (ws : W.t list) : Record.cell Shard.cells =
   let points, _ = expand_or_fail axes in
@@ -232,7 +232,7 @@ let cells ~axes (ws : W.t list) : Record.cell Shard.cells =
       (off, Unix.gettimeofday () -. t0)
   in
   {
-    Shard.codec = Shard.cell_codec ~kind:"sweep-cell" ~field:"row";
+    Shard.codec = Shard.cell_codec;
     argv =
       "sweep" :: axes_to_string axes
       :: List.map (fun (w : W.t) -> w.W.name) ws;

@@ -96,8 +96,8 @@ val normalize : t -> t
 
 val cells : axes:axes -> Tce_workloads.Workload.t list ->
   Record.cell Shard.cells
-(** {!matrix} as a {!Shard.cells} matrix of [sweep-cell] envelopes
-    ([{"index": i, "row": row}]), worker subcommand [sweep SPEC] with the
+(** {!matrix} as a {!Shard.cells} matrix of {!Shard.cell_codec} rows,
+    worker subcommand [sweep SPEC] with the
     canonical spec, so a worker re-expands the same grid. A cell is
     {!Record.of_pair}, with its figure inputs, of the workload's
     mechanism-off half under
@@ -133,7 +133,9 @@ val run :
     that still pass [~jobs:1]; any other value raises [Invalid_argument]
     ({!Shard.serial_jobs}).
     @raise Failure when the grid is empty, when supervision fails
-    unrecoverably or when the merge is incomplete. *)
+    unrecoverably, when the merge is incomplete, or when the [resume]
+    journal is not this matrix's: its header pins the cells' keys, so
+    another grid's journal is refused ({!Shard.run}). *)
 
 (** Persistence: a versioned [sweep] document ({!Store.sweep_latest_path}
     plus an immutable copy under {!Store.sweeps_dir}). *)

@@ -21,8 +21,6 @@ let min_max = function
 
 let percent num den = if den = 0 then 0.0 else 100.0 *. float_of_int num /. float_of_int den
 
-let percent_f num den = if den = 0.0 then 0.0 else 100.0 *. num /. den
-
 (** Speedup in percent of [base] relative to [opt]: how much faster [opt]
     is, expressed the way the paper does ("improvement in number of
     cycles"): [(base - opt) / base * 100]. *)

@@ -10,8 +10,6 @@ val min_max : float list -> float * float
 (** [100 * num / den] (0 when [den] is 0). *)
 val percent : int -> int -> float
 
-val percent_f : float -> float -> float
-
 (** The paper's "improvement in number of cycles":
     [(base - opt) / base * 100]. *)
 val improvement : base:float -> opt:float -> float

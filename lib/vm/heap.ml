@@ -93,10 +93,6 @@ let class_of_addr t addr =
   let w = Mem.load t.mem addr in
   Hidden_class.Registry.find_exn t.reg (Layout.classid_of_class_word w)
 
-(** Hidden class of a value; SMIs answer [None]. *)
-let class_of t (v : Value.t) =
-  if Value.is_smi v then None else Some (class_of_addr t (Value.ptr_addr v))
-
 (* Fast path: the ClassID is encoded in the class word itself
    (bits 48-55), and [Registry.find_exn] returns the class registered
    under exactly that id — so for any well-formed heap value, decoding the
@@ -106,7 +102,6 @@ let classid_of t (v : Value.t) =
   else Layout.classid_of_class_word (Mem.load t.mem (Value.ptr_addr v))
 
 let is_null t v = v = t.null_v
-let is_bool t v = v = t.true_v || v = t.false_v
 
 (* --- heap numbers --- *)
 

@@ -39,13 +39,11 @@ val bool_v : t -> bool -> Value.t
 (* --- class inspection --- *)
 
 val class_of_addr : t -> int -> Hidden_class.t
-val class_of : t -> Value.t -> Hidden_class.t option
 
 (** ClassID of any value; SMIs answer {!Layout.smi_classid}. *)
 val classid_of : t -> Value.t -> int
 
 val is_null : t -> Value.t -> bool
-val is_bool : t -> Value.t -> bool
 
 (* --- numbers --- *)
 

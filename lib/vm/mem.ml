@@ -65,6 +65,3 @@ let allocate t ~bytes ~align =
   t.next_free <- addr + bytes;
   ensure t (word_index t (addr + ((bytes + 7) / 8 * 8) - 8) + 1);
   addr
-
-(** Total bytes ever allocated (bump high-water mark). *)
-let allocated_bytes t = t.next_free - t.base

@@ -19,6 +19,3 @@ val store : t -> int -> int -> unit
 (** Bump-allocate [bytes] aligned to [align] (a power of two); returns the
     byte address. No collector (see DESIGN.md). *)
 val allocate : t -> bytes:int -> align:int -> int
-
-(** Bump high-water mark. *)
-val allocated_bytes : t -> int

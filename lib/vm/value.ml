@@ -21,8 +21,6 @@ exception Smi_overflow
 
 let smi v : t = if smi_fits v then v lsl 1 else raise Smi_overflow
 
-let smi_unchecked v : t = v lsl 1
-
 let is_smi (t : t) = t land 1 = 0
 
 let smi_value (t : t) = t asr 1

@@ -16,7 +16,6 @@ exception Smi_overflow
 (** @raise Smi_overflow outside the SMI range. *)
 val smi : int -> t
 
-val smi_unchecked : int -> t
 val is_smi : t -> bool
 val smi_value : t -> int
 

@@ -6,7 +6,10 @@
    (c) `bench --profile` is a plain flag: the workload after it is run,
        and the record, PROF_latest.json and the folded stacks land in cwd;
    (d) `config` prints the simulated core exactly as Config.pp does;
-   (e) `check` with a workload the baseline lacks fails and names it. *)
+   (e) `check` with a workload the baseline lacks fails and names it;
+   (f) `bench --resume` of a journal with no header fails before anything
+       runs, in one stderr line naming the journal and the run's matrix,
+       and writes nothing. *)
 
 let bench_exe =
   let p =
@@ -152,6 +155,30 @@ let test_check_unmatched_names () =
       ([ "nosuch"; "richards"; "other" ], [ "nosuch"; "other" ]);
     ]
 
+(* --- (f) bench --resume refuses a journal it cannot pin --- *)
+
+let test_resume_refuses_headerless_journal () =
+  let journal = Filename.temp_file "tce-cli-journal" ".jsonl" in
+  let text =
+    {|{"schema_version":5,"kind":"row","generator":"tce","data":{"index":0,"row":{}}}|}
+    ^ "\n"
+  in
+  Out_channel.with_open_bin journal (fun oc -> output_string oc text);
+  spawn [ "bench"; "--no-cache"; "--resume"; journal; "richards" ]
+  @@ fun dir code _ err ->
+  Alcotest.(check int) "exit" 1 code;
+  Alcotest.(check int) "one stderr line" 1
+    (List.length (String.split_on_char '\n' (String.trim err)));
+  List.iter
+    (fun sub ->
+      if not (contains ~sub err) then
+        Alcotest.failf "stderr does not name %s:\n%s" sub err)
+    [ journal; "bench richards" ];
+  Alcotest.(check (list string)) "nothing written" []
+    (Array.to_list (Sys.readdir dir));
+  Alcotest.(check string) "the journal is untouched" text (read journal);
+  Sys.remove journal
+
 let () =
   Alcotest.run "cli"
     [
@@ -161,6 +188,8 @@ let () =
           Alcotest.test_case "unknown experiment" `Quick test_unknown_experiment;
           Alcotest.test_case "check names unmatched workloads" `Quick
             test_check_unmatched_names;
+          Alcotest.test_case "resume refuses a headerless journal" `Quick
+            test_resume_refuses_headerless_journal;
         ] );
       ( "outputs",
         [

@@ -226,8 +226,8 @@ let cases =
        P.Pcall_rt_chk (Lir.Rt_generic_get_elem, [| 1; 2 |], -1, 3, c.Costs.instrs, c.Costs.cycles)),
       P.class_none );
     ("ret", Lir.inst C.C_other (Lir.Ret 1), P.Pret 1, P.class_none);
-    (* Deopt is a branch for Lir.is_branch, but the reference executor's
-       opt_branches counter only saw Branch/FBranch/Jmp *)
+    (* Deopt leaves the function like a branch, but the opt_branches
+       counter counts only Branch/FBranch/Jmp *)
     ("deopt", Lir.inst C.C_check (Lir.Deopt 2), P.Pdeopt 2, P.class_none);
     ( "mov-classid",
       Lir.inst C.C_ccop (Lir.MovClassID 1),
@@ -298,14 +298,6 @@ let test_decode_inst () =
       Alcotest.(check int)
         (name ^ ": counter class") expect_class
         ((meta lsr P.meta_class_shift) land 0x7);
-      let expect_kind =
-        if Lir.is_memory_read inst.Lir.op then P.kind_load
-        else if Lir.is_memory_write inst.Lir.op then P.kind_store
-        else P.kind_other
-      in
-      Alcotest.(check int)
-        (name ^ ": dispatch port kind") expect_kind
-        ((meta lsr P.meta_kind_shift) land 0x3);
       Alcotest.(check bool)
         (name ^ ": pseudo bit")
         (match inst.Lir.op with

@@ -673,6 +673,34 @@ let test_load_port_limit () =
     (Printf.sprintf "load port bound (%d cycles for 300 loads)" cycles)
     true (cycles >= 295)
 
+(* The store port is the loads' twin, and a port of its own: stores alone
+   are 1/cycle bound, and loads interleaved with stores share no port. *)
+let test_store_port_limit () =
+  let open Tce_jit.Lir in
+  let heap, m = mk_machine () in
+  let addr = Tce_vm.Mem.allocate heap.Tce_vm.Heap.mem ~bytes:64 ~align:64 in
+  let cycles_of body =
+    let f = mk_func ((MovImm (1, addr) :: body) @ [ Ret 1 ]) ~n_regs:8 in
+    ignore (Machine.run m stub_host f [| 0 |]);
+    let c0 = m.Machine.cycle in
+    ignore (Machine.run m stub_host f [| 0 |]);
+    m.Machine.cycle - c0
+  in
+  let stores = cycles_of (List.init 300 (fun i -> Store (1, 8 * (i mod 4), Imm i))) in
+  Alcotest.(check bool)
+    (Printf.sprintf "store port bound (%d cycles for 300 stores)" stores)
+    true (stores >= 295);
+  let mixed =
+    cycles_of
+      (List.init 300 (fun i ->
+           if i mod 2 = 0 then Load (2 + (i mod 4), 1, 0)
+           else Store (1, 8 + (8 * (i mod 3)), Imm i)))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "loads and stores on separate ports (%d cycles for 150 + 150)"
+       mixed)
+    true (mixed < 200)
+
 let test_fused_branch_executes () =
   let open Tce_jit.Lir in
   (* loop: r1 counts down from 50; branch back while non-zero *)
@@ -788,6 +816,7 @@ let () =
           Alcotest.test_case "dependence chains" `Quick
             test_dependence_chain_serializes;
           Alcotest.test_case "load port" `Quick test_load_port_limit;
+          Alcotest.test_case "store port" `Quick test_store_port_limit;
           Alcotest.test_case "branch loop" `Quick test_fused_branch_executes;
           Alcotest.test_case "special store" `Quick
             test_special_store_fires_class_cache;

@@ -9,8 +9,10 @@
    (b) quarantine semantics: a poison cell is excluded after max_retries
        kills while the rest of the run completes;
    (c) graceful degradation to in-process serial when spawning fails;
-   (d) checkpoint/resume: journal replay schedules only the remainder and
-       a torn final journal line is dropped;
+   (d) checkpoint/resume: journal replay schedules only the remainder, a
+       torn final journal line is dropped, and a journal whose header
+       names another matrix (or that has none) is refused before
+       anything runs;
    (e) EINTR restart in Supervise.run under a fast interval timer, and
        UTC-stamped per-shard stderr logs;
    (f) merge_rows errors that name workloads, quarantine-aware gate, and
@@ -293,23 +295,22 @@ let test_clean_queue_no_respawns () =
     (List.for_all (( = ) 0) !spawns);
   Alcotest.(check int) "no respawns" 0 o.Supervise.respawns
 
+let string_codec =
+  {
+    Shard.encode = (fun s -> Tce_obs.Json.Str s);
+    decode = (function Tce_obs.Json.Str s -> Ok s | _ -> Error "not a string");
+    cache_form = Fun.id;
+  }
+
 (* A worker row whose index lies outside the matrix is a worker fault for
    the shared parent too: with a cache it must not reach the key table. *)
 let test_out_of_range_row_is_worker_fault () =
-  let codec =
-    {
-      Shard.kind = "test-row";
-      field = "v";
-      encode = (fun s -> Tce_obs.Json.Str s);
-      decode =
-        (function Tce_obs.Json.Str s -> Ok s | _ -> Error "not a string");
-      cache_form = Fun.id;
-    }
+  let line =
+    Tce_obs.Json.to_string (Shard.row_to_json string_codec ~index:5 "x")
   in
-  let line = Tce_obs.Json.to_string (Shard.row_to_json codec ~index:5 "x") in
   let cells =
     {
-      Shard.codec;
+      Shard.codec = string_codec;
       (* sh -c SCRIPT ignores the parent's trailing arguments *)
       argv = [ "-c"; Printf.sprintf "echo '%s'; exec sleep 60" line ];
       count = 1;
@@ -332,23 +333,163 @@ let test_out_of_range_row_is_worker_fault () =
   Alcotest.(check (list int)) "the cell is blamed and quarantined" [ 0 ]
     (List.map (fun q -> q.Supervise.q_index) s.Shard.quarantined)
 
-(* --- the crash-safe journal --- *)
+(* --- the crash-safe journal and its header --- *)
+
+(* A matrix of string cells over the cache keys [keys], driven in this
+   process: every spawn fails (and is counted), so the supervised mode
+   degrades to serial and no worker starts. [ran] counts the cells it
+   computed. *)
+let string_cells ?(ran = ref 0) keys =
+  let keys = Array.of_list keys in
+  {
+    Shard.codec = string_codec;
+    argv = "bench" :: Array.to_list keys;
+    count = Array.length keys;
+    name = (fun i -> keys.(i));
+    workload = (fun i -> keys.(i));
+    cost = (fun _ -> None);
+    key = (fun i -> keys.(i));
+    run =
+      (fun i ->
+        incr ran;
+        "row-" ^ keys.(i));
+  }
+
+let run_strings ?(spawned = ref 0) ?resume ~journal_path cells =
+  let spawn ~exe:_ ~argv:_ ~stdout:_ ~stderr:_ =
+    incr spawned;
+    raise (Unix.Unix_error (Unix.EAGAIN, "fork", ""))
+  in
+  Shard.run ~spawn ~log_dir ~supervise:cfg ~journal_path ?resume ~shards:2
+    ~worker_args:[] cells
+
+let write_lines path ?(torn = "") lines =
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+      output_string oc torn)
+
+(* The journal of the [a b c] matrix: its header, then one row per cell. *)
+let abc_journal () =
+  let path = Filename.temp_file "tce-journal" ".jsonl" in
+  ignore (run_strings ~journal_path:path (string_cells [ "a"; "b"; "c" ]));
+  match Store.journal_lines path with
+  | Ok lines -> (path, lines)
+  | Error e -> Alcotest.fail e
 
 let test_journal_drops_torn_line () =
-  let path = Filename.temp_file "tce-journal" ".jsonl" in
-  let j = Store.journal_open path in
-  Store.journal_append j "one";
-  Store.journal_append j "two";
-  Store.journal_close j;
-  (* simulate a crash mid-append: a final line with no newline *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "torn-fragment";
-  close_out oc;
+  let path, lines = abc_journal () in
+  Alcotest.(check int) "a header and three rows" 4 (List.length lines);
+  let kind line =
+    match
+      Result.bind (Tce_obs.Json.of_string line) Tce_obs.Export.open_document
+    with
+    | Ok (k, _) -> k
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (list string))
+    "one journal header, then row documents"
+    [ "journal"; "row"; "row"; "row" ] (List.map kind lines);
+  (* simulate a crash mid-append: the header and two rows, then a final
+     line with no newline *)
+  let kept = List.filteri (fun i _ -> i < 3) lines in
+  write_lines path ~torn:"torn-fragment" kept;
   (match Store.journal_lines path with
-  | Ok lines ->
-    Alcotest.(check (list string)) "torn final line dropped" [ "one"; "two" ]
-      lines
+  | Ok lines -> Alcotest.(check (list string)) "torn final line dropped" kept lines
   | Error e -> Alcotest.fail e);
+  (* the same matrix resumes from it: two rows replayed, one computed *)
+  let ran = ref 0 in
+  let s =
+    run_strings ~resume:path ~journal_path:path
+      (string_cells ~ran [ "a"; "b"; "c" ])
+  in
+  Alcotest.(check (list int)) "two rows replayed" [ 0; 1 ] s.Shard.resumed;
+  Alcotest.(check int) "only the third cell computed" 1 !ran;
+  Alcotest.(check (list (pair int string)))
+    "every row, in index order"
+    [ (0, "row-a"); (1, "row-b"); (2, "row-c") ]
+    s.Shard.rows;
+  Sys.remove path
+
+(* Resuming [path] under [cells] must fail before anything runs, with one
+   line that names the file and [names] (both matrices), and leave the
+   file as it was although it is also this run's journal. *)
+let expect_refused ~path ~names cells =
+  let before = In_channel.with_open_bin path In_channel.input_all in
+  let spawned = ref 0 and ran = ref 0 in
+  (match run_strings ~spawned ~resume:path ~journal_path:path (cells ran) with
+  | _ -> Alcotest.fail "the journal was replayed"
+  | exception Failure msg ->
+    Alcotest.(check bool) "one line" false (String.contains msg '\n');
+    List.iter
+      (fun sub ->
+        if not (Astring.String.is_infix ~affix:sub msg) then
+          Alcotest.failf "%S does not name %s" msg sub)
+      (path :: names));
+  Alcotest.(check int) "no worker spawned" 0 !spawned;
+  Alcotest.(check int) "no cell computed" 0 !ran;
+  Alcotest.(check string) "the journal is untouched" before
+    (In_channel.with_open_bin path In_channel.input_all)
+
+let test_resume_refuses_foreign_journal () =
+  let path, _ = abc_journal () in
+  expect_refused ~path ~names:[ "bench a b c"; "bench a b d" ] (fun ran ->
+      string_cells ~ran [ "a"; "b"; "d" ]);
+  Sys.remove path
+
+let test_resume_refuses_reordered_matrix () =
+  let path, _ = abc_journal () in
+  expect_refused ~path ~names:[ "bench a b c"; "bench c b a" ] (fun ran ->
+      string_cells ~ran [ "c"; "b"; "a" ]);
+  Sys.remove path
+
+(* The fault campaign's cells are keyed by their injector seeds, so a
+   journal of one --fault-seed is refused by the same roster under
+   another. *)
+let test_campaign_resume_refuses_other_seed () =
+  let roster =
+    List.filter_map Tce_workloads.Workloads.by_name [ "controlflow-recursive" ]
+  in
+  let spec =
+    match Tce_fault.Spec.parse "cc-drop" with
+    | Ok spec -> spec
+    | Error e -> Alcotest.fail e
+  in
+  let path = Filename.temp_file "tce-faults-journal" ".jsonl" in
+  let spawned = ref 0 in
+  let spawn ~exe:_ ~argv:_ ~stdout:_ ~stderr:_ =
+    incr spawned;
+    raise (Unix.Unix_error (Unix.EAGAIN, "fork", ""))
+  in
+  let campaign ?resume seed =
+    Campaign.run ~spawn ~log_dir ~supervise:cfg ~journal_path:path ?resume
+      ~spec ~seed ~shards:2 ~worker_args:[] roster
+  in
+  ignore (campaign 1);
+  let before = In_channel.with_open_bin path In_channel.input_all in
+  let tried = !spawned in
+  (match campaign ~resume:path 2 with
+  | _ -> Alcotest.fail "seed 1's journal was replayed under seed 2"
+  | exception Failure msg ->
+    Alcotest.(check bool) "names the journal" true
+      (Astring.String.is_infix ~affix:path msg));
+  Alcotest.(check int) "no worker spawned" tried !spawned;
+  Alcotest.(check string) "the journal is untouched" before
+    (In_channel.with_open_bin path In_channel.input_all);
+  Sys.remove path
+
+let test_resume_refuses_headerless_journal () =
+  let path, lines = abc_journal () in
+  write_lines path (List.tl lines);
+  expect_refused ~path ~names:[ "bench a b c" ] (fun ran ->
+      string_cells ~ran [ "a"; "b"; "c" ]);
+  (* a journal with no complete line is no refusal: it resumes nothing *)
+  write_lines path ~torn:"torn-fragment" [];
+  let s =
+    run_strings ~resume:path ~journal_path:path
+      (string_cells [ "a"; "b"; "c" ])
+  in
+  Alcotest.(check (list int)) "nothing replayed" [] s.Shard.resumed;
+  Alcotest.(check int) "every row computed" 3 (List.length s.Shard.rows);
   Sys.remove path
 
 (* --- EINTR restart (Supervise.run under a 5ms interval timer) --- *)
@@ -419,7 +560,7 @@ let test_shard_logs_utc_stamped () =
 
 let test_merge_names_missing () =
   let names i = List.nth_opt [ "fib"; "tak"; "deopt-storm" ] i in
-  match Shard.merge_rows ~names ~what:"bench-row" ~expected:3 [ (1, "b") ] with
+  match Shard.merge_rows ~names ~what:"bench" ~expected:3 [ (1, "b") ] with
   | Ok _ -> Alcotest.fail "expected a missing-rows error"
   | Error e ->
     let has affix = Astring.String.is_infix ~affix e in
@@ -429,7 +570,7 @@ let test_merge_names_missing () =
 
 let test_merge_quarantined_holes () =
   match
-    Shard.merge_rows ~quarantined:[ 1 ] ~what:"bench-row" ~expected:3
+    Shard.merge_rows ~quarantined:[ 1 ] ~what:"bench" ~expected:3
       [ (2, "c"); (0, "a") ]
   with
   | Ok merged ->
@@ -660,10 +801,11 @@ let test_e2e_resume_from_truncated_journal () =
   in
   Alcotest.(check string) "full supervised run byte-identical"
     (normalized_json serial) (normalized_json full);
-  (* keep two complete rows plus a torn fragment, as a parent crash would *)
+  (* keep the header and two complete rows plus a torn fragment, as a
+     parent crash would *)
   let lines =
     match Store.journal_lines journal_path with
-    | Ok (a :: b :: _) -> [ a; b ]
+    | Ok (h :: a :: b :: _) -> [ h; a; b ]
     | Ok _ -> Alcotest.fail "journal too short"
     | Error e -> Alcotest.fail e
   in
@@ -758,6 +900,14 @@ let () =
         [
           Alcotest.test_case "torn final line dropped" `Quick
             test_journal_drops_torn_line;
+          Alcotest.test_case "resume refuses another matrix's journal" `Quick
+            test_resume_refuses_foreign_journal;
+          Alcotest.test_case "resume refuses a reordered matrix" `Quick
+            test_resume_refuses_reordered_matrix;
+          Alcotest.test_case "resume refuses a headerless journal" `Quick
+            test_resume_refuses_headerless_journal;
+          Alcotest.test_case "resume refuses another fault seed's journal"
+            `Quick test_campaign_resume_refuses_other_seed;
         ] );
       ( "eintr",
         [

@@ -284,11 +284,11 @@ let test_e2e_resume_mid_grid () =
   in
   Alcotest.(check string) "full supervised run byte-identical"
     (sweep_bytes serial) (sweep_bytes full);
-  (* keep two complete cells plus a torn fragment, as a parent crash
-     mid-grid would leave behind *)
+  (* keep the header and two complete cells plus a torn fragment, as a
+     parent crash mid-grid would leave behind *)
   let lines =
     match Store.journal_lines journal_path with
-    | Ok (a :: b :: _) -> [ a; b ]
+    | Ok (h :: a :: b :: _) -> [ h; a; b ]
     | Ok _ -> Alcotest.fail "journal too short"
     | Error e -> Alcotest.fail e
   in

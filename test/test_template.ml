@@ -405,14 +405,14 @@ let test_merged_record_deterministic () =
             Result.bind
               (Tce_obs.Json.of_string
                  (Tce_obs.Json.to_string
-                    (Shard.row_to_json Runner.bench_codec ~index:i r)))
-              (Shard.row_of_json Runner.bench_codec)
+                    (Shard.row_to_json Shard.cell_codec ~index:i r)))
+              (Shard.row_of_json Shard.cell_codec)
           with
           | Ok row -> row
           | Error e -> Alcotest.failf "row round-trip: %s" e)
         order
     in
-    match Shard.merge_rows ~what:"bench-row" ~expected:(List.length ws) rows' with
+    match Shard.merge_rows ~what:"bench" ~expected:(List.length ws) rows' with
     | Error e -> Alcotest.failf "merge: %s" e
     | Ok merged ->
       Record.normalize_run
@@ -454,7 +454,7 @@ let test_campaign_row_round_trip () =
             (Shard.row_to_json Campaign.codec ~index:9 cell)))
       (Shard.row_of_json Campaign.codec)
   with
-  | Error e -> Alcotest.failf "fault-cell round-trip: %s" e
+  | Error e -> Alcotest.failf "fault cell round-trip: %s" e
   | Ok (i, c) ->
     Alcotest.(check int) "index survives the wire" 9 i;
     Alcotest.(check bool) "cell survives the wire" true (c = cell)
