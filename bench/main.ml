@@ -393,10 +393,12 @@ let finish_cache ?oc = function
     ignore (Cache.prune ~dir:(Cache.dir c) ())
 
 (* The roster figures are views of the runner's rows: [Rows (`All, f)]
-   reads all 55 workloads, [Rows (`Selected, f)] the paper's 26. *)
+   reads all 55 workloads, [Rows (`Selected, f)] the paper's 26. An
+   ablation reads the rows of its own cells. *)
 type experiment =
   | Plain of (unit -> unit)
   | Rows of [ `All | `Selected ] * (Experiments.input list -> unit)
+  | Cells of Experiments.ablation
 
 let experiments =
   [
@@ -409,10 +411,10 @@ let experiments =
     ("fig9", Rows (`Selected, Experiments.print_fig9));
     ("overheads", Rows (`Selected, Experiments.print_overheads));
     ("census", Rows (`All, Experiments.print_census));
-    ("cc-sweep", Plain Ablation.cc_geometry_sweep);
-    ("ablation", Plain Ablation.poly_sweep);
-    ("hoisting", Plain Ablation.hoisting_sweep);
-    ("checked-load", Plain Ablation.checked_load_comparison);
+    ("cc-sweep", Cells Experiments.cc_sweep);
+    ("ablation", Cells Experiments.poly_sweep);
+    ("hoisting", Cells Experiments.hoisting);
+    ("checked-load", Cells Experiments.checked_load);
   ]
 
 (* The rows of [ws] through the default cell cache: one serial run in this
@@ -453,6 +455,8 @@ let fig_cmd =
             | Plain f -> f ()
             | Rows (`All, f) -> f (Lazy.force inputs)
             | Rows (`Selected, f) -> f (Experiments.selected (Lazy.force inputs))
+            | Cells a ->
+              Experiments.print_ablation a (Tce_runner.Runner.run_pairs ~cache a.pairs)
           with
           | () -> false
           | exception e ->
@@ -473,15 +477,17 @@ let fig_cmd =
 let csv_cmd =
   let csv () =
     let cache = Cache.create () in
-    Experiments.write_csvs (figure_inputs cache Workloads.all);
+    Experiments.write_csvs
+      ~run_pairs:(Tce_runner.Runner.run_pairs ~cache)
+      (figure_inputs cache Workloads.all);
     finish_cache (Some cache);
     0
   in
   Cmd.v
     (Cmd.info "csv"
        ~doc:
-         "Write every figure's rows to results/*.csv, from the roster's rows \
-          through the cell cache.")
+         "Write every figure's and ablation's rows to results/*.csv, from \
+          the runner's rows through the cell cache.")
     Term.(const csv $ const ())
 
 let workload_conv lookup =
@@ -776,7 +782,7 @@ let bench_cmd =
               instruction), so these runs are separate from the
               steady-state numbers saved above. *)
            let module R = Tce_prof.Report in
-           let profs = Tce_runner.Runner.run_profiles r.ws in
+           let profs = List.map (fun w -> Harness.run_pair_profiled w) r.ws in
            let pairs =
              List.map
                (fun (p : Harness.profiled) ->

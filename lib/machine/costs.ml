@@ -74,7 +74,6 @@ let baseline_op_instrs : Tce_jit.Bytecode.bc -> int = function
     is on (movClassID / movClassIDArray + the special-store opcode). *)
 let mechanism_store_extra = 2
 
-(** Slow-path work charged inside the baseline tier (IC misses etc.). *)
-let ic_miss_instrs = 80  (* runtime lookup + IC patching *)
+(** Slow-path work charged inside the baseline tier. *)
 let transition_instrs = 30
 let deopt_transition_instrs = 120

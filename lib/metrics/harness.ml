@@ -21,6 +21,8 @@ type result = {
   whole_instrs : int;
   whole_guards : int;
   whole_by_cat : int array;
+  whole_deopts : int;
+  whole_cc_exceptions : int;
   by_cat : int array;  (** optimized-tier instructions per category *)
   by_check_kind : int array;
       (** [C_check] executions per {!Tce_jit.Categories.check_kind} (slot 0 =
@@ -146,6 +148,8 @@ let run ?(config = E.default_config) (w : Workload.t) : result =
   let whole_instrs = Counters.total_instrs cw in
   let whole_guards = cw.Counters.guards_obj_load in
   let whole_by_cat = Array.copy cw.Counters.by_cat in
+  let whole_deopts = cw.Counters.deopts in
+  let whole_cc_exceptions = cw.Counters.cc_exception_deopts in
   let c = Counters.since cw snap in
   let opt_cycles = E.opt_cycles t - cycles0 in
   let baseline_cycles =
@@ -180,6 +184,8 @@ let run ?(config = E.default_config) (w : Workload.t) : result =
     whole_instrs;
     whole_guards;
     whole_by_cat;
+    whole_deopts;
+    whole_cc_exceptions;
     by_cat = Array.copy c.Counters.by_cat;
     by_check_kind = Array.copy c.Counters.by_check_kind;
     opt_instrs = Counters.opt_instrs c;
@@ -221,18 +227,29 @@ let check_agree (w : Workload.t) ~off ~on =
       (Printf.sprintf "%s: checksum mismatch (off=%s on=%s)" w.Workload.name
          off on)
 
-(** Run mechanism-off and mechanism-on and check that the checksums agree. *)
-let run_pair ?(config = E.default_config) (w : Workload.t) : result * result =
+(** Run mechanism-off and mechanism-on under [config], check that the
+    checksums agree, and return both results with the host seconds each
+    side took (informational: every simulated number is deterministic). *)
+let run_pair_timed ?(config = E.default_config) (w : Workload.t) :
+    result * result * float * float =
+  let t0 = Unix.gettimeofday () in
   let off = run ~config:{ config with E.mechanism = false } w in
+  let t1 = Unix.gettimeofday () in
   let on = run ~config:{ config with E.mechanism = true } w in
+  let t2 = Unix.gettimeofday () in
   check_agree w ~off:off.checksum ~on:on.checksum;
+  (off, on, t1 -. t0, t2 -. t1)
+
+(** {!run_pair_timed} without the wall times. *)
+let run_pair ?config (w : Workload.t) : result * result =
+  let off, on, _, _ = run_pair_timed ?config w in
   (off, on)
 
-(** The inputs of the paper's roster figures that the runner's row does
-    not already carry: what Figures 1–3, 8 and 9, the §5.3 overheads and
-    the hidden-class census read of one mechanism-off / mechanism-on pair
-    besides the row's whole-run cycles, object-load guards and Class
-    Cache counts. Plain data, so structural equality compares two blocks. *)
+(** What the paper's figures (1–3, 8, 9, the §5.3 overheads, the census)
+    and Ablations B and C read of one mechanism-off / mechanism-on pair
+    besides the runner row's whole-run cycles, object-load guards, check
+    counts and Class Cache counts. Plain data, so structural equality
+    compares two blocks. *)
 module Figures = struct
   type t = {
     whole_instrs_off : int;
@@ -255,6 +272,9 @@ module Figures = struct
     heap_header_extra_bytes_on : int;
     obj_loads_total_on : int;
     obj_loads_first_line_on : int;
+    whole_deopts_on : int;
+    whole_cc_exceptions_on : int;
+    ccops_on : int;  (** steady-state [C_ccop] instructions *)
   }
 
   let of_pair (off : result) (on : result) : t =
@@ -278,6 +298,9 @@ module Figures = struct
       heap_header_extra_bytes_on = on.heap_header_extra_bytes;
       obj_loads_total_on = on.obj_loads_total;
       obj_loads_first_line_on = on.obj_loads_first_line;
+      whole_deopts_on = on.whole_deopts;
+      whole_cc_exceptions_on = on.whole_cc_exceptions;
+      ccops_on = on.by_cat.(Tce_jit.Categories.index Tce_jit.Categories.C_ccop);
     }
 
   module J = Tce_obs.Json
@@ -307,6 +330,9 @@ module Figures = struct
         ("heap_header_extra_bytes_on", J.Int f.heap_header_extra_bytes_on);
         ("obj_loads_total_on", J.Int f.obj_loads_total_on);
         ("obj_loads_first_line_on", J.Int f.obj_loads_first_line_on);
+        ("whole_deopts_on", J.Int f.whole_deopts_on);
+        ("whole_cc_exceptions_on", J.Int f.whole_cc_exceptions_on);
+        ("ccops_on", J.Int f.ccops_on);
       ]
 
   let ( let* ) = Result.bind
@@ -351,6 +377,9 @@ module Figures = struct
     let* heap_header_extra_bytes_on = int "heap_header_extra_bytes_on" in
     let* obj_loads_total_on = int "obj_loads_total_on" in
     let* obj_loads_first_line_on = int "obj_loads_first_line_on" in
+    let* whole_deopts_on = int "whole_deopts_on" in
+    let* whole_cc_exceptions_on = int "whole_cc_exceptions_on" in
+    let* ccops_on = int "ccops_on" in
     Ok
       {
         whole_instrs_off;
@@ -372,21 +401,11 @@ module Figures = struct
         heap_header_extra_bytes_on;
         obj_loads_total_on;
         obj_loads_first_line_on;
+        whole_deopts_on;
+        whole_cc_exceptions_on;
+        ccops_on;
       }
 end
-
-(** [run_pair] under {!E.default_config} plus the host wall-clock seconds
-    each side took [(off, on, wall_off, wall_on)]. The wall times are
-    informational (they depend on the host machine and load); every
-    simulated number in the two results stays deterministic. *)
-let run_pair_timed (w : Workload.t) : result * result * float * float =
-  let t0 = Unix.gettimeofday () in
-  let off = run ~config:{ E.default_config with E.mechanism = false } w in
-  let t1 = Unix.gettimeofday () in
-  let on = run ~config:{ E.default_config with E.mechanism = true } w in
-  let t2 = Unix.gettimeofday () in
-  check_agree w ~off:off.checksum ~on:on.checksum;
-  (off, on, t1 -. t0, t2 -. t1)
 
 (* --- cycle-attribution profiling --- *)
 

@@ -117,6 +117,8 @@ let base_parts ?config () =
     ( "config",
       match config with
       | None -> default_config_hash
+      | Some config when config == Tce_engine.Engine.default_config ->
+        default_config_hash
       | Some config -> Store.config_hash ~config () );
     ("schema", string_of_int Tce_obs.Export.schema_version);
     ("sim", sim_fingerprint ());

@@ -29,9 +29,6 @@ type stats = {
 
 type t
 
-val default_max_bytes : int
-(** Default size bound for {!prune} (256 MiB). *)
-
 val create : ?dir:string -> unit -> t
 (** A cache handle over [dir] (default {!Store.cache_dir}) with fresh
     zeroed counters. The directory is created lazily on first {!store}. *)
@@ -43,9 +40,6 @@ val counts : t option -> int * int
     handle subtract a snapshot to count one invocation's lookups. *)
 
 val dir : t -> string
-
-val hit_ratio : stats -> float
-(** [hits / (hits + misses)]; 0 when nothing was looked up. *)
 
 val key : (string * string) list -> string
 (** Digest of labelled identity parts, canonicalized by label sort — key
@@ -80,7 +74,7 @@ val size_bytes : ?dir:string -> unit -> int
 
 val prune : ?dir:string -> ?max_bytes:int -> unit -> int * int
 (** Evict least-recently-used cells until the cache fits in [max_bytes]
-    (default {!default_max_bytes}); returns [(files_removed,
+    (default 256 MiB); returns [(files_removed,
     bytes_freed)]. *)
 
 val print_stats : ?oc:out_channel -> ?label:string -> stats -> unit

@@ -41,9 +41,6 @@ type outcome =
   | Masked
   | Not_exercised
 
-val outcome_name : outcome -> string
-val outcome_of_name : string -> outcome option
-
 type cell = {
   workload : string;
   point : string;  (** fault-point CLI name, {!Tce_fault.Point.name} *)

@@ -315,12 +315,205 @@ let print_census (inputs : input list) =
   print_string (Table.render ~headers:[ "benchmark"; "hidden classes" ] rows);
   print_newline ()
 
+(* --- Ablations (EXPERIMENTS.md "Ablations") ---
+   An ablation is a fixed list of (config, workload) pair cells, run as
+   every roster row is ({!Runner.run_pairs}: the cell cache, then
+   [Harness.run_pair] under the cell's config), and a table over their
+   rows, which come back in pair order. *)
+
+module E = Tce_engine.Engine
+
+(** A table entry: a count, a percentage, or a speedup with the dynamic
+    checks left. *)
+type value = N of int | P of float | P_chk of float * int
+
+type ablation = {
+  title : string;  (** the lines above the table *)
+  headers : string list;
+  pairs : (E.config * Workload.t) list;
+  rows : Record.cell list -> (string * value list) list;
+  pct : float -> string;  (** how the table prints a percentage *)
+  note : string;  (** the lines below it *)
+  csv : string * string list;  (** the CSV's file name and headers *)
+}
+
+(* one row's entries as strings: [chk] gets a formatted speedup and its
+   check count *)
+let strings ~pct ~chk (label, vs) =
+  label
+  :: List.concat_map
+       (function
+         | N n -> [ string_of_int n ] | P p -> [ pct p ] | P_chk (p, k) -> chk (pct p) k)
+       vs
+
+let print_ablation a cells =
+  let chk p k = [ Printf.sprintf "%s (chk %d)" p k ] in
+  print_string a.title;
+  print_string
+    (Table.render ~headers:a.headers (List.map (strings ~pct:a.pct ~chk) (a.rows cells)));
+  print_string a.note
+
+(* [items] with their [per] consecutive cells each *)
+let per_item items ~per (cells : Record.cell list) =
+  let a = Array.of_list cells in
+  List.combine items
+    (List.init (Array.length a / per) (fun i -> Array.to_list (Array.sub a (i * per) per)))
+
+let improvement base opt =
+  Stats.improvement ~base:(float_of_int base) ~opt:(float_of_int opt)
+
+(** A: each of [ws] under each Class Cache geometry [(entries, ways)]:
+    the steady-state hit rate. *)
+let cc_sweep_of ~geometries ws =
+  let headers =
+    "workload" :: List.map (fun (e, w) -> Printf.sprintf "%dx%dw" e w) geometries
+  in
+  let config (entries, ways) =
+    { E.default_config with E.cc_config = { Tce_core.Class_cache.entries; ways } }
+  in
+  {
+    title = "Ablation A — Class Cache geometry vs hit rate (128x2 is the paper's pick)\n";
+    headers;
+    pairs = List.concat_map (fun w -> List.map (fun g -> (config g, w)) geometries) ws;
+    rows =
+      (fun cells ->
+        List.map
+          (fun ((w : Workload.t), cs) ->
+            (w.Workload.name, List.map (fun (r, _) -> P (100.0 *. r.Record.cc_hit_rate_on)) cs))
+          (per_item ws ~per:(List.length geometries) cells));
+    pct = Printf.sprintf "%.3f%%";
+    note = "\n";
+    csv = ("ablation_a.csv", headers);
+  }
+
+(** B: each profile-breaking store [fraction] of {!Synthetic.poly}, over
+    the whole run: the ValidMap is one-way, so a profile breaks at most
+    once and the cost is paid in the transient, where the steady-state
+    window does not look. *)
+let poly_sweep_of fractions =
+  {
+    title =
+      "Ablation B — speedup and exceptions vs fraction of profile-breaking stores\n\
+       (whole-run measurement: breakage costs are transient by design)\n";
+    headers =
+      [ "poly fraction"; "cycles off"; "cycles on"; "speedup"; "cc-exceptions"; "deopts" ];
+    pairs = List.map (fun f -> (E.default_config, Synthetic.poly f)) fractions;
+    rows =
+      List.map2
+        (fun fraction ((r, f) : Record.cell) ->
+          let f = Option.get f in
+          let off = int_of_float r.Record.whole_cycles_off
+          and on = int_of_float r.Record.whole_cycles_on in
+          ( Printf.sprintf "%.4f" fraction,
+            [ N off; N on; P (improvement off on); N f.F.whole_cc_exceptions_on;
+              N f.F.whole_deopts_on ] ))
+        fractions;
+    pct;
+    note = "\n";
+    csv =
+      ( "ablation_b.csv",
+        [ "poly_fraction"; "whole_cycles_off"; "whole_cycles_on"; "speedup_pct";
+          "cc_exceptions"; "deopts" ] );
+  }
+
+(** C: movClassIDArray hoisting (paper §4.2.1.3) off, then on, over
+    {!Synthetic.elem_stores} of each size: steady-state optimized cycles
+    and Class Cache ops. *)
+let hoisting_of sizes =
+  {
+    title = "Ablation C — movClassIDArray loop hoisting on/off\n";
+    headers =
+      [ "workload"; "cycles unhoisted"; "cycles hoisted"; "gain"; "ccops unhoisted";
+        "ccops hoisted" ];
+    pairs =
+      List.concat_map
+        (fun n ->
+          let w = Synthetic.elem_stores n in
+          [ ({ E.default_config with E.hoisting = false }, w); (E.default_config, w) ])
+        sizes;
+    rows =
+      (fun cells ->
+        List.map
+          (fun (n, cs) ->
+            match List.map (fun (_, f) -> Option.get f) cs with
+            | [ off; on ] ->
+              ( Printf.sprintf "elem-stores-%d" n,
+                [ N off.F.opt_cycles_on; N on.F.opt_cycles_on;
+                  P (improvement off.F.opt_cycles_on on.F.opt_cycles_on);
+                  N off.F.ccops_on; N on.F.ccops_on ] )
+            | _ -> assert false)
+          (per_item sizes ~per:2 cells));
+    pct;
+    note = "\n";
+    csv =
+      ( "ablation_c.csv",
+        [ "workload"; "cycles_unhoisted"; "cycles_hoisted"; "gain_pct";
+          "ccops_unhoisted"; "ccops_hoisted" ] );
+  }
+
+(** D: the related work (paper §2) on each of [ws], steady state. Checked
+    Load performs property-load checks implicitly in hardware but never
+    removes them; the Class Cache removes them. A benchmark's default cell
+    gives the base (mechanism off) and the Class Cache (on); the
+    mechanism-off side of its [checked_load] cell gives Checked Load. *)
+let checked_load_of ws =
+  {
+    title = "Ablation D — Checked Load (implicit checks) vs Class Cache (removed checks)\n";
+    headers =
+      [ "benchmark"; "cycles base"; "checked-load speedup"; "class-cache speedup";
+        "checks base" ];
+    pairs =
+      List.concat_map
+        (fun w -> [ (E.default_config, w); ({ E.default_config with E.checked_load = true }, w) ])
+        ws;
+    rows =
+      (fun cells ->
+        List.map
+          (fun ((w : Workload.t), cs) ->
+            match cs with
+            | [ (r, Some b); (cl, Some cl_f) ] ->
+              let speedup = improvement b.F.opt_cycles_off in
+              ( w.Workload.name,
+                [ N b.F.opt_cycles_off;
+                  P_chk (speedup cl_f.F.opt_cycles_off, cl.Record.checks_off);
+                  P_chk (speedup b.F.opt_cycles_on, r.Record.checks_on);
+                  N r.Record.checks_off ] )
+            | _ -> assert false)
+          (per_item ws ~per:2 cells));
+    pct;
+    note =
+      "(Checked Load fuses only property-load map checks; the Class Cache also\n\
+       removes SMI/Non-SMI checks and untag guards — paper §2 vs §4.3)\n\n";
+    csv =
+      ( "ablation_d.csv",
+        [ "benchmark"; "cycles_base"; "checked_load_speedup_pct"; "checked_load_checks";
+          "class_cache_speedup_pct"; "class_cache_checks"; "checks_base" ] );
+  }
+
+(* A's synthetic workloads make ~3 hidden classes per constructor (the
+   transition chain), so 8, 24 and 48 classes need about 24, 72 and 144
+   Class Cache entries: the last exceeds the paper's 128x2 pick. *)
+let cc_sweep =
+  cc_sweep_of
+    ~geometries:[ (8, 2); (16, 2); (32, 2); (64, 2); (128, 1); (128, 2); (128, 4); (256, 2) ]
+    (List.map Synthetic.classes [ 8; 24; 48 ] @ [ Option.get (Workloads.by_name "ai-astar") ])
+
+let poly_sweep = poly_sweep_of [ 0.0; 0.0001; 0.001; 0.01; 0.1 ]
+let hoisting = hoisting_of [ 32; 128; 512 ]
+
+let checked_load =
+  checked_load_of
+    (List.filter_map Workloads.by_name [ "ai-astar"; "richards"; "deltablue"; "box2d"; "3d-cube" ])
+
+let ablations = [ cc_sweep; poly_sweep; hoisting; checked_load ]
+
 (* --- CSV export --- *)
 
 (** Write every figure's rows as CSV under [dir] (plots, spreadsheets):
     Figure 1 over all of [inputs], the others over their {!selected}
-    subset. *)
-let write_csvs ?(dir = "results") (inputs : input list) =
+    subset; then each of {!ablations} over its cells, as [run_pairs]
+    returns them. *)
+let write_csvs ?(dir = "results") ~run_pairs (inputs : input list) =
   let sel = selected inputs in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let save name headers rows =
@@ -350,4 +543,10 @@ let write_csvs ?(dir = "results") (inputs : input list) =
     (List.map (fun r -> [ r.f8_name; f r.whole; f r.opt ]) (fig8 sel));
   save "fig9.csv"
     [ "benchmark"; "whole_app_energy_reduction"; "optimized_energy_reduction" ]
-    (List.map (fun r -> [ r.f9_name; f r.e_whole; f r.e_opt ]) (fig9 sel))
+    (List.map (fun r -> [ r.f9_name; f r.e_whole; f r.e_opt ]) (fig9 sel));
+  let chk p k = [ p; string_of_int k ] in
+  List.iter
+    (fun a ->
+      save (fst a.csv) (snd a.csv)
+        (List.map (strings ~pct:f ~chk) (a.rows (run_pairs a.pairs))))
+    ablations

@@ -56,9 +56,6 @@ val check_run :
   unit ->
   report
 
-(** Per-workload delta table plus a PASS/FAIL summary line, to stdout. *)
-val print_report : baseline:Record.run -> current:Record.run -> report -> unit
-
 (** Load the baseline, re-run its roster (narrowed to [names] when
     non-empty; workloads resolved through [resolve], default the global
     registry) through {!Runner.run_suite} ([shards] and [supervise] as

@@ -6,35 +6,31 @@
     supervised worker ([--shards N]); only the host wall-clock fields
     depend on scheduling. Results always come back in input order. *)
 
-(** Measure one workload (mechanism off + on) and build its record,
-    through the in-process mode of {!Shard.run}. With [cache], the
-    content-addressed cell cache is consulted first: a hit returns the
-    stored row (wall clocks zeroed) without simulating, a miss simulates
-    and installs the wall-zeroed row. Cached and fresh rows agree on
-    every simulated field ({!Record.equal_deterministic}). *)
+(** Measure one workload (mechanism off + on) and build its record
+    through {!run_pairs}: with [cache], a hit returns the stored row (wall
+    clocks zeroed) without simulating, a miss simulates and installs it.
+    Cached and fresh rows agree on every simulated field. *)
 val run_one :
   ?cache:Cache.t ->
   Tce_workloads.Workload.t ->
   Record.workload
 
-(** Measure one workload unconditionally (never consults the cache), under
-    {!Tce_engine.Engine.default_config}. The sweep does not come through
-    here: it simulates each workload's mechanism-off half once and each
-    cell's mechanism-on half at the cell's geometry ({!Sweep.cells}). *)
-val simulate_one : Tce_workloads.Workload.t -> Record.cell
-
-(** Profile the roster serially, one
-    {!Tce_metrics.Harness.run_pair_profiled} per workload — fresh engines
-    and a fresh profile per side. Results come back in input order. *)
-val run_profiles :
-  Tce_workloads.Workload.t list ->
-  Tce_metrics.Harness.profiled list
-
-(** The roster as a matrix: cell [i] is the off/on pair of workload [i],
-    worker subcommand [bench]. *)
+(** The roster as a matrix: cell [i] is the off/on pair of workload [i]
+    under the default config, worker subcommand [bench]. *)
 val bench_cells :
   Tce_workloads.Workload.t list ->
   Record.cell Shard.cells
+
+(** The cells of [pairs] in input order, each the off/on pair of a
+    workload under a config ({!Tce_metrics.Harness.run_pair_timed}), keyed
+    {!Cache.bench_key} [~config]: serially in this process, through
+    {!Shard.run} and, with [cache], the cell cache. The sweep does not come
+    through here: it simulates each workload's mechanism-off half once
+    ({!Sweep.cells}). *)
+val run_pairs :
+  ?cache:Cache.t ->
+  (Tce_engine.Engine.config * Tce_workloads.Workload.t) list ->
+  Record.cell list
 
 (** Run the roster through {!Shard.run} over {!bench_cells} and stamp a
     provenance-stamped {!Record.run} (git SHA, config hash, wall clock,

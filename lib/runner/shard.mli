@@ -39,9 +39,6 @@ val merge_rows :
   (int * 'a) list ->
   ('a list, string) result
 
-(** Default parent-side worker stderr directory (["results/shard_logs"]). *)
-val default_log_dir : string
-
 (** {1 Rows} *)
 
 (** How one row's payload crosses the process boundary, and

@@ -15,8 +15,6 @@ val prof_latest_path : string
 
 val baseline_path : string  (** ["results/baseline.json"] *)
 
-val journal_dir : string  (** ["results/journal"] *)
-
 val bench_journal_path : string
 (** ["results/journal/bench.jsonl"] — the supervised bench driver's
     crash-safe row journal: a [journal] header line naming the matrix,

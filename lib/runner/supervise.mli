@@ -71,13 +71,6 @@ val default_config : config
     profiling timers) can interrupt [select]/[read]/[waitpid] mid-drain,
     and the only correct response is to retry. *)
 
-val select_restart :
-  Unix.file_descr list ->
-  Unix.file_descr list ->
-  Unix.file_descr list ->
-  float ->
-  Unix.file_descr list * Unix.file_descr list * Unix.file_descr list
-
 val read_restart : Unix.file_descr -> Bytes.t -> int -> int -> int
 val waitpid_restart : Unix.wait_flag list -> int -> int * Unix.process_status
 

@@ -40,12 +40,6 @@ val point_name : point -> string
 val config_of_point : point -> Tce_engine.Engine.config
 (** {!Tce_engine.Engine.default_config} with this point's geometry. *)
 
-val cost_bytes : point -> int
-(** Geometry cost proxy in bytes of SRAM:
-    [entries * (2 + 3 + cl_size) + 16 * ways] — generalizes
-    {!Tce_core.Class_cache.storage_bytes} by the swept Class List size
-    plus per-way replacement overhead. Only ratios matter. *)
-
 (** A parsed spec: sorted, deduplicated values per axis. *)
 type axes = { ax_entries : int list; ax_ways : int list; ax_sizes : int list }
 
@@ -150,7 +144,8 @@ val save : ?latest:string -> ?dir:string -> t -> string option
 
 val load : string -> (t, string) result
 
-(** Per-point objective summary ([s_cost] = {!cost_bytes};
+(** Per-point objective summary ([s_cost] is the geometry's SRAM cost
+    proxy in bytes, [entries * (2 + 3 + cl_size) + 16 * ways];
     removal/speedup over the summed rows). *)
 type summary = {
   s_point : point;
@@ -176,13 +171,6 @@ val dominates : summary -> summary -> bool
 
 val frontier : summary list -> summary list
 (** The non-dominated subset, input order preserved. *)
-
-val cheapest_within : ?slack_pct:float -> summary list ->
-  (summary * summary) option
-(** [(default, best)]: the cheapest geometry whose check-removal rate is
-    within [slack_pct] (default 1.0) points of the default point's.
-    [None] when the default point is absent or nothing cheaper
-    qualifies. *)
 
 val baseline_check : ?baseline_path:string -> t -> (string, string) result
 (** One report line checking the default geometry's rows against the

@@ -41,8 +41,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-(** Pick a uniformly random element. *)
-let choose t arr =
-  if Array.length arr = 0 then invalid_arg "Prng.choose: empty";
-  arr.(int t (Array.length arr))

@@ -20,6 +20,3 @@ val chance : t -> float -> bool
 
 (** In-place Fisher-Yates shuffle. *)
 val shuffle : t -> 'a array -> unit
-
-(** @raise Invalid_argument on an empty array. *)
-val choose : t -> 'a array -> 'a

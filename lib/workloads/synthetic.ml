@@ -1,6 +1,6 @@
-(** Parameterized synthetic workload generators for the ablation studies:
-    polymorphism-degree sweeps, hidden-class-count sweeps, and store/load
-    ratio sweeps. All generated MiniJS is deterministic. *)
+(** Parameterized synthetic workload generators for the ablation studies
+    (polymorphism-degree and hidden-class-count sweeps) and the ablations'
+    workloads. All generated MiniJS is deterministic. *)
 
 open Tce_support
 
@@ -80,6 +80,58 @@ let class_count_sweep ~n_classes ~props_per_class ~rounds =
   add "      acc = (acc + o.p0) & 268435455;\n";
   add "    }\n  }\n  return acc;\n}\n";
   Buffer.contents buf
+
+(* --- the ablations' workloads: 10 iterations, the harness protocol; the
+   suite is nominal, since none of them joins [Workloads.all] --- *)
+
+let workload name source =
+  Workload.make ~suite:Workload.Octane ~selected:false name source
+
+(** [classes-N] (Ablation A): {!class_count_sweep} over [n] constructors
+    of 2 properties, 60 rounds. *)
+let classes n =
+  workload
+    (Printf.sprintf "classes-%d" n)
+    (class_count_sweep ~n_classes:n ~props_per_class:2 ~rounds:60)
+
+(** [poly-F] (Ablation B): {!poly_sweep} over 4 classes and 64 objects,
+    60 rounds, with profile-breaking fraction [f]. *)
+let poly f =
+  workload
+    (Printf.sprintf "poly-%.4f" f)
+    (poly_sweep ~n_classes:4 ~poly_fraction:f ~objs:64 ~rounds:60)
+
+(** [elem-stores-N] (Ablation C): stores into an [n]-element array of a
+    value from a global cell holding a [K] object. Its class is constant
+    at run time (the array's profile stays valid, so special stores are
+    emitted) but statically opaque (so the compiler cannot prove them
+    safe away): what movClassIDArray hoisting acts on. *)
+let elem_stores n =
+  workload
+    (Printf.sprintf "elem-stores-%d" n)
+    (Printf.sprintf
+       {|
+function K(v) { this.v = v; }
+var box = {arr: array_new(0)};
+var gk = new K(7);
+function setup() {
+  for (var i = 0; i < %d; i++) { push(box.arr, new K(i)); }
+}
+setup();
+function bench() {
+  var a = box.arr;
+  var n = a.length;
+  var acc = 0;
+  for (var r = 0; r < 24; r++) {
+    for (var i = 0; i < n; i++) {
+      a[i] = gk;
+      acc = (acc + a[i].v) & 268435455;
+    }
+  }
+  return acc;
+}
+|}
+       n)
 
 (** Deterministic random object graph for property-based engine tests:
     small programs exercising objects, arrays, arithmetic and control flow

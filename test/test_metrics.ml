@@ -131,6 +131,149 @@ let test_table1_runs () =
   in
   Alcotest.(check bool) "SpeculateMap set" true any_speculation
 
+(* --- the ablations: views of cached runner rows ---
+
+   Reference copies of the measurement protocols the ablations used
+   before their tables became views of runner rows. Each drives the
+   engine itself, on a cheap subset of every ablation's cells. *)
+
+module E = Tce_engine.Engine
+module Experiments = Tce_runner.Experiments
+module Synthetic = Tce_workloads.Synthetic
+
+(* set-up and 9 warm-up calls unmeasured, then counters reset and one
+   measured call: the engine and the measured call's optimized cycles *)
+let ref_steady ~config (w : Tce_workloads.Workload.t) =
+  let t = E.of_source ~config w.Tce_workloads.Workload.source in
+  E.set_measuring t false;
+  ignore (E.run_main t);
+  for _ = 1 to 9 do
+    ignore (E.call_by_name t "bench" [||])
+  done;
+  E.reset_measurement t;
+  let c0 = E.opt_cycles t in
+  E.set_measuring t true;
+  ignore (E.call_by_name t "bench" [||]);
+  (t, E.opt_cycles t - c0)
+
+(* A: steady-state Class Cache hit rate (%) *)
+let ref_hit_rate ~config w =
+  let t, _ = ref_steady ~config w in
+  100.0 *. Tce_core.Class_cache.hit_rate t.E.cc
+
+(* B: whole run measured from the first instruction: (cycles,
+   cc-exceptions, deopts) *)
+let ref_whole ~config (w : Tce_workloads.Workload.t) =
+  let t = E.of_source ~config w.Tce_workloads.Workload.source in
+  E.set_measuring t true;
+  ignore (E.run_main t);
+  for _ = 1 to 10 do
+    ignore (E.call_by_name t "bench" [||])
+  done;
+  let c = t.E.counters in
+  ( E.opt_cycles t + int_of_float (E.baseline_cycles t),
+    c.Tce_machine.Counters.cc_exception_deopts,
+    c.Tce_machine.Counters.deopts )
+
+(* C: steady-state (optimized cycles, C_ccop instructions) *)
+let ref_hoisting ~config w =
+  let t, cycles = ref_steady ~config w in
+  (cycles, Tce_machine.Counters.cat t.E.counters Tce_jit.Categories.C_ccop)
+
+(* D: steady-state (optimized cycles, dynamic checks) of one Harness.run *)
+let ref_checks ~config w =
+  let r = Harness.run ~config w in
+  (r.Harness.opt_cycles, r.Harness.by_cat.(0))
+
+let improvement base opt =
+  Tce_support.Stats.improvement ~base:(float_of_int base) ~opt:(float_of_int opt)
+
+(* the views' table entries; constructors only, so no view code is
+   shared with the reference *)
+type value = Experiments.value = N of int | P of float | P_chk of float * int
+
+let value =
+  Alcotest.testable
+    (fun ppf -> function
+      | N n -> Format.fprintf ppf "%d" n
+      | P p -> Format.fprintf ppf "%h" p
+      | P_chk (p, k) -> Format.fprintf ppf "%h (chk %d)" p k)
+    ( = )
+
+let test_ablations_match_reference () =
+  let geometries = [ (32, 2); (64, 2) ] and a_ws = [ Synthetic.classes 48 ] in
+  let fractions = [ 0.0; 0.0001 ] and sizes = [ 32 ] in
+  let d_ws = [ Option.get (Tce_workloads.Workloads.by_name "deltablue") ] in
+  let cache_dir = Filename.temp_file "tce-ablation-cache" "" in
+  Sys.remove cache_dir;
+  (* every view through one cache: (rows, misses) *)
+  let views () =
+    let cache = Tce_runner.Cache.create ~dir:cache_dir () in
+    let rows (a : Experiments.ablation) =
+      a.Experiments.rows (Tce_runner.Runner.run_pairs ~cache a.Experiments.pairs)
+    in
+    ( rows (Experiments.cc_sweep_of ~geometries a_ws)
+      @ rows (Experiments.poly_sweep_of fractions)
+      @ rows (Experiments.hoisting_of sizes)
+      @ rows (Experiments.checked_load_of d_ws),
+      (Tce_runner.Cache.stats cache).Tce_runner.Cache.misses )
+  in
+  let cold, _ = views () in
+  let cc entries ways =
+    { E.default_config with E.cc_config = { Tce_core.Class_cache.entries; ways } }
+  in
+  let a =
+    List.map
+      (fun (w : Tce_workloads.Workload.t) ->
+        ( w.Tce_workloads.Workload.name,
+          List.map (fun (e, ways) -> P (ref_hit_rate ~config:(cc e ways) w))
+            geometries ))
+      a_ws
+  in
+  let b =
+    List.map
+      (fun f ->
+        let w = Synthetic.poly f in
+        let off, _, _ = ref_whole ~config:{ E.default_config with E.mechanism = false } w in
+        let on, exc, deopts = ref_whole ~config:E.default_config w in
+        ( Printf.sprintf "%.4f" f,
+          [ N off; N on; P (improvement off on); N exc; N deopts ] ))
+      fractions
+  in
+  let c =
+    List.map
+      (fun n ->
+        let w = Synthetic.elem_stores n in
+        let c_off, ops_off =
+          ref_hoisting ~config:{ E.default_config with E.hoisting = false } w
+        in
+        let c_on, ops_on = ref_hoisting ~config:E.default_config w in
+        ( Printf.sprintf "elem-stores-%d" n,
+          [ N c_off; N c_on; P (improvement c_off c_on); N ops_off; N ops_on ] ))
+      sizes
+  in
+  let d =
+    List.map
+      (fun (w : Tce_workloads.Workload.t) ->
+        let base = { E.default_config with E.mechanism = false } in
+        let c0, k0 = ref_checks ~config:base w in
+        let c1, k1 = ref_checks ~config:{ base with E.checked_load = true } w in
+        let c2, k2 = ref_checks ~config:E.default_config w in
+        ( w.Tce_workloads.Workload.name,
+          [ N c0; P_chk (improvement c0 c1, k1); P_chk (improvement c0 c2, k2); N k0 ] ))
+      d_ws
+  in
+  List.iter2
+    (fun (name, expected) (name', got) ->
+      Alcotest.(check string) "row" name name';
+      Alcotest.(check (list value)) name expected got)
+    (a @ b @ c @ d) cold;
+  let warm, misses = views () in
+  Alcotest.(check int) "a second run simulates nothing" 0 misses;
+  Alcotest.(check bool) "warm views equal cold" true (warm = cold);
+  Array.iter (fun f -> Sys.remove (Filename.concat cache_dir f)) (Sys.readdir cache_dir);
+  Sys.rmdir cache_dir
+
 let () =
   Alcotest.run "metrics"
     [
@@ -150,5 +293,7 @@ let () =
         [
           Alcotest.test_case "rows well-formed" `Quick test_experiment_rows_well_formed;
           Alcotest.test_case "table 1" `Quick test_table1_runs;
+          Alcotest.test_case "ablations equal the reference protocols" `Quick
+            test_ablations_match_reference;
         ] );
     ]

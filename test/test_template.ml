@@ -394,9 +394,7 @@ let test_merge_rows_failures () =
    run. *)
 let test_merged_record_deterministic () =
   let ws = List.map workload [ "richards"; "deltablue"; "crypto-md5" ] in
-  let rows =
-    List.mapi (fun i w -> (i, Runner.simulate_one w)) ws
-  in
+  let rows = List.mapi (fun i _ -> (i, (Runner.bench_cells ws).Shard.run i)) ws in
   let through_wire order =
     let rows' =
       List.map
