@@ -94,7 +94,7 @@ let check_campaign path ref_path =
   let load p =
     match Tce_runner.Campaign.load p with
     | Ok c -> c
-    | Error e -> fail "%s: %s" p e
+    | Error e -> fail "%s" e
   in
   let cur = load path in
   match Tce_runner.Campaign.diff_cells ~reference:(load ref_path) cur with

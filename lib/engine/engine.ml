@@ -103,6 +103,22 @@ let default_config =
     prof = Tce_prof.Profile.null;
   }
 
+(* The fields below are read only where a run of the other mechanism
+   setting cannot reach them: Class List and Class Cache state only under
+   [cfg.mechanism] ({!fire_store_event}, the machine's store path and
+   [Opt.compute_hoists]; [CL.create] allocates [65536 * entry_bytes]
+   whatever the geometry), Checked Load only under [not mechanism]
+   ([Opt.gen_op]'s [GetProp] lowering). *)
+let effective_config c =
+  if c.mechanism then { c with checked_load = default_config.checked_load }
+  else
+    {
+      c with
+      hoisting = default_config.hoisting;
+      cc_config = default_config.cc_config;
+      cl_config = default_config.cl_config;
+    }
+
 type t = {
   cfg : config;
   heap : Heap.t;

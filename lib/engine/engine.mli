@@ -61,6 +61,13 @@ type config = {
 
 val default_config : config
 
+(** [c] with every field that a run with [c.mechanism] cannot read reset
+    to {!default_config}'s, so two configs with the same effective config
+    simulate bit-identically. A mechanism-off run reads no [cc_config],
+    [cl_config] or [hoisting]; a mechanism-on run reads no
+    [checked_load]. *)
+val effective_config : config -> config
+
 type t = {
   cfg : config;
   heap : Tce_vm.Heap.t;

@@ -228,21 +228,11 @@ let check_agree (w : Workload.t) ~off ~on =
          off on)
 
 (** Run mechanism-off and mechanism-on under [config], check that the
-    checksums agree, and return both results with the host seconds each
-    side took (informational: every simulated number is deterministic). *)
-let run_pair_timed ?(config = E.default_config) (w : Workload.t) :
-    result * result * float * float =
-  let t0 = Unix.gettimeofday () in
+    checksums agree, and return both results. *)
+let run_pair ?(config = E.default_config) (w : Workload.t) : result * result =
   let off = run ~config:{ config with E.mechanism = false } w in
-  let t1 = Unix.gettimeofday () in
   let on = run ~config:{ config with E.mechanism = true } w in
-  let t2 = Unix.gettimeofday () in
   check_agree w ~off:off.checksum ~on:on.checksum;
-  (off, on, t1 -. t0, t2 -. t1)
-
-(** {!run_pair_timed} without the wall times. *)
-let run_pair ?config (w : Workload.t) : result * result =
-  let off, on, _, _ = run_pair_timed ?config w in
   (off, on)
 
 (** What the paper's figures (1–3, 8, 9, the §5.3 overheads, the census)

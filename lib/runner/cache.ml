@@ -148,23 +148,13 @@ let fault_key ?config ~spec ~seed (w : W.t) : string =
 
 let cell_path t k = Filename.concat t.dir (k ^ ".json")
 
-let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error _ -> None
-  | text -> Some text
-
 (** Look the key up. A hit touches the file's mtime (the LRU clock
     {!prune} evicts by) and counts toward [hits]/[bytes_read]; a missing
     or unparseable file is a miss (a corrupt file — torn by a crashed
     host, not by us — is deleted so it cannot go on masking the slot). *)
 let find t ~key:k : J.t option =
   let path = cell_path t k in
-  match read_file path with
+  match Result.to_option (Store.read_file path) with
   | None ->
     with_lock t (fun () -> t.stats.misses <- t.stats.misses + 1);
     None

@@ -332,13 +332,7 @@ let diff_cells ~reference t =
         Some (Printf.sprintf "%s/%s: not in the reference" c.workload c.point))
     t.cells
 
-let load path : (t, string) result =
-  if not (Sys.file_exists path) then Error (path ^ ": no such file")
-  else
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match J.of_string s with Error e -> Error e | Ok j -> of_json j
+let load path : (t, string) result = Store.read_json path of_json
 
 (* --- execution --- *)
 

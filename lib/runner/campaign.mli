@@ -181,6 +181,7 @@ val of_json : Tce_obs.Json.t -> (t, string) result
     when [dir] is [""], which turns the copy off. *)
 val save : ?latest:string -> ?dir:string -> t -> string option
 
+(** Read a saved campaign ({!Store.read_json}: errors name the path). *)
 val load : string -> (t, string) result
 
 (** The cells of [t] that differ from the cell of the same (workload,

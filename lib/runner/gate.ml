@@ -230,10 +230,10 @@ let run_gate ?(baseline_path = Store.baseline_path)
         baseline_path baseline_path
     else
       Printf.eprintf
-        "gate: baseline %s is unreadable or malformed: %s\n\
+        "gate: baseline unreadable or malformed: %s\n\
          Regenerate it from a known-good checkout:\n\
         \  dune exec bench/main.exe -- bench --out %s\n"
-        baseline_path msg baseline_path;
+        msg baseline_path;
     2
   | Ok baseline ->
     (* Run exactly the baseline's roster (optionally narrowed to [names])

@@ -1,6 +1,6 @@
 (** Benchmark-roster execution (see runner.mli).
 
-    Each cell is measured by {!Tce_metrics.Harness.run_pair_timed} in a
+    Each half of a cell is measured by {!Tce_metrics.Harness.run} in a
     freshly built engine; nothing in the stack below it is shared or
     mutable across instances (the simulator is deterministic given the
     source and config), so where a cell runs — this process or a
@@ -10,14 +10,38 @@ module H = Tce_metrics.Harness
 module W = Tce_workloads.Workload
 module E = Tce_engine.Engine
 
-let simulate_one ?config (w : W.t) : Record.cell =
-  let off, on, wall_off, wall_on = H.run_pair_timed ?config w in
-  (Record.of_pair ~wall_off ~wall_on off on, Some (H.Figures.of_pair off on))
+let timed_run config w =
+  let t0 = Unix.gettimeofday () in
+  let r = H.run ~config w in
+  (r, Unix.gettimeofday () -. t0)
 
 let pair_cells ~argv (pairs : (E.config * W.t) list) : Record.cell Shard.cells =
   let arr = Array.of_list pairs in
   (* parsed on first use only: workers and in-process runs never schedule *)
   let cost = lazy (Store.baseline_cost_of_workload ()) in
+  (* A half reads only its workload and its effective config, so the
+     cells of one workload share equal halves: the first cell to need one
+     simulates it and reports its host time, the others reuse it and
+     report 0. A workload's cells all run in one process, sharded or not.
+     A workload with one cell keys and keeps nothing. *)
+  let shared =
+    lazy
+      (let cells = Hashtbl.create 64 in
+       Array.iter (fun (_, (w : W.t)) -> Hashtbl.add cells w.W.name ()) arr;
+       fun (w : W.t) -> List.compare_length_with (Hashtbl.find_all cells w.W.name) 1 > 0)
+  in
+  let halves = Hashtbl.create 16 in
+  let half config w =
+    if not (Lazy.force shared w) then timed_run config w
+    else
+      let k = Cache.bench_key ~config:(E.effective_config config) w in
+      match Hashtbl.find_opt halves k with
+      | Some r -> (r, 0.0)
+      | None ->
+        let r, wall = timed_run config w in
+        Hashtbl.add halves k r;
+        (r, wall)
+  in
   {
     Shard.codec = Shard.cell_codec;
     argv;
@@ -26,7 +50,13 @@ let pair_cells ~argv (pairs : (E.config * W.t) list) : Record.cell Shard.cells =
     workload = (fun i -> (snd arr.(i)).W.name);
     cost = (fun i -> Lazy.force cost (snd arr.(i)));
     key = (fun i -> Cache.bench_key ~config:(fst arr.(i)) (snd arr.(i)));
-    run = (fun i -> simulate_one ~config:(fst arr.(i)) (snd arr.(i)));
+    run =
+      (fun i ->
+        let config, w = arr.(i) in
+        let off, wall_off = half { config with E.mechanism = false } w in
+        let on, wall_on = half { config with E.mechanism = true } w in
+        H.check_agree w ~off:off.H.checksum ~on:on.H.checksum;
+        (Record.of_pair ~wall_off ~wall_on off on, Some (H.Figures.of_pair off on)));
   }
 
 let bench_cells (ws : W.t list) : Record.cell Shard.cells =

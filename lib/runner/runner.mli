@@ -1,4 +1,5 @@
-(** Benchmark-roster execution.
+(** The (config, workload) pair-cell driver and benchmark-roster
+    execution.
 
     Engine instances are self-contained and the simulator is
     deterministic, so every simulated number in the records is
@@ -15,18 +16,27 @@ val run_one :
   Tce_workloads.Workload.t ->
   Record.workload
 
+(** The one (config, workload) cell matrix: cell [i] is the off/on pair
+    of [pairs.(i)]'s workload under its config, keyed {!Cache.bench_key}
+    [~config], worker subcommand and identity [argv]. Each half is
+    simulated by {!Tce_metrics.Harness.run} once per process: among the
+    cells of one workload, a half equal to one already simulated (same
+    {!Tce_engine.Engine.effective_config}) is reused and its cell reports
+    a 0.0 wall time for it. A workload with one cell keys and keeps no
+    half. *)
+val pair_cells :
+  argv:string list ->
+  (Tce_engine.Engine.config * Tce_workloads.Workload.t) list ->
+  Record.cell Shard.cells
+
 (** The roster as a matrix: cell [i] is the off/on pair of workload [i]
     under the default config, worker subcommand [bench]. *)
 val bench_cells :
   Tce_workloads.Workload.t list ->
   Record.cell Shard.cells
 
-(** The cells of [pairs] in input order, each the off/on pair of a
-    workload under a config ({!Tce_metrics.Harness.run_pair_timed}), keyed
-    {!Cache.bench_key} [~config]: serially in this process, through
-    {!Shard.run} and, with [cache], the cell cache. The sweep does not come
-    through here: it simulates each workload's mechanism-off half once
-    ({!Sweep.cells}). *)
+(** The cells of [pairs] in input order ({!pair_cells}): serially in this
+    process, through {!Shard.run} and, with [cache], the cell cache. *)
 val run_pairs :
   ?cache:Cache.t ->
   (Tce_engine.Engine.config * Tce_workloads.Workload.t) list ->

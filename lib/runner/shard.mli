@@ -76,7 +76,7 @@ val longest_first_order : cost:('a -> float option) -> 'a list -> int array
     worker rebuild the same matrix; [name] labels cell [i] in
     diagnostics; [workload] names the workload it runs (the supervised
     mode runs a workload's cells in one worker process, so per-process
-    set-up such as a campaign's [prep] or a sweep's off half runs once);
+    set-up such as a campaign's [prep] or a shared pair half runs once);
     [cost] is its committed baseline cost (longest-first order and
     progress deadlines; only the supervised mode forces it); [key] its
     cell-cache key; [run] computes it in this process. Indices run over

@@ -219,6 +219,19 @@ let save ?(latest = latest_path) (r : Record.run) =
 let save_prof ?(latest = prof_latest_path) (doc : J.t) =
   Tce_obs.Export.to_file ~path:latest doc
 
+(* --- reading files --- *)
+
+let read_file path : (string, string) result =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Ok text
+  | exception Sys_error msg ->
+    (* opening names the path already; reading a directory does not *)
+    Error (if String.starts_with ~prefix:(path ^ ": ") msg then msg else path ^ ": " ^ msg)
+
+let read_json path decode =
+  Result.bind (read_file path) (fun text ->
+      Result.map_error (fun e -> path ^ ": " ^ e) (Result.bind (J.of_string text) decode))
+
 (* --- the crash-safe row journal ---
 
    A header line, then one line per completed shard row ([row]
@@ -244,34 +257,21 @@ let journal_append j line =
 let journal_close j = close_out j.j_oc
 
 let journal_lines path : (string list, string) result =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | text ->
-    (* only lines terminated by '\n' count: a truncated final line is the
-       expected signature of a crash mid-append and is silently dropped *)
-    let lines = String.split_on_char '\n' text in
-    let rec keep = function
-      | [] | [ _ ] -> []
-      | l :: rest -> l :: keep rest
-    in
-    (* [keep] drops the final fragment: "" when the file ends in '\n', the
-       torn line when a crash interrupted the last append *)
-    Ok (List.filter (fun l -> l <> "") (keep lines))
+  Result.map
+    (fun text ->
+      (* only lines terminated by '\n' count: a truncated final line is
+         the expected signature of a crash mid-append and is silently
+         dropped *)
+      let rec keep = function
+        | [] | [ _ ] -> []
+        | l :: rest -> l :: keep rest
+      in
+      (* [keep] drops the final fragment: "" when the file ends in '\n',
+         the torn line when a crash interrupted the last append *)
+      List.filter (fun l -> l <> "") (keep (String.split_on_char '\n' text)))
+    (read_file path)
 
-let load path : (Record.run, string) result =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | text -> Result.bind (J.of_string text) Record.run_of_json
+let load path : (Record.run, string) result = read_json path Record.run_of_json
 
 let file_version path =
   match Unix.stat path with

@@ -94,6 +94,15 @@ val save : ?latest:string -> Record.run -> unit
     {!prof_latest_path}). *)
 val save_prof : ?latest:string -> Tce_obs.Json.t -> unit
 
+(** The whole of a file. Every failure, a missing path or a directory
+    included, is an [Error] that names the path. *)
+val read_file : string -> (string, string) result
+
+(** [read_json path decode] parses the file at [path] as JSON and decodes
+    it; every error names [path]. *)
+val read_json :
+  string -> (Tce_obs.Json.t -> ('a, string) result) -> ('a, string) result
+
 (** Parse a stored run (the latest file or a committed baseline). *)
 val load : string -> (Record.run, string) result
 

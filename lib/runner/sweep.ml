@@ -4,7 +4,6 @@
 
 module J = Tce_obs.Json
 module W = Tce_workloads.Workload
-module H = Tce_metrics.Harness
 module E = Tce_engine.Engine
 module CC = Tce_core.Class_cache
 module CL = Tce_core.Class_list
@@ -213,51 +212,17 @@ let expand_or_fail axes =
 let cells ~axes (ws : W.t list) : Record.cell Shard.cells =
   let points, _ = expand_or_fail axes in
   let m = Array.of_list (matrix points ws) in
-  let cost = lazy (Store.baseline_cost_of_workload ()) in
-  (* The mechanism-off half runs the baseline core, which has no Class
-     Cache or Class List, so it is the same at every point: simulate it
-     once per workload this process runs, at the default geometry. A
-     sharded run gives each workload's cells to one worker process, so
-     the table is filled once per workload per run, sharded or not. The
-     cell that simulates it reports its host time; the others report 0. *)
-  let off_halves = Array.make (List.length ws) None in
-  let off_half i w =
-    let col = i mod Array.length off_halves in
-    match off_halves.(col) with
-    | Some off -> (off, 0.0)
-    | None ->
-      let t0 = Unix.gettimeofday () in
-      let off = H.run ~config:{ E.default_config with E.mechanism = false } w in
-      off_halves.(col) <- Some off;
-      (off, Unix.gettimeofday () -. t0)
+  let c =
+    Runner.pair_cells
+      ~argv:("sweep" :: axes_to_string axes :: List.map (fun (w : W.t) -> w.W.name) ws)
+      (List.map (fun (p, w) -> (config_of_point p, w)) (Array.to_list m))
   in
   {
-    Shard.codec = Shard.cell_codec;
-    argv =
-      "sweep" :: axes_to_string axes
-      :: List.map (fun (w : W.t) -> w.W.name) ws;
-    count = Array.length m;
-    name =
+    c with
+    Shard.name =
       (fun i ->
         let p, w = m.(i) in
         Printf.sprintf "%s@%s" w.W.name (point_name p));
-    workload = (fun i -> (snd m.(i)).W.name);
-    cost = (fun i -> Lazy.force cost (snd m.(i)));
-    key =
-      (fun i ->
-        let p, w = m.(i) in
-        Cache.bench_key ~config:(config_of_point p) w);
-    run =
-      (fun i ->
-        let p, w = m.(i) in
-        let off, wall_off = off_half i w in
-        let t0 = Unix.gettimeofday () in
-        let on =
-          H.run ~config:{ (config_of_point p) with E.mechanism = true } w
-        in
-        let wall_on = Unix.gettimeofday () -. t0 in
-        H.check_agree w ~off:off.H.checksum ~on:on.H.checksum;
-        (Record.of_pair ~wall_off ~wall_on off on, Some (H.Figures.of_pair off on)));
   }
 
 let run ?exe ?spawn ?log_dir ?supervise
@@ -417,16 +382,7 @@ let save ?(latest = Store.sweep_latest_path) ?(dir = Store.sweeps_dir) (t : t)
     Some path
   end
 
-let load path : (t, string) result =
-  if not (Sys.file_exists path) then Error (path ^ ": no such file")
-  else
-    let ic = open_in_bin path in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    Result.bind (J.of_string s) of_json
+let load path : (t, string) result = Store.read_json path of_json
 
 (* --- Pareto analysis --- *)
 

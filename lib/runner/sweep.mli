@@ -21,8 +21,9 @@
     cells flow through the content-addressed cell cache ({!Cache})
     unchanged — a repeated sweep performs zero simulations, and changing
     one axis value re-simulates only that axis's cells. The
-    mechanism-off half of a pair does not depend on the geometry, so a
-    process simulates it once per workload, not once per point.
+    mechanism-off half of a pair does not depend on the geometry, so the
+    pair driver ({!Runner.pair_cells}) simulates it once per workload,
+    not once per point.
 
     Reports rank points on three objectives: simulated mechanism-on
     cycles (minimize), dynamic check removal (maximize) and a geometry
@@ -90,19 +91,14 @@ val normalize : t -> t
 
 val cells : axes:axes -> Tce_workloads.Workload.t list ->
   Record.cell Shard.cells
-(** {!matrix} as a {!Shard.cells} matrix of {!Shard.cell_codec} rows,
-    worker subcommand [sweep SPEC] with the
-    canonical spec, so a worker re-expands the same grid. A cell is
-    {!Record.of_pair}, with its figure inputs, of the workload's
-    mechanism-off half under
-    {!Tce_engine.Engine.default_config}, simulated by the first cell of
-    that workload these cells run and kept for the rest, and its own
-    mechanism-on half under {!config_of_point}. Every simulated field
-    equals {!Tce_metrics.Harness.run_pair} under {!config_of_point}; a
-    cell that reuses the off half reports [wall_seconds_off] 0. The
-    default point's cells share their cell-cache entries with the
-    roster's ({!Runner.bench_cells}), so both write the figure block;
-    {!t} keeps only the rows.
+(** {!matrix} as {!Runner.pair_cells} over [(config_of_point p, w)],
+    worker subcommand [sweep SPEC NAMES…] with the canonical spec, so a
+    worker re-expands the same grid, and cells named [workload@point].
+    The mechanism-off half does not read the geometry, so a process
+    simulates it once per workload; a cell that reuses it reports
+    [wall_seconds_off] 0. The default point's cells share their
+    cell-cache entries with the roster's ({!Runner.bench_cells}), so both
+    write the figure block; {!t} keeps only the rows.
     @raise Failure when the grid is empty, or from a cell when the two
     halves' checksums differ. *)
 
@@ -142,6 +138,7 @@ val of_json : Tce_obs.Json.t -> (t, string) result
     path, or [None] when [dir] is [""], which turns the copy off. *)
 val save : ?latest:string -> ?dir:string -> t -> string option
 
+(** Read a saved sweep ({!Store.read_json}: errors name the path). *)
 val load : string -> (t, string) result
 
 (** Per-point objective summary ([s_cost] is the geometry's SRAM cost

@@ -6,8 +6,9 @@
    (b) the gate passes a clean run and fails an injected slowdown (library
        verdicts and end-to-end exit codes);
    (c) run records round-trip through the Tce_obs.Json store format, a
-       stored run is one file, and the scheduler's baseline cost table
-       follows its file;
+       stored run is one file, the scheduler's baseline cost table
+       follows its file, and the document loaders name a path they cannot
+       read;
    (d) the provenance SHA is resolved from synthetic repository layouts,
        streams packed-refs, and matches git's own answer on this
        checkout. *)
@@ -395,6 +396,31 @@ let test_rejects_wrong_kind () =
   | Ok _ -> Alcotest.fail "accepted a non-bench-run document"
   | Error e -> Alcotest.(check bool) "error is descriptive" true (e <> "")
 
+(* The three document loaders report a path they cannot read, a
+   directory included, as an Error naming it rather than raising. *)
+let test_loaders_name_the_path () =
+  let dir = Filename.get_temp_dir_name () in
+  let missing = Filename.concat dir "tce-no-such-document.json" in
+  List.iter
+    (fun (what, load) ->
+      List.iter
+        (fun path ->
+          match load path with
+          | Ok () -> Alcotest.failf "%s %s: loaded" what path
+          | Error e ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s %s: %S names the path" what path e)
+              true
+              (Astring.String.is_infix ~affix:path e)
+          | exception e ->
+            Alcotest.failf "%s %s raised %s" what path (Printexc.to_string e))
+        [ dir; missing ])
+    [
+      ("Store.load", fun p -> Result.map ignore (Store.load p));
+      ("Sweep.load", fun p -> Result.map ignore (Sweep.load p));
+      ("Campaign.load", fun p -> Result.map ignore (Campaign.load p));
+    ]
+
 (* --- provenance: git_sha from the repository files --- *)
 
 let sha_a = "0123456789abcdef0123456789abcdef01234567"
@@ -568,6 +594,8 @@ let () =
             test_run_json_round_trip_through_text;
           Alcotest.test_case "file round-trip" `Quick test_store_file_round_trip;
           Alcotest.test_case "rejects wrong kind" `Quick test_rejects_wrong_kind;
+          Alcotest.test_case "loaders name an unreadable path" `Quick
+            test_loaders_name_the_path;
           Alcotest.test_case "baseline costs follow the file" `Quick
             test_baseline_costs_follow_the_file;
           Alcotest.test_case "store writes one file per run" `Quick

@@ -13,10 +13,13 @@
    (f) end-to-end: a supervised sweep over the real bench binary is
        byte-identical to the in-process run, and resuming from a torn
        mid-grid journal completes with resume provenance;
-   (g) shared off halves: the mechanism-off run does not depend on the
-       geometry, a sweep's rows equal the per-cell pair at each point, and
-       a sweep simulates each workload's off half once;
-   (h) save with dir "" writes the latest document and no archive. *)
+   (g) shared off halves: a half does not depend on the config fields it
+       cannot read, a sweep's rows equal the per-cell pair at each point,
+       and a sweep simulates each workload's off half once;
+   (h) the pair driver: a matrix shaped like the ablations simulates each
+       distinct half of a workload once, and no half is shared across
+       workloads;
+   (i) save with dir "" writes the latest document and no archive. *)
 
 open Tce_runner
 module W = Tce_workloads.Workload
@@ -317,10 +320,12 @@ let by_names names =
       | None -> Alcotest.failf "%s missing from the registry" n)
     names
 
-(* The sweep simulates the mechanism-off half once, at the default
-   geometry, and reuses it at every point: that is sound only because the
-   baseline core never touches the Class Cache or the Class List. *)
-let test_off_half_ignores_geometry () =
+(* The pair driver simulates each distinct half once per process, keyed
+   by Engine.effective_config: that is sound only because a
+   mechanism-off run never touches the Class Cache, the Class List or
+   hoisting, and a mechanism-on run never emits a Checked Load. *)
+let test_half_ignores_unread_fields () =
+  let module E = Tce_engine.Engine in
   let off p =
     { (Sweep.config_of_point p) with Tce_engine.Engine.mechanism = false }
   in
@@ -336,8 +341,14 @@ let test_off_half_ignores_geometry () =
         [
           { Sweep.entries = 32; ways = 1; cl_size = 1 };
           { Sweep.entries = 256; ways = 4; cl_size = 4 };
-        ])
-    (by_names [ "stanford-crypto-ccm"; "deopt-storm"; "controlflow-recursive" ])
+        ];
+      let d = E.default_config in
+      if compare default (at { d with E.mechanism = false; hoisting = false }) <> 0 then
+        Alcotest.failf "%s: mechanism-off result differs without hoisting" w.W.name;
+      if compare (at d) (at { d with E.checked_load = true }) <> 0 then
+        Alcotest.failf "%s: mechanism-on result differs under checked_load" w.W.name)
+    (by_names [ "stanford-crypto-ccm"; "deopt-storm"; "controlflow-recursive" ]
+    @ [ Tce_workloads.Synthetic.elem_stores 32 ])
 
 let shared_roster = by_names [ "controlflow-recursive"; "deopt-storm" ]
 let shared_axes = expect_axes "cc.entries=64,128 cl.size=4,7"
@@ -404,6 +415,62 @@ let test_off_half_once_sharded () =
     serial.Sweep.cells sharded.Sweep.cells;
   check_off_half_once sharded
 
+(* --- the pair driver shares a workload's equal halves --- *)
+
+(* Ablations A's, C's and D's shapes over one workload: three Class Cache
+   geometries, hoisting off and on, and the default config without and
+   with Checked Load. Seven halves are distinct: the default and the
+   Checked Load mechanism-off runs, and five mechanism-on runs. *)
+let shaped_pairs =
+  let module E = Tce_engine.Engine in
+  let d = E.default_config in
+  let geometry entries ways =
+    { d with E.cc_config = { Tce_core.Class_cache.entries; ways } }
+  in
+  List.map
+    (fun c -> (c, Tce_workloads.Synthetic.elem_stores 32))
+    [ geometry 32 1; geometry 64 2; geometry 256 4; { d with E.hoisting = false };
+      d; d; { d with E.checked_load = true } ]
+
+let test_pairs_share_halves () =
+  let module E = Tce_engine.Engine in
+  let module H = Tce_metrics.Harness in
+  let timed = Hashtbl.create 8 in
+  List.iter2
+    (fun (config, w) ((row : Record.workload), figures) ->
+      let off, on = H.run_pair ~config w in
+      let pair = Record.of_pair ~wall_off:0.0 ~wall_on:0.0 off on in
+      if not (Record.equal_deterministic row pair) then
+        Alcotest.failf "%s: a row differs from its cell's pair" w.W.name;
+      if figures <> Some (H.Figures.of_pair off on) then
+        Alcotest.failf "%s: a figure block differs from its cell's pair" w.W.name;
+      List.iter
+        (fun (mechanism, wall) ->
+          let half = E.effective_config { config with E.mechanism } in
+          let k = Cache.bench_key ~config:half w in
+          let n = Option.value ~default:0 (Hashtbl.find_opt timed k) in
+          Hashtbl.replace timed k (if wall > 0.0 then n + 1 else n))
+        [ (false, row.Record.wall_seconds_off); (true, row.Record.wall_seconds_on) ])
+    shaped_pairs (Runner.run_pairs shaped_pairs);
+  Alcotest.(check int) "distinct halves" 7 (Hashtbl.length timed);
+  Hashtbl.iter
+    (fun _ n -> Alcotest.(check int) "one row timed each distinct half" 1 n)
+    timed
+
+(* Halves are shared within a workload only: two workloads of one source
+   each simulate both their halves. *)
+let test_no_sharing_across_workloads () =
+  let src =
+    "function bench() { var s = 0; for (var i = 0; i < 40; i++) { s = (s + i) & 1023; } \
+     return s; }"
+  in
+  let r = Runner.run_suite [ mk_workload "twin-a" src; mk_workload "twin-b" src ] in
+  List.iter
+    (fun (w : Record.workload) ->
+      if not (w.Record.wall_seconds_off > 0.0 && w.Record.wall_seconds_on > 0.0) then
+        Alcotest.failf "%s: a half was not simulated" w.Record.name)
+    r.Record.workloads
+
 (* --- save without an archive --- *)
 
 let test_save_without_archive () =
@@ -463,13 +530,20 @@ let () =
       ( "off-half",
         [
           Alcotest.test_case "mechanism-off ignores geometry" `Slow
-            test_off_half_ignores_geometry;
+            test_half_ignores_unread_fields;
           Alcotest.test_case "rows equal per-cell pairs" `Slow
             test_rows_equal_per_cell_pairs;
           Alcotest.test_case "off half simulated once" `Slow
             test_off_half_simulated_once;
           Alcotest.test_case "off half once per workload, sharded" `Slow
             test_off_half_once_sharded;
+        ] );
+      ( "pairs",
+        [
+          Alcotest.test_case "equal halves of a workload simulated once" `Quick
+            test_pairs_share_halves;
+          Alcotest.test_case "no halves shared across workloads" `Quick
+            test_no_sharing_across_workloads;
         ] );
       ( "save",
         [
