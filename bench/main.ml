@@ -302,17 +302,8 @@ let program_arg =
 
 (* Run a program to a warm state: main once, then bench() (when present)
    ten times, so hot functions are optimized and profiles populated. *)
-let warm_engine ?(config = Tce_engine.Engine.default_config) input =
-  let t = Tce_engine.Engine.of_source ~config (program_source input) in
-  Tce_engine.Engine.set_measuring t false;
-  ignore (Tce_engine.Engine.run_main t);
-  (match Tce_jit.Bytecode.find_func t.Tce_engine.Engine.prog "bench" with
-  | Some _ ->
-    for _ = 1 to 10 do
-      ignore (Tce_engine.Engine.call_by_name t "bench" [||])
-    done
-  | None -> ());
-  t
+let warm_engine ?config input =
+  fst (Harness.warm ?config ~iterations:10 (program_source input))
 
 let opt_dump_cmd =
   let fname = Arg.(required & pos 1 (some string) None & info [] ~docv:"FUNCTION") in

@@ -6,9 +6,9 @@ let () =
       let name = w.Tce_workloads.Workload.name in
       match
         let interp = Tce_metrics.Harness.interp_checksum w in
-        let off = Tce_metrics.Harness.jit_checksum ~mechanism:false w in
-        let on = Tce_metrics.Harness.jit_checksum ~mechanism:true w in
-        (interp, off, on)
+        (* raises when the two measured sides disagree *)
+        let off, on = Tce_metrics.Harness.run_pair w in
+        (interp, off.Tce_metrics.Harness.checksum, on.Tce_metrics.Harness.checksum)
       with
       | interp, off, on when interp = off && off = on ->
         incr ok;

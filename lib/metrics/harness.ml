@@ -1,9 +1,19 @@
-(** Steady-state measurement harness (paper §5: "executing the benchmark ten
-    times and taking statistics from the tenth iteration").
+(** Execution harness: the one place a workload's program is executed.
+    There are two protocols, one loop each.
 
-    Protocol: run the program's top level (setup), call [bench()]
-    [iterations - 1] times as warm-up (tier-up and Class List profiling
-    happen here), then reset all counters and measure a single call. *)
+    - {!run}, the measured run (paper §5: "executing the benchmark ten
+      times and taking statistics from the tenth iteration"): run the
+      program's top level (setup), call [bench()] [iterations - 1] times
+      as warm-up (tier-up and Class List profiling happen here), then
+      measure a single call. Counters run from the first instruction, so
+      the same execution also gives the whole-run totals. The roster rows,
+      the ablations and the sweep ({!run_pair}), the profiler
+      ({!run_pair_profiled}) and the fault oracle
+      ({!Tce_runner.Campaign.observe}) all use it.
+    - {!warm}, the unmeasured run: the top level, then [bench()] a given
+      number of times with counters off. The interpreter reference
+      ({!interp_checksum}), Table 1's live Class List dump and the CLI's
+      [opt-dump] and [classlist] use it. *)
 
 open Tce_workloads
 module E = Tce_engine.Engine
@@ -14,10 +24,15 @@ type result = {
   workload : Workload.t;
   mechanism : bool;
   checksum : string;  (** display string of the measured bench() result *)
+  observable : string;
+      (** everything the guest program showed: printed output and every
+          bench() result, warm-up included ({!observable}) *)
   (* whole-run measurement (setup + all iterations: includes the baseline
      tier, compilations and deopt transients — the paper's "whole
      application") *)
   whole_cycles : float;
+  whole_opt_cycles : int;
+  whole_baseline_instrs : int;
   whole_instrs : int;
   whole_guards : int;
   whole_by_cat : int array;
@@ -88,18 +103,24 @@ let energy_of ~(c : Counters.t) ~l1_accesses ~l2_accesses ~mem_accesses
   in
   Tce_machine.Energy.compute ev
 
-(** Whole-run measurement: counters on from the first instruction. *)
-let run_whole ~config (w : Workload.t) =
-  let t = E.of_source ~config w.Workload.source in
-  E.set_measuring t true;
-  ignore (E.run_main t);
-  for _ = 1 to w.Workload.iterations do
-    ignore (E.call_by_name t "bench" [||])
-  done;
-  let c = t.E.counters in
-  let cycles = float_of_int (E.opt_cycles t) +. E.baseline_cycles t in
-  (cycles, Counters.total_instrs c, c.Counters.guards_obj_load,
-   Array.copy c.Counters.by_cat, c.Counters.baseline_instrs)
+(** The guest-observable summary of a run that printed through [t] and
+    whose bench() calls returned [values] (display strings, in call
+    order): the printed output, then a digest of every value. Two runs
+    that compute the same thing give the same string. *)
+let observable t values =
+  let buf = Buffer.create 128 in
+  List.iter
+    (fun v ->
+      Buffer.add_string buf v;
+      Buffer.add_char buf '\n')
+    values;
+  E.output t ^ "\x00" ^ Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Call the program's bench() once, pushing the display string of its
+   result onto [values]. *)
+let call_bench t values =
+  let v = E.call_by_name t "bench" [||] in
+  values := Tce_vm.Heap.to_display_string t.E.heap v :: !values
 
 (** Run one workload under one engine configuration.
 
@@ -118,12 +139,14 @@ let run ?(config = E.default_config) (w : Workload.t) : result =
   let phase name =
     if Tce_obs.Trace.on tr then Tce_obs.Trace.emit tr (Tce_obs.Trace.Phase name)
   in
+  (* display strings of the bench() results so far, newest first *)
+  let values = ref [] in
   E.set_measuring t true;
   phase "setup";
   ignore (E.run_main t);
   phase "warmup";
   for _ = 1 to w.Workload.iterations - 1 do
-    ignore (E.call_by_name t "bench" [||])
+    call_bench t values
   done;
   (* the steady-state window opens here *)
   let snap = Counters.copy t.E.counters in
@@ -140,11 +163,12 @@ let run ?(config = E.default_config) (w : Workload.t) : result =
   and cc_h0 = t.E.cc.Tce_core.Class_cache.stats.hits in
   let cycles0 = E.opt_cycles t in
   phase "measure";
-  let v = E.call_by_name t "bench" [||] in
+  call_bench t values;
   E.set_measuring t false;
-  let checksum = Tce_vm.Heap.to_display_string t.E.heap v in
+  let checksum = List.hd !values in
   let cw = t.E.counters in
-  let whole_cycles = float_of_int (E.opt_cycles t) +. E.baseline_cycles t in
+  let whole_opt_cycles = E.opt_cycles t in
+  let whole_cycles = float_of_int whole_opt_cycles +. E.baseline_cycles t in
   let whole_instrs = Counters.total_instrs cw in
   let whole_guards = cw.Counters.guards_obj_load in
   let whole_by_cat = Array.copy cw.Counters.by_cat in
@@ -180,7 +204,10 @@ let run ?(config = E.default_config) (w : Workload.t) : result =
     workload = w;
     mechanism = config.E.mechanism;
     checksum;
+    observable = observable t (List.rev !values);
     whole_cycles;
+    whole_opt_cycles;
+    whole_baseline_instrs = cw.Counters.baseline_instrs;
     whole_instrs;
     whole_guards;
     whole_by_cat;
@@ -409,74 +436,68 @@ type profiled = {
   p_folded_on : string;
 }
 
-(** One profiled whole run (measuring from the first instruction, like
-    {!run_whole} — profiled runs never reset counters, so the baseline-side
-    reconciliation in [summarize] holds). Returns (checksum of the last
-    bench() value, summary, collapsed-stack lines rooted at
-    ["name;on|off"]). *)
-let run_profiled_one ?(config = E.default_config) ~mechanism (w : Workload.t)
-    : string * Tce_prof.Profile.summary * string =
-  let prof = Tce_prof.Profile.create () in
-  let config = { config with E.mechanism; prof } in
-  let t = E.of_source ~config w.Workload.source in
-  E.set_measuring t true;
-  ignore (E.run_main t);
-  let v = ref t.E.heap.Tce_vm.Heap.null_v in
-  for _ = 1 to w.Workload.iterations do
-    v := E.call_by_name t "bench" [||]
-  done;
-  let checksum = Tce_vm.Heap.to_display_string t.E.heap !v in
-  let cpi = config.E.mach_cfg.Tce_machine.Config.baseline_cpi in
-  let summary =
-    Tce_prof.Profile.summarize prof ~program:w.Workload.name ~mechanism
-      ~machine_cycles:(E.opt_cycles t)
-      ~baseline_instrs:t.E.counters.Counters.baseline_instrs ~baseline_cpi:cpi
-      ()
-  in
-  let root = w.Workload.name ^ ";" ^ (if mechanism then "on" else "off") in
-  (checksum, summary, Tce_prof.Profile.folded ~root ~baseline_cpi:cpi prof)
-
-(** Profile both sides of [w], checking the sides agree on the checksum.
-    [verify] additionally reruns each side *unprofiled* and asserts the
-    totals are bit-identical — profiling must never change a simulated
-    number. *)
+(** Profile both sides of [w], each a {!run} under a fresh
+    {!Tce_prof.Profile}: counters run from the first instruction there, so
+    the whole-run totals reconcile with the profile's cells. The sides
+    must agree on the checksum. [verify] additionally reruns each side
+    {e unprofiled} and asserts the totals are bit-identical — profiling
+    must never change a simulated number. *)
 let run_pair_profiled ?(verify = false) ?(config = E.default_config)
     (w : Workload.t) : profiled =
-  let ck_off, p_off, p_folded_off =
-    run_profiled_one ~config ~mechanism:false w
+  let cpi = config.E.mach_cfg.Tce_machine.Config.baseline_cpi in
+  let side mechanism =
+    let prof = Tce_prof.Profile.create () in
+    let r = run ~config:{ config with E.mechanism; prof } w in
+    let summary =
+      Tce_prof.Profile.summarize prof ~program:w.Workload.name ~mechanism
+        ~machine_cycles:r.whole_opt_cycles
+        ~baseline_instrs:r.whole_baseline_instrs ~baseline_cpi:cpi ()
+    in
+    let root = w.Workload.name ^ ";" ^ (if mechanism then "on" else "off") in
+    (r, summary, Tce_prof.Profile.folded ~root ~baseline_cpi:cpi prof)
   in
-  let ck_on, p_on, p_folded_on = run_profiled_one ~config ~mechanism:true w in
-  check_agree w ~off:ck_off ~on:ck_on;
+  let off, p_off, p_folded_off = side false in
+  let on, p_on, p_folded_on = side true in
+  check_agree w ~off:off.checksum ~on:on.checksum;
   if verify then
     List.iter
-      (fun (mech, (s : Tce_prof.Profile.summary)) ->
-        let wc, _, _, _, bi =
-          run_whole ~config:{ config with E.mechanism = mech } w
-        in
-        if bi <> s.Tce_prof.Profile.baseline_instrs
-           || wc <> s.Tce_prof.Profile.total_cycles
+      (fun (p : result) ->
+        let u = run ~config:{ config with E.mechanism = p.mechanism } w in
+        if u.whole_baseline_instrs <> p.whole_baseline_instrs
+           || u.whole_opt_cycles <> p.whole_opt_cycles
         then
           failwith
             (Printf.sprintf
                "%s (mechanism %b): profiling changed simulated results \
-                (unprofiled %.0f cycles / %d baseline instrs, profiled %.0f \
-                / %d)"
-               w.Workload.name mech wc bi s.Tce_prof.Profile.total_cycles
-               s.Tce_prof.Profile.baseline_instrs))
-      [ (false, p_off); (true, p_on) ];
+                (unprofiled %d machine cycles / %d baseline instrs, \
+                profiled %d / %d)"
+               w.Workload.name p.mechanism u.whole_opt_cycles
+               u.whole_baseline_instrs p.whole_opt_cycles
+               p.whole_baseline_instrs))
+      [ off; on ];
   { p_name = w.Workload.name; p_off; p_on; p_folded_off; p_folded_on }
 
-(** Pure-interpreter checksum (ground truth for differential tests). *)
-let interp_checksum ?(config = E.default_config) (w : Workload.t) : string =
-  let t = E.of_source ~config:{ config with E.jit = false } w.Workload.source in
+(** Run [source]'s top level, then [bench()] [iterations] times, with
+    counters off: the one unmeasured execution. Returns the engine, warm
+    (hot functions optimized, profiles populated), and the display string
+    of each bench() result in call order; [[]] when the program defines
+    no [bench]. *)
+let warm ?(config = E.default_config) ~iterations source =
+  let t = E.of_source ~config source in
   E.set_measuring t false;
   ignore (E.run_main t);
-  let v = ref t.E.heap.Tce_vm.Heap.null_v in
-  for _ = 1 to w.Workload.iterations do
-    v := E.call_by_name t "bench" [||]
-  done;
-  Tce_vm.Heap.to_display_string t.E.heap !v
+  let values = ref [] in
+  if Tce_jit.Bytecode.find_func t.E.prog "bench" <> None then
+    for _ = 1 to iterations do
+      call_bench t values
+    done;
+  (t, List.rev !values)
 
-(** Checksum of the measured (last) iteration in full-JIT mode. *)
-let jit_checksum ?(config = E.default_config) ~mechanism (w : Workload.t) : string =
-  (run ~config:{ config with E.mechanism } w).checksum
+(** Pure-interpreter checksum, the display string of the last bench()
+    result: ground truth for differential tests. *)
+let interp_checksum ?(config = E.default_config) (w : Workload.t) : string =
+  let _, values =
+    warm ~config:{ config with E.jit = false } ~iterations:w.Workload.iterations
+      w.Workload.source
+  in
+  List.nth values (w.Workload.iterations - 1)

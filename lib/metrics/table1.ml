@@ -54,14 +54,7 @@ function bench() {
 }
 |}
 
-let run () =
-  let t = E.of_source source in
-  E.set_measuring t false;
-  ignore (E.run_main t);
-  for _ = 1 to 10 do
-    ignore (E.call_by_name t "bench" [||])
-  done;
-  t
+let run () = fst (Harness.warm ~iterations:10 source)
 
 let print () =
   let t = run () in

@@ -25,8 +25,6 @@
 
 (** {1 Machine-side cost kinds} *)
 
-val n_cost : int
-
 val cost_dispatch : int
 val cost_window : int
 val cost_icache : int
@@ -39,17 +37,15 @@ val cost_deopt : int
 
 (** {1 Baseline extras — analytic instruction charges with no bytecode pc} *)
 
-val n_extra : int
 val extra_transition : int
 val extra_elem_grow : int
 val extra_deopt_transition : int
-val extra_names : string array
 
 (** {1 Profiles} *)
 
 type acc
-(** A flat per-function accumulator: machine accs hold [n_pcs * n_cost]
-    cycle cells, baseline accs hold [n_pcs] instruction-count cells. *)
+(** A flat per-function accumulator: machine accs hold one cycle cell per
+    (pc, cost kind), baseline accs one instruction-count cell per pc. *)
 
 type t
 
@@ -112,14 +108,6 @@ val base_extra : t -> int -> int -> unit
 val cost_totals_named : t -> (string * int) array
 (** Running machine-cycle totals per cost kind, in kind order — cheap
     enough to sample from an observability tick. *)
-
-val opt_cells_sum : t -> int
-(** Sum of every machine-side cell (equals total machine cycles when all
-    hooks are in place). *)
-
-val base_cells_sum : t -> int
-(** Sum of every baseline cell plus extras (equals the baseline
-    instruction counter for a run without counter resets). *)
 
 type site = { s_fn : string; s_pc : int; s_label : string; s_cycles : int }
 

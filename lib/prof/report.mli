@@ -36,9 +36,6 @@ val diff_runs : base:pair list -> cur:pair list -> string
 val kind : string
 (** The envelope kind, ["prof-report"]. *)
 
-val pair_to_json : pair -> Tce_obs.Json.t
-val pair_of_json : Tce_obs.Json.t -> (pair, string) result
-
 val suite_doc :
   git_sha:string ->
   config_hash:string ->

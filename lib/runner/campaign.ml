@@ -7,6 +7,8 @@ module Point = Tce_fault.Point
 module Spec = Tce_fault.Spec
 module J = Tce_obs.Json
 
+let ( let* ) = Result.bind
+
 let latest_path = "FAULTS_latest.json"
 let campaigns_dir = Filename.concat "results" "campaigns"
 let default_seed = 0xFA017
@@ -66,10 +68,12 @@ type t = {
 (* --- the differential semantics oracle --- *)
 
 (** Everything a guest program can observe, plus the timing/recovery
-    counters the outcome classifier needs. [observable] folds the printed
-    output together with the display string of {e every} bench() iteration
-    (not just the measured one), so a wrong answer in any warm-up iteration
-    is caught too. *)
+    counters the outcome classifier needs: a projection of
+    {!Tce_metrics.Harness.run}, whose [observable] folds the printed output
+    together with the display string of {e every} bench() iteration (not
+    just the measured one), so a wrong answer in any warm-up iteration is
+    caught too, and whose whole-run counters cover setup and every
+    iteration. *)
 type observation = {
   observable : string;
   cycles : float;
@@ -78,22 +82,12 @@ type observation = {
 }
 
 let observe ~config (w : W.t) : observation =
-  let t = E.of_source ~config w.W.source in
-  E.set_measuring t true;
-  ignore (E.run_main t);
-  let buf = Buffer.create 128 in
-  for _ = 1 to w.W.iterations do
-    let v = E.call_by_name t "bench" [||] in
-    Buffer.add_string buf (Tce_vm.Heap.to_display_string t.E.heap v);
-    Buffer.add_char buf '\n'
-  done;
-  let c = t.E.counters in
+  let r = Tce_metrics.Harness.run ~config w in
   {
-    observable =
-      E.output t ^ "\x00" ^ Digest.to_hex (Digest.string (Buffer.contents buf));
-    cycles = float_of_int (E.opt_cycles t) +. E.baseline_cycles t;
-    deopts = c.Tce_machine.Counters.deopts;
-    cc_exceptions = c.Tce_machine.Counters.cc_exception_deopts;
+    observable = r.observable;
+    cycles = r.whole_cycles;
+    deopts = r.whole_deopts;
+    cc_exceptions = r.whole_cc_exceptions;
   }
 
 (** The per-cell injector seed: a deterministic function of the campaign
@@ -248,57 +242,41 @@ let to_json (t : t) : J.t =
        | rs -> [ ("resumed_rows", J.List (List.map (fun i -> J.Int i) rs)) ]))
 
 let of_json (j : J.t) : (t, string) result =
-  match Tce_obs.Export.open_document j with
-  | Error e -> Error e
-  | Ok (kind, _) when kind <> "fault-campaign" ->
+  let* kind, data = Tce_obs.Export.open_document j in
+  if kind <> "fault-campaign" then
     Error (Printf.sprintf "expected kind fault-campaign, got %s" kind)
-  | Ok (_, data) -> (
-    let str k = Option.bind (J.member k data) J.to_str in
-    let int k = Option.bind (J.member k data) J.to_int in
-    let flt k = Option.bind (J.member k data) J.to_float in
+  else
+    let* campaign_seed = Record.field "campaign_seed" J.to_int data in
+    let* spec = Record.field "spec" J.to_str data in
+    let* git_sha = Record.field "git_sha" J.to_str data in
+    let* created_utc = Record.field "created_utc" J.to_str data in
+    let* jobs = Record.field "jobs" J.to_int data in
     (* [shards] is optional: documents written before multi-process
        sharding existed are in-process (one shard). *)
-    let shards = Option.value ~default:1 (Option.bind (J.member "shards" data) J.to_int) in
+    let* shards =
+      Record.optional "shards" (Record.int_at_least 1) ~default:1 data
+    in
+    let* host_wall_seconds =
+      Record.field "host_wall_seconds" J.to_float data
+    in
+    let* cells = Record.field "cells" J.to_list data in
+    let* cells = Record.decode_all cell_of_json cells in
     (* recovery provenance is optional: absent (clean or pre-supervision
        documents) decodes as empty *)
-    let quarantined =
-      match Option.bind (J.member "quarantined" data) J.to_list with
-      | None -> Ok []
-      | Some js ->
-        List.fold_right
-          (fun qj acc ->
-            Result.bind acc (fun qs ->
-                Result.map (fun q -> q :: qs) (Supervise.quarantined_of_json qj)))
-          js (Ok [])
+    let* quarantined =
+      Record.optional "quarantined" J.to_list ~default:[] data
     in
-    let resumed_rows =
-      match Option.bind (J.member "resumed_rows" data) J.to_list with
-      | None -> []
-      | Some js -> List.filter_map J.to_int js
+    let* quarantined =
+      Record.decode_all Supervise.quarantined_of_json quarantined
     in
-    match
-      ( int "campaign_seed", str "spec", str "git_sha", str "created_utc",
-        int "jobs", flt "host_wall_seconds",
-        Option.bind (J.member "cells" data) J.to_list, quarantined )
-    with
-    | ( Some campaign_seed, Some spec, Some git_sha, Some created_utc,
-        Some jobs, Some host_wall_seconds, Some cells, Ok quarantined ) -> (
-      let rec all acc = function
-        | [] -> Ok (List.rev acc)
-        | c :: rest -> (
-          match cell_of_json c with
-          | Ok c -> all (c :: acc) rest
-          | Error e -> Error e)
-      in
-      match all [] cells with
-      | Error e -> Error e
-      | Ok cells ->
-        Ok
-          {
-            campaign_seed; spec; git_sha; created_utc; jobs; shards;
-            host_wall_seconds; cells; quarantined; resumed_rows;
-          })
-    | _ -> Error "malformed fault-campaign document")
+    let* resumed_rows =
+      Record.optional "resumed_rows" (Record.list_of J.to_int) ~default:[] data
+    in
+    Ok
+      {
+        campaign_seed; spec; git_sha; created_utc; jobs; shards;
+        host_wall_seconds; cells; quarantined; resumed_rows;
+      }
 
 let save ?(latest = latest_path) ?(dir = campaigns_dir) (t : t) :
     string option =

@@ -6,9 +6,12 @@
     mechanism-on observation; then each matrix cell re-runs the workload
     with exactly one fault point armed (a singleton of the base spec) under
     a per-cell deterministic seed, and the observable results are compared
-    against the reference. The observable folds the printed output with the
-    result of {e every} bench() iteration, so a wrong answer anywhere in
-    the run is caught, not just in the measured iteration.
+    against the reference. Every observation is one
+    {!Tce_metrics.Harness.run} under the cell's config, the same
+    execution a roster row comes from. The observable folds the printed
+    output with the result of {e every} bench() iteration, so a wrong
+    answer anywhere in the run is caught, not just in the measured
+    iteration.
 
     Outcome taxonomy (also documented in lib/fault/README.md):
     - [Wrong] — the observable result differed from the reference, or the
@@ -75,8 +78,8 @@ type t = {
 }
 
 (** One guest-observable summary of a run: printed output + the display
-    string of every bench() iteration, with the counters the classifier
-    compares. *)
+    string of every bench() iteration, with the whole-run counters the
+    classifier compares. *)
 type observation = {
   observable : string;
   cycles : float;
@@ -84,8 +87,9 @@ type observation = {
   cc_exceptions : int;
 }
 
-(** Run a workload to completion under [config] and fold its observable
-    behaviour. *)
+(** [Harness.run ~config w] projected onto an observation: its
+    [observable], [whole_cycles], [whole_deopts] and
+    [whole_cc_exceptions]. No engine code of its own. *)
 val observe : config:Tce_engine.Engine.config -> Tce_workloads.Workload.t ->
   observation
 

@@ -240,6 +240,23 @@ let field name conv j =
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "bad or missing field %S" name)
 
+(* Optional fields are the exception: absent, they keep the default that
+   documents written before they existed imply; present, they must
+   decode. *)
+let optional name conv ~default j =
+  match J.member name j with
+  | None -> Ok default
+  | Some v ->
+    Option.to_result ~none:(Printf.sprintf "bad field %S" name) (conv v)
+
+let list_of conv v =
+  Option.bind (J.to_list v) (fun items ->
+      let xs = List.filter_map conv items in
+      if List.compare_lengths xs items = 0 then Some xs else None)
+
+let int_at_least n v =
+  Option.bind (J.to_int v) (fun i -> if i >= n then Some i else None)
+
 let ( let* ) = Result.bind
 
 let workload_of_json (j : J.t) : (workload, string) result =
@@ -284,16 +301,9 @@ let workload_of_json (j : J.t) : (workload, string) result =
   let* wall_seconds = field "wall_seconds" J.to_float j in
   (* Optional for schema-v1/v2 documents, which only carried the pair
      total; per-side walls are provenance-only so 0.0 is a safe default. *)
-  let opt_float name =
-    match J.member name j with
-    | None -> Ok 0.0
-    | Some v -> (
-      match J.to_float v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "bad field %S" name))
-  in
-  let* wall_seconds_off = opt_float "wall_seconds_off" in
-  let* wall_seconds_on = opt_float "wall_seconds_on" in
+  let wall name = optional name J.to_float ~default:0.0 j in
+  let* wall_seconds_off = wall "wall_seconds_off" in
+  let* wall_seconds_on = wall "wall_seconds_on" in
   Ok
     {
       name;
@@ -331,12 +341,13 @@ let cell_of_json (j : J.t) : (cell, string) result =
     | Ok f -> Ok (w, Some f)
     | Error e -> Error (Printf.sprintf "%s: %s" w.name e))
 
-let rec all_ok acc = function
-  | [] -> Ok (List.rev acc)
-  | x :: rest -> (
-    match cell_of_json x with
-    | Ok c -> all_ok (c :: acc) rest
-    | Error _ as e -> e)
+let decode_all dec xs =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+      match dec x with Ok v -> go (v :: acc) rest | Error e -> Error e)
+  in
+  go [] xs
 
 let run_of_json (j : J.t) : (run, string) result =
   let* schema, kind, data = Tce_obs.Export.open_document_v j in
@@ -349,56 +360,20 @@ let run_of_json (j : J.t) : (run, string) result =
     let* jobs = field "jobs" J.to_int data in
     (* Optional for documents written before multi-process sharding
        existed: an in-process run is one shard. *)
-    let* shards =
-      match J.member "shards" data with
-      | None -> Ok 1
-      | Some v -> (
-        match J.to_int v with
-        | Some n when n >= 1 -> Ok n
-        | _ -> Error "bad field \"shards\"")
-    in
+    let* shards = optional "shards" (int_at_least 1) ~default:1 data in
     let* host_wall_seconds = field "host_wall_seconds" J.to_float data in
     let* items = field "workloads" J.to_list data in
-    let* cells = all_ok [] items in
+    let* cells = decode_all cell_of_json items in
     (* Optional blocks: documents from clean (or pre-supervision) runs
        simply have no quarantined cells and no resumed rows. *)
-    let* quarantined =
-      match J.member "quarantined" data with
-      | None -> Ok []
-      | Some (J.List qs) ->
-        List.fold_left
-          (fun acc q ->
-            let* acc = acc in
-            let* x = Supervise.quarantined_of_json q in
-            Ok (x :: acc))
-          (Ok []) qs
-        |> Result.map List.rev
-      | Some _ -> Error "bad field \"quarantined\""
-    in
+    let* quarantined = optional "quarantined" J.to_list ~default:[] data in
+    let* quarantined = decode_all Supervise.quarantined_of_json quarantined in
     let* resumed_rows =
-      match J.member "resumed_rows" data with
-      | None -> Ok []
-      | Some (J.List is) ->
-        List.fold_left
-          (fun acc i ->
-            let* acc = acc in
-            match J.to_int i with
-            | Some i -> Ok (i :: acc)
-            | None -> Error "bad field \"resumed_rows\"")
-          (Ok []) is
-        |> Result.map List.rev
-      | Some _ -> Error "bad field \"resumed_rows\""
+      optional "resumed_rows" (list_of J.to_int) ~default:[] data
     in
-    let opt_count name =
-      match J.member name data with
-      | None -> Ok 0
-      | Some v -> (
-        match J.to_int v with
-        | Some n when n >= 0 -> Ok n
-        | _ -> Error (Printf.sprintf "bad field %S" name))
-    in
-    let* cache_hits = opt_count "cache_hits" in
-    let* cache_misses = opt_count "cache_misses" in
+    let count name = optional name (int_at_least 0) ~default:0 data in
+    let* cache_hits = count "cache_hits" in
+    let* cache_misses = count "cache_misses" in
     Ok
       {
         schema;

@@ -8,6 +8,8 @@ module E = Tce_engine.Engine
 module CC = Tce_core.Class_cache
 module CL = Tce_core.Class_list
 
+let ( let* ) = Result.bind
+
 (* --- the geometry space --- *)
 
 type point = { entries : int; ways : int; cl_size : int }
@@ -308,62 +310,54 @@ let to_json (t : t) : J.t =
        | rs -> [ ("resumed_rows", J.List (List.map (fun i -> J.Int i) rs)) ]))
 
 let of_json (j : J.t) : (t, string) result =
-  match Tce_obs.Export.open_document j with
-  | Error e -> Error e
-  | Ok (kind, _) when kind <> "sweep" ->
+  let* kind, data = Tce_obs.Export.open_document j in
+  if kind <> "sweep" then
     Error (Printf.sprintf "expected kind sweep, got %s" kind)
-  | Ok (_, data) -> (
-    let str k = Option.bind (J.member k data) J.to_str in
-    let int k = Option.bind (J.member k data) J.to_int in
-    let flt k = Option.bind (J.member k data) J.to_float in
-    let all dec js =
-      List.fold_right
-        (fun x acc ->
-          Result.bind acc (fun xs -> Result.map (fun v -> v :: xs) (dec x)))
-        js (Ok [])
-    in
-    let quarantined =
-      match Option.bind (J.member "quarantined" data) J.to_list with
-      | None -> Ok []
-      | Some js -> all Supervise.quarantined_of_json js
-    in
-    let resumed_rows =
-      match Option.bind (J.member "resumed_rows" data) J.to_list with
-      | None -> []
-      | Some js -> List.filter_map J.to_int js
+  else
+    let count name =
+      Record.optional name (Record.int_at_least 0) ~default:0 data
     in
     let cell_of j =
       match (J.member "point" j, J.member "row" j) with
       | Some pj, Some rj ->
-        Result.bind (point_of_json pj) (fun p ->
-            Result.map (fun r -> (p, r)) (Record.workload_of_json rj))
+        let* p = point_of_json pj in
+        let* r = Record.workload_of_json rj in
+        Ok (p, r)
       | _ -> Error "malformed sweep cell"
     in
-    match
-      ( str "spec", str "git_sha", str "created_utc", int "jobs",
-        int "shards", flt "host_wall_seconds",
-        Option.bind (J.member "points" data) J.to_list,
-        Option.bind (J.member "cells" data) J.to_list, quarantined )
-    with
-    | ( Some spec, Some git_sha, Some created_utc, Some jobs, Some shards,
-        Some host_wall_seconds, Some pjs, Some cjs, Ok quarantined ) -> (
-      let roster =
-        match Option.bind (J.member "roster" data) J.to_list with
-        | None -> []
-        | Some js -> List.filter_map J.to_str js
-      in
-      match (all point_of_json pjs, all cell_of cjs) with
-      | Ok points, Ok cells ->
-        Ok
-          {
-            spec; git_sha; created_utc; jobs; shards; host_wall_seconds;
-            cache_hits = Option.value ~default:0 (int "cache_hits");
-            cache_misses = Option.value ~default:0 (int "cache_misses");
-            skipped_points = Option.value ~default:0 (int "skipped_points");
-            roster; points; cells; quarantined; resumed_rows;
-          }
-      | Error e, _ | _, Error e -> Error e)
-    | _ -> Error "malformed sweep document")
+    let* spec = Record.field "spec" J.to_str data in
+    let* git_sha = Record.field "git_sha" J.to_str data in
+    let* created_utc = Record.field "created_utc" J.to_str data in
+    let* jobs = Record.field "jobs" J.to_int data in
+    let* shards = Record.field "shards" J.to_int data in
+    let* host_wall_seconds =
+      Record.field "host_wall_seconds" J.to_float data
+    in
+    let* cache_hits = count "cache_hits" in
+    let* cache_misses = count "cache_misses" in
+    let* skipped_points = count "skipped_points" in
+    let* roster =
+      Record.optional "roster" (Record.list_of J.to_str) ~default:[] data
+    in
+    let* points = Record.field "points" J.to_list data in
+    let* points = Record.decode_all point_of_json points in
+    let* cells = Record.field "cells" J.to_list data in
+    let* cells = Record.decode_all cell_of cells in
+    let* quarantined =
+      Record.optional "quarantined" J.to_list ~default:[] data
+    in
+    let* quarantined =
+      Record.decode_all Supervise.quarantined_of_json quarantined
+    in
+    let* resumed_rows =
+      Record.optional "resumed_rows" (Record.list_of J.to_int) ~default:[] data
+    in
+    Ok
+      {
+        spec; git_sha; created_utc; jobs; shards; host_wall_seconds;
+        cache_hits; cache_misses; skipped_points; roster; points; cells;
+        quarantined; resumed_rows;
+      }
 
 let save ?(latest = Store.sweep_latest_path) ?(dir = Store.sweeps_dir) (t : t)
     : string option =

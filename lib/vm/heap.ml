@@ -458,24 +458,33 @@ let is_truthy t (v : Value.t) =
   else if is_string t v then String.length (string_value t v) > 0
   else true
 
+let display_float f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.6g" f
+
+(* Reads only: a run displays every bench() result, so showing a value
+   must not allocate on the simulated heap. A double element is shown
+   from its raw payload, which [elem_get] would box into a heap number. *)
 let rec to_display_string t (v : Value.t) =
   if Value.is_smi v then string_of_int (Value.smi_value v)
   else if v = t.true_v then "true"
   else if v = t.false_v then "false"
   else if v = t.null_v then "null"
-  else if is_number t v then
-    let f = number_value t v in
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.6g" f
+  else if is_number t v then display_float (number_value t v)
   else if is_string t v then string_value t v
   else
     let c = class_of_addr t (Value.ptr_addr v) in
     match c.Hidden_class.kind with
-    | Hidden_class.K_array _ ->
+    | Hidden_class.K_array ek ->
       let len = elements_len t v in
-      let len' = min len 16 in
-      let items = List.init len' (fun i -> to_display_string t (elem_get t v i)) in
-      let items = if len > len' then items @ [ "..." ] else items in
+      let show i =
+        match ek with
+        | Hidden_class.E_double when elements_ptr t v <> 0 ->
+          let w = Mem.load t.mem (elem_addr (elements_ptr t v) i) in
+          display_float (Fbits.to_float w)
+        | _ -> to_display_string t (elem_get t v i)
+      in
+      let items = List.init (min len 16) show in
+      let items = if len > 16 then items @ [ "..." ] else items in
       "[" ^ String.concat "," items ^ "]"
     | _ -> Printf.sprintf "[object %s]" c.Hidden_class.name

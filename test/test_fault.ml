@@ -300,6 +300,54 @@ let test_campaign_save_without_archive () =
           (C.diff_cells ~reference:c c')
       | Error e -> Alcotest.fail e)
 
+(* An optional field of a campaign document keeps its default when absent
+   and is an error naming it when present but mistyped. *)
+let test_campaign_rejects_mistyped_fields () =
+  let module C = Tce_runner.Campaign in
+  let module J = Tce_obs.Json in
+  let doc =
+    match Tce_runner.Store.read_json committed_campaign Result.ok with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "committed campaign unreadable: %s" e
+  in
+  let with_field name v =
+    match doc with
+    | J.Obj top ->
+      J.Obj
+        (List.map
+           (function
+             | "data", J.Obj d ->
+               ("data", J.Obj ((name, v) :: List.remove_assoc name d))
+             | kv -> kv)
+           top)
+    | _ -> Alcotest.fail "the committed campaign is not an object"
+  in
+  (match C.of_json doc with
+  | Ok c ->
+    Alcotest.(check int) "absent shards is one" 1 c.C.shards;
+    Alcotest.(check (list int)) "absent resumed_rows is empty" []
+      c.C.resumed_rows
+  | Error e -> Alcotest.fail e);
+  (match C.of_json (with_field "resumed_rows" (J.List [ J.Int 3; J.Int 5 ])) with
+  | Ok c ->
+    Alcotest.(check (list int)) "resumed_rows read" [ 3; 5 ] c.C.resumed_rows
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun (name, v) ->
+      match C.of_json (with_field name v) with
+      | Ok _ -> Alcotest.failf "%s = %s accepted" name (J.to_string v)
+      | Error e ->
+        if not (Astring.String.is_infix ~affix:(Printf.sprintf "%S" name) e) then
+          Alcotest.failf "%s = %s: error %S does not name the field" name
+            (J.to_string v) e)
+    [
+      ("shards", J.Str "two");
+      ("shards", J.Int 0);
+      ("resumed_rows", J.List [ J.Int 3; J.Str "x"; J.Null ]);
+      ("resumed_rows", J.Str "x");
+      ("quarantined", J.Str "x");
+    ]
+
 (* --- unfaulted engine unchanged by the fault layer --- *)
 
 let test_null_injector_shared_safely () =
@@ -350,6 +398,8 @@ let () =
         ] );
       ( "campaign",
         [
+          Alcotest.test_case "mistyped optional fields rejected" `Quick
+            test_campaign_rejects_mistyped_fields;
           Alcotest.test_case "save with dir \"\" writes no archive" `Quick
             test_campaign_save_without_archive;
           Alcotest.test_case "seeded cells match the committed campaign" `Slow

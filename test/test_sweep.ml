@@ -19,7 +19,9 @@
    (h) the pair driver: a matrix shaped like the ablations simulates each
        distinct half of a workload once, and no half is shared across
        workloads;
-   (i) save with dir "" writes the latest document and no archive. *)
+   (i) save with dir "" writes the latest document and no archive;
+   (j) decoding: an absent optional field keeps its default, a mistyped
+       one is an error naming it. *)
 
 open Tce_runner
 module W = Tce_workloads.Workload
@@ -493,6 +495,50 @@ let test_save_without_archive () =
     Alcotest.(check string) "under the archive directory" archives
       (Filename.dirname path)
 
+(* --- decoding --- *)
+
+(* An optional field of a sweep document keeps its default when absent and
+   is an error naming it when present but mistyped. *)
+let test_rejects_mistyped_fields () =
+  let module J = Tce_obs.Json in
+  let t = Sweep.run ~axes:(expect_axes "cc.entries=64") [ List.hd roster5 ] in
+  let edit f =
+    match Sweep.to_json t with
+    | J.Obj top ->
+      J.Obj
+        (List.map
+           (function "data", J.Obj d -> ("data", J.Obj (f d)) | kv -> kv)
+           top)
+    | _ -> Alcotest.fail "a sweep document is not an object"
+  in
+  let set name v = edit (fun d -> (name, v) :: List.remove_assoc name d) in
+  let optional = [ "roster"; "cache_hits"; "cache_misses"; "skipped_points" ] in
+  let older = edit (List.filter (fun (k, _) -> not (List.mem k optional))) in
+  (match Sweep.of_json older with
+  | Ok t' ->
+    Alcotest.(check (list string)) "absent roster is empty" [] t'.Sweep.roster;
+    Alcotest.(check (list int)) "absent counts are zero" [ 0; 0; 0 ]
+      [ t'.Sweep.cache_hits; t'.Sweep.cache_misses; t'.Sweep.skipped_points ]
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun (name, v) ->
+      match Sweep.of_json (set name v) with
+      | Ok _ -> Alcotest.failf "%s = %s accepted" name (J.to_string v)
+      | Error e ->
+        if not (Astring.String.is_infix ~affix:(Printf.sprintf "%S" name) e) then
+          Alcotest.failf "%s = %s: error %S does not name the field" name
+            (J.to_string v) e)
+    [
+      ("resumed_rows", J.List [ J.Int 3; J.Str "x"; J.Null ]);
+      ("resumed_rows", J.Str "x");
+      ("roster", J.List [ J.Str "cache-a"; J.Int 1 ]);
+      ("roster", J.Int 1);
+      ("cache_hits", J.Str "3");
+      ("cache_misses", J.Float 1.5);
+      ("skipped_points", J.Null);
+      ("quarantined", J.Str "x");
+    ]
+
 let () =
   Alcotest.run "sweep"
     [
@@ -547,6 +593,8 @@ let () =
         ] );
       ( "save",
         [
+          Alcotest.test_case "mistyped optional fields rejected" `Quick
+            test_rejects_mistyped_fields;
           Alcotest.test_case "dir \"\" writes no archive" `Quick
             test_save_without_archive;
         ] );

@@ -328,6 +328,22 @@ let test_display () =
   ignore (Heap.elem_set h a 1 (Value.smi 2));
   Alcotest.(check string) "array" "[1,2]" (Heap.to_display_string h a)
 
+(* Every bench() result is displayed while the run is measured, so
+   displaying must not allocate: a double element is read raw, not boxed
+   into a heap number. *)
+let test_display_allocates_nothing () =
+  let h = mk_heap () in
+  let a = Heap.alloc_array h Hidden_class.E_smi in
+  List.iteri
+    (fun i f -> ignore (Heap.elem_set h a i (Heap.number h f)))
+    [ 1.0; 2.5; -0.0; 1e20; Float.nan ];
+  Alcotest.(check bool) "double array" true
+    (Heap.elements_kind h a = Hidden_class.E_double);
+  let before = h.Heap.mem.Mem.next_free in
+  Alcotest.(check string) "shown as numbers" "[1,2.5,-0,1e+20,nan]"
+    (Heap.to_display_string h a);
+  Alcotest.(check int) "no simulated allocation" before h.Heap.mem.Mem.next_free
+
 let prop_tagging_partition =
   QCheck.Test.make ~name:"every word is smi xor pointer" ~count:500
     QCheck.(int_range (-100000) 100000)
@@ -517,6 +533,8 @@ let () =
           Alcotest.test_case "NodeList pattern" `Quick test_plain_object_elements;
           Alcotest.test_case "truthiness" `Quick test_truthiness;
           Alcotest.test_case "display" `Quick test_display;
+          Alcotest.test_case "display allocates nothing" `Quick
+            test_display_allocates_nothing;
           Alcotest.test_case "second-line properties" `Quick
             test_second_line_properties;
           Alcotest.test_case "transition class words" `Quick

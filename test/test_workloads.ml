@@ -1,6 +1,6 @@
 (* Integration tests over the full benchmark suite: every workload runs in
-   all three modes and must produce identical checksums; workload-level
-   invariants (class counts, suite structure) are pinned. *)
+   all three modes and must produce identical observable results;
+   workload-level invariants (class counts, suite structure) are pinned. *)
 
 open Tce_workloads
 
@@ -27,62 +27,73 @@ let test_sources_parse () =
         Alcotest.failf "%s does not parse: %s" w.Workload.name (Printexc.to_string e))
     Workloads.all
 
-let test_every_workload_differential () =
-  List.iter
+module H = Tce_metrics.Harness
+
+(* Each workload simulated once per mode, for all four integration cases
+   below: the interpreter's observable (an unmeasured {!H.warm} run with
+   the JIT off) and the measured mechanism-off/on pair. *)
+let runs =
+  List.map
     (fun w ->
-      let interp = Tce_metrics.Harness.interp_checksum w in
-      let off = Tce_metrics.Harness.jit_checksum ~mechanism:false w in
-      let on = Tce_metrics.Harness.jit_checksum ~mechanism:true w in
-      if not (interp = off && off = on) then
-        Alcotest.failf "%s diverges: interp=%s off=%s on=%s" w.Workload.name interp
-          off on)
+      ( w,
+        lazy
+          (let t, values =
+             H.warm
+               ~config:{ Tce_engine.Engine.default_config with jit = false }
+               ~iterations:w.Workload.iterations w.Workload.source
+           in
+           (H.observable t values, H.run_pair w)) ))
     Workloads.all
+
+let selected_runs =
+  List.filter (fun (w, _) -> w.Workload.selected) runs
+
+let test_every_workload_differential () =
+  (* the interpreter, mechanism off and mechanism on must compute the
+     same thing in every iteration, measured or not *)
+  List.iter
+    (fun (w, r) ->
+      let interp, (off, on) = Lazy.force r in
+      if not (interp = off.H.observable && off.H.observable = on.H.observable)
+      then
+        Alcotest.failf "%s diverges: interp=%S off=%S on=%S (last: off=%s on=%s)"
+          w.Workload.name interp off.H.observable on.H.observable off.H.checksum
+          on.H.checksum)
+    runs
 
 let test_class_budget () =
   (* paper §4.1: benchmarks use few hidden classes (ClassID is 8 bits) *)
   List.iter
-    (fun w ->
-      let r = Tce_metrics.Harness.run w in
-      if r.Tce_metrics.Harness.hidden_classes > 64 then
-        Alcotest.failf "%s uses %d classes" w.Workload.name
-          r.Tce_metrics.Harness.hidden_classes)
-    Workloads.all
-
-(* The measured off/on pair of each selected workload, simulated once for
-   the two cases below that read it. *)
-let selected_pairs =
-  List.map
-    (fun w -> (w, lazy (Tce_metrics.Harness.run_pair w)))
-    Workloads.selected
+    (fun (w, r) ->
+      let _, (_, on) = Lazy.force r in
+      if on.H.hidden_classes > 64 then
+        Alcotest.failf "%s uses %d classes" w.Workload.name on.H.hidden_classes)
+    runs
 
 let test_mechanism_never_regresses_much () =
   (* guard against the mechanism becoming a pessimization: optimized-code
      cycles with the mechanism must stay within 3% of without, for every
      selected benchmark (the paper reports all-positive speedups) *)
   List.iter
-    (fun (w, pair) ->
-      let off, on = Lazy.force pair in
+    (fun (w, r) ->
+      let _, (off, on) = Lazy.force r in
       let imp =
         Tce_support.Stats.improvement
-          ~base:(float_of_int off.Tce_metrics.Harness.opt_cycles)
-          ~opt:(float_of_int on.Tce_metrics.Harness.opt_cycles)
+          ~base:(float_of_int off.H.opt_cycles)
+          ~opt:(float_of_int on.H.opt_cycles)
       in
       if imp < -3.0 then
         Alcotest.failf "%s regresses by %.2f%%" w.Workload.name (-.imp))
-    selected_pairs
+    selected_runs
 
 let test_cc_hit_rate_high () =
   (* paper §5.3.3: >99.9% hit rate at 128 entries, 2-way *)
   List.iter
-    (fun (w, pair) ->
-      let on = snd (Lazy.force pair) in
-      if
-        on.Tce_metrics.Harness.cc_accesses > 1000
-        && on.Tce_metrics.Harness.cc_hit_rate < 0.999
-      then
-        Alcotest.failf "%s: CC hit rate %.4f" w.Workload.name
-          on.Tce_metrics.Harness.cc_hit_rate)
-    selected_pairs
+    (fun (w, r) ->
+      let _, (_, on) = Lazy.force r in
+      if on.H.cc_accesses > 1000 && on.H.cc_hit_rate < 0.999 then
+        Alcotest.failf "%s: CC hit rate %.4f" w.Workload.name on.H.cc_hit_rate)
+    selected_runs
 
 let test_synthetic_generators_run () =
   let src1 = Synthetic.poly_sweep ~n_classes:3 ~poly_fraction:0.01 ~objs:16 ~rounds:5 in
