@@ -4,15 +4,15 @@ let () =
   let bad = ref 0 in
   List.iter
     (fun (w : Tce_workloads.Workload.t) ->
-      let interp = Tce_metrics.Harness.interp_checksum w in
+      let interp = Tce_metrics.Harness.reference w in
       let cl =
         (Tce_metrics.Harness.run
            ~config:{ E.default_config with E.mechanism = false; checked_load = true }
-           w).Tce_metrics.Harness.checksum
+           w).Tce_metrics.Harness.observable
       in
       if interp <> cl then begin
         incr bad;
-        Printf.printf "FAIL %s interp=%s checked-load=%s\n%!"
+        Printf.printf "FAIL %s interp=%S checked-load=%S\n%!"
           w.Tce_workloads.Workload.name interp cl
       end)
     Tce_workloads.Workloads.all;

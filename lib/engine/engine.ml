@@ -790,7 +790,12 @@ and construct t fid (args : Value.t array) : Value.t =
       c
   in
   let this = Heap.alloc_object t.heap base ~reserve_props:ctor.Bytecode.reserve_props in
-  call_function t fid (Array.append [| this |] args)
+  let n = Array.length args in
+  let argv = Array.make (n + 1) this in
+  for i = 0 to n - 1 do
+    argv.(i + 1) <- args.(i)
+  done;
+  call_function t fid argv
 
 and bc_label (op : Bytecode.bc) =
   match op with
@@ -931,9 +936,11 @@ and interp_from t (fn : Bytecode.func) (regs : Value.t array) start_pc : Value.t
       regs.(d) <- Heap.alloc_array h ~capacity:(max cap 4) Hidden_class.E_smi;
       pc := next
     | Call (d, fid, argr) ->
-      let args =
-        Array.append [| h.Heap.null_v |] (Array.map (fun r -> regs.(r)) argr)
-      in
+      let n = Array.length argr in
+      let args = Array.make (n + 1) h.Heap.null_v in
+      for i = 0 to n - 1 do
+        args.(i + 1) <- regs.(argr.(i))
+      done;
       regs.(d) <- call_function t fid args;
       pc := next
     | CallB (d, b, argr) ->

@@ -45,11 +45,8 @@ let values_equal h a b =
     Heap.string_value h a = Heap.string_value h b
   else a = b
 
-(* Out-cell variant: BinOp is the interpreter's hottest bytecode and the
-   (value, feedback) result tuple was one minor allocation per executed
-   binop. [fbc] is caller-owned and reused ([binop_fb] is all constant
-   constructors, so the cell write never allocates). *)
-let eval_binop_cell h (op : Tce_minijs.Ast.binop) a b
+(* The general path: every operand kind, numbers through floats. *)
+let eval_binop_float h (op : Tce_minijs.Ast.binop) a b
     (fbc : Feedback.binop_fb ref) : Value.t =
   let num f =
     let r = Heap.number h f in
@@ -122,6 +119,59 @@ let eval_binop_cell h (op : Tce_minijs.Ast.binop) a b
       Heap.number h (float_of_int r)
     | _ -> assert false)
   | LAnd | LOr -> error "logical binop must be compiled to control flow"
+
+(* Out-cell variant: BinOp is the interpreter's hottest bytecode and the
+   (value, feedback) result tuple was one minor allocation per executed
+   binop. [fbc] is caller-owned and reused ([binop_fb] is all constant
+   constructors, so the cell write never allocates).
+
+   Two SMI operands take exact integer paths. An SMI payload is 32 bits,
+   so sums, differences and comparisons are exact as floats too, and a
+   product the float path would box as an SMI is exact as well: each
+   integer path gives the float path's value and feedback and allocates
+   nothing, as the float path does for an SMI result. Results outside the
+   SMI range, a product of -0 (zero with a negative operand), [Ushr],
+   [Div] and [Mod] take the float path. *)
+let eval_binop_cell h (op : Tce_minijs.Ast.binop) a b
+    (fbc : Feedback.binop_fb ref) : Value.t =
+  if Value.is_smi a && Value.is_smi b then begin
+    let x = Value.smi_value a and y = Value.smi_value b in
+    let arith r =
+      if Value.smi_fits r then begin
+        fbc := Feedback.Bf_smi;
+        Value.smi r
+      end
+      else eval_binop_float h op a b fbc
+    in
+    let cmp r =
+      fbc := Feedback.Bf_smi;
+      Heap.bool_v h r
+    in
+    let bits r =
+      fbc := Feedback.Bf_smi;
+      Value.smi (Value.to_int32 r)
+    in
+    match op with
+    | Tce_minijs.Ast.Add -> arith (x + y)
+    | Sub -> arith (x - y)
+    | Mul ->
+      let r = x * y in
+      if r = 0 && (x < 0 || y < 0) then eval_binop_float h op a b fbc
+      else arith r
+    | Lt -> cmp (x < y)
+    | Le -> cmp (x <= y)
+    | Gt -> cmp (x > y)
+    | Ge -> cmp (x >= y)
+    | Eq -> cmp (x = y)
+    | Ne -> cmp (x <> y)
+    | BitAnd -> bits (x land y)
+    | BitOr -> bits (x lor y)
+    | BitXor -> bits (x lxor y)
+    | Shl -> bits (x lsl (y land 31))
+    | Shr -> bits (x asr (y land 31))
+    | Ushr | Div | Mod | LAnd | LOr -> eval_binop_float h op a b fbc
+  end
+  else eval_binop_float h op a b fbc
 
 let eval_binop h (op : Tce_minijs.Ast.binop) a b : Value.t * Feedback.binop_fb =
   let fbc = ref Feedback.Bf_smi in

@@ -32,8 +32,16 @@ val eval_binop :
 
 (** Allocation-free variant: writes the feedback observation into the
     caller-owned cell instead of pairing it with the result (the
-    interpreter's per-binop fast path). *)
+    interpreter's per-binop fast path). Two SMI operands take exact
+    integer paths, which give {!eval_binop_float}'s value, feedback and
+    heap allocation. *)
 val eval_binop_cell :
+  Tce_vm.Heap.t -> Tce_minijs.Ast.binop -> Tce_vm.Value.t -> Tce_vm.Value.t ->
+  Tce_jit.Feedback.binop_fb ref -> Tce_vm.Value.t
+
+(** {!eval_binop_cell} without the SMI fast paths: numbers go through
+    floats. The semantics the fast paths must reproduce. *)
+val eval_binop_float :
   Tce_vm.Heap.t -> Tce_minijs.Ast.binop -> Tce_vm.Value.t -> Tce_vm.Value.t ->
   Tce_jit.Feedback.binop_fb ref -> Tce_vm.Value.t
 

@@ -8,12 +8,13 @@
       measure a single call. Counters run from the first instruction, so
       the same execution also gives the whole-run totals. The roster rows,
       the ablations and the sweep ({!run_pair}), the profiler
-      ({!run_pair_profiled}) and the fault oracle
-      ({!Tce_runner.Campaign.observe}) all use it.
+      ({!run_pair_profiled}) and the fault campaign's clean and faulted
+      runs ({!Tce_runner.Campaign.observe}) all use it.
     - {!warm}, the unmeasured run: the top level, then [bench()] a given
-      number of times with counters off. The interpreter reference
-      ({!interp_checksum}), Table 1's live Class List dump and the CLI's
-      [opt-dump] and [classlist] use it. *)
+      number of times with counters off. The pure-interpreter reference
+      ({!reference}: the fault oracle's ground truth and the differential
+      tests'), Table 1's live Class List dump and the CLI's [opt-dump] and
+      [classlist] use it. *)
 
 open Tce_workloads
 module E = Tce_engine.Engine
@@ -493,11 +494,15 @@ let warm ?(config = E.default_config) ~iterations source =
     done;
   (t, List.rev !values)
 
-(** Pure-interpreter checksum, the display string of the last bench()
-    result: ground truth for differential tests. *)
-let interp_checksum ?(config = E.default_config) (w : Workload.t) : string =
-  let _, values =
-    warm ~config:{ config with E.jit = false } ~iterations:w.Workload.iterations
-      w.Workload.source
+(** The interpreter reference of [w]: the {!observable} of a {!warm} run
+    with the JIT and the mechanism off, over [w.iterations] bench() calls.
+    No optimizing-tier code runs, so this is the ground truth every
+    compiled run must reproduce (the differential tests and the fault
+    oracle compare against it). *)
+let reference (w : Workload.t) : string =
+  let t, values =
+    warm
+      ~config:{ E.default_config with E.jit = false; mechanism = false }
+      ~iterations:w.Workload.iterations w.Workload.source
   in
-  List.nth values (w.Workload.iterations - 1)
+  observable t values

@@ -308,3 +308,38 @@ let to_float = function
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None
+
+(* --- decoding documents: a missing or mistyped field names itself, so a
+   truncated or hand-edited file is diagnosable --- *)
+
+let field name conv j =
+  match Option.bind (member name j) conv with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "bad or missing field %S" name)
+
+(* Optional fields are the exception: absent, they keep the default that
+   documents written before they existed imply; present, they must
+   decode. *)
+let optional name conv ~default j =
+  match member name j with
+  | None -> Ok default
+  | Some v ->
+    Option.to_result ~none:(Printf.sprintf "bad field %S" name) (conv v)
+
+let list_of conv v =
+  Option.bind (to_list v) (fun items ->
+      let xs = List.filter_map conv items in
+      if List.compare_lengths xs items = 0 then Some xs else None)
+
+let int_at_least n v =
+  Option.bind (to_int v) (fun i -> if i >= n then Some i else None)
+
+let decode_all name dec xs =
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+      match dec x with
+      | Ok v -> go (i + 1) (v :: acc) rest
+      | Error e -> Error (Printf.sprintf "%s[%d]: %s" name i e))
+  in
+  go 0 [] xs

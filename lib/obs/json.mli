@@ -36,3 +36,27 @@ val to_list : t -> t list option
 val to_int : t -> int option
 val to_float : t -> float option
 val to_str : t -> string option
+
+(** {2 Decoding documents} *)
+
+(** [field name conv j]: member [name] of [j] through [conv], or an error
+    naming the field when it is missing or [conv] rejects it. *)
+val field : string -> (t -> 'a option) -> t -> ('a, string) result
+
+(** [optional name conv ~default j]: like {!field}, but an absent member
+    is [default] (documents written before the field existed). A present
+    member [conv] rejects is still an error naming the field. *)
+val optional :
+  string -> (t -> 'a option) -> default:'a -> t -> ('a, string) result
+
+(** A JSON list all of whose items [conv] accepts, else [None]. *)
+val list_of : (t -> 'a option) -> t -> 'a list option
+
+(** A JSON integer [>= n], else [None]. *)
+val int_at_least : int -> t -> int option
+
+(** [decode_all name dec xs]: decode every item of list [name] in order;
+    the first error wins, prefixed by the item's place ([name[i]: ...],
+    counting from 0). *)
+val decode_all :
+  string -> ('a -> ('b, string) result) -> 'a list -> ('b list, string) result

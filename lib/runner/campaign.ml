@@ -73,7 +73,9 @@ type t = {
     together with the display string of {e every} bench() iteration (not
     just the measured one), so a wrong answer in any warm-up iteration is
     caught too, and whose whole-run counters cover setup and every
-    iteration. *)
+    iteration. The reference it is compared with is
+    {!Tce_metrics.Harness.reference}, the same string from the pure
+    interpreter. *)
 type observation = {
   observable : string;
   cycles : float;
@@ -97,7 +99,7 @@ let cell_seed ~campaign_seed ~workload ~point =
   let h = Hashtbl.hash (workload, point) in
   campaign_seed lxor (h * 0x9E3779B1) lxor ((h lsl 17) lor 0x2545F491)
 
-let run_cell ~campaign_seed ~(reference : observation) ~(clean : observation)
+let run_cell ~campaign_seed ~(reference : string) ~(clean : observation)
     (w : W.t) (rule : Spec.rule) : cell =
   let point = Point.name rule.Spec.point in
   let seed = cell_seed ~campaign_seed ~workload:w.W.name ~point in
@@ -120,8 +122,9 @@ let run_cell ~campaign_seed ~(reference : observation) ~(clean : observation)
       let dd = o.deopts - clean.deopts in
       let cd = o.cycles -. clean.cycles in
       if fires = 0 then (Not_exercised, "", dd, cd)
-      else if o.observable <> reference.observable then
-        (Wrong, "observable result differs from checks-on reference", dd, cd)
+      else if o.observable <> reference then
+        (Wrong, "observable result differs from the interpreter reference",
+         dd, cd)
       else if detections > 0 then (Detected_recovered, "", dd, cd)
       else if
         dd <> 0 || o.cc_exceptions <> clean.cc_exceptions || cd <> 0.0
@@ -150,21 +153,19 @@ let run_cell ~campaign_seed ~(reference : observation) ~(clean : observation)
 let matrix ~(spec : Spec.t) (ws : W.t list) : (W.t * Spec.rule) list =
   List.concat_map (fun w -> List.map (fun rule -> (w, rule)) spec) ws
 
-(** Per workload, before its first cell: the checks-on reference
-    observation (the differential oracle's ground truth) and a clean
-    mechanism-on run (the yardstick for Degraded vs Masked). The two must
-    already agree: a mismatch here is an engine bug, not an injection
-    outcome. *)
+(** Per workload, before its first cell: the pure-interpreter reference
+    ({!Tce_metrics.Harness.reference}, the differential oracle's ground
+    truth: no optimizing-tier code runs in it) and a clean mechanism-on
+    run (the yardstick for Degraded vs Masked). The two must already
+    agree: a mismatch here is an engine bug, not an injection outcome. *)
 let prep (w : W.t) =
-  let reference =
-    observe ~config:{ E.default_config with E.mechanism = false } w
-  in
+  let reference = Tce_metrics.Harness.reference w in
   let clean = observe ~config:{ E.default_config with E.mechanism = true } w in
-  if reference.observable <> clean.observable then
+  if reference <> clean.observable then
     failwith
       (Printf.sprintf
-         "%s: mechanism-on output differs from the checks-on reference with \
-          no faults injected"
+         "%s: mechanism-on output differs from the interpreter reference \
+          with no faults injected"
          w.W.name);
   (reference, clean)
 
@@ -198,24 +199,26 @@ let json_of_cell (c : cell) : J.t =
     ]
 
 let cell_of_json (j : J.t) : (cell, string) result =
-  let str k = Option.bind (J.member k j) J.to_str in
-  let int k = Option.bind (J.member k j) J.to_int in
-  let flt k = Option.bind (J.member k j) J.to_float in
-  match
-    ( str "workload", str "point", str "spec", int "seed", int "fires",
-      int "detections", int "lost_victims", int "delivered_late",
-      int "deopts_delta", flt "cycles_delta",
-      Option.bind (str "outcome") outcome_of_name, str "detail" )
-  with
-  | ( Some workload, Some point, Some spec, Some seed, Some fires,
-      Some detections, Some lost_victims, Some delivered_late,
-      Some deopts_delta, Some cycles_delta, Some outcome, Some detail ) ->
-    Ok
-      {
-        workload; point; spec; seed; fires; detections; lost_victims;
-        delivered_late; deopts_delta; cycles_delta; outcome; detail;
-      }
-  | _ -> Error "malformed fault-campaign cell"
+  let str k = J.field k J.to_str j and int k = J.field k J.to_int j in
+  let* workload = str "workload" in
+  let* point = str "point" in
+  let* spec = str "spec" in
+  let* seed = int "seed" in
+  let* fires = int "fires" in
+  let* detections = int "detections" in
+  let* lost_victims = int "lost_victims" in
+  let* delivered_late = int "delivered_late" in
+  let* deopts_delta = int "deopts_delta" in
+  let* cycles_delta = J.field "cycles_delta" J.to_float j in
+  let* outcome =
+    J.field "outcome" (fun v -> Option.bind (J.to_str v) outcome_of_name) j
+  in
+  let* detail = str "detail" in
+  Ok
+    {
+      workload; point; spec; seed; fires; detections; lost_victims;
+      delivered_late; deopts_delta; cycles_delta; outcome; detail;
+    }
 
 let to_json (t : t) : J.t =
   Tce_obs.Export.document ~kind:"fault-campaign"
@@ -246,31 +249,25 @@ let of_json (j : J.t) : (t, string) result =
   if kind <> "fault-campaign" then
     Error (Printf.sprintf "expected kind fault-campaign, got %s" kind)
   else
-    let* campaign_seed = Record.field "campaign_seed" J.to_int data in
-    let* spec = Record.field "spec" J.to_str data in
-    let* git_sha = Record.field "git_sha" J.to_str data in
-    let* created_utc = Record.field "created_utc" J.to_str data in
-    let* jobs = Record.field "jobs" J.to_int data in
+    let* campaign_seed = J.field "campaign_seed" J.to_int data in
+    let* spec = J.field "spec" J.to_str data in
+    let* git_sha = J.field "git_sha" J.to_str data in
+    let* created_utc = J.field "created_utc" J.to_str data in
+    let* jobs = J.field "jobs" J.to_int data in
     (* [shards] is optional: documents written before multi-process
        sharding existed are in-process (one shard). *)
-    let* shards =
-      Record.optional "shards" (Record.int_at_least 1) ~default:1 data
-    in
-    let* host_wall_seconds =
-      Record.field "host_wall_seconds" J.to_float data
-    in
-    let* cells = Record.field "cells" J.to_list data in
-    let* cells = Record.decode_all cell_of_json cells in
+    let* shards = J.optional "shards" (J.int_at_least 1) ~default:1 data in
+    let* host_wall_seconds = J.field "host_wall_seconds" J.to_float data in
+    let* cells = J.field "cells" J.to_list data in
+    let* cells = J.decode_all "cells" cell_of_json cells in
     (* recovery provenance is optional: absent (clean or pre-supervision
        documents) decodes as empty *)
+    let* quarantined = J.optional "quarantined" J.to_list ~default:[] data in
     let* quarantined =
-      Record.optional "quarantined" J.to_list ~default:[] data
-    in
-    let* quarantined =
-      Record.decode_all Supervise.quarantined_of_json quarantined
+      J.decode_all "quarantined" Supervise.quarantined_of_json quarantined
     in
     let* resumed_rows =
-      Record.optional "resumed_rows" (Record.list_of J.to_int) ~default:[] data
+      J.optional "resumed_rows" (J.list_of J.to_int) ~default:[] data
     in
     Ok
       {
@@ -324,7 +321,8 @@ let codec =
 let cells ~spec ~seed (ws : W.t list) : cell Shard.cells =
   let m = Array.of_list (matrix ~spec ws) in
   let cost = lazy (Store.baseline_cost_of_workload ()) in
-  (* Reference/clean observations, once per workload this process runs.
+  (* Reference observable and clean observation, once per workload this
+     process runs.
      A sharded run gives each workload's cells to one worker process, so
      a run preps each workload once, sharded or not. *)
   let prepped = Hashtbl.create 8 in

@@ -1,16 +1,19 @@
 (** Fault-injection campaign driver: the differential semantics oracle.
 
     A campaign runs a (workload × fault point) matrix, in this process or
-    on supervised workers ([--shards N]). For each workload it first records the {e checks-on reference}
-    observation (mechanism off — every type check executed) and a clean
-    mechanism-on observation; then each matrix cell re-runs the workload
-    with exactly one fault point armed (a singleton of the base spec) under
-    a per-cell deterministic seed, and the observable results are compared
-    against the reference. Every observation is one
-    {!Tce_metrics.Harness.run} under the cell's config, the same
-    execution a roster row comes from. The observable folds the printed
-    output with the result of {e every} bench() iteration, so a wrong
-    answer anywhere in the run is caught, not just in the measured
+    on supervised workers ([--shards N]). For each workload it first
+    records the {e interpreter reference} ({!Tce_metrics.Harness.reference}:
+    the JIT off, so every type check is executed and no optimizing-tier
+    code runs) and a clean mechanism-on observation; then each matrix cell
+    re-runs the workload with exactly one fault point armed (a singleton
+    of the base spec) under a per-cell deterministic seed, and the
+    observable results are compared against the reference. Every
+    observation is one {!Tce_metrics.Harness.run} under the cell's config,
+    the same execution a roster row comes from; the reference is an
+    unmeasured interpreter run, so a campaign times two simulations per
+    workload before its cells, not three. The observable folds the
+    printed output with the result of {e every} bench() iteration, so a
+    wrong answer anywhere in the run is caught, not just in the measured
     iteration.
 
     Outcome taxonomy (also documented in lib/fault/README.md):
@@ -110,8 +113,8 @@ val matrix :
 val codec : cell Shard.codec
 
 (** {!matrix} as a {!Shard.cells} matrix, worker subcommand [faults]. Each
-    process prepares a workload's reference/clean observations once, on
-    the first of its cells that needs them. Cells are keyed by
+    process prepares a workload's interpreter reference and clean
+    observation once, on the first of its cells that needs them. Cells are keyed by
     {!Cache.fault_key}. *)
 val cells :
   spec:Tce_fault.Spec.t ->
@@ -130,7 +133,7 @@ val cells :
     identity, so both modes give the same cells. With [cache], cells are
     pre-resolved against the content-addressed cell cache
     ({!Cache.fault_key}); a workload all of whose cells hit gets no
-    reference/clean observations, so a fully cached campaign performs
+    reference or clean run, so a fully cached campaign performs
     zero simulations and starts no worker. [jobs] stays only for callers
     that still pass [~jobs:1]; any other value raises [Invalid_argument]
     ({!Shard.serial_jobs}).

@@ -232,76 +232,48 @@ let run_to_json (r : run) : J.t =
            ("cache_misses", J.Int r.cache_misses);
          ]))
 
-(* Decoding: every field is required; a missing or mistyped field names
-   itself in the error so a truncated store file is diagnosable. *)
-
-let field name conv j =
-  match Option.bind (J.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "bad or missing field %S" name)
-
-(* Optional fields are the exception: absent, they keep the default that
-   documents written before they existed imply; present, they must
-   decode. *)
-let optional name conv ~default j =
-  match J.member name j with
-  | None -> Ok default
-  | Some v ->
-    Option.to_result ~none:(Printf.sprintf "bad field %S" name) (conv v)
-
-let list_of conv v =
-  Option.bind (J.to_list v) (fun items ->
-      let xs = List.filter_map conv items in
-      if List.compare_lengths xs items = 0 then Some xs else None)
-
-let int_at_least n v =
-  Option.bind (J.to_int v) (fun i -> if i >= n then Some i else None)
+(* Decoding: every field is required ({!J.field}) unless an older
+   document may lack it ({!J.optional}). *)
 
 let ( let* ) = Result.bind
 
 let workload_of_json (j : J.t) : (workload, string) result =
-  let* name = field "name" J.to_str j in
-  let* suite = field "suite" J.to_str j in
-  let* iterations = field "iterations" J.to_int j in
-  let* checksum = field "checksum" J.to_str j in
-  let* cycles_off = field "cycles_off" J.to_float j in
-  let* cycles_on = field "cycles_on" J.to_float j in
-  let* whole_cycles_off = field "whole_cycles_off" J.to_float j in
-  let* whole_cycles_on = field "whole_cycles_on" J.to_float j in
-  let* checks_off = field "checks_off" J.to_int j in
-  let* checks_on = field "checks_on" J.to_int j in
+  let* name = J.field "name" J.to_str j in
+  let* suite = J.field "suite" J.to_str j in
+  let* iterations = J.field "iterations" J.to_int j in
+  let* checksum = J.field "checksum" J.to_str j in
+  let* cycles_off = J.field "cycles_off" J.to_float j in
+  let* cycles_on = J.field "cycles_on" J.to_float j in
+  let* whole_cycles_off = J.field "whole_cycles_off" J.to_float j in
+  let* whole_cycles_on = J.field "whole_cycles_on" J.to_float j in
+  let* checks_off = J.field "checks_off" J.to_int j in
+  let* checks_on = J.field "checks_on" J.to_int j in
   (* Optional for schema-v1 documents, which predate the composition block. *)
   let* checks_by_kind =
     match J.member "checks_by_kind" j with
     | None -> Ok []
     | Some (J.List items) ->
       let entry e =
-        let* kind = field "kind" J.to_str e in
-        let* off = field "off" J.to_int e in
-        let* on = field "on" J.to_int e in
+        let* kind = J.field "kind" J.to_str e in
+        let* off = J.field "off" J.to_int e in
+        let* on = J.field "on" J.to_int e in
         Ok (kind, off, on)
       in
-      List.fold_left
-        (fun acc e ->
-          let* acc = acc in
-          let* x = entry e in
-          Ok (x :: acc))
-        (Ok []) items
-      |> Result.map List.rev
+      J.decode_all "checks_by_kind" entry items
     | Some _ -> Error "bad field \"checks_by_kind\""
   in
-  let* guards_off = field "guards_off" J.to_int j in
-  let* guards_on = field "guards_on" J.to_int j in
-  let* deopts_on = field "deopts_on" J.to_int j in
-  let* cc_exceptions_on = field "cc_exceptions_on" J.to_int j in
-  let* cc_accesses_on = field "cc_accesses_on" J.to_int j in
-  let* cc_hit_rate_on = field "cc_hit_rate_on" J.to_float j in
-  let* speedup_pct = field "speedup_pct" J.to_float j in
-  let* check_removal_pct = field "check_removal_pct" J.to_float j in
-  let* wall_seconds = field "wall_seconds" J.to_float j in
+  let* guards_off = J.field "guards_off" J.to_int j in
+  let* guards_on = J.field "guards_on" J.to_int j in
+  let* deopts_on = J.field "deopts_on" J.to_int j in
+  let* cc_exceptions_on = J.field "cc_exceptions_on" J.to_int j in
+  let* cc_accesses_on = J.field "cc_accesses_on" J.to_int j in
+  let* cc_hit_rate_on = J.field "cc_hit_rate_on" J.to_float j in
+  let* speedup_pct = J.field "speedup_pct" J.to_float j in
+  let* check_removal_pct = J.field "check_removal_pct" J.to_float j in
+  let* wall_seconds = J.field "wall_seconds" J.to_float j in
   (* Optional for schema-v1/v2 documents, which only carried the pair
      total; per-side walls are provenance-only so 0.0 is a safe default. *)
-  let wall name = optional name J.to_float ~default:0.0 j in
+  let wall name = J.optional name J.to_float ~default:0.0 j in
   let* wall_seconds_off = wall "wall_seconds_off" in
   let* wall_seconds_on = wall "wall_seconds_on" in
   Ok
@@ -341,37 +313,31 @@ let cell_of_json (j : J.t) : (cell, string) result =
     | Ok f -> Ok (w, Some f)
     | Error e -> Error (Printf.sprintf "%s: %s" w.name e))
 
-let decode_all dec xs =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest -> (
-      match dec x with Ok v -> go (v :: acc) rest | Error e -> Error e)
-  in
-  go [] xs
-
 let run_of_json (j : J.t) : (run, string) result =
   let* schema, kind, data = Tce_obs.Export.open_document_v j in
   if kind <> "bench-run" then
     Error (Printf.sprintf "expected a bench-run document, got %S" kind)
   else
-    let* git_sha = field "git_sha" J.to_str data in
-    let* config_hash = field "config_hash" J.to_str data in
-    let* created_utc = field "created_utc" J.to_str data in
-    let* jobs = field "jobs" J.to_int data in
+    let* git_sha = J.field "git_sha" J.to_str data in
+    let* config_hash = J.field "config_hash" J.to_str data in
+    let* created_utc = J.field "created_utc" J.to_str data in
+    let* jobs = J.field "jobs" J.to_int data in
     (* Optional for documents written before multi-process sharding
        existed: an in-process run is one shard. *)
-    let* shards = optional "shards" (int_at_least 1) ~default:1 data in
-    let* host_wall_seconds = field "host_wall_seconds" J.to_float data in
-    let* items = field "workloads" J.to_list data in
-    let* cells = decode_all cell_of_json items in
+    let* shards = J.optional "shards" (J.int_at_least 1) ~default:1 data in
+    let* host_wall_seconds = J.field "host_wall_seconds" J.to_float data in
+    let* items = J.field "workloads" J.to_list data in
+    let* cells = J.decode_all "workloads" cell_of_json items in
     (* Optional blocks: documents from clean (or pre-supervision) runs
        simply have no quarantined cells and no resumed rows. *)
-    let* quarantined = optional "quarantined" J.to_list ~default:[] data in
-    let* quarantined = decode_all Supervise.quarantined_of_json quarantined in
-    let* resumed_rows =
-      optional "resumed_rows" (list_of J.to_int) ~default:[] data
+    let* quarantined = J.optional "quarantined" J.to_list ~default:[] data in
+    let* quarantined =
+      J.decode_all "quarantined" Supervise.quarantined_of_json quarantined
     in
-    let count name = optional name (int_at_least 0) ~default:0 data in
+    let* resumed_rows =
+      J.optional "resumed_rows" (J.list_of J.to_int) ~default:[] data
+    in
+    let count name = J.optional name (J.int_at_least 0) ~default:0 data in
     let* cache_hits = count "cache_hits" in
     let* cache_misses = count "cache_misses" in
     Ok

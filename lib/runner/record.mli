@@ -129,32 +129,6 @@ val run_to_json : run -> Tce_obs.Json.t
 
 val run_of_json : Tce_obs.Json.t -> (run, string) result
 
-(** {2 Field decoders shared with the campaign and sweep documents} *)
-
-(** [field name conv j]: member [name] of [j] through [conv], or an error
-    naming the field when it is missing or [conv] rejects it. *)
-val field :
-  string -> (Tce_obs.Json.t -> 'a option) -> Tce_obs.Json.t -> ('a, string) result
-
-(** [optional name conv ~default j]: like {!field}, but an absent member
-    is [default] (documents written before the field existed). A present
-    member [conv] rejects is still an error naming the field. *)
-val optional :
-  string ->
-  (Tce_obs.Json.t -> 'a option) ->
-  default:'a ->
-  Tce_obs.Json.t ->
-  ('a, string) result
-
-(** A JSON list all of whose items [conv] accepts, else [None]. *)
-val list_of : (Tce_obs.Json.t -> 'a option) -> Tce_obs.Json.t -> 'a list option
-
-(** A JSON integer [>= n], else [None]. *)
-val int_at_least : int -> Tce_obs.Json.t -> int option
-
-(** Decode every item in order; the first error wins. *)
-val decode_all : ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
-
 (** The row with its host wall clocks zeroed — the form rows take inside
     the cell cache (pure simulated data). *)
 val zero_walls : workload -> workload

@@ -84,11 +84,12 @@ let row_of_json codec (j : J.t) : (int * 'row, string) result =
   | Error e -> Error e
   | Ok (kind, _) when kind <> "row" ->
     Error (Printf.sprintf "expected a row document, got %S" kind)
-  | Ok (_, data) -> (
-    match (Option.bind (J.member "index" data) J.to_int, J.member "row" data) with
-    | Some i, Some pj when i >= 0 ->
-      Result.map (fun r -> (i, r)) (codec.decode pj)
-    | _ -> Error "malformed row")
+  | Ok (_, data) ->
+    let ( let* ) = Result.bind in
+    let* i = J.field "index" (J.int_at_least 0) data in
+    let* r = J.field "row" Option.some data in
+    let* r = codec.decode r in
+    Ok (i, r)
 
 (* --- the journal header ---
 

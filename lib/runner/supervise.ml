@@ -38,15 +38,12 @@ let quarantined_to_json (q : quarantined) : J.t =
     ]
 
 let quarantined_of_json (j : J.t) : (quarantined, string) result =
-  match
-    ( Option.bind (J.member "index" j) J.to_int,
-      Option.bind (J.member "name" j) J.to_str,
-      Option.bind (J.member "kills" j) J.to_int,
-      Option.bind (J.member "reason" j) J.to_str )
-  with
-  | Some q_index, Some q_name, Some q_kills, Some q_reason ->
-    Ok { q_index; q_name; q_kills; q_reason }
-  | _ -> Error "malformed quarantined entry"
+  let ( let* ) = Result.bind in
+  let* q_index = J.field "index" J.to_int j in
+  let* q_name = J.field "name" J.to_str j in
+  let* q_kills = J.field "kills" J.to_int j in
+  let* q_reason = J.field "reason" J.to_str j in
+  Ok { q_index; q_name; q_kills; q_reason }
 
 type 'row outcome = {
   rows : (int * 'row) list;

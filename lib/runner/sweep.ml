@@ -266,10 +266,11 @@ let point_to_json p =
     ]
 
 let point_of_json (j : J.t) : (point, string) result =
-  let int k = Option.bind (J.member k j) J.to_int in
-  match (int "entries", int "ways", int "cl_size") with
-  | Some entries, Some ways, Some cl_size -> Ok { entries; ways; cl_size }
-  | _ -> Error "malformed sweep point"
+  let int k = J.field k J.to_int j in
+  let* entries = int "entries" in
+  let* ways = int "ways" in
+  let* cl_size = int "cl_size" in
+  Ok { entries; ways; cl_size }
 
 let to_json (t : t) : J.t =
   Tce_obs.Export.document ~kind:"sweep"
@@ -314,43 +315,34 @@ let of_json (j : J.t) : (t, string) result =
   if kind <> "sweep" then
     Error (Printf.sprintf "expected kind sweep, got %s" kind)
   else
-    let count name =
-      Record.optional name (Record.int_at_least 0) ~default:0 data
-    in
+    let count name = J.optional name (J.int_at_least 0) ~default:0 data in
     let cell_of j =
-      match (J.member "point" j, J.member "row" j) with
-      | Some pj, Some rj ->
-        let* p = point_of_json pj in
-        let* r = Record.workload_of_json rj in
-        Ok (p, r)
-      | _ -> Error "malformed sweep cell"
+      let* p = J.field "point" Option.some j in
+      let* p = point_of_json p in
+      let* r = J.field "row" Option.some j in
+      let* r = Record.workload_of_json r in
+      Ok (p, r)
     in
-    let* spec = Record.field "spec" J.to_str data in
-    let* git_sha = Record.field "git_sha" J.to_str data in
-    let* created_utc = Record.field "created_utc" J.to_str data in
-    let* jobs = Record.field "jobs" J.to_int data in
-    let* shards = Record.field "shards" J.to_int data in
-    let* host_wall_seconds =
-      Record.field "host_wall_seconds" J.to_float data
-    in
+    let* spec = J.field "spec" J.to_str data in
+    let* git_sha = J.field "git_sha" J.to_str data in
+    let* created_utc = J.field "created_utc" J.to_str data in
+    let* jobs = J.field "jobs" J.to_int data in
+    let* shards = J.field "shards" J.to_int data in
+    let* host_wall_seconds = J.field "host_wall_seconds" J.to_float data in
     let* cache_hits = count "cache_hits" in
     let* cache_misses = count "cache_misses" in
     let* skipped_points = count "skipped_points" in
-    let* roster =
-      Record.optional "roster" (Record.list_of J.to_str) ~default:[] data
-    in
-    let* points = Record.field "points" J.to_list data in
-    let* points = Record.decode_all point_of_json points in
-    let* cells = Record.field "cells" J.to_list data in
-    let* cells = Record.decode_all cell_of cells in
+    let* roster = J.optional "roster" (J.list_of J.to_str) ~default:[] data in
+    let* points = J.field "points" J.to_list data in
+    let* points = J.decode_all "points" point_of_json points in
+    let* cells = J.field "cells" J.to_list data in
+    let* cells = J.decode_all "cells" cell_of cells in
+    let* quarantined = J.optional "quarantined" J.to_list ~default:[] data in
     let* quarantined =
-      Record.optional "quarantined" J.to_list ~default:[] data
-    in
-    let* quarantined =
-      Record.decode_all Supervise.quarantined_of_json quarantined
+      J.decode_all "quarantined" Supervise.quarantined_of_json quarantined
     in
     let* resumed_rows =
-      Record.optional "resumed_rows" (Record.list_of J.to_int) ~default:[] data
+      J.optional "resumed_rows" (J.list_of J.to_int) ~default:[] data
     in
     Ok
       {

@@ -631,6 +631,104 @@ let prop_random_programs_tier_equivalent =
           "tier mismatch: interp=%s jit=%s nomech=%s checked-load=%s\n%s" a b c d
           src)
 
+(* --- SMI binop fast paths --- *)
+
+module Rt = Tce_engine.Runtime
+module V = Tce_vm.Value
+module Fb = Tce_jit.Feedback
+
+let smi_binops =
+  Tce_minijs.Ast.
+    [ Add; Sub; Mul; Div; Mod; Lt; Le; Gt; Ge; Eq; Ne; BitAnd; BitOr; BitXor;
+      Shl; Shr; Ushr ]
+
+let binop_heap = lazy (Tce_vm.Heap.create ())
+
+(* One binop through [eval]: the result as an SMI payload or the bits of a
+   heap number (Error), its feedback, and the bytes it allocated. *)
+let eval_binop_with eval op x y =
+  let h = Lazy.force binop_heap in
+  let mem = h.Tce_vm.Heap.mem in
+  let before = mem.Tce_vm.Mem.next_free in
+  let fbc = ref Fb.Bf_none in
+  let v = eval h op (V.smi x) (V.smi y) fbc in
+  let r =
+    if V.is_smi v then Ok (V.smi_value v)
+    else Error (Tce_vm.Fbits.of_float (Tce_vm.Heap.number_value h v))
+  in
+  (r, !fbc, mem.Tce_vm.Mem.next_free - before)
+
+let fast_equals_float op x y =
+  eval_binop_with Rt.eval_binop_cell op x y
+  = eval_binop_with Rt.eval_binop_float op x y
+
+(* Operands biased to the edges of the SMI range, to zero and to ±1, and
+   to magnitudes whose products straddle it. *)
+let smi_operand =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            [ 0; 1; -1; 2; -2; V.smi_min; V.smi_max; V.smi_min + 1;
+              V.smi_max - 1; 46340; 46341; -46341; 65536; -65536 ] );
+        (2, int_range (-64) 64);
+        (2, int_range V.smi_min V.smi_max);
+      ])
+
+let prop_smi_fast_paths_exact =
+  QCheck.Test.make ~name:"SMI binop fast paths equal the float path"
+    ~count:2000
+    (QCheck.make
+       ~print:QCheck.Print.(pair int int)
+       QCheck.Gen.(pair smi_operand smi_operand))
+    (fun (x, y) ->
+      List.for_all
+        (fun op ->
+          fast_equals_float op x y
+          || QCheck.Test.fail_reportf "%s %d %d differs"
+               (Tce_minijs.Ast.show_binop op) x y)
+        smi_binops)
+
+let test_smi_fast_path_fallbacks () =
+  let boxed f = Error (Tce_vm.Fbits.of_float f) in
+  List.iter
+    (fun (name, op, x, y, expected, feedback) ->
+      if not (fast_equals_float op x y) then
+        Alcotest.failf "%s: fast path differs from the float path" name;
+      let r, fb, bytes = eval_binop_with Rt.eval_binop_cell op x y in
+      if r <> expected then Alcotest.failf "%s: wrong value" name;
+      if fb <> feedback then Alcotest.failf "%s: wrong feedback" name;
+      if bytes = 0 then Alcotest.failf "%s: result not boxed" name)
+    Tce_minijs.Ast.
+      [
+        ("add overflow", Add, V.smi_max, 1, boxed 2147483648.0, Fb.Bf_number);
+        ("sub overflow", Sub, V.smi_min, 1, boxed (-2147483649.0), Fb.Bf_number);
+        ("mul overflow", Mul, V.smi_max, 2, boxed 4294967294.0, Fb.Bf_number);
+        ( "mul past the host int", Mul, V.smi_min, V.smi_min,
+          boxed 4611686018427387904.0, Fb.Bf_number );
+        ("negative times zero", Mul, -5, 0, boxed (-0.0), Fb.Bf_number);
+        ("zero times negative", Mul, 0, V.smi_min, boxed (-0.0), Fb.Bf_number);
+        (* the bitwise ops report SMI feedback for SMI operands *)
+        ("ushr", Ushr, -1, 0, boxed 4294967295.0, Fb.Bf_smi);
+        ("div", Div, 7, 2, boxed 3.5, Fb.Bf_number);
+        ("mod to -0", Mod, -4, 2, boxed (-0.0), Fb.Bf_number);
+      ];
+  (* in range, the fast paths box nothing and report SMI feedback *)
+  List.iter
+    (fun (op, x, y, expected) ->
+      Alcotest.(check bool)
+        (Tce_minijs.Ast.show_binop op)
+        true
+        (eval_binop_with Rt.eval_binop_cell op x y = (Ok expected, Fb.Bf_smi, 0)))
+    Tce_minijs.Ast.
+      [
+        (Add, V.smi_max, 0, V.smi_max);
+        (Mul, 0, 5, 0);
+        (Mul, -46340, 46340, -2147395600);
+        (Sub, V.smi_min, -1, V.smi_min + 1);
+      ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -664,6 +762,9 @@ let () =
           Alcotest.test_case "compare kinds" `Quick test_comparison_chains_hot;
           Alcotest.test_case "wide frames" `Quick test_many_locals_and_args;
           Alcotest.test_case "print formats" `Quick test_print_formats;
+          Alcotest.test_case "SMI fast-path fallbacks" `Quick
+            test_smi_fast_path_fallbacks;
+          QCheck_alcotest.to_alcotest prop_smi_fast_paths_exact;
         ] );
       ( "tiers",
         [

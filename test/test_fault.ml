@@ -348,6 +348,68 @@ let test_campaign_rejects_mistyped_fields () =
       ("quarantined", J.Str "x");
     ]
 
+(* A mistyped field inside a list entry (a cell, a quarantined entry) is
+   an error naming the field and the entry's place in its list. *)
+let test_campaign_bad_entry_named () =
+  let module C = Tce_runner.Campaign in
+  let module J = Tce_obs.Json in
+  let doc =
+    match Tce_runner.Store.read_json committed_campaign Result.ok with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "committed campaign unreadable: %s" e
+  in
+  let edit_data f =
+    match doc with
+    | J.Obj top ->
+      J.Obj
+        (List.map
+           (function "data", J.Obj d -> ("data", J.Obj (f d)) | kv -> kv)
+           top)
+    | _ -> Alcotest.fail "the committed campaign is not an object"
+  in
+  let set name v kvs = (name, v) :: List.remove_assoc name kvs in
+  let eighth_fires_x =
+    edit_data (fun d ->
+        match List.assoc "cells" d with
+        | J.List cells ->
+          set "cells"
+            (J.List
+               (List.mapi
+                  (fun i c ->
+                    match c with
+                    | J.Obj kvs when i = 7 -> J.Obj (set "fires" (J.Str "x") kvs)
+                    | c -> c)
+                  cells))
+            d
+        | _ -> Alcotest.fail "cells is not a list")
+  in
+  let bad_kills =
+    edit_data
+      (set "quarantined"
+         (J.List
+            [
+              J.Obj
+                [
+                  ("index", J.Int 1); ("name", J.Str "q"); ("kills", J.Str "two");
+                  ("reason", J.Str "r");
+                ];
+            ]))
+  in
+  List.iter
+    (fun (what, doc, affixes) ->
+      match C.of_json doc with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error e ->
+        List.iter
+          (fun affix ->
+            if not (Astring.String.is_infix ~affix e) then
+              Alcotest.failf "%s: error %S does not name %s" what e affix)
+          affixes)
+    [
+      ("eighth cell's fires = \"x\"", eighth_fires_x, [ "cells[7]"; "\"fires\"" ]);
+      ("quarantined kills = \"two\"", bad_kills, [ "quarantined[0]"; "\"kills\"" ]);
+    ]
+
 (* --- unfaulted engine unchanged by the fault layer --- *)
 
 let test_null_injector_shared_safely () =
@@ -400,6 +462,8 @@ let () =
         [
           Alcotest.test_case "mistyped optional fields rejected" `Quick
             test_campaign_rejects_mistyped_fields;
+          Alcotest.test_case "a bad entry field is named" `Quick
+            test_campaign_bad_entry_named;
           Alcotest.test_case "save with dir \"\" writes no archive" `Quick
             test_campaign_save_without_archive;
           Alcotest.test_case "seeded cells match the committed campaign" `Slow

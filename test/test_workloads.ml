@@ -30,20 +30,10 @@ let test_sources_parse () =
 module H = Tce_metrics.Harness
 
 (* Each workload simulated once per mode, for all four integration cases
-   below: the interpreter's observable (an unmeasured {!H.warm} run with
-   the JIT off) and the measured mechanism-off/on pair. *)
+   below: the interpreter's observable ({!H.reference}) and the measured
+   mechanism-off/on pair. *)
 let runs =
-  List.map
-    (fun w ->
-      ( w,
-        lazy
-          (let t, values =
-             H.warm
-               ~config:{ Tce_engine.Engine.default_config with jit = false }
-               ~iterations:w.Workload.iterations w.Workload.source
-           in
-           (H.observable t values, H.run_pair w)) ))
-    Workloads.all
+  List.map (fun w -> (w, lazy (H.reference w, H.run_pair w))) Workloads.all
 
 let selected_runs =
   List.filter (fun (w, _) -> w.Workload.selected) runs
