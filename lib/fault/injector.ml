@@ -10,7 +10,6 @@ type rule_state = {
 
 type t = {
   armed : bool;
-  seed : int;
   prng : Tce_support.Prng.t;
   rules : rule_state option array;  (** indexed by {!Point.index} *)
   mutable trace : Trace.t;
@@ -24,7 +23,6 @@ type t = {
 let null =
   {
     armed = false;
-    seed = 0;
     prng = Tce_support.Prng.create 0;
     rules = Array.make Point.count None;
     trace = Trace.null;
@@ -43,7 +41,6 @@ let create ?(trace = Trace.null) ~seed spec =
     spec;
   {
     armed = spec <> [];
-    seed;
     prng = Tce_support.Prng.create seed;
     rules;
     trace;
@@ -54,7 +51,6 @@ let create ?(trace = Trace.null) ~seed spec =
   }
 
 let armed t = t.armed
-let seed t = t.seed
 let set_trace t tr = t.trace <- tr
 
 let fire t ?(classid = -1) ?(line = -1) ?(pos = -1) point =
@@ -74,6 +70,14 @@ let fire t ?(classid = -1) ?(line = -1) ?(pos = -1) point =
           (Trace.Fault_injected { point = Point.name point; classid; line; pos })
     end;
     hit
+
+(* Replaying [fire] on a fresh injector keeps the [Prob]/[At] semantics in
+   one place: the draws are the ones a run armed with [[rule]] makes at its
+   first [n] opportunities. *)
+let quiet ~seed (rule : Spec.rule) ~opportunities:n =
+  let t = create ~seed [ rule ] in
+  let rec go i = i >= n || ((not (fire t rule.Spec.point)) && go (i + 1)) in
+  go 0
 
 let default_delay = 8
 

@@ -25,7 +25,6 @@ val create : ?trace:Tce_obs.Trace.t -> seed:int -> Spec.t -> t
     the unfaulted path stays zero-cost. *)
 val armed : t -> bool
 
-val seed : t -> int
 val set_trace : t -> Tce_obs.Trace.t -> unit
 
 (** [fire t point] consumes one opportunity for [point] and reports whether
@@ -33,9 +32,13 @@ val set_trace : t -> Tce_obs.Trace.t -> unit
     site coordinates only annotate the emitted trace event. *)
 val fire : t -> ?classid:int -> ?line:int -> ?pos:int -> Point.t -> bool
 
-(** Delivery delay for [Cc_delayed_exn], in Class Cache accesses (the
-    rule's parameter; default 8). *)
-val delay : t -> int
+(** [quiet ~seed rule ~opportunities:n]: an injector for [[rule]] seeded
+    [seed] fires at none of its first [n] opportunities. Until its first
+    fire, a run armed with [[rule]] executes exactly like one armed with
+    rules that never fire ([point@max_int]); so when such a run offered
+    [rule]'s point [n] opportunities and [quiet] holds, the run armed with
+    [[rule]] never fires. *)
+val quiet : seed:int -> Spec.rule -> opportunities:int -> bool
 
 (** Record victims whose deopt notification was dropped ([Lost_deopt]). *)
 val stash_lost : t -> int list -> unit
@@ -44,7 +47,8 @@ val stash_lost : t -> int list -> unit
 val lost : t -> int list
 
 (** Park victims of a delayed exception; they are re-delivered by
-    {!tick_delayed} after {!delay} further Class Cache accesses. *)
+    {!tick_delayed} after the [cc-delay] rule's parameter (default 8)
+    further Class Cache accesses. *)
 val stash_delayed : t -> int list -> unit
 
 (** Advance the delay pipeline by one Class Cache access and return the
@@ -69,7 +73,6 @@ val fires : t -> Point.t -> int
 val opportunities : t -> Point.t -> int
 
 val total_fires : t -> int
-val counts : t -> (Point.t * int) list
 
 (** One-line human summary, e.g. for [tcejs run --fault-spec] stderr. *)
 val summary : t -> string

@@ -69,12 +69,21 @@ let parse s =
     in
     go [] toks
 
+(* The shortest [%.Ng] that parses back to [p]: the default rates print as
+   [%g] prints them, and rates that differ past the 6th digit stay apart. *)
+let prob_to_string p =
+  let rec go digits =
+    let s = Printf.sprintf "%.*g" digits p in
+    if digits >= 17 || float_of_string s = p then s else go (digits + 1)
+  in
+  go 1
+
 let rule_to_string r =
   match r.trigger with
   | At n -> Printf.sprintf "%s@%d" (Point.name r.point) n
   | Prob 1.0 when r.param = None -> Point.name r.point
   | Prob p -> (
-    let base = Printf.sprintf "%s:%g" (Point.name r.point) p in
+    let base = Printf.sprintf "%s:%s" (Point.name r.point) (prob_to_string p) in
     match r.param with None -> base | Some q -> Printf.sprintf "%s:%d" base q)
 
 let to_string rules = String.concat "," (List.map rule_to_string rules)

@@ -8,8 +8,10 @@
       measure a single call. Counters run from the first instruction, so
       the same execution also gives the whole-run totals. The roster rows,
       the ablations and the sweep ({!run_pair}), the profiler
-      ({!run_pair_profiled}) and the fault campaign's clean and faulted
-      runs ({!Tce_runner.Campaign.observe}) all use it.
+      ({!run_pair_profiled}) and the fault campaign's runs
+      ({!Tce_runner.Campaign.observe}: its clean run, armed to count fault
+      opportunities, and a faulted run per cell whose rule can fire) all
+      use it.
     - {!warm}, the unmeasured run: the top level, then [bench()] a given
       number of times with counters off. The pure-interpreter reference
       ({!reference}: the fault oracle's ground truth and the differential

@@ -99,45 +99,52 @@ let cell_seed ~campaign_seed ~workload ~point =
   let h = Hashtbl.hash (workload, point) in
   campaign_seed lxor (h * 0x9E3779B1) lxor ((h lsl 17) lor 0x2545F491)
 
-let run_cell ~campaign_seed ~(reference : string) ~(clean : observation)
-    (w : W.t) (rule : Spec.rule) : cell =
+(** What a workload's cells share, prepared once per process by {!prep}. *)
+type prepared = {
+  reference : string;
+  clean : observation;
+  opportunities : Point.t -> int;  (** per point, in the clean run *)
+}
+
+let run_cell ~campaign_seed (p : prepared) (w : W.t) (rule : Spec.rule) =
   let point = Point.name rule.Spec.point in
   let seed = cell_seed ~campaign_seed ~workload:w.W.name ~point in
   let spec = [ rule ] in
   let inj = Injector.create ~seed spec in
-  let config = { E.default_config with E.mechanism = true; fault = inj } in
-  let obs, crash =
-    try (Some (observe ~config w), "") with e -> (None, Printexc.to_string e)
-  in
-  let fires = Injector.total_fires inj in
-  let detections = Injector.detections inj in
   let outcome, detail, deopts_delta, cycles_delta =
-    match obs with
-    | None ->
-      (* An injected fault must degrade gracefully, never crash the
-         engine: a crash counts as a campaign failure like a wrong
-         answer. *)
-      (Wrong, "crash: " ^ crash, 0, 0.0)
-    | Some o ->
-      let dd = o.deopts - clean.deopts in
-      let cd = o.cycles -. clean.cycles in
-      if fires = 0 then (Not_exercised, "", dd, cd)
-      else if o.observable <> reference then
-        (Wrong, "observable result differs from the interpreter reference",
-         dd, cd)
-      else if detections > 0 then (Detected_recovered, "", dd, cd)
-      else if
-        dd <> 0 || o.cc_exceptions <> clean.cc_exceptions || cd <> 0.0
-      then (Degraded, "", dd, cd)
-      else (Masked, "", dd, cd)
+    let n = p.opportunities rule.Spec.point in
+    if Injector.quiet ~seed rule ~opportunities:n then
+      (* The faulted run would repeat the clean run without a fire
+         ({!Injector.quiet}): its cell is known, and [inj] stays at zero. *)
+      (Not_exercised, "", 0, 0.0)
+    else
+      let config = { E.default_config with E.mechanism = true; fault = inj } in
+      match observe ~config w with
+      | exception e ->
+        (* An injected fault must degrade gracefully, never crash the
+           engine: a crash counts as a campaign failure like a wrong
+           answer. *)
+        (Wrong, "crash: " ^ Printexc.to_string e, 0, 0.0)
+      | o ->
+        let dd = o.deopts - p.clean.deopts in
+        let cd = o.cycles -. p.clean.cycles in
+        if Injector.total_fires inj = 0 then (Not_exercised, "", dd, cd)
+        else if o.observable <> p.reference then
+          (Wrong, "observable result differs from the interpreter reference",
+           dd, cd)
+        else if Injector.detections inj > 0 then (Detected_recovered, "", dd, cd)
+        else if
+          dd <> 0 || o.cc_exceptions <> p.clean.cc_exceptions || cd <> 0.0
+        then (Degraded, "", dd, cd)
+        else (Masked, "", dd, cd)
   in
   {
     workload = w.W.name;
     point;
     spec = Spec.to_string spec;
     seed;
-    fires;
-    detections;
+    fires = Injector.total_fires inj;
+    detections = Injector.detections inj;
     lost_victims = List.length (Injector.lost inj);
     delivered_late = Injector.delivered_late inj;
     deopts_delta;
@@ -156,18 +163,29 @@ let matrix ~(spec : Spec.t) (ws : W.t list) : (W.t * Spec.rule) list =
 (** Per workload, before its first cell: the pure-interpreter reference
     ({!Tce_metrics.Harness.reference}, the differential oracle's ground
     truth: no optimizing-tier code runs in it) and a clean mechanism-on
-    run (the yardstick for Degraded vs Masked). The two must already
-    agree: a mismatch here is an engine bug, not an injection outcome. *)
-let prep (w : W.t) =
+    run (the yardstick for Degraded vs Masked) made with a counting
+    injector, so that it also gives each point's opportunities (see
+    campaign.mli). A mismatch with the reference, a fire or a detection
+    here is an engine bug, not an injection outcome. *)
+let prep (w : W.t) : prepared =
   let reference = Tce_metrics.Harness.reference w in
-  let clean = observe ~config:{ E.default_config with E.mechanism = true } w in
+  let counter =
+    Injector.create ~seed:0
+      (List.map
+         (fun point -> { Spec.point; trigger = Spec.At max_int; param = None })
+         Point.all)
+  in
+  let clean =
+    observe ~config:{ E.default_config with E.mechanism = true; fault = counter } w
+  in
+  let fail what =
+    failwith (Printf.sprintf "%s: %s with no faults injected" w.W.name what)
+  in
   if reference <> clean.observable then
-    failwith
-      (Printf.sprintf
-         "%s: mechanism-on output differs from the interpreter reference \
-          with no faults injected"
-         w.W.name);
-  (reference, clean)
+    fail "mechanism-on output differs from the interpreter reference";
+  if Injector.total_fires counter > 0 || Injector.detections counter > 0 then
+    fail "a fault fired or the retire-path check tripped";
+  { reference; clean; opportunities = Injector.opportunities counter }
 
 (** The cell-cache key of cell [(w, rule)]: its singleton spec and
     injector seed on top of the bench identity. *)
@@ -321,8 +339,8 @@ let codec =
 let cells ~spec ~seed (ws : W.t list) : cell Shard.cells =
   let m = Array.of_list (matrix ~spec ws) in
   let cost = lazy (Store.baseline_cost_of_workload ()) in
-  (* Reference observable and clean observation, once per workload this
-     process runs.
+  (* Reference observable, clean observation and opportunity counts, once
+     per workload this process runs.
      A sharded run gives each workload's cells to one worker process, so
      a run preps each workload once, sharded or not. *)
   let prepped = Hashtbl.create 8 in
@@ -349,8 +367,7 @@ let cells ~spec ~seed (ws : W.t list) : cell Shard.cells =
     run =
       (fun i ->
         let w, rule = m.(i) in
-        let reference, clean = prep_once w in
-        run_cell ~campaign_seed:seed ~reference ~clean w rule);
+        run_cell ~campaign_seed:seed (prep_once w) w rule);
   }
 
 let run ?exe ?spawn ?log_dir ?supervise

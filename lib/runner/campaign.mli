@@ -4,14 +4,18 @@
     on supervised workers ([--shards N]). For each workload it first
     records the {e interpreter reference} ({!Tce_metrics.Harness.reference}:
     the JIT off, so every type check is executed and no optimizing-tier
-    code runs) and a clean mechanism-on observation; then each matrix cell
+    code runs) and a clean mechanism-on observation ({!prep}), whose run
+    also counts each fault point's opportunities; then each matrix cell
     re-runs the workload with exactly one fault point armed (a singleton
     of the base spec) under a per-cell deterministic seed, and the
-    observable results are compared against the reference. Every
-    observation is one {!Tce_metrics.Harness.run} under the cell's config,
-    the same execution a roster row comes from; the reference is an
-    unmeasured interpreter run, so a campaign times two simulations per
-    workload before its cells, not three. The observable folds the
+    observable results are compared against the reference. A cell whose
+    rule provably cannot fire within the clean run's opportunities
+    ({!Tce_fault.Injector.quiet}) is [Not_exercised] without that re-run:
+    it would repeat the clean run. Every observation is one
+    {!Tce_metrics.Harness.run} under the cell's config, the same execution
+    a roster row comes from; the reference is an unmeasured interpreter
+    run, so a campaign times one simulation per workload before its cells
+    and one per cell whose rule can fire. The observable folds the
     printed output with the result of {e every} bench() iteration, so a
     wrong answer anywhere in the run is caught, not just in the measured
     iteration.
@@ -25,7 +29,9 @@
     - [Degraded] — results match with no detection needed, but the fault
       cost something (extra deopts / Class Cache exceptions / cycles).
     - [Masked] — the fault fired yet changed nothing measurable.
-    - [Not_exercised] — the fault point had no opportunity to fire.
+    - [Not_exercised] — the rule never fired: its point had no
+      opportunity, or none of its seeded draws hit. Decided from the
+      clean run's opportunity counts, with no faulted run.
 
     Every cell records its injector seed, a function of the campaign seed
     and the cell's identity only, so any outcome is replayable on its own:
@@ -96,6 +102,26 @@ type observation = {
 val observe : config:Tce_engine.Engine.config -> Tce_workloads.Workload.t ->
   observation
 
+(** What a workload's cells share: the interpreter reference, the clean
+    mechanism-on observation and, per fault point, the opportunities the
+    clean run offered. *)
+type prepared = {
+  reference : string;
+  clean : observation;
+  opportunities : Tce_fault.Point.t -> int;
+}
+
+(** Prepare workload [w]'s cells: {!Tce_metrics.Harness.reference}, then
+    one clean mechanism-on run armed at every point with a rule that never
+    fires ([point@max_int]). That run executes like any cell's faulted run
+    before the latter's first fire, retire-path detectors included, and
+    counts each point's opportunities; a cell whose rule
+    {!Tce_fault.Injector.quiet} proves cannot fire within them is
+    [Not_exercised] without a faulted run.
+    @raise Failure naming [w] when the clean run's observable differs from
+    the reference, or when it records a fire or a detection. *)
+val prep : Tce_workloads.Workload.t -> prepared
+
 (** The deterministic injector seed of cell [(workload, point)] — a pure
     function of the campaign seed and the cell identity, independent of
     scheduling. *)
@@ -113,9 +139,8 @@ val matrix :
 val codec : cell Shard.codec
 
 (** {!matrix} as a {!Shard.cells} matrix, worker subcommand [faults]. Each
-    process prepares a workload's interpreter reference and clean
-    observation once, on the first of its cells that needs them. Cells are keyed by
-    {!Cache.fault_key}. *)
+    process runs a workload's {!prep} once, on the first of its cells that
+    needs it. Cells are keyed by {!Cache.fault_key}. *)
 val cells :
   spec:Tce_fault.Spec.t ->
   seed:int ->

@@ -1,4 +1,5 @@
-(* Fault-layer tests: spec parsing, injector determinism, the zero-cost
+(* Fault-layer tests: spec parsing and printing, injector determinism, the
+   quiet proof (against fixed cases and real faulted runs), the zero-cost
    disabled path (simulated cycles bit-identical with the injector absent,
    and with an armed-but-inert injector), retire-path detection of lost
    deopts and dropped profiling updates (outputs must equal the checks-on
@@ -40,6 +41,45 @@ let test_spec_roundtrip () =
       | Error _ -> ())
     [ "no-such-point"; "cc-evict:1.5"; "cc-evict:0.1,cc-evict:0.2"; "cc-evict@0" ]
 
+(* A rule prints so that it parses back to itself, whatever its
+   probability's digits. *)
+let prop_rule_roundtrip =
+  QCheck.Test.make ~name:"parse (to_string r) = r for random probabilities"
+    ~count:500
+    QCheck.(
+      triple (int_bound (Point.count - 1)) (float_range 0.0 1.0)
+        (option (int_range 1 64)))
+    (fun (i, p, param) ->
+      let r =
+        { Spec.point = List.nth Point.all i; trigger = Spec.Prob p; param }
+      in
+      Spec.parse (Spec.to_string [ r ]) = Ok [ r ])
+
+(* Two rates that agree to 6 significant digits are distinct specs, so
+   their cells get distinct cache keys. *)
+let test_close_rates_distinct_keys () =
+  let module C = Tce_runner.Campaign in
+  let w =
+    match Tce_workloads.Workloads.by_name "stanford-crypto-ccm" with
+    | Some w -> w
+    | None -> Alcotest.fail "stanford-crypto-ccm missing from the registry"
+  in
+  let key s =
+    match Spec.parse s with
+    | Ok spec ->
+      (C.cells ~spec ~seed:C.default_seed [ w ]).Tce_runner.Shard.key 0
+    | Error e -> Alcotest.failf "parse %s: %s" s e
+  in
+  let a = "cc-drop:0.1234567" and b = "cc-drop:0.1234574" in
+  List.iter
+    (fun s ->
+      match Spec.parse s with
+      | Ok spec ->
+        Alcotest.(check string) ("prints as " ^ s) s (Spec.to_string spec)
+      | Error e -> Alcotest.failf "parse %s: %s" s e)
+    [ a; b ];
+  Alcotest.(check bool) "distinct cell keys" true (key a <> key b)
+
 (* --- injector determinism --- *)
 
 let draw_sequence ~seed n =
@@ -63,6 +103,20 @@ let test_injector_deterministic () =
     [ false; false; true; false; false ] hits;
   Alcotest.(check int) "opportunities counted" 5
     (Injector.opportunities inj Point.Osr_fail)
+
+let test_quiet_fixed_cases () =
+  let rule trigger = { Spec.point = Point.Osr_fail; trigger; param = None } in
+  List.iter
+    (fun (what, trigger, n, expected) ->
+      Alcotest.(check bool) what expected
+        (Injector.quiet ~seed:9 (rule trigger) ~opportunities:n))
+    [
+      ("At 5 within 4", Spec.At 5, 4, true);
+      ("At 5 within 5", Spec.At 5, 5, false);
+      ("Prob 1.0 within 0", Spec.Prob 1.0, 0, true);
+      ("Prob 1.0 within 1", Spec.Prob 1.0, 1, false);
+      ("Prob 0.0 within 10000", Spec.Prob 0.0, 10_000, true);
+    ]
 
 (* --- the zero-cost disabled path --- *)
 
@@ -279,6 +333,72 @@ let test_campaign_matches_committed () =
   Alcotest.(check (list string)) "cells equal the committed ones" []
     (C.diff_cells ~reference c)
 
+(* The quiet proof against real faulted runs, at the committed campaign's
+   seed under each default rule: [Injector.quiet] over the counting clean
+   run's opportunities holds exactly when the faulted run fires nothing,
+   and then the faulted run observes what the clean run did. The counting
+   run itself observes what an unarmed run does. The four workloads span
+   the opportunity counts: none, osr-fail only, every point (deopt-storm
+   offers 15 cc-delay and 15 lost-deopt ones), the Class Cache points. *)
+let test_quiet_matches_faulted_runs () =
+  let module C = Tce_runner.Campaign in
+  let campaign_seed =
+    match C.load committed_campaign with
+    | Ok c -> c.C.campaign_seed
+    | Error e -> Alcotest.failf "committed campaign unreadable: %s" e
+  in
+  let cc_points =
+    [ "cc-evict"; "cc-drop"; "cl-flip-init"; "cl-flip-valid"; "cl-flip-spec";
+      "cc-spurious" ]
+  in
+  let on = { E.default_config with E.mechanism = true } in
+  let quiet_cells = ref 0 and fired_cells = ref 0 in
+  List.iter
+    (fun (name, offered) ->
+      let w =
+        match Tce_workloads.Workloads.by_name name with
+        | Some w -> w
+        | None -> Alcotest.failf "%s missing from the registry" name
+      in
+      let p = C.prep w in
+      Alcotest.(check (list string)) (name ^ ": points offered opportunities")
+        offered
+        (List.map Point.name
+           (List.filter (fun pt -> p.C.opportunities pt > 0) Point.all));
+      Alcotest.(check bool)
+        (name ^ ": counting run observes what an unarmed run does")
+        true
+        (p.C.clean = C.observe ~config:on w);
+      List.iter
+        (fun (rule : Spec.rule) ->
+          let point = Point.name rule.Spec.point in
+          let seed = C.cell_seed ~campaign_seed ~workload:name ~point in
+          let inj = Injector.create ~seed [ rule ] in
+          let o = C.observe ~config:{ on with E.fault = inj } w in
+          let quiet =
+            Injector.quiet ~seed rule
+              ~opportunities:(p.C.opportunities rule.Spec.point)
+          in
+          let cell = name ^ "/" ^ point in
+          Alcotest.(check bool) (cell ^ ": quiet iff no fire") quiet
+            (Injector.total_fires inj = 0);
+          if quiet then begin
+            incr quiet_cells;
+            Alcotest.(check bool)
+              (cell ^ ": quiet run observes the clean one")
+              true (o = p.C.clean)
+          end
+          else incr fired_cells)
+        Spec.default)
+    [
+      ("regexp", []);
+      ("controlflow-recursive", [ "osr-fail" ]);
+      ("deopt-storm", List.map Point.name Point.all);
+      ("stanford-crypto-ccm", cc_points);
+    ];
+  Alcotest.(check bool) "both kinds of cell occur" true
+    (!quiet_cells > 0 && !fired_cells > 0)
+
 (* With dir "" the campaign writes only its latest document and names no
    archive. *)
 let test_campaign_save_without_archive () =
@@ -429,6 +549,9 @@ let () =
       ( "spec",
         [
           Alcotest.test_case "round-trip + rejects" `Quick test_spec_roundtrip;
+          QCheck_alcotest.to_alcotest prop_rule_roundtrip;
+          Alcotest.test_case "close rates get distinct cell keys" `Quick
+            test_close_rates_distinct_keys;
         ] );
       ( "injector",
         [
@@ -436,6 +559,7 @@ let () =
             test_injector_deterministic;
           Alcotest.test_case "null shared safely" `Quick
             test_null_injector_shared_safely;
+          Alcotest.test_case "quiet: fixed cases" `Quick test_quiet_fixed_cases;
         ] );
       ( "zero-cost",
         [
@@ -468,5 +592,7 @@ let () =
             test_campaign_save_without_archive;
           Alcotest.test_case "seeded cells match the committed campaign" `Slow
             test_campaign_matches_committed;
+          Alcotest.test_case "quiet proof matches faulted runs" `Slow
+            test_quiet_matches_faulted_runs;
         ] );
     ]
