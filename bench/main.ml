@@ -494,16 +494,7 @@ let profile_diff_cmd =
       & pos 1 string Store.prof_latest_path
       & info [] ~docv:"CUR" ~doc:"The current prof-report.")
   in
-  let load path =
-    match
-      Result.bind
-        (Tce_obs.Json.of_string (read_file path))
-        Tce_prof.Report.suite_of_json
-    with
-    | Ok pairs -> Ok pairs
-    | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-    | exception Sys_error msg -> Error msg
-  in
+  let load path = Store.read_json path Tce_prof.Report.suite_of_json in
   let diff base_path cur_path =
     match (load base_path, load cur_path) with
     | Ok base, Ok cur ->

@@ -5,9 +5,9 @@
        - FILE parses as JSON, has a traceEvents array, and every event
          carries name/ph/pid; with [require-deopt], at least one tierup
          and one deopt instant (with a non-empty reason) must be present.
-     validate_obs export FILE [KIND]
-       - FILE parses as a versioned Tce_obs.Export document (matching
-         schema_version); with KIND, the document kind must match.
+     validate_obs export FILE KIND
+       - FILE opens as a Tce_obs.Export document of kind KIND (a schema
+         version this build reads).
      validate_obs jsonl FILE
        - every line of FILE parses as a JSON object with at/event keys.
      validate_obs campaign FILE REFERENCE
@@ -18,17 +18,8 @@ module J = Tce_obs.Json
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("validate_obs: " ^ m); exit 1) fmt
 
-let read_file path =
-  let ic = try open_in_bin path with Sys_error e -> fail "%s" e in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let parse path =
-  match J.of_string (read_file path) with
-  | Ok j -> j
-  | Error e -> fail "%s: JSON parse error: %s" path e
+let or_fail = function Ok v -> v | Error e -> fail "%s" e
+let parse path = or_fail (Tce_runner.Store.read_json path Result.ok)
 
 let check_chrome path require_deopt =
   let j = parse path in
@@ -65,19 +56,15 @@ let check_chrome path require_deopt =
     (List.length events) (List.length tierups) (List.length deopts)
 
 let check_export path kind =
-  let j = parse path in
-  match Tce_obs.Export.open_document j with
-  | Error e -> fail "%s: %s" path e
-  | Ok (k, _data) ->
-    (match kind with
-    | Some want when want <> k -> fail "%s: kind %s, expected %s" path k want
-    | _ -> ());
-    Printf.printf "validate_obs: %s OK (kind %s, schema v%d)\n" path k
-      Tce_obs.Export.schema_version
+  ignore
+    (or_fail
+       (Tce_runner.Store.read_json path (Tce_obs.Export.open_document ~kind)));
+  Printf.printf "validate_obs: %s OK (kind %s, schema v%d)\n" path kind
+    Tce_obs.Export.schema_version
 
 let check_jsonl path =
   let lines =
-    String.split_on_char '\n' (read_file path)
+    String.split_on_char '\n' (or_fail (Tce_runner.Store.read_file path))
     |> List.filter (fun l -> String.trim l <> "")
   in
   List.iteri
@@ -91,11 +78,7 @@ let check_jsonl path =
   Printf.printf "validate_obs: %s OK (%d records)\n" path (List.length lines)
 
 let check_campaign path ref_path =
-  let load p =
-    match Tce_runner.Campaign.load p with
-    | Ok c -> c
-    | Error e -> fail "%s" e
-  in
+  let load p = or_fail (Tce_runner.Campaign.load p) in
   let cur = load path in
   match Tce_runner.Campaign.diff_cells ~reference:(load ref_path) cur with
   | [] ->
@@ -108,8 +91,7 @@ let check_campaign path ref_path =
 let () =
   match Array.to_list Sys.argv with
   | _ :: "chrome" :: path :: rest -> check_chrome path (rest = [ "require-deopt" ])
-  | _ :: "export" :: path :: rest ->
-    check_export path (match rest with k :: _ -> Some k | [] -> None)
+  | [ _; "export"; path; kind ] -> check_export path kind
   | [ _; "jsonl"; path ] -> check_jsonl path
   | [ _; "campaign"; path; ref_path ] -> check_campaign path ref_path
   | _ -> fail "usage: validate_obs (chrome|export|jsonl|campaign) FILE [...]"

@@ -245,17 +245,4 @@ let to_json (r : t) =
       ("classid", J.Int r.classid);
     ]
 
-let of_json j =
-  match
-    ( Option.bind (J.member "kind" j) J.to_str,
-      Option.bind (J.member "cause" j) J.to_str,
-      Option.bind (J.member "pc" j) J.to_int,
-      Option.bind (J.member "classid" j) J.to_int )
-  with
-  | Some k, Some c, Some pc, Some classid -> (
-    match (kind_of_name k, cause_of_name c) with
-    | Some kind, Some cause -> Some { kind; cause; pc; classid }
-    | _ -> None)
-  | _ -> None
-
 let compare (a : t) (b : t) = Stdlib.compare a b

@@ -97,7 +97,6 @@ val of_string : string -> t option
 val describe : t -> string
 
 val to_json : t -> Tce_obs.Json.t
-val of_json : Tce_obs.Json.t -> t option
 
 (** Total order (for stable report sorting). *)
 val compare : t -> t -> int

@@ -60,9 +60,6 @@ type result = {
   cc_exceptions : int;
   cc_accesses : int;
   cc_hit_rate : float;
-  l1d_hit_rate : float;
-  l2_hit_rate : float;
-  dtlb_hit_rate : float;
   energy_nj : float;
   energy_dynamic_nj : float;
   energy_leakage_nj : float;
@@ -74,8 +71,6 @@ type result = {
   hidden_classes : int;
   heap_object_bytes : int;
   heap_header_extra_bytes : int;
-  multi_line_objects : int;
-  objects_allocated : int;
 }
 
 (** Energy over a measurement window: counters [c] plus the cache / Class
@@ -134,8 +129,8 @@ let call_bench t values =
     ({!Counters.since}). Every number is bit-identical to the historical
     two-execution protocol — the analytic [baseline_cycles] is recomputed
     from the diffed instruction count rather than float-subtracted, and the
-    hit rates replicate the [accesses = 0 -> 1.0] convention on the diffed
-    traffic — at half the host cost. *)
+    Class Cache hit rate replicates the [accesses = 0 -> 1.0] convention on
+    the diffed traffic — at half the host cost. *)
 let run ?(config = E.default_config) (w : Workload.t) : result =
   let t = E.of_source ~config w.Workload.source in
   let tr = config.E.trace in
@@ -155,13 +150,9 @@ let run ?(config = E.default_config) (w : Workload.t) : result =
   let snap = Counters.copy t.E.counters in
   let m = t.E.mach in
   let l1d_a0 = m.M.l1d.Tce_machine.Cache.stats.accesses
-  and l1d_h0 = m.M.l1d.Tce_machine.Cache.stats.hits
   and l1i_a0 = m.M.l1i.Tce_machine.Cache.stats.accesses
   and l2_a0 = m.M.l2.Tce_machine.Cache.stats.accesses
-  and l2_h0 = m.M.l2.Tce_machine.Cache.stats.hits
   and l2_m0 = m.M.l2.Tce_machine.Cache.stats.misses
-  and dtlb_a0 = m.M.dtlb.Tce_machine.Tlb.stats.accesses
-  and dtlb_h0 = m.M.dtlb.Tce_machine.Tlb.stats.hits
   and cc_a0 = t.E.cc.Tce_core.Class_cache.stats.accesses
   and cc_h0 = t.E.cc.Tce_core.Class_cache.stats.hits in
   let cycles0 = E.opt_cycles t in
@@ -188,13 +179,9 @@ let run ?(config = E.default_config) (w : Workload.t) : result =
     if accesses = 0 then 1.0 else float_of_int hits /. float_of_int accesses
   in
   let l1d_a = m.M.l1d.Tce_machine.Cache.stats.accesses - l1d_a0
-  and l1d_h = m.M.l1d.Tce_machine.Cache.stats.hits - l1d_h0
   and l1i_a = m.M.l1i.Tce_machine.Cache.stats.accesses - l1i_a0
   and l2_a = m.M.l2.Tce_machine.Cache.stats.accesses - l2_a0
-  and l2_h = m.M.l2.Tce_machine.Cache.stats.hits - l2_h0
   and l2_m = m.M.l2.Tce_machine.Cache.stats.misses - l2_m0
-  and dtlb_a = m.M.dtlb.Tce_machine.Tlb.stats.accesses - dtlb_a0
-  and dtlb_h = m.M.dtlb.Tce_machine.Tlb.stats.hits - dtlb_h0
   and cc_a = t.E.cc.Tce_core.Class_cache.stats.accesses - cc_a0
   and cc_h = t.E.cc.Tce_core.Class_cache.stats.hits - cc_h0 in
   let energy =
@@ -232,9 +219,6 @@ let run ?(config = E.default_config) (w : Workload.t) : result =
     cc_exceptions = c.Counters.cc_exception_deopts;
     cc_accesses = cc_a;
     cc_hit_rate = rate cc_h cc_a;
-    l1d_hit_rate = rate l1d_h l1d_a;
-    l2_hit_rate = rate l2_h l2_a;
-    dtlb_hit_rate = rate dtlb_h dtlb_a;
     energy_nj = energy.Tce_machine.Energy.total_nj;
     energy_dynamic_nj = energy.Tce_machine.Energy.dynamic_nj;
     energy_leakage_nj = energy.Tce_machine.Energy.leakage_nj;
@@ -245,8 +229,6 @@ let run ?(config = E.default_config) (w : Workload.t) : result =
       Tce_vm.Hidden_class.Registry.class_count t.E.heap.Tce_vm.Heap.reg;
     heap_object_bytes = hs.Tce_vm.Heap.object_bytes;
     heap_header_extra_bytes = hs.Tce_vm.Heap.header_extra_bytes;
-    multi_line_objects = hs.Tce_vm.Heap.multi_line_objects;
-    objects_allocated = hs.Tce_vm.Heap.objects_allocated;
   }
 
 (** Fail unless the mechanism-off and mechanism-on checksums of [w] agree
@@ -357,49 +339,42 @@ module Figures = struct
 
   let ( let* ) = Result.bind
 
+  let by_cat v =
+    Option.bind (J.list_of J.to_int v) (fun xs ->
+        if List.length xs = Tce_jit.Categories.count then Some (Array.of_list xs)
+        else None)
+
+  let fig3 v =
+    match J.list_of J.to_int v with
+    | Some [ mp; me; pp; pe ] -> Some (mp, me, pp, pe)
+    | _ -> None
+
   (* Every field is required; an error names the first bad one. *)
   let of_json (j : J.t) : (t, string) Stdlib.result =
-    let bad name = Error (Printf.sprintf "bad or missing figures field %S" name) in
-    let field name conv =
-      match Option.bind (J.member name j) conv with
-      | Some v -> Ok v
-      | None -> bad name
+    let* whole_instrs_off = J.field "whole_instrs_off" J.to_int j in
+    let* whole_by_cat_off = J.field "whole_by_cat_off" by_cat j in
+    let* whole_guards_off = J.field "whole_guards_off" J.to_int j in
+    let* opt_instrs_off = J.field "opt_instrs_off" J.to_int j in
+    let* opt_cycles_off = J.field "opt_cycles_off" J.to_int j in
+    let* fig3_off = J.field "fig3_off" fig3 j in
+    let* energy_nj_off = J.field "energy_nj_off" J.to_float j in
+    let* energy_dynamic_nj_off = J.field "energy_dynamic_nj_off" J.to_float j in
+    let* hidden_classes_off = J.field "hidden_classes_off" J.to_int j in
+    let* whole_instrs_on = J.field "whole_instrs_on" J.to_int j in
+    let* opt_instrs_on = J.field "opt_instrs_on" J.to_int j in
+    let* opt_cycles_on = J.field "opt_cycles_on" J.to_int j in
+    let* energy_nj_on = J.field "energy_nj_on" J.to_float j in
+    let* energy_dynamic_nj_on = J.field "energy_dynamic_nj_on" J.to_float j in
+    let* hidden_classes_on = J.field "hidden_classes_on" J.to_int j in
+    let* heap_object_bytes_on = J.field "heap_object_bytes_on" J.to_int j in
+    let* heap_header_extra_bytes_on =
+      J.field "heap_header_extra_bytes_on" J.to_int j
     in
-    let int name = field name J.to_int and float name = field name J.to_float in
-    let ints name =
-      let* items = field name J.to_list in
-      let xs = List.filter_map J.to_int items in
-      if List.compare_lengths xs items = 0 then Ok xs else bad name
-    in
-    let* whole_instrs_off = int "whole_instrs_off" in
-    let* by_cat = ints "whole_by_cat_off" in
-    let* whole_by_cat_off =
-      if List.length by_cat = Tce_jit.Categories.count then Ok (Array.of_list by_cat)
-      else bad "whole_by_cat_off"
-    in
-    let* whole_guards_off = int "whole_guards_off" in
-    let* opt_instrs_off = int "opt_instrs_off" in
-    let* opt_cycles_off = int "opt_cycles_off" in
-    let* fig3_off =
-      let* xs = ints "fig3_off" in
-      match xs with [ mp; me; pp; pe ] -> Ok (mp, me, pp, pe) | _ -> bad "fig3_off"
-    in
-    let* energy_nj_off = float "energy_nj_off" in
-    let* energy_dynamic_nj_off = float "energy_dynamic_nj_off" in
-    let* hidden_classes_off = int "hidden_classes_off" in
-    let* whole_instrs_on = int "whole_instrs_on" in
-    let* opt_instrs_on = int "opt_instrs_on" in
-    let* opt_cycles_on = int "opt_cycles_on" in
-    let* energy_nj_on = float "energy_nj_on" in
-    let* energy_dynamic_nj_on = float "energy_dynamic_nj_on" in
-    let* hidden_classes_on = int "hidden_classes_on" in
-    let* heap_object_bytes_on = int "heap_object_bytes_on" in
-    let* heap_header_extra_bytes_on = int "heap_header_extra_bytes_on" in
-    let* obj_loads_total_on = int "obj_loads_total_on" in
-    let* obj_loads_first_line_on = int "obj_loads_first_line_on" in
-    let* whole_deopts_on = int "whole_deopts_on" in
-    let* whole_cc_exceptions_on = int "whole_cc_exceptions_on" in
-    let* ccops_on = int "ccops_on" in
+    let* obj_loads_total_on = J.field "obj_loads_total_on" J.to_int j in
+    let* obj_loads_first_line_on = J.field "obj_loads_first_line_on" J.to_int j in
+    let* whole_deopts_on = J.field "whole_deopts_on" J.to_int j in
+    let* whole_cc_exceptions_on = J.field "whole_cc_exceptions_on" J.to_int j in
+    let* ccops_on = J.field "ccops_on" J.to_int j in
     Ok
       {
         whole_instrs_off;

@@ -15,8 +15,9 @@
    row envelopes became one [row] kind, and journals gained a [journal]
    header; both pass only between a parent and its own workers and into
    journals pinned to one build, so neither needed a bump.
-   Older documents remain readable ([open_document] accepts 1..version);
-   readers that need version-dependent defaults use [open_document_v]. *)
+   Older documents remain readable: [open_document] accepts 1..version.
+   No reader applies version-dependent defaults; a field added after v1
+   is optional in its decoder and absent means the old behaviour. *)
 let schema_version = 5
 
 let document ~kind data =
@@ -28,19 +29,21 @@ let document ~kind data =
       ("data", data);
     ]
 
-let open_document_v j =
+let open_document ~kind j =
   match (Json.member "schema_version" j, Json.member "kind" j, Json.member "data" j) with
-  | Some (Json.Int v), Some (Json.Str kind), Some data ->
-    if v >= 1 && v <= schema_version then Ok (v, kind, data)
-    else
+  | Some (Json.Int v), Some (Json.Str k), Some data ->
+    if v < 1 || v > schema_version then
       Error
         (Printf.sprintf
            "unsupported schema_version %d (this build supports 1..%d)" v
            schema_version)
+    else if k <> kind then
+      let an = kind <> "" && String.contains "aeiou" kind.[0] in
+      Error
+        (Printf.sprintf "expected %s %s document, got %S"
+           (if an then "an" else "a") kind k)
+    else Ok data
   | _ -> Error "missing schema_version/kind/data envelope fields"
-
-let open_document j =
-  Result.map (fun (_, kind, data) -> (kind, data)) (open_document_v j)
 
 let to_channel oc j =
   output_string oc (Json.to_string_pretty j);

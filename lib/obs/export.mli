@@ -1,10 +1,12 @@
 (** Versioned JSON export envelope.
 
-    Everything the repo writes as machine-readable output — metrics files,
-    Class List dumps, probe results — goes through {!document}, so every
-    artifact self-identifies with [schema_version] + [kind] and downstream
-    tooling (dashboards, regression gates) can evolve against a stable
-    contract. Bump {!schema_version} on any breaking field change. *)
+    Every document the repo writes as machine-readable output — run
+    stats, bench-run records, fault campaigns, sweeps, worker rows and
+    journal headers, attribution and profile reports — goes through
+    {!document}, so every artifact self-identifies with [schema_version] +
+    [kind], and every reader opens it through {!open_document}, the one
+    envelope and kind check. Bump {!schema_version} on any breaking field
+    change. *)
 
 val schema_version : int
 
@@ -12,14 +14,11 @@ val schema_version : int
     "generator": "tce"; "data": data}]. *)
 val document : kind:string -> Json.t -> Json.t
 
-(** Is [j] a well-formed envelope of this (or an older) schema version?
-    Returns the [kind] and payload. *)
-val open_document : Json.t -> (string * Json.t, string) result
-
-(** Like {!open_document} but also returns the document's schema version,
-    for readers that apply version-dependent defaults (e.g. the bench-run
-    decoder backfills v3 wall-clock fields on v1/v2 documents). *)
-val open_document_v : Json.t -> (int * string * Json.t, string) result
+(** [open_document ~kind j]: the payload of [j] when it is a well-formed
+    envelope of this (or an older) schema version whose kind is [kind];
+    otherwise an error such as
+    [expected a fault-campaign document, got "sweep"]. *)
+val open_document : kind:string -> Json.t -> (Json.t, string) result
 
 val to_channel : out_channel -> Json.t -> unit
 

@@ -308,6 +308,7 @@ let to_float = function
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None
+let to_bool = function Bool b -> Some b | _ -> None
 
 (* --- decoding documents: a missing or mistyped field names itself, so a
    truncated or hand-edited file is diagnosable --- *)
@@ -323,8 +324,10 @@ let field name conv j =
 let optional name conv ~default j =
   match member name j with
   | None -> Ok default
-  | Some v ->
-    Option.to_result ~none:(Printf.sprintf "bad field %S" name) (conv v)
+  | Some v -> (
+    match conv v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "bad field %S" name))
 
 let list_of conv v =
   Option.bind (to_list v) (fun items ->

@@ -36,6 +36,7 @@ val to_list : t -> t list option
 val to_int : t -> int option
 val to_float : t -> float option
 val to_str : t -> string option
+val to_bool : t -> bool option
 
 (** {2 Decoding documents} *)
 

@@ -390,53 +390,36 @@ let summary_to_json (s : summary) : J.t =
              s.top_sites) );
     ]
 
-let field name conv j =
-  match Option.bind (J.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "bad or missing field %S" name)
-
 let ( let* ) = Result.bind
 
-let tally_of_json name j =
-  match J.member name j with
-  | Some (J.Obj kvs) ->
-    let rec go acc = function
-      | [] -> Ok (Array.of_list (List.rev acc))
-      | (k, J.Int v) :: rest -> go ((k, v) :: acc) rest
-      | _ -> Error (Printf.sprintf "bad field %S" name)
-    in
-    go [] kvs
-  | _ -> Error (Printf.sprintf "bad or missing field %S" name)
+(* a tally is an object of integer counts, in order *)
+let tally = function
+  | J.Obj kvs ->
+    let count (k, v) = Option.map (fun n -> (k, n)) (J.to_int v) in
+    let counts = List.filter_map count kvs in
+    if List.compare_lengths counts kvs = 0 then Some (Array.of_list counts)
+    else None
+  | _ -> None
+
+let site_of_json it =
+  let* s_fn = J.field "fn" J.to_str it in
+  let* s_pc = J.field "pc" J.to_int it in
+  let* s_label = J.field "label" J.to_str it in
+  let* s_cycles = J.field "cycles" J.to_int it in
+  Ok { s_fn; s_pc; s_label; s_cycles }
 
 let summary_of_json (j : J.t) : (summary, string) result =
-  let* program = field "program" J.to_str j in
-  let* mechanism =
-    match J.member "mechanism" j with
-    | Some (J.Bool b) -> Ok b
-    | _ -> Error "bad or missing field \"mechanism\""
-  in
-  let* machine_cycles = field "machine_cycles" J.to_int j in
-  let* baseline_instrs = field "baseline_instrs" J.to_int j in
-  let* baseline_cpi = field "baseline_cpi" J.to_float j in
-  let* total_cycles = field "total_cycles" J.to_float j in
-  let* by_cost = tally_of_json "by_cost" j in
-  let* by_label = tally_of_json "by_label" j in
-  let* base_by_label = tally_of_json "base_by_label" j in
-  let* top_sites =
-    match J.member "top_sites" j with
-    | Some (J.List items) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | it :: rest ->
-          let* s_fn = field "fn" J.to_str it in
-          let* s_pc = field "pc" J.to_int it in
-          let* s_label = field "label" J.to_str it in
-          let* s_cycles = field "cycles" J.to_int it in
-          go ({ s_fn; s_pc; s_label; s_cycles } :: acc) rest
-      in
-      go [] items
-    | _ -> Error "bad or missing field \"top_sites\""
-  in
+  let* program = J.field "program" J.to_str j in
+  let* mechanism = J.field "mechanism" J.to_bool j in
+  let* machine_cycles = J.field "machine_cycles" J.to_int j in
+  let* baseline_instrs = J.field "baseline_instrs" J.to_int j in
+  let* baseline_cpi = J.field "baseline_cpi" J.to_float j in
+  let* total_cycles = J.field "total_cycles" J.to_float j in
+  let* by_cost = J.field "by_cost" tally j in
+  let* by_label = J.field "by_label" tally j in
+  let* base_by_label = J.field "base_by_label" tally j in
+  let* top_sites = J.field "top_sites" J.to_list j in
+  let* top_sites = J.decode_all "top_sites" site_of_json top_sites in
   Ok
     {
       program;

@@ -179,15 +179,14 @@ let pair_to_json p =
 let ( let* ) = Result.bind
 
 let pair_of_json j : (pair, string) result =
-  let* p_name =
-    match Option.bind (J.member "name" j) J.to_str with
-    | Some s -> Ok s
-    | None -> Error "pair: bad or missing field \"name\""
-  in
+  let* p_name = J.field "name" J.to_str j in
+  (* a side that was not profiled is absent *)
   let side k =
     match J.member k j with
     | None -> Ok None
-    | Some sj -> Result.map Option.some (P.summary_of_json sj)
+    | Some sj ->
+      Result.map Option.some
+        (Result.map_error (Printf.sprintf "%s: %s" k) (P.summary_of_json sj))
   in
   let* p_off = side "off" in
   let* p_on = side "on" in
@@ -206,16 +205,6 @@ let suite_doc ~git_sha ~config_hash ~created_utc (pairs : pair list) : J.t =
        ])
 
 let suite_of_json (j : J.t) : (pair list, string) result =
-  let* k, data = Tce_obs.Export.open_document j in
-  if k <> kind then Error (Printf.sprintf "expected kind %S, got %S" kind k)
-  else
-    match J.member "workloads" data with
-    | Some (J.List items) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | it :: rest ->
-          let* p = pair_of_json it in
-          go (p :: acc) rest
-      in
-      go [] items
-    | _ -> Error "prof-report: bad or missing field \"workloads\""
+  let* data = Tce_obs.Export.open_document ~kind j in
+  let* items = J.field "workloads" J.to_list data in
+  J.decode_all "workloads" pair_of_json items

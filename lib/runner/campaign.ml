@@ -217,21 +217,20 @@ let json_of_cell (c : cell) : J.t =
     ]
 
 let cell_of_json (j : J.t) : (cell, string) result =
-  let str k = J.field k J.to_str j and int k = J.field k J.to_int j in
-  let* workload = str "workload" in
-  let* point = str "point" in
-  let* spec = str "spec" in
-  let* seed = int "seed" in
-  let* fires = int "fires" in
-  let* detections = int "detections" in
-  let* lost_victims = int "lost_victims" in
-  let* delivered_late = int "delivered_late" in
-  let* deopts_delta = int "deopts_delta" in
+  let* workload = J.field "workload" J.to_str j in
+  let* point = J.field "point" J.to_str j in
+  let* spec = J.field "spec" J.to_str j in
+  let* seed = J.field "seed" J.to_int j in
+  let* fires = J.field "fires" J.to_int j in
+  let* detections = J.field "detections" J.to_int j in
+  let* lost_victims = J.field "lost_victims" J.to_int j in
+  let* delivered_late = J.field "delivered_late" J.to_int j in
+  let* deopts_delta = J.field "deopts_delta" J.to_int j in
   let* cycles_delta = J.field "cycles_delta" J.to_float j in
   let* outcome =
     J.field "outcome" (fun v -> Option.bind (J.to_str v) outcome_of_name) j
   in
-  let* detail = str "detail" in
+  let* detail = J.field "detail" J.to_str j in
   Ok
     {
       workload; point; spec; seed; fires; detections; lost_victims;
@@ -263,35 +262,32 @@ let to_json (t : t) : J.t =
        | rs -> [ ("resumed_rows", J.List (List.map (fun i -> J.Int i) rs)) ]))
 
 let of_json (j : J.t) : (t, string) result =
-  let* kind, data = Tce_obs.Export.open_document j in
-  if kind <> "fault-campaign" then
-    Error (Printf.sprintf "expected kind fault-campaign, got %s" kind)
-  else
-    let* campaign_seed = J.field "campaign_seed" J.to_int data in
-    let* spec = J.field "spec" J.to_str data in
-    let* git_sha = J.field "git_sha" J.to_str data in
-    let* created_utc = J.field "created_utc" J.to_str data in
-    let* jobs = J.field "jobs" J.to_int data in
-    (* [shards] is optional: documents written before multi-process
-       sharding existed are in-process (one shard). *)
-    let* shards = J.optional "shards" (J.int_at_least 1) ~default:1 data in
-    let* host_wall_seconds = J.field "host_wall_seconds" J.to_float data in
-    let* cells = J.field "cells" J.to_list data in
-    let* cells = J.decode_all "cells" cell_of_json cells in
-    (* recovery provenance is optional: absent (clean or pre-supervision
-       documents) decodes as empty *)
-    let* quarantined = J.optional "quarantined" J.to_list ~default:[] data in
-    let* quarantined =
-      J.decode_all "quarantined" Supervise.quarantined_of_json quarantined
-    in
-    let* resumed_rows =
-      J.optional "resumed_rows" (J.list_of J.to_int) ~default:[] data
-    in
-    Ok
-      {
-        campaign_seed; spec; git_sha; created_utc; jobs; shards;
-        host_wall_seconds; cells; quarantined; resumed_rows;
-      }
+  let* data = Tce_obs.Export.open_document ~kind:"fault-campaign" j in
+  let* campaign_seed = J.field "campaign_seed" J.to_int data in
+  let* spec = J.field "spec" J.to_str data in
+  let* git_sha = J.field "git_sha" J.to_str data in
+  let* created_utc = J.field "created_utc" J.to_str data in
+  let* jobs = J.field "jobs" J.to_int data in
+  (* [shards] is optional: documents written before multi-process
+     sharding existed are in-process (one shard). *)
+  let* shards = J.optional "shards" (J.int_at_least 1) ~default:1 data in
+  let* host_wall_seconds = J.field "host_wall_seconds" J.to_float data in
+  let* cells = J.field "cells" J.to_list data in
+  let* cells = J.decode_all "cells" cell_of_json cells in
+  (* recovery provenance is optional: absent (clean or pre-supervision
+     documents) decodes as empty *)
+  let* quarantined = J.optional "quarantined" J.to_list ~default:[] data in
+  let* quarantined =
+    J.decode_all "quarantined" Supervise.quarantined_of_json quarantined
+  in
+  let* resumed_rows =
+    J.optional "resumed_rows" (J.list_of J.to_int) ~default:[] data
+  in
+  Ok
+    {
+      campaign_seed; spec; git_sha; created_utc; jobs; shards;
+      host_wall_seconds; cells; quarantined; resumed_rows;
+    }
 
 let save ?(latest = latest_path) ?(dir = campaigns_dir) (t : t) :
     string option =

@@ -35,7 +35,6 @@ type figures = H.Figures.t
 type cell = workload * figures option
 
 type run = {
-  schema : int;
   git_sha : string;
   config_hash : string;
   created_utc : string;
@@ -136,7 +135,7 @@ let equal_workload (a : workload) (b : workload) =
   && a.wall_seconds_on = b.wall_seconds_on
 
 let equal_run (a : run) (b : run) =
-  a.schema = b.schema && a.git_sha = b.git_sha
+  a.git_sha = b.git_sha
   && a.config_hash = b.config_hash
   && a.created_utc = b.created_utc && a.jobs = b.jobs
   && a.shards = b.shards
@@ -249,18 +248,15 @@ let workload_of_json (j : J.t) : (workload, string) result =
   let* checks_off = J.field "checks_off" J.to_int j in
   let* checks_on = J.field "checks_on" J.to_int j in
   (* Optional for schema-v1 documents, which predate the composition block. *)
+  let* checks_by_kind = J.optional "checks_by_kind" J.to_list ~default:[] j in
   let* checks_by_kind =
-    match J.member "checks_by_kind" j with
-    | None -> Ok []
-    | Some (J.List items) ->
-      let entry e =
+    J.decode_all "checks_by_kind"
+      (fun e ->
         let* kind = J.field "kind" J.to_str e in
         let* off = J.field "off" J.to_int e in
         let* on = J.field "on" J.to_int e in
-        Ok (kind, off, on)
-      in
-      J.decode_all "checks_by_kind" entry items
-    | Some _ -> Error "bad field \"checks_by_kind\""
+        Ok (kind, off, on))
+      checks_by_kind
   in
   let* guards_off = J.field "guards_off" J.to_int j in
   let* guards_on = J.field "guards_on" J.to_int j in
@@ -311,51 +307,47 @@ let cell_of_json (j : J.t) : (cell, string) result =
   | Some fj -> (
     match H.Figures.of_json fj with
     | Ok f -> Ok (w, Some f)
-    | Error e -> Error (Printf.sprintf "%s: %s" w.name e))
+    | Error e -> Error (Printf.sprintf "%s: figures: %s" w.name e))
 
 let run_of_json (j : J.t) : (run, string) result =
-  let* schema, kind, data = Tce_obs.Export.open_document_v j in
-  if kind <> "bench-run" then
-    Error (Printf.sprintf "expected a bench-run document, got %S" kind)
-  else
-    let* git_sha = J.field "git_sha" J.to_str data in
-    let* config_hash = J.field "config_hash" J.to_str data in
-    let* created_utc = J.field "created_utc" J.to_str data in
-    let* jobs = J.field "jobs" J.to_int data in
-    (* Optional for documents written before multi-process sharding
-       existed: an in-process run is one shard. *)
-    let* shards = J.optional "shards" (J.int_at_least 1) ~default:1 data in
-    let* host_wall_seconds = J.field "host_wall_seconds" J.to_float data in
-    let* items = J.field "workloads" J.to_list data in
-    let* cells = J.decode_all "workloads" cell_of_json items in
-    (* Optional blocks: documents from clean (or pre-supervision) runs
-       simply have no quarantined cells and no resumed rows. *)
-    let* quarantined = J.optional "quarantined" J.to_list ~default:[] data in
-    let* quarantined =
-      J.decode_all "quarantined" Supervise.quarantined_of_json quarantined
-    in
-    let* resumed_rows =
-      J.optional "resumed_rows" (J.list_of J.to_int) ~default:[] data
-    in
-    let count name = J.optional name (J.int_at_least 0) ~default:0 data in
-    let* cache_hits = count "cache_hits" in
-    let* cache_misses = count "cache_misses" in
-    Ok
-      {
-        schema;
-        git_sha;
-        config_hash;
-        created_utc;
-        jobs;
-        shards;
-        host_wall_seconds;
-        workloads = List.map fst cells;
-        quarantined;
-        resumed_rows;
-        cache_hits;
-        cache_misses;
-        figures = figures_of_cells cells;
-      }
+  let* data = Tce_obs.Export.open_document ~kind:"bench-run" j in
+  let* git_sha = J.field "git_sha" J.to_str data in
+  let* config_hash = J.field "config_hash" J.to_str data in
+  let* created_utc = J.field "created_utc" J.to_str data in
+  let* jobs = J.field "jobs" J.to_int data in
+  (* Optional for documents written before multi-process sharding
+     existed: an in-process run is one shard. *)
+  let* shards = J.optional "shards" (J.int_at_least 1) ~default:1 data in
+  let* host_wall_seconds = J.field "host_wall_seconds" J.to_float data in
+  let* items = J.field "workloads" J.to_list data in
+  let* cells = J.decode_all "workloads" cell_of_json items in
+  (* Optional blocks: documents from clean (or pre-supervision) runs
+     simply have no quarantined cells and no resumed rows. *)
+  let* quarantined = J.optional "quarantined" J.to_list ~default:[] data in
+  let* quarantined =
+    J.decode_all "quarantined" Supervise.quarantined_of_json quarantined
+  in
+  let* resumed_rows =
+    J.optional "resumed_rows" (J.list_of J.to_int) ~default:[] data
+  in
+  let count name = J.optional name (J.int_at_least 0) ~default:0 data in
+  let* cache_hits = count "cache_hits" in
+  let* cache_misses = count "cache_misses" in
+  Ok
+    {
+      git_sha;
+      config_hash;
+      created_utc;
+      jobs;
+      shards;
+      host_wall_seconds;
+      workloads = List.map fst cells;
+      quarantined;
+      resumed_rows;
+      cache_hits;
+      cache_misses;
+      figures = figures_of_cells cells;
+    }
 
 (** Zero the host wall clocks of a row: what remains is a pure function
     of the simulator state. This is the form rows take in the cell cache,

@@ -55,8 +55,6 @@ val figures_of_cells : cell list -> (string * figures) list
 
 (** One runner invocation: provenance plus the per-workload records. *)
 type run = {
-  schema : int;
-      (** envelope [schema_version] the run was created at / decoded from *)
   git_sha : string;
   config_hash : string;  (** digest of the simulated-core + engine config *)
   created_utc : string;

@@ -79,17 +79,14 @@ let row_to_json codec ~index row : J.t =
   Tce_obs.Export.document ~kind:"row"
     (J.Obj [ ("index", J.Int index); ("row", codec.encode row) ])
 
+let ( let* ) = Result.bind
+
 let row_of_json codec (j : J.t) : (int * 'row, string) result =
-  match Tce_obs.Export.open_document j with
-  | Error e -> Error e
-  | Ok (kind, _) when kind <> "row" ->
-    Error (Printf.sprintf "expected a row document, got %S" kind)
-  | Ok (_, data) ->
-    let ( let* ) = Result.bind in
-    let* i = J.field "index" (J.int_at_least 0) data in
-    let* r = J.field "row" Option.some data in
-    let* r = codec.decode r in
-    Ok (i, r)
+  let* data = Tce_obs.Export.open_document ~kind:"row" j in
+  let* i = J.field "index" (J.int_at_least 0) data in
+  let* r = J.field "row" Option.some data in
+  let* r = codec.decode r in
+  Ok (i, r)
 
 (* --- the journal header ---
 
@@ -120,13 +117,12 @@ let header_to_line h =
           ]))
 
 let header_of_line line =
-  match Result.bind (J.of_string line) Tce_obs.Export.open_document with
-  | Ok ("journal", data) -> (
-    match (J.member "argv" data, J.member "cells" data, J.member "keys" data) with
-    | Some (J.List argv), Some (J.Int h_cells), Some (J.Str h_keys) ->
-      Some { h_argv = List.filter_map J.to_str argv; h_cells; h_keys }
-    | _ -> None)
-  | _ -> None
+  let* j = J.of_string line in
+  let* data = Tce_obs.Export.open_document ~kind:"journal" j in
+  let* h_argv = J.field "argv" (J.list_of J.to_str) data in
+  let* h_cells = J.field "cells" (J.int_at_least 0) data in
+  let* h_keys = J.field "keys" J.to_str data in
+  Ok { h_argv; h_cells; h_keys }
 
 let describe h =
   Printf.sprintf "%S (%d cell(s), keys %s)"
@@ -257,9 +253,9 @@ let run ?exe ?spawn ?(log_dir = default_log_dir)
         | Ok [] -> []
         | Ok (first :: lines) -> (
           match header_of_line first with
-          | Some h when h.h_cells = header.h_cells && h.h_keys = header.h_keys ->
+          | Ok h when h.h_cells = header.h_cells && h.h_keys = header.h_keys ->
             List.filter_map (fun line -> Result.to_option (decode line)) lines
-          | Some h ->
+          | Ok h ->
             refuse
               (Printf.sprintf "journal of %s, not of this run's %s%s"
                  (describe h) (describe header)
@@ -267,11 +263,11 @@ let run ?exe ?spawn ?(log_dir = default_log_dir)
                     " (same argv, other cell keys: another build or other \
                      cell options)"
                   else ""))
-          | None ->
+          | Error e ->
             refuse
               (Printf.sprintf
-                 "no journal header, so not known to be of this run's %s"
-                 (describe header))))
+                 "no journal header (%s), so not known to be of this run's %s"
+                 e (describe header))))
     in
     (* Cache pre-resolution: indices the journal did not cover are looked
        up in the cell cache. Hits ride the resume path (not scheduled,

@@ -149,9 +149,10 @@ val serial_jobs : int option -> unit
     [on_row] sees in-process rows only.
     @raise Failure when supervision fails unrecoverably, when the merge
     is incomplete (a missing index that is not quarantined), or when the
-    [resume] journal cannot be read, has no header or has another
-    matrix's. The refusal is one line naming the file and both matrices;
-    nothing has run and the journal is untouched. *)
+    [resume] journal cannot be read, has no well-formed header or has
+    another matrix's. The refusal is one line naming the file, this
+    run's matrix and the journal's (or its header's bad field); nothing
+    has run and the journal is untouched. *)
 val run :
   ?exe:string ->
   ?spawn:Supervise.spawn ->

@@ -194,8 +194,7 @@ let make_run ?(shards = 1) ?(quarantined = []) ?(resumed_rows = [])
     Record.run =
   let cache_hits, cache_misses = cache_stats in
   {
-    Record.schema = Tce_obs.Export.schema_version;
-    git_sha = git_sha ();
+    Record.git_sha = git_sha ();
     config_hash = config_hash ();
     created_utc = timestamp_utc ();
     jobs = 1;

@@ -266,10 +266,9 @@ let point_to_json p =
     ]
 
 let point_of_json (j : J.t) : (point, string) result =
-  let int k = J.field k J.to_int j in
-  let* entries = int "entries" in
-  let* ways = int "ways" in
-  let* cl_size = int "cl_size" in
+  let* entries = J.field "entries" J.to_int j in
+  let* ways = J.field "ways" J.to_int j in
+  let* cl_size = J.field "cl_size" J.to_int j in
   Ok { entries; ways; cl_size }
 
 let to_json (t : t) : J.t =
@@ -311,45 +310,42 @@ let to_json (t : t) : J.t =
        | rs -> [ ("resumed_rows", J.List (List.map (fun i -> J.Int i) rs)) ]))
 
 let of_json (j : J.t) : (t, string) result =
-  let* kind, data = Tce_obs.Export.open_document j in
-  if kind <> "sweep" then
-    Error (Printf.sprintf "expected kind sweep, got %s" kind)
-  else
-    let count name = J.optional name (J.int_at_least 0) ~default:0 data in
-    let cell_of j =
-      let* p = J.field "point" Option.some j in
-      let* p = point_of_json p in
-      let* r = J.field "row" Option.some j in
-      let* r = Record.workload_of_json r in
-      Ok (p, r)
-    in
-    let* spec = J.field "spec" J.to_str data in
-    let* git_sha = J.field "git_sha" J.to_str data in
-    let* created_utc = J.field "created_utc" J.to_str data in
-    let* jobs = J.field "jobs" J.to_int data in
-    let* shards = J.field "shards" J.to_int data in
-    let* host_wall_seconds = J.field "host_wall_seconds" J.to_float data in
-    let* cache_hits = count "cache_hits" in
-    let* cache_misses = count "cache_misses" in
-    let* skipped_points = count "skipped_points" in
-    let* roster = J.optional "roster" (J.list_of J.to_str) ~default:[] data in
-    let* points = J.field "points" J.to_list data in
-    let* points = J.decode_all "points" point_of_json points in
-    let* cells = J.field "cells" J.to_list data in
-    let* cells = J.decode_all "cells" cell_of cells in
-    let* quarantined = J.optional "quarantined" J.to_list ~default:[] data in
-    let* quarantined =
-      J.decode_all "quarantined" Supervise.quarantined_of_json quarantined
-    in
-    let* resumed_rows =
-      J.optional "resumed_rows" (J.list_of J.to_int) ~default:[] data
-    in
-    Ok
-      {
-        spec; git_sha; created_utc; jobs; shards; host_wall_seconds;
-        cache_hits; cache_misses; skipped_points; roster; points; cells;
-        quarantined; resumed_rows;
-      }
+  let* data = Tce_obs.Export.open_document ~kind:"sweep" j in
+  let count name = J.optional name (J.int_at_least 0) ~default:0 data in
+  let cell_of j =
+    let* p = J.field "point" Option.some j in
+    let* p = point_of_json p in
+    let* r = J.field "row" Option.some j in
+    let* r = Record.workload_of_json r in
+    Ok (p, r)
+  in
+  let* spec = J.field "spec" J.to_str data in
+  let* git_sha = J.field "git_sha" J.to_str data in
+  let* created_utc = J.field "created_utc" J.to_str data in
+  let* jobs = J.field "jobs" J.to_int data in
+  let* shards = J.field "shards" (J.int_at_least 1) data in
+  let* host_wall_seconds = J.field "host_wall_seconds" J.to_float data in
+  let* cache_hits = count "cache_hits" in
+  let* cache_misses = count "cache_misses" in
+  let* skipped_points = count "skipped_points" in
+  let* roster = J.optional "roster" (J.list_of J.to_str) ~default:[] data in
+  let* points = J.field "points" J.to_list data in
+  let* points = J.decode_all "points" point_of_json points in
+  let* cells = J.field "cells" J.to_list data in
+  let* cells = J.decode_all "cells" cell_of cells in
+  let* quarantined = J.optional "quarantined" J.to_list ~default:[] data in
+  let* quarantined =
+    J.decode_all "quarantined" Supervise.quarantined_of_json quarantined
+  in
+  let* resumed_rows =
+    J.optional "resumed_rows" (J.list_of J.to_int) ~default:[] data
+  in
+  Ok
+    {
+      spec; git_sha; created_utc; jobs; shards; host_wall_seconds;
+      cache_hits; cache_misses; skipped_points; roster; points; cells;
+      quarantined; resumed_rows;
+    }
 
 let save ?(latest = Store.sweep_latest_path) ?(dir = Store.sweeps_dir) (t : t)
     : string option =

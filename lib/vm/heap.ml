@@ -9,7 +9,6 @@
 
 type stats = {
   mutable objects_allocated : int;
-  mutable multi_line_objects : int;
   mutable object_bytes : int;
   mutable header_extra_bytes : int;
       (** bytes spent on line headers of lines >= 1 — the paper's §5.3.4
@@ -44,7 +43,6 @@ let error fmt = Fmt.kstr (fun s -> raise (Runtime_error s)) fmt
 let fresh_stats () =
   {
     objects_allocated = 0;
-    multi_line_objects = 0;
     object_bytes = 0;
     header_extra_bytes = 0;
     numbers_allocated = 0;
@@ -213,10 +211,8 @@ let alloc_object t (c : Hidden_class.t) ~reserve_props : Value.t =
   let addr = Mem.allocate t.mem ~bytes ~align:Layout.line_bytes in
   t.stats.objects_allocated <- t.stats.objects_allocated + 1;
   t.stats.object_bytes <- t.stats.object_bytes + bytes;
-  if lines > 1 then begin
-    t.stats.multi_line_objects <- t.stats.multi_line_objects + 1;
-    t.stats.header_extra_bytes <- t.stats.header_extra_bytes + ((lines - 1) * 8)
-  end;
+  if lines > 1 then
+    t.stats.header_extra_bytes <- t.stats.header_extra_bytes + ((lines - 1) * 8);
   write_class_words t addr c ~lines;
   (* Initialize all property slots to null and the reserved slots to 0. *)
   for line = 0 to lines - 1 do

@@ -6,7 +6,6 @@
 
 type stats = {
   mutable objects_allocated : int;
-  mutable multi_line_objects : int;
   mutable object_bytes : int;
   mutable header_extra_bytes : int;
       (** bytes spent on line headers of lines >= 1 (paper §5.3.4) *)

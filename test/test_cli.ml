@@ -7,9 +7,9 @@
        and the record, PROF_latest.json and the folded stacks land in cwd;
    (d) `config` prints the simulated core exactly as Config.pp does;
    (e) `check` with a workload the baseline lacks fails and names it;
-   (f) `bench --resume` of a journal with no header fails before anything
-       runs, in one stderr line naming the journal and the run's matrix,
-       and writes nothing. *)
+   (f) `bench --resume` of a journal with no header, or a malformed one,
+       fails before anything runs, in one stderr line naming the journal,
+       the run's matrix and the bad header field, and writes nothing. *)
 
 let bench_exe =
   let p =
@@ -158,26 +158,33 @@ let test_check_unmatched_names () =
 (* --- (f) bench --resume refuses a journal it cannot pin --- *)
 
 let test_resume_refuses_headerless_journal () =
-  let journal = Filename.temp_file "tce-cli-journal" ".jsonl" in
-  let text =
-    {|{"schema_version":5,"kind":"row","generator":"tce","data":{"index":0,"row":{}}}|}
-    ^ "\n"
-  in
-  Out_channel.with_open_bin journal (fun oc -> output_string oc text);
-  spawn [ "bench"; "--no-cache"; "--resume"; journal; "richards" ]
-  @@ fun dir code _ err ->
-  Alcotest.(check int) "exit" 1 code;
-  Alcotest.(check int) "one stderr line" 1
-    (List.length (String.split_on_char '\n' (String.trim err)));
   List.iter
-    (fun sub ->
-      if not (contains ~sub err) then
-        Alcotest.failf "stderr does not name %s:\n%s" sub err)
-    [ journal; "bench richards" ];
-  Alcotest.(check (list string)) "nothing written" []
-    (Array.to_list (Sys.readdir dir));
-  Alcotest.(check string) "the journal is untouched" text (read journal);
-  Sys.remove journal
+    (fun (first, names) ->
+      let journal = Filename.temp_file "tce-cli-journal" ".jsonl" in
+      let text = first ^ "\n" in
+      Out_channel.with_open_bin journal (fun oc -> output_string oc text);
+      spawn [ "bench"; "--no-cache"; "--resume"; journal; "richards" ]
+      @@ fun dir code _ err ->
+      Alcotest.(check int) "exit" 1 code;
+      Alcotest.(check int) "one stderr line" 1
+        (List.length (String.split_on_char '\n' (String.trim err)));
+      List.iter
+        (fun sub ->
+          if not (contains ~sub err) then
+            Alcotest.failf "stderr does not name %s:\n%s" sub err)
+        (journal :: "bench richards" :: names);
+      Alcotest.(check (list string)) "nothing written" []
+        (Array.to_list (Sys.readdir dir));
+      Alcotest.(check string) "the journal is untouched" text (read journal);
+      Sys.remove journal)
+    [
+      (* a row where the header belongs *)
+      ( {|{"schema_version":5,"kind":"row","generator":"tce","data":{"index":0,"row":{}}}|},
+        [] );
+      (* a header whose cell count is a string *)
+      ( {|{"schema_version":5,"kind":"journal","generator":"tce","data":{"argv":["bench","richards"],"cells":"2","keys":"0"}}|},
+        [ {|"cells"|} ] );
+    ]
 
 let () =
   Alcotest.run "cli"

@@ -302,11 +302,18 @@ let prop_json_roundtrip =
 
 let test_export_envelope () =
   let doc = Tce_obs.Export.document ~kind:"test" (J.Int 5) in
-  (match Tce_obs.Export.open_document doc with
-  | Ok ("test", J.Int 5) -> ()
+  (match Tce_obs.Export.open_document ~kind:"test" doc with
+  | Ok (J.Int 5) -> ()
   | Ok _ -> Alcotest.fail "wrong payload"
   | Error e -> Alcotest.fail e);
-  match Tce_obs.Export.open_document (J.Obj [ ("schema_version", J.Int 999) ]) with
+  (match Tce_obs.Export.open_document ~kind:"sweep" doc with
+  | Ok _ -> Alcotest.fail "accepted another kind"
+  | Error e ->
+    Alcotest.(check string) "kind error" {|expected a sweep document, got "test"|} e);
+  match
+    Tce_obs.Export.open_document ~kind:"test"
+      (J.Obj [ ("schema_version", J.Int 999) ])
+  with
   | Ok _ -> Alcotest.fail "accepted a future schema"
   | Error _ -> ()
 

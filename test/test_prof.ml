@@ -236,8 +236,7 @@ let mk_rec ~wall name : Tce_runner.Record.workload =
 let test_gate_ignores_wall () =
   let mk wall : Tce_runner.Record.run =
     {
-      Tce_runner.Record.schema = Tce_obs.Export.schema_version;
-      git_sha = "cafe01";
+      Tce_runner.Record.git_sha = "cafe01";
       config_hash = "deadbeef";
       created_utc = "2026-08-08T00:00:00Z";
       jobs = 1;

@@ -379,16 +379,16 @@ let abc_journal () =
 let test_journal_drops_torn_line () =
   let path, lines = abc_journal () in
   Alcotest.(check int) "a header and three rows" 4 (List.length lines);
-  let kind line =
-    match
-      Result.bind (Tce_obs.Json.of_string line) Tce_obs.Export.open_document
-    with
-    | Ok (k, _) -> k
-    | Error e -> Alcotest.fail e
-  in
-  Alcotest.(check (list string))
-    "one journal header, then row documents"
-    [ "journal"; "row"; "row"; "row" ] (List.map kind lines);
+  (* one journal header, then row documents *)
+  List.iter2
+    (fun kind line ->
+      match
+        Result.bind (Tce_obs.Json.of_string line)
+          (Tce_obs.Export.open_document ~kind)
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e)
+    [ "journal"; "row"; "row"; "row" ] lines;
   (* simulate a crash mid-append: the header and two rows, then a final
      line with no newline *)
   let kept = List.filteri (fun i _ -> i < 3) lines in

@@ -537,6 +537,8 @@ let test_rejects_mistyped_fields () =
       ("cache_misses", J.Float 1.5);
       ("skipped_points", J.Null);
       ("quarantined", J.Str "x");
+      ("shards", J.Int 0);
+      ("shards", J.Int (-3));
     ]
 
 let () =
