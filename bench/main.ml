@@ -383,78 +383,37 @@ let finish_cache ?oc = function
     Cache.print_stats ?oc (Cache.stats c);
     ignore (Cache.prune ~dir:(Cache.dir c) ())
 
-(* The roster figures are views of the runner's rows: [Rows (`All, f)]
-   reads all 55 workloads, [Rows (`Selected, f)] the paper's 26. An
-   ablation reads the rows of its own cells. *)
-type experiment =
-  | Plain of (unit -> unit)
-  | Rows of [ `All | `Selected ] * (Experiments.input list -> unit)
-  | Cells of Experiments.ablation
-
-let experiments =
-  [
-    ("fig1", Rows (`All, Experiments.print_fig1));
-    ("fig2", Rows (`Selected, Experiments.print_fig2));
-    ("fig3", Rows (`Selected, Experiments.print_fig3));
-    ("table1", Plain Table1.print);
-    ("table2", Plain Experiments.print_table2);
-    ("fig8", Rows (`Selected, Experiments.print_fig8));
-    ("fig9", Rows (`Selected, Experiments.print_fig9));
-    ("overheads", Rows (`Selected, Experiments.print_overheads));
-    ("census", Rows (`All, Experiments.print_census));
-    ("cc-sweep", Cells Experiments.cc_sweep);
-    ("ablation", Cells Experiments.poly_sweep);
-    ("hoisting", Cells Experiments.hoisting);
-    ("checked-load", Cells Experiments.checked_load);
-  ]
-
-(* The rows of [ws] through the default cell cache: one serial run in this
-   process, saving no record. *)
-let figure_inputs cache ws =
-  Experiments.inputs_of_run (Tce_runner.Runner.run_suite ~cache ws)
-
 let fig_cmd =
   let names =
+    let names = List.map (fun (v : Experiments.view) -> v.name) Experiments.views in
     Arg.(
       value
-      & pos_all (enum (List.map (fun (n, _) -> (n, n)) experiments)) []
+      & pos_all (enum (List.map (fun n -> (n, n)) names)) []
       & info [] ~docv:"NAME"
           ~doc:
-            ("The experiment to print: "
-            ^ Arg.doc_alts (List.map fst experiments)
-            ^ ". Without $(docv), every one in that order."))
+            ("The experiment to print: " ^ Arg.doc_alts names
+           ^ ". Without $(docv), every one in that order."))
   in
   let fig names =
-    let chosen = if names = [] then List.map fst experiments else names in
-    let reads_all =
-      List.exists
-        (fun n -> match List.assoc n experiments with Rows (`All, _) -> true | _ -> false)
-        chosen
+    let views =
+      if names = [] then Experiments.views
+      else
+        List.map
+          (fun n -> List.find (fun (v : Experiments.view) -> v.name = n) Experiments.views)
+          names
     in
     let cache = Cache.create () in
-    let inputs =
-      lazy
-        (figure_inputs cache
-           (if reads_all then Workloads.all else Workloads.selected))
-    in
+    let cells = Experiments.reader ~cache views in
     (* an experiment that raises does not stop the others, but fails the run *)
     let failed =
       List.filter
-        (fun name ->
-          match
-            match List.assoc name experiments with
-            | Plain f -> f ()
-            | Rows (`All, f) -> f (Lazy.force inputs)
-            | Rows (`Selected, f) -> f (Experiments.selected (Lazy.force inputs))
-            | Cells a ->
-              Experiments.print_ablation a (Tce_runner.Runner.run_pairs ~cache a.pairs)
-          with
+        (fun (v : Experiments.view) ->
+          match Experiments.print v (cells v) with
           | () -> false
           | exception e ->
-            Printf.eprintf "experiment %s failed: %s\n%!" name
-              (Printexc.to_string e);
+            Printf.eprintf "experiment %s failed: %s\n%!" v.name (Printexc.to_string e);
             true)
-        chosen
+        views
     in
     (* stdout carries only the experiments *)
     finish_cache ~oc:stderr (Some cache);
@@ -468,9 +427,7 @@ let fig_cmd =
 let csv_cmd =
   let csv () =
     let cache = Cache.create () in
-    Experiments.write_csvs
-      ~run_pairs:(Tce_runner.Runner.run_pairs ~cache)
-      (figure_inputs cache Workloads.all);
+    Experiments.write_csvs ~cache ();
     finish_cache (Some cache);
     0
   in

@@ -5,4 +5,6 @@
 
     dune exec examples/classlist_dump.exe *)
 
-let () = Tce_metrics.Table1.print ()
+let () =
+  print_endline Tce_metrics.Table1.title;
+  print_string (Tce_metrics.Table1.render ())

@@ -7,14 +7,6 @@ let report_kind = "attr-report"
 
 type kind_row = { kind : string; off : int; on_ : int }
 
-let kind_rows ~names ~off ~on_ =
-  assert (Array.length off = List.length names + 1);
-  assert (Array.length on_ = List.length names + 1);
-  (* Slot 0 holds checks no emission site attributed to a kind; the
-     optimizer tags every C_check instruction, so it must be empty. *)
-  assert (off.(0) = 0 && on_.(0) = 0);
-  List.mapi (fun i kind -> { kind; off = off.(i + 1); on_ = on_.(i + 1) }) names
-
 let removal_pct r =
   if r.off = 0 then 0.0 else 100.0 *. float_of_int (r.off - r.on_) /. float_of_int r.off
 

@@ -14,31 +14,6 @@ val report_kind : string
     kind, with the mechanism off and on. [removed = off - on]. *)
 type kind_row = { kind : string; off : int; on_ : int }
 
-val kind_rows :
-  names:string list -> off:int array -> on_:int array -> kind_row list
-(** Pair up [names.(i)] with [off.(i+1)]/[on_.(i+1)] — index 0 of the
-    counter arrays is the unattributed slot, asserted zero. *)
-
-val kind_table : kind_row list -> string
-(** "Checks removed by kind" (paper Fig. 10/11 shape). *)
-
-val cause_histogram : Ledger.t -> (string * int) list
-(** Kept-check causes over all compile-time site decisions, most frequent
-    first. *)
-
-val cause_table : (string * int) list -> string
-
-val kept_sites_text : Ledger.t -> string
-(** Per-site verdicts: every kept check with its cause, every removed one
-    collapsed into a count per function. *)
-
-val chains_text : ?max_chains:int -> Ledger.t -> string
-(** Top-N deopt causal chains (faulting store → CC exception → victims →
-    re-speculation outcome) plus a reason histogram of plain deopts. *)
-
-val heatmap_text : occupancy:int array -> conflicts:int array -> string
-(** Class Cache per-set occupancy / conflict heatmap. *)
-
 val explain_text :
   program:string ->
   checks_executed:(string * int) list ->

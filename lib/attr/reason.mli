@@ -72,7 +72,6 @@ type t = {
 
 val make : ?classid:int -> kind -> cause -> pc:int -> t
 
-val kind_name : kind -> string
 val kind_of_name : string -> kind option
 val all_kinds : kind list
 
@@ -81,7 +80,6 @@ val all_kinds : kind list
     report legends. *)
 val all_causes : cause list
 
-val cause_name : cause -> string
 val cause_of_name : string -> cause option
 
 (** Canonical compact rendering, e.g.

@@ -26,8 +26,6 @@ type backoff = {
           simulated cycles (default 50_000); 0 disables decay *)
 }
 
-val default_backoff : backoff
-
 type config = {
   jit : bool;  (** false: pure interpreter (differential testing) *)
   mechanism : bool;  (** the paper's Class Cache mechanism *)
@@ -93,8 +91,6 @@ type t = {
       (** reusable out-cell for {!Runtime.eval_binop_cell} *)
 }
 
-val max_depth : int
-
 val create : ?config:config -> Tce_jit.Bytecode.program -> t
 val of_source : ?config:config -> string -> t
 
@@ -120,10 +116,6 @@ val run_main : t -> Tce_vm.Value.t
     @raise Engine_error when no such function exists. *)
 val call_by_name : t -> string -> Tce_vm.Value.t array -> Tce_vm.Value.t
 
-(** Call guest function [fn_id] with [this :: args] (tier chosen by the
-    engine). *)
-val call_function : t -> int -> Tce_vm.Value.t array -> Tce_vm.Value.t
-
 (* --- metrics --- *)
 
 (** Monotonic simulated cycle clock of the optimized tier. *)
@@ -136,18 +128,3 @@ val baseline_cycles : t -> float
 
 (** The engine's trace (from the config). *)
 val trace : t -> Tce_obs.Trace.t
-
-(* --- fault campaigns --- *)
-
-(** Is [oid]'s installed speculation stale (ValidMap cleared, or the oracle
-    saw the slot go polymorphic while the Class List still calls it valid)?
-    Always false in unfaulted runs — the retire-path invariant. *)
-val stale_speculation : t -> int -> bool
-
-(** Record a caught injected inconsistency: emit [Fault_detected],
-    invalidate the code and pin its function to the checked interpreter. *)
-val detect_stale : t -> int -> cause:string -> unit
-
-(** Take a counter snapshot if the sampling period elapsed (also called
-    internally on guest calls and store events). *)
-val obs_tick : t -> unit

@@ -4,24 +4,16 @@
 
 exception Guest_error of string
 
-val is_numeric : Tce_vm.Heap.t -> Tce_vm.Value.t -> bool
-
 (** @raise Guest_error on non-numbers. *)
 val to_number : Tce_vm.Heap.t -> Tce_vm.Value.t -> float
 
 (** JS ToInt32 (shared definition with the machine's TruncFI). *)
 val to_int32 : Tce_vm.Heap.t -> Tce_vm.Value.t -> int
 
-val to_display : Tce_vm.Heap.t -> Tce_vm.Value.t -> string
-
 (** Feedback kind observed for one binop execution. *)
 val observe :
   Tce_vm.Heap.t -> Tce_vm.Value.t -> Tce_vm.Value.t -> bool ->
   Tce_jit.Feedback.binop_fb
-
-(** Numbers numerically, strings by content, references by identity; mixed
-    kinds unequal (strict-flavored; see DESIGN.md). *)
-val values_equal : Tce_vm.Heap.t -> Tce_vm.Value.t -> Tce_vm.Value.t -> bool
 
 (** Evaluate a binary operator; also returns the feedback observation.
     @raise Guest_error on type errors (and on [LAnd]/[LOr], which compile to

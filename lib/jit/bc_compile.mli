@@ -4,12 +4,6 @@
 
 exception Error of string
 
-(** Compile one function. [top_level] makes its locals the program's
-    globals. *)
-val compile_func :
-  func_ids:(string, int) Hashtbl.t -> globals:(string, int) Hashtbl.t ->
-  ?top_level:bool -> id:int -> Tce_minijs.Ast.func -> Bytecode.func
-
 (** Compile a whole program; the top-level statements become a synthetic
     ["%main"] function. @raise Error on name-resolution problems. *)
 val compile : Tce_minijs.Ast.program -> Bytecode.program

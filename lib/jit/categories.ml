@@ -47,14 +47,9 @@ let pp ppf c = Fmt.string ppf (name c)
     population of the paper's Figure 2. *)
 let flag_guards_obj_load = 1
 
-(** The instruction would be removed by the paper's optimizations (set on
-    checks that the Class List could have elided; used for sanity
-    accounting, not for the speedup itself). *)
-let flag_elidable = 2
-
 (** Check kinds: which paper-figure bucket (Figures 10–12) a [C_check]
-    instruction belongs to. Encoded into [flags] bits 2+ (bits 0–1 hold
-    {!flag_guards_obj_load} / {!flag_elidable}) so the machine can count
+    instruction belongs to. Encoded into [flags] bits 2+ (bit 0 holds
+    {!flag_guards_obj_load}, bit 1 is unused) so the machine can count
     per-kind check executions without new instruction fields. *)
 
 type check_kind = Ck_map | Ck_smi | Ck_non_smi | Ck_smi_convert | Ck_checked_load

@@ -21,8 +21,6 @@ val pp : Format.formatter -> t -> unit
     property / elements load (Figure 2's population). *)
 val flag_guards_obj_load : int
 
-val flag_elidable : int
-
 (** Check kinds: the paper-figure bucket (Figures 10–12) a [C_check]
     instruction belongs to, packed into [flags] bits 2+ so per-kind check
     executions can be counted with zero new instruction state. *)

@@ -29,8 +29,6 @@ type site = S_prop of prop_ic | S_elem of elem_ic | S_binop of binop_fb
 
 type t = site array
 
-val max_poly : int
-
 (** @raise Invalid_argument when the slot holds a different site kind. *)
 val prop_of : site -> prop_ic
 
@@ -50,13 +48,6 @@ val record_prop_simple :
 val record_elem : t -> int -> classid:int -> (string * string) option
 val join_binop : binop_fb -> binop_fb -> binop_fb
 val record_binop : t -> int -> binop_fb -> (string * string) option
-
-(** State names on the IC lattices ("uninit", "mono", "poly", "mega" /
-    binop kinds). *)
-val prop_state : prop_ic -> string
-
-val elem_state : elem_ic -> string
-val binop_state : binop_fb -> string
 
 (** [(monomorphic, polymorphic, megamorphic)] site counts. *)
 val census : t -> int * int * int

@@ -6,15 +6,6 @@
     reconstruction). Shadows are cached by the engine so post-deopt
     feedback learning survives recompilation. *)
 
-val max_callee_ops : int
-val max_result_ops : int
-val max_sites : int
-
-val eligible : Bytecode.program -> caller_id:int -> int -> bool
-
-(** One pass; [None] when nothing is eligible. *)
-val expand_once : Bytecode.program -> Bytecode.func -> Bytecode.func option
-
 (** Iterated to a bounded fixpoint (copied callees keep their own call
     sites). *)
 val expand : Bytecode.program -> Bytecode.func -> Bytecode.func option

@@ -131,9 +131,4 @@ type func = {
   mutable deopt_hits : int;
 }
 
-val pp_operand : Format.formatter -> operand -> unit
-val pp_cond : Format.formatter -> cond -> unit
-val pp_alu : Format.formatter -> alu -> unit
-val pp_op : Format.formatter -> op -> unit
-val pp_inst : Format.formatter -> inst -> unit
 val pp_func : Format.formatter -> func -> unit

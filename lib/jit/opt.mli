@@ -40,13 +40,6 @@ type env = {
           removed/kept-with-cause entry per check site per compilation *)
 }
 
-(** Result type of a speculative load from a Class List slot; [None] keeps
-    the checks. *)
-val spec_load_ty : env -> classid:int -> line:int -> pos:int -> ty option
-
-(** Built-in type-specific slots (string/array lengths) need no profile. *)
-val invariant_slot_ty : env -> classid:int -> slot:int -> ty option
-
 (** Optimize [env.fn].
     @raise Bailout when the function cannot be usefully compiled. *)
 val compile : env -> Lir.func

@@ -56,12 +56,15 @@ function bench() {
 
 let run () = fst (Harness.warm ~iterations:10 source)
 
-let print () =
+let title = "Table 1 — Class List structure (live dump after optimizing findGraphNode)"
+
+(** The live Class List after {!run} in the paper's layout: a header
+    line, one line per entry of the example's classes, a blank line. *)
+let render () =
   let t = run () in
-  print_endline
-    "Table 1 — Class List structure (live dump after optimizing findGraphNode)";
-  print_endline
-    "entry                     InitMap  ValidMap SpeculateMap  profiled classes [FunctionList]";
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf
+    "entry                     InitMap  ValidMap SpeculateMap  profiled classes [FunctionList]\n";
   let reg = t.E.heap.Tce_vm.Heap.reg in
   let class_name id =
     if id = Tce_vm.Layout.smi_classid then "SMI"
@@ -84,8 +87,10 @@ let print () =
         && (String.sub name 0 4 = "Grap" || String.sub name 0 4 = "Node"
            || String.sub name 0 4 = "Clas")
       then
-        Fmt.pr "%a@."
-          (Tce_core.Class_list.pp_entry ~class_name ~fn_name)
-          (cid, line, e))
+        Buffer.add_string buf
+          (Fmt.str "%a@."
+             (Tce_core.Class_list.pp_entry ~class_name ~fn_name)
+             (cid, line, e)))
     (Tce_core.Class_list.dump t.E.cl);
-  print_newline ()
+  Buffer.add_char buf '\n';
+  Buffer.contents buf

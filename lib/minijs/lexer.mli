@@ -14,8 +14,6 @@ val pp_token : Format.formatter -> token -> unit
 
 exception Error of string * Ast.pos
 
-val keywords : string list
-
 type t
 
 val create : string -> t

@@ -20,8 +20,6 @@ val document : kind:string -> Json.t -> Json.t
     [expected a fault-campaign document, got "sweep"]. *)
 val open_document : kind:string -> Json.t -> (Json.t, string) result
 
-val to_channel : out_channel -> Json.t -> unit
-
 (** Write pretty-printed JSON (trailing newline included). [path] "-"
     writes to stdout. File writes are crash-safe: the document is staged in
     a temp file in the destination directory and atomically renamed into

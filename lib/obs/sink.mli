@@ -2,9 +2,6 @@
     formats: JSON-lines for scripting, and Chrome [trace_event] JSON for
     timeline UIs (chrome://tracing, Perfetto). *)
 
-(** One event as a flat JSON object ([{"at": cycles; "event": kind; ...}]). *)
-val event_json : Trace.record -> Json.t
-
 (** One JSON object per line, oldest first; ends with a newline when any
     event was recorded. *)
 val jsonl : Trace.t -> string

@@ -1,340 +1,39 @@
 (** The paper's tables and figures (see DESIGN.md §4 for the index).
-    Each roster figure is a view of the runner's rows: it reads a
-    {!Record.workload} and its figure inputs ({!Record.figures}), prints
-    the same rows/series the paper reports and returns the numbers for
-    EXPERIMENTS.md / tests. *)
+    Every experiment is a {!view}: the rows it reads, a table over them
+    and the lines around it. [fig] prints the views, [csv] writes the
+    ones that carry a CSV, and tests read their rows. *)
 
 open Tce_support
 open Tce_workloads
 module F = Tce_metrics.Harness.Figures
+module E = Tce_engine.Engine
 
 let pct = Table.pct
 
-(** One workload as the figures read it. *)
-type input = Record.workload * Record.figures
+(** A table entry: a count, a percentage, a speedup with the dynamic
+    checks left, or text printed as it is. *)
+type value = N of int | P of float | P_chk of float * int | S of string
 
-(** The inputs of every row of [run], in row order.
-    @raise Failure naming the first row that carries no figure inputs. *)
-let inputs_of_run (run : Record.run) : input list =
-  List.map
-    (fun (w : Record.workload) ->
-      match List.assoc_opt w.Record.name run.Record.figures with
-      | Some f -> (w, f)
-      | None ->
-        failwith (Printf.sprintf "%s: row carries no figure inputs" w.Record.name))
-    run.Record.workloads
+(** Where a view's rows come from. *)
+type reads =
+  | Nothing  (** a table of the engine or the core, not of rows *)
+  | All  (** the roster rows of every workload ({!Workloads.all}) *)
+  | Selected  (** the roster rows of the paper's ">1% check overhead" subset *)
+  | Cells of (E.config * Workload.t) list
+      (** its own pair cells, run as every roster row is
+          ({!Runner.run_pairs}: the cell cache, then [Harness.run_pair]
+          under the cell's config); their rows come back in pair order *)
 
-(** The rows of the paper's ">1% check overhead" subset
-    ({!Workloads.selected}), in input order. *)
-let selected (rows : input list) : input list =
-  List.filter
-    (fun ((w : Record.workload), _) ->
-      List.exists (fun s -> s.Workload.name = w.Record.name) Workloads.selected)
-    rows
-
-let suite_order = [ Workload.Octane; Workload.Sunspider; Workload.Kraken ]
-
-(** Group results and append per-suite averages, like the paper's
-    "<suite> average" bars. [suite_of r] is the suite's name. *)
-let with_suite_averages rows value_of name_of suite_of =
-  List.concat_map
-    (fun suite ->
-      let suite = Workload.suite_name suite in
-      let in_suite = List.filter (fun r -> suite_of r = suite) rows in
-      if in_suite = [] then []
-      else
-        let avg =
-          Stats.mean (List.map value_of in_suite)
-        in
-        List.map (fun r -> (name_of r, value_of r)) in_suite
-        @ [ (suite ^ " average", avg) ])
-    suite_order
-
-(* --- Figure 1: breakdown of dynamic instructions --- *)
-
-type fig1_row = {
-  f1_name : string;
-  checks : float;
-  tags : float;
-  math : float;
-  other_opt : float;
-  rest : float;  (** non-optimized tier ("Rest of Code") *)
-}
-
-(** Dynamic instruction breakdown over the whole run (mechanism OFF — the
-    characterization of the baseline engine, paper Fig. 1; our programs
-    reach full optimization faster than the paper's, so "Rest of Code" is
-    the warm-up/runtime share of the whole run). *)
-let fig1 (rows : input list) : fig1_row list =
-  List.map
-    (fun ((w : Record.workload), (f : F.t)) ->
-      let total = float_of_int f.F.whole_instrs_off in
-      let c i = 100.0 *. float_of_int f.F.whole_by_cat_off.(i) /. Float.max total 1.0 in
-      let opt = Array.fold_left ( + ) 0 f.F.whole_by_cat_off in
-      {
-        f1_name = w.Record.name;
-        checks = c 0;
-        tags = c 1;
-        math = c 2;
-        other_opt = c 4 +. c 3;
-        rest =
-          100.0
-          *. float_of_int (f.F.whole_instrs_off - opt)
-          /. Float.max total 1.0;
-      })
-    rows
-
-let print_fig1 inputs =
-  let rows = fig1 inputs in
-  print_endline
-    "Figure 1 — Breakdown of dynamic instructions (steady state, mechanism off)";
-  print_string
-    (Table.render
-       ~headers:[ "benchmark"; "Checks"; "Tags/Untags"; "Math"; "OtherOpt"; "Rest" ]
-       (List.map
-          (fun r ->
-            [ r.f1_name; pct r.checks; pct r.tags; pct r.math; pct r.other_opt;
-              pct r.rest ])
-          rows));
-  let sel = List.map (fun (r : fig1_row) -> r.checks +. r.tags +. r.math) rows in
-  Printf.printf
-    "overhead categories (Checks+Tags+Math), mean over all benchmarks: %s\n\n"
-    (pct (Stats.mean sel))
-
-(* --- Figure 2: check overhead after object loads --- *)
-
-type fig2_row = { f2_name : string; whole_app : float; opt_only : float }
-
-(** Overhead of checking + untag-guard operations that verify values
-    obtained from object property / elements loads. *)
-let fig2 (rows : input list) : fig2_row list =
-  List.map
-    (fun ((w : Record.workload), (f : F.t)) ->
-      {
-        f2_name = w.Record.name;
-        (* whole application: guard share of the entire run *)
-        whole_app =
-          100.0
-          *. float_of_int f.F.whole_guards_off
-          /. Float.max (float_of_int f.F.whole_instrs_off) 1.0;
-        (* optimized code only: steady state *)
-        opt_only =
-          100.0
-          *. float_of_int w.Record.guards_off
-          /. Float.max (float_of_int f.F.opt_instrs_off) 1.0;
-      })
-    rows
-
-let print_fig2 inputs =
-  let rows = fig2 inputs in
-  print_endline
-    "Figure 2 — Checking/untagging overhead after object load accesses (mechanism off)";
-  print_string
-    (Table.render
-       ~headers:[ "benchmark"; "whole app"; "optimized code" ]
-       (List.map (fun r -> [ r.f2_name; pct r.whole_app; pct r.opt_only ]) rows));
-  Printf.printf "mean: whole app %s, optimized code %s\n\n"
-    (pct (Stats.mean (List.map (fun r -> r.whole_app) rows)))
-    (pct (Stats.mean (List.map (fun r -> r.opt_only) rows)))
-
-(* --- Figure 3: object loads hitting monomorphic slots --- *)
-
-type fig3_row = {
-  f3_name : string;
-  mono_prop : float;
-  mono_elem : float;
-  poly_prop : float;
-  poly_elem : float;
-}
-
-let fig3 (rows : input list) : fig3_row list =
-  List.map
-    (fun ((w : Record.workload), (f : F.t)) ->
-      let mp, me, pp, pe = f.F.fig3_off in
-      let total = float_of_int (max 1 (mp + me + pp + pe)) in
-      let p x = 100.0 *. float_of_int x /. total in
-      {
-        f3_name = w.Record.name;
-        mono_prop = p mp;
-        mono_elem = p me;
-        poly_prop = p pp;
-        poly_elem = p pe;
-      })
-    rows
-
-let print_fig3 inputs =
-  let rows = fig3 inputs in
-  print_endline
-    "Figure 3 — Object load accesses to monomorphic properties / elements arrays";
-  print_string
-    (Table.render
-       ~headers:
-         [ "benchmark"; "mono props"; "mono elems"; "poly props"; "poly elems" ]
-       (List.map
-          (fun r ->
-            [ r.f3_name; pct r.mono_prop; pct r.mono_elem; pct r.poly_prop;
-              pct r.poly_elem ])
-          rows));
-  Printf.printf "mean monomorphic (props+elems): %s (paper: 66%%)\n\n"
-    (pct (Stats.mean (List.map (fun r -> r.mono_prop +. r.mono_elem) rows)))
-
-(* --- Figure 8: cycle-count improvement --- *)
-
-type fig8_row = { f8_name : string; whole : float; opt : float; f8_suite : string }
-
-let fig8 (rows : input list) : fig8_row list =
-  List.map
-    (fun ((w : Record.workload), (f : F.t)) ->
-      {
-        f8_name = w.Record.name;
-        f8_suite = w.Record.suite;
-        whole =
-          Stats.improvement ~base:w.Record.whole_cycles_off
-            ~opt:w.Record.whole_cycles_on;
-        opt =
-          Stats.improvement
-            ~base:(float_of_int f.F.opt_cycles_off)
-            ~opt:(float_of_int f.F.opt_cycles_on);
-      })
-    rows
-
-let print_fig8 inputs =
-  let rows = fig8 inputs in
-  print_endline "Figure 8 — Improvement in number of cycles (speedup, %)";
-  print_string
-    (Table.render
-       ~headers:[ "benchmark"; "whole application"; "optimized code" ]
-       (List.map (fun r -> [ r.f8_name; pct r.whole; pct r.opt ]) rows));
-  print_newline ();
-  print_string
-    (Table.bars ~width:40
-       (with_suite_averages rows
-          (fun r -> r.opt)
-          (fun r -> r.f8_name)
-          (fun r -> r.f8_suite)));
-  Printf.printf
-    "mean speedup: optimized code %s (paper: 7.1%%), whole application %s (paper: 5%%)\n\n"
-    (pct (Stats.mean (List.map (fun r -> r.opt) rows)))
-    (pct (Stats.mean (List.map (fun r -> r.whole) rows)))
-
-(* --- Figure 9: energy reduction --- *)
-
-type fig9_row = { f9_name : string; e_whole : float; e_opt : float }
-
-let fig9 (rows : input list) : fig9_row list =
-  List.map
-    (fun ((w : Record.workload), (f : F.t)) ->
-      (* whole-application energy: dynamic energy scaled to the whole run's
-         instruction count (at the steady-state per-instruction rate) plus
-         leakage over the whole run's cycles *)
-      let leak_per_cycle =
-        Tce_machine.Energy.default.Tce_machine.Energy.leakage_w
-        /. Tce_machine.Energy.default.Tce_machine.Energy.freq_ghz
-      in
-      let whole_energy ~dynamic_nj ~opt_instrs ~whole_instrs ~whole_cycles =
-        let dyn_per_instr = dynamic_nj /. Float.max 1.0 (float_of_int opt_instrs) in
-        (float_of_int whole_instrs *. dyn_per_instr)
-        +. (leak_per_cycle *. whole_cycles)
-      in
-      {
-        f9_name = w.Record.name;
-        e_whole =
-          Stats.improvement
-            ~base:
-              (whole_energy ~dynamic_nj:f.F.energy_dynamic_nj_off
-                 ~opt_instrs:f.F.opt_instrs_off ~whole_instrs:f.F.whole_instrs_off
-                 ~whole_cycles:w.Record.whole_cycles_off)
-            ~opt:
-              (whole_energy ~dynamic_nj:f.F.energy_dynamic_nj_on
-                 ~opt_instrs:f.F.opt_instrs_on ~whole_instrs:f.F.whole_instrs_on
-                 ~whole_cycles:w.Record.whole_cycles_on);
-        e_opt = Stats.improvement ~base:f.F.energy_nj_off ~opt:f.F.energy_nj_on;
-      })
-    rows
-
-let print_fig9 inputs =
-  let rows = fig9 inputs in
-  print_endline "Figure 9 — Energy reduction (%)";
-  print_string
-    (Table.render
-       ~headers:[ "benchmark"; "whole application"; "optimized code" ]
-       (List.map (fun r -> [ r.f9_name; pct r.e_whole; pct r.e_opt ]) rows));
-  Printf.printf
-    "mean energy reduction: optimized %s (paper: 6.5%%), whole app %s (paper: 4.5%%)\n\n"
-    (pct (Stats.mean (List.map (fun r -> r.e_opt) rows)))
-    (pct (Stats.mean (List.map (fun r -> r.e_whole) rows)))
-
-(* --- Table 2: simulated core --- *)
-
-let print_table2 () =
-  print_endline "Table 2 — Simulated micro-architecture configuration";
-  Fmt.pr "%a@." Tce_machine.Config.pp Tce_machine.Config.default
-
-(* --- §5.3 / §5.4 overheads and hardware cost --- *)
-
-let print_overheads (inputs : input list) =
-  print_endline "Section 5.3/5.4 — Incurred overheads and hardware cost";
-  let rows =
-    List.map
-      (fun ((w : Record.workload), (f : F.t)) ->
-        [
-          w.Record.name;
-          string_of_int w.Record.cc_accesses_on;
-          Printf.sprintf "%.4f%%" (100.0 *. w.Record.cc_hit_rate_on);
-          string_of_int f.F.hidden_classes_on;
-          Printf.sprintf "%.1f%%"
-            (Stats.percent f.F.heap_header_extra_bytes_on
-               (max 1 f.F.heap_object_bytes_on));
-          Printf.sprintf "%.1f%%"
-            (Stats.percent f.F.obj_loads_first_line_on
-               (max 1 f.F.obj_loads_total_on));
-          string_of_int w.Record.cc_exceptions_on;
-        ])
-      inputs
-  in
-  print_string
-    (Table.render
-       ~headers:
-         [ "benchmark"; "CC accesses"; "CC hit rate"; "classes";
-           "obj size ovh"; "line-0 loads"; "exceptions" ]
-       rows);
-  let cc = Tce_core.Class_cache.create () in
-  Printf.printf "Class Cache storage: %d bytes (paper: < 1.5 KB)\n\n"
-    (Tce_core.Class_cache.storage_bytes cc)
-
-(* --- hidden class census (§4.1 / §5.3.1) --- *)
-
-let print_census (inputs : input list) =
-  print_endline "Hidden-class census (paper §4.1: <= 32 for all but 2 benchmarks)";
-  let rows =
-    List.map
-      (fun ((w : Record.workload), (f : F.t)) ->
-        [ w.Record.name; string_of_int f.F.hidden_classes_off ])
-      inputs
-  in
-  print_string (Table.render ~headers:[ "benchmark"; "hidden classes" ] rows);
-  print_newline ()
-
-(* --- Ablations (EXPERIMENTS.md "Ablations") ---
-   An ablation is a fixed list of (config, workload) pair cells, run as
-   every roster row is ({!Runner.run_pairs}: the cell cache, then
-   [Harness.run_pair] under the cell's config), and a table over their
-   rows, which come back in pair order. *)
-
-module E = Tce_engine.Engine
-
-(** A table entry: a count, a percentage, or a speedup with the dynamic
-    checks left. *)
-type value = N of int | P of float | P_chk of float * int
-
-type ablation = {
+type view = {
+  name : string;  (** what [fig] calls it *)
   title : string;  (** the lines above the table *)
-  headers : string list;
-  pairs : (E.config * Workload.t) list;
+  headers : string list;  (** the printed table's; [[]] prints no table *)
+  csv : (string * string list) option;  (** the CSV's file name and headers *)
+  reads : reads;
   rows : Record.cell list -> (string * value list) list;
   pct : float -> string;  (** how the table prints a percentage *)
-  note : string;  (** the lines below it *)
-  csv : string * string list;  (** the CSV's file name and headers *)
+  note : (string * value list) list -> string;
+      (** the lines below the table, from its rows *)
 }
 
 (* one row's entries as strings: [chk] gets a formatted speedup and its
@@ -343,15 +42,254 @@ let strings ~pct ~chk (label, vs) =
   label
   :: List.concat_map
        (function
-         | N n -> [ string_of_int n ] | P p -> [ pct p ] | P_chk (p, k) -> chk (pct p) k)
+         | N n -> [ string_of_int n ]
+         | P p -> [ pct p ]
+         | P_chk (p, k) -> chk (pct p) k
+         | S s -> [ s ])
        vs
 
-let print_ablation a cells =
+(** Print [v]'s title, its table over the rows of [cells] and its note. *)
+let print v cells =
   let chk p k = [ Printf.sprintf "%s (chk %d)" p k ] in
-  print_string a.title;
-  print_string
-    (Table.render ~headers:a.headers (List.map (strings ~pct:a.pct ~chk) (a.rows cells)));
-  print_string a.note
+  let rows = v.rows cells in
+  print_string v.title;
+  if v.headers <> [] then
+    print_string
+      (Table.render ~headers:v.headers (List.map (strings ~pct:v.pct ~chk) rows));
+  print_string (v.note rows)
+
+(** [reader ~cache views]: the cells each of [views] reads, through
+    [cache]. The roster rows are simulated once, on first use: over every
+    workload when one of [views] reads [All], else over the selected
+    ones only. *)
+let reader ~cache views =
+  let all = List.exists (fun v -> match v.reads with All -> true | _ -> false) views in
+  let roster =
+    lazy
+      (Runner.run_pairs ~cache
+         (List.map
+            (fun w -> (E.default_config, w))
+            (if all then Workloads.all else Workloads.selected)))
+  in
+  fun v ->
+    match v.reads with
+    | Nothing -> []
+    | All -> Lazy.force roster
+    | Selected ->
+      List.filter
+        (fun ((w : Record.workload), _) ->
+          List.exists (fun s -> s.Workload.name = w.Record.name) Workloads.selected)
+        (Lazy.force roster)
+    | Cells pairs -> Runner.run_pairs ~cache pairs
+
+(* --- the roster figures: one row per workload, from the runner's row
+   and its figure inputs --- *)
+
+let figures ((w : Record.workload), f) =
+  match f with
+  | Some f -> f
+  | None -> failwith (Printf.sprintf "%s: row carries no figure inputs" w.Record.name)
+
+let roster_view ~name ~reads ~title ~headers ?csv ~note entries =
+  {
+    name;
+    title;
+    headers;
+    csv;
+    reads;
+    rows =
+      List.map (fun ((w : Record.workload), _ as c) ->
+          (w.Record.name, entries w (figures c)));
+    pct;
+    note;
+  }
+
+(* a row's percentages *)
+let pcts (_, vs) = Array.of_list (List.map (function P p -> p | _ -> Float.nan) vs)
+
+(* [pct] of the mean over [rows] of [f] of a row's percentages *)
+let mean f rows = pct (Stats.mean (List.map (fun r -> f (pcts r)) rows))
+
+let suite_order = [ Workload.Octane; Workload.Sunspider; Workload.Kraken ]
+
+(** Group [(label, value)] bars by their workload's suite and append
+    per-suite averages, like the paper's "<suite> average" bars. *)
+let with_suite_averages bars =
+  List.concat_map
+    (fun suite ->
+      let in_suite =
+        List.filter
+          (fun (name, _) ->
+            Option.map (fun w -> w.Workload.suite) (Workloads.by_name name) = Some suite)
+          bars
+      in
+      if in_suite = [] then []
+      else
+        in_suite
+        @ [ (Workload.suite_name suite ^ " average", Stats.mean (List.map snd in_suite)) ])
+    suite_order
+
+(** Figure 1: dynamic instruction breakdown over the whole run (mechanism
+    OFF — the characterization of the baseline engine; our programs reach
+    full optimization faster than the paper's, so "Rest of Code" is the
+    warm-up/runtime share of the whole run). *)
+let fig1 =
+  roster_view ~name:"fig1" ~reads:All
+    ~title:"Figure 1 — Breakdown of dynamic instructions (steady state, mechanism off)\n"
+    ~headers:[ "benchmark"; "Checks"; "Tags/Untags"; "Math"; "OtherOpt"; "Rest" ]
+    ~csv:("fig1.csv", [ "benchmark"; "checks"; "tags_untags"; "math"; "other_opt"; "rest" ])
+    ~note:(fun rows ->
+      Printf.sprintf
+        "overhead categories (Checks+Tags+Math), mean over all benchmarks: %s\n\n"
+        (mean (fun p -> p.(0) +. p.(1) +. p.(2)) rows))
+    (fun _ f ->
+      let total = float_of_int f.F.whole_instrs_off in
+      let c i = 100.0 *. float_of_int f.F.whole_by_cat_off.(i) /. Float.max total 1.0 in
+      let opt = Array.fold_left ( + ) 0 f.F.whole_by_cat_off in
+      [ P (c 0); P (c 1); P (c 2); P (c 4 +. c 3);
+        (* the non-optimized tier ("Rest of Code") *)
+        P (100.0 *. float_of_int (f.F.whole_instrs_off - opt) /. Float.max total 1.0) ])
+
+(** Figure 2: overhead of checking + untag-guard operations that verify
+    values obtained from object property / elements loads. *)
+let fig2 =
+  roster_view ~name:"fig2" ~reads:Selected
+    ~title:"Figure 2 — Checking/untagging overhead after object load accesses (mechanism off)\n"
+    ~headers:[ "benchmark"; "whole app"; "optimized code" ]
+    ~csv:("fig2.csv", [ "benchmark"; "whole_app_pct"; "optimized_pct" ])
+    ~note:(fun rows ->
+      Printf.sprintf "mean: whole app %s, optimized code %s\n\n"
+        (mean (fun p -> p.(0)) rows) (mean (fun p -> p.(1)) rows))
+    (fun w f ->
+      [ (* whole application: guard share of the entire run *)
+        P
+          (100.0
+          *. float_of_int f.F.whole_guards_off
+          /. Float.max (float_of_int f.F.whole_instrs_off) 1.0);
+        (* optimized code only: steady state *)
+        P
+          (100.0
+          *. float_of_int w.Record.guards_off
+          /. Float.max (float_of_int f.F.opt_instrs_off) 1.0) ])
+
+(** Figure 3: object loads hitting monomorphic slots. *)
+let fig3 =
+  roster_view ~name:"fig3" ~reads:Selected
+    ~title:"Figure 3 — Object load accesses to monomorphic properties / elements arrays\n"
+    ~headers:[ "benchmark"; "mono props"; "mono elems"; "poly props"; "poly elems" ]
+    ~csv:("fig3.csv", [ "benchmark"; "mono_props"; "mono_elems"; "poly_props"; "poly_elems" ])
+    ~note:(fun rows ->
+      Printf.sprintf "mean monomorphic (props+elems): %s (paper: 66%%)\n\n"
+        (mean (fun p -> p.(0) +. p.(1)) rows))
+    (fun _ f ->
+      let mp, me, pp, pe = f.F.fig3_off in
+      let total = float_of_int (max 1 (mp + me + pp + pe)) in
+      let p x = P (100.0 *. float_of_int x /. total) in
+      [ p mp; p me; p pp; p pe ])
+
+(** Figure 8: cycle-count improvement. *)
+let fig8 =
+  roster_view ~name:"fig8" ~reads:Selected
+    ~title:"Figure 8 — Improvement in number of cycles (speedup, %)\n"
+    ~headers:[ "benchmark"; "whole application"; "optimized code" ]
+    ~csv:("fig8.csv", [ "benchmark"; "whole_app_speedup"; "optimized_speedup" ])
+    ~note:(fun rows ->
+      "\n"
+      ^ Table.bars ~width:40
+          (with_suite_averages (List.map (fun ((name, _) as r) -> (name, (pcts r).(1))) rows))
+      ^ Printf.sprintf
+          "mean speedup: optimized code %s (paper: 7.1%%), whole application %s (paper: 5%%)\n\n"
+          (mean (fun p -> p.(1)) rows) (mean (fun p -> p.(0)) rows))
+    (fun w f ->
+      [ P (Stats.improvement ~base:w.Record.whole_cycles_off ~opt:w.Record.whole_cycles_on);
+        P
+          (Stats.improvement
+             ~base:(float_of_int f.F.opt_cycles_off)
+             ~opt:(float_of_int f.F.opt_cycles_on)) ])
+
+(** Figure 9: energy reduction. *)
+let fig9 =
+  (* whole-application energy: dynamic energy scaled to the whole run's
+     instruction count (at the steady-state per-instruction rate) plus
+     leakage over the whole run's cycles *)
+  let leak_per_cycle =
+    Tce_machine.Energy.default.Tce_machine.Energy.leakage_w
+    /. Tce_machine.Energy.default.Tce_machine.Energy.freq_ghz
+  in
+  let whole_energy ~dynamic_nj ~opt_instrs ~whole_instrs ~whole_cycles =
+    let dyn_per_instr = dynamic_nj /. Float.max 1.0 (float_of_int opt_instrs) in
+    (float_of_int whole_instrs *. dyn_per_instr) +. (leak_per_cycle *. whole_cycles)
+  in
+  roster_view ~name:"fig9" ~reads:Selected ~title:"Figure 9 — Energy reduction (%)\n"
+    ~headers:[ "benchmark"; "whole application"; "optimized code" ]
+    ~csv:
+      ( "fig9.csv",
+        [ "benchmark"; "whole_app_energy_reduction"; "optimized_energy_reduction" ] )
+    ~note:(fun rows ->
+      Printf.sprintf
+        "mean energy reduction: optimized %s (paper: 6.5%%), whole app %s (paper: 4.5%%)\n\n"
+        (mean (fun p -> p.(1)) rows) (mean (fun p -> p.(0)) rows))
+    (fun w f ->
+      [ P
+          (Stats.improvement
+             ~base:
+               (whole_energy ~dynamic_nj:f.F.energy_dynamic_nj_off
+                  ~opt_instrs:f.F.opt_instrs_off ~whole_instrs:f.F.whole_instrs_off
+                  ~whole_cycles:w.Record.whole_cycles_off)
+             ~opt:
+               (whole_energy ~dynamic_nj:f.F.energy_dynamic_nj_on
+                  ~opt_instrs:f.F.opt_instrs_on ~whole_instrs:f.F.whole_instrs_on
+                  ~whole_cycles:w.Record.whole_cycles_on));
+        P (Stats.improvement ~base:f.F.energy_nj_off ~opt:f.F.energy_nj_on) ])
+
+(** §5.3 / §5.4: overheads and hardware cost. *)
+let overheads =
+  roster_view ~name:"overheads" ~reads:Selected
+    ~title:"Section 5.3/5.4 — Incurred overheads and hardware cost\n"
+    ~headers:
+      [ "benchmark"; "CC accesses"; "CC hit rate"; "classes"; "obj size ovh"; "line-0 loads";
+        "exceptions" ]
+    ~note:(fun _ ->
+      Printf.sprintf "Class Cache storage: %d bytes (paper: < 1.5 KB)\n\n"
+        (Tce_core.Class_cache.storage_bytes (Tce_core.Class_cache.create ())))
+    (fun w f ->
+      [ N w.Record.cc_accesses_on;
+        S (Printf.sprintf "%.4f%%" (100.0 *. w.Record.cc_hit_rate_on));
+        N f.F.hidden_classes_on;
+        P (Stats.percent f.F.heap_header_extra_bytes_on (max 1 f.F.heap_object_bytes_on));
+        P (Stats.percent f.F.obj_loads_first_line_on (max 1 f.F.obj_loads_total_on));
+        N w.Record.cc_exceptions_on ])
+
+(** The hidden-class census (§4.1 / §5.3.1). *)
+let census =
+  roster_view ~name:"census" ~reads:All
+    ~title:"Hidden-class census (paper §4.1: <= 32 for all but 2 benchmarks)\n"
+    ~headers:[ "benchmark"; "hidden classes" ]
+    ~note:(fun _ -> "\n")
+    (fun _ f -> [ N f.F.hidden_classes_off ])
+
+(** A view of no rows: [title] and then [body ()]. *)
+let plain ~name ~title body =
+  {
+    name;
+    title;
+    headers = [];
+    csv = None;
+    reads = Nothing;
+    rows = (fun _ -> []);
+    pct;
+    note = (fun _ -> body ());
+  }
+
+let table1 = plain ~name:"table1" ~title:(Tce_metrics.Table1.title ^ "\n") Tce_metrics.Table1.render
+
+let table2 =
+  plain ~name:"table2" ~title:"Table 2 — Simulated micro-architecture configuration\n"
+    (fun () -> Fmt.str "%a@." Tce_machine.Config.pp Tce_machine.Config.default)
+
+(* --- Ablations (EXPERIMENTS.md "Ablations") ---
+   An ablation is a fixed list of (config, workload) pair cells and a
+   table over their rows. *)
 
 (* [items] with their [per] consecutive cells each *)
 let per_item items ~per (cells : Record.cell list) =
@@ -372,9 +310,10 @@ let cc_sweep_of ~geometries ws =
     { E.default_config with E.cc_config = { Tce_core.Class_cache.entries; ways } }
   in
   {
+    name = "cc-sweep";
     title = "Ablation A — Class Cache geometry vs hit rate (128x2 is the paper's pick)\n";
     headers;
-    pairs = List.concat_map (fun w -> List.map (fun g -> (config g, w)) geometries) ws;
+    reads = Cells (List.concat_map (fun w -> List.map (fun g -> (config g, w)) geometries) ws);
     rows =
       (fun cells ->
         List.map
@@ -382,8 +321,8 @@ let cc_sweep_of ~geometries ws =
             (w.Workload.name, List.map (fun (r, _) -> P (100.0 *. r.Record.cc_hit_rate_on)) cs))
           (per_item ws ~per:(List.length geometries) cells));
     pct = Printf.sprintf "%.3f%%";
-    note = "\n";
-    csv = ("ablation_a.csv", headers);
+    note = (fun _ -> "\n");
+    csv = Some ("ablation_a.csv", headers);
   }
 
 (** B: each profile-breaking store [fraction] of {!Synthetic.poly}, over
@@ -392,12 +331,13 @@ let cc_sweep_of ~geometries ws =
     window does not look. *)
 let poly_sweep_of fractions =
   {
+    name = "ablation";
     title =
       "Ablation B — speedup and exceptions vs fraction of profile-breaking stores\n\
        (whole-run measurement: breakage costs are transient by design)\n";
     headers =
       [ "poly fraction"; "cycles off"; "cycles on"; "speedup"; "cc-exceptions"; "deopts" ];
-    pairs = List.map (fun f -> (E.default_config, Synthetic.poly f)) fractions;
+    reads = Cells (List.map (fun f -> (E.default_config, Synthetic.poly f)) fractions);
     rows =
       List.map2
         (fun fraction ((r, f) : Record.cell) ->
@@ -409,11 +349,12 @@ let poly_sweep_of fractions =
               N f.F.whole_deopts_on ] ))
         fractions;
     pct;
-    note = "\n";
+    note = (fun _ -> "\n");
     csv =
-      ( "ablation_b.csv",
-        [ "poly_fraction"; "whole_cycles_off"; "whole_cycles_on"; "speedup_pct";
-          "cc_exceptions"; "deopts" ] );
+      Some
+        ( "ablation_b.csv",
+          [ "poly_fraction"; "whole_cycles_off"; "whole_cycles_on"; "speedup_pct";
+            "cc_exceptions"; "deopts" ] );
   }
 
 (** C: movClassIDArray hoisting (paper §4.2.1.3) off, then on, over
@@ -421,16 +362,18 @@ let poly_sweep_of fractions =
     and Class Cache ops. *)
 let hoisting_of sizes =
   {
+    name = "hoisting";
     title = "Ablation C — movClassIDArray loop hoisting on/off\n";
     headers =
       [ "workload"; "cycles unhoisted"; "cycles hoisted"; "gain"; "ccops unhoisted";
         "ccops hoisted" ];
-    pairs =
-      List.concat_map
-        (fun n ->
-          let w = Synthetic.elem_stores n in
-          [ ({ E.default_config with E.hoisting = false }, w); (E.default_config, w) ])
-        sizes;
+    reads =
+      Cells
+        (List.concat_map
+           (fun n ->
+             let w = Synthetic.elem_stores n in
+             [ ({ E.default_config with E.hoisting = false }, w); (E.default_config, w) ])
+           sizes);
     rows =
       (fun cells ->
         List.map
@@ -444,11 +387,12 @@ let hoisting_of sizes =
             | _ -> assert false)
           (per_item sizes ~per:2 cells));
     pct;
-    note = "\n";
+    note = (fun _ -> "\n");
     csv =
-      ( "ablation_c.csv",
-        [ "workload"; "cycles_unhoisted"; "cycles_hoisted"; "gain_pct";
-          "ccops_unhoisted"; "ccops_hoisted" ] );
+      Some
+        ( "ablation_c.csv",
+          [ "workload"; "cycles_unhoisted"; "cycles_hoisted"; "gain_pct";
+            "ccops_unhoisted"; "ccops_hoisted" ] );
   }
 
 (** D: the related work (paper §2) on each of [ws], steady state. Checked
@@ -458,14 +402,17 @@ let hoisting_of sizes =
     mechanism-off side of its [checked_load] cell gives Checked Load. *)
 let checked_load_of ws =
   {
+    name = "checked-load";
     title = "Ablation D — Checked Load (implicit checks) vs Class Cache (removed checks)\n";
     headers =
       [ "benchmark"; "cycles base"; "checked-load speedup"; "class-cache speedup";
         "checks base" ];
-    pairs =
-      List.concat_map
-        (fun w -> [ (E.default_config, w); ({ E.default_config with E.checked_load = true }, w) ])
-        ws;
+    reads =
+      Cells
+        (List.concat_map
+           (fun w ->
+             [ (E.default_config, w); ({ E.default_config with E.checked_load = true }, w) ])
+           ws);
     rows =
       (fun cells ->
         List.map
@@ -482,71 +429,55 @@ let checked_load_of ws =
           (per_item ws ~per:2 cells));
     pct;
     note =
-      "(Checked Load fuses only property-load map checks; the Class Cache also\n\
-       removes SMI/Non-SMI checks and untag guards — paper §2 vs §4.3)\n\n";
+      (fun _ ->
+        "(Checked Load fuses only property-load map checks; the Class Cache also\n\
+         removes SMI/Non-SMI checks and untag guards — paper §2 vs §4.3)\n\n");
     csv =
-      ( "ablation_d.csv",
-        [ "benchmark"; "cycles_base"; "checked_load_speedup_pct"; "checked_load_checks";
-          "class_cache_speedup_pct"; "class_cache_checks"; "checks_base" ] );
+      Some
+        ( "ablation_d.csv",
+          [ "benchmark"; "cycles_base"; "checked_load_speedup_pct"; "checked_load_checks";
+            "class_cache_speedup_pct"; "class_cache_checks"; "checks_base" ] );
   }
 
-(* A's synthetic workloads make ~3 hidden classes per constructor (the
-   transition chain), so 8, 24 and 48 classes need about 24, 72 and 144
-   Class Cache entries: the last exceeds the paper's 128x2 pick. *)
-let cc_sweep =
-  cc_sweep_of
-    ~geometries:[ (8, 2); (16, 2); (32, 2); (64, 2); (128, 1); (128, 2); (128, 4); (256, 2) ]
-    (List.map Synthetic.classes [ 8; 24; 48 ] @ [ Option.get (Workloads.by_name "ai-astar") ])
+(** Every experiment, in the order [fig] prints them. *)
+let views =
+  [
+    fig1;
+    fig2;
+    fig3;
+    table1;
+    table2;
+    fig8;
+    fig9;
+    overheads;
+    census;
+    (* A's synthetic workloads make ~3 hidden classes per constructor (the
+       transition chain), so 8, 24 and 48 classes need about 24, 72 and
+       144 Class Cache entries: the last exceeds the paper's 128x2 pick. *)
+    cc_sweep_of
+      ~geometries:[ (8, 2); (16, 2); (32, 2); (64, 2); (128, 1); (128, 2); (128, 4); (256, 2) ]
+      (List.map Synthetic.classes [ 8; 24; 48 ] @ [ Option.get (Workloads.by_name "ai-astar") ]);
+    poly_sweep_of [ 0.0; 0.0001; 0.001; 0.01; 0.1 ];
+    hoisting_of [ 32; 128; 512 ];
+    checked_load_of
+      (List.filter_map Workloads.by_name [ "ai-astar"; "richards"; "deltablue"; "box2d"; "3d-cube" ]);
+  ]
 
-let poly_sweep = poly_sweep_of [ 0.0; 0.0001; 0.001; 0.01; 0.1 ]
-let hoisting = hoisting_of [ 32; 128; 512 ]
-
-let checked_load =
-  checked_load_of
-    (List.filter_map Workloads.by_name [ "ai-astar"; "richards"; "deltablue"; "box2d"; "3d-cube" ])
-
-let ablations = [ cc_sweep; poly_sweep; hoisting; checked_load ]
-
-(* --- CSV export --- *)
-
-(** Write every figure's rows as CSV under [dir] (plots, spreadsheets):
-    Figure 1 over all of [inputs], the others over their {!selected}
-    subset; then each of {!ablations} over its cells, as [run_pairs]
-    returns them. *)
-let write_csvs ?(dir = "results") ~run_pairs (inputs : input list) =
-  let sel = selected inputs in
+(** Write the rows of each of {!views} that carries a CSV under [dir]
+    (plots, spreadsheets), reading them through [cache]. *)
+let write_csvs ?(dir = "results") ~cache () =
+  let views = List.filter (fun v -> v.csv <> None) views in
+  let cells = reader ~cache views in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let save name headers rows =
-    let oc = open_out (Filename.concat dir name) in
-    output_string oc (Table.csv ~headers rows);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" (Filename.concat dir name)
-  in
   let f = Printf.sprintf "%.4f" in
-  save "fig1.csv"
-    [ "benchmark"; "checks"; "tags_untags"; "math"; "other_opt"; "rest" ]
-    (List.map
-       (fun r ->
-         [ r.f1_name; f r.checks; f r.tags; f r.math; f r.other_opt; f r.rest ])
-       (fig1 inputs));
-  save "fig2.csv"
-    [ "benchmark"; "whole_app_pct"; "optimized_pct" ]
-    (List.map (fun r -> [ r.f2_name; f r.whole_app; f r.opt_only ]) (fig2 sel));
-  save "fig3.csv"
-    [ "benchmark"; "mono_props"; "mono_elems"; "poly_props"; "poly_elems" ]
-    (List.map
-       (fun r ->
-         [ r.f3_name; f r.mono_prop; f r.mono_elem; f r.poly_prop; f r.poly_elem ])
-       (fig3 sel));
-  save "fig8.csv"
-    [ "benchmark"; "whole_app_speedup"; "optimized_speedup" ]
-    (List.map (fun r -> [ r.f8_name; f r.whole; f r.opt ]) (fig8 sel));
-  save "fig9.csv"
-    [ "benchmark"; "whole_app_energy_reduction"; "optimized_energy_reduction" ]
-    (List.map (fun r -> [ r.f9_name; f r.e_whole; f r.e_opt ]) (fig9 sel));
   let chk p k = [ p; string_of_int k ] in
   List.iter
-    (fun a ->
-      save (fst a.csv) (snd a.csv)
-        (List.map (strings ~pct:f ~chk) (a.rows (run_pairs a.pairs))))
-    ablations
+    (fun v ->
+      let name, headers = Option.get v.csv in
+      let path = Filename.concat dir name in
+      let oc = open_out path in
+      output_string oc
+        (Table.csv ~headers (List.map (strings ~pct:f ~chk) (v.rows (cells v))));
+      close_out oc;
+      Printf.printf "wrote %s\n%!" path)
+    views

@@ -533,33 +533,29 @@ let baseline_check ?(baseline_path = Store.baseline_path) (t : t) :
 
 (* --- reports --- *)
 
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
 (** One CSV row per (scope, point) summary: [scope] is ["all"] for the
     roster aggregate, else the workload name. [pareto] flags membership
     in that scope's frontier. *)
 let to_csv (t : t) : string =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    "scope,entries,ways,cl_size,cost_bytes,cycles_off,cycles_on,speedup_pct,checks_off,checks_on,removal_pct,pareto\n";
-  let emit scope summaries =
+  let rows scope summaries =
     let front = frontier summaries in
-    List.iter
+    List.map
       (fun s ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s,%d,%d,%d,%d,%.0f,%.0f,%.4f,%d,%d,%.4f,%d\n"
-             (csv_escape scope) s.s_point.entries s.s_point.ways
-             s.s_point.cl_size s.s_cost s.s_cycles_off s.s_cycles_on
-             s.s_speedup_pct s.s_checks_off s.s_checks_on s.s_removal_pct
-             (if List.memq s front then 1 else 0)))
+        scope
+        :: List.map string_of_int
+             [ s.s_point.entries; s.s_point.ways; s.s_point.cl_size; s.s_cost ]
+        @ [ Printf.sprintf "%.0f" s.s_cycles_off; Printf.sprintf "%.0f" s.s_cycles_on;
+            Printf.sprintf "%.4f" s.s_speedup_pct; string_of_int s.s_checks_off;
+            string_of_int s.s_checks_on; Printf.sprintf "%.4f" s.s_removal_pct;
+            (if List.memq s front then "1" else "0") ])
       summaries
   in
-  emit "all" (aggregate t);
-  List.iter (fun (name, summaries) -> emit name summaries) (per_workload t);
-  Buffer.contents buf
+  Tce_support.Table.csv
+    ~headers:
+      [ "scope"; "entries"; "ways"; "cl_size"; "cost_bytes"; "cycles_off"; "cycles_on";
+        "speedup_pct"; "checks_off"; "checks_on"; "removal_pct"; "pareto" ]
+    (rows "all" (aggregate t)
+    @ List.concat_map (fun (name, summaries) -> rows name summaries) (per_workload t))
 
 let report ?baseline_path (t : t) : string =
   let buf = Buffer.create 4096 in

@@ -5,7 +5,6 @@ type t
 
 val create : int -> t
 val copy : t -> t
-val next_int64 : t -> int64
 
 (** Uniform in [0, bound); @raise Invalid_argument when [bound <= 0]. *)
 val int : t -> int -> int

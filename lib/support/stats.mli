@@ -5,8 +5,6 @@ val mean : float list -> float
 (** Geometric mean of the positive values (non-positive entries skipped). *)
 val geomean : float list -> float
 
-val min_max : float list -> float * float
-
 (** [100 * num / den] (0 when [den] is 0). *)
 val percent : int -> int -> float
 
@@ -23,10 +21,6 @@ type summary = {
 }
 
 val summarize : float list -> summary
-
-(** Half-width of the normal-approximation 95% confidence interval of the
-    mean; 0 when fewer than two samples. *)
-val ci95 : summary -> float
 
 (** [(mean, ci95)] of a sample. *)
 val mean_ci95 : float list -> float * float

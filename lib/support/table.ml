@@ -66,6 +66,13 @@ let pct f = Printf.sprintf "%.1f%%" f
 
 let f2 f = Printf.sprintf "%.2f" f
 
+(* RFC 4180: a field holding a comma, a quote or a newline is quoted,
+   its quotes doubled *)
+let csv_field s =
+  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
+    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
+  else s
+
 let csv ~headers rows =
-  let line cells = String.concat "," cells ^ "\n" in
+  let line cells = String.concat "," (List.map csv_field cells) ^ "\n" in
   String.concat "" (line headers :: List.map line rows)

@@ -13,4 +13,7 @@ val bars : ?width:int -> ?vmax:float -> (string * float) list -> string
 
 val pct : float -> string
 val f2 : float -> string
+
+(** [headers] and then [rows] as CSV lines; a field that holds a comma,
+    a double quote or a newline is quoted, its quotes doubled. *)
 val csv : headers:string list -> string list list -> string

@@ -46,7 +46,6 @@ val is_null : t -> Value.t -> bool
 
 (* --- numbers --- *)
 
-val alloc_number : t -> float -> Value.t
 val is_number : t -> Value.t -> bool
 val number_value : t -> Value.t -> float
 
@@ -62,8 +61,6 @@ val float_const : t -> float -> Value.t
 
 (* --- strings --- *)
 
-val alloc_string : t -> string -> Value.t
-
 (** All MiniJS strings are interned: content equality = pointer equality. *)
 val intern_string : t -> string -> Value.t
 
@@ -72,8 +69,6 @@ val string_value : t -> Value.t -> string
 
 (* --- objects --- *)
 
-val write_class_words : t -> int -> Hidden_class.t -> lines:int -> unit
-
 (** Allocate an object with room for at least [reserve_props] named
     properties; slots initialized to null, no elements array. *)
 val alloc_object : t -> Hidden_class.t -> reserve_props:int -> Value.t
@@ -81,11 +76,6 @@ val alloc_object : t -> Hidden_class.t -> reserve_props:int -> Value.t
 val obj_lines : t -> int -> int
 val is_object : t -> Value.t -> bool
 val load_slot : t -> Value.t -> int -> Value.t
-val store_slot : t -> Value.t -> int -> Value.t -> unit
-
-(** Transition the object to also hold [name] and store the value; returns
-    the slot. @raise Runtime_error when out of reserved space. *)
-val define_prop : t -> Value.t -> string -> Value.t -> int
 
 val get_prop : t -> Value.t -> string -> Value.t option
 
@@ -95,7 +85,6 @@ val set_prop : t -> Value.t -> string -> Value.t -> int * bool
 
 (* --- elements arrays --- *)
 
-val alloc_elements : t -> capacity:int -> int
 val alloc_array : t -> ?capacity:int -> Hidden_class.elements_kind -> Value.t
 
 (** [array_new n]: SMI array of length [n] filled with 0. *)
@@ -103,26 +92,13 @@ val alloc_array_filled : t -> int -> Value.t
 
 val elements_ptr : t -> Value.t -> int
 val elements_len : t -> Value.t -> int
-val set_elements_len : t -> Value.t -> int -> unit
 val elements_capacity : t -> int -> int
-val elem_addr : int -> int -> int
 
 (** Elements kind of any object (plain objects use tagged elements). *)
 val elements_kind : t -> Value.t -> Hidden_class.elements_kind
 
 (** Out-of-bounds reads answer null. *)
 val elem_get : t -> Value.t -> int -> Value.t
-
-val grow_elements : t -> Value.t -> min_capacity:int -> unit
-val elements_kind_of_value : t -> Value.t -> Hidden_class.elements_kind
-val join_elements_kind :
-  Hidden_class.elements_kind -> Hidden_class.elements_kind ->
-  Hidden_class.elements_kind
-
-(** Transition an array's elements kind, converting representations. *)
-val transition_elements_kind : t -> Value.t -> Hidden_class.elements_kind -> unit
-
-val elem_repr : t -> Hidden_class.elements_kind -> Value.t -> int
 
 (** Write element [i] (grow/extend/kind-transition as needed); [true] when a
     slow path ran. @raise Runtime_error on negative index. *)

@@ -6,8 +6,6 @@
 
 type elements_kind = E_smi | E_double | E_tagged
 
-val pp_elements_kind : Format.formatter -> elements_kind -> unit
-
 type kind =
   | K_object
   | K_array of elements_kind

@@ -5,10 +5,6 @@
 
 val word_size : int
 val line_bytes : int
-val words_per_line : int
-
-(** Word indexes on line 0 usable for named properties ([1; 4; 5; 6; 7]). *)
-val line0_named_slots : int array
 
 (** Word 2 — also the elements-profile position in the Class List. *)
 val elements_ptr_slot : int
@@ -20,7 +16,6 @@ val elements_len_slot : int
 val smi_classid : int
 
 val max_classid : int
-val max_line : int
 
 (** Word index (from object base) of the [k]-th named property. *)
 val slot_of_prop_index : int -> int

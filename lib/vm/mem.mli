@@ -8,7 +8,6 @@ type t = {
   base : int;
 }
 
-val default_base : int
 val create : ?base:int -> ?capacity_words:int -> unit -> t
 
 (** @raise Invalid_argument on unaligned or below-base addresses. *)

@@ -76,40 +76,40 @@ let test_determinism () =
    here from the measured pair. *)
 let test_experiment_rows_well_formed () =
   let module Experiments = Tce_runner.Experiments in
-  let ws =
+  let cells =
     let off, on = Lazy.force pair in
     [
       ( Tce_runner.Record.of_pair ~wall_off:0.0 ~wall_on:0.0 off on,
-        Harness.Figures.of_pair off on );
+        Some (Harness.Figures.of_pair off on) );
     ]
   in
+  (* each row's percentages, from the view called [name] *)
+  let rows name =
+    let v = List.find (fun (v : Experiments.view) -> v.name = name) Experiments.views in
+    List.map
+      (fun (_, vs) ->
+        List.map (function Experiments.P p -> p | _ -> Alcotest.fail "not a percentage") vs)
+      (v.Experiments.rows cells)
+  in
   List.iter
-    (fun (r : Experiments.fig1_row) ->
+    (fun ps ->
       List.iter
         (fun v ->
           Alcotest.(check bool) "percentage in range" true (v >= 0.0 && v <= 100.0))
-        [ r.Experiments.checks; r.Experiments.tags; r.Experiments.math;
-          r.Experiments.other_opt; r.Experiments.rest ];
-      Alcotest.(check bool) "sums to ~100%" true
-        (let s =
-           r.Experiments.checks +. r.Experiments.tags +. r.Experiments.math
-           +. r.Experiments.other_opt +. r.Experiments.rest
-         in
-         s > 99.0 && s < 101.0))
-    (Experiments.fig1 ws);
+        ps;
+      let s = List.fold_left ( +. ) 0.0 ps in
+      Alcotest.(check bool) "sums to ~100%" true (s > 99.0 && s < 101.0))
+    (rows "fig1");
   List.iter
-    (fun (r : Experiments.fig3_row) ->
-      let s =
-        r.Experiments.mono_prop +. r.Experiments.mono_elem
-        +. r.Experiments.poly_prop +. r.Experiments.poly_elem
-      in
+    (fun ps ->
+      let s = List.fold_left ( +. ) 0.0 ps in
       Alcotest.(check bool) "fig3 stacks to 100%" true (s > 99.0 && s < 101.0))
-    (Experiments.fig3 ws);
+    (rows "fig3");
   List.iter
-    (fun (r : Experiments.fig8_row) ->
-      Alcotest.(check bool) "sane speedup range" true
-        (r.Experiments.opt > -50.0 && r.Experiments.opt < 80.0))
-    (Experiments.fig8 ws)
+    (fun ps ->
+      let opt = List.nth ps 1 in
+      Alcotest.(check bool) "sane speedup range" true (opt > -50.0 && opt < 80.0))
+    (rows "fig8")
 
 let test_table1_runs () =
   let t = Table1.run () in
@@ -190,14 +190,15 @@ let improvement base opt =
 
 (* the views' table entries; constructors only, so no view code is
    shared with the reference *)
-type value = Experiments.value = N of int | P of float | P_chk of float * int
+type value = Experiments.value = N of int | P of float | P_chk of float * int | S of string
 
 let value =
   Alcotest.testable
     (fun ppf -> function
       | N n -> Format.fprintf ppf "%d" n
       | P p -> Format.fprintf ppf "%h" p
-      | P_chk (p, k) -> Format.fprintf ppf "%h (chk %d)" p k)
+      | P_chk (p, k) -> Format.fprintf ppf "%h (chk %d)" p k
+      | S s -> Format.pp_print_string ppf s)
     ( = )
 
 let test_ablations_match_reference () =
@@ -209,8 +210,8 @@ let test_ablations_match_reference () =
   (* every view through one cache: (rows, misses) *)
   let views () =
     let cache = Tce_runner.Cache.create ~dir:cache_dir () in
-    let rows (a : Experiments.ablation) =
-      a.Experiments.rows (Tce_runner.Runner.run_pairs ~cache a.Experiments.pairs)
+    let cells = Experiments.reader ~cache [] in
+    let rows (a : Experiments.view) = a.Experiments.rows (cells a)
     in
     ( rows (Experiments.cc_sweep_of ~geometries a_ws)
       @ rows (Experiments.poly_sweep_of fractions)

@@ -111,13 +111,18 @@ let test_in_process_mode () =
         (Record.equal_deterministic a b))
     cold.Record.workloads warm.Record.workloads;
   (* the paper's figures read cached rows exactly as fresh ones *)
-  let figures run =
-    let i = Experiments.inputs_of_run run in
-    ( Experiments.fig1 i,
-      Experiments.fig2 i,
-      Experiments.fig3 i,
-      Experiments.fig8 i,
-      Experiments.fig9 i )
+  let figures (run : Record.run) =
+    let cells =
+      List.map
+        (fun (w : Record.workload) -> (w, List.assoc_opt w.Record.name run.Record.figures))
+        run.Record.workloads
+    in
+    List.filter_map
+      (fun (v : Experiments.view) ->
+        match v.reads with
+        | Experiments.All | Experiments.Selected -> Some (v.name, v.rows cells)
+        | _ -> None)
+      Experiments.views
   in
   Alcotest.(check bool) "bench: figures from warm rows equal cold" true
     (figures cold = figures warm);

@@ -119,6 +119,12 @@ let test_table_bars () =
   (* y gets the full width, x half *)
   Alcotest.(check bool) "has bars" true (String.contains out '#')
 
+let test_table_csv_quoting () =
+  Alcotest.(check string) "plain fields as they are, quoted ones doubled"
+    "name,note\nplain,1.5\n\"a,b\",\"say \"\"hi\"\"\"\n\"two\nlines\",x\n"
+    (Table.csv ~headers:[ "name"; "note" ]
+       [ [ "plain"; "1.5" ]; [ "a,b"; "say \"hi\"" ]; [ "two\nlines"; "x" ] ])
+
 let () =
   Alcotest.run "support"
     [
@@ -148,5 +154,6 @@ let () =
         [
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "bars" `Quick test_table_bars;
+          Alcotest.test_case "csv quoting" `Quick test_table_csv_quoting;
         ] );
     ]
