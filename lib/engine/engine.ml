@@ -103,13 +103,55 @@ let default_config =
     prof = Tce_prof.Profile.null;
   }
 
+(** Does any function of [p] hold a property or elements store, or a
+    [push] (which stores through the element store)? A static test: a
+    store that never runs still counts, since it still shapes the
+    optimized code. *)
+let stores (p : Bytecode.program) =
+  Array.exists
+    (fun (f : Bytecode.func) ->
+      Array.exists
+        (function
+          | Bytecode.SetProp _ | SetElem _ | CallB (_, Builtins.B_push, _) -> true
+          | _ -> false)
+        f.Bytecode.code)
+    p.Bytecode.funcs
+
 (* The fields below are read only where a run of the other mechanism
    setting cannot reach them: Class List and Class Cache state only under
    [cfg.mechanism] ({!fire_store_event}, the machine's store path and
    [Opt.compute_hoists]; [CL.create] allocates [65536 * entry_bytes]
    whatever the geometry), Checked Load only under [not mechanism]
-   ([Opt.gen_op]'s [GetProp] lowering). *)
-let effective_config c =
+   ([Opt.gen_op]'s [GetProp] lowering).
+
+   Without a store ({!stores}), [mechanism] itself is unreachable. Its
+   reads are:
+   - {!baseline_cost_of}: the store surcharge of [SetProp]/[SetElem];
+   - {!fire_store_event}: reached only from {!set_prop} and {!set_elem},
+     that is from [SetProp], [SetElem], [push] and the runtime stubs
+     ([Rt_generic_set_prop], [Rt_generic_set_elem], [Rt_elem_store_slow])
+     that [Opt] emits only when lowering [SetProp]/[SetElem];
+   - the elements-kind retire in {!set_elem};
+   - [Machine]'s store path ([cc_request_tagged]), run only by
+     [StoreClassCache], [StoreClassCacheArray] and [ProfileStore], which
+     [Opt] emits only when lowering [SetProp]/[SetElem];
+   - [Opt]: [spec_load_ty] reads [CL.profiled_class], which is [None]
+     for every slot while no store has initialized one, so no load is
+     speculated and no dependency registered; [compute_hoists] hoists
+     only [SetElem] receivers; [emit_prop_store] and the [SetElem]
+     lowering are store lowerings; the Checked Load [GetProp] lowering
+     runs under [not mechanism], hence [checked_load] is reset too;
+     [slot_keep_cause] and [check_map] only pick the ledger's keep-cause
+     label.
+   So a store-free mechanism-on run leaves the Class List in its initial
+   state and simulates as the mechanism-off run without Checked Load; only
+   the attribution ledger's keep-cause labels differ. *)
+let effective_config ~stores c =
+  let c =
+    if c.mechanism && not stores then
+      { c with mechanism = false; checked_load = default_config.checked_load }
+    else c
+  in
   if c.mechanism then { c with checked_load = default_config.checked_load }
   else
     {

@@ -59,12 +59,26 @@ type config = {
 
 val default_config : config
 
+(** Does any function of the program hold a [SetProp], a [SetElem] or a
+    [push] call? Static: a store in code that never runs counts. Only
+    these stores feed the Class List (paper §4.2.1.3). *)
+val stores : Tce_jit.Bytecode.program -> bool
+
 (** [c] with every field that a run with [c.mechanism] cannot read reset
     to {!default_config}'s, so two configs with the same effective config
     simulate bit-identically. A mechanism-off run reads no [cc_config],
     [cl_config] or [hoisting]; a mechanism-on run reads no
-    [checked_load]. *)
-val effective_config : config -> config
+    [checked_load]. A program without a store ([stores] false, see
+    {!stores}) cannot reach [mechanism] at all: its mechanism-on config
+    maps to the effective config of the mechanism-off one without Checked
+    Load. Every read of [mechanism] ([baseline_cost_of]'s store
+    surcharge, [fire_store_event], [set_elem]'s elements-kind retire, the
+    machine's store path and the optimizing compiler's speculation,
+    hoisting and store lowering) sits on a store path or reads a Class
+    List entry that only a store initializes. Only the attribution
+    ledger's keep-cause labels differ, and no measured result carries
+    them. *)
+val effective_config : stores:bool -> config -> config
 
 type t = {
   cfg : config;

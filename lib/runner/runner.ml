@@ -22,25 +22,33 @@ let pair_cells ~argv (pairs : (E.config * W.t) list) : Record.cell Shard.cells =
   (* A half reads only its workload and its effective config, so the
      cells of one workload share equal halves: the first cell to need one
      simulates it and reports its host time, the others reuse it and
-     report 0. A workload's cells all run in one process, sharded or not.
-     A workload with one cell keys and keeps nothing. *)
+     report 0. A store-free workload's two halves are one (see
+     Engine.effective_config), so a cell whose halves are equal reuses
+     its off half as its on half. A workload's cells all run in one
+     process, sharded or not. A workload with one cell keeps nothing. *)
   let shared =
     lazy
       (let cells = Hashtbl.create 64 in
        Array.iter (fun (_, (w : W.t)) -> Hashtbl.add cells w.W.name ()) arr;
        fun (w : W.t) -> List.compare_length_with (Hashtbl.find_all cells w.W.name) 1 > 0)
   in
+  let stores = Hashtbl.create 16 in
+  let stores (w : W.t) =
+    match Hashtbl.find_opt stores w.W.name with
+    | Some s -> s
+    | None ->
+      let s = E.stores (Tce_jit.Bc_compile.compile_source w.W.source) in
+      Hashtbl.add stores w.W.name s;
+      s
+  in
   let halves = Hashtbl.create 16 in
-  let half config w =
-    if not (Lazy.force shared w) then timed_run config w
-    else
-      let k = Cache.bench_key ~config:(E.effective_config config) w in
-      match Hashtbl.find_opt halves k with
-      | Some r -> (r, 0.0)
-      | None ->
-        let r, wall = timed_run config w in
-        Hashtbl.add halves k r;
-        (r, wall)
+  let half ~keep k config w =
+    match Hashtbl.find_opt halves k with
+    | Some r -> ({ r with H.mechanism = config.E.mechanism }, 0.0)
+    | None ->
+      let r, wall = timed_run config w in
+      if keep then Hashtbl.add halves k r;
+      (r, wall)
   in
   {
     Shard.codec = Shard.cell_codec;
@@ -53,8 +61,18 @@ let pair_cells ~argv (pairs : (E.config * W.t) list) : Record.cell Shard.cells =
     run =
       (fun i ->
         let config, w = arr.(i) in
-        let off, wall_off = half { config with E.mechanism = false } w in
-        let on, wall_on = half { config with E.mechanism = true } w in
+        let key mechanism =
+          Cache.bench_key
+            ~config:(E.effective_config ~stores:(stores w) { config with E.mechanism })
+            w
+        in
+        let k_off = key false and k_on = key true in
+        let keep = Lazy.force shared w in
+        let off, wall_off = half ~keep k_off { config with E.mechanism = false } w in
+        let on, wall_on =
+          if k_on = k_off then ({ off with H.mechanism = true }, 0.0)
+          else half ~keep k_on { config with E.mechanism = true } w
+        in
         H.check_agree w ~off:off.H.checksum ~on:on.H.checksum;
         (Record.of_pair ~wall_off ~wall_on off on, Some (H.Figures.of_pair off on)));
   }

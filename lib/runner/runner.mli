@@ -22,8 +22,11 @@ val run_one :
     simulated by {!Tce_metrics.Harness.run} once per process: among the
     cells of one workload, a half equal to one already simulated (same
     {!Tce_engine.Engine.effective_config}) is reused and its cell reports
-    a 0.0 wall time for it. A workload with one cell keys and keeps no
-    half. *)
+    a 0.0 wall time for it. A workload without a store
+    ({!Tce_engine.Engine.stores}, decided once per workload per process)
+    has one half, so each of its cells reuses its mechanism-off half as
+    its mechanism-on half, with the [mechanism] field set. A workload
+    with one cell keeps no half after its cell. *)
 val pair_cells :
   argv:string list ->
   (Tce_engine.Engine.config * Tce_workloads.Workload.t) list ->

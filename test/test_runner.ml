@@ -144,6 +144,84 @@ let test_in_process_mode () =
   rejects "Campaign.run" (fun () -> ignore (Campaign.run ~jobs:2 []));
   rejects "Sweep.run" (fun () -> ignore (Sweep.run ~jobs:2 ~axes []))
 
+(* --- store-free halves --- *)
+
+let program (w : Tce_workloads.Workload.t) =
+  Tce_jit.Bc_compile.compile_source w.Tce_workloads.Workload.source
+
+let stores w = Tce_engine.Engine.stores (program w)
+
+(* [push] stores through the element store: a program whose only store
+   is a push call stores, and its mechanism-on half runs the Class Cache. *)
+let test_push_is_a_store () =
+  let w =
+    mk_workload "runner-push"
+      {|
+var a = [];
+function bench() {
+  var s = 0;
+  for (var i = 0; i < 40; i++) { push(a, i); s = (s + a[i]) & 1023; }
+  return s;
+}
+|}
+  in
+  Array.iter
+    (fun (f : Tce_jit.Bytecode.func) ->
+      Array.iter
+        (function
+          | Tce_jit.Bytecode.SetProp _ | SetElem _ ->
+            Alcotest.failf "%s holds a store other than push" f.Tce_jit.Bytecode.name
+          | _ -> ())
+        f.Tce_jit.Bytecode.code)
+    (program w).Tce_jit.Bytecode.funcs;
+  Alcotest.(check bool) "push counts as a store" true (stores w);
+  let row = Runner.run_one w in
+  Alcotest.(check bool) "the mechanism-on half accesses the Class Cache" true
+    (row.Record.cc_accesses_on > 0);
+  Alcotest.(check bool) "the mechanism-on half was simulated" true
+    (row.Record.wall_seconds_on > 0.0)
+
+(* The predicate is static: a store on a branch that never runs counts. *)
+let test_dead_store_counts () =
+  let src store =
+    Printf.sprintf
+      {|
+var o = {};
+function bench() {
+  var s = 0;
+  for (var i = 0; i < 40; i++) { s = (s + i) & 1023; if (s < 0) { %s } }
+  return s;
+}
+|}
+      store
+  in
+  Alcotest.(check bool) "a never-run property store counts" true
+    (stores (mk_workload "runner-dead-store" (src "o.x = s;")));
+  Alcotest.(check bool) "the same program without it stores nothing" false
+    (stores (mk_workload "runner-no-store" (src "s = 1;")));
+  let row = Runner.run_one (mk_workload "runner-dead-store" (src "o.x = s;")) in
+  Alcotest.(check bool) "both halves simulated" true
+    (row.Record.wall_seconds_off > 0.0 && row.Record.wall_seconds_on > 0.0)
+
+(* A store-free workload's on half is its off half: the row simulates one
+   half and equals the row of two independently simulated halves. *)
+let test_store_free_row () =
+  let w =
+    mk_workload "runner-store-free"
+      "function bench() { var s = 0; for (var i = 0; i < 40; i++) { s = (s + i) & 1023; } \
+       return s; }"
+  in
+  Alcotest.(check bool) "stores nothing" false (stores w);
+  let row = Runner.run_one w in
+  Alcotest.(check (float 0.0)) "the on half reports no host time" 0.0
+    row.Record.wall_seconds_on;
+  Alcotest.(check bool) "the off half was simulated" true
+    (row.Record.wall_seconds_off > 0.0);
+  let off, on = Tce_metrics.Harness.run_pair w in
+  Alcotest.(check bool) "row equals Record.of_pair of Harness.run_pair" true
+    (Record.equal_deterministic row
+       (Record.of_pair ~wall_off:0.0 ~wall_on:0.0 off on))
+
 (* --- (b) the gate --- *)
 
 let make_run workloads =
@@ -571,6 +649,12 @@ let () =
         [
           Alcotest.test_case "records sane" `Quick test_records_sane;
           Alcotest.test_case "in-process mode" `Quick test_in_process_mode;
+        ] );
+      ( "store-free halves",
+        [
+          Alcotest.test_case "push is a store" `Quick test_push_is_a_store;
+          Alcotest.test_case "a dead store counts" `Quick test_dead_store_counts;
+          Alcotest.test_case "store-free row" `Quick test_store_free_row;
         ] );
       ( "gate",
         [

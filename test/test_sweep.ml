@@ -446,9 +446,10 @@ let test_pairs_share_halves () =
         Alcotest.failf "%s: a row differs from its cell's pair" w.W.name;
       if figures <> Some (H.Figures.of_pair off on) then
         Alcotest.failf "%s: a figure block differs from its cell's pair" w.W.name;
+      let stores = E.stores (Tce_jit.Bc_compile.compile_source w.W.source) in
       List.iter
         (fun (mechanism, wall) ->
-          let half = E.effective_config { config with E.mechanism } in
+          let half = E.effective_config ~stores { config with E.mechanism } in
           let k = Cache.bench_key ~config:half w in
           let n = Option.value ~default:0 (Hashtbl.find_opt timed k) in
           Hashtbl.replace timed k (if wall > 0.0 then n + 1 else n))
@@ -460,11 +461,12 @@ let test_pairs_share_halves () =
     timed
 
 (* Halves are shared within a workload only: two workloads of one source
-   each simulate both their halves. *)
+   each simulate both their halves. The source stores, so its two halves
+   differ. *)
 let test_no_sharing_across_workloads () =
   let src =
-    "function bench() { var s = 0; for (var i = 0; i < 40; i++) { s = (s + i) & 1023; } \
-     return s; }"
+    "var a = [0]; function bench() { var s = 0; for (var i = 0; i < 40; i++) { \
+     s = (s + i) & 1023; } a[0] = s; return s; }"
   in
   let r = Runner.run_suite [ mk_workload "twin-a" src; mk_workload "twin-b" src ] in
   List.iter

@@ -85,6 +85,42 @@ let test_cc_hit_rate_high () =
         Alcotest.failf "%s: CC hit rate %.4f" w.Workload.name on.H.cc_hit_rate)
     selected_runs
 
+(* The roster's store-free programs: no SetProp, no SetElem, no push.
+   audio-dft, string-base64, string-fasta and string-validate-input read
+   equal off/on cycles too, but they push in their setup, so they store. *)
+let store_free =
+  [ "regexp"; "math-cordic"; "bitops-3bit-bits-in-byte"; "bitops-bits-in-byte";
+    "bitops-bitwise-and"; "controlflow-recursive"; "date-format-xparb";
+    "math-partial-sums"; "regexp-dna" ]
+
+let test_store_free_halves_equal () =
+  (* the runner derives a store-free workload's mechanism-on half from its
+     mechanism-off half (Engine.effective_config ~stores); the two
+     simulated halves must then agree in every field but [mechanism] *)
+  let stores w =
+    Tce_engine.Engine.stores (Tce_jit.Bc_compile.compile_source w.Workload.source)
+  in
+  Alcotest.(check (list string)) "store-free workloads"
+    (List.sort compare store_free)
+    (List.sort compare
+       (List.filter_map
+          (fun w -> if stores w then None else Some w.Workload.name)
+          Workloads.all));
+  let same name =
+    match List.find_opt (fun (w, _) -> w.Workload.name = name) runs with
+    | Some (_, r) ->
+      let _, (off, on) = Lazy.force r in
+      compare { off with H.mechanism = true } on = 0
+    | None -> Alcotest.failf "%s missing from the registry" name
+  in
+  List.iter
+    (fun name ->
+      if not (same name) then
+        Alcotest.failf "%s stores nothing, yet its halves differ" name)
+    store_free;
+  Alcotest.(check bool) "deltablue stores, and its halves differ" false
+    (same "deltablue")
+
 let test_synthetic_generators_run () =
   let src1 = Synthetic.poly_sweep ~n_classes:3 ~poly_fraction:0.01 ~objs:16 ~rounds:5 in
   let src2 = Synthetic.class_count_sweep ~n_classes:5 ~props_per_class:3 ~rounds:5 in
@@ -113,5 +149,7 @@ let () =
           Alcotest.test_case "no large regressions" `Slow
             test_mechanism_never_regresses_much;
           Alcotest.test_case "CC hit rate" `Slow test_cc_hit_rate_high;
+          Alcotest.test_case "store-free halves equal" `Slow
+            test_store_free_halves_equal;
         ] );
     ]
