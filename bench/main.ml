@@ -233,7 +233,7 @@ let run_term =
          in
          Tce_obs.Export.to_file ~path
            (Tce_prof.Report.suite_doc ~git_sha:(Store.git_sha ())
-              ~config_hash:(Store.config_hash ~config ())
+              ~config_hash:(Tce_engine.Engine.config_hash config)
               ~created_utc:(Store.timestamp_utc ()) [ p ])
      end);
     if Tce_fault.Injector.armed fault then
@@ -665,12 +665,6 @@ let serve_or r cells k =
       1)
 
 let bench_cmd =
-  let attr =
-    Arg.(
-      value & flag
-      & info [ "attr" ]
-          ~doc:"Also print the suite attribution report and write ATTR_latest.json.")
-  in
   let profile =
     Arg.(
       value & flag
@@ -681,9 +675,9 @@ let bench_cmd =
              PROF_latest.json and collapsed-stack flamegraph lines to \
              bench_profile.folded (load them in speedscope or inferno).")
   in
-  let bench r out deterministic strict attr profile =
-    if r.worker = None && r.shards > 1 && (attr || profile) then
-      `Error (true, "--attr/--profile are not supported with --shards (run them serially)")
+  let bench r out deterministic strict profile =
+    if r.worker = None && r.shards > 1 && profile then
+      `Error (true, "--profile is not supported with --shards (run it serially)")
     else
       `Ok
         (serve_or r (fun () -> Tce_runner.Runner.bench_cells r.ws) @@ fun () ->
@@ -696,25 +690,6 @@ let bench_cmd =
          Store.save ~latest:out run;
          Store.print_summary run;
          Printf.printf "wrote %s\n" out;
-         if attr then begin
-           (* Suite attribution from the benchmark records themselves (the
-              composition block), so the report reflects exactly what the
-              run measured. *)
-           let per_workload =
-             List.map
-               (fun (w : Record.workload) ->
-                 ( w.Record.name,
-                   List.map
-                     (fun (kind, off, on) ->
-                       { Tce_attr.Aggregate.kind; off; on_ = on })
-                     w.Record.checks_by_kind ))
-               run.Record.workloads
-           in
-           print_string (Tce_attr.Aggregate.suite_table per_workload);
-           Tce_obs.Export.to_file ~path:Store.attr_latest_path
-             (Tce_attr.Aggregate.suite_report_json per_workload);
-           Printf.printf "wrote %s\n" Store.attr_latest_path
-         end;
          if profile then begin
            (* Second pass under the profiler: whole-run measurement per side
               (the reconciliation invariant needs counters on from the first
@@ -765,7 +740,7 @@ let bench_cmd =
     Term.(
       ret
         (const bench $ runner_t ~chaos:true Arg.pos_all
-        $ out_t Store.latest_path $ deterministic_t $ strict_t $ attr $ profile))
+        $ out_t Store.latest_path $ deterministic_t $ strict_t $ profile))
 
 let check_cmd =
   let baseline =

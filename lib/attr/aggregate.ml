@@ -5,32 +5,6 @@ module Table = Tce_support.Table
 
 let report_kind = "attr-report"
 
-type kind_row = { kind : string; off : int; on_ : int }
-
-let removal_pct r =
-  if r.off = 0 then 0.0 else 100.0 *. float_of_int (r.off - r.on_) /. float_of_int r.off
-
-let kind_table rows =
-  let total =
-    {
-      kind = "total";
-      off = List.fold_left (fun a r -> a + r.off) 0 rows;
-      on_ = List.fold_left (fun a r -> a + r.on_) 0 rows;
-    }
-  in
-  Table.render
-    ~headers:[ "check kind"; "off"; "on"; "removed"; "removal" ]
-    (List.map
-       (fun r ->
-         [
-           r.kind;
-           string_of_int r.off;
-           string_of_int r.on_;
-           string_of_int (r.off - r.on_);
-           Table.pct (removal_pct r);
-         ])
-       (rows @ [ total ]))
-
 (* --- kept-cause histogram --- *)
 
 let cause_histogram (l : Ledger.t) =
@@ -101,7 +75,10 @@ let chain_text (c : Ledger.chain) =
           (fun fn -> Printf.sprintf "    -> %s: %s\n" fn (respec fn))
           c.Ledger.victims))
 
-let chains_text ?(max_chains = 10) (l : Ledger.t) =
+(* at most this many chains are printed in full *)
+let max_chains = 10
+
+let chains_text (l : Ledger.t) =
   let buf = Buffer.create 256 in
   let cs = Ledger.chains l in
   let n = List.length cs in
@@ -189,15 +166,6 @@ let explain_text ~program ~checks_executed ?cc_occupancy ?cc_conflicts l =
 
 (* --- JSON --- *)
 
-let kind_row_json r =
-  J.Obj
-    [
-      ("kind", J.Str r.kind);
-      ("off", J.Int r.off);
-      ("on", J.Int r.on_);
-      ("removed", J.Int (r.off - r.on_));
-    ]
-
 let site_json (s : Ledger.site) =
   J.Obj
     [
@@ -252,8 +220,7 @@ let ledger_json l =
 
 let int_array_json a = J.List (Array.to_list (Array.map (fun v -> J.Int v) a))
 
-let report_json ~program ?kind_rows ~checks_executed ?cc_occupancy
-    ?cc_conflicts l =
+let report_json ~program ~checks_executed ?cc_occupancy ?cc_conflicts l =
   let cc =
     match (cc_occupancy, cc_conflicts) with
     | Some o, Some c ->
@@ -266,11 +233,6 @@ let report_json ~program ?kind_rows ~checks_executed ?cc_occupancy
       ]
     | _ -> []
   in
-  let comp =
-    match kind_rows with
-    | Some rows -> [ ("checks_by_kind", J.List (List.map kind_row_json rows)) ]
-    | None -> []
-  in
   Tce_obs.Export.document ~kind:report_kind
     (J.Obj
        ([
@@ -279,63 +241,5 @@ let report_json ~program ?kind_rows ~checks_executed ?cc_occupancy
           ( "checks_executed",
             J.Obj (List.map (fun (k, v) -> (k, J.Int v)) checks_executed) );
         ]
-       @ comp
        @ ledger_json l
        @ cc))
-
-(* --- suite-level --- *)
-
-let sum_rows (per_workload : (string * kind_row list) list) : kind_row list =
-  let tbl = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun (_, rows) ->
-      List.iter
-        (fun r ->
-          match Hashtbl.find_opt tbl r.kind with
-          | None ->
-            order := r.kind :: !order;
-            Hashtbl.add tbl r.kind (r.off, r.on_)
-          | Some (o, n) -> Hashtbl.replace tbl r.kind (o + r.off, n + r.on_))
-        rows)
-    per_workload;
-  List.rev_map
-    (fun kind ->
-      let off, on_ = Hashtbl.find tbl kind in
-      { kind; off; on_ })
-    !order
-
-let suite_report_json per_workload =
-  Tce_obs.Export.document ~kind:report_kind
-    (J.Obj
-       [
-         ("scope", J.Str "suite");
-         ( "totals",
-           J.List (List.map kind_row_json (sum_rows per_workload)) );
-         ( "workloads",
-           J.List
-             (List.map
-                (fun (name, rows) ->
-                  J.Obj
-                    [
-                      ("name", J.Str name);
-                      ("checks_by_kind", J.List (List.map kind_row_json rows));
-                    ])
-                per_workload) );
-       ])
-
-let suite_table per_workload =
-  let totals = sum_rows per_workload in
-  let kinds = List.map (fun r -> r.kind) totals in
-  let per_row (name, rows) =
-    name
-    :: List.map
-         (fun k ->
-           match List.find_opt (fun r -> r.kind = k) rows with
-           | Some r -> Table.pct (removal_pct r)
-           | None -> "-")
-         kinds
-  in
-  "Checks removed by kind, roster totals:\n" ^ kind_table totals
-  ^ "\nPer-workload removal rate by kind:\n"
-  ^ Table.render ~headers:("workload" :: kinds) (List.map per_row per_workload)

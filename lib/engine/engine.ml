@@ -18,55 +18,48 @@ module CC = Tce_core.Class_cache
 
 exception Engine_error of string
 
-(** Deopt-storm mitigation. The former cliff — [max_deopts = 12] permanent
-    disable plus a magic [deopt_hits > 4] — is replaced by a per-function
-    exponential re-speculation backoff: the deopt budget decays over
-    simulated cycles, and a function that exhausts it is refused tier-up for
-    a cooldown that doubles per excess deopt (capped), instead of being
-    pinned to the interpreter forever. *)
-type backoff = {
-  instance_deopt_limit : int;
-      (** deopts of one optimized-code instance before it is discarded and
-          recompiled against fresher feedback (V8-style; default 4 — the
-          previously hard-coded [deopt_hits > 4]) *)
-  storm_threshold : int;
-      (** decayed per-function deopt budget beyond which re-speculation
-          enters backoff (default 12 — the previous [max_deopts] permanent
-          disable; functions below this threshold behave exactly as
-          before) *)
-  base_cooldown_cycles : int;
-      (** first cooldown in simulated cycles (default 20_000) *)
-  max_backoff_exponent : int;
-      (** cooldown cap: [base_cooldown_cycles * 2^max] (default 8) *)
-  decay_cycles : int;
-      (** one past deopt (and one backoff level) is forgiven per this many
-          quiet simulated cycles (default 50_000), so re-speculation
-          recovers after churn stops; 0 disables decay *)
-}
+(* Tier-up: a function is optimized once it has been called
+   [hot_call_count] times or has taken [hot_backedge_count] loop
+   backedges. *)
+let hot_call_count = 6
+let hot_backedge_count = 200
 
-let default_backoff =
-  {
-    instance_deopt_limit = 4;
-    storm_threshold = 12;
-    base_cooldown_cycles = 20_000;
-    max_backoff_exponent = 8;
-    decay_cycles = 50_000;
-  }
+(* Deopt-storm mitigation. The former cliff — [max_deopts = 12] permanent
+   disable plus a magic [deopt_hits > 4] — is replaced by a per-function
+   exponential re-speculation backoff: the deopt budget decays over
+   simulated cycles, and a function that exhausts it is refused tier-up for
+   a cooldown that doubles per excess deopt (capped), instead of being
+   pinned to the interpreter forever. *)
+
+(* deopts of one optimized-code instance before it is discarded and
+   recompiled against fresher feedback (V8-style; the previously
+   hard-coded [deopt_hits > 4]) *)
+let instance_deopt_limit = 4
+
+(* decayed per-function deopt budget beyond which re-speculation enters
+   backoff (the previous [max_deopts] permanent disable; functions below
+   this threshold behave exactly as before) *)
+let storm_threshold = 12
+
+(* the first cooldown in simulated cycles, and its cap
+   [base_cooldown_cycles * 2^max_backoff_exponent] *)
+let base_cooldown_cycles = 20_000
+let max_backoff_exponent = 8
+
+(* one past deopt (and one backoff level) is forgiven per this many quiet
+   simulated cycles, so re-speculation recovers after churn stops *)
+let decay_cycles = 50_000
 
 type config = {
   jit : bool;  (** false: pure interpreter (differential testing) *)
   mechanism : bool;  (** the paper's Class Cache mechanism on/off *)
   hoisting : bool;  (** hoist movClassIDArray out of loops (paper default) *)
   checked_load : bool;  (** Checked Load baseline instead of the mechanism *)
-  hot_call_count : int;
-  hot_backedge_count : int;
-  backoff : backoff;  (** deopt-storm mitigation (see {!backoff}) *)
   mach_cfg : Tce_machine.Config.t;
   cc_config : CC.config;
   cl_config : CL.config;
       (** Class List geometry (tracked positions per line); part of the
           benchmark config hash like [cc_config] *)
-  seed : int;
   trace : Tce_obs.Trace.t;
       (** observability sink; {!Tce_obs.Trace.null} = tracing off (the
           zero-cost default: no events, no allocation, identical cycles) *)
@@ -89,13 +82,9 @@ let default_config =
     mechanism = true;
     hoisting = true;
     checked_load = false;
-    hot_call_count = 6;
-    hot_backedge_count = 200;
-    backoff = default_backoff;
     mach_cfg = Tce_machine.Config.default;
     cc_config = CC.default_config;
     cl_config = CL.default_config;
-    seed = 42;
     trace = Tce_obs.Trace.null;
     obs_sample_cycles = 0;
     fault = Tce_fault.Injector.null;
@@ -160,6 +149,30 @@ let effective_config ~stores c =
       cc_config = default_config.cc_config;
       cl_config = default_config.cl_config;
     }
+
+(* The digested text must not change: the default config's digest is
+   the [config_hash] of the committed baseline, which [check] compares
+   against. *)
+let config_hash c =
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun (k, v) -> Buffer.add_string buf (k ^ "=" ^ v ^ ";"))
+    (Tce_machine.Config.rows c.mach_cfg);
+  Buffer.add_string buf
+    (Printf.sprintf "jit=%b;mechanism=%b;hoisting=%b;checked_load=%b;" c.jit
+       c.mechanism c.hoisting c.checked_load);
+  Buffer.add_string buf
+    (Printf.sprintf "hot_call=%d;hot_backedge=%d;seed=%d;" hot_call_count
+       hot_backedge_count Runtime.seed);
+  Buffer.add_string buf
+    (Printf.sprintf "inst_limit=%d;storm=%d;cooldown=%d;maxexp=%d;decay=%d;"
+       instance_deopt_limit storm_threshold base_cooldown_cycles
+       max_backoff_exponent decay_cycles);
+  Buffer.add_string buf
+    (Printf.sprintf "cc_entries=%d;cc_ways=%d;cl_size=%d"
+       c.cc_config.CC.entries c.cc_config.CC.ways
+       c.cl_config.CL.tracked_positions);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 type t = {
   cfg : config;
@@ -252,7 +265,7 @@ let create ?(config = default_config) (prog : Bytecode.program) : t =
     oracle;
     counters;
     mach;
-    io = Runtime.make_io ~seed:config.seed ~trace:config.trace ();
+    io = Runtime.make_io ~trace:config.trace;
     opt_table = Hashtbl.create 64;
     shadow_table = Hashtbl.create 64;
     next_opt_id = 0;
@@ -337,12 +350,9 @@ let obs_tick t =
         {
           Tce_obs.Snapshot.at = now;
           deopts = t.counters.Tce_machine.Counters.deopts;
-          tierups = t.counters.Tce_machine.Counters.tierups;
-          cc_exceptions = t.counters.Tce_machine.Counters.cc_exception_deopts;
           cc_occupancy = CC.occupancy t.cc;
           cc_set_occupancy = bucket8 (CC.set_occupancy t.cc);
           cc_conflicts = Array.fold_left ( + ) 0 (CC.set_conflicts t.cc);
-          baseline_instrs = t.counters.Tce_machine.Counters.baseline_instrs;
           heap_bytes = t.heap.Heap.stats.Heap.object_bytes;
           prof_costs =
             (if Tce_prof.Profile.on t.cfg.prof then
@@ -369,10 +379,9 @@ let emit_ic t ~site ~slot = function
     once the churn stops — the graceful replacement of the old
     [max_deopts] permanent disable. *)
 let apply_backoff t (fn : Bytecode.func) =
-  let bo = t.cfg.backoff in
   let now = t.obs_clock () in
-  if bo.decay_cycles > 0 && fn.Bytecode.last_deopt_at > 0 then begin
-    let forgiven = (now - fn.Bytecode.last_deopt_at) / bo.decay_cycles in
+  if fn.Bytecode.last_deopt_at > 0 then begin
+    let forgiven = (now - fn.Bytecode.last_deopt_at) / decay_cycles in
     if forgiven > 0 then begin
       fn.Bytecode.deopt_count <- max 0 (fn.Bytecode.deopt_count - forgiven);
       fn.Bytecode.backoff_level <- max 0 (fn.Bytecode.backoff_level - forgiven)
@@ -380,9 +389,9 @@ let apply_backoff t (fn : Bytecode.func) =
   end;
   fn.Bytecode.last_deopt_at <- max 1 now;
   fn.Bytecode.deopt_count <- fn.Bytecode.deopt_count + 1;
-  if fn.Bytecode.deopt_count > bo.storm_threshold then begin
-    let expn = min fn.Bytecode.backoff_level bo.max_backoff_exponent in
-    fn.Bytecode.backoff_until <- now + (bo.base_cooldown_cycles lsl expn);
+  if fn.Bytecode.deopt_count > storm_threshold then begin
+    let expn = min fn.Bytecode.backoff_level max_backoff_exponent in
+    fn.Bytecode.backoff_until <- now + (base_cooldown_cycles lsl expn);
     fn.Bytecode.backoff_level <- fn.Bytecode.backoff_level + 1;
     Tce_attr.Ledger.record_pin t.cfg.attr ~fn:fn.Bytecode.name
       ~exponent:fn.Bytecode.backoff_level;
@@ -682,8 +691,8 @@ let try_optimize t (fn : Bytecode.func) =
   if
     t.cfg.jit && fn.Bytecode.opt = None
     && (not fn.Bytecode.opt_disabled)
-    && (fn.Bytecode.call_count >= t.cfg.hot_call_count
-       || fn.Bytecode.backedge_count >= t.cfg.hot_backedge_count)
+    && (fn.Bytecode.call_count >= hot_call_count
+       || fn.Bytecode.backedge_count >= hot_backedge_count)
   then
   (* deopt-storm backoff: re-speculation waits out the cooldown
      (backoff_until is 0 until the storm threshold is ever exceeded) *)
@@ -1056,7 +1065,7 @@ and host t : Tce_machine.Machine.host =
               code.Lir.deopt_hits <- code.Lir.deopt_hits + 1;
               (* V8-style: code that keeps failing its checks is discarded;
                  the next tier-up recompiles against the updated feedback *)
-              if code.Lir.deopt_hits > t.cfg.backoff.instance_deopt_limit
+              if code.Lir.deopt_hits > instance_deopt_limit
               then invalidate_opt t [ oid ]
             | None -> ());
         is_invalidated =

@@ -6,40 +6,16 @@
 
 exception Engine_error of string
 
-(** Deopt-storm mitigation: per-function exponential re-speculation backoff
-    with a decaying deopt budget. Replaces (and subsumes) the former
-    [max_deopts = 12] permanent disable and the hard-coded
-    [deopt_hits > 4] instance limit. *)
-type backoff = {
-  instance_deopt_limit : int;
-      (** deopts of one code instance before it is discarded and recompiled
-          against fresher feedback (default 4) *)
-  storm_threshold : int;
-      (** decayed per-function deopt budget beyond which re-speculation
-          enters backoff (default 12; below it behaviour is exactly the
-          pre-backoff engine) *)
-  base_cooldown_cycles : int;  (** first cooldown, simulated cycles (20_000) *)
-  max_backoff_exponent : int;
-      (** cooldown cap = [base_cooldown_cycles * 2^max] (default 8) *)
-  decay_cycles : int;
-      (** one past deopt / backoff level forgiven per this many quiet
-          simulated cycles (default 50_000); 0 disables decay *)
-}
-
 type config = {
   jit : bool;  (** false: pure interpreter (differential testing) *)
   mechanism : bool;  (** the paper's Class Cache mechanism *)
   hoisting : bool;  (** movClassIDArray loop hoisting (paper §4.2.1.3) *)
   checked_load : bool;  (** Checked Load baseline instead of the mechanism *)
-  hot_call_count : int;
-  hot_backedge_count : int;
-  backoff : backoff;  (** deopt-storm mitigation *)
   mach_cfg : Tce_machine.Config.t;
   cc_config : Tce_core.Class_cache.config;
   cl_config : Tce_core.Class_list.config;
       (** Class List geometry (tracked positions per line); part of the
           benchmark config hash like [cc_config] *)
-  seed : int;
   trace : Tce_obs.Trace.t;
       (** observability sink; {!Tce_obs.Trace.null} = tracing off (the
           zero-cost default: no events, no allocation, identical cycles) *)
@@ -79,6 +55,13 @@ val stores : Tce_jit.Bytecode.program -> bool
     ledger's keep-cause labels differ, and no measured result carries
     them. *)
 val effective_config : stores:bool -> config -> config
+
+(** Digest of every field of [c] that can change simulated numbers (the
+    Table 2 core, [jit], [mechanism], [hoisting], [checked_load], the
+    Class Cache and Class List geometry) and of the engine's tier-up
+    thresholds, deopt-storm backoff and [Math.random] seed, which are
+    constants. Runs whose configs digest differently are not comparable. *)
+val config_hash : config -> string
 
 type t = {
   cfg : config;

@@ -192,7 +192,9 @@ type io = {
   trace : Tce_obs.Trace.t;  (** observability sink (heap-growth events) *)
 }
 
-let make_io ?(seed = 42) ?(trace = Tce_obs.Trace.null) () =
+let seed = 42
+
+let make_io ~trace =
   { out = Buffer.create 1024; prng = Tce_support.Prng.create seed; trace }
 
 let builtin_apply h io (b : Builtins.t) (args : Value.t array) : Value.t =

@@ -46,7 +46,10 @@ type io = {
   trace : Tce_obs.Trace.t;  (** observability sink (heap-growth events) *)
 }
 
-val make_io : ?seed:int -> ?trace:Tce_obs.Trace.t -> unit -> io
+(** The seed of [Math.random]'s generator. *)
+val seed : int
+
+val make_io : trace:Tce_obs.Trace.t -> io
 
 (** Apply a builtin. (The engine intercepts [push] so its element store
     fires Class Cache events; this function is the plain semantics.) *)

@@ -3,12 +3,9 @@
 type sample = {
   at : int;
   deopts : int;
-  tierups : int;
-  cc_exceptions : int;
   cc_occupancy : int;
   cc_set_occupancy : int array;
   cc_conflicts : int;
-  baseline_instrs : int;
   heap_bytes : int;
   prof_costs : (string * int) array;
 }

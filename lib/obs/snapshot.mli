@@ -10,14 +10,11 @@
 type sample = {
   at : int;  (** cycle stamp *)
   deopts : int;
-  tierups : int;
-  cc_exceptions : int;
   cc_occupancy : int;  (** valid Class Cache ways *)
   cc_set_occupancy : int array;
       (** valid ways per set, bucketed to at most 8 tracks (see the engine's
           sampling site) — the Perfetto occupancy heatmap *)
   cc_conflicts : int;  (** cumulative valid-victim evictions *)
-  baseline_instrs : int;
   heap_bytes : int;
   prof_costs : (string * int) array;
       (** running profiler machine-cycle totals per cost kind at the

@@ -4,8 +4,8 @@
     One file per cell under [results/cache/], named by the hex digest of
     the cell's identity: everything that can change the simulated row —
     workload source, full engine/machine configuration (via
-    {!Store.config_hash}), the record schema version and a fingerprint of
-    the simulator binary itself. Values are the serialized row JSON with
+    {!Tce_engine.Engine.config_hash}), the record schema version and a
+    fingerprint of the simulator binary itself. Values are the serialized row JSON with
     host wall clocks zeroed (a cached row is pure simulated data), written
     atomically (tmp + rename) so concurrent writers — a parent and its
     shard workers, or two overlapping sweeps — can only ever install a
@@ -108,7 +108,7 @@ let key (parts : (string * string) list) : string =
 (* The default configuration's hash, computed once: every roster and
    campaign cell key digests it, and hashing a configuration allocates
    (55 of them before a supervised campaign grew its parent's peak heap). *)
-let default_config_hash = Store.config_hash ()
+let default_config_hash = Tce_engine.Engine.(config_hash default_config)
 
 (** The identity parts shared by every cell kind: config, schema and
     simulator fingerprint. *)
@@ -119,7 +119,7 @@ let base_parts ?config () =
       | None -> default_config_hash
       | Some config when config == Tce_engine.Engine.default_config ->
         default_config_hash
-      | Some config -> Store.config_hash ~config () );
+      | Some config -> Tce_engine.Engine.config_hash config );
     ("schema", string_of_int Tce_obs.Export.schema_version);
     ("sim", sim_fingerprint ());
   ]
@@ -235,10 +235,10 @@ let prune ?(dir = Store.cache_dir) ?(max_bytes = default_max_bytes) () :
   in
   evict 0 0 (total - max_bytes) cells
 
-let print_stats ?(oc = stdout) ?(label = "cache") (s : stats) =
+let print_stats ?(oc = stdout) (s : stats) =
   if s.hits + s.misses > 0 then
     Printf.fprintf oc
-      "%s: %d hit(s), %d miss(es) (%.0f%% hit rate), %d B read, %d B written\n"
-      label s.hits s.misses
+      "cache: %d hit(s), %d miss(es) (%.0f%% hit rate), %d B read, %d B written\n"
+      s.hits s.misses
       (100.0 *. hit_ratio s)
       s.bytes_read s.bytes_written

@@ -6,7 +6,7 @@
     the simulated result:
 
     - the workload identity (name, source digest, iteration count),
-    - the full engine/machine configuration via {!Store.config_hash}
+    - the full engine/machine configuration via {!Tce_engine.Engine.config_hash}
       (Table 2 core, Class Cache geometry, Class List size, tier-up
       thresholds, seed),
     - the record schema version, and
@@ -77,6 +77,6 @@ val prune : ?dir:string -> ?max_bytes:int -> unit -> int * int
     (default 256 MiB); returns [(files_removed,
     bytes_freed)]. *)
 
-val print_stats : ?oc:out_channel -> ?label:string -> stats -> unit
+val print_stats : ?oc:out_channel -> stats -> unit
 (** One summary line to [oc] (default stdout); silent when nothing was
     looked up. *)

@@ -242,6 +242,71 @@ let fig9 =
                   ~whole_cycles:w.Record.whole_cycles_on));
         P (Stats.improvement ~base:f.F.energy_nj_off ~opt:f.F.energy_nj_on) ])
 
+(* --- Figures 10 and 11: the checks the mechanism removes, by check
+   kind. They read a row's per-kind counts alone, so they also read rows
+   without figure inputs, such as the committed baseline's. --- *)
+
+let check_kinds =
+  List.map Tce_jit.Categories.check_kind_name Tce_jit.Categories.all_check_kinds
+
+(* a row's checks of [kind], mechanism off and on; a row without the
+   kind has none *)
+let kind_counts (w : Record.workload) kind =
+  match List.find_opt (fun (k, _, _) -> k = kind) w.Record.checks_by_kind with
+  | Some (_, off, on) -> (off, on)
+  | None -> (0, 0)
+
+(* the share of the checks off that are gone on; [-] when none are off *)
+let removal (off, on) = if off = 0 then S "-" else P (Stats.percent (off - on) off)
+
+(** Figure 10: dynamic check instructions of each kind, summed over every
+    workload, and their total. *)
+let fig10 =
+  let sum kind =
+    List.fold_left
+      (fun (off, on) (w, _) ->
+        let o, n = kind_counts w kind in
+        (off + o, on + n))
+      (0, 0)
+  in
+  {
+    name = "fig10";
+    title = "Figure 10 — Checks removed by kind (dynamic check instructions, all workloads)\n";
+    headers = [ "check kind"; "off"; "on"; "removed"; "removal" ];
+    csv = Some ("fig10.csv", [ "check_kind"; "checks_off"; "checks_on"; "removed"; "removal_pct" ]);
+    reads = All;
+    rows =
+      (fun cells ->
+        let kinds = List.map (fun k -> (k, sum k cells)) check_kinds in
+        let total =
+          List.fold_left (fun (off, on) (_, (o, n)) -> (off + o, on + n)) (0, 0) kinds
+        in
+        List.map
+          (fun (k, ((off, on) as c)) -> (k, [ N off; N on; N (off - on); removal c ]))
+          (kinds @ [ ("total", total) ]));
+    pct;
+    note = (fun _ -> "\n");
+  }
+
+(** Figure 11: each workload's removal rate per check kind. *)
+let fig11 =
+  {
+    name = "fig11";
+    title =
+      "Figure 11 — Removal rate by check kind per benchmark (- where it runs no check of a kind)\n";
+    headers = "benchmark" :: check_kinds;
+    csv =
+      Some
+        ( "fig11.csv",
+          "benchmark" :: List.map (String.map (function '-' -> '_' | c -> c)) check_kinds );
+    reads = All;
+    rows =
+      List.map (fun ((w : Record.workload), _) ->
+          (w.Record.name, List.map (fun k -> removal (kind_counts w k)) check_kinds));
+    pct;
+    note = (fun _ -> "\n");
+  }
+
 (** §5.3 / §5.4: overheads and hardware cost. *)
 let overheads =
   roster_view ~name:"overheads" ~reads:Selected
@@ -449,6 +514,8 @@ let views =
     table2;
     fig8;
     fig9;
+    fig10;
+    fig11;
     overheads;
     census;
     (* A's synthetic workloads make ~3 hidden classes per constructor (the

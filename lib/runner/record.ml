@@ -114,39 +114,15 @@ let of_pair ~wall_off ~wall_on (off : H.result) (on : H.result) : workload =
     wall_seconds_on = wall_on;
   }
 
+(** Zero the host wall clocks of a row: what remains is a pure function
+    of the simulator state. This is the form rows take in the cell cache,
+    so a cached row and a normalized fresh row are byte-identical. *)
+let zero_walls (w : workload) : workload =
+  { w with wall_seconds = 0.0; wall_seconds_off = 0.0; wall_seconds_on = 0.0 }
+
 (** Everything the simulator computes — i.e. every field except the host
     wall clock — must match for two records to count as the same result. *)
-let equal_deterministic (a : workload) (b : workload) =
-  a.name = b.name && a.suite = b.suite && a.iterations = b.iterations
-  && a.checksum = b.checksum && a.cycles_off = b.cycles_off
-  && a.cycles_on = b.cycles_on && a.whole_cycles_off = b.whole_cycles_off
-  && a.whole_cycles_on = b.whole_cycles_on && a.checks_off = b.checks_off
-  && a.checks_on = b.checks_on && a.checks_by_kind = b.checks_by_kind
-  && a.guards_off = b.guards_off
-  && a.guards_on = b.guards_on && a.deopts_on = b.deopts_on
-  && a.cc_exceptions_on = b.cc_exceptions_on
-  && a.cc_accesses_on = b.cc_accesses_on
-  && a.cc_hit_rate_on = b.cc_hit_rate_on && a.speedup_pct = b.speedup_pct
-  && a.check_removal_pct = b.check_removal_pct
-
-let equal_workload (a : workload) (b : workload) =
-  equal_deterministic a b && a.wall_seconds = b.wall_seconds
-  && a.wall_seconds_off = b.wall_seconds_off
-  && a.wall_seconds_on = b.wall_seconds_on
-
-let equal_run (a : run) (b : run) =
-  a.git_sha = b.git_sha
-  && a.config_hash = b.config_hash
-  && a.created_utc = b.created_utc && a.jobs = b.jobs
-  && a.shards = b.shards
-  && a.host_wall_seconds = b.host_wall_seconds
-  && a.quarantined = b.quarantined
-  && a.resumed_rows = b.resumed_rows
-  && a.cache_hits = b.cache_hits
-  && a.cache_misses = b.cache_misses
-  && a.figures = b.figures
-  && List.length a.workloads = List.length b.workloads
-  && List.for_all2 equal_workload a.workloads b.workloads
+let equal_deterministic (a : workload) (b : workload) = zero_walls a = zero_walls b
 
 (* --- JSON --- *)
 
@@ -348,12 +324,6 @@ let run_of_json (j : J.t) : (run, string) result =
       cache_misses;
       figures = figures_of_cells cells;
     }
-
-(** Zero the host wall clocks of a row: what remains is a pure function
-    of the simulator state. This is the form rows take in the cell cache,
-    so a cached row and a normalized fresh row are byte-identical. *)
-let zero_walls (w : workload) : workload =
-  { w with wall_seconds = 0.0; wall_seconds_off = 0.0; wall_seconds_on = 0.0 }
 
 (** Force every host-dependent field to a fixed value; what remains is a
     pure function of the simulator state, so a serial and a sharded run of

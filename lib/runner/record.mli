@@ -106,11 +106,6 @@ val of_pair :
     run. *)
 val equal_deterministic : workload -> workload -> bool
 
-(** Full structural equality (JSON round-trip checks). *)
-val equal_workload : workload -> workload -> bool
-
-val equal_run : run -> run -> bool
-
 val workload_to_json : workload -> Tce_obs.Json.t
 val workload_of_json : Tce_obs.Json.t -> (workload, string) result
 

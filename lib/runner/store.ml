@@ -3,7 +3,6 @@
 module J = Tce_obs.Json
 
 let latest_path = "BENCH_latest.json"
-let attr_latest_path = "ATTR_latest.json"
 let prof_latest_path = "PROF_latest.json"
 let baseline_path = Filename.concat "results" "baseline.json"
 let journal_dir = Filename.concat "results" "journal"
@@ -149,40 +148,6 @@ let git_sha () =
   | Some id -> String.sub id 0 12
   | None | (exception Sys_error _) -> "unknown"
 
-(** Digest of everything that could change simulated numbers: the
-    simulated-core parameters (Table 2), the Class Cache geometry and the
-    engine's tier-up/deopt thresholds. Two runs with different hashes are
-    not comparable and the gate says so instead of reporting deltas. *)
-let config_hash ?(config = Tce_engine.Engine.default_config) () =
-  let e = config in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (k ^ "=" ^ v ^ ";"))
-    (Tce_machine.Config.rows e.Tce_engine.Engine.mach_cfg);
-  Buffer.add_string buf
-    (Printf.sprintf "jit=%b;mechanism=%b;hoisting=%b;checked_load=%b;"
-       e.Tce_engine.Engine.jit e.Tce_engine.Engine.mechanism
-       e.Tce_engine.Engine.hoisting e.Tce_engine.Engine.checked_load);
-  Buffer.add_string buf
-    (Printf.sprintf "hot_call=%d;hot_backedge=%d;seed=%d;"
-       e.Tce_engine.Engine.hot_call_count e.Tce_engine.Engine.hot_backedge_count
-       e.Tce_engine.Engine.seed);
-  (let b = e.Tce_engine.Engine.backoff in
-   Buffer.add_string buf
-     (Printf.sprintf
-        "inst_limit=%d;storm=%d;cooldown=%d;maxexp=%d;decay=%d;"
-        b.Tce_engine.Engine.instance_deopt_limit
-        b.Tce_engine.Engine.storm_threshold
-        b.Tce_engine.Engine.base_cooldown_cycles
-        b.Tce_engine.Engine.max_backoff_exponent
-        b.Tce_engine.Engine.decay_cycles));
-  Buffer.add_string buf
-    (Printf.sprintf "cc_entries=%d;cc_ways=%d;cl_size=%d"
-       e.Tce_engine.Engine.cc_config.Tce_core.Class_cache.entries
-       e.Tce_engine.Engine.cc_config.Tce_core.Class_cache.ways
-       e.Tce_engine.Engine.cl_config.Tce_core.Class_list.tracked_positions);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 let timestamp_utc () =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
@@ -195,7 +160,7 @@ let make_run ?(shards = 1) ?(quarantined = []) ?(resumed_rows = [])
   let cache_hits, cache_misses = cache_stats in
   {
     Record.git_sha = git_sha ();
-    config_hash = config_hash ();
+    config_hash = Tce_engine.Engine.(config_hash default_config);
     created_utc = timestamp_utc ();
     jobs = 1;
     shards;

@@ -6,9 +6,6 @@
 
 val latest_path : string  (** ["BENCH_latest.json"] *)
 
-val attr_latest_path : string
-(** ["ATTR_latest.json"] — suite attribution report (`bench --attr`). *)
-
 val prof_latest_path : string
 (** ["PROF_latest.json"] — roster-wide cycle-attribution profiles
     (`bench --profile`). *)
@@ -62,11 +59,6 @@ val mkdir_p : string -> unit
     first commit. Read from the [.git] files in-process, with no [git]
     process (resolution rules in lib/runner/README.md). *)
 val git_sha : unit -> string
-
-(** Digest of every configuration parameter that can change simulated
-    numbers (Table 2 core, Class Cache geometry, Class List size, tier-up
-    thresholds, seed). Runs with different hashes are not comparable. *)
-val config_hash : ?config:Tce_engine.Engine.config -> unit -> string
 
 (** Current time as [YYYY-MM-DDTHH:MM:SSZ]. *)
 val timestamp_utc : unit -> string

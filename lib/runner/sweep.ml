@@ -180,10 +180,7 @@ type t = {
 
 let equal (a : t) (b : t) =
   a.spec = b.spec && a.roster = b.roster && a.points = b.points
-  && List.length a.cells = List.length b.cells
-  && List.for_all2
-       (fun (p1, r1) (p2, r2) -> p1 = p2 && Record.equal_workload r1 r2)
-       a.cells b.cells
+  && a.cells = b.cells
 
 (** {!Record.normalize_run} for sweeps: every host-dependent field forced
     to a fixed value, so two sweeps of the same simulator state serialize
@@ -459,11 +456,14 @@ let frontier (summaries : summary list) : summary list =
     (fun s -> not (List.exists (fun o -> dominates o s) summaries))
     summaries
 
+(* how many points of check removal a cheaper geometry may give up *)
+let slack_pct = 1.0
+
 (** The cheapest geometry whose roster check-removal rate is within
     [slack_pct] points of the default point's — the headline the sweep
     exists to produce. [None] when the default point is not in the grid
     or nothing cheaper qualifies. *)
-let cheapest_within ?(slack_pct = 1.0) (summaries : summary list) :
+let cheapest_within (summaries : summary list) :
     (summary * summary) option =
   match List.find_opt (fun s -> s.s_point = default_point) summaries with
   | None -> None
@@ -605,13 +605,14 @@ let report ?baseline_path (t : t) : string =
   (match cheapest_within agg with
   | None ->
     pr
-      "no cheaper geometry within 1.0 points of the default's check \
+      "no cheaper geometry within %.1f points of the default's check \
        removal\n"
+      slack_pct
   | Some (d, best) ->
     pr
-      "cheapest geometry within 1.0 points of the default's check removal: \
+      "cheapest geometry within %.1f points of the default's check removal: \
        %s (%d B vs %d B, removal %.2f%% vs %.2f%%, cycles-on %+.2f%%)\n"
-      (point_name best.s_point) best.s_cost d.s_cost best.s_removal_pct
+      slack_pct (point_name best.s_point) best.s_cost d.s_cost best.s_removal_pct
       d.s_removal_pct
       (if d.s_cycles_on > 0.0 then
          100.0 *. (best.s_cycles_on -. d.s_cycles_on) /. d.s_cycles_on

@@ -80,8 +80,8 @@ type t = {
 }
 
 val equal : t -> t -> bool
-(** Structural equality over spec, roster, points and cells (full
-    {!Record.equal_workload} per row). *)
+(** Structural equality over spec, roster, points and cells (every field
+    of every row, wall clocks included). *)
 
 val normalize : t -> t
 (** Force every host-dependent field (timestamp, wall clocks, job/shard

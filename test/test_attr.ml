@@ -217,7 +217,7 @@ let reconcile_workload name =
     Alcotest.(check bool)
       (name ^ ": record JSON round-trip")
       true
-      (Tce_runner.Record.equal_workload rec_ r2)
+      (rec_ = r2)
   | Error e -> Alcotest.failf "%s: record decode failed: %s" name e
 
 let test_reconciliation () =

@@ -72,10 +72,35 @@ let test_determinism () =
   Alcotest.(check (float 0.0)) "whole-run deterministic" a.Harness.whole_cycles
     b.Harness.whole_cycles
 
+module Experiments = Tce_runner.Experiments
+
+(* the rows the view called [name] makes of [cells] *)
+let view_rows name cells =
+  (List.find (fun (v : Experiments.view) -> v.name = name) Experiments.views).rows cells
+
+(* Figure 10's total row (off, on), after checking that its kind rows sum
+   to it *)
+let fig10_total rows =
+  let off_on = function
+    | Experiments.N off :: Experiments.N on :: _ -> (off, on)
+    | _ -> Alcotest.fail "fig10: a row without counts"
+  in
+  match List.rev rows with
+  | ("total", total) :: kinds ->
+    let sum =
+      List.fold_left
+        (fun (o, n) (_, vs) ->
+          let o', n' = off_on vs in
+          (o + o', n + n'))
+        (0, 0) kinds
+    in
+    Alcotest.(check (pair int int)) "fig10: kind rows sum to the total" (off_on total) sum;
+    sum
+  | _ -> Alcotest.fail "fig10: no total row"
+
 (* The figure views read a runner row and its figure inputs, both built
    here from the measured pair. *)
 let test_experiment_rows_well_formed () =
-  let module Experiments = Tce_runner.Experiments in
   let cells =
     let off, on = Lazy.force pair in
     [
@@ -109,7 +134,58 @@ let test_experiment_rows_well_formed () =
     (fun ps ->
       let opt = List.nth ps 1 in
       Alcotest.(check bool) "sane speedup range" true (opt > -50.0 && opt < 80.0))
-    (rows "fig8")
+    (rows "fig8");
+  let w = fst (List.hd cells) in
+  let total = fig10_total (view_rows "fig10" cells) in
+  Alcotest.(check (pair int int)) "fig10: total is the row's checks"
+    (w.Tce_runner.Record.checks_off, w.Tce_runner.Record.checks_on)
+    total;
+  Alcotest.(check bool) "fig10: the pair runs checks" true (fst total > 0);
+  List.iter
+    (fun (_, vs) ->
+      List.iter
+        (function
+          | Experiments.S "-" -> ()
+          | Experiments.P p ->
+            Alcotest.(check bool) "fig11: removal in [0, 100]" true (p >= 0.0 && p <= 100.0)
+          | _ -> Alcotest.fail "fig11: neither a percentage nor -")
+        vs)
+    (view_rows "fig11" cells)
+
+(* dune runtest runs from _build/default/test, where the declared dep
+   materializes at ../results/baseline.json; a direct `dune exec` runs
+   from the source root, where the committed file is in place. *)
+let baseline =
+  lazy
+    (let path =
+       if Sys.file_exists Tce_runner.Store.baseline_path then Tce_runner.Store.baseline_path
+       else Filename.concat ".." Tce_runner.Store.baseline_path
+     in
+     match Tce_runner.Store.load path with
+     | Ok run -> run
+     | Error e -> Alcotest.fail ("committed baseline unreadable: " ^ e))
+
+(* Figures 10 and 11 read a row's per-kind counts alone: over the committed
+   baseline's rows, which carry no figure inputs, they simulate nothing
+   and total what the rows total. *)
+let test_kind_figures_of_baseline () =
+  let run = Lazy.force baseline in
+  let cells = List.map (fun w -> (w, None)) run.Tce_runner.Record.workloads in
+  Alcotest.(check int) "55 rows" 55 (List.length cells);
+  let sum f = List.fold_left (fun a w -> a + f w) 0 run.Tce_runner.Record.workloads in
+  let total = fig10_total (view_rows "fig10" cells) in
+  Alcotest.(check (pair int int)) "fig10: the rows' summed checks"
+    (sum (fun w -> w.Tce_runner.Record.checks_off), sum (fun w -> w.Tce_runner.Record.checks_on))
+    total;
+  Alcotest.(check (pair int int)) "fig10: the committed totals" (2_992_147, 2_010_379) total;
+  Alcotest.(check int) "fig11: one row per workload" 55 (List.length (view_rows "fig11" cells))
+
+let test_config_hash_pinned () =
+  Alcotest.(check string) "the default config digests to the baseline's"
+    (Lazy.force baseline).Tce_runner.Record.config_hash
+    Tce_engine.Engine.(config_hash default_config);
+  Alcotest.(check string) "and to its committed value" "6e2a56777de3907b37a041bcdea29f87"
+    Tce_engine.Engine.(config_hash default_config)
 
 let test_table1_runs () =
   let t = Table1.run () in
@@ -138,7 +214,6 @@ let test_table1_runs () =
    engine itself, on a cheap subset of every ablation's cells. *)
 
 module E = Tce_engine.Engine
-module Experiments = Tce_runner.Experiments
 module Synthetic = Tce_workloads.Synthetic
 
 (* set-up and 9 warm-up calls unmeasured, then counters reset and one
@@ -293,6 +368,9 @@ let () =
       ( "experiments",
         [
           Alcotest.test_case "rows well-formed" `Quick test_experiment_rows_well_formed;
+          Alcotest.test_case "figures 10 and 11 of the baseline" `Quick
+            test_kind_figures_of_baseline;
+          Alcotest.test_case "default config hash pinned" `Quick test_config_hash_pinned;
           Alcotest.test_case "table 1" `Quick test_table1_runs;
           Alcotest.test_case "ablations equal the reference protocols" `Quick
             test_ablations_match_reference;

@@ -360,7 +360,7 @@ let test_workload_json_round_trip () =
       match Record.workload_of_json (Record.workload_to_json w) with
       | Ok w' ->
         Alcotest.(check bool) (w.Record.name ^ ": round-trips") true
-          (Record.equal_workload w w')
+          (w = w')
       | Error e -> Alcotest.fail e)
     (Lazy.force serial)
 
@@ -377,7 +377,7 @@ let test_figures_json () =
     match Record.cell_of_json j with Ok c -> c | Error e -> Alcotest.fail e
   in
   let w', f' = decode (Record.cell_to_json (w, Some f)) in
-  Alcotest.(check bool) "row round-trips" true (Record.equal_workload w w');
+  Alcotest.(check bool) "row round-trips" true (w = w');
   Alcotest.(check bool) "figures round-trip" true (f' = Some f);
   let _, none = decode (Record.workload_to_json w) in
   Alcotest.(check bool) "a row without the block decodes to None" true
@@ -412,7 +412,7 @@ let test_figures_json () =
     }
   in
   Alcotest.(check bool) "one figure field apart: different runs" false
-    (Record.equal_run run bumped);
+    (run = bumped);
   Alcotest.(check bool) "and different documents" false
     (Tce_obs.Json.to_string (Record.run_to_json (Record.normalize_run run))
     = Tce_obs.Json.to_string (Record.run_to_json (Record.normalize_run bumped)))
@@ -427,7 +427,7 @@ let test_run_json_round_trip_through_text () =
     | Error e -> Alcotest.fail e
     | Ok run' ->
       Alcotest.(check bool) "run survives emit+parse byte round-trip" true
-        (Record.equal_run run run'))
+        (run = run'))
 
 let test_store_file_round_trip () =
   let tmp = Filename.temp_file "tce_store" ".json" in
@@ -440,7 +440,7 @@ let test_store_file_round_trip () =
       | Error e -> Alcotest.fail e
       | Ok run' ->
         Alcotest.(check bool) "store file round-trips" true
-          (Record.equal_run run run'))
+          (run = run'))
 
 (* The scheduler's cost table follows the baseline file: a second lookup
    of an unchanged file reads the same costs, and a rewritten file is

@@ -6,7 +6,7 @@
    (b) grid expansion: invalid entries/ways combinations skipped and
        counted, matrix order point-major, empty grids rejected;
    (c) cache keys: label-order independence, duplicate-label rejection,
-       and geometry sensitivity through Store.config_hash;
+       and geometry sensitivity through Engine.config_hash;
    (d) cache-hit byte identity: a warm 5-workload sweep performs zero
        simulations and serializes byte-identically to the cold one;
    (e) LRU prune: evicts oldest-first and bounds the directory size;
