@@ -749,30 +749,25 @@ let check_cmd =
       & opt string Store.baseline_path
       & info [ "baseline" ] ~docv:"FILE" ~doc:"The baseline bench-run record.")
   in
-  let tolerance =
-    Arg.(
-      value
-      & opt float Tce_runner.Gate.default_tolerance_pct
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:"Largest cycle regression per workload that still passes.")
-  in
   let names =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"WORKLOAD" ~doc:"Gate only these rows of the baseline.")
   in
-  let check baseline_path tolerance_pct names shards supervise cache =
-    Tce_runner.Gate.run_gate ~baseline_path ~tolerance_pct ?cache
-      ~names ~shards ~supervise ()
+  let check baseline_path names shards supervise cache =
+    let code =
+      Tce_runner.Gate.run_gate ~baseline_path ?cache ~names ~shards ~supervise ()
+    in
+    finish_cache cache;
+    code
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Perf-regression gate: re-run the baseline's roster and exit \
-          non-zero when cycles or check-removal rates degrade.")
-    Term.(
-      const check $ baseline $ tolerance $ names $ shards_t $ supervise_t
-      $ cache_t)
+         "Regression gate: re-run the baseline's roster and exit non-zero \
+          when any simulated field of a row differs from the baseline's, \
+          naming each differing field.")
+    Term.(const check $ baseline $ names $ shards_t $ supervise_t $ cache_t)
 
 let sweep_cmd =
   let axes =

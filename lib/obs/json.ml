@@ -310,6 +310,30 @@ let to_float = function
 let to_str = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 
+(* --- comparing documents --- *)
+
+let diff a b =
+  let rec go path a b acc =
+    match (a, b) with
+    | Obj xs, Obj ys ->
+      let keys =
+        List.map fst xs
+        @ List.filter (fun k -> not (List.mem_assoc k xs)) (List.map fst ys)
+      in
+      let get k kvs = Option.value (List.assoc_opt k kvs) ~default:Null in
+      List.fold_left
+        (fun acc k ->
+          go (if path = "" then k else path ^ "." ^ k) (get k xs) (get k ys) acc)
+        acc keys
+    | List xs, List ys when List.compare_lengths xs ys = 0 ->
+      snd
+        (List.fold_left2
+           (fun (i, acc) x y -> (i + 1, go (Printf.sprintf "%s[%d]" path i) x y acc))
+           (0, acc) xs ys)
+    | _ -> if a = b then acc else (path, a, b) :: acc
+  in
+  List.rev (go "" a b [])
+
 (* --- decoding documents: a missing or mistyped field names itself, so a
    truncated or hand-edited file is diagnosable --- *)
 

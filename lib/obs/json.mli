@@ -38,6 +38,14 @@ val to_float : t -> float option
 val to_str : t -> string option
 val to_bool : t -> bool option
 
+(** [diff a b]: one [(path, in_a, in_b)] per place where the two
+    documents differ, in [a]'s member order. Objects are compared member
+    by member (an absent member counts as [Null]) and lists of equal
+    length item by item, so a path reads [field], [outer.inner] or
+    [items[2].field]; any other pair that differs is one entry. Equal
+    documents give [[]]. *)
+val diff : t -> t -> (string * t * t) list
+
 (** {2 Decoding documents} *)
 
 (** [field name conv j]: member [name] of [j] through [conv], or an error

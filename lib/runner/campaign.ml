@@ -314,9 +314,13 @@ let diff_cells ~reference t =
       | Some r when r = c -> None
       | Some r ->
         Some
-          (Printf.sprintf "%s/%s: %s, reference %s" c.workload c.point
-             (J.to_string (json_of_cell c))
-             (J.to_string (json_of_cell r)))
+          (Printf.sprintf "%s/%s: %s" c.workload c.point
+             (String.concat "; "
+                (List.map
+                   (fun (field, a, b) ->
+                     Printf.sprintf "%s: reference %s, current %s" field
+                       (J.to_string a) (J.to_string b))
+                   (J.diff (json_of_cell r) (json_of_cell c)))))
       | None ->
         Some (Printf.sprintf "%s/%s: not in the reference" c.workload c.point))
     t.cells

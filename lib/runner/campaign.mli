@@ -217,7 +217,9 @@ val save : ?latest:string -> ?dir:string -> t -> string option
 val load : string -> (t, string) result
 
 (** The cells of [t] that differ from the cell of the same (workload,
-    point) in [reference], or that [reference] lacks, one line each. A
+    point) in [reference], or that [reference] lacks, one line each; a
+    differing cell's line names each differing field with its reference
+    and current value ({!Tce_obs.Json.diff}). A
     rerun under the same spec and seed gives none: a cell is a pure
     function of its workload, rule and seed. *)
 val diff_cells : reference:t -> t -> string list

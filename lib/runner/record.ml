@@ -159,6 +159,13 @@ let workload_to_json (w : workload) : J.t =
       ("wall_seconds_on", J.Float w.wall_seconds_on);
     ]
 
+let diff (base : workload) (cur : workload) =
+  List.map
+    (fun (path, b, c) ->
+      Printf.sprintf "%s: base %s, current %s" path (J.to_string b)
+        (J.to_string c))
+    (J.diff (workload_to_json (zero_walls base)) (workload_to_json (zero_walls cur)))
+
 let figures_of_cells (cells : cell list) : (string * figures) list =
   List.filter_map (fun (w, f) -> Option.map (fun f -> (w.name, f)) f) cells
 

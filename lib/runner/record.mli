@@ -106,6 +106,12 @@ val of_pair :
     run. *)
 val equal_deterministic : workload -> workload -> bool
 
+(** The simulated fields in which [cur] differs from [base], one line
+    each ([deopts_on: base 3, current 8]; a per-kind count reads
+    [checks_by_kind[2].on]), from {!Tce_obs.Json.diff} of the two rows'
+    JSON. Empty when {!equal_deterministic} holds. *)
+val diff : workload -> workload -> string list
+
 val workload_to_json : workload -> Tce_obs.Json.t
 val workload_of_json : Tce_obs.Json.t -> (workload, string) result
 

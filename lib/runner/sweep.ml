@@ -490,46 +490,48 @@ let cheapest_within (summaries : summary list) :
 (** Check the default geometry's rows against the committed baseline:
     every baseline workload present in the sweep's default-point cells
     must match on all simulated fields ({!Record.equal_deterministic}).
-    Returns a report line; [Error] when any row differs. *)
+    Returns a report line; [Error] when any row differs (one more line
+    per differing field) or when the baseline is present but unreadable.
+    An absent baseline is a note. *)
 let baseline_check ?(baseline_path = Store.baseline_path) (t : t) :
     (string, string) result =
+  let geometry = point_name default_point in
   match rows_of_point t default_point with
   | [] ->
     Ok
       (Printf.sprintf
          "default geometry (%s) not in the grid; baseline identity not \
           checked"
-         (point_name default_point))
+         geometry)
   | rows -> (
     match Store.baseline_rows ~path:baseline_path () with
-    | Error e ->
-      Ok (Printf.sprintf "baseline %s unreadable (%s)" baseline_path e)
+    | Error _ when not (Sys.file_exists baseline_path) ->
+      Ok (Printf.sprintf "baseline %s absent; baseline identity not checked"
+            baseline_path)
+    | Error e -> Error ("baseline unreadable: " ^ e)
     | Ok base ->
-      let checked = ref 0 in
-      let mismatches =
+      let pairs =
         List.filter_map
-          (fun (r : Record.workload) ->
-            match base r.Record.name with
-            | None -> None
-            | Some b ->
-              incr checked;
-              if Record.equal_deterministic b r then None
-              else Some r.Record.name)
+          (fun (r : Record.workload) -> Option.map (fun b -> (b, r)) (base r.Record.name))
           rows
       in
-      if mismatches = [] then
+      let checked = List.length pairs in
+      match
+        List.filter (fun (b, r) -> not (Record.equal_deterministic b r)) pairs
+      with
+      | [] ->
         Ok
-          (Printf.sprintf
-             "default geometry (%s): %d/%d rows bit-identical to %s"
-             (point_name default_point) !checked !checked baseline_path)
-      else
+          (Printf.sprintf "default geometry (%s): %d/%d rows bit-identical to %s"
+             geometry checked checked baseline_path)
+      | differ ->
         Error
-          (Printf.sprintf
-             "default geometry (%s): %d of %d rows DIFFER from %s: %s"
-             (point_name default_point)
-             (List.length mismatches)
-             !checked baseline_path
-             (String.concat ", " mismatches)))
+          (String.concat "\n"
+             (Printf.sprintf "default geometry (%s): %d of %d rows DIFFER from %s"
+                geometry (List.length differ) checked baseline_path
+             :: List.concat_map
+                  (fun (b, (r : Record.workload)) ->
+                    List.map (Printf.sprintf "  %s: %s" r.Record.name) (Record.diff b r))
+                  differ)))
 
 (* --- reports --- *)
 

@@ -172,7 +172,10 @@ val frontier : summary list -> summary list
 val baseline_check : ?baseline_path:string -> t -> (string, string) result
 (** One report line checking the default geometry's rows against the
     committed baseline ({!Record.equal_deterministic} per matching
-    workload); [Error] when any row differs. The baseline is decoded
+    workload). [Error] when any row differs, with one more line per
+    differing field ({!Record.diff}), or when the baseline file is
+    present but unreadable (the message names it); an absent baseline
+    is an [Ok] note. The baseline is decoded
     once per version of the file ({!Store.baseline_rows}), so the
     report and the exit status of one [sweep] share one decode. *)
 

@@ -86,7 +86,7 @@ let test_misspelt_options () =
     [
       ("run", "--no-jitt");
       ("bench", "--determinstic");
-      ("check", "--tolerence");
+      ("check", "--baselne");
       ("sweep", "--csvv");
       ("faults", "--fault-sed");
     ]

@@ -420,6 +420,28 @@ let test_campaign_save_without_archive () =
           (C.diff_cells ~reference:c c')
       | Error e -> Alcotest.fail e)
 
+(* A cell that differs from the reference's is reported by the fields
+   that differ, each with the reference and the current value; a cell the
+   reference lacks is named as such. *)
+let test_campaign_diff_names_fields () =
+  let module C = Tce_runner.Campaign in
+  let c =
+    match C.load committed_campaign with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "committed campaign unreadable: %s" e
+  in
+  let first = List.hd c.C.cells in
+  let changed = { first with C.fires = first.C.fires + 1 } in
+  Alcotest.(check (list string)) "one line naming the field"
+    [
+      Printf.sprintf "%s/%s: fires: reference %d, current %d" first.C.workload
+        first.C.point first.C.fires (first.C.fires + 1);
+    ]
+    (C.diff_cells ~reference:c { c with C.cells = changed :: List.tl c.C.cells });
+  Alcotest.(check (list string)) "a cell the reference lacks"
+    [ Printf.sprintf "%s/%s: not in the reference" first.C.workload first.C.point ]
+    (C.diff_cells ~reference:{ c with C.cells = List.tl c.C.cells } c)
+
 (* An optional field of a campaign document keeps its default when absent
    and is an error naming it when present but mistyped. *)
 let test_campaign_rejects_mistyped_fields () =
@@ -590,6 +612,8 @@ let () =
             test_campaign_bad_entry_named;
           Alcotest.test_case "save with dir \"\" writes no archive" `Quick
             test_campaign_save_without_archive;
+          Alcotest.test_case "a differing cell names its fields" `Quick
+            test_campaign_diff_names_fields;
           Alcotest.test_case "seeded cells match the committed campaign" `Slow
             test_campaign_matches_committed;
           Alcotest.test_case "quiet proof matches faulted runs" `Slow

@@ -217,6 +217,30 @@ let test_json_roundtrip () =
   | Ok j2 -> Alcotest.(check bool) "roundtrip" true (j = j2)
   | Error e -> Alcotest.failf "roundtrip parse failed: %s" e
 
+(* The member-wise diff names each differing leaf by its path: nested
+   members, list items of equal-length lists, and members one side lacks
+   (as null); a list whose length changed is one entry. *)
+let test_json_diff () =
+  let a =
+    J.Obj
+      [ ("n", J.Int 1); ("o", J.Obj [ ("x", J.Float 1.5); ("y", J.Str "s") ]);
+        ("l", J.List [ J.Int 1; J.Int 2 ]); ("gone", J.Bool true);
+        ("grow", J.List [ J.Int 1 ]) ]
+  in
+  let b =
+    J.Obj
+      [ ("n", J.Int 1); ("o", J.Obj [ ("x", J.Float 2.5); ("y", J.Str "s") ]);
+        ("l", J.List [ J.Int 1; J.Int 3 ]); ("grow", J.List [ J.Int 1; J.Int 2 ]);
+        ("new", J.Int 4) ]
+  in
+  Alcotest.(check (list string)) "equal documents" []
+    (List.map (fun (p, _, _) -> p) (J.diff a a));
+  Alcotest.(check (list string)) "one line per differing leaf"
+    [ "o.x: 1.5 2.5"; "l[1]: 2 3"; "gone: true null"; "grow: [1] [1,2]"; "new: null 4" ]
+    (List.map
+       (fun (p, x, y) -> Printf.sprintf "%s: %s %s" p (J.to_string x) (J.to_string y))
+       (J.diff a b))
+
 (* Malformed inputs and the parser's exact diagnostics, byte offsets
    included: tools and tests match on these strings. *)
 let test_json_errors () =
@@ -341,6 +365,7 @@ let () =
           Alcotest.test_case "jsonl parse-back" `Quick test_jsonl_parse_back;
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "json errors" `Quick test_json_errors;
+          Alcotest.test_case "json diff" `Quick test_json_diff;
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
           Alcotest.test_case "export envelope" `Quick test_export_envelope;
         ] );

@@ -3,8 +3,9 @@
    (a) in-process roster records are sane, and the in-process mode of the
        cell driver never forces a cost, reuses a warm cache and rejects
        jobs > 1;
-   (b) the gate passes a clean run and fails an injected slowdown (library
-       verdicts and end-to-end exit codes);
+   (b) the gate passes a clean run and fails a row that differs in any
+       simulated field, naming the field (library report and end-to-end
+       exit codes);
    (c) run records round-trip through the Tce_obs.Json store format, a
        stored run is one file, the scheduler's baseline cost table
        follows its file, and the document loaders name a path they cannot
@@ -236,34 +237,80 @@ let test_gate_clean_pass () =
 let inject_slowdown pct (w : Record.workload) =
   { w with Record.cycles_on = w.Record.cycles_on *. (1.0 +. (pct /. 100.0)) }
 
+(* [mutate] the first row only: the gate must fail on that row alone and
+   name exactly [fields] in its report. *)
+let gate_names_fields fields mutate =
+  let base = make_run (Lazy.force serial) in
+  let first = List.hd base.Record.workloads in
+  let current =
+    { base with Record.workloads = mutate first :: List.tl base.Record.workloads }
+  in
+  let report = Gate.check_run ~baseline:base ~current () in
+  let what = String.concat "+" fields in
+  Alcotest.(check bool) (what ^ ": fails the gate") false report.Gate.ok;
+  match report.Gate.differ with
+  | [ (name, lines) ] ->
+    Alcotest.(check string) (what ^ ": the changed row") first.Record.name name;
+    Alcotest.(check (list string)) (what ^ ": names the field(s)") fields
+      (List.map (fun l -> List.hd (String.split_on_char ':' l)) lines)
+  | d -> Alcotest.failf "%s: %d rows differ, not 1" what (List.length d)
+
 let test_gate_fails_on_slowdown () =
   let base = make_run (Lazy.force serial) in
   let current =
     { base with Record.workloads = List.map (inject_slowdown 10.0) base.Record.workloads }
   in
-  let report = Gate.check_run ~tolerance_pct:2.0 ~baseline:base ~current () in
-  Alcotest.(check bool) "10% slowdown beyond 2% tolerance fails" false
-    report.Gate.ok;
-  (* only the cycles metric flags, and for every workload *)
-  let failing =
-    List.filter (fun (v : Gate.verdict) -> not v.Gate.ok) report.Gate.verdicts
-  in
-  Alcotest.(check int) "one failing verdict per workload" (List.length roster)
-    (List.length failing);
+  let report = Gate.check_run ~baseline:base ~current () in
+  Alcotest.(check bool) "10% slowdown fails" false report.Gate.ok;
+  (* every row differs, in cycles_on alone *)
+  Alcotest.(check (list string)) "every workload differs"
+    (List.map (fun (w : Tce_workloads.Workload.t) -> w.Tce_workloads.Workload.name) roster)
+    (List.map fst report.Gate.differ);
   List.iter
-    (fun (v : Gate.verdict) ->
-      Alcotest.(check bool) "failing metric is cycles" true
-        (v.Gate.metric = Gate.Cycles))
-    failing
+    (fun (name, lines) ->
+      match lines with
+      | [ l ] ->
+        Alcotest.(check bool) (name ^ ": names cycles_on") true
+          (Astring.String.is_prefix ~affix:"cycles_on: base " l)
+      | _ -> Alcotest.failf "%s: %d differing fields, not 1" name (List.length lines))
+    report.Gate.differ
 
-let test_gate_within_tolerance_passes () =
+(* Simulated cycles have no noise, so a 1% change is a real one. *)
+let test_gate_one_pct_slowdown_fails () =
+  gate_names_fields [ "cycles_on" ] (inject_slowdown 1.0)
+
+(* Fields the gate once read nothing of: each one alone fails a row. *)
+let test_gate_every_simulated_field () =
+  gate_names_fields [ "deopts_on" ] (fun w ->
+      { w with Record.deopts_on = w.Record.deopts_on + 5 });
+  gate_names_fields [ "cycles_off" ] (fun w ->
+      { w with Record.cycles_off = w.Record.cycles_off *. 0.9 });
+  gate_names_fields [ "whole_cycles_on" ] (fun w ->
+      { w with Record.whole_cycles_on = w.Record.whole_cycles_on *. 1.5 });
+  gate_names_fields [ "cc_hit_rate_on" ] (fun w ->
+      { w with Record.cc_hit_rate_on = w.Record.cc_hit_rate_on -. 0.1 })
+
+let test_gate_reports_base_and_current () =
   let base = make_run (Lazy.force serial) in
+  let first = List.hd base.Record.workloads in
   let current =
-    { base with Record.workloads = List.map (inject_slowdown 1.0) base.Record.workloads }
+    {
+      base with
+      Record.workloads =
+        { first with Record.deopts_on = first.Record.deopts_on + 5 }
+        :: List.tl base.Record.workloads;
+    }
   in
-  let report = Gate.check_run ~tolerance_pct:2.0 ~baseline:base ~current () in
-  Alcotest.(check bool) "1% slowdown within 2% tolerance passes" true
-    report.Gate.ok
+  Alcotest.(check (list (pair string (list string))))
+    "one line: field, base and current value"
+    [
+      ( first.Record.name,
+        [
+          Printf.sprintf "deopts_on: base %d, current %d" first.Record.deopts_on
+            (first.Record.deopts_on + 5);
+        ] );
+    ]
+    (Gate.check_run ~baseline:base ~current ()).Gate.differ
 
 let test_gate_flags_check_removal_drop () =
   let base = make_run (Lazy.force serial) in
@@ -273,9 +320,8 @@ let test_gate_flags_check_removal_drop () =
   let current =
     { base with Record.workloads = List.map degrade base.Record.workloads }
   in
-  let report = Gate.check_run ~tolerance_pct:2.0 ~baseline:base ~current () in
-  Alcotest.(check bool) "removal drop beyond tolerance fails" false
-    report.Gate.ok
+  let report = Gate.check_run ~baseline:base ~current () in
+  Alcotest.(check bool) "removal drop fails" false report.Gate.ok
 
 let test_gate_flags_checksum_change () =
   let base = make_run (Lazy.force serial) in
@@ -294,28 +340,19 @@ let test_gate_config_mismatch () =
     report.Gate.config_mismatch;
   Alcotest.(check bool) "and fails the gate" false report.Gate.ok
 
-(* Composition warnings are warn-only: a kind-share shift beyond tolerance
-   is reported but never fails the gate. *)
-let test_gate_composition_warnings () =
+(* Moving kept checks from one kind to another with the totals flat fails
+   the gate, naming both per-kind counts. *)
+let test_gate_kind_mix_shift_fails () =
   let base = make_run (Lazy.force serial) in
   Alcotest.(check (list string))
     "clean run has no warnings" []
     (Gate.check_run ~baseline:base ~current:base ()).Gate.warnings;
-  (* move kept checks from one kind's column to another, keeping the
-     checks_on total (and therefore every hard metric) untouched *)
-  let shift (w : Record.workload) =
-    match w.Record.checks_by_kind with
-    | (k1, o1, n1) :: (k2, o2, n2) :: rest when n1 > 0 ->
-      { w with Record.checks_by_kind = (k1, o1, 0) :: (k2, o2, n2 + n1) :: rest }
-    | _ -> w
-  in
-  let current =
-    { base with Record.workloads = List.map shift base.Record.workloads }
-  in
-  let report = Gate.check_run ~tolerance_pct:2.0 ~baseline:base ~current () in
-  Alcotest.(check bool) "shift produced warnings" true
-    (report.Gate.warnings <> []);
-  Alcotest.(check bool) "warnings never fail the gate" true report.Gate.ok
+  gate_names_fields [ "checks_by_kind[0].on"; "checks_by_kind[1].on" ]
+    (fun w ->
+      match w.Record.checks_by_kind with
+      | (k1, o1, n1) :: (k2, o2, n2) :: rest ->
+        { w with Record.checks_by_kind = (k1, o1, n1 - 1) :: (k2, o2, n2 + 1) :: rest }
+      | _ -> Alcotest.fail "a row with fewer than two check kinds")
 
 let test_gate_missing_workload () =
   let base = make_run (Lazy.force serial) in
@@ -661,15 +698,19 @@ let () =
           Alcotest.test_case "clean pass" `Quick test_gate_clean_pass;
           Alcotest.test_case "fails on slowdown" `Quick
             test_gate_fails_on_slowdown;
-          Alcotest.test_case "within tolerance" `Quick
-            test_gate_within_tolerance_passes;
+          Alcotest.test_case "1% slowdown fails" `Quick
+            test_gate_one_pct_slowdown_fails;
+          Alcotest.test_case "every simulated field gates" `Quick
+            test_gate_every_simulated_field;
+          Alcotest.test_case "reports base and current" `Quick
+            test_gate_reports_base_and_current;
           Alcotest.test_case "check-removal drop" `Quick
             test_gate_flags_check_removal_drop;
           Alcotest.test_case "checksum change" `Quick
             test_gate_flags_checksum_change;
           Alcotest.test_case "config mismatch" `Quick test_gate_config_mismatch;
-          Alcotest.test_case "composition warnings" `Quick
-            test_gate_composition_warnings;
+          Alcotest.test_case "kind-mix shift fails" `Quick
+            test_gate_kind_mix_shift_fails;
           Alcotest.test_case "missing workload" `Quick
             test_gate_missing_workload;
           Alcotest.test_case "exit codes" `Quick test_gate_exit_codes;

@@ -21,7 +21,9 @@
        workloads;
    (i) save with dir "" writes the latest document and no archive;
    (j) decoding: an absent optional field keeps its default, a mistyped
-       one is an error naming it. *)
+       one is an error naming it;
+   (k) baseline identity: a differing default-point row names its field,
+       and a present but unreadable baseline is an error naming it. *)
 
 open Tce_runner
 module W = Tce_workloads.Workload
@@ -497,6 +499,48 @@ let test_save_without_archive () =
     Alcotest.(check string) "under the archive directory" archives
       (Filename.dirname path)
 
+(* --- baseline identity --- *)
+
+(* The default point's rows against a baseline file: identical rows pass,
+   a differing row fails naming its field, a present but unreadable file
+   fails naming the file, and only an absent file is a note. *)
+let test_baseline_check () =
+  let dir = tmp_dir "tce-sweep-baseline" in
+  let t =
+    Sweep.run ~axes:(expect_axes "cc.entries=128") [ List.hd roster5 ]
+  in
+  let row = snd (List.hd t.Sweep.cells) in
+  let path name = Filename.concat dir name in
+  let write name rows =
+    Store.save ~latest:(path name) (Store.make_run ~host_wall_seconds:0.0 rows)
+  in
+  let expect name want_ok affixes =
+    let ok, text =
+      match Sweep.baseline_check ~baseline_path:(path name) t with
+      | Ok line -> (true, line)
+      | Error text -> (false, text)
+    in
+    Alcotest.(check bool) (name ^ ": passes") want_ok ok;
+    List.iter
+      (fun affix ->
+        if not (Astring.String.is_infix ~affix text) then
+          Alcotest.failf "%s: %S does not mention %S" name text affix)
+      affixes
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (path f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  Out_channel.with_open_text (path "truncated.json") (fun oc ->
+      output_string oc "{\"schema_version\": 3, \"kind\": \"bench-ru");
+  expect "truncated.json" false [ path "truncated.json"; "unreadable" ];
+  expect "absent.json" true [ path "absent.json"; "absent" ];
+  write "same.json" [ row ];
+  expect "same.json" true [ "1/1 rows" ];
+  write "deopts.json" [ { row with Record.deopts_on = row.Record.deopts_on + 1 } ];
+  expect "deopts.json" false [ row.Record.name ^ ": deopts_on: base " ]
+
 (* --- decoding --- *)
 
 (* An optional field of a sweep document keeps its default when absent and
@@ -594,6 +638,11 @@ let () =
             test_pairs_share_halves;
           Alcotest.test_case "no halves shared across workloads" `Quick
             test_no_sharing_across_workloads;
+        ] );
+      ( "baseline",
+        [
+          Alcotest.test_case "differing field, unreadable file" `Quick
+            test_baseline_check;
         ] );
       ( "save",
         [
