@@ -12,6 +12,7 @@ module Workloads = Tce_workloads.Workloads
 module Cache = Tce_runner.Cache
 module Chaos = Tce_runner.Supervise.Chaos
 module Record = Tce_runner.Record
+module Runner = Tce_runner.Runner
 module Store = Tce_runner.Store
 module Sweep = Tce_runner.Sweep
 module Campaign = Tce_runner.Campaign
@@ -212,7 +213,7 @@ let run_term =
            ~machine_cycles:(Tce_engine.Engine.opt_cycles t)
            ~baseline_instrs:
              t.Tce_engine.Engine.counters.Tce_machine.Counters.baseline_instrs
-           ~baseline_cpi:cpi ()
+           ~baseline_cpi:cpi
        in
        (match profile with
        | None -> ()
@@ -670,66 +671,53 @@ let bench_cmd =
       value & flag
       & info [ "profile" ]
           ~doc:
-            "Re-run the roster under the cycle-attribution profiler: print \
+            "Simulate the roster under the cycle-attribution profiler: print \
              the checks-off vs checks-on differential, write \
              PROF_latest.json and collapsed-stack flamegraph lines to \
              bench_profile.folded (load them in speedscope or inferno).")
   in
+  let write_profile (run : Record.run) rows =
+    let pairs = List.map (fun (_, (p : Runner.profile)) -> p.pair) rows in
+    print_newline ();
+    print_string (Tce_prof.Report.diff_table pairs);
+    Store.save_prof
+      (Tce_prof.Report.suite_doc ~git_sha:run.git_sha ~config_hash:run.config_hash
+         ~created_utc:run.created_utc pairs);
+    Out_channel.with_open_text "bench_profile.folded" (fun oc ->
+        List.iter
+          (fun (_, (p : Runner.profile)) -> output_string oc (p.folded_off ^ p.folded_on))
+          rows);
+    Printf.printf "wrote %s and bench_profile.folded\n" Store.prof_latest_path
+  in
   let bench r out deterministic strict profile =
-    if r.worker = None && r.shards > 1 && profile then
-      `Error (true, "--profile is not supported with --shards (run it serially)")
-    else
-      `Ok
-        (serve_or r (fun () -> Tce_runner.Runner.bench_cells r.ws) @@ fun () ->
-         let run =
-           Tce_runner.Runner.run_suite ~shards:r.shards ~supervise:r.supervise
-             ?resume:r.resume ?chaos:r.chaos ?cache:r.cache r.ws
-         in
-         finish_cache r.cache;
-         let run = if deterministic then Record.normalize_run run else run in
-         Store.save ~latest:out run;
-         Store.print_summary run;
-         Printf.printf "wrote %s\n" out;
-         if profile then begin
-           (* Second pass under the profiler: whole-run measurement per side
-              (the reconciliation invariant needs counters on from the first
-              instruction), so these runs are separate from the
-              steady-state numbers saved above. *)
-           let module R = Tce_prof.Report in
-           let profs = List.map (fun w -> Harness.run_pair_profiled w) r.ws in
-           let pairs =
-             List.map
-               (fun (p : Harness.profiled) ->
-                 {
-                   R.p_name = p.Harness.p_name;
-                   p_off = Some p.Harness.p_off;
-                   p_on = Some p.Harness.p_on;
-                 })
-               profs
-           in
-           print_newline ();
-           print_string (R.diff_table pairs);
-           Store.save_prof
-             (R.suite_doc ~git_sha:run.Record.git_sha
-                ~config_hash:run.Record.config_hash
-                ~created_utc:run.Record.created_utc pairs);
-           let folded_path = "bench_profile.folded" in
-           Out_channel.with_open_text folded_path (fun oc ->
-               List.iter
-                 (fun (p : Harness.profiled) ->
-                   output_string oc p.Harness.p_folded_off;
-                   output_string oc p.Harness.p_folded_on)
-                 profs);
-           Printf.printf "wrote %s and %s\n" Store.prof_latest_path folded_path
-         end;
-         (* Non-strict runs survive quarantined cells (the remaining rows
-            are intact and reported); --strict makes any quarantine fail. *)
-         if strict && run.Record.quarantined <> [] then begin
-           Printf.eprintf "bench: --strict and %d cell(s) quarantined\n"
-             (List.length run.Record.quarantined);
-           1
-         end
-         else 0)
+    (* the roster pass: [cell] is a row's Record.cell, [report] writes
+       what else the rows hold *)
+    let pass cells ~cell report =
+      serve_or r (fun () -> cells) @@ fun () ->
+      let run, rows =
+        Runner.record ~shards:r.shards ~cell @@ fun () ->
+        Tce_runner.Shard.run ~supervise:r.supervise ?resume:r.resume ?chaos:r.chaos
+          ?cache:r.cache ~journal_path:Store.bench_journal_path ~shards:r.shards
+          ~worker_args:[] cells
+      in
+      finish_cache r.cache;
+      let run = if deterministic then Record.normalize_run run else run in
+      Store.save ~latest:out run;
+      Store.print_summary run;
+      Printf.printf "wrote %s\n" out;
+      report run rows;
+      (* Non-strict runs survive quarantined cells (the remaining rows
+         are intact and reported); --strict makes any quarantine fail. *)
+      if strict && run.Record.quarantined <> [] then begin
+        Printf.eprintf "bench: --strict and %d cell(s) quarantined\n"
+          (List.length run.Record.quarantined);
+        1
+      end
+      else 0
+    in
+    if profile then
+      pass (Runner.profiled_bench_cells r.ws) ~cell:fst write_profile
+    else pass (Runner.bench_cells r.ws) ~cell:Fun.id (fun _ _ -> ())
   in
   Cmd.v
     (Cmd.info "bench"
@@ -738,9 +726,8 @@ let bench_cmd =
           bench-run record, BENCH_latest.json by default. Rows accepted \
           from workers are journaled to results/journal/bench.jsonl.")
     Term.(
-      ret
-        (const bench $ runner_t ~chaos:true Arg.pos_all
-        $ out_t Store.latest_path $ deterministic_t $ strict_t $ profile))
+      const bench $ runner_t ~chaos:true Arg.pos_all $ out_t Store.latest_path
+      $ deterministic_t $ strict_t $ profile)
 
 let check_cmd =
   let baseline =

@@ -7,11 +7,11 @@
       as warm-up (tier-up and Class List profiling happen here), then
       measure a single call. Counters run from the first instruction, so
       the same execution also gives the whole-run totals. The roster rows,
-      the ablations and the sweep ({!run_pair}), the profiler
-      ({!run_pair_profiled}) and the fault campaign's runs
-      ({!Tce_runner.Campaign.observe}: its clean run, armed to count fault
-      opportunities, and a faulted run per cell whose rule can fire) all
-      use it.
+      the ablations and the sweep ({!Tce_runner.Runner.pair_cells}, whose
+      profiled roster sets the config's [prof]) and the fault campaign's
+      runs ({!Tce_runner.Campaign.observe}: its clean run, armed to count
+      fault opportunities, and a faulted run per cell whose rule can fire)
+      all use it.
     - {!warm}, the unmeasured run: the top level, then [bench()] a given
       number of times with counters off. The pure-interpreter reference
       ({!reference}: the fault oracle's ground truth and the differential
@@ -401,59 +401,6 @@ module Figures = struct
         ccops_on;
       }
 end
-
-(* --- cycle-attribution profiling --- *)
-
-(** A profiled whole-run pair: both sides of one workload under a fresh
-    {!Tce_prof.Profile} each, with their collapsed-stack exports. *)
-type profiled = {
-  p_name : string;
-  p_off : Tce_prof.Profile.summary;
-  p_on : Tce_prof.Profile.summary;
-  p_folded_off : string;
-  p_folded_on : string;
-}
-
-(** Profile both sides of [w], each a {!run} under a fresh
-    {!Tce_prof.Profile}: counters run from the first instruction there, so
-    the whole-run totals reconcile with the profile's cells. The sides
-    must agree on the checksum. [verify] additionally reruns each side
-    {e unprofiled} and asserts the totals are bit-identical — profiling
-    must never change a simulated number. *)
-let run_pair_profiled ?(verify = false) ?(config = E.default_config)
-    (w : Workload.t) : profiled =
-  let cpi = config.E.mach_cfg.Tce_machine.Config.baseline_cpi in
-  let side mechanism =
-    let prof = Tce_prof.Profile.create () in
-    let r = run ~config:{ config with E.mechanism; prof } w in
-    let summary =
-      Tce_prof.Profile.summarize prof ~program:w.Workload.name ~mechanism
-        ~machine_cycles:r.whole_opt_cycles
-        ~baseline_instrs:r.whole_baseline_instrs ~baseline_cpi:cpi ()
-    in
-    let root = w.Workload.name ^ ";" ^ (if mechanism then "on" else "off") in
-    (r, summary, Tce_prof.Profile.folded ~root ~baseline_cpi:cpi prof)
-  in
-  let off, p_off, p_folded_off = side false in
-  let on, p_on, p_folded_on = side true in
-  check_agree w ~off:off.checksum ~on:on.checksum;
-  if verify then
-    List.iter
-      (fun (p : result) ->
-        let u = run ~config:{ config with E.mechanism = p.mechanism } w in
-        if u.whole_baseline_instrs <> p.whole_baseline_instrs
-           || u.whole_opt_cycles <> p.whole_opt_cycles
-        then
-          failwith
-            (Printf.sprintf
-               "%s (mechanism %b): profiling changed simulated results \
-                (unprofiled %d machine cycles / %d baseline instrs, \
-                profiled %d / %d)"
-               w.Workload.name p.mechanism u.whole_opt_cycles
-               u.whole_baseline_instrs p.whole_opt_cycles
-               p.whole_baseline_instrs))
-      [ off; on ];
-  { p_name = w.Workload.name; p_off; p_on; p_folded_off; p_folded_on }
 
 (** Run [source]'s top level, then [bench()] [iterations] times, with
     counters off: the one unmeasured execution. Returns the engine, warm

@@ -229,7 +229,7 @@ let bump tbl k v =
     [baseline_instrs] must come from a run without counter resets (the
     whole-run protocol). *)
 let summarize t ~program ~mechanism ~machine_cycles ~baseline_instrs
-    ~baseline_cpi ?(top = 20) () : summary =
+    ~baseline_cpi : summary =
   if not t.enabled then invalid_arg "Profile.summarize: profiler disabled";
   let opt_sum = opt_cells_sum t in
   if opt_sum <> machine_cycles then
@@ -275,7 +275,7 @@ let summarize t ~program ~mechanism ~machine_cycles ~baseline_instrs
           else compare (a.s_fn, a.s_pc) (b.s_fn, b.s_pc))
         !sites
     in
-    List.filteri (fun i _ -> i < top) l
+    List.filteri (fun i _ -> i < 20) l
   in
   {
     program;

@@ -127,7 +127,7 @@ type summary = {
   base_by_label : (string * int) array;
       (** baseline instructions per bytecode mnemonic + named extras,
           descending *)
-  top_sites : site list;  (** hottest (function, pc) machine sites *)
+  top_sites : site list;  (** the 20 hottest (function, pc) machine sites *)
 }
 
 val summarize :
@@ -137,8 +137,6 @@ val summarize :
   machine_cycles:int ->
   baseline_instrs:int ->
   baseline_cpi:float ->
-  ?top:int ->
-  unit ->
   summary
 (** Build the per-run summary. Fails (with the program name and both
     numbers) if the machine-side cells do not sum exactly to

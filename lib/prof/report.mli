@@ -46,3 +46,7 @@ val suite_doc :
     pairs) written to [results/PROF_latest.json]. *)
 
 val suite_of_json : Tce_obs.Json.t -> (pair list, string) result
+
+val pair_to_json : pair -> Tce_obs.Json.t
+val pair_of_json : Tce_obs.Json.t -> (pair, string) result
+(** One workload's entry of {!suite_doc}; decoding ignores other members. *)

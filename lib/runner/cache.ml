@@ -148,28 +148,33 @@ let fault_key ?config ~spec ~seed (w : W.t) : string =
 
 let cell_path t k = Filename.concat t.dir (k ^ ".json")
 
-(** Look the key up. A hit touches the file's mtime (the LRU clock
-    {!prune} evicts by) and counts toward [hits]/[bytes_read]; a missing
-    or unparseable file is a miss (a corrupt file — torn by a crashed
-    host, not by us — is deleted so it cannot go on masking the slot). *)
-let find t ~key:k : J.t option =
+(** Look the key up and decode it. A hit touches the file's mtime (the LRU
+    clock {!prune} evicts by) and counts toward [hits]/[bytes_read]; a
+    missing, corrupt or undecodable entry is a miss. A corrupt file — torn
+    by a crashed host, not by us — is deleted so it cannot go on masking
+    the slot; an entry [decode] rejects is kept for the caller to overwrite. *)
+let find_decoded t ~key:k decode =
   let path = cell_path t k in
-  match Result.to_option (Store.read_file path) with
-  | None ->
+  let miss () =
     with_lock t (fun () -> t.stats.misses <- t.stats.misses + 1);
     None
+  in
+  match Result.to_option (Store.read_file path) with
+  | None -> miss ()
   | Some text -> (
-    match J.of_string text with
-    | Ok j ->
+    match Result.map decode (J.of_string text) with
+    | Ok (Ok v) ->
       with_lock t (fun () ->
           t.stats.hits <- t.stats.hits + 1;
           t.stats.bytes_read <- t.stats.bytes_read + String.length text);
       (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
-      Some j
+      Some v
+    | Ok (Error _) -> miss ()
     | Error _ ->
       (try Sys.remove path with Sys_error _ -> ());
-      with_lock t (fun () -> t.stats.misses <- t.stats.misses + 1);
-      None)
+      miss ())
+
+let find t ~key = find_decoded t ~key Result.ok
 
 (** Install [j] under [k]: write-to-temp + atomic rename, so a reader (or
     a concurrent writer of the same key — deterministic cells make the

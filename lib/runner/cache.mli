@@ -60,10 +60,13 @@ val fault_key :
 (** The cache key of one fault-campaign cell: the bench identity plus the
     armed singleton [spec] and the cell's injector [seed]. *)
 
+val find_decoded : t -> key:string -> (Tce_obs.Json.t -> ('a, string) result) -> 'a option
+(** Look the key up and decode it; a hit touches the LRU clock and counts
+    toward [hits]/[bytes_read]. A missing, corrupt (deleted) or rejected
+    by [decode] (kept: another reader's form of the cell) entry is a miss. *)
+
 val find : t -> key:string -> Tce_obs.Json.t option
-(** Look the key up; a hit touches the LRU clock and counts toward
-    [hits]/[bytes_read], a missing or corrupt file is a miss (corrupt
-    files are deleted). *)
+(** {!find_decoded} of the parsed entry. *)
 
 val store : t -> key:string -> Tce_obs.Json.t -> unit
 (** Install a row atomically (tmp + rename); rewriting an existing key is

@@ -6,7 +6,6 @@ type report = {
   missing : string list;
   quarantined : string list;
   config_mismatch : bool;
-  warnings : string list;
   ok : bool;
 }
 
@@ -16,7 +15,7 @@ let check_run ~baseline ~current () : report =
   in
   (* A baseline workload absent because the supervisor quarantined it is
      not a regression — the gate compares only the completed rows and
-     warns. A workload absent for any other reason still fails. *)
+     reports it. A workload absent for any other reason still fails. *)
   let quarantined_names =
     List.map (fun q -> q.Supervise.q_name) current.Record.quarantined
   in
@@ -41,15 +40,8 @@ let check_run ~baseline ~current () : report =
   in
   let missing = List.rev missing and quarantined = List.rev quarantined in
   let config_mismatch = baseline.Record.config_hash <> current.Record.config_hash in
-  let warnings =
-    List.map
-      (Printf.sprintf
-         "%s: quarantined by the supervisor — excluded from the comparison \
-          (completed rows only, non-gating)")
-      quarantined
-  in
   let ok = (not config_mismatch) && missing = [] && differ = [] in
-  { compared; differ; missing; quarantined; config_mismatch; warnings; ok }
+  { compared; differ; missing; quarantined; config_mismatch; ok }
 
 (* --- reporting --- *)
 
@@ -72,7 +64,6 @@ let print_report ~baseline ~current (r : report) =
         else if List.mem name r.missing then
           Printf.printf "%-22s MISSING from current run\n" name)
     baseline.Record.workloads;
-  List.iter (Printf.printf "warning: %s\n") r.warnings;
   let n = List.length r.compared in
   let rows =
     if r.differ = [] then Printf.sprintf "all %d rows identical" n

@@ -23,12 +23,9 @@ type report = {
   quarantined : string list;
       (** baseline workloads absent because the current run's supervisor
           quarantined them (poison cells): the gate compares the completed
-          rows only and warns instead of failing *)
+          rows only and reports them instead of failing *)
   config_mismatch : bool;
       (** the two runs were measured under different simulator configs *)
-  warnings : string list;
-      (** one non-gating line per quarantined workload. Host wall time is
-          never compared; it is measured by perfbench. *)
   ok : bool;
 }
 

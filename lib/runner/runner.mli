@@ -38,6 +38,22 @@ val bench_cells :
   Tce_workloads.Workload.t list ->
   Record.cell Shard.cells
 
+(** What the cycle-attribution profiler adds to a roster cell: its
+    workload's prof-report pair and each side's folded lines. *)
+type profile = {
+  pair : Tce_prof.Report.pair;
+  folded_off : string;
+  folded_on : string;
+}
+
+(** {!bench_cells} with each half it simulates run under a fresh
+    {!Tce_prof.Profile} (a store-free workload's on side re-summarizes
+    its off half's), worker subcommand [bench --profile]. A row is cached
+    under its cell's key with a ["profile"] member that
+    {!Shard.cell_codec} ignores. *)
+val profiled_bench_cells :
+  Tce_workloads.Workload.t list -> (Record.cell * profile) Shard.cells
+
 (** The cells of [pairs] in input order ({!pair_cells}): serially in this
     process, through {!Shard.run} and, with [cache], the cell cache. *)
 val run_pairs :
@@ -45,30 +61,25 @@ val run_pairs :
   (Tce_engine.Engine.config * Tce_workloads.Workload.t) list ->
   Record.cell list
 
-(** Run the roster through {!Shard.run} over {!bench_cells} and stamp a
-    provenance-stamped {!Record.run} (git SHA, config hash, wall clock,
-    [shards], quarantine, resumed rows and this invocation's cell-cache
-    counts) that keeps the rows' figure inputs in [figures]. [shards]
-    defaults to 1: serial, in this process. With [shards > 1] or
-    [resume], the supervised mode runs, journaled to
-    [journal_path] (default {!Store.bench_journal_path}). [on_row]
-    observes each in-process row as it completes. [jobs] stays only for
-    callers that still pass [~jobs:1]; any other value raises
-    [Invalid_argument] ({!Shard.serial_jobs}).
-    @raise Failure as {!Shard.run}, which refuses a [resume] journal of
-    another roster or roster order. *)
+(** The rows of [run ()], a {!Shard.run} over [shards], in roster order,
+    and their provenance-stamped {!Record.run} (git SHA, config hash, wall
+    clock, [shards], quarantine, resumed rows, cell-cache counts and the
+    rows' figure inputs) of each row's cell [cell row]. *)
+val record :
+  shards:int -> cell:('row -> Record.cell) -> (unit -> 'row Shard.outcome) ->
+  Record.run * 'row list
+
+(** {!record} of the roster through {!Shard.run} over {!bench_cells}:
+    serial in this process for [shards] 1 (the default), else supervised
+    and journaled to {!Store.bench_journal_path}. [on_row] observes each
+    in-process row as it completes. [jobs] stays only for callers that
+    still pass [~jobs:1]; any other value raises [Invalid_argument]
+    ({!Shard.serial_jobs}). *)
 val run_suite :
-  ?exe:string ->
-  ?spawn:Supervise.spawn ->
-  ?log_dir:string ->
   ?supervise:Supervise.config ->
-  ?journal_path:string ->
-  ?resume:string ->
-  ?chaos:Supervise.Chaos.mode * int ->
   ?cache:Cache.t ->
   ?jobs:int ->
   ?on_row:(Record.workload -> unit) ->
   ?shards:int ->
-  ?worker_args:string list ->
   Tce_workloads.Workload.t list ->
   Record.run

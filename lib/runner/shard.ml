@@ -203,8 +203,7 @@ let run ?exe ?spawn ?(log_dir = default_log_dir)
   let keys = lazy (Array.init c.count c.key) in
   let cached i =
     Option.bind cache (fun ca ->
-        Option.bind (Cache.find ca ~key:(Lazy.force keys).(i)) (fun j ->
-            Result.to_option (c.codec.decode j)))
+        Cache.find_decoded ca ~key:(Lazy.force keys).(i) c.codec.decode)
   in
   let install i row =
     Option.iter

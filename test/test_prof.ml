@@ -1,16 +1,18 @@
 (* Tests for the cycle-attribution profiler:
    (a) per-category reconciliation on a multi-workload sweep — every
        machine cycle and baseline instruction lands in exactly one cell;
-   (b) profiling never changes a simulated number (bit-identity vs the
-       unprofiled harness, via run_pair_profiled ~verify);
+   (b) profiling never changes a simulated number: a profiled roster
+       cell's row and figures equal the unprofiled cell's, and a
+       store-free workload's derived mechanism-on profile equals one
+       simulated under the mechanism;
    (c) the collapsed-stack export round-trips through parse_folded, its
        machine-side counts are exact, and richards' per-pc attribution is
        pinned by digest;
    (d) summaries round-trip through the prof-report JSON;
    (e) the checks-off vs checks-on differential has the right sign — the
        mechanism removes check cycles, it does not add them;
-   (f) the gate never looks at host wall time: the same verdicts and no
-       wall warnings whatever the wall fields hold;
+   (f) the gate never looks at host wall time: the same verdicts whatever
+       the wall fields hold;
    (g) run-vs-run drift between two prof-report files on disk names the
        cost kind that moved, and finds none between identical files. *)
 
@@ -23,28 +25,34 @@ let workload name =
   | Some w -> w
   | None -> Alcotest.failf "workload %s not in registry" name
 
-(* One profiled pair per workload, shared across tests. [~verify] reruns
-   each side unprofiled and fails unless cycles and baseline instructions
-   are bit-identical, and summarize itself fails unless the per-category
-   sums reconcile exactly — so forcing these lazies is assertions (a) and
-   (b) for the named workloads. *)
+(* The profiled roster row of [w], its cell and its profile, as bench
+   --profile computes it. *)
+let profiled_cell w = (Tce_runner.Runner.profiled_bench_cells [ w ]).Tce_runner.Shard.run 0
+
+(* One profiled cell per workload, shared across tests. summarize fails
+   unless the per-category sums reconcile exactly, so forcing this lazy
+   is assertion (a) for the named workloads. *)
 let sweep_names = [ "richards"; "deltablue"; "splay" ]
 
 let sweep =
-  lazy
-    (List.map
-       (fun n -> (n, H.run_pair_profiled ~verify:true (workload n)))
-       sweep_names)
+  lazy (List.map (fun n -> (n, profiled_cell (workload n))) sweep_names)
 
-let profiled name = List.assoc name (Lazy.force sweep)
+let profiled name = snd (List.assoc name (Lazy.force sweep))
+
+(* Both sides of a profiled cell: summary and folded lines. *)
+let sides (p : Tce_runner.Runner.profile) =
+  [
+    ("off", p.folded_off, Option.get p.pair.R.p_off);
+    ("on", p.folded_on, Option.get p.pair.R.p_on);
+  ]
 
 (* --- (a) reconciliation --- *)
 
 let test_reconciliation_sweep () =
   List.iter
-    (fun (name, (p : H.profiled)) ->
+    (fun (name, (_, p)) ->
       List.iter
-        (fun (side, (s : P.summary)) ->
+        (fun (side, _, (s : P.summary)) ->
           let sum a = Array.fold_left (fun acc (_, v) -> acc + v) 0 a in
           Alcotest.(check int)
             (Printf.sprintf "%s %s: by_cost sums to machine cycles" name side)
@@ -61,16 +69,54 @@ let test_reconciliation_sweep () =
             (float_of_int s.P.machine_cycles
             +. (float_of_int s.P.baseline_instrs *. s.P.baseline_cpi))
             s.P.total_cycles)
-        [ ("off", p.H.p_off); ("on", p.H.p_on) ])
+        (sides p))
     (Lazy.force sweep);
   (* a fourth profile shape: heavy string/array traffic *)
-  ignore (H.run_pair_profiled (workload "json-stringify-tinderbox"))
+  ignore (profiled_cell (workload "json-stringify-tinderbox"))
 
-(* (b) is exercised by ~verify:true inside the sweep: run_pair_profiled
-   fails the whole test if any profiled total differs from the unprofiled
-   rerun. Forcing the lazy here keeps the assertion visible even if the
-   other tests are filtered out. *)
-let test_bit_identity () = ignore (Lazy.force sweep)
+(* --- (b) profiling changes no simulated number --- *)
+
+(* The profiled cell's row and figures block equal the unprofiled
+   cell's in every simulated field. *)
+let test_bit_identity () =
+  List.iter
+    (fun (name, ((row, figures), _)) ->
+      let plain_row, plain_figures =
+        (Tce_runner.Runner.bench_cells [ workload name ]).Tce_runner.Shard.run 0
+      in
+      Alcotest.(check bool) (name ^ ": row equals the unprofiled row") true
+        (Tce_runner.Record.equal_deterministic plain_row row);
+      Alcotest.(check bool) (name ^ ": figures equal the unprofiled figures")
+        true
+        (figures <> None && figures = plain_figures))
+    (Lazy.force sweep)
+
+(* A store-free workload simulates one half: its mechanism-on side is
+   derived from the off half's profile. It equals the profile of a
+   mechanism-on Harness.run under a fresh profile, summary and folded
+   lines alike. *)
+let test_derived_on_side () =
+  let w = workload "controlflow-recursive" in
+  Alcotest.(check bool) "controlflow-recursive stores nothing" false
+    (Tce_engine.Engine.stores
+       (Tce_jit.Bc_compile.compile_source w.Tce_workloads.Workload.source));
+  let _, p = profiled_cell w in
+  let prof = P.create () in
+  let config = { Tce_engine.Engine.default_config with mechanism = true; prof } in
+  let r = H.run ~config w in
+  let baseline_cpi =
+    config.Tce_engine.Engine.mach_cfg.Tce_machine.Config.baseline_cpi
+  in
+  let summary =
+    P.summarize prof ~program:"controlflow-recursive" ~mechanism:true
+      ~machine_cycles:r.H.whole_opt_cycles
+      ~baseline_instrs:r.H.whole_baseline_instrs ~baseline_cpi
+  in
+  Alcotest.(check bool) "derived on summary equals the simulated one" true
+    (p.pair.R.p_on = Some summary);
+  Alcotest.(check string) "derived on folded lines equal the simulated ones"
+    (P.folded ~root:"controlflow-recursive;on" ~baseline_cpi prof)
+    p.folded_on
 
 (* --- (c) collapsed-stack round-trip --- *)
 
@@ -114,10 +160,7 @@ let test_folded_round_trip () =
           | "deltablue" :: s2 :: _ when s2 = side -> ()
           | _ -> Alcotest.failf "%s: missing root frames" side)
         rows)
-    [
-      ("off", p.H.p_folded_off, p.H.p_off);
-      ("on", p.H.p_folded_on, p.H.p_on);
-    ]
+    (sides p)
 
 (* Per-pc attribution, pinned: the MD5 of richards' folded profile text,
    mechanism off and on, as the per-instruction executor produced it. The
@@ -127,10 +170,10 @@ let test_folded_pinned () =
   let p = profiled "richards" in
   Alcotest.(check string) "richards off: folded profile unchanged"
     "8c5a765bf5852ebc473110c2b5fc7810"
-    (Digest.to_hex (Digest.string p.H.p_folded_off));
+    (Digest.to_hex (Digest.string p.folded_off));
   Alcotest.(check string) "richards on: folded profile unchanged"
     "273939a2a78a9edcf1c7f60d4a5c774b"
-    (Digest.to_hex (Digest.string p.H.p_folded_on))
+    (Digest.to_hex (Digest.string p.folded_on))
 
 let test_parse_folded_rejects_garbage () =
   (match P.parse_folded "frames-without-count" with
@@ -150,14 +193,11 @@ let test_summary_json_round_trip () =
       | Error e -> Alcotest.failf "summary_of_json: %s" e
       | Ok s' ->
         Alcotest.(check bool) "summary round-trips" true (s = s'))
-    [ p.H.p_off; p.H.p_on ]
+    (List.map (fun (_, _, s) -> s) (sides p))
 
 let test_suite_doc_round_trip () =
   let pairs =
-    List.map
-      (fun (name, (p : H.profiled)) ->
-        { R.p_name = name; p_off = Some p.H.p_off; p_on = Some p.H.p_on })
-      (Lazy.force sweep)
+    List.map (fun (_, (_, (p : Tce_runner.Runner.profile))) -> p.pair) (Lazy.force sweep)
   in
   let doc =
     R.suite_doc ~git_sha:"cafe01" ~config_hash:"deadbeef"
@@ -177,9 +217,7 @@ let test_suite_doc_round_trip () =
 
 let test_differential_sign () =
   let p = profiled "richards" in
-  let pairs =
-    [ { R.p_name = "richards"; p_off = Some p.H.p_off; p_on = Some p.H.p_on } ]
-  in
+  let pairs = [ p.pair ] in
   let deltas = R.label_deltas pairs in
   let delta label =
     match List.assoc_opt label deltas with
@@ -259,8 +297,8 @@ let test_gate_ignores_wall () =
       Alcotest.(check bool) (what ^ ": gate passes") true r.Tce_runner.Gate.ok;
       Alcotest.(check (list (pair string (list string))))
         (what ^ ": no row differs") [] r.Tce_runner.Gate.differ;
-      Alcotest.(check (list string)) (what ^ ": no warnings") []
-        r.Tce_runner.Gate.warnings)
+      Alcotest.(check (list string)) (what ^ ": nothing quarantined") []
+        r.Tce_runner.Gate.quarantined)
     [ (1.0, 10.0); (10.0, 1.0); (0.0, 99.0); (2.0, 2.0) ]
 
 (* --- (g) run-vs-run drift across two files --- *)
@@ -292,10 +330,7 @@ let drifted_costs table =
 
 let test_profile_diff_files () =
   let pairs =
-    List.map
-      (fun (name, (p : H.profiled)) ->
-        { R.p_name = name; p_off = Some p.H.p_off; p_on = Some p.H.p_on })
-      (Lazy.force sweep)
+    List.map (fun (_, (_, (p : Tce_runner.Runner.profile))) -> p.pair) (Lazy.force sweep)
   in
   let first = List.hd pairs in
   let on = Option.get first.R.p_on in
@@ -341,6 +376,8 @@ let () =
             test_reconciliation_sweep;
           Alcotest.test_case "bit-identical to unprofiled" `Quick
             test_bit_identity;
+          Alcotest.test_case "derived on side equals a simulated one" `Quick
+            test_derived_on_side;
         ] );
       ( "folded",
         [

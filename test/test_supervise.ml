@@ -17,7 +17,7 @@
        UTC-stamped per-shard stderr logs;
    (f) merge_rows errors that name workloads, quarantine-aware gate, and
        the recovery provenance JSON round-trip;
-   (g) end-to-end: Runner.run_suite ~shards:2 over the real
+   (g) end-to-end: the roster on 2 supervised workers over the real
        bench/main.exe with seeded chaos, byte-identical to a serial run,
        and the sharded fault
        campaign cell-for-cell identical to the in-process one. *)
@@ -609,10 +609,9 @@ let test_gate_quarantine_aware () =
   Alcotest.(check (list string)) "reported as quarantined" [ "sup-b" ]
     report.Gate.quarantined;
   Alcotest.(check (list string)) "not reported missing" [] report.Gate.missing;
-  Alcotest.(check bool) "and it warns" true
-    (List.exists
-       (fun w -> Astring.String.is_infix ~affix:"quarantined" w)
-       report.Gate.warnings);
+  Alcotest.(check (list string)) "and excluded: completed rows only"
+    [ "sup-a" ]
+    (List.map (fun ((b : Record.workload), _) -> b.Record.name) report.Gate.compared);
   (* the same absence without a quarantine record still fails *)
   let bare = Store.make_run ~host_wall_seconds:0.0 surviving in
   let report = Gate.check_run ~baseline ~current:bare () in
@@ -736,14 +735,19 @@ let e2e_serial = lazy (Runner.run_suite e2e_roster)
 
 let tmp_journal () = Filename.temp_file "tce-bench-journal" ".jsonl"
 
+(* The roster on supervised bench/main.exe workers, the way [bench]
+   drives it: Shard.run over Runner.bench_cells, stamped by Runner.record. *)
+let supervised ?spawn ?(supervise = e2e_cfg) ?(journal_path = tmp_journal ()) ?resume
+    ?chaos ~shards roster =
+  fst @@ Runner.record ~shards ~cell:Fun.id @@ fun () ->
+  Shard.run ~exe:bench_exe ?spawn ~log_dir ~supervise ~journal_path ?resume ?chaos
+    ~shards ~worker_args:[] (Runner.bench_cells roster)
+
 let test_e2e_chaos_sigkill_byte_identical () =
   require_bench_exe ();
   let serial = Lazy.force e2e_serial in
   let sup =
-    Runner.run_suite ~exe:bench_exe ~log_dir ~supervise:e2e_cfg
-      ~journal_path:(tmp_journal ())
-      ~chaos:(Supervise.Chaos.Sigkill_after, 7) ~shards:2 ~worker_args:[]
-      e2e_roster
+    supervised ~chaos:(Supervise.Chaos.Sigkill_after, 7) ~shards:2 e2e_roster
   in
   Alcotest.(check string) "chaos-recovered run byte-identical to serial"
     (normalized_json serial) (normalized_json sup)
@@ -765,10 +769,7 @@ let test_e2e_chaos_fires_beyond_the_roster () =
         Supervise.default_spawn ~exe ~argv ~stdout ~stderr
       in
       let sup =
-        Runner.run_suite ~exe:bench_exe ~spawn ~log_dir ~supervise:e2e_cfg
-          ~journal_path:(tmp_journal ())
-          ~chaos:(Supervise.Chaos.Sigkill_after, seed) ~shards:4
-          ~worker_args:[] roster
+        supervised ~spawn ~chaos:(Supervise.Chaos.Sigkill_after, seed) ~shards:4 roster
       in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: a worker was killed and respawned" seed)
@@ -781,10 +782,9 @@ let test_e2e_chaos_fires_beyond_the_roster () =
 let test_e2e_poison_quarantines () =
   require_bench_exe ();
   let sup =
-    Runner.run_suite ~exe:bench_exe ~log_dir
+    supervised
       ~supervise:{ e2e_cfg with Supervise.max_retries = 1 }
-      ~journal_path:(tmp_journal ())
-      ~chaos:(Supervise.Chaos.Poison, 7) ~shards:2 ~worker_args:[] e2e_roster
+      ~chaos:(Supervise.Chaos.Poison, 7) ~shards:2 e2e_roster
   in
   Alcotest.(check int) "one cell quarantined" 1
     (List.length sup.Record.quarantined);
@@ -796,8 +796,7 @@ let test_e2e_resume_from_truncated_journal () =
   let serial = Lazy.force e2e_serial in
   let journal_path = tmp_journal () in
   let full =
-    Runner.run_suite ~exe:bench_exe ~log_dir ~supervise:e2e_cfg ~journal_path
-      ~shards:2 ~worker_args:[] e2e_roster
+    supervised ~journal_path ~shards:2 e2e_roster
   in
   Alcotest.(check string) "full supervised run byte-identical"
     (normalized_json serial) (normalized_json full);
@@ -815,9 +814,7 @@ let test_e2e_resume_from_truncated_journal () =
   output_string oc "{\"torn";
   close_out oc;
   let resumed =
-    Runner.run_suite ~exe:bench_exe ~log_dir ~supervise:e2e_cfg
-      ~journal_path:(tmp_journal ()) ~resume:truncated ~shards:2
-      ~worker_args:[] e2e_roster
+    supervised ~resume:truncated ~shards:2 e2e_roster
   in
   Alcotest.(check string) "resumed run byte-identical to serial"
     (normalized_json serial) (normalized_json resumed)

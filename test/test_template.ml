@@ -350,8 +350,7 @@ let test_profile_reconciles_with_templates () =
            ~baseline_instrs:
              e.Tce_engine.Engine.counters.Tce_machine.Counters.baseline_instrs
            ~baseline_cpi:
-             config.Tce_engine.Engine.mach_cfg.Tce_machine.Config.baseline_cpi
-           ()))
+             config.Tce_engine.Engine.mach_cfg.Tce_machine.Config.baseline_cpi))
     [ false; true ]
 
 (* --- (e) shard-merge determinism --- *)
